@@ -73,7 +73,7 @@ const (
 type Hierarchy struct {
 	levels   []Level // resolved costs
 	leaf     topology.Topology
-	leafSpec string // canonical leaf spec, "" for single-processor leaves
+	leafSpec string // "" for single-processor leaves
 	n        int
 	leafSize int
 	inst     []int   // inst[i] = processors per level-i instance
@@ -91,60 +91,23 @@ var _ topology.Topology = (*Hierarchy)(nil)
 // topology spec ("torus-2x4", "mesh-8", "hypercube-3", "fattree-2x3";
 // "" binds single-processor leaves).
 func New(levels []Level, leafSpec string) (*Hierarchy, error) {
-	if len(levels) < 1 || len(levels) > maxLevels {
-		return nil, fmt.Errorf("hiertopo: need 1..%d levels, got %d", maxLevels, len(levels))
+	if err := checkDepth(len(levels)); err != nil {
+		return nil, err
 	}
-	leaf, canonLeaf, err := parseLeaf(leafSpec)
+	leaf, err := parseLeaf(leafSpec)
 	if err != nil {
 		return nil, err
 	}
 	h := &Hierarchy{
 		levels:   append([]Level(nil), levels...),
 		leaf:     leaf,
-		leafSpec: canonLeaf,
+		leafSpec: leafSpec,
 		leafSize: leaf.Nodes(),
 	}
+	if h.n, err = resolveLevels(h.levels, h.leafSize); err != nil {
+		return nil, err
+	}
 	L := len(h.levels)
-	n := h.leafSize
-	for i := L - 1; i >= 0; i-- {
-		lv := &h.levels[i]
-		if err := checkName(lv.Name); err != nil {
-			return nil, err
-		}
-		if lv.Count < 1 || lv.Count > maxFanout {
-			return nil, fmt.Errorf("hiertopo: level %q count %d out of range [1,%d]", lv.Name, lv.Count, maxFanout)
-		}
-		if lv.Cost < 0 || lv.Bandwidth < 0 || lv.Latency < 0 {
-			return nil, fmt.Errorf("hiertopo: level %q has a negative cost, bandwidth, or latency", lv.Name)
-		}
-		//lint:ignore floatcmp literal 0 is the unset sentinel for Cost, replaced by the bandwidth- or position-derived default
-		if lv.Cost == 0 {
-			if lv.Bandwidth > 0 {
-				lv.Cost = 1 / lv.Bandwidth
-			} else {
-				lv.Cost = defaultCost(i, L)
-			}
-		}
-		if lv.Cost < 1 {
-			return nil, fmt.Errorf("hiertopo: level %q cost %g must be >= 1 (crossing a level can never be cheaper than a link)", lv.Name, lv.Cost)
-		}
-		if n > maxNodes/lv.Count {
-			return nil, fmt.Errorf("hiertopo: hierarchy exceeds %d processors", maxNodes)
-		}
-		n *= lv.Count
-	}
-	for i := 0; i < L; i++ {
-		for j := i + 1; j < L; j++ {
-			if h.levels[i].Name == h.levels[j].Name {
-				return nil, fmt.Errorf("hiertopo: duplicate level name %q", h.levels[i].Name)
-			}
-		}
-		if i+1 < L && h.levels[i].Cost < h.levels[i+1].Cost {
-			return nil, fmt.Errorf("hiertopo: level %q cost %g is lower than inner level %q cost %g (outer boundaries must cost at least as much)",
-				h.levels[i].Name, h.levels[i].Cost, h.levels[i+1].Name, h.levels[i+1].Cost)
-		}
-	}
-	h.n = n
 	h.inst = make([]int, L)
 	h.icost = make([]int32, L)
 	sz := h.leafSize
@@ -157,9 +120,64 @@ func New(levels []Level, leafSpec string) (*Hierarchy, error) {
 		}
 		h.icost[i] = ic
 	}
-	h.spec = h.buildSpec()
+	h.spec = compactSpec(h.levels, h.leafSpec)
 	h.name = "hier(" + h.spec + ")"
 	return h, nil
+}
+
+func checkDepth(levels int) error {
+	if levels < 1 || levels > maxLevels {
+		return fmt.Errorf("hiertopo: need 1..%d levels, got %d", maxLevels, levels)
+	}
+	return nil
+}
+
+// resolveLevels validates levels (outermost first) in place, fills every
+// unset cost, and returns the machine's processor count given leafSize
+// processors per leaf. It needs no leaf topology, so a spec can be
+// canonicalized without constructing the machine it describes.
+func resolveLevels(levels []Level, leafSize int) (int, error) {
+	L := len(levels)
+	n := leafSize
+	for i := L - 1; i >= 0; i-- {
+		lv := &levels[i]
+		if err := checkName(lv.Name); err != nil {
+			return 0, err
+		}
+		if lv.Count < 1 || lv.Count > maxFanout {
+			return 0, fmt.Errorf("hiertopo: level %q count %d out of range [1,%d]", lv.Name, lv.Count, maxFanout)
+		}
+		if lv.Cost < 0 || lv.Bandwidth < 0 || lv.Latency < 0 {
+			return 0, fmt.Errorf("hiertopo: level %q has a negative cost, bandwidth, or latency", lv.Name)
+		}
+		//lint:ignore floatcmp literal 0 is the unset sentinel for Cost, replaced by the bandwidth- or position-derived default
+		if lv.Cost == 0 {
+			if lv.Bandwidth > 0 {
+				lv.Cost = 1 / lv.Bandwidth
+			} else {
+				lv.Cost = defaultCost(i, L)
+			}
+		}
+		if lv.Cost < 1 {
+			return 0, fmt.Errorf("hiertopo: level %q cost %g must be >= 1 (crossing a level can never be cheaper than a link)", lv.Name, lv.Cost)
+		}
+		if n > maxNodes/lv.Count {
+			return 0, fmt.Errorf("hiertopo: hierarchy exceeds %d processors", maxNodes)
+		}
+		n *= lv.Count
+	}
+	for i := 0; i < L; i++ {
+		for j := i + 1; j < L; j++ {
+			if levels[i].Name == levels[j].Name {
+				return 0, fmt.Errorf("hiertopo: duplicate level name %q", levels[i].Name)
+			}
+		}
+		if i+1 < L && levels[i].Cost < levels[i+1].Cost {
+			return 0, fmt.Errorf("hiertopo: level %q cost %g is lower than inner level %q cost %g (outer boundaries must cost at least as much)",
+				levels[i].Name, levels[i].Cost, levels[i+1].Name, levels[i+1].Cost)
+		}
+	}
+	return n, nil
 }
 
 // defaultCost is the position-derived level cost: the innermost boundary

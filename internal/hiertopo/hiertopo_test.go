@@ -244,6 +244,77 @@ func TestJSONSpecBuild(t *testing.T) {
 	}
 }
 
+// TestSpecCanonicalMatchesBuild pins the textual canonicalizer to the
+// constructor: wherever Build succeeds Canonical returns Build().Spec()
+// and LevelNames reads the same names, textual defects fail both with the
+// same message, and what only construction can reject passes Canonical
+// and is reported by Parse of its result.
+func TestSpecCanonicalMatchesBuild(t *testing.T) {
+	valid := []Spec{
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}, {Name: "rack", Count: 4}, {Name: "node", Count: 8}}, Leaf: "torus-2x4"},
+		{Levels: []LevelSpec{{Name: " Pod ", Count: 2, Cost: 1000}, {Name: "RACK", Count: 4, Cost: 250}}, Leaf: " Mesh-4 "},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2, Bandwidth: 0.001}, {Name: "rack", Count: 2, Bandwidth: 0.02, Latency: 1e-6}}},
+		{Levels: []LevelSpec{{Name: "n0", Count: 3}}, Leaf: "hypercube-3"},
+		{Levels: []LevelSpec{{Name: "a", Count: 1}, {Name: "b", Count: 1}}, Leaf: "fattree-2x3"},
+	}
+	for _, s := range valid {
+		h, err := s.Build()
+		if err != nil {
+			t.Fatalf("Build(%+v): %v", s, err)
+		}
+		got, err := s.Canonical()
+		if err != nil || got != h.Spec() {
+			t.Errorf("Canonical(%+v) = %q, %v; want %q", s, got, err, h.Spec())
+		}
+		names := LevelNames(got)
+		if len(names) != h.NumLevels() {
+			t.Fatalf("LevelNames(%q) = %v, want %d names", got, names, h.NumLevels())
+		}
+		for i, name := range names {
+			if h.LevelIndex(name) != i {
+				t.Errorf("LevelNames(%q)[%d] = %q, which is level %d", got, i, name, h.LevelIndex(name))
+			}
+		}
+	}
+
+	textual := []Spec{
+		{},
+		{Levels: []LevelSpec{{Name: "Pod!", Count: 2}}},
+		{Levels: []LevelSpec{{Name: "pod", Count: 0}}},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2, Cost: 0.5}}},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}, {Name: "pod", Count: 2}}},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2, Cost: 10}, {Name: "rack", Count: 2, Cost: 20}}},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}}, Leaf: "torus2x4"},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}}, Leaf: "torus-2xq"},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}}, Leaf: "ring-8"},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}}, Leaf: "hypercube-2x2"},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}}, Leaf: "torus-2x2/evil:2"},
+	}
+	for _, s := range textual {
+		_, berr := s.Build()
+		_, cerr := s.Canonical()
+		if berr == nil || cerr == nil || berr.Error() != cerr.Error() {
+			t.Errorf("%+v: Build error %v, Canonical error %v; want the same error", s, berr, cerr)
+		}
+	}
+
+	deferred := []Spec{
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}}, Leaf: "torus-0x4"},
+		{Levels: []LevelSpec{{Name: "pod", Count: 2}}, Leaf: "mesh-128x128"},
+		{Levels: []LevelSpec{{Name: "pod", Count: 4096}, {Name: "rack", Count: 1024}}, Leaf: "mesh-8"},
+	}
+	for _, s := range deferred {
+		_, berr := s.Build()
+		spec, cerr := s.Canonical()
+		if berr == nil || cerr != nil {
+			t.Fatalf("%+v: Build error %v, Canonical error %v; want only Build to fail", s, berr, cerr)
+		}
+		if _, perr := Parse(spec); perr == nil || perr.Error() != berr.Error() {
+			t.Errorf("Parse(%q) error %v, want Build's %v", spec, perr, berr)
+		}
+	}
+}
+
 func TestHierHopBytes(t *testing.T) {
 	h := mustParse(t, "pod:2/rack:2/node:2:mesh-2")
 	// Three tasks: 0-1 same leaf (distance 1), 0-2 across racks (100).

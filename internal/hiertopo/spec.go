@@ -54,13 +54,25 @@ func Parse(spec string) (*Hierarchy, error) {
 	return New(levels, leafSpec)
 }
 
-// buildSpec renders the canonical compact spec: default costs are
-// omitted, explicit ones appear as "@cost", and a non-trivial leaf is
-// bound to the innermost segment.
-func (h *Hierarchy) buildSpec() string {
+// LevelNames reads the level names of a compact spec, outermost first,
+// from its text alone. It validates nothing: Parse reports a malformed
+// spec, and on a spec Parse accepts the i-th name is level i's.
+func LevelNames(spec string) []string {
+	segs := strings.Split(spec, "/")
+	names := make([]string, len(segs))
+	for i, seg := range segs {
+		names[i], _, _ = strings.Cut(seg, ":")
+	}
+	return names
+}
+
+// compactSpec renders the canonical compact spec of resolved levels:
+// default costs are omitted, explicit ones appear as "@cost", and a
+// non-trivial leaf is bound to the innermost segment.
+func compactSpec(levels []Level, leafSpec string) string {
 	var b strings.Builder
-	L := len(h.levels)
-	for i, lv := range h.levels {
+	L := len(levels)
+	for i, lv := range levels {
 		if i > 0 {
 			b.WriteByte('/')
 		}
@@ -73,66 +85,73 @@ func (h *Hierarchy) buildSpec() string {
 			b.WriteString(strconv.FormatFloat(lv.Cost, 'g', -1, 64))
 		}
 	}
-	if h.leafSpec != "" {
+	if leafSpec != "" {
 		b.WriteByte(':')
-		b.WriteString(h.leafSpec)
+		b.WriteString(leafSpec)
 	}
 	return b.String()
 }
 
-// parseLeaf resolves a leaf topology spec to a topology and its
-// canonical form. "" binds single-processor leaves.
-func parseLeaf(spec string) (topology.Topology, string, error) {
-	if spec == "" {
-		m, err := topology.NewMesh(1)
-		if err != nil {
-			return nil, "", err
-		}
-		return m, "", nil
-	}
+// parseLeafSpec reads a leaf topology spec's kind and dimensions and
+// checks the kind's arity, without constructing the topology.
+func parseLeafSpec(spec string) (kind string, dims []int, err error) {
 	kind, rest, ok := strings.Cut(spec, "-")
 	if !ok {
-		return nil, "", fmt.Errorf("hiertopo: leaf spec %q needs kind-dims (e.g. torus-2x4)", spec)
+		return "", nil, fmt.Errorf("hiertopo: leaf spec %q needs kind-dims (e.g. torus-2x4)", spec)
 	}
 	parts := strings.Split(rest, "x")
-	dims := make([]int, len(parts))
+	dims = make([]int, len(parts))
 	for i, p := range parts {
 		v, err := strconv.Atoi(p)
 		if err != nil {
-			return nil, "", fmt.Errorf("hiertopo: bad leaf dimension %q in %q", p, spec)
+			return "", nil, fmt.Errorf("hiertopo: bad leaf dimension %q in %q", p, spec)
 		}
 		dims[i] = v
 	}
-	var (
-		t   topology.Topology
-		err error
-	)
+	switch kind {
+	case "torus", "mesh":
+	case "hypercube":
+		if len(dims) != 1 {
+			return "", nil, fmt.Errorf("hiertopo: leaf hypercube takes one dimension, got %q", spec)
+		}
+	case "fattree":
+		if len(dims) != 2 {
+			return "", nil, fmt.Errorf("hiertopo: leaf fattree takes arity and levels, got %q", spec)
+		}
+	default:
+		return "", nil, fmt.Errorf("hiertopo: unknown leaf topology kind %q (known: torus, mesh, hypercube, fattree)", kind)
+	}
+	return kind, dims, nil
+}
+
+// parseLeaf constructs the topology a leaf spec names. "" binds
+// single-processor leaves. A spec that parses is its own canonical form.
+func parseLeaf(spec string) (topology.Topology, error) {
+	if spec == "" {
+		return topology.NewMesh(1)
+	}
+	kind, dims, err := parseLeafSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	var t topology.Topology
 	switch kind {
 	case "torus":
 		t, err = topology.NewTorus(dims...)
 	case "mesh":
 		t, err = topology.NewMesh(dims...)
 	case "hypercube":
-		if len(dims) != 1 {
-			return nil, "", fmt.Errorf("hiertopo: leaf hypercube takes one dimension, got %q", spec)
-		}
 		t, err = topology.NewHypercube(dims[0])
 	case "fattree":
-		if len(dims) != 2 {
-			return nil, "", fmt.Errorf("hiertopo: leaf fattree takes arity and levels, got %q", spec)
-		}
 		t, err = topology.NewFatTree(dims[0], dims[1])
-	default:
-		return nil, "", fmt.Errorf("hiertopo: unknown leaf topology kind %q (known: torus, mesh, hypercube, fattree)", kind)
 	}
 	if err != nil {
-		return nil, "", fmt.Errorf("hiertopo: leaf %q: %w", spec, err)
+		return nil, fmt.Errorf("hiertopo: leaf %q: %w", spec, err)
 	}
 	if t.Nodes() > maxFanout {
-		return nil, "", fmt.Errorf("hiertopo: leaf %q has %d processors, limit %d", spec, t.Nodes(), maxFanout)
+		return nil, fmt.Errorf("hiertopo: leaf %q has %d processors, limit %d", spec, t.Nodes(), maxFanout)
 	}
-	canon := kind + "-" + strings.Join(parts, "x")
-	return t, canon, nil
+	return t, nil
 }
 
 // LevelSpec is the JSON wire form of one level.
@@ -161,8 +180,8 @@ type Spec struct {
 	Leaf   string      `json:"leaf,omitempty"`
 }
 
-// Build constructs the hierarchy a Spec describes.
-func (s *Spec) Build() (*Hierarchy, error) {
+// levels converts the wire levels to Levels with normalized names.
+func (s *Spec) levels() ([]Level, string) {
 	levels := make([]Level, len(s.Levels))
 	for i, ls := range s.Levels {
 		levels[i] = Level{
@@ -173,5 +192,31 @@ func (s *Spec) Build() (*Hierarchy, error) {
 			Latency:   ls.Latency,
 		}
 	}
-	return New(levels, strings.ToLower(strings.TrimSpace(s.Leaf)))
+	return levels, strings.ToLower(strings.TrimSpace(s.Leaf))
+}
+
+// Build constructs the hierarchy a Spec describes.
+func (s *Spec) Build() (*Hierarchy, error) {
+	return New(s.levels())
+}
+
+// Canonical returns the compact spec Build().Spec() would, from the text
+// of s alone: levels are validated and their costs resolved and the leaf
+// spec is parsed, but no topology is constructed. What only construction
+// can reject (a leaf dimension out of range, a machine over the processor
+// limit) is left for Parse of the result to report.
+func (s *Spec) Canonical() (string, error) {
+	levels, leaf := s.levels()
+	if err := checkDepth(len(levels)); err != nil {
+		return "", err
+	}
+	if leaf != "" {
+		if _, _, err := parseLeafSpec(leaf); err != nil {
+			return "", err
+		}
+	}
+	if _, err := resolveLevels(levels, 1); err != nil {
+		return "", err
+	}
+	return compactSpec(levels, leaf), nil
 }

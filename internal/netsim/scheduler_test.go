@@ -8,6 +8,7 @@ package netsim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/topology"
 )
@@ -167,5 +168,16 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, run); avg > 0.5 {
 		t.Errorf("steady-state simulation allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestEnginePadding pins the false-sharing guard: whatever fields an
+// Engine grows, the per-event words of two engines adjacent in memory stay
+// at least enginePad bytes apart.
+func TestEnginePadding(t *testing.T) {
+	var e Engine
+	live := unsafe.Offsetof(e.calUp) + unsafe.Sizeof(e.calUp)
+	if tail := unsafe.Sizeof(e) - live; tail < enginePad {
+		t.Errorf("Engine ends %d bytes after its last field, want at least %d", tail, enginePad)
 	}
 }

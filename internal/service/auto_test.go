@@ -31,7 +31,7 @@ func TestAutoValidation(t *testing.T) {
 			Topology: "torus:4,4", Strategy: "auto", AutoBudgetMS: -1}},
 	}
 	for _, tc := range cases {
-		_, err := normalize(tc.spec, 0)
+		_, err := name(tc.spec, 0)
 		if err == nil {
 			t.Errorf("%s: want error", tc.name)
 			continue
@@ -47,10 +47,7 @@ func TestAutoValidation(t *testing.T) {
 // the report lists every candidate in portfolio order, and the resolved
 // default budget is recorded.
 func TestAutoWinnerIsBestHopBytes(t *testing.T) {
-	j, err := normalize(autoJob(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := mustBuild(t, autoJob())
 	res, err := j.compute()
 	if err != nil {
 		t.Fatal(err)
@@ -91,21 +88,14 @@ func TestAutoWinnerIsBestHopBytes(t *testing.T) {
 // mapping must be byte-identical to what a direct job with the winning
 // strategy produces.
 func TestAutoWinnerMatchesDirectJob(t *testing.T) {
-	j, err := normalize(autoJob(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := mustBuild(t, autoJob())
 	res, err := j.compute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := autoJob()
 	direct.Strategy = res.Auto.Winner
-	dj, err := normalize(direct, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dres, err := dj.compute()
+	dres, err := mustBuild(t, direct).compute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +161,7 @@ func TestAutoBudgetGating(t *testing.T) {
 // one computation per server thanks to cache + singleflight, and live
 // /stats portfolio counters.
 func TestAutoDeterministicAndCached(t *testing.T) {
-	ref, err := normalize(autoJob(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRes, err := ref.compute()
+	refRes, err := mustBuild(t, autoJob()).compute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +263,13 @@ func TestAutoCacheHitOnRepeat(t *testing.T) {
 // explicit budget equal to the derived default hashes to the same content
 // key, while a different explicit budget does not.
 func TestAutoDefaultBudgetSharesCacheKey(t *testing.T) {
-	j, err := normalize(autoJob(), 0)
+	j, err := name(autoJob(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	explicit := autoJob()
 	explicit.AutoBudgetMS = j.spec.AutoBudgetMS
-	je, err := normalize(explicit, 0)
+	je, err := name(explicit, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +278,7 @@ func TestAutoDefaultBudgetSharesCacheKey(t *testing.T) {
 	}
 	other := autoJob()
 	other.AutoBudgetMS = j.spec.AutoBudgetMS + 1
-	jo, err := normalize(other, 0)
+	jo, err := name(other, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,10 @@ func (c *resultCache) moveToFront(e *cacheEntry) {
 	c.pushFront(e)
 }
 
-// flight states. A flight is created queued, moves to running when a
-// worker picks it up, and ends done. It ends aborted instead if every
-// waiter cancelled before a worker claimed it.
+// flight states. A flight is created queued (its creator builds the job's
+// operands, then enqueues it), moves to running when a worker picks it
+// up, and ends done. It ends aborted instead if its creator abandoned it
+// or every waiter cancelled before a worker claimed it.
 const (
 	flightQueued = iota
 	flightRunning
@@ -219,8 +220,9 @@ func (t *flightTable) finish(f *flight, body []byte, status int, err error) {
 	close(f.done)
 }
 
-// abandon removes a flight that could not be enqueued (admission refused)
-// and publishes err to any waiters that joined in the meantime.
+// abandon removes a flight its creator could not enqueue — the job failed
+// to build, or admission refused it — and publishes err to any waiters
+// that joined in the meantime. The flight holds no admission slot.
 func (t *flightTable) abandon(f *flight, status int, err error) {
 	t.mu.Lock()
 	f.status, f.err = status, err

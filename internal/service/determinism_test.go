@@ -389,7 +389,7 @@ func TestCoalescingComputesOnce(t *testing.T) {
 // mustKey returns spec's content key via the service's own normalizer.
 func mustKey(t *testing.T, spec Job) string {
 	t.Helper()
-	j, err := normalize(spec, 0)
+	j, err := name(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

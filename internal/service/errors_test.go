@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cliutil"
 )
 
 // post sends raw bytes and returns (status, body, header).
@@ -90,6 +92,124 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestErrorTaxonomyAcrossEndpoints pins every job defect to one status and
+// one message on all three job endpoints, and to exactly one client_errors
+// count on each. Defects in the request text are found by the name pass
+// and fail POST /v1/jobs itself; defects only the operands show (build)
+// or only the strategy finds (compute) are that async job's outcome, with
+// the status a sync request gets in the fetch's code field.
+func TestErrorTaxonomyAcrossEndpoints(t *testing.T) {
+	const hier = `"topology":"` + testHier + `"`
+	cases := []struct {
+		name    string
+		payload string
+		status  int
+		msg     string
+		named   bool // POST /v1/jobs answers 202: the defect is found after naming
+	}{
+		{"missing topology", `{"graph":{"pattern":"mesh2d:4,4"}}`, 400,
+			"job: topology is required", false},
+		{"unknown strategy", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"strategy":"psychic"}`, 400,
+			`job: cliutil: unknown strategy "psychic" (known: ` + strings.Join(cliutil.StrategyNames(), ", ") + `)`, false},
+		{"unknown sim mode", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"sim":{"mode":"tachyon"}}`, 400,
+			`job: sim: netsim: unknown mode "tachyon" (want packet or wormhole)`, false},
+		{"bad inline graph", `{"topology":"torus:4,4","graph":{"inline":{"vertexWeights":[1,1],"edges":[[0,5]],"edgeWeights":[1]}}}`, 400,
+			"job: inline graph: taskgraph: bad edge (0,5)", false},
+		{"bad structural level", `{"graph":{"pattern":"mesh2d:4,4"},"hierarchy":{"levels":[{"name":"Pod!","count":2}]}}`, 400,
+			`job: hierarchy: hiertopo: level name "pod!" must be lowercase alphanumeric starting with a letter`, false},
+		{"constraints on a flat machine", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"constraints":[{"level":"rack"}]}`, 400,
+			"job: constraints require a hierarchical topology (hier:SPEC or the hierarchy field)", false},
+		{"unknown constraint level", `{` + hier + `,"graph":{"pattern":"mesh2d:4,4"},"constraints":[{"level":"cabinet"}]}`, 400,
+			`job: constraint level "cabinet": hierarchy has levels pod, rack, node`, false},
+		{"hier strategy on a flat machine", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"strategy":"hier"}`, 400,
+			"job: strategy hier requires a hierarchical topology (hier:SPEC or the hierarchy field)", false},
+		{"auto job too small, built while named", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:2,2"},"strategy":"auto"}`, 400,
+			"job: graph has 4 tasks but topology has 16 processors (tasks must fill the machine)", false},
+
+		{"unknown pattern", `{"topology":"torus:4,4","graph":{"pattern":"klein:4,4"}}`, 400,
+			`job: cliutil: unknown pattern "klein:4,4"`, true},
+		{"bad topology dimension", `{"topology":"torus:0,4","graph":{"pattern":"mesh2d:4,4"}}`, 400,
+			"job: topology: shape dimensions must all be >= 1", true},
+		{"malformed hier spec", `{"topology":"hier:pod","graph":{"pattern":"mesh2d:4,4"}}`, 400,
+			`job: hiertopo: level segment "pod" needs name:count`, true},
+		{"structural leaf out of range", `{"graph":{"pattern":"mesh2d:4,4"},"hierarchy":{"levels":[{"name":"pod","count":2}],"leaf":"torus-0x4"}}`, 400,
+			`job: hierarchy: hiertopo: leaf "torus-0x4": topology: shape dimensions must all be >= 1`, true},
+		{"sim on a hierarchy", `{` + hier + `,"graph":{"pattern":"mesh2d:8,8"},"sim":{}}`, 400,
+			"job: cliutil: hierarchical topologies do not support per-link routing; use torus/mesh/hypercube", true},
+		{"too few tasks", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:2,2"}}`, 400,
+			"job: graph has 4 tasks but topology has 16 processors (tasks must fill the machine)", true},
+		{"too many tasks", `{"topology":"torus:16,16","graph":{"pattern":"mesh2d:20,20"}}`, 413,
+			"job: graph has 400 tasks, limit is 300", true},
+		{"required constraint infeasible", `{` + hier + `,"graph":{"pattern":"mesh2d:8,8"},"strategy":"hier","constraints":[{"level":"rack"}]}`, 400,
+			"job: constraint: 64 tasks cannot fit one rack (16 processors); drop the constraint or mark it preferred", true},
+		{"strategy fails", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"strategy":"hybrid:8x8"}`, 422,
+			"job: Hybrid[8 8]: hybrid: block extent 8 does not divide machine extent 4", true},
+		{"strategy cannot pack", `{` + hier + `,"graph":{"pattern":"mesh2d:3,4"},"constraints":[{"level":"rack"}]}`, 422,
+			`job: TopoLB cannot pack 12 tasks onto 16 processors; use strategy "hier" (or "auto")`, true},
+	}
+
+	srv := NewServer(Config{MaxTasks: 300})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	wantErrorBody := func(t *testing.T, status int, body []byte, wantStatus int, wantMsg string) {
+		t.Helper()
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatalf("error body is not JSON: %s", body)
+		}
+		if status != wantStatus || eb.Status != wantStatus || eb.Error != wantMsg {
+			t.Errorf("got %d %+v\nwant %d %q", status, eb, wantStatus, wantMsg)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := srv.Snapshot().ClientErrors
+
+			status, body, _ := post(t, ts, "/v1/map", tc.payload)
+			wantErrorBody(t, status, body, tc.status, tc.msg)
+
+			// A healthy job rides along: its entry must be unaffected.
+			status, body, _ = post(t, ts, "/v1/batch",
+				`{"jobs":[`+tc.payload+`,{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"}}]}`)
+			wantStatus(t, status, 200, body)
+			var br batchResponse
+			if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != 2 {
+				t.Fatalf("batch response %s (%v)", body, err)
+			}
+			if e := br.Results[0]; e.Status != tc.status || e.Error != tc.msg || e.Result != nil {
+				t.Errorf("batch entry = %d %q, want %d %q", e.Status, e.Error, tc.status, tc.msg)
+			}
+			if e := br.Results[1]; e.Status != 200 || e.Error != "" {
+				t.Errorf("healthy batch entry = %d %q", e.Status, e.Error)
+			}
+
+			status, body, _ = post(t, ts, "/v1/jobs", tc.payload)
+			if !tc.named {
+				wantErrorBody(t, status, body, tc.status, tc.msg)
+			} else {
+				wantStatus(t, status, 202, body)
+				var sub submitResponse
+				if err := json.Unmarshal(body, &sub); err != nil {
+					t.Fatal(err)
+				}
+				fr := awaitAsync(t, ts, sub.ID)
+				if fr.Status != statusError || fr.Code != tc.status || fr.Error != tc.msg || fr.Result != nil {
+					t.Errorf("async outcome = %+v, want error %d %q", fr, tc.status, tc.msg)
+				}
+			}
+
+			if got := srv.Snapshot().ClientErrors - before; got != 3 {
+				t.Errorf("client_errors rose by %d over the three endpoints, want 3", got)
+			}
+		})
+	}
+	awaitDrained(t, srv)
+	if ie := srv.Snapshot().InternalErrors; ie != 0 {
+		t.Errorf("internal_errors = %d, want 0", ie)
+	}
+}
+
 // TestOversizedRequests covers both size limits: MaxTasks (graph too big)
 // and MaxBody (request too big) must both yield 413.
 func TestOversizedRequests(t *testing.T) {
@@ -151,7 +271,7 @@ func TestQueueFull(t *testing.T) {
 
 	// A duplicate of an admitted job coalesces instead of being rejected:
 	// it joins the queued flight, then cancels.
-	j := mustNormalize(t, Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4", Seed: 1})
+	j := mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4", Seed: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, status, err := srv.do(ctx, j)
@@ -178,7 +298,7 @@ func TestCancellationReleasesAdmission(t *testing.T) {
 	defer srv.Close()
 
 	// Occupy the single worker so queued flights stay queued.
-	blocker := mustNormalize(t, Job{Graph: GraphSpec{Pattern: "mesh2d:24,24"},
+	blocker := mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:24,24"},
 		Topology: "torus:24,24", Strategy: "topolb3", Seed: 1})
 	blockerDone := make(chan struct{})
 	go func() {
@@ -192,7 +312,7 @@ func TestCancellationReleasesAdmission(t *testing.T) {
 	}
 
 	// j1 queues behind the blocker, then every waiter cancels.
-	j1 := mustNormalize(t, Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4", Seed: 1})
+	j1 := mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4", Seed: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -219,7 +339,7 @@ func TestCancellationReleasesAdmission(t *testing.T) {
 	}
 	// ...but the aborted entry still occupies its queue position and
 	// admission slot, so a distinct job is rejected while the blocker runs.
-	j2 := mustNormalize(t, Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4", Seed: 2})
+	j2 := mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4", Seed: 2})
 	if _, status, _ := srv.do(context.Background(), j2); status != 429 {
 		t.Fatalf("distinct job while zombie holds the slot: status %d, want 429", status)
 	}
@@ -341,10 +461,21 @@ func TestStrategyFailure(t *testing.T) {
 	}
 }
 
-func mustNormalize(t *testing.T, spec Job) *job {
+// mustName names spec, as a handler does before Server.do.
+func mustName(t *testing.T, spec Job) *job {
 	t.Helper()
-	j, err := normalize(spec, 0)
+	j, err := name(spec, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// mustBuild names spec and builds its operands, ready for compute.
+func mustBuild(t *testing.T, spec Job) *job {
+	t.Helper()
+	j := mustName(t, spec)
+	if err := j.build(); err != nil {
 		t.Fatal(err)
 	}
 	return j

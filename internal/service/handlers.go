@@ -54,10 +54,17 @@ type errorBody struct {
 	Status int    `json:"status"`
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+// countError counts one failed job or request in client_errors when its
+// status is a 4xx. Every endpoint reports a failure exactly once — as an
+// HTTP error, a batch entry or an async outcome — and counts it there.
+func (s *Server) countError(status int) {
 	if status >= 400 && status < 500 {
 		s.stats.clientErrors.Add(1)
 	}
+}
+
+func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+	s.countError(status)
 	if status == 429 {
 		// Admission rejections are transient: the queue drains as fast as
 		// the workers map, so a short client backoff is enough.
@@ -92,7 +99,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
-	j, err := normalize(spec, s.cfg.MaxTasks)
+	j, err := s.name(spec)
 	if err != nil {
 		s.writeError(w, errStatus(err), err)
 		return
@@ -158,10 +165,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	entries := make([]batchEntry, len(req.Jobs))
 	var wg sync.WaitGroup
 	for i := range req.Jobs {
-		j, err := normalize(req.Jobs[i], s.cfg.MaxTasks)
+		j, err := s.name(req.Jobs[i])
 		if err != nil {
 			entries[i] = batchEntry{Status: errStatus(err), Error: err.Error()}
-			s.stats.clientErrors.Add(1)
 			continue
 		}
 		wg.Add(1)
@@ -176,6 +182,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i, j)
 	}
 	wg.Wait()
+	for i := range entries {
+		s.countError(entries[i].Status)
+	}
 	s.writeJSON(w, batchResponse{Results: entries})
 }
 
@@ -184,8 +193,11 @@ type submitResponse struct {
 	ID string `json:"id"`
 }
 
-// handleSubmit serves POST /v1/jobs: validate, assign an id, and compute
-// in the background under the server's lifetime (not the request's).
+// handleSubmit serves POST /v1/jobs: name the job, assign an id, and
+// resolve it in the background under the server's lifetime (not the
+// request's). A defect in the request text is this request's 4xx; one
+// that only building the operands finds is the job's outcome, reported by
+// GET /v1/jobs/{id} with the status a sync request would have returned.
 //
 //lint:ignore jsoncontract async jobs outlive the request by design: work runs under the server lifetime context, and /v1/jobs/{id} serves the result later
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -201,7 +213,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
-	j, err := normalize(spec, s.cfg.MaxTasks)
+	j, err := s.name(spec)
 	if err != nil {
 		s.writeError(w, errStatus(err), err)
 		return
@@ -218,6 +230,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 		defer cancel()
 		body, status, err := s.do(ctx, j)
+		s.countError(status)
 		s.async.complete(aj, body, status, err)
 	}()
 	w.Header().Set("X-Topomapd-Key", j.key)
@@ -236,12 +249,15 @@ const (
 )
 
 // fetchResponse is the wire form of GET /v1/jobs/{id}. Result carries the
-// job's body verbatim when Status is "done".
+// job's body verbatim when Status is "done"; Error and Code carry the
+// message and HTTP status POST /v1/map would have answered when it is
+// "error".
 type fetchResponse struct {
 	ID     string          `json:"id"`
 	Status string          `json:"status"` // "pending" | "done" | "error"
 	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
+	Code   int             `json:"code,omitempty"`
 }
 
 // handleFetch serves GET /v1/jobs/{id}. Fetching a finished job removes
@@ -259,6 +275,7 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		if aj.err != nil {
 			resp.Status = statusError
 			resp.Error = aj.err.Error()
+			resp.Code = aj.status
 		} else {
 			resp.Status = statusDone
 			resp.Result = aj.body

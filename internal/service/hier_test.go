@@ -113,7 +113,7 @@ func TestHierStructuralSpecSharesKey(t *testing.T) {
 
 	both := Job{Graph: GraphSpec{Pattern: "stencil9:8,8"}, Topology: testHier,
 		Hierarchy: &hiertopo.Spec{Levels: []hiertopo.LevelSpec{{Name: "pod", Count: 2}}}}
-	if _, err := normalize(both, 0); err == nil {
+	if _, err := name(both, 0); err == nil {
 		t.Error("topology + hierarchy together should be rejected")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -171,14 +172,26 @@ type SimResult struct {
 	Stats          netsim.Stats `json:"stats"`
 }
 
-// job is a normalized, validated Job ready to compute: parsed inputs plus
-// the content key that identifies its result.
+// job is one request on its way to a response body. name fills the
+// upper half from the request text alone — enough to look the result up;
+// build fills the operands, and runs only when the lookup misses.
 type job struct {
-	spec  Job
+	spec  Job           // normalized: defaults applied, canonical spellings
+	key   string        // content key of the response body
+	strat core.Strategy // nil for auto jobs (the portfolio picks per run)
+	// auto marks a portfolio job: compute runs every admitted candidate
+	// and returns the best mapping by hop-bytes.
+	auto bool
+	// structural marks a machine submitted through the hierarchy field,
+	// whose construction errors keep that field's name in their message.
+	structural bool
+	// maxTasks bounds the task count build accepts (0 = unbounded).
+	maxTasks int
+
+	// Operands, set by build (graph already by name for inline graphs).
+	built bool
 	graph *taskgraph.Graph
 	topo  topology.Topology
-	strat core.Strategy // nil for auto jobs (the portfolio picks per run)
-	key   string
 	// hier is the topology's hierarchy view, nil on flat machines.
 	hier *hiertopo.Hierarchy
 	// mapTopo is the topology strategies actually map onto: topo, or the
@@ -195,9 +208,6 @@ type job struct {
 	// packed marks a constrained hierarchical job with fewer tasks than
 	// processors, served by a packing-capable Placer (strategy hier).
 	packed bool
-	// auto marks a portfolio job: compute runs every admitted candidate
-	// and returns the best mapping by hop-bytes.
-	auto bool
 	// coords are the pattern's task positions for the geometric strategies
 	// (nil for inline graphs and geometry-free patterns).
 	coords [][]float64
@@ -219,30 +229,47 @@ func badJob(status int, format string, args ...any) *jobError {
 	return &jobError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// normalize validates spec, applies defaults, parses the graph, topology,
-// and strategy, and derives the content key. maxTasks bounds the task
-// count (0 = unbounded).
-func normalize(spec Job, maxTasks int) (*job, error) {
+// faultHook, when set, runs at the start of build and of compute with the
+// stage's name. Only tests set it, to panic inside a chosen job and prove
+// the daemon contains the fault.
+var faultHook func(stage string, spec *Job)
+
+// name validates spec's text, applies defaults, rewrites every equivalent
+// spelling to one canonical form and derives the content key — without
+// building the graph, the machine or the coordinates, so a request the
+// result cache can answer costs O(request bytes). maxTasks is the bound
+// build will enforce (0 = unbounded).
+//
+// Two kinds of job cannot be named from text and pay for operands here,
+// once: an inline graph's canonical bytes are its parsed graph's
+// WriteJSON (duplicate edges accumulate, zero-weight edges drop), which
+// is itself O(request bytes), and the parsed graph is kept for build; an
+// auto job that leaves auto_budget_ms unset hashes a default derived from
+// the operand sizes, so it is built before it is named.
+func name(spec Job, maxTasks int) (*job, error) {
 	spec.Topology = strings.ToLower(strings.TrimSpace(spec.Topology))
 	spec.Strategy = strings.ToLower(strings.TrimSpace(spec.Strategy))
 	spec.Graph.Pattern = strings.ToLower(strings.TrimSpace(spec.Graph.Pattern))
+	j := &job{maxTasks: maxTasks}
 	if spec.Hierarchy != nil {
 		if spec.Topology != "" {
 			return nil, badJob(400, "job: topology and hierarchy are mutually exclusive")
 		}
-		h, err := spec.Hierarchy.Build()
+		canon, err := spec.Hierarchy.Canonical()
 		if err != nil {
 			return nil, badJob(400, "job: hierarchy: %v", err)
 		}
 		// Normalize to the canonical compact spec so structural and
 		// compact submissions of the same machine share a content key.
-		spec.Topology = "hier:" + h.Spec()
+		spec.Topology = "hier:" + canon
 		spec.Hierarchy = nil
+		j.structural = true
 	}
 	if spec.Topology == "" {
 		return nil, badJob(400, "job: topology is required")
 	}
-	if len(spec.Constraints) > 0 && !strings.HasPrefix(spec.Topology, "hier:") {
+	hierSpec, isHier := strings.CutPrefix(spec.Topology, "hier:")
+	if len(spec.Constraints) > 0 && !isHier {
 		return nil, badJob(400, "job: constraints require a hierarchical topology (hier:SPEC or the hierarchy field)")
 	}
 	if spec.Strategy == "" {
@@ -251,14 +278,14 @@ func normalize(spec Job, maxTasks int) (*job, error) {
 	if spec.Seed == 0 {
 		spec.Seed = 1
 	}
-	auto := spec.Strategy == "auto"
-	if auto && spec.Refine {
+	j.auto = spec.Strategy == "auto"
+	if j.auto && spec.Refine {
 		return nil, badJob(400, "job: strategy auto picks its own strategies; refine is not supported")
 	}
 	if spec.AutoBudgetMS < 0 {
 		return nil, badJob(400, "job: auto_budget_ms must be non-negative")
 	}
-	if spec.AutoBudgetMS != 0 && !auto {
+	if spec.AutoBudgetMS != 0 && !j.auto {
 		return nil, badJob(400, "job: auto_budget_ms requires strategy \"auto\"")
 	}
 	if (spec.Graph.Pattern == "") == (len(spec.Graph.Inline) == 0) {
@@ -308,34 +335,17 @@ func normalize(spec Job, maxTasks int) (*job, error) {
 		}
 		spec.Sim = &sim
 	}
-
-	j := &job{spec: spec}
-	var err error
-	if spec.Sim != nil {
-		// The simulator needs per-link routes.
-		j.topo, err = cliutil.ParseTopology(spec.Topology)
-	} else {
-		j.topo, err = cliutil.ParseAnyTopology(spec.Topology)
-	}
-	if err != nil {
-		return nil, badJob(400, "job: %v", err)
-	}
-	j.mapTopo = j.topo
-	if h, ok := j.topo.(*hiertopo.Hierarchy); ok {
-		j.hier = h
-	}
-	if spec.Strategy == "hier" && j.hier == nil {
+	if spec.Strategy == "hier" && !isHier {
 		return nil, badJob(400, "job: strategy hier requires a hierarchical topology (hier:SPEC or the hierarchy field)")
 	}
+	var err error
 	if len(spec.Constraints) > 0 {
-		spec.Constraints, err = normalizeConstraints(spec.Constraints, j.hier)
+		spec.Constraints, err = normalizeConstraints(spec.Constraints, hiertopo.LevelNames(hierSpec))
 		if err != nil {
 			return nil, err
 		}
 	}
-	if auto {
-		j.auto = true
-	} else {
+	if !j.auto {
 		j.strat, err = cliutil.ParseStrategy(spec.Strategy, spec.Seed)
 		if err != nil {
 			return nil, badJob(400, "job: %v", err)
@@ -344,14 +354,8 @@ func normalize(spec Job, maxTasks int) (*job, error) {
 			j.strat = core.RefineTopoLB{Base: j.strat}
 		}
 	}
-
 	var graphBytes []byte
-	if spec.Graph.Pattern != "" {
-		j.graph, err = cliutil.ParsePattern(spec.Graph.Pattern, spec.Graph.MsgBytes, spec.Graph.Seed)
-		if err != nil {
-			return nil, badJob(400, "job: %v", err)
-		}
-	} else {
+	if spec.Graph.Pattern == "" {
 		j.graph, err = taskgraph.ReadJSON(bytes.NewReader(spec.Graph.Inline))
 		if err != nil {
 			return nil, badJob(400, "job: inline graph: %v", err)
@@ -365,12 +369,58 @@ func normalize(spec Job, maxTasks int) (*job, error) {
 		}
 		graphBytes = buf.Bytes()
 	}
-	if maxTasks > 0 && j.graph.NumVertices() > maxTasks {
-		return nil, badJob(413, "job: graph has %d tasks, limit is %d", j.graph.NumVertices(), maxTasks)
+	j.spec = spec
+	if j.auto && spec.AutoBudgetMS == 0 {
+		// Resolve the default before hashing, so an explicit budget equal
+		// to the derived default shares the cache entry.
+		if err := j.build(); err != nil {
+			return nil, err
+		}
+		j.spec.AutoBudgetMS = defaultAutoBudgetMS(j.graph.NumVertices(), j.graph.NumEdges(), j.mapTopo.Nodes(), j.hier != nil)
+	}
+	j.key = contentKey(&j.spec, graphBytes)
+	return j, nil
+}
+
+// build materializes a named job's operands — the machine, the task
+// graph, the pattern's coordinates, the constraint packing region — and
+// applies every check that needs them. It runs once per job (a second
+// call is a no-op), and only for jobs the result cache could not answer.
+func (j *job) build() error {
+	if j.built {
+		return nil
+	}
+	if faultHook != nil {
+		faultHook("build", &j.spec)
+	}
+	spec := &j.spec
+	var err error
+	if spec.Sim != nil {
+		// The simulator needs per-link routes.
+		j.topo, err = cliutil.ParseTopology(spec.Topology)
+	} else {
+		j.topo, err = cliutil.ParseAnyTopology(spec.Topology)
+	}
+	if err != nil {
+		if j.structural && spec.Sim == nil {
+			return badJob(400, "job: hierarchy: %v", err)
+		}
+		return badJob(400, "job: %v", err)
+	}
+	j.mapTopo = j.topo
+	j.hier, _ = j.topo.(*hiertopo.Hierarchy)
+	if spec.Graph.Pattern != "" {
+		j.graph, err = cliutil.ParsePattern(spec.Graph.Pattern, spec.Graph.MsgBytes, spec.Graph.Seed)
+		if err != nil {
+			return badJob(400, "job: %v", err)
+		}
+	}
+	if j.maxTasks > 0 && j.graph.NumVertices() > j.maxTasks {
+		return badJob(413, "job: graph has %d tasks, limit is %d", j.graph.NumVertices(), j.maxTasks)
 	}
 	if len(spec.Constraints) > 0 {
 		if err := j.resolveConstraints(spec.Constraints); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	switch {
@@ -379,7 +429,7 @@ func normalize(spec Job, maxTasks int) (*job, error) {
 		// packs onto the region's lowest-ranked processors.
 		j.packed = true
 	case j.graph.NumVertices() < j.mapTopo.Nodes():
-		return nil, badJob(400, "job: graph has %d tasks but topology has %d processors (tasks must fill the machine)",
+		return badJob(400, "job: graph has %d tasks but topology has %d processors (tasks must fill the machine)",
 			j.graph.NumVertices(), j.topo.Nodes())
 	case j.graph.NumVertices() > j.mapTopo.Nodes():
 		// More tasks than processors: serve through the two-phase
@@ -394,22 +444,18 @@ func normalize(spec Job, maxTasks int) (*job, error) {
 	if j.strat != nil {
 		j.strat = cliutil.WithCoords(j.strat, j.coords)
 	}
-	if j.auto && spec.AutoBudgetMS == 0 {
-		// Resolve the default before hashing, so an explicit budget equal
-		// to the derived default shares the cache entry.
-		spec.AutoBudgetMS = defaultAutoBudgetMS(j.graph.NumVertices(), j.graph.NumEdges(), j.mapTopo.Nodes(), j.hier != nil)
-	}
-	j.spec = spec
-	j.key = contentKey(&spec, graphBytes)
-	return j, nil
+	j.built = true
+	return nil
 }
 
-// normalizeConstraints canonicalizes a job's placement constraints:
-// names lowercased, kind defaulted to "required", unknown levels and
-// kinds rejected, entries sorted by (level depth, kind) and exact
-// duplicates dropped. Two spellings of the same constraint set therefore
-// hash to the same content key.
-func normalizeConstraints(cs []Constraint, h *hiertopo.Hierarchy) ([]Constraint, error) {
+// normalizeConstraints canonicalizes a job's placement constraints
+// against the hierarchy's level names (outermost first): names
+// lowercased, kind defaulted to "required", unknown levels and kinds
+// rejected, entries sorted by (level depth, kind) and exact duplicates
+// dropped. Two spellings of the same constraint set therefore hash to the
+// same content key.
+func normalizeConstraints(cs []Constraint, levels []string) ([]Constraint, error) {
+	depth := func(c Constraint) int { return slices.Index(levels, c.Level) }
 	out := make([]Constraint, 0, len(cs))
 	for _, c := range cs {
 		c.Level = strings.ToLower(strings.TrimSpace(c.Level))
@@ -420,18 +466,14 @@ func normalizeConstraints(cs []Constraint, h *hiertopo.Hierarchy) ([]Constraint,
 		if c.Kind != "required" && c.Kind != "preferred" {
 			return nil, badJob(400, "job: constraint kind %q: want \"required\" or \"preferred\"", c.Kind)
 		}
-		if h.LevelIndex(c.Level) < 0 {
-			names := make([]string, 0, h.NumLevels())
-			for _, lv := range h.Levels() {
-				names = append(names, lv.Name)
-			}
+		if depth(c) < 0 {
 			return nil, badJob(400, "job: constraint level %q: hierarchy has levels %s",
-				c.Level, strings.Join(names, ", "))
+				c.Level, strings.Join(levels, ", "))
 		}
 		out = append(out, c)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
-		la, lb := h.LevelIndex(out[a].Level), h.LevelIndex(out[b].Level)
+		la, lb := depth(out[a]), depth(out[b])
 		if la != lb {
 			return la < lb
 		}
@@ -543,6 +585,9 @@ func hashf(h io.Writer, format string, args ...any) {
 // distinct content key; the tests compare its output against independent
 // library calls to pin the service to the library.
 func (j *job) compute() (*JobResult, error) {
+	if faultHook != nil {
+		faultHook("compute", &j.spec)
+	}
 	res := &JobResult{
 		Topology: j.topo.Name(),
 		Graph:    j.graph.Name(),

@@ -166,6 +166,7 @@ type serverStats struct {
 	rejectedFull   atomic.Int64
 	cancelled      atomic.Int64
 	clientErrors   atomic.Int64
+	internalErrors atomic.Int64 // panics contained in name, build or compute
 	writeFailures  atomic.Int64
 	jobsRunning    atomic.Int64 // gauge: claimed, not yet finished
 
@@ -251,10 +252,12 @@ func (s *Server) worker(queue <-chan *flight) {
 	}
 }
 
-// run computes one claimed flight and publishes its result.
+// run computes one claimed flight and publishes its result. A panic in
+// compute finishes the flight with a typed 500 like any other failure, so
+// its waiters are released and the worker keeps serving.
 func (s *Server) run(f *flight) {
 	f.job.stats = &s.stats
-	res, err := f.job.compute()
+	res, err := s.compute(f.job)
 	if err != nil {
 		s.table.finish(f, nil, errStatus(err), err)
 		return
@@ -267,6 +270,35 @@ func (s *Server) run(f *flight) {
 	s.stats.jobsComputed.Add(1)
 	s.cache.put(f.key, body)
 	s.table.finish(f, body, 200, nil)
+}
+
+// contain, deferred around one stage of a job, turns a panic inside it
+// into a typed 500 in *err, counted in internal_errors. Every stage that
+// can run while other requests wait on the job's flight is contained: a
+// stranded flight would block its waiters until their timeouts.
+func (s *Server) contain(stage string, err *error) {
+	if r := recover(); r != nil {
+		s.stats.internalErrors.Add(1)
+		*err = badJob(500, "job: internal error in %s: %v", stage, r)
+	}
+}
+
+// name, build and compute are the job stages under the server's task
+// limit and fault containment. (name is contained too: an auto job with
+// no explicit budget builds inside it.)
+func (s *Server) name(spec Job) (j *job, err error) {
+	defer s.contain("name", &err)
+	return name(spec, s.cfg.MaxTasks)
+}
+
+func (s *Server) build(j *job) (err error) {
+	defer s.contain("build", &err)
+	return j.build()
+}
+
+func (s *Server) compute(j *job) (res *JobResult, err error) {
+	defer s.contain("compute", &err)
+	return j.compute()
 }
 
 // shardOf routes a content key to a shard. The key is a hex SHA-256, so
@@ -283,15 +315,24 @@ func (s *Server) shardOf(key string) chan *flight {
 // to 429 with Retry-After.
 var errQueueFull = badJob(429, "job: queue full, retry later")
 
-// do resolves one normalized job to its response body: result cache,
-// then coalescing onto an in-flight computation, then admission +
-// enqueue. Blocks until the body is ready or ctx is done.
+// do resolves one named job to its response body: result cache, then
+// coalescing onto an in-flight computation, then — for the request that
+// created the flight — build, admission and enqueue. Only that request
+// builds operands: a cache hit and a coalesced join cost nothing beyond
+// the name pass, and a job that fails to build is published to its
+// joiners through the flight without ever taking a queue slot. Blocks
+// until the body is ready or ctx is done.
 func (s *Server) do(ctx context.Context, j *job) ([]byte, int, error) {
 	if body := s.cache.get(j.key); body != nil {
 		return body, 200, nil
 	}
 	f, created := s.table.join(j)
 	if created {
+		if err := s.build(j); err != nil {
+			status := errStatus(err)
+			s.table.abandon(f, status, err)
+			return nil, status, err
+		}
 		select {
 		case s.admit <- struct{}{}:
 			s.shardOf(j.key) <- f
@@ -402,6 +443,7 @@ type Stats struct {
 	RejectedFull   int64 `json:"rejected_queue_full"`
 	Cancelled      int64 `json:"cancelled"`
 	ClientErrors   int64 `json:"client_errors"`
+	InternalErrors int64 `json:"internal_errors"`
 	WriteFailures  int64 `json:"write_failures"`
 
 	ResultCache struct {
@@ -465,6 +507,7 @@ func (s *Server) Snapshot() Stats {
 	st.RejectedFull = s.stats.rejectedFull.Load()
 	st.Cancelled = s.stats.cancelled.Load()
 	st.ClientErrors = s.stats.clientErrors.Load()
+	st.InternalErrors = s.stats.internalErrors.Load()
 	st.WriteFailures = s.stats.writeFailures.Load()
 	hits, misses, evictions, entries, bytes := s.cache.counters()
 	st.ResultCache.Hits = hits

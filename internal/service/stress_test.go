@@ -14,8 +14,16 @@ import (
 // short enough to cancel mid-wait. Run under -race this exercises every
 // join/leave/claim/finish interleaving; afterwards the server must be
 // fully drained: empty flight table, zero admitted computations, and
-// every successful body byte-identical to the reference.
+// every successful body byte-identical to the reference. Two more
+// variants panic, one while its flight's creator builds and one in the
+// worker's compute: their requests must all end in a typed 500 (or a
+// cancellation or rejection) without stranding a waiter or a slot.
 func TestStressCoalescingAndCancellation(t *testing.T) {
+	setFaultHook(t, func(stage string, spec *Job) {
+		if (spec.Seed == faultSeed && stage == "build") || (spec.Seed == faultSeed+1 && stage == "compute") {
+			panic("injected " + stage + " fault")
+		}
+	})
 	srv := NewServer(Config{Shards: 2, WorkersPerShard: 2, QueueDepth: 8, CacheEntries: 4})
 	defer srv.Close()
 
@@ -27,11 +35,17 @@ func TestStressCoalescingAndCancellation(t *testing.T) {
 		{Graph: GraphSpec{Pattern: "stencil9:4,4", MsgBytes: 1e5, Seed: 1}, Topology: "mesh:4,4", Strategy: "topolb1", Seed: 1, Metrics: true},
 		{Graph: GraphSpec{Pattern: "mesh2d:8,8", MsgBytes: 1e5, Seed: 2}, Topology: "torus:8,8", Strategy: "topolb3", Seed: 2},
 	}
-	jobs := make([]*job, len(specs))
+	jobs := make([]*job, len(specs), len(specs)+2)
 	want := make([][]byte, len(specs))
 	for i, spec := range specs {
-		jobs[i] = mustNormalize(t, spec)
+		jobs[i] = mustName(t, spec)
 		want[i] = directBody(t, spec)
+	}
+	healthy := len(jobs)
+	for _, seed := range []int64{faultSeed, faultSeed + 1} {
+		spec := faultyJob()
+		spec.Seed = seed
+		jobs = append(jobs, mustName(t, spec))
 	}
 
 	const (
@@ -45,7 +59,8 @@ func TestStressCoalescingAndCancellation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				j := jobs[(g+i)%len(jobs)]
+				k := (g + i) % len(jobs)
+				j := jobs[k]
 				ctx := context.Background()
 				cancel := context.CancelFunc(func() {})
 				if (g*iterations+i)%3 == 0 {
@@ -59,8 +74,13 @@ func TestStressCoalescingAndCancellation(t *testing.T) {
 				cancel()
 				switch status {
 				case 200:
-					if !bytes.Equal(body, want[(g+i)%len(jobs)]) {
+					if k >= healthy || !bytes.Equal(body, want[k]) {
 						errs <- fmt.Sprintf("goroutine %d iter %d: body diverges from library", g, i)
+						return
+					}
+				case 500:
+					if k < healthy {
+						errs <- fmt.Sprintf("goroutine %d iter %d: healthy job failed: %v", g, i, err)
 						return
 					}
 				case 499:
@@ -83,31 +103,15 @@ func TestStressCoalescingAndCancellation(t *testing.T) {
 		t.Fatal(e)
 	}
 
-	// Drained: no admitted computations left, no flights left. Workers may
-	// still be between run and releasing the slot, so poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := srv.Snapshot()
-		srv.table.mu.Lock()
-		inFlight := len(srv.table.flights)
-		srv.table.mu.Unlock()
-		if st.QueueDepth == 0 && st.JobsRunning == 0 && inFlight == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("not drained: queue_depth=%d jobs_running=%d flights=%d",
-				st.QueueDepth, st.JobsRunning, inFlight)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitDrained(t, srv)
 
 	st := srv.Snapshot()
 	total := st.JobsComputed + st.ResultCache.Hits + st.CoalescedJoins + st.Cancelled + st.RejectedFull
-	if total == 0 {
-		t.Fatal("stress run recorded no activity")
+	if total == 0 || st.InternalErrors == 0 {
+		t.Fatalf("stress run recorded no activity (internal_errors=%d)", st.InternalErrors)
 	}
-	t.Logf("computed=%d cache_hits=%d coalesced=%d cancelled=%d rejected=%d",
-		st.JobsComputed, st.ResultCache.Hits, st.CoalescedJoins, st.Cancelled, st.RejectedFull)
+	t.Logf("computed=%d cache_hits=%d coalesced=%d cancelled=%d rejected=%d internal_errors=%d",
+		st.JobsComputed, st.ResultCache.Hits, st.CoalescedJoins, st.Cancelled, st.RejectedFull, st.InternalErrors)
 }
 
 // TestStressCloseDuringLoad races Close against in-flight requests: every
@@ -115,7 +119,7 @@ func TestStressCoalescingAndCancellation(t *testing.T) {
 // and Close must return.
 func TestStressCloseDuringLoad(t *testing.T) {
 	srv := NewServer(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 4})
-	j := mustNormalize(t, Job{Graph: GraphSpec{Pattern: "mesh2d:8,8"}, Topology: "torus:8,8", Seed: 1})
+	j := mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:8,8"}, Topology: "torus:8,8", Seed: 1})
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -126,7 +130,7 @@ func TestStressCloseDuringLoad(t *testing.T) {
 			<-start
 			for i := 0; i < 20; i++ {
 				spec := Job{Graph: GraphSpec{Pattern: "mesh2d:8,8"}, Topology: "torus:8,8", Seed: int64(g*100 + i + 1)}
-				jj, err := normalize(spec, 0)
+				jj, err := name(spec, 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -144,4 +148,26 @@ func TestStressCloseDuringLoad(t *testing.T) {
 	_, _, _ = srv.do(context.Background(), j)
 	srv.Close()
 	wg.Wait()
+}
+
+// awaitDrained waits until the server holds no admitted computation, no
+// running job and no flight. Workers publish a result before they release
+// its slot, so the state is polled briefly.
+func awaitDrained(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := srv.Snapshot()
+		srv.table.mu.Lock()
+		inFlight := len(srv.table.flights)
+		srv.table.mu.Unlock()
+		if st.QueueDepth == 0 && st.JobsRunning == 0 && inFlight == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not drained: queue_depth=%d jobs_running=%d flights=%d",
+				st.QueueDepth, st.JobsRunning, inFlight)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
