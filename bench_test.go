@@ -308,6 +308,24 @@ func benchRefinePass(b *testing.B) {
 
 func BenchmarkRefinePass(b *testing.B) { benchRefinePass(b) }
 
+// TestRefinePassAllocs is BenchmarkRefinePass's allocation gate, which CI
+// runs at GOMAXPROCS 2: one sweep allocates its copy of the mapping and
+// its occupant table, nothing per candidate list. A fork put back into
+// sweepCandidates costs a closure and goroutines per list — thousands per
+// pass — and only shows where there is a second core to fork onto.
+func TestRefinePassAllocs(t *testing.T) {
+	g := taskgraph.Mesh2D(16, 16, 1e5)
+	to := topology.MustTorus(16, 16)
+	m0, err := (core.Random{Seed: 1}).Map(g, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.Refine(g, to, m0.Clone(), 1) // builds the cached distance matrix
+	if allocs := testing.AllocsPerRun(10, func() { core.Refine(g, to, m0.Clone(), 1) }); allocs > 4 {
+		t.Errorf("one Refine pass allocates %v objects, want <= 4", allocs)
+	}
+}
+
 func BenchmarkRefinePassNoMatrix(b *testing.B) {
 	benchNoMatrix(b, benchRefinePass)
 }

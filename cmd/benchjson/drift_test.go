@@ -75,12 +75,16 @@ func recvString(e ast.Expr) string {
 // dynamic guard keeps measuring what the static analyzer promises.
 func TestHotpathAnnotationsMatchBenchCases(t *testing.T) {
 	want := map[string][]string{
-		// core's dynamic guard is TestMultilevelProposeZeroAlloc (the
-		// propose sweep may allocate only the parallel.For closure).
-		filepath.Join("..", "..", "internal", "core"):   {"(*mlRefiner).propose"},
+		// core's dynamic guards are TestMultilevelProposeZeroAlloc (the
+		// propose sweep may allocate only the parallel.For closure) and
+		// TestSessionBatchAllocs (a clean-state remap step allocates only
+		// RefineIncremental's per-call scratch).
+		filepath.Join("..", "..", "internal", "core"): {
+			"(*incRefiner).moveScore", "(*incRefiner).swapScore", "(*incRefiner).sweepTask", "(*mlRefiner).propose",
+		},
 		filepath.Join("..", "..", "internal", "netsim"): {"(*Engine).Run"},
 		filepath.Join("..", "..", "internal", "parallel"): {
-			"ArgMax", "ArgMin", "First", "For", "Map", "Reduce",
+			"ArgMax", "ArgMin", "For", "Map", "Reduce",
 		},
 		// sfc's dynamic guard is the geometric suite's encode/ zero-alloc
 		// gate (geometricZeroAllocViolations), active in every run mode.

@@ -22,8 +22,11 @@
 //   - suite "incremental" (BENCH_incremental.json): the online remapping
 //     engine, "baseline" = a full core.HopBytes recompute per
 //     observation, "optimized" = one O(deg) delta applied to a live
-//     core.IncrementalState. RefineIncremental and the end-to-end
-//     topomapd session delta→remap round trip are optimized-only rows.
+//     core.IncrementalState. RefineIncremental, SessionBatch (one
+//     steady-state delta batch, gated to a handful of allocs/op) and the
+//     end-to-end topomapd session round trip are measured "optimized"
+//     only, every case at GOMAXPROCS 1 and 2; their "baseline" rows are
+//     the parent commit's numbers, carried over between recordings.
 //   - suite "geometric" (BENCH_geometric.json): the near-linear mapping
 //     tier, "baseline" = the flat two-phase pipeline, "optimized" = the
 //     sfc and rcb-sfc strategies plus the service's auto portfolio on the
@@ -232,10 +235,12 @@ func main() {
 		violations = zeroAllocViolations(results)
 	case "geometric":
 		violations = geometricZeroAllocViolations(results)
+	case "incremental":
+		violations = incrementalAllocViolations(results)
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "benchjson: zero-alloc violation:", v)
+			fmt.Fprintln(os.Stderr, "benchjson: allocation bound violated:", v)
 		}
 		os.Exit(1)
 	}
@@ -252,6 +257,9 @@ func main() {
 	}
 	if *out == "" {
 		*out = "BENCH_" + *suite + ".json"
+	}
+	if *suite == "incremental" {
+		results = keepRecordedBaselines(*out, results)
 	}
 
 	rep := Report{

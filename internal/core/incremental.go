@@ -43,6 +43,20 @@ import (
 // sums yields the same value. Both properties are pinned by property
 // tests (see incremental_test.go and lbdb's delta-stream test).
 //
+// # Clean bits
+//
+// RefineIncremental memoizes its own negative results: clean[v] records
+// that, at the current state, no refinement candidate of task v (a move to
+// a partner's processor, a move to a processor adjacent to its own, a swap
+// with a partner) has hop-bytes delta + cleanCost × migration delta below
+// −1e-12 — judged before the load and budget gates, which read
+// per-processor loads and the migration count and so change far too often
+// to memoize. A candidate's delta reads the placement of v, N(v) and
+// N(N(v)), the adjacency and weights of v and N(v), and (when cleanCost is
+// non-zero) their anchors; every mutation clears the bits of exactly the
+// tasks whose inputs it changed (see markMoved, markComm), so a refinement
+// call after a small delta batch re-scores only that neighbourhood.
+//
 // IncrementalState is not safe for concurrent mutation; callers (the
 // topomapd session layer) serialize access per state.
 type IncrementalState struct {
@@ -59,9 +73,16 @@ type IncrementalState struct {
 	proc   []int
 	anchor []int // reference placement for migration accounting
 
+	// clean[v]: no candidate of v improves under cleanCost (see "Clean
+	// bits"). Dead slots are never consulted.
+	clean     []bool
+	cleanCost float64 // the MigrationCost the set bits were computed under
+
 	// adj[v] lists v's communication partners in ascending id order, each
-	// with the id of the shared edge record.
-	adj []incAdj
+	// with the id of the shared edge record. adjBuf is the single backing
+	// array CloneInto lays a clone's adjacency into, kept for reuse.
+	adj    []incAdj
+	adjBuf []int32
 
 	// Edge records, indexed by edge id. Dead records (freed by edge
 	// removal) have weight 0, a zeroed leaf, and sit on the free list.
@@ -90,11 +111,15 @@ var incCounters struct {
 	refineCalls atomic.Int64
 	refineSwaps atomic.Int64
 	refineMoves atomic.Int64
+	refineEval  atomic.Int64
+	refineSkip  atomic.Int64
 }
 
 // IncCounters is a snapshot of the process-wide incremental-engine
 // counters: states built, mutations (deltas) applied, summation-tree leaf
-// updates, and refinement activity.
+// updates, and refinement activity — calls, accepted steps, and task
+// visits that scored candidates (RefineEvaluated) or returned at once on
+// the task's clean bit (RefineSkipped).
 type IncCounters struct {
 	States      int64 `json:"states"`
 	Mutations   int64 `json:"mutations"`
@@ -102,6 +127,9 @@ type IncCounters struct {
 	RefineCalls int64 `json:"refine_calls"`
 	RefineSwaps int64 `json:"refine_swaps"`
 	RefineMoves int64 `json:"refine_moves"`
+
+	RefineEvaluated int64 `json:"refine_evaluated"`
+	RefineSkipped   int64 `json:"refine_skipped"`
 }
 
 // IncrementalCounters snapshots the process-wide incremental-engine
@@ -114,6 +142,9 @@ func IncrementalCounters() IncCounters {
 		RefineCalls: incCounters.refineCalls.Load(),
 		RefineSwaps: incCounters.refineSwaps.Load(),
 		RefineMoves: incCounters.refineMoves.Load(),
+
+		RefineEvaluated: incCounters.refineEval.Load(),
+		RefineSkipped:   incCounters.refineSkip.Load(),
 	}
 }
 
@@ -140,6 +171,7 @@ func NewIncrementalState(g *taskgraph.Graph, t topology.Topology, m Mapping) (*I
 		load:   make([]float64, n),
 		proc:   make([]int, n),
 		anchor: make([]int, n),
+		clean:  make([]bool, n),
 		adj:    make([]incAdj, n),
 	}
 	copy(s.proc, m)
@@ -227,6 +259,27 @@ func (s *IncrementalState) edgeContribution(e int32) float64 {
 func (s *IncrementalState) setLeaf(e int32) {
 	s.tree.set(int(e), s.edgeContribution(e))
 	incCounters.edgeUpdates.Add(1)
+}
+
+// markMoved clears the clean bits that read task v's processor: its own,
+// its partners' and their partners'. O(Σ_{u∈N(v)} deg(u)).
+func (s *IncrementalState) markMoved(v int) {
+	s.clean[v] = false
+	for _, u := range s.adj[v].nbr {
+		s.clean[u] = false
+		for _, w := range s.adj[u].nbr {
+			s.clean[w] = false
+		}
+	}
+}
+
+// markComm clears the clean bits that read task v's adjacency or edge
+// weights: its own and its partners'.
+func (s *IncrementalState) markComm(v int) {
+	s.clean[v] = false
+	for _, u := range s.adj[v].nbr {
+		s.clean[u] = false
+	}
 }
 
 // HopBytes returns the current total hop-bytes in O(1): the summation
@@ -326,6 +379,12 @@ func (s *IncrementalState) SetComm(a, b int, bytes float64) error {
 		return fmt.Errorf("core: incremental: negative bytes between %d and %d", a, b)
 	}
 	e := s.adj[a].edgeID(int32(b))
+	if e >= 0 || bytes > 0 {
+		// One marking serves the adjacency before and after the edit: the
+		// two differ only in a and b themselves.
+		s.markComm(a)
+		s.markComm(b)
+	}
 	switch {
 	case e >= 0 && bytes > 0: // update
 		s.edgeW[e] = bytes
@@ -361,7 +420,8 @@ func (s *IncrementalState) SetComm(a, b int, bytes float64) error {
 }
 
 // MoveTask reassigns task v to processor p, refreshing the contribution
-// of each incident edge: O(deg(v)·log |E|).
+// of each incident edge, O(deg(v)·log |E|), and clearing the clean bits of
+// v, N(v) and N(N(v)), O(Σ_{u∈N(v)} deg(u)).
 func (s *IncrementalState) MoveTask(v, p int) error {
 	if err := s.checkTask(v); err != nil {
 		return err
@@ -380,9 +440,12 @@ func (s *IncrementalState) moveTask(v, p int) {
 		return
 	}
 	s.proc[v] = p
-	for _, e := range s.adj[v].eid {
-		s.setLeaf(e)
+	eid := s.adj[v].eid
+	for _, e := range eid {
+		s.tree.set(int(e), s.edgeContribution(e))
 	}
+	incCounters.edgeUpdates.Add(int64(len(eid)))
+	s.markMoved(v)
 }
 
 // AddTask creates a new task with the given load on processor p and
@@ -401,6 +464,7 @@ func (s *IncrementalState) AddTask(load float64, p int) (int, error) {
 	s.load = append(s.load, load)
 	s.proc = append(s.proc, p)
 	s.anchor = append(s.anchor, p)
+	s.clean = append(s.clean, false)
 	s.adj = append(s.adj, incAdj{})
 	s.liveTasks++
 	incCounters.mutations.Add(1)
@@ -409,11 +473,13 @@ func (s *IncrementalState) AddTask(load float64, p int) (int, error) {
 
 // RemoveTask deletes task v: all incident edges are removed and the slot
 // goes dead (the id is retired, the last processor is remembered). Costs
-// O(Σ_{u ∈ adj(v)} deg(u)) for the partner adjacency edits.
+// O(Σ_{u∈N(v)} deg(u)) twice over: for the partner adjacency edits, and
+// for clearing the clean bits of N(v) and N(N(v)).
 func (s *IncrementalState) RemoveTask(v int) error {
 	if err := s.checkTask(v); err != nil {
 		return err
 	}
+	s.markMoved(v)
 	a := &s.adj[v]
 	for i, u := range a.nbr {
 		e := a.eid[i]
@@ -433,9 +499,16 @@ func (s *IncrementalState) RemoveTask(v int) error {
 }
 
 // SetAnchor snapshots the current placement as the migration reference:
-// refinement migration budgets and counts are measured against it.
+// refinement migration budgets and counts are measured against it. Clean
+// bits read the anchors only through the migration cost they were
+// computed under, and with every task on its anchor each candidate's
+// migration delta is at its maximum (+1 a move, +2 a swap): at a cost of
+// zero or more no score falls, so the bits survive.
 func (s *IncrementalState) SetAnchor() {
 	copy(s.anchor, s.proc)
+	if s.cleanCost < 0 {
+		clear(s.clean)
+	}
 }
 
 // Migrations returns how many live tasks sit away from their anchor
@@ -451,31 +524,56 @@ func (s *IncrementalState) Migrations() int {
 }
 
 // Clone returns an independent deep copy sharing only the immutable
-// topology. The session layer refines a clone speculatively and adopts it
-// only when the improvement clears the migration-cost threshold.
-func (s *IncrementalState) Clone() *IncrementalState {
-	c := &IncrementalState{
-		topo:      s.topo,
-		d:         s.d,
-		procs:     s.procs,
-		alive:     append([]bool(nil), s.alive...),
-		load:      append([]float64(nil), s.load...),
-		proc:      append([]int(nil), s.proc...),
-		anchor:    append([]int(nil), s.anchor...),
-		adj:       make([]incAdj, len(s.adj)),
-		edgeA:     append([]int32(nil), s.edgeA...),
-		edgeB:     append([]int32(nil), s.edgeB...),
-		edgeW:     append([]float64(nil), s.edgeW...),
-		freeEdges: append([]int32(nil), s.freeEdges...),
-		liveTasks: s.liveTasks,
-		liveEdges: s.liveEdges,
+// topology: CloneInto with nothing to reuse.
+func (s *IncrementalState) Clone() *IncrementalState { return s.CloneInto(nil) }
+
+// CloneInto makes dst an independent deep copy of s, sharing only the
+// immutable topology, and returns it; a nil dst is allocated. dst's slices
+// are reused where they are large enough, so a caller that keeps the clone
+// it did not adopt — the session layer refines a clone speculatively and
+// adopts it only when the improvement clears the migration-cost threshold
+// — pays a copy, not an allocation, per batch. All adjacency goes into one
+// backing array, each task's lists capacity-clipped to their length so a
+// later insert reallocates that task's lists privately. dst must not be s.
+func (s *IncrementalState) CloneInto(dst *IncrementalState) *IncrementalState {
+	if dst == nil {
+		dst = &IncrementalState{}
 	}
+	dst.topo, dst.d, dst.procs = s.topo, s.d, s.procs
+	dst.alive = append(dst.alive[:0], s.alive...)
+	dst.load = append(dst.load[:0], s.load...)
+	dst.proc = append(dst.proc[:0], s.proc...)
+	dst.anchor = append(dst.anchor[:0], s.anchor...)
+	dst.clean = append(dst.clean[:0], s.clean...)
+	dst.cleanCost = s.cleanCost
+	dst.edgeA = append(dst.edgeA[:0], s.edgeA...)
+	dst.edgeB = append(dst.edgeB[:0], s.edgeB...)
+	dst.edgeW = append(dst.edgeW[:0], s.edgeW...)
+	dst.freeEdges = append(dst.freeEdges[:0], s.freeEdges...)
+	dst.liveTasks, dst.liveEdges = s.liveTasks, s.liveEdges
+	dst.tree.cloneFrom(&s.tree)
+
+	// Each live edge sits in two adjacency lists; partner ids fill the
+	// first half of the backing array, edge ids the second.
+	half := 2 * s.liveEdges
+	if cap(dst.adjBuf) < 2*half {
+		dst.adjBuf = make([]int32, 2*half)
+	}
+	buf := dst.adjBuf[:2*half]
+	if cap(dst.adj) < len(s.adj) {
+		dst.adj = make([]incAdj, len(s.adj))
+	}
+	dst.adj = dst.adj[:len(s.adj)]
+	off := 0
 	for v := range s.adj {
-		c.adj[v].nbr = append([]int32(nil), s.adj[v].nbr...)
-		c.adj[v].eid = append([]int32(nil), s.adj[v].eid...)
+		a := &s.adj[v]
+		end := off + len(a.nbr)
+		dst.adj[v] = incAdj{nbr: buf[off:end:end], eid: buf[half+off : half+end : half+end]}
+		copy(dst.adj[v].nbr, a.nbr)
+		copy(dst.adj[v].eid, a.eid)
+		off = end
 	}
-	c.tree.cloneFrom(&s.tree)
-	return c
+	return dst
 }
 
 // Graph materializes the current communication graph. Dead slots become
@@ -537,7 +635,7 @@ func (t *sumTree) ensure(leaves int) {
 
 func (t *sumTree) cloneFrom(src *sumTree) {
 	t.cap = src.cap
-	t.node = append([]float64(nil), src.node...)
+	t.node = append(t.node[:0], src.node...)
 }
 
 // set writes leaf i and refreshes its root path: O(log cap).

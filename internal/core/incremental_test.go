@@ -39,7 +39,7 @@ func randomPlacement(n, procs int, rng *rand.Rand) Mapping {
 
 // requireExact fails unless the state's O(1) hop-bytes total is
 // bit-identical to a full HopBytes recompute of the materialized graph.
-func requireExact(t *testing.T, s *IncrementalState, to topology.Topology, ctx string) {
+func requireExact(t testing.TB, s *IncrementalState, to topology.Topology, ctx string) {
 	t.Helper()
 	got := s.HopBytes()
 	want := HopBytes(s.Graph("check"), to, s.Mapping())

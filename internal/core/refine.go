@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -53,9 +52,7 @@ func (r RefineTopoLB) maxPasses() int {
 // number of edges, candidate pairs are (task, neighbor-of-task's-processor
 // occupant) and (task, communication partner) — the pairs with any chance
 // of first-order improvement — plus a full quadratic sweep when p is
-// small. Candidate deltas are evaluated speculatively in parallel, but the
-// first improving swap in candidate order is the one applied, so the
-// sweep is byte-identical to trying candidates one at a time (see
+// small. Candidates are tried one at a time in a fixed order (see
 // sweepCandidates). Returns the number of swaps performed.
 func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) int {
 	n := len(m)
@@ -91,29 +88,21 @@ func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) i
 	return swaps
 }
 
-// sweepCandidates replays the serial candidate scan for task a over the
-// candidate list partner(0..count-1): swap deltas are evaluated against
-// the frozen mapping speculatively in parallel, the first improving
-// candidate by index is applied, and evaluation resumes after it. Every
-// candidate the serial sweep would have rejected is rejected against the
-// same mapping state here, so accepted swaps — and therefore the final
-// mapping — are identical for any GOMAXPROCS. partner must be pure.
+// sweepCandidates tries task a against partner(0..count-1) in order,
+// applying each strictly improving swap as it is met and trying the next
+// candidate against the mapping that swap left. The loop is serial on
+// purpose: a swap delta is O(deg) work, far below what a fork costs
+// (DESIGN §6).
 func sweepCandidates(g *taskgraph.Graph, d dists, m Mapping, occupant []int, a, count int, partner func(j int) int) int {
 	swaps := 0
-	for start := 0; start < count; {
-		j := parallel.First(count-start, refineGrain, func(i int) bool {
-			b := partner(start + i)
-			return a != b && swapDelta(g, d, m, a, b) < -1e-12
-		})
-		if j < 0 {
-			break
+	for j := 0; j < count; j++ {
+		b := partner(j)
+		if a != b && swapDelta(g, d, m, a, b) < -1e-12 {
+			m[a], m[b] = m[b], m[a]
+			occupant[m[a]] = a
+			occupant[m[b]] = b
+			swaps++
 		}
-		b := partner(start + j)
-		m[a], m[b] = m[b], m[a]
-		occupant[m[a]] = a
-		occupant[m[b]] = b
-		swaps++
-		start += j + 1
 	}
 	return swaps
 }

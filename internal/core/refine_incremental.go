@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/parallel"
-)
+import "math"
 
 // IncRefineOptions configures RefineIncremental.
 type IncRefineOptions struct {
@@ -67,13 +63,21 @@ type IncRefineResult struct {
 // migration budget is not exceeded. Accepted steps update the hop-bytes
 // summation tree in O(deg·log |E|).
 //
-// Candidate deltas are evaluated speculatively in parallel but applied
-// first-improving-in-candidate-order (parallel.First), so the resulting
-// placement is byte-identical for any GOMAXPROCS — the same determinism
-// contract as Refine.
+// The run is serial — a task's O(deg) candidates are far too little work
+// to fork over, and concurrency comes from refining many states at once —
+// so the placement is trivially byte-identical for any GOMAXPROCS. Its
+// cost follows what changed since the last call, not the size of the job:
+// a task whose clean bit is set (see IncrementalState, "Clean bits") is
+// passed over in O(1), which changes no placement, total or result — a
+// clean task is one the full scan would have accepted nothing for.
 func (s *IncrementalState) RefineIncremental(opts IncRefineOptions) IncRefineResult {
 	incCounters.refineCalls.Add(1)
 	res := IncRefineResult{HopBytesBefore: s.HopBytes()}
+	//lint:ignore floatcmp the bits hold for exactly the cost they were computed under
+	if opts.MigrationCost != s.cleanCost {
+		clear(s.clean)
+		s.cleanCost = opts.MigrationCost
+	}
 
 	r := &incRefiner{
 		s:         s,
@@ -116,6 +120,8 @@ func (s *IncrementalState) RefineIncremental(opts IncRefineOptions) IncRefineRes
 			break
 		}
 	}
+	incCounters.refineEval.Add(r.evaluated)
+	incCounters.refineSkip.Add(r.skipped)
 	res.Migrations = r.migrated
 	res.BudgetSaturated = opts.MaxMigrations >= 0 && r.migrated >= opts.MaxMigrations
 	res.HopBytesAfter = s.HopBytes()
@@ -133,112 +139,138 @@ type incRefiner struct {
 	countLimit int     // task-count bound; used when loadLimit == 0
 	migrated   int     // live tasks currently off-anchor
 
-	moves, swaps int
+	moves, swaps       int
+	evaluated, skipped int64 // task visits that scored candidates / hit the clean bit
 }
 
-// sweepTask replays the serial candidate scan for task a: candidates are
-// indexed moves-to-partner-procs, then moves-to-adjacent-procs, then
-// swaps-with-partners; deltas are evaluated against the frozen placement
-// speculatively in parallel; the first improving candidate by index is
-// applied and evaluation resumes after it (the sweepCandidates pattern).
-// Returns the number of accepted steps.
+// sweepTask scans task a's candidates in order — moves to partners'
+// processors, moves to processors adjacent to a's own (as it stood when
+// the scan began), swaps with partners — applying each improving one as it
+// is met and scanning on from the next. A clean task returns at once; a
+// scan that accepted nothing and met no negative delta, gated or not,
+// marks the task clean. Returns the number of accepted steps.
+//
+//lint:hotpath session remap inner loop: runs for every live task on every pass of every delta batch; a clean task must cost O(1) and a dirty one allocate nothing
 func (r *incRefiner) sweepTask(a int) int {
 	s := r.s
-	partners := s.adj[a].nbr
-	topoNbrs := s.topo.Neighbors(s.proc[a])
-	nMove := len(partners) + len(topoNbrs)
-	count := nMove + len(partners)
-	accepted := 0
-	for start := 0; start < count; {
-		j := parallel.First(count-start, refineGrain, func(i int) bool {
-			return r.candidateImproves(a, partners, topoNbrs, start+i)
-		})
-		if j < 0 {
-			break
-		}
-		r.apply(a, partners, topoNbrs, start+j)
-		accepted++
-		start += j + 1
+	if s.clean[a] {
+		r.skipped++
+		return 0
 	}
+	r.evaluated++
+	partners := s.adj[a].nbr
+	//lint:ignore hotalloc every Topology hands out a neighbour list it built once; one call per scored task, none on the clean path
+	topoNbrs := s.topo.Neighbors(s.proc[a])
+	accepted := 0
+	// markable: nothing met so far has a negative delta. A gated
+	// candidate's delta matters only to the clean bit, so it is computed
+	// only while markable holds.
+	markable := true
+	for _, u := range partners {
+		if p := s.proc[u]; r.moveScore(a, p, &markable) {
+			r.applyMove(a, p)
+			accepted++
+		}
+	}
+	for _, p := range topoNbrs {
+		if r.moveScore(a, p, &markable) {
+			r.applyMove(a, p)
+			accepted++
+		}
+	}
+	for _, u := range partners {
+		if r.swapScore(a, int(u), &markable) {
+			r.applySwap(a, int(u))
+			accepted++
+		}
+	}
+	// An accepted step had a negative delta, so a task that moved is
+	// never marked (and moveTask cleared whatever its partners held).
+	s.clean[a] = markable
 	return accepted
 }
 
-// candidateImproves is the pure predicate handed to parallel.First: does
-// candidate idx for task a strictly improve the penalized objective while
-// respecting the load bound and the migration budget? It only reads
-// refiner state.
-func (r *incRefiner) candidateImproves(a int, partners []int32, topoNbrs []int, idx int) bool {
-	s := r.s
-	if idx < len(partners) { // move a to a partner's processor
-		return r.moveScore(a, s.proc[partners[idx]])
-	}
-	idx -= len(partners)
-	if idx < len(topoNbrs) { // move a to an adjacent processor
-		return r.moveScore(a, topoNbrs[idx])
-	}
-	// Swap a with a communication partner.
-	return r.swapScore(a, int(partners[idx-len(topoNbrs)]))
-}
-
-// moveScore evaluates moving task a to processor p.
-func (r *incRefiner) moveScore(a, p int) bool {
+// moveScore reports whether moving task a to processor p strictly
+// improves the penalized objective within the load bound and the
+// migration budget. It clears *markable when the move's delta is negative,
+// whether or not a gate stops it.
+//
+//lint:hotpath see sweepTask
+func (r *incRefiner) moveScore(a, p int, markable *bool) bool {
 	s := r.s
 	pa := s.proc[a]
 	if p == pa {
 		return false
 	}
+	migDelta := b2i(p != s.anchor[a]) - b2i(pa != s.anchor[a])
 	// Load bound: growing p's load is only allowed up to the limit
 	// (zero-load tasks move freely — they change nothing).
+	gated := false
 	if r.loadLimit > 0 {
-		if nl := r.procLoad[p] + s.load[a]; nl > r.loadLimit && nl > r.procLoad[p] {
-			return false
-		}
-	} else if r.procCount[p]+1 > r.countLimit {
+		nl := r.procLoad[p] + s.load[a]
+		gated = nl > r.loadLimit && nl > r.procLoad[p]
+	} else {
+		gated = r.procCount[p]+1 > r.countLimit
+	}
+	gated = gated || (r.opts.MaxMigrations >= 0 && r.migrated+migDelta > r.opts.MaxMigrations)
+	if gated && !*markable {
 		return false
 	}
-	migDelta := b2i(p != s.anchor[a]) - b2i(pa != s.anchor[a])
-	if r.opts.MaxMigrations >= 0 && r.migrated+migDelta > r.opts.MaxMigrations {
-		return false
+	if r.moveDelta(a, p)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
+		*markable = false
+		return !gated
 	}
-	delta := r.moveDelta(a, p) + r.opts.MigrationCost*float64(migDelta)
-	return delta < -1e-12
+	return false
 }
 
-// swapScore evaluates exchanging the processors of tasks a and b.
-func (r *incRefiner) swapScore(a, b int) bool {
+// swapScore is moveScore for exchanging the processors of tasks a and b.
+//
+//lint:hotpath see sweepTask
+func (r *incRefiner) swapScore(a, b int, markable *bool) bool {
 	s := r.s
 	pa, pb := s.proc[a], s.proc[b]
 	if a == b || pa == pb {
 		return false
 	}
+	gated := false
 	if r.loadLimit > 0 {
 		la, lb := s.load[a], s.load[b]
 		nA := r.procLoad[pa] - la + lb
 		nB := r.procLoad[pb] - lb + la
-		if (nA > r.loadLimit && nA > r.procLoad[pa]) || (nB > r.loadLimit && nB > r.procLoad[pb]) {
-			return false
-		}
+		gated = (nA > r.loadLimit && nA > r.procLoad[pa]) || (nB > r.loadLimit && nB > r.procLoad[pb])
 	}
 	migDelta := b2i(pb != s.anchor[a]) + b2i(pa != s.anchor[b]) -
 		b2i(pa != s.anchor[a]) - b2i(pb != s.anchor[b])
-	if r.opts.MaxMigrations >= 0 && r.migrated+migDelta > r.opts.MaxMigrations {
+	gated = gated || (r.opts.MaxMigrations >= 0 && r.migrated+migDelta > r.opts.MaxMigrations)
+	if gated && !*markable {
 		return false
 	}
-	delta := r.swapDelta(a, b) + r.opts.MigrationCost*float64(migDelta)
-	return delta < -1e-12
+	if r.swapDelta(a, b)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
+		*markable = false
+		return !gated
+	}
+	return false
 }
 
 // moveDelta returns the hop-bytes change from moving task a to processor
-// p: O(deg(a)) distance lookups.
+// p: O(deg(a)) distance lookups, read off two matrix rows when the
+// machine's distances are materialized.
 func (r *incRefiner) moveDelta(a, p int) float64 {
 	s := r.s
 	adj := &s.adj[a]
 	pa := s.proc[a]
 	delta := 0.0
+	if dm := s.d.dm; dm != nil {
+		rowP, rowA := dm.Row(p), dm.Row(pa)
+		for i, u := range adj.nbr {
+			pu := s.proc[u]
+			delta += s.edgeW[adj.eid[i]] * float64(rowP[pu]-rowA[pu])
+		}
+		return delta
+	}
 	for i, u := range adj.nbr {
 		pu := s.proc[u]
-		w := s.edgeW[adj.eid[i]]
-		delta += w * float64(s.d.dist(p, pu)-s.d.dist(pa, pu))
+		delta += s.edgeW[adj.eid[i]] * float64(s.d.dist(p, pu)-s.d.dist(pa, pu))
 	}
 	return delta
 }
@@ -249,49 +281,58 @@ func (r *incRefiner) moveDelta(a, p int) float64 {
 func (r *incRefiner) swapDelta(a, b int) float64 {
 	s := r.s
 	pa, pb := s.proc[a], s.proc[b]
+	adjA, adjB := &s.adj[a], &s.adj[b]
 	delta := 0.0
-	adjA := &s.adj[a]
-	for i, u := range adjA.nbr {
-		if int(u) == b {
-			continue
+	if dm := s.d.dm; dm != nil {
+		rowA, rowB := dm.Row(pa), dm.Row(pb)
+		for i, u := range adjA.nbr {
+			if int(u) != b {
+				pu := s.proc[u]
+				delta += s.edgeW[adjA.eid[i]] * float64(rowB[pu]-rowA[pu])
+			}
 		}
-		pu := s.proc[u]
-		delta += s.edgeW[adjA.eid[i]] * float64(s.d.dist(pb, pu)-s.d.dist(pa, pu))
+		for i, u := range adjB.nbr {
+			if int(u) != a {
+				pu := s.proc[u]
+				delta += s.edgeW[adjB.eid[i]] * float64(rowA[pu]-rowB[pu])
+			}
+		}
+		return delta
 	}
-	adjB := &s.adj[b]
-	for i, u := range adjB.nbr {
-		if int(u) == a {
-			continue
+	for i, u := range adjA.nbr {
+		if int(u) != b {
+			pu := s.proc[u]
+			delta += s.edgeW[adjA.eid[i]] * float64(s.d.dist(pb, pu)-s.d.dist(pa, pu))
 		}
-		pu := s.proc[u]
-		delta += s.edgeW[adjB.eid[i]] * float64(s.d.dist(pa, pu)-s.d.dist(pb, pu))
+	}
+	for i, u := range adjB.nbr {
+		if int(u) != a {
+			pu := s.proc[u]
+			delta += s.edgeW[adjB.eid[i]] * float64(s.d.dist(pa, pu)-s.d.dist(pb, pu))
+		}
 	}
 	return delta
 }
 
-// apply commits candidate idx for task a, updating the placement, the
-// summation tree, per-processor loads/counts, and the migration count.
-func (r *incRefiner) apply(a int, partners []int32, topoNbrs []int, idx int) {
+// applyMove commits moving task a to processor p, updating the placement,
+// the summation tree, per-processor loads and counts, and the migration
+// count.
+func (r *incRefiner) applyMove(a, p int) {
 	s := r.s
-	if idx < len(partners)+len(topoNbrs) {
-		p := 0
-		if idx < len(partners) {
-			p = s.proc[partners[idx]]
-		} else {
-			p = topoNbrs[idx-len(partners)]
-		}
-		pa := s.proc[a]
-		r.migrated += b2i(p != s.anchor[a]) - b2i(pa != s.anchor[a])
-		r.procLoad[pa] -= s.load[a]
-		r.procLoad[p] += s.load[a]
-		r.procCount[pa]--
-		r.procCount[p]++
-		s.moveTask(a, p)
-		r.moves++
-		incCounters.refineMoves.Add(1)
-		return
-	}
-	b := int(partners[idx-len(partners)-len(topoNbrs)])
+	pa := s.proc[a]
+	r.migrated += b2i(p != s.anchor[a]) - b2i(pa != s.anchor[a])
+	r.procLoad[pa] -= s.load[a]
+	r.procLoad[p] += s.load[a]
+	r.procCount[pa]--
+	r.procCount[p]++
+	s.moveTask(a, p)
+	r.moves++
+	incCounters.refineMoves.Add(1)
+}
+
+// applySwap commits exchanging the processors of tasks a and b.
+func (r *incRefiner) applySwap(a, b int) {
+	s := r.s
 	pa, pb := s.proc[a], s.proc[b]
 	r.migrated += b2i(pb != s.anchor[a]) + b2i(pa != s.anchor[b]) -
 		b2i(pa != s.anchor[a]) - b2i(pb != s.anchor[b])

@@ -46,12 +46,3 @@ func ArgMax(n, grain int, f func(i int) (float64, bool)) (int, float64) {
 	}
 	return best, bv
 }
-
-func First(n, grain int, pred func(i int) bool) int {
-	for i := 0; i < n; i++ {
-		if pred(i) {
-			return i
-		}
-	}
-	return -1
-}

@@ -48,9 +48,10 @@ func resetGood(counts []int) {
 	})
 }
 
-// pickGood scans with a pure predicate over captured read-only data.
+// pickGood scans with a pure scorer over captured read-only data.
 func pickGood(xs []float64) int {
-	return parallel.First(len(xs), 64, func(i int) bool {
-		return xs[i] > 0.75
+	best, _ := parallel.ArgMax(len(xs), 64, func(i int) (float64, bool) {
+		return xs[i], xs[i] > 0.75
 	})
+	return best
 }

@@ -1,6 +1,6 @@
 // Package parallel provides small deterministic fork-join helpers for the
 // mapping kernels: a chunked parallel loop, an index-ordered reduction, and
-// a lowest-index parallel search.
+// lowest-index arg-min/arg-max.
 //
 // Determinism contract: every helper produces a result that is bit-identical
 // for any GOMAXPROCS value, including 1. Two rules make that hold:
@@ -212,70 +212,4 @@ func ArgMin(n, grain int, f func(i int) (float64, bool)) (int, float64) {
 		return -1, 0
 	}
 	return r.idx, r.val
-}
-
-// First returns the lowest index in [0, n) where pred is true, or -1.
-// Predicates are evaluated speculatively in parallel, so pred must be pure
-// (read-only and side-effect free); chunks wholly above the best index
-// found so far are skipped, and within a chunk evaluation stops at the
-// first hit, so the total work is close to the serial prefix scan plus
-// bounded speculation.
-//
-//lint:hotpath parallel kernel body: per-index path must stay allocation-free at any GOMAXPROCS
-func First(n, grain int, pred func(i int) bool) int {
-	nchunks, grain := chunks(n, grain)
-	if nchunks == 0 {
-		return -1
-	}
-	w := workers(nchunks)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				return i
-			}
-		}
-		return -1
-	}
-	var next atomic.Int64
-	best := atomic.Int64{}
-	best.Store(int64(n))
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		//lint:ignore hotalloc one worker goroutine and closure per call, amortized over the n-element loop; the per-index path is allocation-free
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nchunks {
-					return
-				}
-				lo := c * grain
-				if int64(lo) >= best.Load() {
-					return // all later chunks are above the best hit too
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if pred(i) {
-						// CAS-min: record i unless a lower hit is known.
-						for {
-							cur := best.Load()
-							if int64(i) >= cur || best.CompareAndSwap(cur, int64(i)) {
-								break
-							}
-						}
-						break
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b := int(best.Load()); b < n {
-		return b
-	}
-	return -1
 }

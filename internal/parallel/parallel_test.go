@@ -140,58 +140,6 @@ func TestArgReductionsEmpty(t *testing.T) {
 	}
 }
 
-func TestFirstFindsLowestHit(t *testing.T) {
-	withGOMAXPROCS(t, []int{1, 2, 8}, func(procs int) {
-		for _, tc := range []struct {
-			n    int
-			hits []int
-			want int
-		}{
-			{0, nil, -1},
-			{100, nil, -1},
-			{100, []int{99}, 99},
-			{100, []int{0}, 0},
-			{1000, []int{41, 40, 900}, 40},
-			{1000, []int{999, 5, 500}, 5},
-		} {
-			hit := make([]bool, tc.n)
-			for _, h := range tc.hits {
-				hit[h] = true
-			}
-			for _, grain := range []int{1, 16, 4096} {
-				got := First(tc.n, grain, func(i int) bool { return hit[i] })
-				if got != tc.want {
-					t.Errorf("procs=%d n=%d grain=%d: First = %d, want %d", procs, tc.n, grain, got, tc.want)
-				}
-			}
-		}
-	})
-}
-
-// TestFirstStress hammers First with random hit patterns to shake out
-// races between the chunk-skip heuristic and the CAS-min.
-func TestFirstStress(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	withGOMAXPROCS(t, []int{2, 8}, func(procs int) {
-		for iter := 0; iter < 200; iter++ {
-			n := 1 + rng.Intn(500)
-			hit := make([]bool, n)
-			want := -1
-			for i := range hit {
-				if rng.Intn(50) == 0 {
-					hit[i] = true
-					if want < 0 {
-						want = i
-					}
-				}
-			}
-			if got := First(n, 8, func(i int) bool { return hit[i] }); got != want {
-				t.Fatalf("procs=%d iter=%d: First = %d, want %d", procs, iter, got, want)
-			}
-		}
-	})
-}
-
 // TestMapOrderedResults: Map must return fn(i) at index i for any worker
 // count, including empty and sub-grain inputs.
 func TestMapOrderedResults(t *testing.T) {

@@ -2,11 +2,13 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // faultSeed marks the jobs the injected faults hit; every other job is
@@ -125,5 +127,166 @@ func TestPanicWhileNaming(t *testing.T) {
 	}
 	if st := srv.Snapshot(); st.InternalErrors != 1 {
 		t.Errorf("internal_errors = %d, want 1", st.InternalErrors)
+	}
+}
+
+// TestSessionPanicContained injects a panic into each stage of a delta
+// batch: the request gets a typed 500, the fault is counted, the
+// admission slot and the session lock come back, and the session — its
+// state possibly half-applied — is closed: the parked watcher gets
+// "closed" and later requests 404, while the daemon goes on serving.
+func TestSessionPanicContained(t *testing.T) {
+	for _, stage := range []string{"apply", "refine"} {
+		t.Run(stage, func(t *testing.T) {
+			var armed atomic.Bool
+			setFaultHook(t, func(s string, _ *Job) {
+				if s == "session-"+stage && armed.Load() {
+					panic("injected " + stage + " fault")
+				}
+			})
+			srv := NewServer(Config{})
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			status, created := doJSON(t, ts, "POST", "/v1/sessions", newSessionSpec(""))
+			wantStatus(t, status, 201, nil)
+			id := created["id"].(string)
+			batch := `{"deltas":[{"kind":"load","task":0,"load":2}]}`
+			if status, _ := doJSON(t, ts, "POST", "/v1/sessions/"+id+"/deltas", batch); status != 200 {
+				t.Fatalf("healthy batch: status %d", status)
+			}
+
+			watched := make(chan map[string]any, 1)
+			go func() {
+				_, ev := doJSON(t, ts, "GET", "/v1/sessions/"+id+"/watch?version=9999", "")
+				watched <- ev
+			}()
+			waitForWatcher(t, srv, 1)
+
+			armed.Store(true)
+			status, body := doJSON(t, ts, "POST", "/v1/sessions/"+id+"/deltas", batch)
+			armed.Store(false)
+			want := "session: internal error in " + stage + ": injected " + stage + " fault"
+			if status != 500 || body["error"] != want {
+				t.Fatalf("faulty batch: status %d body %v; want 500 %q", status, body, want)
+			}
+			select {
+			case ev := <-watched:
+				if ev["event"] != "closed" {
+					t.Errorf("watcher got %v, want closed", ev)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("watcher still parked after the session faulted")
+			}
+			for _, req := range [][3]string{
+				{"POST", "/v1/sessions/" + id + "/deltas", batch},
+				{"GET", "/v1/sessions/" + id, ""},
+				{"GET", "/v1/sessions/" + id + "/watch", ""},
+				{"DELETE", "/v1/sessions/" + id, ""},
+			} {
+				if status, _ := doJSON(t, ts, req[0], req[1], req[2]); status != 404 {
+					t.Errorf("%s %s after the fault: status %d, want 404", req[0], req[1], status)
+				}
+			}
+			st := srv.Snapshot()
+			if st.InternalErrors != 1 || st.QueueDepth != 0 || st.Sessions.Active != 0 || st.Sessions.Closed != 1 {
+				t.Errorf("internal_errors = %d, queue_depth = %d, active = %d, closed = %d; want 1, 0, 0, 1",
+					st.InternalErrors, st.QueueDepth, st.Sessions.Active, st.Sessions.Closed)
+			}
+
+			// The daemon is alive: a new session streams, a job maps.
+			status, created = doJSON(t, ts, "POST", "/v1/sessions", newSessionSpec(""))
+			wantStatus(t, status, 201, nil)
+			if status, _ := doJSON(t, ts, "POST", "/v1/sessions/"+created["id"].(string)+"/deltas", batch); status != 200 {
+				t.Errorf("batch on a new session after the fault: status %d", status)
+			}
+			good := faultyJob()
+			good.Seed = 1
+			if status, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", good); status != 200 {
+				t.Errorf("map after the fault: status %d: %s", status, body)
+			}
+		})
+	}
+}
+
+// TestSessionFaultsUnderStress is the containment under contention (the
+// CI -race session workload runs it at GOMAXPROCS 2 and 8): writers
+// hammer three sessions while every seventh batch stage panics. Every
+// reply is a 200, a typed 500 or — once a session has faulted — a 404;
+// every fault is counted; no slot, lock or watcher leaks.
+func TestSessionFaultsUnderStress(t *testing.T) {
+	var calls, faults atomic.Int64
+	setFaultHook(t, func(s string, _ *Job) {
+		if strings.HasPrefix(s, "session-") && calls.Add(1)%7 == 0 {
+			faults.Add(1)
+			panic("injected fault")
+		}
+	})
+	srv := NewServer(Config{WatchTimeout: 40 * time.Millisecond})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const writers, watchers, iterations = 6, 3, 20
+	var mu sync.Mutex // guards ids
+	ids := make([]string, 3)
+	fresh := func() (string, bool) {
+		status, created := doJSON(t, ts, "POST", "/v1/sessions", newSessionSpec(""))
+		if status != 201 {
+			return "", false
+		}
+		return created["id"].(string), true
+	}
+	for i := range ids {
+		id, ok := fresh()
+		if !ok {
+			t.Fatal("create session")
+		}
+		ids[i] = id
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < writers+watchers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iterations; i++ {
+				mu.Lock()
+				id := ids[(g+i)%len(ids)]
+				mu.Unlock()
+				if g >= writers {
+					if status, _ := doJSON(t, ts, "GET", "/v1/sessions/"+id+"/watch?version=9999", ""); status != 200 && status != 404 {
+						t.Errorf("watch status %d", status)
+					}
+					continue
+				}
+				payload := fmt.Sprintf(`{"deltas":[{"kind":"load","task":%d,"load":%d}]}`, (g+i)%8, i)
+				status, body := doJSON(t, ts, "POST", "/v1/sessions/"+id+"/deltas", payload)
+				switch status {
+				case 200, 429:
+				case 500:
+					if msg, _ := body["error"].(string); !strings.HasPrefix(msg, "session: internal error in ") {
+						t.Errorf("500 body %v", body)
+					}
+					fallthrough
+				case 404: // faulted, here or in another writer: replace it
+					if next, ok := fresh(); ok {
+						mu.Lock()
+						ids[(g+i)%len(ids)] = next
+						mu.Unlock()
+					}
+				default:
+					t.Errorf("deltas status %d: %v", status, body)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := srv.Snapshot()
+	if faults.Load() == 0 || st.InternalErrors != faults.Load() {
+		t.Errorf("internal_errors = %d, injected %d (want equal, non-zero)", st.InternalErrors, faults.Load())
+	}
+	if st.QueueDepth != 0 || st.Sessions.WatchersActive != 0 {
+		t.Errorf("queue_depth = %d, watchers_active = %d after drain", st.QueueDepth, st.Sessions.WatchersActive)
 	}
 }

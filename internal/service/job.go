@@ -230,8 +230,10 @@ func badJob(status int, format string, args ...any) *jobError {
 }
 
 // faultHook, when set, runs at the start of build and of compute with the
-// stage's name. Only tests set it, to panic inside a chosen job and prove
-// the daemon contains the fault.
+// stage's name and the job, and at the start of a session batch's two
+// stages ("session-apply", "session-refine") with no job. Only tests set
+// it, to panic inside a chosen stage and prove the daemon contains the
+// fault.
 var faultHook func(stage string, spec *Job)
 
 // name validates spec's text, applies defaults, rewrites every equivalent

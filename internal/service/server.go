@@ -166,7 +166,7 @@ type serverStats struct {
 	rejectedFull   atomic.Int64
 	cancelled      atomic.Int64
 	clientErrors   atomic.Int64
-	internalErrors atomic.Int64 // panics contained in name, build or compute
+	internalErrors atomic.Int64 // panics contained in name, build, compute or a session batch
 	writeFailures  atomic.Int64
 	jobsRunning    atomic.Int64 // gauge: claimed, not yet finished
 

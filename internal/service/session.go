@@ -16,7 +16,8 @@
 // changed; poll again), "closed" (session deleted or evicted), or
 // "shutdown" (server stopping). Memory stays bounded: at most
 // MaxSessions sessions (least-recently-used is evicted), each capped at
-// MaxTasks tasks and MaxSessionEdges communication edges.
+// MaxTasks tasks and MaxSessionEdges communication edges — held twice,
+// the state and the spare the next batch's clone is built in.
 package service
 
 import (
@@ -56,14 +57,19 @@ type SessionSpec struct {
 	RefinePasses int `json:"refine_passes,omitempty"`
 }
 
-// session is one live remapping session. The mutex guards the state,
-// version, and the changed channel; the closed channel is closed exactly
-// once, under the store's lock, on delete/evict/shutdown.
+// session is one live remapping session. The mutex guards the state, the
+// spare, version, and the changed channel; the closed channel is closed
+// exactly once, under the store's lock, on delete/evict/shutdown.
 type session struct {
 	id string
 
-	mu      sync.Mutex
-	state   *core.IncrementalState
+	mu    sync.Mutex
+	state *core.IncrementalState
+	// spare is what the last remap attempt left over — the refined clone
+	// it did not adopt, or the state the adopted clone superseded — and
+	// the storage the next batch's clone is built in. Nil until the first
+	// attempt; garbage with the session.
+	spare   *core.IncrementalState
 	opts    core.IncRefineOptions
 	thresh  float64
 	version int64
@@ -362,47 +368,97 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	resp := deltasResponse{}
-	for i, d := range req.Deltas {
-		if err := d.Validate(ss.state.NumSlots(), ss.state.Procs()); err != nil {
-			s.writeError(w, 400, badJob(400, "session: delta %d: %v (first %d applied)", i, err, resp.Applied))
-			return
-		}
-		if err := s.checkSessionGrowth(ss, d); err != nil {
-			s.writeError(w, errStatus(err), badJob(errStatus(err), "session: delta %d: %v", i, err))
-			return
-		}
-		if _, err := lbdb.ApplyDelta(ss.state, d); err != nil {
-			s.writeError(w, 400, badJob(400, "session: delta %d: %v (first %d applied)", i, err, resp.Applied))
-			return
-		}
-		resp.Applied++
+	select {
+	case <-ss.closed:
+		// Closed while this request waited for the lock — by a fault in
+		// the batch ahead of it, perhaps, which leaves the state unfit.
+		s.writeError(w, 404, badJob(404, "session %q not found", ss.id))
+		return
+	default:
 	}
-	s.stats.sessionDeltas.Add(int64(resp.Applied))
-
-	if !req.NoRemap {
-		refined := ss.state.Clone()
-		res := refined.RefineIncremental(ss.opts)
-		gain := res.HopBytesBefore - res.HopBytesAfter
-		net := gain - ss.opts.MigrationCost*float64(res.Migrations)
-		if res.Migrations > 0 && net > ss.thresh*res.HopBytesBefore {
-			// Adopt: the pushed placement becomes the new anchor, so the
-			// next remap's budget counts migrations from what the client
-			// has after acting on this push.
-			refined.SetAnchor()
-			ss.state = refined
-			ss.bumpLocked()
-			resp.Remapped = true
-			resp.Migrations = res.Migrations
-			resp.Gain = gain
-			s.stats.remapsPushed.Add(1)
-		} else {
-			s.stats.remapsSuppressed.Add(1)
-		}
+	resp := deltasResponse{}
+	err = s.applyDeltas(ss, req.Deltas, &resp)
+	if err == nil && !req.NoRemap {
+		err = s.remap(ss, &resp)
+	}
+	if err != nil {
+		s.writeError(w, errStatus(err), err)
+		return
 	}
 	resp.Version = ss.version
 	resp.HopBytes = ss.state.HopBytes()
 	s.writeJSON(w, resp)
+}
+
+// applyDeltas applies the batch to the session's state in order, stopping
+// at the first delta that is invalid or would outgrow the session's
+// bounds; resp.Applied counts the ones before it. Callers hold ss.mu.
+func (s *Server) applyDeltas(ss *session, deltas []lbdb.Delta, resp *deltasResponse) (err error) {
+	defer s.containSession(ss, "apply", &err)
+	if faultHook != nil {
+		faultHook("session-apply", nil)
+	}
+	for i, d := range deltas {
+		if err := d.Validate(ss.state.NumSlots(), ss.state.Procs()); err != nil {
+			return badJob(400, "session: delta %d: %v (first %d applied)", i, err, resp.Applied)
+		}
+		if err := s.checkSessionGrowth(ss, d); err != nil {
+			return badJob(errStatus(err), "session: delta %d: %v", i, err)
+		}
+		if _, err := lbdb.ApplyDelta(ss.state, d); err != nil {
+			return badJob(400, "session: delta %d: %v (first %d applied)", i, err, resp.Applied)
+		}
+		resp.Applied++
+	}
+	s.stats.sessionDeltas.Add(int64(resp.Applied))
+	return nil
+}
+
+// remap refines a clone of the session's state — built in the spare the
+// last attempt left — under the migration budget, and adopts it when it
+// moved tasks and its gain, net of the migration cost, clears the
+// threshold. Either way one state is left over as the next spare. Callers
+// hold ss.mu.
+func (s *Server) remap(ss *session, resp *deltasResponse) (err error) {
+	defer s.containSession(ss, "refine", &err)
+	if faultHook != nil {
+		faultHook("session-refine", nil)
+	}
+	refined := ss.state.CloneInto(ss.spare)
+	res := refined.RefineIncremental(ss.opts)
+	gain := res.HopBytesBefore - res.HopBytesAfter
+	net := gain - ss.opts.MigrationCost*float64(res.Migrations)
+	if res.Migrations > 0 && net > ss.thresh*res.HopBytesBefore {
+		// Adopt: the pushed placement becomes the new anchor, so the next
+		// remap's budget counts migrations from what the client has after
+		// acting on this push.
+		refined.SetAnchor()
+		ss.state, ss.spare = refined, ss.state
+		ss.bumpLocked()
+		resp.Remapped = true
+		resp.Migrations = res.Migrations
+		resp.Gain = gain
+		s.stats.remapsPushed.Add(1)
+	} else {
+		ss.spare = refined
+		s.stats.remapsSuppressed.Add(1)
+	}
+	return nil
+}
+
+// containSession, deferred around one stage of a delta batch, turns a
+// panic inside it into a typed 500 in *err, counted in internal_errors,
+// and closes the session: its state may be half-applied, so watchers get
+// "closed" and later requests 404. The handler's own defers still release
+// the admission slot and the session lock. Callers hold ss.mu.
+func (s *Server) containSession(ss *session, stage string, err *error) {
+	if r := recover(); r != nil {
+		s.stats.internalErrors.Add(1)
+		*err = badJob(500, "session: internal error in %s: %v", stage, r)
+		if s.sessions.remove(ss.id) {
+			s.stats.sessionsClosed.Add(1)
+		}
+	}
 }
 
 // checkSessionGrowth enforces the per-session memory bounds before a

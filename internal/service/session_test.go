@@ -443,6 +443,7 @@ func TestStatsSessionFields(t *testing.T) {
 	for _, key := range []string{
 		"states", "mutations", "edge_updates",
 		"refine_calls", "refine_swaps", "refine_moves",
+		"refine_evaluated", "refine_skipped",
 	} {
 		if _, ok := inc[key]; !ok {
 			t.Errorf("incremental stats missing %q", key)
