@@ -376,7 +376,7 @@ func BenchmarkNetsimEvents(b *testing.B) {
 
 // BenchmarkNetsimHotspotDense measures the packet-dense steady state the
 // rewrite targets: 8K packets in flight on an 8x8 torus, engine and pools
-// reused across runs (zero-alloc once warm, calendar queue engaged).
+// reused across runs (zero-alloc once warm).
 func BenchmarkNetsimHotspotDense(b *testing.B) {
 	eng := &netsim.Engine{}
 	net, err := netsim.NewNetwork(eng, netsim.Config{

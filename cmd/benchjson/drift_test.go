@@ -8,10 +8,13 @@ package main
 // actually measures it.
 
 import (
+	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -149,6 +152,53 @@ func TestGeometricEncodeGateCovered(t *testing.T) {
 	})
 	if len(got) != 1 || !strings.Contains(got[0], "encode/morton2") {
 		t.Errorf("geometricZeroAllocViolations = %v, want exactly the encode/morton2 violation", got)
+	}
+}
+
+// TestTieFreeStreamOnRecord keeps the run queue's worst case — a stream
+// with no two events at one time, where every event costs a heap key —
+// in every recording, shallow and deep.
+func TestTieFreeStreamOnRecord(t *testing.T) {
+	for listName, cs := range map[string][]netsimCase{"full": netsimCases(false), "quick": netsimCases(true)} {
+		for _, want := range []string{"Engine/tiefree/pending=1024", "Engine/tiefree/pending=16384"} {
+			found := false
+			for _, c := range cs {
+				found = found || c.name == want
+			}
+			if !found {
+				t.Errorf("%s case list has no %s case", listName, want)
+			}
+		}
+	}
+}
+
+// TestKeepOptimizedAsParent: the replaced recording's optimized rows come
+// back as "parent" rows between this run's baseline and optimized rows,
+// and its own baseline and parent rows are dropped.
+func TestKeepOptimizedAsParent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := Report{Results: []Result{
+		{Name: "Engine/dense", Mode: "baseline", NsPerOp: 9},
+		{Name: "Engine/dense", Mode: "parent", NsPerOp: 7},
+		{Name: "Engine/dense", Mode: "optimized", NsPerOp: 5},
+	}}
+	buf, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got := keepOptimizedAsParent(path, []Result{
+		{Name: "Engine/dense", Mode: "baseline", NsPerOp: 8},
+		{Name: "Engine/dense", Mode: "optimized", NsPerOp: 3},
+	})
+	var modes []string
+	for _, r := range got {
+		modes = append(modes, fmt.Sprintf("%s:%v", r.Mode, r.NsPerOp))
+	}
+	if want := "baseline:8,parent:5,optimized:3"; strings.Join(modes, ",") != want {
+		t.Errorf("keepOptimizedAsParent rows = %v, want %s", modes, want)
 	}
 }
 

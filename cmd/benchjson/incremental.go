@@ -410,6 +410,16 @@ func runIncrementalCases(quick, smoke bool) []Result {
 	return append(baseline, optimized...)
 }
 
+// readReport loads the recording at path; ok is false when there is none
+// or it does not parse.
+func readReport(path string) (rep Report, ok bool) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return Report{}, false
+	}
+	return rep, json.Unmarshal(buf, &rep) == nil
+}
+
 // keepRecordedBaselines carries the baseline rows of the report already
 // at path into results when this run measured no baseline for the same
 // case and width — the rows recorded once on an earlier commit, which no
@@ -417,12 +427,8 @@ func runIncrementalCases(quick, smoke bool) []Result {
 // row that has such a counterpart. A missing or unreadable file keeps
 // nothing.
 func keepRecordedBaselines(path string, results []Result) []Result {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return results
-	}
-	var old Report
-	if json.Unmarshal(buf, &old) != nil {
+	old, ok := readReport(path)
+	if !ok {
 		return results
 	}
 	type key struct {

@@ -7,8 +7,9 @@
 //     kernels at full width.
 //   - suite "netsim" (BENCH_netsim.json): the discrete-event simulator,
 //     "baseline" = the frozen pre-rewrite core in internal/netsim/legacy,
-//     "optimized" = the typed-event engine with calendar queue and pooled
-//     packet state. Optimized entries carry events_per_sec.
+//     "optimized" = the typed-event engine with its run queue and pooled
+//     packet state, "parent" = the optimized rows of the recording this
+//     one replaced. Optimized entries carry events_per_sec.
 //   - suite "multilevel" (BENCH_multilevel.json): the hierarchical
 //     mapper at scale, "baseline" = the flat two-phase pipeline
 //     (partition + TopoLB on the quotient), "optimized" =
@@ -258,8 +259,11 @@ func main() {
 	if *out == "" {
 		*out = "BENCH_" + *suite + ".json"
 	}
-	if *suite == "incremental" {
+	switch *suite {
+	case "incremental":
 		results = keepRecordedBaselines(*out, results)
+	case "netsim":
+		results = keepOptimizedAsParent(*out, results)
 	}
 
 	rep := Report{

@@ -1,14 +1,15 @@
 package main
 
-// The netsim suite pits the rewritten simulator core (typed events, flat
-// heap + calendar queue, pooled packet/message state) against the frozen
-// pre-rewrite implementation in internal/netsim/legacy. Both sides run
+// The netsim suite pits the rewritten simulator core (typed events, run
+// queue, pooled packet/message state) against the frozen pre-rewrite
+// implementation in internal/netsim/legacy. Both sides run
 // the same workloads, and the cross-check tests guarantee they produce
 // bit-identical statistics, so the ns/op ratio is a pure implementation
 // speedup — no modeling change hides in it.
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/netsim"
@@ -28,27 +29,45 @@ type netsimCase struct {
 	baseEvents int64
 }
 
+// timerEngine is what engineCase needs of either engine.
+type timerEngine interface {
+	Schedule(at float64, fn func())
+	After(delay float64, fn func())
+	Run() float64
+}
+
 // engineCase measures raw scheduler throughput: pending self-rescheduling
-// timers dispatching total events. At pending >= the calendar threshold
-// the new engine runs on the calendar queue; below it, the flat heap.
-func engineCase(name string, pending, total int) netsimCase {
+// timers dispatching total events. With the fixed 1 µs period the timers
+// started ten slots apart keep meeting on one timestamp, the tie-rich
+// stream a simulator produces; tiefree draws every gap from a seeded
+// exponential instead, so no two events share a time and every event
+// costs the run queue a heap key: its worst case, and the stream a
+// calendar queue should win at depth.
+func engineCase(name string, pending, total int, tiefree bool) netsimCase {
 	c := netsimCase{name: fmt.Sprintf("Engine/%s", name), events: int64(total)}
+	drive := func(eng timerEngine) {
+		gap := func() float64 { return 1e-6 }
+		if tiefree {
+			rng := rand.New(rand.NewSource(1))
+			gap = func() float64 { return rng.ExpFloat64() * 1e-6 }
+		}
+		left := total - pending
+		var tick func()
+		tick = func() {
+			if left > 0 {
+				left--
+				eng.After(gap(), tick)
+			}
+		}
+		for j := 0; j < pending; j++ {
+			eng.Schedule(float64(j)*1e-7, tick)
+		}
+		eng.Run()
+	}
 	c.baseline = func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eng := &legacy.Engine{}
-			left := total - pending
-			var tick func()
-			tick = func() {
-				if left > 0 {
-					left--
-					eng.After(1e-6, tick)
-				}
-			}
-			for j := 0; j < pending; j++ {
-				eng.Schedule(float64(j)*1e-7, tick)
-			}
-			eng.Run()
+			drive(&legacy.Engine{})
 		}
 	}
 	c.optimized = func(b *testing.B) {
@@ -56,18 +75,7 @@ func engineCase(name string, pending, total int) netsimCase {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eng.Reset()
-			left := total - pending
-			var tick func()
-			tick = func() {
-				if left > 0 {
-					left--
-					eng.After(1e-6, tick)
-				}
-			}
-			for j := 0; j < pending; j++ {
-				eng.Schedule(float64(j)*1e-7, tick)
-			}
-			eng.Run()
+			drive(eng)
 		}
 	}
 	return c
@@ -216,8 +224,10 @@ func wormholeCase(name string, load int) netsimCase {
 
 func netsimCases(quick bool) []netsimCase {
 	cs := []netsimCase{
-		engineCase("sparse", 64, 100_000),
-		engineCase("dense", 16384, 100_000),
+		engineCase("sparse", 64, 100_000, false),
+		engineCase("dense", 16384, 100_000, false),
+		engineCase("tiefree/pending=1024", 1024, 200_000, true),
+		engineCase("tiefree/pending=16384", 16384, 200_000, true),
 		hotspotCase("Hotspot/load=4", 4, false),
 		hotspotCase("Hotspot/load=16", 16, false),
 		hotspotCase("Buffered/load=8", 8, true),
@@ -239,7 +249,7 @@ func netsimCases(quick bool) []netsimCase {
 // zero-allocation contract on every hot path.
 func smokeNetsimCases() []netsimCase {
 	return []netsimCase{
-		engineCase("sparse", 64, 10_000),
+		engineCase("sparse", 64, 10_000, false),
 		hotspotCase("Hotspot/load=2", 2, false),
 		hotspotCase("Buffered/load=2", 2, true),
 		wormholeCase("Wormhole/load=2", 2),
@@ -314,4 +324,34 @@ func runNetsimSuite(quick, smoke bool) []Result {
 		}
 	}
 	return append(baseline, optimized...)
+}
+
+// keepOptimizedAsParent turns the optimized rows of the recording about
+// to be replaced at path into mode "parent" rows of this one, placed
+// before the optimized rows: what the previous commit measured, which no
+// later run can measure again. Re-record on the parent commit first when
+// the box has changed. A missing or unreadable file keeps nothing.
+func keepOptimizedAsParent(path string, results []Result) []Result {
+	old, ok := readReport(path)
+	if !ok {
+		return results
+	}
+	var out []Result
+	for _, r := range results {
+		if r.Mode == "baseline" {
+			out = append(out, r)
+		}
+	}
+	for _, r := range old.Results {
+		if r.Mode == "optimized" {
+			r.Mode = "parent"
+			out = append(out, r)
+		}
+	}
+	for _, r := range results {
+		if r.Mode != "baseline" {
+			out = append(out, r)
+		}
+	}
+	return out
 }

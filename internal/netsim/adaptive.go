@@ -50,5 +50,5 @@ func (n *Network) onAdapt(pi int32) {
 	n.freeAt[nextLink] = start + tx
 	n.busy[nextLink] += tx
 	p.cur = int32(next)
-	n.eng.scheduleEvent(event{at: start + tx + n.cfg.LinkLatency, kind: evAdapt, net: n, idx: pi})
+	n.eng.scheduleEvent(start+tx+n.cfg.LinkLatency, event{kind: evAdapt, net: n.id, idx: pi})
 }

@@ -157,7 +157,7 @@ func (b *bufNetwork) start(li int32, pi int32) {
 	l.credits[p.vc]--
 	tx := b.n.msgs[p.msg].bytes / b.n.cfg.LinkBandwidth
 	b.n.busy[li] += tx
-	b.n.eng.scheduleEvent(event{at: b.n.eng.now + tx, kind: evBufFree, net: b.n, idx: pi, link: li})
+	b.n.eng.scheduleEvent(b.n.eng.now+tx, event{kind: evBufFree, net: b.n.id, idx: pi, link: li})
 }
 
 // onFree fires when link li finishes transmitting packet pi: the link
@@ -165,7 +165,7 @@ func (b *bufNetwork) start(li int32, pi int32) {
 func (b *bufNetwork) onFree(li int32, pi int32) {
 	b.links[li].busy = false
 	b.pumpLink(li)
-	b.n.eng.scheduleEvent(event{at: b.n.eng.now + b.n.cfg.LinkLatency, kind: evBufArrive, net: b.n, idx: pi, link: li})
+	b.n.eng.scheduleEvent(b.n.eng.now+b.n.cfg.LinkLatency, event{kind: evBufArrive, net: b.n.id, idx: pi, link: li})
 }
 
 // onArrive lands packet pi in the downstream buffer of link li.

@@ -1,10 +1,10 @@
 package netsim_test
 
 // Differential tests pinning the bit-identical-output contract of the
-// rebuilt event core: the typed-event engine (binary heap or calendar
-// queue, pooled packet state) must reproduce the frozen pre-optimization
-// simulator in internal/netsim/legacy stat for stat, bit for bit, on
-// every routing mode. Stats are compared through math.Float64bits so the
+// rebuilt event core: the typed-event engine (run queue, pooled packet
+// state) must reproduce the frozen pre-optimization simulator in
+// internal/netsim/legacy stat for stat, bit for bit, on every routing
+// mode. Stats are compared through math.Float64bits so the
 // check is exact, not epsilon-based.
 
 import (
@@ -161,13 +161,11 @@ func crosscheckWorkloads() []workload {
 	}
 }
 
-// runNew executes w on the rebuilt engine; calendarThreshold pins the
-// scheduler (negative = heap only, 1 = calendar as soon as possible,
-// 0 = automatic).
-func runNew(t *testing.T, w workload, calendarThreshold int) netsim.Stats {
+// runNew executes w on the rebuilt engine and returns its Stats and the
+// engine, for the event counters.
+func runNew(t *testing.T, w workload) (netsim.Stats, *netsim.Engine) {
 	t.Helper()
 	eng := &netsim.Engine{}
-	eng.SetCalendarThreshold(calendarThreshold)
 	cfg := w.cfg()
 	cfg.Topology = w.topo
 	net, err := netsim.NewNetwork(eng, cfg)
@@ -176,7 +174,7 @@ func runNew(t *testing.T, w workload, calendarThreshold int) netsim.Stats {
 	}
 	w.send(func(src, dst int, bytes float64) { net.Send(src, dst, bytes, nil) })
 	eng.Run()
-	return net.Stats()
+	return net.Stats(), eng
 }
 
 func runLegacy(t *testing.T, w workload) legacy.Stats {
@@ -203,29 +201,20 @@ func runLegacy(t *testing.T, w workload) legacy.Stats {
 }
 
 // TestCrossCheckAgainstLegacy is the determinism contract: for every
-// workload, routing mode, scheduler selection, and GOMAXPROCS setting,
-// the rebuilt engine's Stats must equal the frozen legacy simulator's
-// bit for bit.
+// workload, routing mode and GOMAXPROCS setting, the rebuilt engine's
+// Stats must equal the frozen legacy simulator's bit for bit.
 func TestCrossCheckAgainstLegacy(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
 		for _, w := range crosscheckWorkloads() {
 			want := legacyBits(runLegacy(t, w))
-			for _, sched := range []struct {
-				name      string
-				threshold int
-			}{
-				{"auto", 0},
-				{"heap", -1},
-				{"calendar", 1},
-			} {
-				got := newBits(runNew(t, w, sched.threshold))
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("GOMAXPROCS=%d %s [%s]: stats word %d = %#x, legacy %#x",
-							procs, w.name, sched.name, i, got[i], want[i])
-						break
-					}
+			stats, _ := runNew(t, w)
+			got := newBits(stats)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("GOMAXPROCS=%d %s: stats word %d = %#x, legacy %#x",
+						procs, w.name, i, got[i], want[i])
+					break
 				}
 			}
 		}

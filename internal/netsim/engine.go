@@ -20,42 +20,75 @@
 //
 // # Performance architecture
 //
-// The event core is built for throughput: events are small typed records
-// (a tagged union of packet-arrival, link-free, buffer-arrival, …) stored
-// by value in a flat slice-backed binary heap specialized to the event
-// type — no container/heap, no `any` boxing, and no per-event closure
-// allocation on the packet hot paths. Packet and in-flight-message state
-// live in free-list pools on the Network, so steady-state simulation does
-// not allocate. When the pending-event count crosses a threshold (dense
-// packet workloads), the engine transparently migrates the queue into a
-// calendar queue (bucketed scheduler, amortized O(1) per operation) and
-// migrates back when the queue drains; both schedulers dispatch the exact
-// (time, seq) total order, so results are bit-identical either way. The
-// frozen pre-optimization implementation is kept in the legacy subpackage
-// as a differential-testing oracle.
+// Uniform flit and packet times make the links step in lock-step, so two
+// events in three (wormhole) to nine in ten (buffered) carry exactly the
+// timestamp of the event dispatched before them. The event queue is built
+// on that: events of one timestamp form a run, a FIFO threaded through
+// one slab of 16-byte pointer-free records, and the priority queue is a
+// flat binary heap with one small key per run, not per event. A
+// direct-mapped cache keyed by the bits of the time finds the run an
+// event joins; a miss opens a second run for the same time, which costs
+// a heap entry and never the (time, seq) dispatch order (see Engine).
+// Events are typed records (a tagged union of packet-arrival, link-free,
+// buffer-arrival, …) — no container/heap, no `any` boxing, no per-event
+// closure on the packet hot paths, and nothing in the queue for the
+// collector to scan. Packet and in-flight-message state live in
+// free-list pools on the Network, so steady-state simulation does not
+// allocate. The frozen pre-optimization implementation is kept in the
+// legacy subpackage as a differential-testing oracle.
 package netsim
+
+import "math"
 
 // Engine is a discrete-event simulation core: a time-ordered queue of
 // typed event records (with a generic callback kind for external users).
 // Events at equal times fire in scheduling order, keeping runs
 // deterministic. The zero value is ready to use; Reset recycles an
 // engine — and its queue storage — for the next simulation of a sweep.
+//
+// The queue is a heap of runs. A run is the FIFO of events scheduled for
+// one exact time while the time cache pointed at it; its heap key is
+// (time, seq of its first event). scheduleEvent appends to the run the
+// cache names when that run's time has the same bits, and otherwise opens
+// a run, overwrites the cache slot and pushes one key. Three facts make
+// the dispatch order the strict (time, seq) order however the cache
+// behaves: opening a run always overwrites its slot, so an older run of
+// the same time is never appended to again and all its seqs precede the
+// newer run's first; nothing can be scheduled before Now, so the run being
+// drained is the queue's minimum until it is empty; and an event for Now
+// itself joins either the tail of the run being drained or a newer run
+// whose key sorts right after it. A cache miss or eviction therefore
+// costs one extra key, never order.
 type Engine struct {
-	heap      []event // binary min-heap on (at, seq)
-	cal       calQueue
-	inCal     bool
+	keys []runKey // binary min-heap on (at, seq), one key per run
+	runs []run    // run table; entry 0 is the nil sentinel
+	evs  []event  // event slab; entry 0 is the nil sentinel
+	fns  []func() // Schedule's callbacks; an evFunc event carries its slot
+	nets []*Network
+
+	freeFn  []int32 // vacant fns slots
+	freeRun int32   // free runs, linked through run.head
+	freeEv  int32   // free events, linked through event.next
+
 	now       float64
 	seq       int64
 	processed int64
-	// calUp is the SetCalendarThreshold override: 0 means the default,
-	// negative disables the calendar queue.
-	calUp int
-	// The queue headers, clock and counters above are written on every
-	// event, and an unpadded Engine is small enough that two fresh ones
-	// from the pool can lie side by side: two simulator threads then
-	// contend for one cache line (measured: a sweep pass at 3.2–4.0 s
-	// instead of 2.1 s in about one process in three). The tail keeps a
-	// neighbour's fields at least enginePad bytes from this engine's.
+	opened    int64 // runs opened since Reset; seq/opened is the events-per-run ratio
+
+	// cache maps a hash of a time's bits to the newest run opened for a
+	// time hashing there. An entry is only a hint: it is believed when the
+	// run it names carries exactly the wanted bits (a freed run's time is
+	// NaN, which no event can have).
+	cache [timeCacheSize]int32
+
+	// The queue headers, clock, counters and cache above are written on
+	// every event. Two fresh engines from the pool can lie side by side,
+	// and without a gap this engine's last words and the next one's first
+	// share a cache line that two simulator threads then fight over
+	// (measured in PR 12, when the whole struct was that small: a sweep
+	// pass at 3.2–4.0 s instead of 2.1 s in about one process in three).
+	// The tail keeps a neighbour's fields at least enginePad bytes from
+	// this engine's.
 	_ [enginePad]byte
 }
 
@@ -63,13 +96,27 @@ type Engine struct {
 // pairs, so one line of distance is not enough.
 const enginePad = 128
 
+// timeCacheSize is the number of direct-mapped time-cache slots (a power
+// of two). The sweep's replays hold a few hundred distinct pending times
+// at once; at 1024 slots two live times seldom share one.
+const (
+	timeCacheBits = 10
+	timeCacheSize = 1 << timeCacheBits
+)
+
+// cacheSlot spreads a time's bits over the cache (Fibonacci hashing: the
+// times of one simulation differ mostly in their low mantissa bits).
+func cacheSlot(bits uint64) uint64 {
+	return (bits * 0x9E3779B97F4A7C15) >> (64 - timeCacheBits)
+}
+
 // evKind tags the typed event union. Generic callbacks (evFunc) remain for
 // external schedulers like trace.Replay; every per-packet event on the
 // simulator's own hot paths is a closure-free typed record.
 type evKind uint8
 
 const (
-	evFunc       evKind = iota // run fn
+	evFunc       evKind = iota // run fns[idx]
 	evSelf                     // deliver a self-send; idx is a message index
 	evHop                      // deterministic-routing packet step; idx is a packet index
 	evAdapt                    // adaptive-routing packet step; idx is a packet index
@@ -80,23 +127,35 @@ const (
 	evFlitArrive               // wormhole: a flit of worm idx lands downstream of hop `link`
 )
 
-// event is one scheduled occurrence. Typed kinds carry pool indices into
-// the owning Network instead of captured state, so scheduling allocates
-// nothing.
+// event is one scheduled occurrence: sixteen pointer-free bytes. Its time
+// is its run's; typed kinds carry pool indices into the owning Network
+// (itself an index into Engine.nets) instead of captured state, so
+// scheduling allocates nothing and the collector never scans the queue.
 type event struct {
-	at   float64
-	seq  int64
-	fn   func()   // evFunc only
-	net  *Network // owner of idx/link for typed kinds
-	idx  int32    // packet, message, or worm pool index (kind-specific)
-	link int32    // link index (evBufFree, evBufArrive) or hop index (evFlitArrive)
+	next int32  // following event of the run (or free list); 0 ends it
+	idx  int32  // packet, message, worm or callback index (kind-specific)
+	link int32  // link index (evBufFree, evBufArrive) or hop index (evFlitArrive)
+	net  uint16 // Engine.nets index of the owner of idx/link (typed kinds)
 	kind evKind
 }
 
-// evLess orders events by time, then by scheduling sequence — the same
-// total order as the original closure-heap engine, which is what makes
-// every downstream statistic reproducible.
-func evLess(a, b *event) bool {
+// run is the FIFO of events sharing one timestamp.
+type run struct {
+	at         float64 // NaN while the run is on the free list
+	head, tail int32   // event slab indices; head is 0 once drained
+}
+
+// runKey is a run's heap entry. Keys order by time, then by the seq of the
+// run's first event — the same total order as the original closure-heap
+// engine's per-event (time, seq), which is what makes every downstream
+// statistic reproducible.
+type runKey struct {
+	at  float64
+	seq int64
+	run int32
+}
+
+func keyLess(a, b *runKey) bool {
 	if a.at < b.at {
 		return true
 	}
@@ -106,12 +165,6 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// defaultCalendarThreshold is the pending-event count above which the
-// engine migrates the queue into the calendar scheduler. Sparse runs
-// (message-level simulations, trace replays of small programs) stay on
-// the binary heap; packet-dense runs cross it almost immediately.
-const defaultCalendarThreshold = 4096
-
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
@@ -119,24 +172,19 @@ func (e *Engine) Now() float64 { return e.now }
 // (events/second throughput metrics divide by wall time).
 func (e *Engine) Processed() int64 { return e.processed }
 
-// SetCalendarThreshold tunes scheduler selection: the engine switches to
-// the calendar queue when the pending-event count reaches n, and back to
-// the binary heap when it falls below n/8. n == 0 restores the default;
-// n < 0 disables the calendar queue entirely (pure binary heap). Intended
-// for benchmarks and tests; results are bit-identical for every setting.
-func (e *Engine) SetCalendarThreshold(n int) { e.calUp = n }
-
-func (e *Engine) calThreshold() int {
-	if e.calUp == 0 {
-		return defaultCalendarThreshold
-	}
-	return e.calUp
-}
-
 // Schedule runs fn at the given absolute simulation time. Scheduling in
 // the past panics — it indicates a broken model.
 func (e *Engine) Schedule(at float64, fn func()) {
-	e.scheduleEvent(event{at: at, kind: evFunc, fn: fn})
+	var slot int32
+	if k := len(e.freeFn); k > 0 {
+		slot = e.freeFn[k-1]
+		e.freeFn = e.freeFn[:k-1]
+		e.fns[slot] = fn
+	} else {
+		slot = int32(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.scheduleEvent(at, event{kind: evFunc, idx: slot})
 }
 
 // After runs fn delay seconds from now.
@@ -144,42 +192,75 @@ func (e *Engine) After(delay float64, fn func()) {
 	e.Schedule(e.now+delay, fn)
 }
 
-// scheduleEvent assigns the next sequence number and enqueues ev on
-// whichever scheduler is active, migrating to the calendar queue when the
-// heap grows past the density threshold.
-func (e *Engine) scheduleEvent(ev event) {
-	if ev.at < e.now {
-		panic("netsim: scheduling into the past")
+// register enters n in the table typed events name their owner by.
+func (e *Engine) register(n *Network) uint16 {
+	if len(e.nets) > math.MaxUint16 {
+		panic("netsim: too many networks on one engine")
 	}
-	ev.seq = e.seq
-	e.seq++
-	if e.inCal {
-		e.cal.push(ev)
-		return
-	}
-	e.heapPush(ev)
-	if th := e.calThreshold(); th > 0 && len(e.heap) >= th {
-		e.switchToCalendar()
-	}
+	e.nets = append(e.nets, n)
+	return uint16(len(e.nets) - 1)
 }
 
-// pop removes and returns the globally next event, handling scheduler
-// migration. Both schedulers agree on the (at, seq) order, so migration
-// is invisible to the simulation.
-func (e *Engine) pop() (event, bool) {
-	if e.inCal {
-		if e.cal.n == 0 {
-			e.inCal = false
-		} else if th := e.calThreshold(); th < 0 || e.cal.n < th/8 {
-			e.switchToHeap()
-		} else {
-			return e.cal.pop(), true
+// scheduleEvent assigns the next sequence number and queues ev at time
+// at: on the run the time cache names if that run has exactly this time,
+// else on a run of its own. NaN fails the past check like any time that
+// is not at or after Now.
+func (e *Engine) scheduleEvent(at float64, ev event) {
+	if !(at >= e.now) {
+		panic("netsim: scheduling into the past")
+	}
+	bits := math.Float64bits(at)
+	if bits == 1<<63 {
+		// -0 and +0 are one time but two bit patterns; without this they
+		// would open two runs that each keep growing, and interleave.
+		bits, at = 0, 0
+	}
+	seq := e.seq
+	e.seq++
+
+	i := e.freeEv
+	if i != 0 {
+		e.freeEv = e.evs[i].next
+	} else {
+		if len(e.evs) == 0 {
+			//lint:ignore hotalloc the nil sentinel, first entry after a Reset; within capacity once warm
+			e.evs = append(e.evs, event{})
 		}
+		i = int32(len(e.evs))
+		//lint:ignore hotalloc the event slab reaches steady-state capacity during warm-up; append then never grows
+		e.evs = append(e.evs, event{})
 	}
-	if len(e.heap) == 0 {
-		return event{}, false
+	ev.next = 0
+	e.evs[i] = ev
+
+	slot := &e.cache[cacheSlot(bits)]
+	if r := *slot; r != 0 && math.Float64bits(e.runs[r].at) == bits {
+		rn := &e.runs[r]
+		if rn.head == 0 { // the run being drained, its last event dispatching now
+			rn.head = i
+		} else {
+			e.evs[rn.tail].next = i
+		}
+		rn.tail = i
+		return
 	}
-	return e.heapPop(), true
+
+	r := e.freeRun
+	if r != 0 {
+		e.freeRun = e.runs[r].head
+	} else {
+		if len(e.runs) == 0 {
+			//lint:ignore hotalloc the nil sentinel, first entry after a Reset; within capacity once warm
+			e.runs = append(e.runs, run{at: math.NaN()})
+		}
+		r = int32(len(e.runs))
+		//lint:ignore hotalloc the run table reaches steady-state capacity during warm-up; append then never grows
+		e.runs = append(e.runs, run{})
+	}
+	e.runs[r] = run{at: at, head: i, tail: i}
+	*slot = r
+	e.opened++
+	e.pushKey(runKey{at: at, seq: seq, run: r})
 }
 
 // Run processes events until the queue is empty and returns the final
@@ -187,109 +268,118 @@ func (e *Engine) pop() (event, bool) {
 //
 //lint:hotpath netsim steady state: event dispatch, packet, buffered and wormhole paths (BenchmarkNetsim*)
 func (e *Engine) Run() float64 {
-	for {
-		ev, ok := e.pop()
-		if !ok {
-			return e.now
+	for len(e.keys) > 0 {
+		k := e.popKey()
+		e.now = k.at
+		r := k.run
+		// Handlers may append to this very run and may grow the slab and
+		// the run table, so every step re-reads both.
+		for {
+			i := e.runs[r].head
+			if i == 0 {
+				break
+			}
+			ev := e.evs[i]
+			e.runs[r].head = ev.next
+			e.evs[i].next = e.freeEv
+			e.freeEv = i
+			e.processed++
+			switch ev.kind {
+			case evFunc:
+				fn := e.fns[ev.idx]
+				e.fns[ev.idx] = nil
+				//lint:ignore hotalloc free-slot capacity equals the callback table's; append never grows after warm-up
+				e.freeFn = append(e.freeFn, ev.idx)
+				//lint:ignore hotalloc evFunc callbacks inject traffic from drivers outside the steady-state loop; packet-path allocs/op pinned at 0 by benchmarks
+				fn()
+			case evSelf:
+				e.nets[ev.net].onSelf(ev.idx)
+			case evHop:
+				e.nets[ev.net].onHop(ev.idx)
+			case evAdapt:
+				e.nets[ev.net].onAdapt(ev.idx)
+			case evBufReq:
+				e.nets[ev.net].buf.request(ev.idx)
+			case evBufFree:
+				e.nets[ev.net].buf.onFree(ev.link, ev.idx)
+			case evBufArrive:
+				e.nets[ev.net].buf.onArrive(ev.link, ev.idx)
+			case evWormInject:
+				e.nets[ev.net].wh.inject(ev.idx)
+			case evFlitArrive:
+				e.nets[ev.net].wh.onArrive(ev.idx, ev.link)
+			}
 		}
-		e.now = ev.at
-		e.processed++
-		switch ev.kind {
-		case evFunc:
-			//lint:ignore hotalloc evFunc callbacks inject traffic from drivers outside the steady-state loop; packet-path allocs/op pinned at 0 by benchmarks
-			ev.fn()
-		case evSelf:
-			ev.net.onSelf(ev.idx)
-		case evHop:
-			ev.net.onHop(ev.idx)
-		case evAdapt:
-			ev.net.onAdapt(ev.idx)
-		case evBufReq:
-			ev.net.buf.request(ev.idx)
-		case evBufFree:
-			ev.net.buf.onFree(ev.link, ev.idx)
-		case evBufArrive:
-			ev.net.buf.onArrive(ev.link, ev.idx)
-		case evWormInject:
-			ev.net.wh.inject(ev.idx)
-		case evFlitArrive:
-			ev.net.wh.onArrive(ev.idx, ev.link)
-		}
+		e.runs[r] = run{at: math.NaN(), head: e.freeRun}
+		e.freeRun = r
 	}
+	return e.now
 }
 
 // Pending returns the number of queued events (useful in tests).
-func (e *Engine) Pending() int { return len(e.heap) + e.cal.n }
+func (e *Engine) Pending() int { return int(e.seq - e.processed) }
 
 // Reset returns the engine to its initial state while keeping the queue
-// storage of both schedulers, so one engine arena can serve a whole
-// experiment sweep without reallocating.
+// storage, so one engine arena can serve a whole experiment sweep without
+// reallocating. Networks built on the engine before the Reset register
+// themselves again on their next Send.
 func (e *Engine) Reset() {
-	clear(e.heap)
-	e.heap = e.heap[:0]
-	e.cal.reset()
-	e.inCal = false
-	e.now, e.seq, e.processed = 0, 0, 0
+	e.keys = e.keys[:0]
+	e.runs = e.runs[:0]
+	e.evs = e.evs[:0]
+	clear(e.fns)
+	e.fns = e.fns[:0]
+	clear(e.nets)
+	e.nets = e.nets[:0]
+	e.freeFn = e.freeFn[:0]
+	e.freeRun, e.freeEv = 0, 0
+	e.cache = [timeCacheSize]int32{}
+	e.now, e.seq, e.processed, e.opened = 0, 0, 0, 0
 }
 
-// switchToCalendar migrates every pending event from the heap into a
-// freshly calibrated calendar queue.
-func (e *Engine) switchToCalendar() {
-	e.cal.init(e.heap)
-	clear(e.heap)
-	e.heap = e.heap[:0]
-	e.inCal = true
-}
-
-// switchToHeap drains the calendar queue back into the binary heap (used
-// when the pending count falls low enough that heap ops are cheaper than
-// bucket scans).
-func (e *Engine) switchToHeap() {
-	//lint:ignore hotalloc one closure per queue-mode switch, not per event
-	e.cal.drainTo(func(ev event) { e.heapPush(ev) })
-	e.inCal = false
-}
-
-// heapPush inserts ev into the flat binary heap.
-func (e *Engine) heapPush(ev event) {
+// pushKey inserts k into the key heap.
+func (e *Engine) pushKey(k runKey) {
 	//lint:ignore hotalloc heap storage reaches steady-state capacity during warm-up; append then never grows
-	h := append(e.heap, ev)
+	h := append(e.keys, k)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !evLess(&h[i], &h[p]) {
+		if !keyLess(&k, &h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
-	e.heap = h
+	h[i] = k
+	e.keys = h
 }
 
-// heapPop removes the (at, seq)-minimum event.
-func (e *Engine) heapPop() event {
-	h := e.heap
+// popKey removes the (at, seq)-minimum key; the heap must be non-empty.
+func (e *Engine) popKey() runKey {
+	h := e.keys
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release fn/net references
+	k := h[n]
 	h = h[:n]
-	e.heap = h
+	e.keys = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && evLess(&h[r], &h[l]) {
+		if r := m + 1; r < n && keyLess(&h[r], &h[m]) {
 			m = r
 		}
-		if !evLess(&h[m], &h[i]) {
+		if !keyLess(&h[m], &k) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = k
 	return top
 }

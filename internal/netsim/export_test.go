@@ -1,0 +1,5 @@
+package netsim
+
+// RunsOpened reports how many runs (heap keys) the engine has opened since
+// its last Reset, for the external tests that pin events per run.
+func RunsOpened(e *Engine) int64 { return e.opened }

@@ -162,6 +162,7 @@ type message struct {
 type Network struct {
 	cfg    Config
 	eng    *Engine
+	id     uint16 // this network's slot in eng.nets; Send re-validates it
 	links  *topology.LinkSet
 	freeAt []float64 // per-link: time the link becomes free
 	busy   []float64 // per-link: accumulated transmission time
@@ -206,6 +207,7 @@ func NewNetwork(eng *Engine, cfg Config) (*Network, error) {
 		freeAt: make([]float64, ls.Len()),
 		busy:   make([]float64, ls.Len()),
 	}
+	n.id = eng.register(n)
 	nodes := cfg.Topology.Nodes()
 	n.nbrOff = make([]int32, nodes+1)
 	n.nbrNode = make([]int32, 0, ls.Len())
@@ -284,6 +286,10 @@ func (n *Network) freePktSlot(pi int32) {
 // simulation time; onDelivered (may be nil) fires when the last packet
 // arrives. Messages to self are delivered immediately.
 func (n *Network) Send(src, dst int, bytes float64, onDelivered func()) {
+	if int(n.id) >= len(n.eng.nets) || n.eng.nets[n.id] != n {
+		// The engine was Reset since this network last used it.
+		n.id = n.eng.register(n)
+	}
 	n.sent++
 	n.bytesSent += bytes
 	start := n.eng.now + n.cfg.SendOverhead
@@ -293,7 +299,7 @@ func (n *Network) Send(src, dst int, bytes float64, onDelivered func()) {
 	m.onDone = onDelivered
 	if src == dst {
 		m.remaining = 1
-		n.eng.scheduleEvent(event{at: start, kind: evSelf, net: n, idx: mi})
+		n.eng.scheduleEvent(start, event{kind: evSelf, net: n.id, idx: mi})
 		return
 	}
 	if !n.cfg.Adaptive {
@@ -330,15 +336,15 @@ func (n *Network) Send(src, dst int, bytes float64, onDelivered func()) {
 		switch {
 		case n.cfg.Adaptive:
 			p.cur, p.dst = int32(src), int32(dst)
-			n.eng.scheduleEvent(event{at: start, kind: evAdapt, net: n, idx: pi})
+			n.eng.scheduleEvent(start, event{kind: evAdapt, net: n.id, idx: pi})
 		case n.buf != nil:
 			p.hop = 0
 			p.vc, p.heldLink, p.heldVC = 0, -1, -1
 			p.next = -1
-			n.eng.scheduleEvent(event{at: start, kind: evBufReq, net: n, idx: pi})
+			n.eng.scheduleEvent(start, event{kind: evBufReq, net: n.id, idx: pi})
 		default:
 			p.hop = 0
-			n.eng.scheduleEvent(event{at: start, kind: evHop, net: n, idx: pi})
+			n.eng.scheduleEvent(start, event{kind: evHop, net: n.id, idx: pi})
 		}
 	}
 }
@@ -376,7 +382,7 @@ func (n *Network) onHop(pi int32) {
 	n.freeAt[li] = start + tx
 	n.busy[li] += tx
 	p.hop++
-	n.eng.scheduleEvent(event{at: start + tx + n.cfg.LinkLatency, kind: evHop, net: n, idx: pi})
+	n.eng.scheduleEvent(start+tx+n.cfg.LinkLatency, event{kind: evHop, net: n.id, idx: pi})
 }
 
 // packetDone retires one packet of message mi; the last packet records

@@ -6,8 +6,8 @@ import (
 )
 
 // enginePool recycles Engines process-wide so sweep runners and the
-// mapping service reuse warm event-queue and calendar storage instead of
-// growing a fresh arena per simulation. Engines carry no cross-run state:
+// mapping service reuse a warm event slab, run table and key heap instead
+// of growing a fresh arena per simulation. Engines carry no cross-run state:
 // GetEngine returns an arbitrary pooled engine and every user must treat
 // it as dirty until ReplayOn (or its own code) calls Reset.
 var enginePool = sync.Pool{New: func() any {

@@ -43,8 +43,8 @@ package netsim
 //
 // Determinism: every transition below runs synchronously inside a typed
 // event dispatch, all queues are FIFO, and no state depends on map
-// order or wall time, so Stats are bit-identical across GOMAXPROCS,
-// scheduler selection (heap/calendar), and Engine.Reset reuse.
+// order or wall time, so Stats are bit-identical across GOMAXPROCS and
+// Engine.Reset reuse.
 
 // launch decomposes message mi into packets-many worms and schedules
 // their injection at time start. The message's route is already in
@@ -66,7 +66,7 @@ func (w *whNetwork) launch(mi int32, start float64, packets int) {
 		wm.flits = flits
 		wm.hops = int32(hops)
 		wm.flitTx = flitTx
-		w.n.eng.scheduleEvent(event{at: start, kind: evWormInject, net: w.n, idx: wi})
+		w.n.eng.scheduleEvent(start, event{kind: evWormInject, net: w.n.id, idx: wi})
 	}
 }
 
@@ -167,10 +167,8 @@ func (w *whNetwork) startFlit(wi, h, ci int32) {
 	w.n.freeAt[li] = start + wm.flitTx
 	w.n.busy[li] += wm.flitTx
 	wm.inj[h]++
-	w.n.eng.scheduleEvent(event{
-		at:   start + wm.flitTx + w.n.cfg.LinkLatency,
-		kind: evFlitArrive, net: w.n, idx: wi, link: h,
-	})
+	w.n.eng.scheduleEvent(start+wm.flitTx+w.n.cfg.LinkLatency,
+		event{kind: evFlitArrive, net: w.n.id, idx: wi, link: h})
 	if h > 0 {
 		w.releaseCredit(w.chanOf(m, h-1))
 	}

@@ -4,15 +4,14 @@ package netsim_test
 // uncongested regime the flit pipeline must converge to the packet
 // model's latencies (tolerance-based — the two models accumulate the
 // same arithmetic in different event orders), and (2) the determinism
-// contract — bit-identical Stats across GOMAXPROCS, scheduler selection,
-// and Engine.Reset reuse — extends to the new mode. Saturation tests
-// check the model's physics: head-of-line blocking makes contention
-// *worse* than store-and-forward queueing, and a topology-aware mapping
-// recovers more of it.
+// contract — Stats bit-identical to the recorded golden words across
+// GOMAXPROCS and Engine.Reset reuse — extends to the new mode.
+// Saturation tests check the model's physics: head-of-line blocking makes
+// contention *worse* than store-and-forward queueing, and a
+// topology-aware mapping recovers more of it.
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -209,37 +208,21 @@ func wormholeDeterminismWorkloads() []workload {
 }
 
 // TestWormholeDeterminism extends the bit-identical contract to the new
-// mode: every workload must produce the same Stats words at GOMAXPROCS
-// {1,2,8} and scheduler {auto,heap,calendar}, using the heap scheduler
-// at GOMAXPROCS 1 as the reference.
+// mode, which has no legacy oracle: every workload must reproduce the
+// golden Stats words and event count at GOMAXPROCS {1,2,8}.
 func TestWormholeDeterminism(t *testing.T) {
-	refs := map[string][]uint64{}
-	for _, w := range wormholeDeterminismWorkloads() {
-		refs[w.name] = newBits(runNew(t, w, -1))
-	}
-	for _, procs := range []int{1, 2, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, w := range wormholeDeterminismWorkloads() {
-			want := refs[w.name]
-			for _, sched := range []struct {
-				name      string
-				threshold int
-			}{
-				{"auto", 0},
-				{"heap", -1},
-				{"calendar", 1},
-			} {
-				got := newBits(runNew(t, w, sched.threshold))
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("GOMAXPROCS=%d %s [%s]: stats word %d = %#x, reference %#x",
-							procs, w.name, sched.name, i, got[i], want[i])
-						break
-					}
-				}
-			}
-		}
-		runtime.GOMAXPROCS(prev)
+	checkGolden(t, wormholeDeterminismWorkloads())
+}
+
+// TestWormholeEventsPerRun pins the mechanism, not just the result: on
+// the dense hotspot the links step in lock-step, so the run queue must
+// find at least 2.5 events per heap key.
+func TestWormholeEventsPerRun(t *testing.T) {
+	_, eng := runNew(t, wormholeDeterminismWorkloads()[0])
+	events, runs := eng.Processed(), netsim.RunsOpened(eng)
+	if float64(events) < 2.5*float64(runs) {
+		t.Errorf("%d events in %d runs (%.2f per run), want at least 2.5",
+			events, runs, float64(events)/float64(runs))
 	}
 }
 

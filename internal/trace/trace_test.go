@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -231,5 +232,81 @@ func TestHeterogeneousComputeTimes(t *testing.T) {
 	p.ComputeTimes = []float64{1, 1, 1, -1}
 	if err := p.Validate(); err == nil {
 		t.Error("negative per-task time: want error")
+	}
+}
+
+// TestReplayGoldenMiniSweep is a 9-replay miniature of the sim-sweep
+// benchmark: the §5.3 Jacobi exchange under three mappings and all three
+// contention models. Completion times and event counts were recorded at
+// commit 60ad936, before the simulator's binary heap and calendar queue
+// were replaced by the run queue; every word must reproduce at GOMAXPROCS
+// {1, 2, 8}, on a fresh engine and on a reused one.
+func TestReplayGoldenMiniSweep(t *testing.T) {
+	g := taskgraph.Mesh2D(8, 8, 4e3)
+	torus := topology.MustTorus(4, 4, 4)
+	prog, err := FromTaskGraph(g, 3, 20e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappers := []core.Strategy{core.Random{Seed: 1}, core.TopoLB{}, core.TopoCentLB{}}
+	modes := []struct {
+		name  string
+		apply func(*netsim.Config)
+	}{
+		{"packet", func(*netsim.Config) {}},
+		{"buffered", func(c *netsim.Config) { c.BufferPackets = 4 }},
+		{"wormhole", func(c *netsim.Config) { c.Mode = netsim.ModeWormhole }},
+	}
+	golden := []struct {
+		mode, mapper string
+		completion   uint64 // math.Float64bits(CompletionTime)
+		events       int64  // Engine.Processed()
+	}{
+		{"packet", "Random", 0x3f41b45d6a3e6241, 7153},
+		{"packet", "TopoLB", 0x3f226054d46daaff, 3777},
+		{"packet", "TopoCentLB", 0x3f226054d46daaff, 3777},
+		{"buffered", "Random", 0x3f4501efc44899d3, 12321},
+		{"buffered", "TopoLB", 0x3f226054d46daaff, 5569},
+		{"buffered", "TopoCentLB", 0x3f226054d46daaff, 5569},
+		{"wormhole", "Random", 0x3f501b6b96510f32, 84673},
+		{"wormhole", "TopoLB", 0x3f227476ca61b88a, 30657},
+		{"wormhole", "TopoCentLB", 0x3f227476ca61b88a, 30657},
+	}
+	mappings := make([][]int, len(mappers))
+	for i, s := range mappers {
+		if mappings[i], err = s.Map(g, torus); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused := &netsim.Engine{}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		k := 0
+		for _, mode := range modes {
+			for i, s := range mappers {
+				want := golden[k]
+				k++
+				if want.mode != mode.name || want.mapper != s.Name() {
+					t.Fatalf("golden row %d is %s/%s, sweep is at %s/%s", k-1, want.mode, want.mapper, mode.name, s.Name())
+				}
+				cfg := netsim.Config{Topology: torus, LinkBandwidth: 1e8, LinkLatency: 100e-9, PacketSize: 1024}
+				mode.apply(&cfg)
+				for _, eng := range []*netsim.Engine{{}, reused} {
+					r, err := ReplayOn(eng, prog, mappings[i], cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := math.Float64bits(r.CompletionTime); got != want.completion {
+						t.Errorf("GOMAXPROCS=%d %s/%s: completion %#x (%v), golden %#x",
+							procs, want.mode, want.mapper, got, r.CompletionTime, want.completion)
+					}
+					if eng.Processed() != want.events {
+						t.Errorf("GOMAXPROCS=%d %s/%s: %d events, golden %d",
+							procs, want.mode, want.mapper, eng.Processed(), want.events)
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
