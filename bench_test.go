@@ -27,21 +27,14 @@ import (
 )
 
 func benchExperiment(b *testing.B, id string, headline func(*experiments.Table) (string, float64)) {
-	reg := experiments.Registry(true)
-	for k, v := range experiments.AblationRegistry(true) {
-		reg[k] = v
-	}
-	for k, v := range experiments.ExtrasRegistry(true) {
-		reg[k] = v
-	}
-	gen, ok := reg[id]
+	exp, ok := experiments.Find(id)
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	var tbl *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		tbl, err = gen()
+		tbl, err = exp.Run(true)
 		if err != nil {
 			b.Fatal(err)
 		}

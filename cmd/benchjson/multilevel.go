@@ -83,23 +83,11 @@ func multilevelCases(quick bool) []mlBenchCase {
 // flatPlace is the baseline: the repo's flat two-phase pipeline expanded
 // to a per-task placement.
 func flatPlace(g *taskgraph.Graph, t topology.Topology) ([]int, error) {
-	pr, err := partition.Multilevel{Seed: 1}.Partition(g, t.Nodes())
+	res, err := core.MapTasks(g, t, partition.Multilevel{Seed: 1}, core.TopoLB{})
 	if err != nil {
 		return nil, err
 	}
-	q, err := partition.Quotient(g, pr)
-	if err != nil {
-		return nil, err
-	}
-	gm, err := core.TopoLB{}.Map(q, t)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, g.NumVertices())
-	for v, grp := range pr.Assign {
-		out[v] = gm[grp]
-	}
-	return out, nil
+	return res.Placement, nil
 }
 
 // runMultilevelSuite measures every size point, pairing each optimized

@@ -27,17 +27,10 @@ func main() {
 	outDir := flag.String("out", "", "also write each table as CSV into this directory")
 	flag.Parse()
 
-	reg := experiments.Registry(*quick)
-	for k, v := range experiments.AblationRegistry(*quick) {
-		reg[k] = v
-	}
-	for k, v := range experiments.ExtrasRegistry(*quick) {
-		reg[k] = v
-	}
 	if *list {
-		ids := make([]string, 0, len(reg))
-		for k := range reg {
-			ids = append(ids, k)
+		var ids []string
+		for _, e := range experiments.All() {
+			ids = append(ids, e.ID)
 		}
 		sort.Strings(ids)
 		for _, k := range ids {
@@ -46,20 +39,21 @@ func main() {
 		return
 	}
 
-	var ids []string
+	var run []experiments.Experiment
 	switch *id {
 	case "all":
-		ids = experiments.IDs()
+		run = experiments.Registry()
 	case "ablations":
-		ids = experiments.AblationIDs()
+		run = experiments.AblationRegistry()
 	case "extras":
-		ids = experiments.ExtrasIDs()
+		run = experiments.ExtrasRegistry()
 	default:
-		if _, ok := reg[*id]; !ok {
+		e, ok := experiments.Find(*id)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "experiments: unknown id %q (try -list)\n", *id)
 			os.Exit(2)
 		}
-		ids = []string{*id}
+		run = []experiments.Experiment{e}
 	}
 	// Generate the selected experiments in parallel — each is independent
 	// and internally deterministic — but print strictly in id order so the
@@ -68,11 +62,12 @@ func main() {
 		tbl *experiments.Table
 		err error
 	}
-	tables := parallel.Map(len(ids), 1, func(i int) generated {
-		tbl, err := reg[ids[i]]()
+	tables := parallel.Map(len(run), 1, func(i int) generated {
+		tbl, err := run[i].Run(*quick)
 		return generated{tbl: tbl, err: err}
 	})
-	for i, k := range ids {
+	for i, e := range run {
+		k := e.ID
 		tbl, err := tables[i].tbl, tables[i].err
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", k, err)

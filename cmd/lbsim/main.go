@@ -15,12 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/charm"
 	"repro/internal/cliutil"
 	"repro/internal/emulator"
 	"repro/internal/lbdb"
-	"repro/internal/partition"
 )
 
 func main() {
@@ -30,7 +30,8 @@ func main() {
 	topoSpec := flag.String("topo", "torus:8,8", "topology: torus:.. | mesh:.. | hypercube:D")
 	msg := flag.Float64("msg", 1e4, "message bytes per edge per iteration")
 	iters := flag.Int("iters", 10, "instrumented iterations for -dump")
-	strategies := flag.String("strategy", "topolb,topocentlb,random", "strategies for -sim")
+	strategies := flag.String("strategy", "topolb,topocentlb,random",
+		"comma-separated strategies for -sim: "+strings.Join(cliutil.StrategyNames(), " | "))
 	partName := flag.String("partition", "multilevel", "partitioner: multilevel | greedy")
 	seed := flag.Int64("seed", 1, "seed")
 	jsonOut := flag.Bool("json", false, "write the dump as JSON instead of gob")
@@ -38,15 +39,8 @@ func main() {
 
 	topo, err := cliutil.ParseTopology(*topoSpec)
 	fatalIf(err)
-	var part partition.Partitioner
-	switch *partName {
-	case "multilevel":
-		part = partition.Multilevel{Seed: *seed}
-	case "greedy":
-		part = partition.Greedy{}
-	default:
-		fatalIf(fmt.Errorf("unknown partitioner %q", *partName))
-	}
+	part, err := cliutil.ParsePartitioner(*partName, *seed)
+	fatalIf(err)
 
 	switch {
 	case *dump != "":

@@ -20,12 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	topomap "repro"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/partition"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 	"repro/internal/viz"
@@ -37,7 +37,8 @@ func main() {
 	patSpec := flag.String("pattern", "", "pattern spec, e.g. mesh2d:8,8 (see internal/cliutil)")
 	graphFile := flag.String("graph", "", "task graph JSON file (alternative to -pattern)")
 	msg := flag.Float64("msg", 1e5, "message bytes per edge for built-in patterns")
-	strategies := flag.String("strategy", "topolb,topocentlb,random", "comma-separated strategies (see internal/cliutil)")
+	strategies := flag.String("strategy", "topolb,topocentlb,random",
+		"comma-separated strategies: "+strings.Join(cliutil.StrategyNames(), " | "))
 	refine := flag.Bool("refine", false, "apply RefineTopoLB after each strategy")
 	draw := flag.Bool("draw", false, "render each bijective mapping as an ASCII grid")
 	full := flag.Bool("metrics", false, "report dilation, cardinality, and routed link loads")
@@ -54,15 +55,8 @@ func main() {
 	g, err := loadGraph(*patSpec, *graphFile, *msg, *seed)
 	fatalIf(err)
 
-	var part partition.Partitioner
-	switch *partName {
-	case "multilevel":
-		part = partition.Multilevel{Seed: *seed}
-	case "greedy":
-		part = partition.Greedy{}
-	default:
-		fatalIf(fmt.Errorf("unknown partitioner %q", *partName))
-	}
+	part, err := cliutil.ParsePartitioner(*partName, *seed)
+	fatalIf(err)
 
 	if !*jsonOut {
 		fmt.Printf("topology: %s (%d processors, mean distance %.3f)\n",

@@ -310,29 +310,9 @@ func sortComms(comms []lbdb.Comm) {
 // (+LBSim): strategies are evaluated on recorded load scenarios without
 // re-running the application.
 func MapDatabase(db *lbdb.Database, topo topology.Topology, part partition.Partitioner, strat core.Strategy) ([]int, error) {
-	g, err := db.TaskGraph()
+	rep, err := SimulateStep(db, topo, part, strat)
 	if err != nil {
 		return nil, err
 	}
-	p := topo.Nodes()
-	if p != db.NumProcs {
-		return nil, fmt.Errorf("charm: database recorded %d processors, topology has %d", db.NumProcs, p)
-	}
-	pr, err := part.Partition(g, p)
-	if err != nil {
-		return nil, err
-	}
-	q, err := partition.Quotient(g, pr)
-	if err != nil {
-		return nil, err
-	}
-	m, err := strat.Map(q, topo)
-	if err != nil {
-		return nil, err
-	}
-	placement := make([]int, g.NumVertices())
-	for v, group := range pr.Assign {
-		placement[v] = m[group]
-	}
-	return placement, nil
+	return rep.Placement, nil
 }

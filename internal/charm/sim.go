@@ -2,6 +2,7 @@ package charm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lbdb"
@@ -39,41 +40,18 @@ func SimulateStep(db *lbdb.Database, topo topology.Topology, part partition.Part
 	if p != db.NumProcs {
 		return nil, fmt.Errorf("charm: database recorded %d processors, topology has %d", db.NumProcs, p)
 	}
-	pr, err := part.Partition(g, p)
+	res, err := core.MapQuotient(g, topo, part, strat)
 	if err != nil {
 		return nil, err
 	}
-	q, err := partition.Quotient(g, pr)
-	if err != nil {
-		return nil, err
-	}
-	m, err := strat.Map(q, topo)
-	if err != nil {
-		return nil, err
-	}
-	placement := make([]int, g.NumVertices())
-	for v, group := range pr.Assign {
-		placement[v] = m[group]
-	}
+	placement := res.Placement
 	rep := &Report{
 		Strategy:    strat.Name(),
-		HopBytes:    core.HopBytes(q, topo, m),
-		HopsPerByte: core.HopsPerByte(q, topo, m),
+		HopBytes:    core.HopBytes(res.QuotientGraph, topo, res.GroupMapping),
+		HopsPerByte: res.HopsPerByte,
+		MaxProcLoad: slices.Max((&partition.Result{Assign: placement, K: p}).GroupLoads(g)),
+		Imbalance:   res.Imbalance,
 		Placement:   placement,
-	}
-	loads := make([]float64, p)
-	for v, proc := range placement {
-		loads[proc] += g.VertexWeight(v)
-	}
-	total := 0.0
-	for _, l := range loads {
-		total += l
-		if l > rep.MaxProcLoad {
-			rep.MaxProcLoad = l
-		}
-	}
-	if total > 0 {
-		rep.Imbalance = rep.MaxProcLoad / (total / float64(p))
 	}
 	old := db.Placement()
 	for v := range placement {

@@ -10,10 +10,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/hiertopo"
-	"repro/internal/hybrid"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -155,71 +152,6 @@ func ParsePattern(spec string, msg float64, seed int64) (*taskgraph.Graph, error
 	}
 }
 
-// StrategyNames lists the names ParseStrategy accepts.
-func StrategyNames() []string {
-	return []string{"topolb", "topolb1", "topolb3", "topolb+refine",
-		"topocentlb", "multilevel", "hier", "sfc", "rcb-sfc", "random",
-		"identity", "bokhari", "annealing", "genetic", "arm",
-		"hybrid:BXxBY[x...]"}
-}
-
-// ParseStrategy resolves a strategy name (see StrategyNames). The hybrid
-// strategy takes its block shape inline with "x" separators —
-// "hybrid:4x4" — so hybrid specs survive comma-separated strategy lists.
-func ParseStrategy(name string, seed int64) (core.Strategy, error) {
-	if rest, ok := strings.CutPrefix(name, "hybrid:"); ok {
-		var block []int
-		for _, part := range strings.Split(rest, "x") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return nil, fmt.Errorf("cliutil: bad hybrid block %q (want e.g. hybrid:4x4)", rest)
-			}
-			block = append(block, v)
-		}
-		return hybrid.Hybrid{Block: block, Seed: seed}, nil
-	}
-	switch name {
-	case "topolb":
-		return core.TopoLB{}, nil
-	case "topolb1":
-		return core.TopoLB{Order: core.OrderFirst}, nil
-	case "topolb3":
-		return core.TopoLB{Order: core.OrderThird}, nil
-	case "topolb+refine":
-		return core.RefineTopoLB{Base: core.TopoLB{}}, nil
-	case "topocentlb":
-		return core.TopoCentLB{}, nil
-	case "multilevel":
-		return core.MultilevelMap{}, nil
-	case "hier":
-		// Requires a hier:SPEC topology; the strategy itself reports the
-		// mismatch on flat machines.
-		return core.HierMap{Seed: seed}, nil
-	case "sfc":
-		// Coordinates are injected afterwards via WithCoords where the
-		// caller knows the pattern's geometry; without them the strategy
-		// uses its graph-BFS fallback order.
-		return core.SFC{}, nil
-	case "rcb-sfc":
-		return core.RCBSFC{}, nil
-	case "random":
-		return core.Random{Seed: seed}, nil
-	case "identity":
-		return core.Identity{}, nil
-	case "bokhari":
-		return baselines.Bokhari{Seed: seed}, nil
-	case "annealing":
-		return baselines.Annealing{Seed: seed}, nil
-	case "genetic":
-		return baselines.Genetic{Seed: seed}, nil
-	case "arm":
-		return baselines.ARM{Seed: seed}, nil
-	default:
-		return nil, fmt.Errorf("cliutil: unknown strategy %q (known: %s)",
-			name, strings.Join(StrategyNames(), ", "))
-	}
-}
-
 // PatternCoords returns the task positions of a pattern spec for the
 // coordinate-consuming strategies (sfc, rcb-sfc, and RCB partitioning):
 // grid patterns get their lattice coordinates (matching the builders'
@@ -275,46 +207,6 @@ func PatternCoords(spec string, seed int64) [][]float64 {
 	default:
 		return nil
 	}
-}
-
-// WithCoords injects task coordinates into the strategies that consume
-// them (sfc, rcb-sfc); every other strategy passes through unchanged.
-// nil coords are a no-op, preserving the BFS fallback.
-func WithCoords(s core.Strategy, coords [][]float64) core.Strategy {
-	if coords == nil {
-		return s
-	}
-	switch st := s.(type) {
-	case core.SFC:
-		st.Coords = coords
-		return st
-	case core.RCBSFC:
-		st.Coords = coords
-		return st
-	case core.HierMap:
-		st.Coords = coords
-		return st
-	case core.RefineTopoLB:
-		st.Base = WithCoords(st.Base, coords)
-		return st
-	}
-	return s
-}
-
-// ParseStrategies resolves a comma-separated strategy list.
-func ParseStrategies(list string, seed int64) ([]core.Strategy, error) {
-	var out []core.Strategy
-	for _, name := range strings.Split(list, ",") {
-		s, err := ParseStrategy(strings.TrimSpace(name), seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cliutil: empty strategy list")
-	}
-	return out, nil
 }
 
 func splitSpec(spec string) (string, []int, error) {

@@ -1,17 +1,26 @@
 package cliutil
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/topology"
+)
 
 // FuzzParseTopology: arbitrary specs must parse or error, never panic.
 func FuzzParseTopology(f *testing.F) {
 	for _, seed := range []string{"torus:4,4", "mesh:2,3,4", "hypercube:5",
-		"fattree:4,2", "torus:", "torus:0", ":", "x:y", "torus:1000000000,9"} {
+		"fattree:4,2", "torus:", "torus:0", ":", "x:y", "torus:1000000000,9",
+		"hypercube:30", "torus:32768,32768", "mesh:2049,2048", "fattree:64,4",
+		"hier:pod:4096/rack:4096", "hier:pod:2:hypercube-30"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		tp, err := ParseTopology(spec)
+		tp, err := ParseAnyTopology(spec)
 		if err == nil && tp == nil {
 			t.Fatal("nil topology without error")
+		}
+		if err == nil && tp.Nodes() > topology.MaxNodes {
+			t.Fatalf("%q built %d processors, cap is %d", spec, tp.Nodes(), topology.MaxNodes)
 		}
 	})
 }

@@ -38,6 +38,12 @@ type SFC struct {
 // Name implements Strategy.
 func (SFC) Name() string { return "SFC" }
 
+// WithCoords returns s reading task positions from coords.
+func (s SFC) WithCoords(coords [][]float64) Strategy {
+	s.Coords = coords
+	return s
+}
+
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s SFC) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	if err := checkSizes(g, t); err != nil {
@@ -152,6 +158,12 @@ type RCBSFC struct {
 
 // Name implements Strategy.
 func (RCBSFC) Name() string { return "RCB-SFC" }
+
+// WithCoords returns s reading task positions from coords.
+func (s RCBSFC) WithCoords(coords [][]float64) Strategy {
+	s.Coords = coords
+	return s
+}
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s RCBSFC) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {

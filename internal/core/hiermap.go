@@ -66,6 +66,12 @@ var _ Placer = HierMap{}
 // Name implements Strategy.
 func (s HierMap) Name() string { return "Hier" }
 
+// WithCoords returns s splitting regions by the task positions in coords.
+func (s HierMap) WithCoords(coords [][]float64) Strategy {
+	s.Coords = coords
+	return s
+}
+
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s HierMap) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	if err := checkSizes(g, t); err != nil {

@@ -68,30 +68,6 @@ func TestPropertyHopBytesInvariantUnderTaskRelabeling(t *testing.T) {
 	}
 }
 
-// TestPropertyStrategiesAlwaysBijective across random graphs, shapes, and
-// strategies.
-func TestPropertyStrategiesAlwaysBijective(t *testing.T) {
-	shapes := []topology.Topology{
-		topology.MustTorus(4, 3), topology.MustMesh(3, 4),
-		topology.MustTorus(2, 3, 2), topology.MustHypercube(3),
-	}
-	strategies := []Strategy{TopoLB{}, TopoLB{Order: OrderFirst}, TopoLB{Order: OrderThird}, TopoCentLB{}}
-	f := func(seed int64, si, ti uint8) bool {
-		to := shapes[int(ti)%len(shapes)]
-		s := strategies[int(si)%len(strategies)]
-		n := to.Nodes()
-		g := taskgraph.Random(n, n*3, 1, 20, seed)
-		m, err := s.Map(g, to)
-		if err != nil {
-			return false
-		}
-		return m.Validate(g, to) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropertyHopBytesLowerBoundTotalComm: on a connected topology every
 // inter-processor byte travels at least one hop, so HB >= TotalComm for
 // any bijective mapping (no two tasks share a processor).

@@ -27,6 +27,16 @@ func (r RefineTopoLB) Name() string {
 	return r.Base.Name() + "+Refine"
 }
 
+// WithCoords hands coords to a Base that takes them.
+func (r RefineTopoLB) WithCoords(coords [][]float64) Strategy {
+	if b, ok := r.Base.(interface {
+		WithCoords([][]float64) Strategy
+	}); ok {
+		r.Base = b.WithCoords(coords)
+	}
+	return r
+}
+
 // Map implements Strategy: run Base, then refine.
 func (r RefineTopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	if r.Base == nil {

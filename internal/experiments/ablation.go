@@ -9,23 +9,17 @@ import (
 	"repro/internal/topology"
 )
 
-// AblationRegistry returns the ablation studies for the design choices
+// AblationRegistry lists the ablation studies for the design choices
 // DESIGN.md calls out. They are not paper figures; they justify the
 // defaults the paper (and this library) picked.
-func AblationRegistry(quick bool) map[string]func() (*Table, error) {
-	return map[string]func() (*Table, error){
-		"ablation-estimation": func() (*Table, error) { return AblationEstimation(quick) },
-		"ablation-selection":  func() (*Table, error) { return AblationSelection(quick) },
-		"ablation-refine":     func() (*Table, error) { return AblationRefine(quick) },
-		"ablation-distance":   func() (*Table, error) { return AblationDistance(quick) },
-		"ablation-partition":  func() (*Table, error) { return AblationPartitioner(quick) },
+func AblationRegistry() []Experiment {
+	return []Experiment{
+		{"ablation-estimation", AblationEstimation},
+		{"ablation-selection", AblationSelection},
+		{"ablation-refine", AblationRefine},
+		{"ablation-distance", AblationDistance},
+		{"ablation-partition", AblationPartitioner},
 	}
-}
-
-// AblationIDs lists ablation identifiers.
-func AblationIDs() []string {
-	return []string{"ablation-estimation", "ablation-selection",
-		"ablation-refine", "ablation-distance", "ablation-partition"}
 }
 
 // AblationEstimation compares TopoLB's three estimation orders (§4.3) on
@@ -195,20 +189,12 @@ func AblationPartitioner(quick bool) (*Table, error) {
 			partition.Greedy{},
 			partition.RCB{Coords: taskgraph.LeanMDCoords(p)},
 		} {
-			pr, err := part.Partition(g, p)
+			res, err := core.MapQuotient(g, torus, part, core.TopoLB{})
 			if err != nil {
 				return nil, err
 			}
-			q, err := partition.Quotient(g, pr)
-			if err != nil {
-				return nil, err
-			}
-			m, err := (core.TopoLB{}).Map(q, torus)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pr.EdgeCut(g)/1e6)
-			hpbs = append(hpbs, core.HopsPerByte(q, torus, m))
+			row = append(row, res.EdgeCut/1e6)
+			hpbs = append(hpbs, res.HopsPerByte)
 		}
 		row = append(row, hpbs...)
 		t.Rows = append(t.Rows, row)

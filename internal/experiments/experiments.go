@@ -114,30 +114,37 @@ func sum(xs []int) int {
 	return s
 }
 
-// Registry returns every experiment generator keyed by ID. The quick flag
-// shrinks problem sizes and iteration counts so the full suite runs in
-// seconds; the full configuration matches the paper's scales.
-func Registry(quick bool) map[string]func() (*Table, error) {
-	return map[string]func() (*Table, error){
-		"table1": func() (*Table, error) { return Table1(quick) },
-		"fig1":   func() (*Table, error) { return Fig1(quick) },
-		"fig2":   func() (*Table, error) { return Fig2(quick) },
-		"fig3":   func() (*Table, error) { return Fig3(quick) },
-		"fig4":   func() (*Table, error) { return Fig4(quick) },
-		"fig5":   func() (*Table, error) { return Fig5(quick) },
-		"fig6":   func() (*Table, error) { return Fig6(quick) },
-		"fig7":   func() (*Table, error) { return Fig7(quick) },
-		"fig8":   func() (*Table, error) { return Fig8(quick) },
-		"fig9":   func() (*Table, error) { return Fig9(quick) },
-		"fig10":  func() (*Table, error) { return Fig10(quick) },
-		"fig11":  func() (*Table, error) { return Fig11(quick) },
+// Experiment is one table generator under its id. quick shrinks problem
+// sizes and iteration counts so the full suite runs in seconds; the full
+// configuration matches the paper's scales.
+type Experiment struct {
+	ID  string
+	Run func(quick bool) (*Table, error)
+}
+
+// Registry lists the paper's experiments in paper order.
+func Registry() []Experiment {
+	return []Experiment{
+		{"table1", Table1}, {"fig1", Fig1}, {"fig2", Fig2}, {"fig3", Fig3},
+		{"fig4", Fig4}, {"fig5", Fig5}, {"fig6", Fig6}, {"fig7", Fig7},
+		{"fig8", Fig8}, {"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11},
 	}
 }
 
-// IDs lists the experiment identifiers in paper order.
-func IDs() []string {
-	return []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5",
-		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
+// All lists the three registries one after another: the paper's
+// experiments, the ablations, the extras.
+func All() []Experiment {
+	return append(append(Registry(), AblationRegistry()...), ExtrasRegistry()...)
+}
+
+// Find looks id up in All.
+func Find(id string) (Experiment, bool) {
+	for _, e := range All() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // factor2 splits p into two factors as close to square as possible.

@@ -15,15 +15,27 @@ func col(t *Table, name string) int {
 	return -1
 }
 
+// TestRegistryCoversAllPaperResults: the paper's table and eleven figures,
+// in paper order — the order of results_full.txt — and every id of the
+// three registries findable and distinct.
 func TestRegistryCoversAllPaperResults(t *testing.T) {
-	reg := Registry(true)
-	for _, id := range IDs() {
-		if _, ok := reg[id]; !ok {
-			t.Errorf("experiment %s missing from registry", id)
+	want := []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5",
+		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
+	reg := Registry()
+	if len(reg) != len(want) {
+		t.Fatalf("registry has %d entries, want %d", len(reg), len(want))
+	}
+	for i, e := range reg {
+		if e.ID != want[i] {
+			t.Errorf("registry[%d] = %s, want %s", i, e.ID, want[i])
 		}
 	}
-	if len(reg) != len(IDs()) {
-		t.Errorf("registry has %d entries, IDs() has %d", len(reg), len(IDs()))
+	seen := map[string]bool{}
+	for _, e := range All() {
+		if got, ok := Find(e.ID); !ok || got.ID != e.ID || seen[e.ID] {
+			t.Errorf("id %s: found %v, seen before %v", e.ID, ok, seen[e.ID])
+		}
+		seen[e.ID] = true
 	}
 }
 
@@ -223,8 +235,9 @@ func TestFig10Fig11Shape(t *testing.T) {
 }
 
 func TestAblationRegistryRuns(t *testing.T) {
-	for id, gen := range AblationRegistry(true) {
-		tbl, err := gen()
+	for _, e := range AblationRegistry() {
+		id := e.ID
+		tbl, err := e.Run(true)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -236,9 +249,6 @@ func TestAblationRegistryRuns(t *testing.T) {
 				t.Errorf("%s: ragged row", id)
 			}
 		}
-	}
-	if len(AblationIDs()) != len(AblationRegistry(true)) {
-		t.Error("AblationIDs out of sync with registry")
 	}
 }
 
@@ -258,17 +268,15 @@ func TestAblationRefineMonotonicInPasses(t *testing.T) {
 }
 
 func TestExtrasRegistryRuns(t *testing.T) {
-	for id, gen := range ExtrasRegistry(true) {
-		tbl, err := gen()
+	for _, e := range ExtrasRegistry() {
+		id := e.ID
+		tbl, err := e.Run(true)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if len(tbl.Rows) == 0 {
 			t.Errorf("%s: empty table", id)
 		}
-	}
-	if len(ExtrasIDs()) != len(ExtrasRegistry(true)) {
-		t.Error("ExtrasIDs out of sync with registry")
 	}
 }
 

@@ -12,29 +12,22 @@ import (
 	"repro/internal/trace"
 )
 
-// ExtrasRegistry returns the comparisons that go beyond the paper: the
+// ExtrasRegistry lists the comparisons that go beyond the paper: the
 // related-work baselines of §2, the hierarchical mapper the conclusion
 // proposes, and adaptive routing in the network simulator.
-func ExtrasRegistry(quick bool) map[string]func() (*Table, error) {
-	return map[string]func() (*Table, error){
-		"extras-strategies": func() (*Table, error) { return ExtrasStrategies(quick) },
-		"extras-hybrid":     func() (*Table, error) { return ExtrasHybrid(quick) },
-		"extras-routing":    func() (*Table, error) { return ExtrasRouting(quick) },
-		"extras-scaling":    func() (*Table, error) { return ExtrasScaling(quick) },
-		"extras-modern":     func() (*Table, error) { return ExtrasModern(quick) },
-		"extras-buffered":   func() (*Table, error) { return ExtrasBuffered(quick) },
-		"extras-wormhole":   func() (*Table, error) { return ExtrasWormhole(quick) },
-		"extras-sfc":        func() (*Table, error) { return ExtrasSFC(quick) },
-		"extras-hier":       func() (*Table, error) { return ExtrasHier(quick) },
-		"scale-multilevel":  func() (*Table, error) { return ExtrasScaleMultilevel(quick) },
+func ExtrasRegistry() []Experiment {
+	return []Experiment{
+		{"extras-strategies", ExtrasStrategies},
+		{"extras-hybrid", ExtrasHybrid},
+		{"extras-routing", ExtrasRouting},
+		{"extras-scaling", ExtrasScaling},
+		{"extras-modern", ExtrasModern},
+		{"extras-buffered", ExtrasBuffered},
+		{"extras-wormhole", ExtrasWormhole},
+		{"extras-sfc", ExtrasSFC},
+		{"extras-hier", ExtrasHier},
+		{"scale-multilevel", ExtrasScaleMultilevel},
 	}
-}
-
-// ExtrasIDs lists extras identifiers.
-func ExtrasIDs() []string {
-	return []string{"extras-strategies", "extras-hybrid", "extras-routing",
-		"extras-scaling", "extras-modern", "extras-buffered", "extras-wormhole",
-		"extras-sfc", "extras-hier", "scale-multilevel"}
 }
 
 // ExtrasStrategies pits TopoLB against the related-work algorithms of §2

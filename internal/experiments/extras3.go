@@ -52,24 +52,12 @@ func ExtrasScaleMultilevel(quick bool) (*Table, error) {
 		row := []float64{isRGG, float64(n), float64(p), 0, 0, 0, 0}
 		if c.flat {
 			start := time.Now()
-			pr, err := partition.Multilevel{Seed: 1}.Partition(c.g, p)
+			flat, err := core.MapTasks(c.g, c.topo, partition.Multilevel{Seed: 1}, core.TopoLB{})
 			if err != nil {
 				return nil, err
-			}
-			q, err := partition.Quotient(c.g, pr)
-			if err != nil {
-				return nil, err
-			}
-			gm, err := (core.TopoLB{}).Map(q, c.topo)
-			if err != nil {
-				return nil, err
-			}
-			flat := make(core.Mapping, n)
-			for v, grp := range pr.Assign {
-				flat[v] = gm[grp]
 			}
 			row[5] = float64(time.Since(start).Microseconds()) / 1e3
-			row[3] = core.HopsPerByte(c.g, c.topo, flat)
+			row[3] = core.HopsPerByte(c.g, c.topo, flat.Placement)
 		}
 		start := time.Now()
 		pl, err := (core.MultilevelMap{}).Place(c.g, c.topo)

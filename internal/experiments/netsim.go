@@ -13,30 +13,23 @@ import (
 // TopoLB, and TopoCentLB; traces are replayed through the discrete-event
 // network simulator at each channel bandwidth.
 type netsimSetup struct {
-	g        *taskgraph.Graph
-	torus    *topology.Torus
-	mappings map[string]core.Mapping
-	order    []string
+	g     *taskgraph.Graph
+	torus *topology.Torus
+	// mappings are the table's value columns: random, topolb, topocentlb.
+	mappings []core.Mapping
 }
 
 func newNetsimSetup() (*netsimSetup, error) {
 	s := &netsimSetup{
-		g:        taskgraph.Mesh2D(8, 8, 4e3), // 4 KB messages
-		torus:    topology.MustTorus(4, 4, 4),
-		mappings: map[string]core.Mapping{},
-		order:    []string{"random", "topolb", "topocentlb"},
+		g:     taskgraph.Mesh2D(8, 8, 4e3), // 4 KB messages
+		torus: topology.MustTorus(4, 4, 4),
 	}
-	strategies := map[string]core.Strategy{
-		"random":     core.Random{Seed: 1},
-		"topolb":     core.TopoLB{},
-		"topocentlb": core.TopoCentLB{},
-	}
-	for name, strat := range strategies {
+	for _, strat := range []core.Strategy{core.Random{Seed: 1}, core.TopoLB{}, core.TopoCentLB{}} {
 		m, err := strat.Map(s.g, s.torus)
 		if err != nil {
 			return nil, err
 		}
-		s.mappings[name] = m
+		s.mappings = append(s.mappings, m)
 	}
 	return s, nil
 }
@@ -49,12 +42,12 @@ func (s *netsimSetup) jobs(bandwidths []float64, iters int) ([]SimJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]SimJob, 0, len(bandwidths)*len(s.order))
+	jobs := make([]SimJob, 0, len(bandwidths)*len(s.mappings))
 	for _, bw := range bandwidths {
-		for _, name := range s.order {
+		for _, m := range s.mappings {
 			jobs = append(jobs, SimJob{
 				Prog:    p,
-				Mapping: s.mappings[name],
+				Mapping: m,
 				Cfg: netsim.Config{
 					Topology:      s.torus,
 					LinkBandwidth: bw,
@@ -110,7 +103,7 @@ func netsimTable(id, title string, quick bool, lo, hi, iters int,
 		return nil, err
 	}
 	for r, bw := range bws {
-		row := results[r*len(s.order):] // strategies in s.order
+		row := results[r*len(s.mappings):] // one result per mapping
 		t.Rows = append(t.Rows, []float64{
 			bw / 1e8,
 			metric(row[0]),

@@ -174,13 +174,13 @@ func TestReplayOnMatchesReplay(t *testing.T) {
 		LinkLatency:   100e-9,
 		PacketSize:    1024,
 	}
-	want, err := trace.Replay(p, s.mappings["topolb"], cfg)
+	want, err := trace.Replay(p, s.mappings[1], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := &netsim.Engine{}
 	for round := 0; round < 3; round++ {
-		got, err := trace.ReplayOn(eng, p, s.mappings["topolb"], cfg)
+		got, err := trace.ReplayOn(eng, p, s.mappings[1], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,6 @@ type Level struct {
 const (
 	maxLevels   = 6
 	maxFanout   = 4096
-	maxNodes    = 1 << 22
 	maxNameLen  = 16
 	maxNbrNodes = 1 << 20 // above this, Neighbors returns empty lists
 	unitSibCap  = 64      // sibling fan-out cap for unit-leaf neighbor lists
@@ -161,8 +160,8 @@ func resolveLevels(levels []Level, leafSize int) (int, error) {
 		if lv.Cost < 1 {
 			return 0, fmt.Errorf("hiertopo: level %q cost %g must be >= 1 (crossing a level can never be cheaper than a link)", lv.Name, lv.Cost)
 		}
-		if n > maxNodes/lv.Count {
-			return 0, fmt.Errorf("hiertopo: hierarchy exceeds %d processors", maxNodes)
+		if n > topology.MaxNodes/lv.Count {
+			return 0, fmt.Errorf("hiertopo: hierarchy exceeds %d processors", topology.MaxNodes)
 		}
 		n *= lv.Count
 	}

@@ -95,20 +95,21 @@ func (r *Result) EdgeCut(g *taskgraph.Graph) float64 {
 	return cut / 2
 }
 
-// Imbalance returns maxGroupLoad / (totalLoad / k); 1.0 is perfect balance.
+// Imbalance returns the heaviest group's load over the mean group load —
+// 1.0 is perfect balance — and 0 for a graph that carries no load. The
+// mean is taken over the group loads in group order.
 func (r *Result) Imbalance(g *taskgraph.Graph) float64 {
-	loads := r.GroupLoads(g)
-	maxLoad := 0.0
-	for _, l := range loads {
+	maxLoad, total := 0.0, 0.0
+	for _, l := range r.GroupLoads(g) {
+		total += l
 		if l > maxLoad {
 			maxLoad = l
 		}
 	}
-	avg := g.TotalLoad() / float64(r.K)
-	if avg <= 0 {
-		return 1
+	if total <= 0 {
+		return 0
 	}
-	return maxLoad / avg
+	return maxLoad / (total / float64(r.K))
 }
 
 // Quotient builds the coalesced task graph of a partition: one vertex per

@@ -1,9 +1,10 @@
 package service
 
 import (
-	"math"
+	"sort"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 )
 
@@ -16,44 +17,27 @@ import (
 // cache / singleflight layers remain sound. Measured timings exist too,
 // but they only feed the /stats counters (never the response body).
 //
-// The first autoFloor candidates are the near-linear geometric tier; they
-// always run, even when the budget is smaller than their estimate, so an
-// auto job always produces a mapping. Every later candidate runs only if
+// The floor candidates are the near-linear geometric tier; they always
+// run, even when the budget is smaller than their estimate, so an auto job
+// always produces a mapping. Every later candidate runs only if
 // the portfolio's cumulative estimate stays within the job's budget; a
 // candidate that does not fit is skipped and the next (possibly cheaper)
 // one is still considered.
 
-// autoCandidate is one portfolio member: its wire name and its strategy
-// constructor (coords are the pattern geometry, nil without one).
-type autoCandidate struct {
-	name  string
-	strat func(coords [][]float64) core.Strategy
-}
-
-// autoCandidates is the portfolio in admission order: the always-run
-// geometric tier first, then the quotient mappers, then the hierarchical
-// multilevel mapper. Index order is the wire order of auto.strategies and
-// of the /stats auto counters; append only.
-var autoCandidates = []autoCandidate{
-	{"sfc", func(c [][]float64) core.Strategy { return core.SFC{Coords: c} }},
-	{"rcb-sfc", func(c [][]float64) core.Strategy { return core.RCBSFC{Coords: c} }},
-	{"topocentlb", func([][]float64) core.Strategy { return core.TopoCentLB{} }},
-	{"topolb", func([][]float64) core.Strategy { return core.TopoLB{} }},
-	{"multilevel", func([][]float64) core.Strategy { return core.MultilevelMap{} }},
-}
-
-// hierCandidate is the two-phase hierarchical mapper, admitted (last, at
-// /stats index len(autoCandidates)) only when the job's topology is a
-// hierarchy — it refuses flat machines. The job seed is injected by
-// computeAuto so portfolio runs match direct strategy=hier jobs.
-var hierCandidate = autoCandidate{"hier", func(c [][]float64) core.Strategy { return core.HierMap{Coords: c} }}
-
-// numAutoCandidates sizes the fixed-order /stats counter arrays: the flat
-// portfolio plus the hierarchy-only hier candidate.
-const numAutoCandidates = 6
-
-// autoFloor is how many leading candidates run regardless of budget.
-const autoFloor = 2
+// portfolio is the auto candidates in admission order: the rows of the
+// strategy table that name a place in it, by place. A row that needs a
+// hierarchy is a candidate only on a hierarchical machine; it keeps its
+// index here — the index of the /stats auto counters — either way.
+var portfolio = func() []cliutil.StrategyRow {
+	var rows []cliutil.StrategyRow
+	for _, r := range cliutil.StrategyTable() {
+		if r.Auto > 0 {
+			rows = append(rows, r)
+		}
+	}
+	sort.Slice(rows, func(a, b int) bool { return rows[a].Auto < rows[b].Auto })
+	return rows
+}()
 
 // AutoReport is the auto portfolio section of a JobResult.
 type AutoReport struct {
@@ -82,41 +66,6 @@ type AutoStrategy struct {
 	Error string `json:"error,omitempty"`
 }
 
-// autoEstMS is the cost model: a deterministic estimate in milliseconds
-// of the named candidate on a job with n tasks, m edges, and p
-// processors. Constants are calibrated against cmd/benchjson -suite
-// geometric (and -suite hier for the hier candidate) on the reference
-// container and err on the high side, so budget overruns stay bounded by
-// model error rather than unbounded.
-func autoEstMS(name string, n, m, p int) float64 {
-	nf, mf, pf := float64(n), float64(m), float64(p)
-	logn := math.Log2(nf + 1)
-	logp := math.Log2(pf + 1)
-	// partMS is the multilevel partition phase every quotient-mapped
-	// candidate pays when tasks outnumber processors.
-	partMS := 0.0
-	if n > p {
-		partMS = (nf + mf) * logp * 1e-4
-	}
-	switch name {
-	case "sfc":
-		return nf*logn*3e-5 + mf*1.5e-5
-	case "rcb-sfc":
-		return nf*logn*logp*3e-5 + mf*1.5e-5
-	case "topocentlb":
-		return partMS + pf*pf*2e-4
-	case "topolb":
-		return partMS + pf*pf*logp*2.5e-4
-	case "multilevel":
-		return (nf+mf)*logn*6e-5 + pf*pf*2e-4
-	case "hier":
-		// Dominated by the per-level capacity partitions with their
-		// low-coarsening top splits.
-		return (nf + mf) * logp * 6e-4
-	}
-	return 0
-}
-
 // defaultAutoBudgetMS derives the budget for jobs that do not set
 // auto_budget_ms: twice the job's full portfolio estimate (including the
 // hier candidate only on hierarchical topologies), clamped to
@@ -125,11 +74,10 @@ func autoEstMS(name string, n, m, p int) float64 {
 // raises the budget explicitly.
 func defaultAutoBudgetMS(n, m, p int, hier bool) int {
 	est := 0.0
-	for _, c := range autoCandidates {
-		est += autoEstMS(c.name, n, m, p)
-	}
-	if hier {
-		est += autoEstMS(hierCandidate.name, n, m, p)
+	for _, c := range portfolio {
+		if hier || !c.NeedsHierarchy {
+			est += c.EstMS(n, m, p)
+		}
 	}
 	b := int(2*est) + 1
 	if b < 50 {
@@ -148,12 +96,7 @@ func defaultAutoBudgetMS(n, m, p int, hier bool) int {
 func (j *job) computeAuto(res *JobResult) ([]int, error) {
 	n, m, p := j.graph.NumVertices(), j.graph.NumEdges(), j.mapTopo.Nodes()
 	budget := float64(j.spec.AutoBudgetMS)
-	cands := autoCandidates
-	if j.hier != nil {
-		cands = append(append([]autoCandidate(nil), autoCandidates...), hierCandidate)
-	}
-	report := &AutoReport{Winner: "", BudgetMS: j.spec.AutoBudgetMS,
-		Strategies: make([]AutoStrategy, len(cands))}
+	report := &AutoReport{BudgetMS: j.spec.AutoBudgetMS}
 
 	type outcome struct {
 		mapping  []int
@@ -165,25 +108,23 @@ func (j *job) computeAuto(res *JobResult) ([]int, error) {
 	bestIdx := -1
 	spent := 0.0
 	var portfolioNs int64
-	for i, c := range cands {
-		est := autoEstMS(c.name, n, m, p)
-		entry := AutoStrategy{Strategy: c.name, EstMS: est}
-		if i >= autoFloor && spent+est > budget {
+	for i, c := range portfolio {
+		if c.NeedsHierarchy && j.hier == nil {
+			continue
+		}
+		est := c.EstMS(n, m, p)
+		entry := AutoStrategy{Strategy: c.Name, EstMS: est}
+		if !c.AutoFloor && spent+est > budget {
 			entry.Skipped = true
-			report.Strategies[i] = entry
+			report.Strategies = append(report.Strategies, entry)
 			if j.stats != nil {
-				j.stats.autoSkips[i].Add(1)
+				j.stats.auto[i].skips.Add(1)
 			}
 			continue
 		}
 		spent += est
-		strat := c.strat(j.coords)
-		if hm, ok := strat.(core.HierMap); ok {
-			// The hier candidate partitions with the job seed, exactly as
-			// a direct strategy=hier job would.
-			hm.Seed = j.spec.Seed
-			strat = hm
-		}
+		// Built exactly as a direct job naming this strategy builds it.
+		strat := c.New(j.spec.Seed, j.coords)
 		//lint:ignore seededrand wall-clock here feeds only the /stats counters; admission and the response body depend solely on the deterministic cost model
 		start := time.Now()
 		var sub JobResult
@@ -192,18 +133,18 @@ func (j *job) computeAuto(res *JobResult) ([]int, error) {
 		elapsed := time.Since(start)
 		portfolioNs += int64(elapsed)
 		if j.stats != nil {
-			j.stats.autoRuns[i].Add(1)
-			j.stats.autoNs[i].Add(int64(elapsed))
+			j.stats.auto[i].runs.Add(1)
+			j.stats.auto[i].ns.Add(int64(elapsed))
 		}
 		if err != nil {
 			entry.Error = err.Error()
-			report.Strategies[i] = entry
+			report.Strategies = append(report.Strategies, entry)
 			continue
 		}
 		o := &outcome{mapping: mapping, edgeCut: sub.EdgeCut, imbal: sub.Imbalance,
 			hopBytes: core.HopBytes(j.graph, j.topo, mapping)}
 		entry.HopBytes = o.hopBytes
-		report.Strategies[i] = entry
+		report.Strategies = append(report.Strategies, entry)
 		// Strictly-lower hop-bytes wins; ties keep the earlier candidate.
 		if best == nil || o.hopBytes < best.hopBytes {
 			best, bestIdx = o, i
@@ -212,14 +153,14 @@ func (j *job) computeAuto(res *JobResult) ([]int, error) {
 	if best == nil {
 		return nil, badJob(422, "job: auto: every portfolio candidate failed")
 	}
-	report.Winner = cands[bestIdx].name
+	report.Winner = portfolio[bestIdx].Name
 	res.Strategy = "auto"
 	res.Auto = report
 	res.EdgeCut = best.edgeCut
 	res.Imbalance = best.imbal
 	if j.stats != nil {
 		j.stats.autoComputed.Add(1)
-		j.stats.autoWins[bestIdx].Add(1)
+		j.stats.auto[bestIdx].wins.Add(1)
 		// CAS-max: record the slowest portfolio this server has run, so
 		// operators can compare it against configured budgets.
 		for {

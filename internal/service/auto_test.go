@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -16,6 +17,60 @@ import (
 func autoJob() Job {
 	return Job{Graph: GraphSpec{Pattern: "stencil9:16,16", MsgBytes: 1e5, Seed: 1},
 		Topology: "torus:4,4", Strategy: "auto", Seed: 1}
+}
+
+// wirePortfolio and wireFloor are the portfolio as clients see it — the
+// order of auto.strategies and of the /stats auto counters, and how many
+// leading candidates run whatever the budget — recorded before the
+// portfolio was read off the strategy table. A table edit that moves them
+// moves response bodies.
+var wirePortfolio = []string{"sfc", "rcb-sfc", "topocentlb", "topolb", "multilevel", "hier"}
+
+const wireFloor = 2
+
+// TestAutoPortfolioPinned holds the table-derived portfolio to the wire:
+// names and order as /stats prints them, floor candidates first, a cost
+// model on every row, and est_ms to the bit at three job sizes (values of
+// the name switch the table replaced).
+func TestAutoPortfolioPinned(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	stats := srv.Snapshot().Auto.Strategies
+	if len(stats) != len(wirePortfolio) || len(portfolio) != len(wirePortfolio) {
+		t.Fatalf("/stats lists %d candidates, portfolio has %d, want %d", len(stats), len(portfolio), len(wirePortfolio))
+	}
+	sizes := [][3]int{{256, 480, 256}, {4096, 16128, 64}, {65536, 261120, 1024}}
+	wantBits := [][]uint64{
+		{0x3fb19538d2ea2532, 0x3fdff65b2e3623c4, 0x402a36e2eb1c432d, 0x40606540bcfb94d3, 0x402aebe49719abfe, 0x400c4842df9860b8},
+		{0x3ffb76e11c364051, 0x40223ebb5fdd6521, 0x4029ff6784f5082e, 0x403258b6ee564ebe, 0x402ec30649a5d417, 0x405244fb00b272fb},
+		{0x4041afe3458b4149, 0x4073e88c9e7c664d, 0x4080c3566cb2fe55, 0x40a70905b559ef3a, 0x40805a717112ee64, 0x409ea0d915c3c89d},
+	}
+	wantBudget := [][2]int{{317, 324}, {116, 262}, {8725, 10000}} // flat, hierarchical
+	for i, c := range portfolio {
+		if c.Name != wirePortfolio[i] || stats[i].Strategy != wirePortfolio[i] {
+			t.Errorf("candidate %d: portfolio %q, /stats %q, want %q", i, c.Name, stats[i].Strategy, wirePortfolio[i])
+		}
+		if c.AutoFloor != (i < wireFloor) {
+			t.Errorf("candidate %s: floor = %v at index %d, want the first %d on the floor", c.Name, c.AutoFloor, i, wireFloor)
+		}
+		if c.NeedsHierarchy != (c.Name == "hier") {
+			t.Errorf("candidate %s: needs hierarchy = %v", c.Name, c.NeedsHierarchy)
+		}
+		if c.EstMS == nil {
+			t.Errorf("candidate %s has no cost model", c.Name)
+			continue
+		}
+		for k, sz := range sizes {
+			if got := math.Float64bits(c.EstMS(sz[0], sz[1], sz[2])); got != wantBits[k][i] {
+				t.Errorf("est_ms(%s, %v) = %#x, want %#x", c.Name, sz, got, wantBits[k][i])
+			}
+		}
+	}
+	for k, sz := range sizes {
+		if flat, hier := defaultAutoBudgetMS(sz[0], sz[1], sz[2], false), defaultAutoBudgetMS(sz[0], sz[1], sz[2], true); flat != wantBudget[k][0] || hier != wantBudget[k][1] {
+			t.Errorf("default budget at %v = %d flat, %d hierarchical, want %v", sz, flat, hier, wantBudget[k])
+		}
+	}
 }
 
 func TestAutoValidation(t *testing.T) {
@@ -59,14 +114,15 @@ func TestAutoWinnerIsBestHopBytes(t *testing.T) {
 	if rep.BudgetMS <= 0 {
 		t.Errorf("budget_ms = %d, want resolved default > 0", rep.BudgetMS)
 	}
-	if len(rep.Strategies) != len(autoCandidates) {
-		t.Fatalf("%d strategy entries, want %d", len(rep.Strategies), len(autoCandidates))
+	flat := wirePortfolio[:len(wirePortfolio)-1] // hier sits out a flat machine
+	if len(rep.Strategies) != len(flat) {
+		t.Fatalf("%d strategy entries, want %d", len(rep.Strategies), len(flat))
 	}
 	best := ""
 	bestHB := 0.0
 	for i, e := range rep.Strategies {
-		if e.Strategy != autoCandidates[i].name {
-			t.Errorf("entry %d is %q, want %q (portfolio order)", i, e.Strategy, autoCandidates[i].name)
+		if e.Strategy != flat[i] {
+			t.Errorf("entry %d is %q, want %q (portfolio order)", i, e.Strategy, flat[i])
 		}
 		if e.Skipped || e.Error != "" {
 			t.Errorf("entry %s: skipped=%v err=%q; the default budget must admit the full portfolio on this job", e.Strategy, e.Skipped, e.Error)
@@ -136,10 +192,10 @@ func TestAutoBudgetGating(t *testing.T) {
 		t.Errorf("budget_ms = %d, want the explicit 1", res.Auto.BudgetMS)
 	}
 	for i, e := range res.Auto.Strategies {
-		if i < autoFloor && e.Skipped {
+		if i < wireFloor && e.Skipped {
 			t.Errorf("floor candidate %s skipped; the floor must always run", e.Strategy)
 		}
-		if i >= autoFloor && !e.Skipped {
+		if i >= wireFloor && !e.Skipped {
 			t.Errorf("candidate %s ran under a 1ms budget (est %v ms)", e.Strategy, e.EstMS)
 		}
 	}
@@ -151,7 +207,7 @@ func TestAutoBudgetGating(t *testing.T) {
 	for _, e := range st.Auto.Strategies {
 		skips += e.BudgetSkips
 	}
-	if want := int64(len(autoCandidates) - autoFloor); skips != want {
+	if want := int64(len(res.Auto.Strategies) - wireFloor); skips != want {
 		t.Errorf("budget skips = %d, want %d", skips, want)
 	}
 }

@@ -130,6 +130,15 @@ func TestErrorTaxonomyAcrossEndpoints(t *testing.T) {
 			`job: cliutil: unknown pattern "klein:4,4"`, true},
 		{"bad topology dimension", `{"topology":"torus:0,4","graph":{"pattern":"mesh2d:4,4"}}`, 400,
 			"job: topology: shape dimensions must all be >= 1", true},
+		// Refused on their numbers, before a neighbour list is laid out.
+		{"hypercube over the processor cap", `{"topology":"hypercube:30","graph":{"pattern":"mesh2d:4,4"}}`, 400,
+			"job: topology: hypercube dimension 30 out of range [0,22]", true},
+		{"torus over the processor cap", `{"topology":"torus:32768,32768","graph":{"pattern":"mesh2d:4,4"}}`, 400,
+			"job: topology: shape (32768,32768) too large (> 4194304 nodes)", true},
+		{"fat-tree over the processor cap", `{"topology":"fattree:64,4","graph":{"pattern":"mesh2d:4,4"}}`, 400,
+			"job: topology: fat-tree too large (> 4194304 leaves)", true},
+		{"hierarchy over the processor cap", `{"topology":"hier:pod:4096/rack:4096","graph":{"pattern":"mesh2d:4,4"}}`, 400,
+			"job: hiertopo: hierarchy exceeds 4194304 processors", true},
 		{"malformed hier spec", `{"topology":"hier:pod","graph":{"pattern":"mesh2d:4,4"}}`, 400,
 			`job: hiertopo: level segment "pod" needs name:count`, true},
 		{"structural leaf out of range", `{"graph":{"pattern":"mesh2d:4,4"},"hierarchy":{"levels":[{"name":"pod","count":2}],"leaf":"torus-0x4"}}`, 400,

@@ -60,11 +60,13 @@ func volume(spec string) int {
 	return v
 }
 
-// fuzzTooBig reports whether building spec's operands could cost more
-// than a fuzz iteration may: the task limit is checked only after the
-// pattern is generated, and machine constructors lay out their neighbor
-// lists before anyone compares the machine with the job. Hypercubes and
-// fat-trees are exponential in their numbers, so those are kept tiny.
+// fuzzTooBig reports whether building spec's operands would take longer
+// than a fuzz iteration may. Memory is not its business: patterns and
+// machines above 2^22 are refused on their numbers, before anything is
+// laid out. Below that a machine still costs time in proportion to its
+// size — hypercube:22 lays out for seconds, and the fuzzing engine kills a
+// worker that sits on one input that long — and the numbers of a
+// hypercube or fat-tree are exponents, so those are kept tiny.
 func fuzzTooBig(spec *Job) bool {
 	machine := strings.ToLower(spec.Topology)
 	if spec.Hierarchy != nil {

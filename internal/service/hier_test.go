@@ -313,10 +313,10 @@ func TestAutoAdmitsHier(t *testing.T) {
 	if res.Auto == nil {
 		t.Fatal("auto report missing")
 	}
-	if n := len(res.Auto.Strategies); n != numAutoCandidates {
-		t.Fatalf("auto portfolio has %d candidates on a hierarchy, want %d", n, numAutoCandidates)
+	if n := len(res.Auto.Strategies); n != len(wirePortfolio) {
+		t.Fatalf("auto portfolio has %d candidates on a hierarchy, want %d", n, len(wirePortfolio))
 	}
-	last := res.Auto.Strategies[numAutoCandidates-1]
+	last := res.Auto.Strategies[len(wirePortfolio)-1]
 	if last.Strategy != "hier" {
 		t.Fatalf("last candidate = %s, want hier", last.Strategy)
 	}
@@ -340,7 +340,7 @@ func TestAutoAdmitsHier(t *testing.T) {
 	if res.Auto == nil || res.Auto.Winner != "hier" {
 		t.Fatalf("packed auto winner = %+v, want hier", res.Auto)
 	}
-	for _, e := range res.Auto.Strategies[:numAutoCandidates-1] {
+	for _, e := range res.Auto.Strategies[:len(wirePortfolio)-1] {
 		if !e.Skipped && e.Error == "" {
 			t.Errorf("flat candidate %s served a packed job", e.Strategy)
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -176,9 +177,11 @@ type SimResult struct {
 // upper half from the request text alone — enough to look the result up;
 // build fills the operands, and runs only when the lookup misses.
 type job struct {
-	spec  Job           // normalized: defaults applied, canonical spellings
-	key   string        // content key of the response body
-	strat core.Strategy // nil for auto jobs (the portfolio picks per run)
+	spec Job    // normalized: defaults applied, canonical spellings
+	key  string // content key of the response body
+	// row is the strategy table's row for spec.Strategy; unset for auto
+	// jobs (the portfolio picks per run).
+	row cliutil.StrategyRow
 	// auto marks a portfolio job: compute runs every admitted candidate
 	// and returns the best mapping by hop-bytes.
 	auto bool
@@ -211,6 +214,9 @@ type job struct {
 	// coords are the pattern's task positions for the geometric strategies
 	// (nil for inline graphs and geometry-free patterns).
 	coords [][]float64
+	// strat is row's strategy built with the job's seed and coords, under
+	// RefineTopoLB when the job asks for refinement; nil for auto jobs.
+	strat core.Strategy
 	// stats is the owning server's counter block, set by the worker before
 	// compute; nil when compute is driven directly (tests).
 	stats *serverStats
@@ -337,9 +343,6 @@ func name(spec Job, maxTasks int) (*job, error) {
 		}
 		spec.Sim = &sim
 	}
-	if spec.Strategy == "hier" && !isHier {
-		return nil, badJob(400, "job: strategy hier requires a hierarchical topology (hier:SPEC or the hierarchy field)")
-	}
 	var err error
 	if len(spec.Constraints) > 0 {
 		spec.Constraints, err = normalizeConstraints(spec.Constraints, hiertopo.LevelNames(hierSpec))
@@ -348,12 +351,12 @@ func name(spec Job, maxTasks int) (*job, error) {
 		}
 	}
 	if !j.auto {
-		j.strat, err = cliutil.ParseStrategy(spec.Strategy, spec.Seed)
+		j.row, err = cliutil.FindStrategy(spec.Strategy)
 		if err != nil {
 			return nil, badJob(400, "job: %v", err)
 		}
-		if spec.Refine {
-			j.strat = core.RefineTopoLB{Base: j.strat}
+		if j.row.NeedsHierarchy && !isHier {
+			return nil, badJob(400, "job: strategy %s requires a hierarchical topology (hier:SPEC or the hierarchy field)", spec.Strategy)
 		}
 	}
 	var graphBytes []byte
@@ -443,8 +446,11 @@ func (j *job) build() error {
 	if spec.Graph.Pattern != "" {
 		j.coords = cliutil.PatternCoords(spec.Graph.Pattern, spec.Graph.Seed)
 	}
-	if j.strat != nil {
-		j.strat = cliutil.WithCoords(j.strat, j.coords)
+	if !j.auto {
+		j.strat = j.row.New(spec.Seed, j.coords)
+		if spec.Refine {
+			j.strat = core.RefineTopoLB{Base: j.strat}
+		}
 	}
 	j.built = true
 	return nil
@@ -681,8 +687,8 @@ func (j *job) runStrategy(strat core.Strategy, res *JobResult) ([]int, error) {
 		// Placer can leave processors idle.
 		placer, ok := strat.(core.Placer)
 		if !ok {
-			return nil, badJob(422, "job: %s cannot pack %d tasks onto %d processors; use strategy \"hier\" (or \"auto\")",
-				strat.Name(), j.graph.NumVertices(), j.mapTopo.Nodes())
+			return nil, badJob(422, "job: %s cannot pack %d tasks onto %d processors; use strategy %s (or \"auto\")",
+				strat.Name(), j.graph.NumVertices(), j.mapTopo.Nodes(), packingStrategies())
 		}
 		m, err := placer.Place(j.graph, j.mapTopo)
 		if err != nil {
@@ -695,6 +701,18 @@ func (j *job) runStrategy(strat core.Strategy, res *JobResult) ([]int, error) {
 		return nil, badJob(422, "job: %s: %v", strat.Name(), err)
 	}
 	return m, nil
+}
+
+// packingStrategies quotes the names a packed job can be sent to instead:
+// packing happens only inside a hierarchy, so the rows written for one.
+func packingStrategies() string {
+	var names []string
+	for _, r := range cliutil.StrategyTable() {
+		if r.NeedsHierarchy {
+			names = append(names, strconv.Quote(r.Name))
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 // encodeBuffers pools the scratch buffers result encoding marshals into,

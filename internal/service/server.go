@@ -170,15 +170,11 @@ type serverStats struct {
 	writeFailures  atomic.Int64
 	jobsRunning    atomic.Int64 // gauge: claimed, not yet finished
 
-	// Auto portfolio counters (see auto.go), indexed by candidate
-	// position in autoCandidates. Fixed-size arrays keep the hot path
-	// allocation-free and the /stats order deterministic.
+	// Auto portfolio counters (see auto.go); auto has one entry per
+	// portfolio index, allocated by NewServer, in /stats order.
 	autoComputed       atomic.Int64
 	autoMaxPortfolioNs atomic.Int64
-	autoRuns           [numAutoCandidates]atomic.Int64
-	autoWins           [numAutoCandidates]atomic.Int64
-	autoSkips          [numAutoCandidates]atomic.Int64
-	autoNs             [numAutoCandidates]atomic.Int64
+	auto               []autoCounters
 
 	// Session counters (see session.go).
 	sessionsCreated  atomic.Int64
@@ -192,6 +188,11 @@ type serverStats struct {
 	watchersActive   atomic.Int64 // gauge: watch long-polls parked right now
 }
 
+// autoCounters are one portfolio candidate's /stats counters.
+type autoCounters struct {
+	runs, wins, skips, ns atomic.Int64
+}
+
 // NewServer builds a running server (workers started) with cfg defaults
 // applied.
 func NewServer(cfg Config) *Server {
@@ -203,6 +204,7 @@ func NewServer(cfg Config) *Server {
 		shards: make([]chan *flight, cfg.Shards),
 		admit:  make(chan struct{}, cfg.QueueDepth),
 	}
+	s.stats.auto = make([]autoCounters, len(portfolio))
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.async.init(cfg.MaxAsync)
 	s.sessions.init(cfg.MaxSessions)
@@ -517,15 +519,14 @@ func (s *Server) Snapshot() Stats {
 	st.ResultCache.Bytes = bytes
 	st.Auto.JobsComputed = s.stats.autoComputed.Load()
 	st.Auto.MaxPortfolioNs = s.stats.autoMaxPortfolioNs.Load()
-	allCands := append(append([]autoCandidate(nil), autoCandidates...), hierCandidate)
-	st.Auto.Strategies = make([]AutoStratStats, len(allCands))
-	for i, c := range allCands {
+	st.Auto.Strategies = make([]AutoStratStats, len(portfolio))
+	for i, c := range portfolio {
 		st.Auto.Strategies[i] = AutoStratStats{
-			Strategy:    c.name,
-			Runs:        s.stats.autoRuns[i].Load(),
-			Wins:        s.stats.autoWins[i].Load(),
-			BudgetSkips: s.stats.autoSkips[i].Load(),
-			TotalNs:     s.stats.autoNs[i].Load(),
+			Strategy:    c.Name,
+			Runs:        s.stats.auto[i].runs.Load(),
+			Wins:        s.stats.auto[i].wins.Load(),
+			BudgetSkips: s.stats.auto[i].skips.Load(),
+			TotalNs:     s.stats.auto[i].ns.Load(),
 		}
 	}
 	st.Sessions.Active = s.sessions.active()

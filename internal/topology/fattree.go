@@ -25,7 +25,7 @@ type FatTree struct {
 var _ Topology = (*FatTree)(nil)
 
 // NewFatTree constructs a fat-tree with the given switch arity and number
-// of levels (1..10, arity 2..64; k^levels must stay under 2^30).
+// of levels (1..10, arity 2..64; k^levels must stay within MaxNodes).
 func NewFatTree(arity, levels int) (*FatTree, error) {
 	if arity < 2 || arity > 64 {
 		return nil, fmt.Errorf("topology: fat-tree arity %d out of range [2,64]", arity)
@@ -36,8 +36,8 @@ func NewFatTree(arity, levels int) (*FatTree, error) {
 	n := 1
 	for i := 0; i < levels; i++ {
 		n *= arity
-		if n > 1<<30 {
-			return nil, fmt.Errorf("topology: fat-tree too large (> 2^30 leaves)")
+		if n > MaxNodes {
+			return nil, fmt.Errorf("topology: fat-tree too large (> %d leaves)", MaxNodes)
 		}
 	}
 	f := &FatTree{arity: arity, levels: levels, n: n,

@@ -33,8 +33,8 @@ var _ Router = (*Graph)(nil)
 // NewGraph builds a graph on n nodes from undirected edges. Self-loops and
 // duplicate edges are rejected; endpoints must be in [0, n).
 func NewGraph(n int, edges [][2]int) (*Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("topology: graph must have at least 1 node, got %d", n)
+	if n < 1 || n > MaxNodes {
+		return nil, fmt.Errorf("topology: graph must have 1..%d nodes, got %d", MaxNodes, n)
 	}
 	g := &Graph{n: n, id: nextGraphID.Add(1), adj: make([][]int, n), name: fmt.Sprintf("graph(n=%d,m=%d)", n, len(edges))}
 	seen := make(map[[2]int]bool, len(edges))

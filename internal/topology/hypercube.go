@@ -18,10 +18,11 @@ type Hypercube struct {
 
 var _ Router = (*Hypercube)(nil)
 
-// NewHypercube constructs a hypercube of the given dimension (0..30).
+// NewHypercube constructs a hypercube of the given dimension, 0 up to the
+// one with MaxNodes nodes.
 func NewHypercube(dim int) (*Hypercube, error) {
-	if dim < 0 || dim > 30 {
-		return nil, fmt.Errorf("topology: hypercube dimension %d out of range [0,30]", dim)
+	if dim < 0 || dim >= bits.Len(MaxNodes) {
+		return nil, fmt.Errorf("topology: hypercube dimension %d out of range [0,%d]", dim, bits.Len(MaxNodes)-1)
 	}
 	h := &Hypercube{dim: dim, n: 1 << dim, name: fmt.Sprintf("hypercube(%d)", dim)}
 	h.nbrs = make([][]int, h.n)

@@ -65,8 +65,14 @@ func checkNode(rank, n int) {
 	}
 }
 
+// MaxNodes caps the processor count of every machine this package (and
+// internal/hiertopo on top of it) constructs. Constructors lay out a
+// neighbour list per processor, so they compare the count a spec asks for
+// with MaxNodes before they allocate anything.
+const MaxNodes = 1 << 22
+
 // volume returns the product of dims, or an error if any extent is < 1 or
-// the product overflows a reasonable machine size.
+// the product exceeds MaxNodes.
 func volume(dims []int) (int, error) {
 	if len(dims) == 0 {
 		return 0, ErrBadShape
@@ -76,10 +82,10 @@ func volume(dims []int) (int, error) {
 		if d < 1 {
 			return 0, ErrBadShape
 		}
-		v *= d
-		if v > 1<<30 {
-			return 0, fmt.Errorf("topology: shape too large (> 2^30 nodes)")
+		if d > MaxNodes/v {
+			return 0, fmt.Errorf("topology: shape %s too large (> %d nodes)", dimsString(dims), MaxNodes)
 		}
+		v *= d
 	}
 	return v, nil
 }

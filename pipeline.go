@@ -1,8 +1,6 @@
 package topomap
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/topology"
@@ -29,119 +27,14 @@ func Quotient(g *TaskGraph, r *Partition) (*TaskGraph, error) {
 
 // PipelineResult reports the two-phase mapping of a task graph with more
 // tasks than processors.
-type PipelineResult struct {
-	// Placement assigns every original task to a processor.
-	Placement []int
-	// Groups is the phase-one partition.
-	Groups *Partition
-	// QuotientGraph is the coalesced group-level graph.
-	QuotientGraph *TaskGraph
-	// GroupMapping is the phase-two mapping of groups onto processors.
-	GroupMapping Mapping
-	// HopsPerByte is measured on the quotient graph, as the paper reports.
-	HopsPerByte float64
-	// EdgeCut is the phase-one inter-group communication volume.
-	EdgeCut float64
-	// Imbalance is max processor load over average.
-	Imbalance float64
-}
+type PipelineResult = core.PipelineResult
 
 // MapTasks runs the paper's full two-phase pipeline: partition g into one
 // group per processor of t (topology-obliviously, balancing load), build
 // the quotient graph, and map it with strat. A nil part defaults to the
 // multilevel partitioner; a nil strat defaults to TopoLB with refinement.
 func MapTasks(g *TaskGraph, t topology.Topology, part Partitioner, strat Strategy) (*PipelineResult, error) {
-	if g.NumVertices() < t.Nodes() {
-		return nil, fmt.Errorf("topomap: %d tasks cannot fill %d processors", g.NumVertices(), t.Nodes())
-	}
-	if part == nil {
-		part = partition.Multilevel{}
-	}
-	if strat == nil {
-		strat = core.RefineTopoLB{Base: core.TopoLB{}}
-	}
-	if pl, ok := strat.(core.Placer); ok && g.NumVertices() > t.Nodes() {
-		return placeTasks(g, t, pl)
-	}
-	pr, err := part.Partition(g, t.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	q, err := partition.Quotient(g, pr)
-	if err != nil {
-		return nil, err
-	}
-	m, err := strat.Map(q, t)
-	if err != nil {
-		return nil, err
-	}
-	res := &PipelineResult{
-		Groups:        pr,
-		QuotientGraph: q,
-		GroupMapping:  m,
-		HopsPerByte:   core.HopsPerByte(q, t, m),
-		EdgeCut:       pr.EdgeCut(g),
-	}
-	res.Placement = make([]int, g.NumVertices())
-	loads := make([]float64, t.Nodes())
-	for v, grp := range pr.Assign {
-		res.Placement[v] = m[grp]
-		loads[m[grp]] += g.VertexWeight(v)
-	}
-	maxLoad, total := 0.0, 0.0
-	for _, l := range loads {
-		total += l
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	if total > 0 {
-		res.Imbalance = maxLoad / (total / float64(t.Nodes()))
-	}
-	return res, nil
-}
-
-// placeTasks runs a direct Placer strategy (hierarchical multilevel
-// mapping): the strategy assigns every task to a processor in one shot,
-// and the induced processor groups are reported through the same
-// PipelineResult shape so results stay comparable with the two-phase
-// pipeline. GroupMapping is the identity — group q is, by construction,
-// the set of tasks on processor q.
-func placeTasks(g *TaskGraph, t topology.Topology, pl core.Placer) (*PipelineResult, error) {
-	p := t.Nodes()
-	placement, err := pl.Place(g, t)
-	if err != nil {
-		return nil, err
-	}
-	pr := &Partition{Assign: placement, K: p}
-	q, err := partition.Quotient(g, pr)
-	if err != nil {
-		return nil, err
-	}
-	ident := make(Mapping, p)
-	for i := range ident {
-		ident[i] = i
-	}
-	res := &PipelineResult{
-		Placement:     placement,
-		Groups:        pr,
-		QuotientGraph: q,
-		GroupMapping:  ident,
-		HopsPerByte:   core.HopsPerByte(q, t, ident),
-		EdgeCut:       pr.EdgeCut(g),
-	}
-	loads := pr.GroupLoads(g)
-	maxLoad, total := 0.0, 0.0
-	for _, l := range loads {
-		total += l
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	if total > 0 {
-		res.Imbalance = maxLoad / (total / float64(p))
-	}
-	return res, nil
+	return core.MapTasks(g, t, part, strat)
 }
 
 // RCBPartitioner is recursive coordinate bisection for spatially
