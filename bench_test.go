@@ -1,21 +1,24 @@
 package topomap_test
 
 // One benchmark per table and figure of the paper's evaluation, plus the
-// ablation studies from DESIGN.md and microbenchmarks of the mapping
-// strategies themselves. Each experiment benchmark regenerates the
-// corresponding table (quick configuration) and logs it; run
+// ablation studies from DESIGN.md. Each experiment benchmark regenerates
+// the corresponding table (quick configuration) and logs it; run
 //
 //	go test -bench=. -benchmem
 //
 // to reproduce every result, or `go run ./cmd/experiments` for the
-// full-size sweeps.
+// full-size sweeps. The kernel-level micro-benchmarks are the rows of
+// internal/benchtab (what cmd/benchjson records); BenchmarkMicro drives
+// every one of them, so each can be run and profiled by name:
+//
+//	go test -run '^$' -bench 'Micro/netsim/Hotspot' -benchmem -cpuprofile cpu.prof .
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	topomap "repro"
+	"repro/internal/benchtab"
 	"repro/internal/core"
 	"repro/internal/emulator"
 	"repro/internal/experiments"
@@ -164,102 +167,14 @@ func BenchmarkAblationRefine(b *testing.B)     { benchExperiment(b, "ablation-re
 func BenchmarkAblationDistance(b *testing.B)   { benchExperiment(b, "ablation-distance", nil) }
 func BenchmarkAblationPartition(b *testing.B)  { benchExperiment(b, "ablation-partition", nil) }
 
-// Microbenchmarks: strategy cost as the machine grows (the paper's §4.4
-// complexity discussion — TopoLB ~O(p²) with constant-degree graphs,
-// TopoCentLB O(p·|Et|)).
-
-func benchStrategy(b *testing.B, s core.Strategy, p int) {
-	rx := 1
-	for rx*rx < p {
-		rx++
-	}
-	benchStrategyOn(b, s, taskgraph.Mesh2D(rx, p/rx, 1e5), topology.MustTorus(rx, p/rx))
-}
-
-func benchStrategyOn(b *testing.B, s core.Strategy, g *taskgraph.Graph, to topology.Topology) {
-	// Warm up once so the lazily built distance-matrix cache (when
-	// enabled) is charged to setup, not to the steady state under test.
-	if _, err := s.Map(g, to); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Map(g, to); err != nil {
-			b.Fatal(err)
+// BenchmarkMicro runs every row of the benchjson table, reference sides
+// included, as sub-benchmarks named suite/row[/reference].
+func BenchmarkMicro(b *testing.B) {
+	for _, row := range benchtab.Rows() {
+		b.Run(row.Suite+"/"+row.Name, row.Run)
+		if row.Ref != nil {
+			b.Run(row.Suite+"/"+row.Name+"/"+row.RefName, row.Ref)
 		}
-	}
-}
-
-// benchNoMatrix runs fn with distance-matrix materialization disabled,
-// measuring the virtual-Distance baseline the cache replaces.
-func benchNoMatrix(b *testing.B, fn func(b *testing.B)) {
-	prev := topology.SetDistanceMatrixCap(0)
-	defer topology.SetDistanceMatrixCap(prev)
-	fn(b)
-}
-
-func BenchmarkTopoLBMap(b *testing.B) {
-	for _, p := range []int{64, 256, 512, 1024} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) { benchStrategy(b, core.TopoLB{}, p) })
-	}
-}
-
-// BenchmarkTopoLBMapNoMatrix is BenchmarkTopoLBMap with the distance
-// matrix disabled: every hot-loop distance goes through the Topology
-// interface, as before the cache existed. The ratio to BenchmarkTopoLBMap
-// is the matrix's contribution; run both with -cpu=1,4 to separate it
-// from the fork-join contribution.
-func BenchmarkTopoLBMapNoMatrix(b *testing.B) {
-	benchNoMatrix(b, func(b *testing.B) {
-		for _, p := range []int{64, 256, 512, 1024} {
-			b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) { benchStrategy(b, core.TopoLB{}, p) })
-		}
-	})
-}
-
-func BenchmarkTopoLBFirstOrderMap(b *testing.B) {
-	for _, p := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchStrategy(b, core.TopoLB{Order: core.OrderFirst}, p)
-		})
-	}
-}
-
-func BenchmarkTopoLBThirdOrderMap(b *testing.B) {
-	for _, p := range []int{64, 256} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchStrategy(b, core.TopoLB{Order: core.OrderThird}, p)
-		})
-	}
-}
-
-func BenchmarkTopoLBThirdOrderMapNoMatrix(b *testing.B) {
-	benchNoMatrix(b, func(b *testing.B) {
-		for _, p := range []int{64, 256} {
-			b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-				benchStrategy(b, core.TopoLB{Order: core.OrderThird}, p)
-			})
-		}
-	})
-}
-
-func BenchmarkTopoCentLBMap(b *testing.B) {
-	for _, p := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) { benchStrategy(b, core.TopoCentLB{}, p) })
-	}
-}
-
-func BenchmarkHopBytes(b *testing.B) {
-	g := taskgraph.Mesh2D(32, 32, 1e5)
-	to := topology.MustTorus(32, 32)
-	m, err := (core.Random{Seed: 1}).Map(g, to)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.HopBytes(g, to, m)
 	}
 }
 
@@ -284,24 +199,7 @@ func BenchmarkTwoPhasePipeline(b *testing.B) {
 	}
 }
 
-func benchRefinePass(b *testing.B) {
-	g := taskgraph.Mesh2D(16, 16, 1e5)
-	to := topology.MustTorus(16, 16)
-	m0, err := (core.Random{Seed: 1}).Map(g, to)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := m0.Clone()
-		core.Refine(g, to, m, 1)
-	}
-}
-
-func BenchmarkRefinePass(b *testing.B) { benchRefinePass(b) }
-
-// TestRefinePassAllocs is BenchmarkRefinePass's allocation gate, which CI
+// TestRefinePassAllocs is the mapping/Refine row's allocation gate, which CI
 // runs at GOMAXPROCS 2: one sweep allocates its copy of the mapping and
 // its occupant table, nothing per candidate list. A fork put back into
 // sweepCandidates costs a closure and goroutines per list — thousands per
@@ -319,10 +217,6 @@ func TestRefinePassAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkRefinePassNoMatrix(b *testing.B) {
-	benchNoMatrix(b, benchRefinePass)
-}
-
 // Extras benchmarks: the studies beyond the paper (related-work mappers,
 // hierarchical hybrid, adaptive routing, flow control, modern machines).
 
@@ -336,122 +230,13 @@ func BenchmarkExtrasBuffered(b *testing.B)   { benchExperiment(b, "extras-buffer
 // BenchmarkAnnealingMap measures the physical-optimization comparator's
 // cost (the paper's argument against it for online load balancing).
 func BenchmarkAnnealingMap(b *testing.B) {
-	benchStrategy(b, topomap.Annealing{Seed: 1}, 64)
+	benchtab.MapBench(topomap.Annealing{Seed: 1}, 8, 8)(b)
 }
 
 // BenchmarkHybridMap measures the hierarchical mapper at p=1024 (flat
-// TopoLB at this size appears under BenchmarkTopoLBMap).
+// TopoLB at this size is BenchmarkMicro/mapping/TopoLB/p=1024).
 func BenchmarkHybridMap(b *testing.B) {
-	benchStrategy(b, topomap.Hybrid{Block: []int{4, 4}, Seed: 1}, 1024)
-}
-
-// BenchmarkNetsimEvents measures raw simulator throughput: messages
-// drained per second through a contended torus.
-func BenchmarkNetsimEvents(b *testing.B) {
-	to := topology.MustTorus(8, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := &netsim.Engine{}
-		net, err := netsim.NewNetwork(eng, netsim.Config{
-			Topology: to, LinkBandwidth: 1e8, LinkLatency: 1e-7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for a := 0; a < 64; a++ {
-			for d := 1; d <= 4; d++ {
-				net.Send(a, (a+d*7)%64, 4096, nil)
-			}
-		}
-		eng.Run()
-	}
-}
-
-// BenchmarkNetsimHotspotDense measures the packet-dense steady state the
-// rewrite targets: 8K packets in flight on an 8x8 torus, engine and pools
-// reused across runs (zero-alloc once warm).
-func BenchmarkNetsimHotspotDense(b *testing.B) {
-	eng := &netsim.Engine{}
-	net, err := netsim.NewNetwork(eng, netsim.Config{
-		Topology: topology.MustTorus(8, 8), LinkBandwidth: 1e8,
-		LinkLatency: 1e-7, PacketSize: 256,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() {
-		eng.Reset()
-		for a := 0; a < 64; a++ {
-			for d := 1; d <= 8; d++ {
-				net.Send(a, (a+d*7)%64, 4096, nil)
-			}
-		}
-		eng.Run()
-	}
-	run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
-
-// BenchmarkNetsimBuffered measures credit-based flow control with the
-// intrusive wait queues under hotspot load.
-func BenchmarkNetsimBuffered(b *testing.B) {
-	eng := &netsim.Engine{}
-	net, err := netsim.NewNetwork(eng, netsim.Config{
-		Topology: topology.MustTorus(8, 8), LinkBandwidth: 1e8,
-		LinkLatency: 1e-7, PacketSize: 256, BufferPackets: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() {
-		eng.Reset()
-		for a := 0; a < 64; a++ {
-			for d := 1; d <= 8; d++ {
-				net.Send(a, (a+d*7)%64, 4096, nil)
-			}
-		}
-		eng.Run()
-	}
-	run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
-
-// BenchmarkNetsimWormhole measures the flit-level wormhole mode under
-// hotspot load: one event per flit per hop, worm records pooled, engine
-// reused across runs (zero-alloc once warm).
-func BenchmarkNetsimWormhole(b *testing.B) {
-	eng := &netsim.Engine{}
-	net, err := netsim.NewNetwork(eng, netsim.Config{
-		Topology: topology.MustTorus(8, 8), LinkBandwidth: 1e8,
-		LinkLatency: 1e-7, PacketSize: 1024,
-		Mode: netsim.ModeWormhole, FlitSize: 64,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() {
-		eng.Reset()
-		for a := 0; a < 64; a++ {
-			for d := 1; d <= 8; d++ {
-				net.Send(a, (a+d*7)%64, 4096, nil)
-			}
-		}
-		eng.Run()
-	}
-	run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
+	benchtab.MapBench(topomap.Hybrid{Block: []int{4, 4}, Seed: 1}, 32, 32)(b)
 }
 
 // BenchmarkNetsimSweep measures the parallel experiment sweep runner over

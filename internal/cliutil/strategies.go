@@ -87,10 +87,11 @@ func bindHybrid(arg string) (func(int64, [][]float64) core.Strategy, error) {
 	return func(seed int64, _ [][]float64) core.Strategy { return hybrid.Hybrid{Block: block, Seed: seed} }, nil
 }
 
-// The portfolio cost models. Constants are calibrated against
-// cmd/benchjson -suite geometric (and -suite hier for hier) on the
-// reference container and err on the high side, so budget overruns stay
-// bounded by model error rather than unbounded.
+// The portfolio cost models. Constants were calibrated against per-strategy
+// placement times on the reference container (today: topobench lib-scale's
+// core.*_ms layers and the geometric and hier rows of internal/benchtab)
+// and err on the high side, so budget overruns stay bounded by model error
+// rather than unbounded.
 
 func log2p1(x int) float64 { return math.Log2(float64(x) + 1) }
 

@@ -3,8 +3,8 @@
 // and message state. It is kept verbatim (modulo the package name) as the
 // reference oracle for the rebuilt zero-alloc netsim core — the
 // cross-check tests in netsim assert that the typed-event engine
-// reproduces this implementation's Stats() bit for bit, and cmd/benchjson
-// benchmarks it as the "baseline" mode of the netsim suite.
+// reproduces this implementation's Stats() bit for bit, and the netsim
+// rows of internal/benchtab measure it as their "legacy" reference side.
 //
 // Do not modify this package except to track intentional semantic changes
 // of the simulation model itself; any such change must be mirrored in

@@ -421,38 +421,43 @@ func TestEngineRejectsNaN(t *testing.T) {
 
 // TestZeroAllocSteadyState pins the pooling contract: once pools, route
 // buffers, and queue storage are warm, a full packet-dense simulation
-// run performs zero heap allocations inside the simulator. The network
-// outlives every Reset, so this is also the re-registration path.
+// run performs zero heap allocations inside the simulator, with unbounded
+// links and with credit-based flow control (BufferPackets 4: the wait
+// queues and credit returns). The network outlives every Reset, so this
+// is also the re-registration path.
 func TestZeroAllocSteadyState(t *testing.T) {
-	eng := &Engine{}
-	net, err := NewNetwork(eng, Config{
-		Topology:      topology.MustTorus(8, 8),
-		LinkBandwidth: 1e8,
-		LinkLatency:   1e-7,
-		PacketSize:    256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() {
-		eng.Reset()
-		for a := 0; a < 64; a++ {
-			for d := 1; d <= 8; d++ {
-				net.Send(a, (a+d*7)%64, 4096, nil)
-			}
+	for _, buffered := range []int{0, 4} {
+		eng := &Engine{}
+		net, err := NewNetwork(eng, Config{
+			Topology:      topology.MustTorus(8, 8),
+			LinkBandwidth: 1e8,
+			LinkLatency:   1e-7,
+			PacketSize:    256,
+			BufferPackets: buffered,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		eng.Run()
-	}
-	// Warm twice: the first run grows pools and queue storage, and the
-	// second settles route buffers onto the slots the free-list reuse
-	// order assigns them in steady state.
-	run()
-	run()
-	if avg := testing.AllocsPerRun(20, run); avg > 0.5 {
-		t.Errorf("steady-state simulation allocates %.1f times per run, want 0", avg)
-	}
-	if len(eng.nets) != 1 || eng.nets[0] != net {
-		t.Errorf("engine holds %d networks after reuse across Reset, want the one", len(eng.nets))
+		run := func() {
+			eng.Reset()
+			for a := 0; a < 64; a++ {
+				for d := 1; d <= 8; d++ {
+					net.Send(a, (a+d*7)%64, 4096, nil)
+				}
+			}
+			eng.Run()
+		}
+		// Warm twice: the first run grows pools and queue storage, and the
+		// second settles route buffers onto the slots the free-list reuse
+		// order assigns them in steady state.
+		run()
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg > 0.5 {
+			t.Errorf("BufferPackets %d: steady-state simulation allocates %.1f times per run, want 0", buffered, avg)
+		}
+		if len(eng.nets) != 1 || eng.nets[0] != net {
+			t.Errorf("BufferPackets %d: engine holds %d networks after reuse across Reset, want the one", buffered, len(eng.nets))
+		}
 	}
 }
 

@@ -11,7 +11,7 @@
 // traffic, no global state — so they are trivially deterministic and
 // safe to call from parallel kernels. The zero-alloc contract is pinned
 // statically by topolint's hotalloc analyzer (//lint:hotpath) and
-// dynamically by the encode rows of `benchjson -suite geometric`.
+// dynamically by TestCodecsZeroAlloc.
 package sfc
 
 // Coordinate-bit capacity of each codec: a 2D codec consumes two bits of

@@ -182,3 +182,36 @@ func TestHilbertMortonZeroOrder(t *testing.T) {
 		t.Errorf("HilbertDecode3(0,0) = (%d,%d,%d)", x, y, z)
 	}
 }
+
+// sink keeps the codec calls of TestCodecsZeroAlloc from being removed.
+var sink uint64
+
+// TestCodecsZeroAlloc is the dynamic side of the eight //lint:hotpath
+// roots: each codec, over a 4096-point batch, performs no heap
+// allocation.
+func TestCodecsZeroAlloc(t *testing.T) {
+	const batch, order2, order3 = 4096, 16, 12
+	codecs := []struct {
+		name string
+		one  func(v uint32) uint64
+	}{
+		{"MortonEncode2", func(v uint32) uint64 { return MortonEncode2(v, v^0x2a) }},
+		{"MortonDecode2", func(v uint32) uint64 { x, y := MortonDecode2(uint64(v) * 0x9e3779b9); return uint64(x + y) }},
+		{"MortonEncode3", func(v uint32) uint64 { return MortonEncode3(v, v^0x2a, v^0x155) }},
+		{"MortonDecode3", func(v uint32) uint64 { x, y, z := MortonDecode3(uint64(v) * 0x9e3779b9); return uint64(x + y + z) }},
+		{"HilbertEncode2", func(v uint32) uint64 { return HilbertEncode2(order2, v, v^0x2a) }},
+		{"HilbertDecode2", func(v uint32) uint64 { x, y := HilbertDecode2(order2, uint64(v)*0x9e37); return uint64(x + y) }},
+		{"HilbertEncode3", func(v uint32) uint64 { return HilbertEncode3(order3, v, v^0x2a, v^0x155) }},
+		{"HilbertDecode3", func(v uint32) uint64 { x, y, z := HilbertDecode3(order3, uint64(v)*0x9e3779); return uint64(x + y + z) }},
+	}
+	for _, c := range codecs {
+		allocs := testing.AllocsPerRun(10, func() {
+			for v := uint32(0); v < batch; v++ {
+				sink += c.one(v)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v times per %d-point batch, want 0", c.name, allocs, batch)
+		}
+	}
+}
