@@ -1,8 +1,8 @@
 // Command topomapd serves topology-aware mapping jobs over HTTP/JSON: a
 // long-running front end for the repository's strategy, metrics, and
-// netsim kernels with cross-request caching, request coalescing, sharded
-// worker pools, bounded admission control, and live remapping sessions
-// (see internal/service).
+// netsim kernels with cross-request caching, request coalescing, one
+// worker pool behind bounded admission control, and live remapping
+// sessions (see internal/service).
 //
 // Endpoints:
 //
@@ -46,32 +46,23 @@ import (
 )
 
 func main() {
+	// Every default is the server's own (service.DefaultConfig), so -h
+	// prints what the server will use; a zero still means "the default".
+	cfg := service.DefaultConfig()
 	addr := flag.String("addr", ":8723", "listen address")
-	shards := flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS, capped at 16)")
-	workers := flag.Int("workers", 1, "workers per shard")
-	queue := flag.Int("queue", 256, "admission bound: max queued+running computations (429 beyond)")
-	maxTasks := flag.Int("max-tasks", 16384, "largest accepted task count per job or session")
-	maxBatch := flag.Int("max-batch", 256, "largest accepted batch")
-	cacheEntries := flag.Int("cache-entries", 1024, "result cache entry bound (-1 disables)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache byte bound")
-	timeout := flag.Duration("timeout", 60*time.Second, "per-request compute timeout")
-	maxSessions := flag.Int("max-sessions", 64, "live remapping session bound (LRU eviction beyond)")
-	watchTimeout := flag.Duration("watch-timeout", 30*time.Second, "session watch long-poll window")
+	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "jobs computing at once (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.QueueDepth, "queue", cfg.QueueDepth, "admission bound: max queued+running computations (429 beyond)")
+	flag.IntVar(&cfg.MaxTasks, "max-tasks", cfg.MaxTasks, "largest accepted task count per job or session")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "largest accepted batch")
+	flag.IntVar(&cfg.CacheEntries, "cache-entries", cfg.CacheEntries, "result cache entry bound (-1 disables)")
+	flag.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "result cache byte bound")
+	flag.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request compute timeout")
+	flag.IntVar(&cfg.MaxSessions, "max-sessions", cfg.MaxSessions, "live remapping session bound (LRU eviction beyond)")
+	flag.DurationVar(&cfg.WatchTimeout, "watch-timeout", cfg.WatchTimeout, "session watch long-poll window")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain window")
 	flag.Parse()
 
-	srv := service.NewServer(service.Config{
-		Shards:          *shards,
-		WorkersPerShard: *workers,
-		QueueDepth:      *queue,
-		MaxTasks:        *maxTasks,
-		MaxBatch:        *maxBatch,
-		CacheEntries:    *cacheEntries,
-		CacheBytes:      *cacheBytes,
-		RequestTimeout:  *timeout,
-		MaxSessions:     *maxSessions,
-		WatchTimeout:    *watchTimeout,
-	})
+	srv := service.NewServer(cfg)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)

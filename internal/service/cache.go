@@ -178,10 +178,10 @@ func (t *flightTable) join(j *job) (f *flight, created bool) {
 // leave drops one waiter after a cancellation. If the flight is still
 // queued and nobody else is waiting, it is aborted: removed from the
 // table so later requests start fresh, and its done channel closed so
-// any racing joiner unblocks. The aborted entry stays in its shard queue
+// any racing joiner unblocks. The aborted entry stays in the queue
 // holding its admission slot — the worker that eventually pops it skips
 // the computation and releases the slot. That keeps queue occupancy equal
-// to held slots, so an admitted enqueue can never block on a full shard
+// to held slots, so an admitted enqueue can never block on a full
 // channel. Returns whether the flight was aborted.
 func (t *flightTable) leave(f *flight) (aborted bool) {
 	t.mu.Lock()

@@ -310,7 +310,7 @@ func TestServiceMatchesLibrary(t *testing.T) {
 // the worker can claim it), and asserts the flight computed exactly once
 // while every caller got the library-identical body.
 func TestCoalescingComputesOnce(t *testing.T) {
-	srv := NewServer(Config{Shards: 1, WorkersPerShard: 1, CacheEntries: -1})
+	srv := NewServer(Config{Workers: 1, CacheEntries: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -7,7 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,7 +252,7 @@ func TestOversizedRequests(t *testing.T) {
 // Retry-After, and cache hits / coalesced joins still get through because
 // they don't consume admission slots.
 func TestQueueFull(t *testing.T) {
-	srv := NewServer(Config{Shards: 1, QueueDepth: 2, noWorkers: true})
+	srv := NewServer(Config{Workers: 1, QueueDepth: 2, noWorkers: true})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -301,9 +305,9 @@ func TestQueueFull(t *testing.T) {
 // TestCancellationReleasesAdmission pins the abort path: when every
 // waiter of a queued flight cancels, the flight leaves the table at once
 // but keeps its admission slot until the worker pops the aborted entry
-// from the shard queue — at which point admission recovers fully.
+// from the queue — at which point admission recovers fully.
 func TestCancellationReleasesAdmission(t *testing.T) {
-	srv := NewServer(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 2, CacheEntries: -1})
+	srv := NewServer(Config{Workers: 1, QueueDepth: 2, CacheEntries: -1})
 	defer srv.Close()
 
 	// Occupy the single worker so queued flights stay queued.
@@ -368,6 +372,207 @@ func TestCancellationReleasesAdmission(t *testing.T) {
 	}
 	if cn := srv.Snapshot().Cancelled; cn != 1 {
 		t.Errorf("cancelled = %d, want 1", cn)
+	}
+}
+
+// TestWorkersShareOneQueue pins the two properties of the single work
+// queue: any idle worker takes the next admitted job whatever its key, and
+// jobs are claimed in admission order across the whole server.
+func TestWorkersShareOneQueue(t *testing.T) {
+	tiny := func(seed int64) *job {
+		return mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4", Seed: seed})
+	}
+	// submit runs one job to completion in its own goroutine.
+	submit := func(t *testing.T, srv *Server, wg *sync.WaitGroup, seed int64) {
+		j := tiny(seed)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, status, err := srv.do(context.Background(), j); status != 200 {
+				t.Errorf("seed %d = (%d, %v), want 200", seed, status, err)
+			}
+		}()
+	}
+	var (
+		met     atomic.Bool // first case: both jobs of the pair were running at once
+		mu      sync.Mutex  // second case: guards order
+		order   []int64     // seeds in the order compute saw them
+		release = make(chan struct{})
+	)
+	cases := []struct {
+		name    string
+		workers int
+		compute func(t *testing.T, srv *Server, spec *Job) // runs inside every compute
+		drive   func(t *testing.T, srv *Server)
+	}{
+		// Each compute waits until both jobs of its pair are running, so a
+		// pair finishes only if the two workers serve any two keys. Eight
+		// pairs: under key-hashed routing about half would share a worker
+		// and sit one behind the other until the deadline.
+		{"two workers run any two jobs at once", 2,
+			func(t *testing.T, srv *Server, _ *Job) {
+				deadline := time.Now().Add(5 * time.Second)
+				for !met.Load() {
+					switch {
+					case srv.Snapshot().JobsRunning == 2:
+						met.Store(true)
+					case time.Now().After(deadline):
+						t.Error("a job computed alone for 5 s while its pair sat queued behind it")
+						return
+					default:
+						time.Sleep(100 * time.Microsecond)
+					}
+				}
+			},
+			func(t *testing.T, srv *Server) {
+				for seed := int64(1); seed <= 16; seed += 2 {
+					met.Store(false)
+					var wg sync.WaitGroup
+					submit(t, srv, &wg, seed)
+					submit(t, srv, &wg, seed+1)
+					wg.Wait()
+					awaitDrained(t, srv) // jobs_running is 0 again before the next pair reads it
+				}
+			}},
+		// The only worker is held inside the first job while three more
+		// are admitted one at a time; let go, it claims them in that order.
+		{"one worker claims in admission order", 1,
+			func(_ *testing.T, _ *Server, spec *Job) {
+				mu.Lock()
+				order = append(order, spec.Seed)
+				mu.Unlock()
+				if spec.Seed == 100 {
+					<-release
+				}
+			},
+			func(t *testing.T, srv *Server) {
+				var wg sync.WaitGroup
+				submit(t, srv, &wg, 100)
+				for srv.Snapshot().JobsRunning == 0 {
+					runtime.Gosched()
+				}
+				for i, seed := range []int64{7, 3, 5} {
+					submit(t, srv, &wg, seed)
+					for len(srv.queue) != i+1 {
+						runtime.Gosched()
+					}
+				}
+				close(release)
+				wg.Wait()
+				if want := []int64{100, 7, 3, 5}; !slices.Equal(order, want) {
+					t.Errorf("claim order %v, want admission order %v", order, want)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var srv *Server
+			setFaultHook(t, func(stage string, spec *Job) {
+				if stage == "compute" {
+					tc.compute(t, srv, spec)
+				}
+			})
+			srv = NewServer(Config{Workers: tc.workers, CacheEntries: -1})
+			defer srv.Close()
+			tc.drive(t, srv)
+		})
+	}
+}
+
+// TestQueueFullStorm floods a one-worker, four-slot server with 64
+// distinct jobs while the worker is held inside the first one it claims:
+// exactly QueueDepth are admitted and answered 200, every other gets 429
+// with Retry-After and is counted, and once the worker is let go and
+// Close returns nothing is left behind — no slot, no flight, no goroutine.
+func TestQueueFullStorm(t *testing.T) {
+	const requests, depth = 64, 4
+	goroutines := runtime.NumGoroutine()
+	release := make(chan struct{})
+	setFaultHook(t, func(stage string, _ *Job) {
+		if stage == "compute" {
+			<-release
+		}
+	})
+	srv := NewServer(Config{Workers: 1, QueueDepth: depth, CacheEntries: -1})
+	ts := httptest.NewServer(srv.Handler())
+
+	var wg sync.WaitGroup
+	statuses := make([]int, requests)
+	retryAfter := make([]string, requests)
+	for i := range statuses {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/map", "application/json", strings.NewReader(
+				`{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"seed":`+strconv.Itoa(i+1)+`}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses[i], retryAfter[i] = resp.StatusCode, resp.Header.Get("Retry-After")
+		}(i)
+	}
+	// No slot comes back while the worker is held, so the storm is over
+	// when all but depth requests have been turned away.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Snapshot().RejectedFull != requests-depth && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if qd := srv.Snapshot().QueueDepth; qd != depth {
+		t.Errorf("with the worker held: queue_depth = %d, want %d", qd, depth)
+	}
+	close(release)
+	wg.Wait()
+	ts.Close()
+	srv.Close()
+
+	ok, full := 0, 0
+	for i, status := range statuses {
+		switch {
+		case status == 200:
+			ok++
+		case status == 429 && retryAfter[i] == "1":
+			full++
+		default:
+			t.Errorf("request %d: status %d, Retry-After %q; want 200, or 429 with Retry-After 1", i, status, retryAfter[i])
+		}
+	}
+	if rf := srv.Snapshot().RejectedFull; ok != depth || full != requests-depth || rf != int64(full) {
+		t.Errorf("%d answered 200, %d answered 429, rejected_queue_full = %d; want %d, %d, %d",
+			ok, full, rf, depth, requests-depth, requests-depth)
+	}
+	awaitDrained(t, srv) // no slot, no running job, no flight
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the server started", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDefaultConfig pins DefaultConfig as the one place defaults live:
+// the zero Config and DefaultConfig() start the same server, and /stats
+// reports its worker count.
+func TestDefaultConfig(t *testing.T) {
+	zero, def := NewServer(Config{}), NewServer(DefaultConfig())
+	defer zero.Close()
+	defer def.Close()
+	z, d := zero.Snapshot(), def.Snapshot()
+	if z.QueueCap != d.QueueCap || z.Workers != d.Workers || zero.cfg != def.cfg {
+		t.Errorf("Config{} runs %+v, DefaultConfig() runs %+v", zero.cfg, def.cfg)
+	}
+	if z.QueueCap != 256 || z.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("queue_cap = %d, workers = %d; want 256, GOMAXPROCS = %d", z.QueueCap, z.Workers, runtime.GOMAXPROCS(0))
+	}
+	ts := httptest.NewServer(zero.Handler())
+	defer ts.Close()
+	status, doc := doJSON(t, ts, "GET", "/stats", "")
+	wantStatus(t, status, 200, nil)
+	if got, ok := doc["workers"].(float64); !ok || int(got) != z.Workers {
+		t.Errorf("/stats workers = %v, want %d", doc["workers"], z.Workers)
 	}
 }
 

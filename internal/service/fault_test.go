@@ -21,7 +21,7 @@ func faultyJob() Job {
 
 // TestPanicContained injects a panic into build (run by the flight's
 // creator while joiners wait on the flight) and into compute (run by the
-// shard worker): every request sharing the flight must get the same typed
+// worker): every request sharing the flight must get the same typed
 // 500, the fault must be counted once, no admission slot or flight may
 // leak, and the daemon's only worker must keep serving every endpoint.
 func TestPanicContained(t *testing.T) {
@@ -42,7 +42,7 @@ func TestPanicContained(t *testing.T) {
 				}
 				panic("injected " + stage + " fault")
 			})
-			srv = NewServer(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 2})
+			srv = NewServer(Config{Workers: 1, QueueDepth: 2})
 			defer srv.Close()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
@@ -211,7 +211,7 @@ func TestSessionPanicContained(t *testing.T) {
 }
 
 // TestSessionFaultsUnderStress is the containment under contention (the
-// CI -race session workload runs it at GOMAXPROCS 2 and 8): writers
+// CI -race mapping-service step runs it at GOMAXPROCS 2 and 8): writers
 // hammer three sessions while every seventh batch stage panics. Every
 // reply is a 200, a typed 500 or — once a session has faulted — a 404;
 // every fault is counted; no slot, lock or watcher leaks.

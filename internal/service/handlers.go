@@ -132,7 +132,7 @@ type batchResponse struct {
 	Results []batchEntry `json:"results"`
 }
 
-// handleBatch serves POST /v1/batch: jobs fan out across the shards
+// handleBatch serves POST /v1/batch: jobs fan out across the workers
 // concurrently and the response lists per-job outcomes in request order
 // (the experiments.RunSims contract — results indexed by job, never by
 // completion time).

@@ -560,7 +560,7 @@ func (j *job) verifyConstraints(m []int) []ConstraintResult {
 
 // contentKey hashes everything the response body depends on. Two jobs
 // with equal keys produce byte-identical bodies, so the key is safe to
-// use for the result cache, in-flight coalescing, and shard routing.
+// use for the result cache and in-flight coalescing.
 func contentKey(spec *Job, inlineGraph []byte) string {
 	h := sha256.New()
 	hashf(h, "v3\x00%s\x00%s\x00%d\x00%d\x00%t\x00%t\x00",

@@ -17,15 +17,15 @@
 // Admission control bounds memory: at most QueueDepth distinct
 // computations may be queued or running; beyond that, requests are
 // rejected with 429 and a Retry-After header instead of growing queues
-// without limit. A computation's slot is released by the worker that pops
-// it from its shard queue — even when every waiter cancelled first — so
-// queue occupancy never exceeds the slot count and an admitted enqueue
-// never blocks. Jobs are routed to a worker shard by content hash, so
-// equal jobs meet on the same shard.
+// without limit. Admitted computations wait in one FIFO queue drained by
+// every worker. A computation's slot is released by the worker that pops
+// it from the queue — even when every waiter cancelled first — so queue
+// occupancy never exceeds the slot count and an admitted enqueue never
+// blocks.
 //
 // Determinism contract: a response body is exactly
 // json.Marshal(result-of-direct-library-calls) for the normalized job —
-// independent of GOMAXPROCS, concurrency, shard count, and whether the
+// independent of GOMAXPROCS, concurrency, worker count, and whether the
 // body came from the cache, a coalesced flight, or a fresh computation.
 package service
 
@@ -46,17 +46,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// Config sizes the server. The zero value gets sensible defaults from
-// NewServer.
+// Config sizes the server. The zero value gets the defaults of
+// DefaultConfig from NewServer, field by field.
 type Config struct {
-	// Shards is the number of worker shards. Default GOMAXPROCS, capped
-	// at 16.
-	Shards int
-	// WorkersPerShard is the number of workers draining each shard.
-	// Default 1.
-	WorkersPerShard int
-	// QueueDepth bounds distinct computations admitted (queued+running)
-	// across all shards; beyond it requests get 429. Default 256.
+	// Workers is how many jobs compute at once: the goroutines draining
+	// the queue. Default GOMAXPROCS, one per core (compute is CPU-bound).
+	Workers int
+	// QueueDepth bounds distinct computations admitted (queued+running);
+	// beyond it requests get 429. Default 256.
 	QueueDepth int
 	// MaxTasks bounds the task count of one job. Default 16384.
 	MaxTasks int
@@ -84,22 +81,23 @@ type Config struct {
 	// 1<<20.
 	MaxSessionEdges int
 
-	// noWorkers leaves the shard queues undrained. Only settable from
+	// noWorkers leaves the queue undrained. Only settable from
 	// this package: tests use it to pin queue-full and cancellation
 	// behavior without racing the workers.
 	noWorkers bool
 }
 
+// DefaultConfig is the configuration NewServer(Config{}) runs with: every
+// default is written here once, and topomapd's flags take theirs from it.
+func DefaultConfig() Config {
+	var c Config
+	return c.withDefaults()
+}
+
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Shards <= 0 {
-		out.Shards = runtime.GOMAXPROCS(0)
-		if out.Shards > 16 {
-			out.Shards = 16
-		}
-	}
-	if out.WorkersPerShard <= 0 {
-		out.WorkersPerShard = 1
+	if out.Workers <= 0 {
+		out.Workers = runtime.GOMAXPROCS(0)
 	}
 	if out.QueueDepth <= 0 {
 		out.QueueDepth = 256
@@ -140,11 +138,11 @@ func (c *Config) withDefaults() Config {
 // Server is the mapping service. Create with NewServer, expose via
 // Handler, stop with Close.
 type Server struct {
-	cfg    Config
-	cache  *resultCache
-	table  *flightTable
-	shards []chan *flight
-	admit  chan struct{} // admission semaphore: queued+running computations
+	cfg   Config
+	cache *resultCache
+	table *flightTable
+	queue chan *flight  // admitted flights, FIFO, drained by every worker
+	admit chan struct{} // admission semaphore: queued+running computations
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -198,27 +196,22 @@ type autoCounters struct {
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		cache:  newResultCache(cfg.CacheEntries, cfg.CacheBytes),
-		table:  newFlightTable(),
-		shards: make([]chan *flight, cfg.Shards),
-		admit:  make(chan struct{}, cfg.QueueDepth),
+		cfg:   cfg,
+		cache: newResultCache(cfg.CacheEntries, cfg.CacheBytes),
+		table: newFlightTable(),
+		// The queue's capacity equals the semaphore's, so an admitted
+		// flight always enqueues without blocking.
+		queue: make(chan *flight, cfg.QueueDepth),
+		admit: make(chan struct{}, cfg.QueueDepth),
 	}
 	s.stats.auto = make([]autoCounters, len(portfolio))
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.async.init(cfg.MaxAsync)
 	s.sessions.init(cfg.MaxSessions)
-	for i := range s.shards {
-		// Each shard's queue can hold every admitted flight, so an
-		// admitted flight always enqueues without blocking even when all
-		// hash to one shard.
-		s.shards[i] = make(chan *flight, cfg.QueueDepth)
-		if cfg.noWorkers {
-			continue
-		}
-		for w := 0; w < cfg.WorkersPerShard; w++ {
+	if !cfg.noWorkers {
+		for w := 0; w < cfg.Workers; w++ {
 			s.wg.Add(1)
-			go s.worker(s.shards[i])
+			go s.worker()
 		}
 	}
 	return s
@@ -231,13 +224,13 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-func (s *Server) worker(queue <-chan *flight) {
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.baseCtx.Done():
 			return
-		case f := <-queue:
+		case f := <-s.queue:
 			if !s.table.claim(f) {
 				// Aborted while queued: the entry kept its admission slot so
 				// that queue occupancy never exceeds the slot count (an
@@ -303,16 +296,6 @@ func (s *Server) compute(j *job) (res *JobResult, err error) {
 	return j.compute()
 }
 
-// shardOf routes a content key to a shard. The key is a hex SHA-256, so
-// its first bytes are uniformly distributed.
-func (s *Server) shardOf(key string) chan *flight {
-	v := 0
-	for i := 0; i < 4 && i < len(key); i++ {
-		v = v<<8 | int(key[i])
-	}
-	return s.shards[v%len(s.shards)]
-}
-
 // errQueueFull is the admission-control rejection; handlers translate it
 // to 429 with Retry-After.
 var errQueueFull = badJob(429, "job: queue full, retry later")
@@ -337,7 +320,7 @@ func (s *Server) do(ctx context.Context, j *job) ([]byte, int, error) {
 		}
 		select {
 		case s.admit <- struct{}{}:
-			s.shardOf(j.key) <- f
+			s.queue <- f
 		default:
 			s.stats.rejectedFull.Add(1)
 			s.table.abandon(f, 429, errQueueFull)
@@ -481,7 +464,7 @@ type Stats struct {
 
 	QueueDepth int `json:"queue_depth"` // admitted computations right now
 	QueueCap   int `json:"queue_cap"`
-	Shards     int `json:"shards"`
+	Workers    int `json:"workers"`
 
 	System metrics.SystemCounters `json:"system"`
 }
@@ -541,7 +524,7 @@ func (s *Server) Snapshot() Stats {
 	st.Sessions.WatchersActive = s.stats.watchersActive.Load()
 	st.QueueDepth = len(s.admit)
 	st.QueueCap = cap(s.admit)
-	st.Shards = len(s.shards)
+	st.Workers = s.cfg.Workers
 	st.System = metrics.Counters()
 	return st
 }

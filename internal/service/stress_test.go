@@ -24,7 +24,7 @@ func TestStressCoalescingAndCancellation(t *testing.T) {
 			panic("injected " + stage + " fault")
 		}
 	})
-	srv := NewServer(Config{Shards: 2, WorkersPerShard: 2, QueueDepth: 8, CacheEntries: 4})
+	srv := NewServer(Config{Workers: 4, QueueDepth: 8, CacheEntries: 4})
 	defer srv.Close()
 
 	// Every field explicit: directBody applies no defaults.
@@ -118,7 +118,7 @@ func TestStressCoalescingAndCancellation(t *testing.T) {
 // request must resolve (body, cancellation, rejection, or 503 shutdown)
 // and Close must return.
 func TestStressCloseDuringLoad(t *testing.T) {
-	srv := NewServer(Config{Shards: 2, WorkersPerShard: 1, QueueDepth: 4})
+	srv := NewServer(Config{Workers: 2, QueueDepth: 4})
 	j := mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:8,8"}, Topology: "torus:8,8", Seed: 1})
 
 	var wg sync.WaitGroup
