@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/parallel"
@@ -13,9 +14,10 @@ import (
 // This file implements hierarchical (multilevel) mapping: coarsen the task
 // graph by repeated heavy-edge matching, map the coarsest graph with an
 // ordinary p==n strategy, then uncoarsen level by level with bounded local
-// refinement. The refinement metric is the hop-bytes delta computed from
-// closed-form Topology.Distance calls only — no O(p²) DistanceMatrix is
-// ever materialized on this path — so million-task graphs map onto
+// refinement. Every distance on this path — coarse map, projection,
+// refinement deltas — comes from one closed-form function, the refiner's
+// dist (a coordinate table, a popcount, or Topology.Distance); no O(p²)
+// DistanceMatrix is ever materialized, so million-task graphs map onto
 // hundred-thousand-node machines in O(n + |E|) memory.
 //
 // Placement model. Tasks occupy a linear slot space [0, n). Processor
@@ -100,6 +102,12 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 	coarsest := levels[len(levels)-1]
 	nc := coarsest.N
 
+	// The refiner comes first: the coarse map and the projection measure
+	// through its dist too, and its buffers, sized here for the finest
+	// level, are reused down the V-cycle.
+	r := newMLRefiner(t, procOrder, n, p)
+	r.reserve(levels[0].N, len(levels[0].Adjncy))
+
 	// Map the coarsest graph with the ordinary n==p machinery, viewing the
 	// nc equal slot chunks through their center-slot representative
 	// processors. The adapter is Ephemeral: nothing materializes a matrix.
@@ -107,7 +115,7 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 	if coarse == nil {
 		coarse = TopoLB{}
 	}
-	cm, err := coarse.Map(coarseTaskGraph(coarsest), newRepTopology(t, procOrder, n, p, nc))
+	cm, err := coarse.Map(coarseTaskGraph(coarsest), newRepTopology(r, nc))
 	if err != nil {
 		return nil, fmt.Errorf("core: multilevel coarse mapping: %w", err)
 	}
@@ -129,11 +137,10 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 	if passes == 0 {
 		passes = 2
 	}
-	r := newMLRefiner(t, procOrder, n, p)
 	r.setLevel(coarsest, start)
 	r.refine(passes)
 	for li := len(levels) - 2; li >= 0; li-- {
-		start = projectLevel(t, procOrder, n, p, levels[li], levels[li+1], h.Cmaps[li], start)
+		start = r.projectLevel(levels[li], levels[li+1], h.Cmaps[li], start)
 		r.setLevel(levels[li], start)
 		r.refine(passes)
 	}
@@ -217,40 +224,41 @@ func coarseTaskGraph(c *partition.CGraph) *taskgraph.Graph {
 
 // repTopology views nc equal slot chunks through their center-slot
 // representative processors, so a p==n strategy can map the coarsest graph
-// without ever seeing the full machine. Distances delegate to the real
-// topology; the adapter is Ephemeral because its distance function depends
-// on n and the chunk layout, not just its name.
+// without ever seeing the full machine. Distances are the refiner's — the
+// real topology's, through its fast path; the adapter is Ephemeral because
+// its distance function depends on n and the chunk layout, not just its
+// name.
 type repTopology struct {
-	t    topology.Topology
-	reps []int
+	r    *mlRefiner
+	reps []int32
 	name string
 }
 
-func newRepTopology(t topology.Topology, procOrder []int32, n, p, nc int) *repTopology {
-	reps := make([]int, nc)
+func newRepTopology(r *mlRefiner, nc int) *repTopology {
+	reps := make([]int32, nc)
 	for i := range reps {
 		// Center slot of chunk i (chunks are [i·n/nc, (i+1)·n/nc)).
-		center := int32((2*int64(i) + 1) * int64(n) / (2 * int64(nc)))
-		reps[i] = int(procOrder[slotProc(center, n, p)])
+		center := int32((2*int64(i) + 1) * int64(r.n) / (2 * int64(nc)))
+		reps[i] = r.procOrder[slotProc(center, r.n, r.p)]
 	}
-	return &repTopology{t: t, reps: reps, name: fmt.Sprintf("mlrep(%s,nc=%d)", t.Name(), nc)}
+	return &repTopology{r: r, reps: reps, name: fmt.Sprintf("mlrep(%s,nc=%d)", r.t.Name(), nc)}
 }
 
 // EphemeralTopology marks the adapter as non-cacheable.
-func (r *repTopology) EphemeralTopology() {}
+func (rt *repTopology) EphemeralTopology() {}
 
 var _ topology.Ephemeral = (*repTopology)(nil)
 
-func (r *repTopology) Nodes() int   { return len(r.reps) }
-func (r *repTopology) Name() string { return r.name }
+func (rt *repTopology) Nodes() int   { return len(rt.reps) }
+func (rt *repTopology) Name() string { return rt.name }
 
-func (r *repTopology) Distance(a, b int) int {
-	return r.t.Distance(r.reps[a], r.reps[b])
+func (rt *repTopology) Distance(a, b int) int {
+	return int(rt.r.dist(rt.reps[a], rt.reps[b]))
 }
 
 // Neighbors returns nil: chunk adjacency has no useful machine meaning,
 // and the coarse strategies (TopoLB, TopoCentLB) never consult it.
-func (r *repTopology) Neighbors(a int) []int { return nil }
+func (rt *repTopology) Neighbors(a int) []int { return nil }
 
 // projectLevel pushes a coarse slot layout down one level: each coarse
 // vertex's slot run is split between its (at most two) children. The
@@ -258,8 +266,8 @@ func (r *repTopology) Neighbors(a int) []int { return nil }
 // hop-bytes of both orders against the frozen parent-level layout; ties
 // keep the lower-index child first. Pure per-coarse-vertex work, evaluated
 // in parallel.
-func projectLevel(t topology.Topology, procOrder []int32, n, p int,
-	fine, coarse *partition.CGraph, cmap []int32, cstart []int32) []int32 {
+func (r *mlRefiner) projectLevel(fine, coarse *partition.CGraph, cmap []int32, cstart []int32) []int32 {
+	procOrder, n, p := r.procOrder, r.n, r.p
 	// Children of each coarse vertex in ascending fine order.
 	childA := make([]int32, coarse.N)
 	childB := make([]int32, coarse.N)
@@ -290,7 +298,7 @@ func projectLevel(t topology.Topology, procOrder []int32, n, p int,
 			if u == sib {
 				continue
 			}
-			cost += fine.Adjwgt[i] * float64(t.Distance(int(pv), int(parentRep(u))))
+			cost += fine.Adjwgt[i] * float64(r.dist(pv, parentRep(u)))
 		}
 		return cost
 	}
@@ -354,8 +362,13 @@ type mlRefiner struct {
 	slotOwner []int32 // slot → owning vertex, len n
 	proposals []int32 // per-vertex swap partner, -1 = none
 	repc      []int32 // per-vertex representative processor cache
-	dirty     []bool  // vertices whose neighborhood changed last commit
-	scanAll   bool    // first pass of a level scans every vertex
+	// edist[i] is the current length of edge slot i of the level's CSR:
+	// dist(repc[v], repc[Adjncy[i]]) for the v whose row holds i, stored
+	// saturated at edistFar (see edgeDist). Filled by setLevel, kept true
+	// by commit, read-only during propose.
+	edist   []uint16
+	dirty   []bool // vertices whose neighborhood changed last commit
+	scanAll bool   // first pass of a level scans every vertex
 
 	kind   distKind
 	nd     int     // grid dimensionality
@@ -395,19 +408,30 @@ func newMLRefiner(t topology.Topology, procOrder []int32, n, p int) *mlRefiner {
 	return r
 }
 
+// reserve makes the per-vertex and per-edge buffers hold at least nv
+// vertices and ne edge slots. Place calls it once with the finest level's
+// sizes, so no level of the V-cycle allocates its own.
+func (r *mlRefiner) reserve(nv, ne int) {
+	if cap(r.proposals) < nv {
+		r.proposals = make([]int32, nv)
+		r.repc = make([]int32, nv)
+		r.dirty = make([]bool, nv)
+	}
+	if cap(r.edist) < ne {
+		r.edist = make([]uint16, ne)
+	}
+}
+
 // setLevel points the refiner at a level and its slot layout. The start
 // slice is retained and mutated by refine.
 func (r *mlRefiner) setLevel(lvl *partition.CGraph, start []int32) {
 	r.lvl = lvl
 	r.start = start
-	if cap(r.proposals) < lvl.N {
-		r.proposals = make([]int32, lvl.N)
-		r.repc = make([]int32, lvl.N)
-		r.dirty = make([]bool, lvl.N)
-	}
+	r.reserve(lvl.N, len(lvl.Adjncy))
 	r.proposals = r.proposals[:lvl.N]
 	r.repc = r.repc[:lvl.N]
 	r.dirty = r.dirty[:lvl.N]
+	r.edist = r.edist[:len(lvl.Adjncy)]
 	for v := int32(0); v < int32(lvl.N); v++ {
 		tc := lvl.TcountOf(v)
 		for s := start[v]; s < start[v]+tc; s++ {
@@ -415,6 +439,35 @@ func (r *mlRefiner) setLevel(lvl *partition.CGraph, start []int32) {
 		}
 		r.repc[v] = r.rep(v)
 	}
+	parallel.For(lvl.N, proposeGrain, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			pv := r.repc[v]
+			for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
+				r.edist[i] = saturate(r.dist(pv, r.repc[lvl.Adjncy[i]]))
+			}
+		}
+	})
+}
+
+// edistFar is the largest storable edge distance; it stands for "this or
+// anything longer" (only machines of diameter ≥ 65 535 reach it), and
+// edgeDist recomputes such an entry instead of trusting it.
+const edistFar = math.MaxUint16
+
+func saturate(d int32) uint16 {
+	if d >= edistFar {
+		return edistFar
+	}
+	return uint16(d)
+}
+
+// edgeDist returns the current length of edge slot i, which joins
+// processors a and b: the cached value unless it is saturated.
+func (r *mlRefiner) edgeDist(i, a, b int32) int32 {
+	if e := r.edist[i]; e != edistFar {
+		return int32(e)
+	}
+	return r.dist(a, b)
 }
 
 // refine runs up to passes propose/commit sweeps, stopping early once a
@@ -430,8 +483,10 @@ func (r *mlRefiner) refine(passes int) {
 	}
 }
 
-// dist returns the hop distance between processors a and b.
-func (r *mlRefiner) dist(a, b int32) float64 {
+// dist returns the hop distance between processors a and b. It is the one
+// distance function of the V-cycle: the coarse map (through repTopology),
+// projectLevel and the refinement sweeps all call it.
+func (r *mlRefiner) dist(a, b int32) int32 {
 	switch r.kind {
 	case distGrid:
 		ca := r.coords[int(a)*r.nd : int(a)*r.nd+r.nd]
@@ -449,12 +504,12 @@ func (r *mlRefiner) dist(a, b int32) float64 {
 			}
 			s += d
 		}
-		return float64(s)
+		return s
 	case distHypercube:
-		return float64(bits.OnesCount32(uint32(a ^ b)))
+		return int32(bits.OnesCount32(uint32(a ^ b)))
 	}
 	//lint:ignore hotalloc Topology.Distance dispatches to closed-form coordinate arithmetic (fat-trees and other non-grid machines); zero allocations, pinned by TestMultilevelProposeZeroAlloc
-	return float64(r.t.Distance(int(a), int(b)))
+	return int32(r.t.Distance(int(a), int(b)))
 }
 
 // procNeighbors returns the machine neighbors of processor q.
@@ -497,8 +552,8 @@ func (r *mlRefiner) proposeOne(v int32) int32 {
 	// Gain filter: a vertex whose every edge already spans <= 1 hop cannot
 	// reduce its own terms; skip it (partners still scan from their side).
 	far := false
-	for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
-		if r.dist(pv, r.repc[lvl.Adjncy[i]]) > 1 {
+	for _, e := range r.edist[lvl.Xadj[v]:lvl.Xadj[v+1]] {
+		if e > 1 {
 			far = true
 			break
 		}
@@ -543,7 +598,10 @@ func (r *mlRefiner) consider(v, c, tc, pv, best int32, bestDelta float64) (int32
 
 // swapDelta returns the change in the level's surrogate hop-bytes if v
 // (rep pv) and c (rep pc) exchange slot runs. The v–c edge, if any, is
-// symmetric under the swap and skipped.
+// symmetric under the swap and skipped. Each edge costs one distance: its
+// length after the swap; its current length is the cached one. The
+// difference of the two integers is the same number the difference of
+// their float64 images was, so the sum is the same sum.
 func (r *mlRefiner) swapDelta(v, c, pv, pc int32) float64 {
 	lvl := r.lvl
 	d := 0.0
@@ -553,7 +611,7 @@ func (r *mlRefiner) swapDelta(v, c, pv, pc int32) float64 {
 			continue
 		}
 		pu := r.repc[u]
-		d += lvl.Adjwgt[i] * (r.dist(pc, pu) - r.dist(pv, pu))
+		d += lvl.Adjwgt[i] * float64(r.dist(pc, pu)-r.edgeDist(i, pv, pu))
 	}
 	for i := lvl.Xadj[c]; i < lvl.Xadj[c+1]; i++ {
 		u := lvl.Adjncy[i]
@@ -561,7 +619,7 @@ func (r *mlRefiner) swapDelta(v, c, pv, pc int32) float64 {
 			continue
 		}
 		pu := r.repc[u]
-		d += lvl.Adjwgt[i] * (r.dist(pv, pu) - r.dist(pc, pu))
+		d += lvl.Adjwgt[i] * float64(r.dist(pv, pu)-r.edgeDist(i, pc, pu))
 	}
 	return d
 }
@@ -569,7 +627,9 @@ func (r *mlRefiner) swapDelta(v, c, pv, pc int32) float64 {
 // commit applies proposals serially in ascending vertex order, recomputing
 // each delta against the live layout (earlier commits may have changed
 // it), and returns the number of swaps applied. Swapped vertices and
-// their communication partners are marked dirty for the next pass.
+// their communication partners are marked dirty for the next pass, and
+// the edge-distance cache is brought up to date before the next proposal
+// is revalidated against it.
 func (r *mlRefiner) commit() int {
 	for i := range r.dirty {
 		r.dirty[i] = false
@@ -596,17 +656,31 @@ func (r *mlRefiner) commit() int {
 			r.slotOwner[s] = c
 		}
 		r.repc[v], r.repc[c] = pc, pv
-		r.markDirty(v)
-		r.markDirty(c)
+		r.moved(v)
+		r.moved(c)
 		moves++
 	}
 	return moves
 }
 
-// markDirty marks v and its communication partners for the next pass.
-func (r *mlRefiner) markDirty(v int32) {
+// moved records that v's representative changed: v and its communication
+// partners are marked for the next pass, and the cached length of every
+// edge at v is refreshed in both rows that hold it — v's and the
+// partner's (hop distance is symmetric, so one computation serves both).
+func (r *mlRefiner) moved(v int32) {
+	lvl := r.lvl
+	pv := r.repc[v]
 	r.dirty[v] = true
-	for i := r.lvl.Xadj[v]; i < r.lvl.Xadj[v+1]; i++ {
-		r.dirty[r.lvl.Adjncy[i]] = true
+	for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
+		u := lvl.Adjncy[i]
+		r.dirty[u] = true
+		e := saturate(r.dist(pv, r.repc[u]))
+		r.edist[i] = e
+		for j := lvl.Xadj[u]; j < lvl.Xadj[u+1]; j++ {
+			if lvl.Adjncy[j] == v {
+				r.edist[j] = e
+				break
+			}
+		}
 	}
 }

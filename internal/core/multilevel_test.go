@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -269,5 +272,151 @@ func TestMultilevelEphemeralNoMatrix(t *testing.T) {
 	after := topology.DistCacheCounters()
 	if after.Misses != before.Misses {
 		t.Fatalf("Place materialized %d distance matrices", after.Misses-before.Misses)
+	}
+}
+
+// TestMultilevelPlaceHashes pins MultilevelMap.Place, placement for
+// placement, on inputs the end-to-end benchmark does not cover. The hashes
+// were recorded at the commit before the refiner's edge-distance cache and
+// the single V-cycle distance function went in (88ef5f6): those are exact
+// rewrites, so every hash must survive them.
+func TestMultilevelPlaceHashes(t *testing.T) {
+	cases := []struct {
+		name string
+		s    MultilevelMap
+		g    *taskgraph.Graph
+		topo topology.Topology
+		want uint64
+	}{
+		{"random-fractional/torus", MultilevelMap{}, taskgraph.Random(3000, 12000, 0.37, 9.91, 11),
+			topology.MustTorus(8, 8, 4), 0xbcfca202a939be25},
+		{"stencil/mesh", MultilevelMap{}, taskgraph.Stencil9(48, 48, 1024),
+			topology.MustMesh(12, 12), 0x270fe334c3ee5be5},
+		{"rgg/hypercube", MultilevelMap{}, taskgraph.RandomGeometricDeg(4000, 8, 1e4, 5),
+			topology.MustHypercube(7), 0xaf50ad6bd906df05},
+		{"random/fattree", MultilevelMap{}, taskgraph.Random(2000, 8000, 100, 1000, 3),
+			topology.MustFatTree(4, 3), 0xa272db575b1c7665},
+		{"stencil/torus/no-refine", MultilevelMap{RefinePasses: -1}, taskgraph.Stencil9(64, 64, 1024),
+			topology.MustTorus(8, 8), 0xe8d61c8fef6e2325},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, err := tc.s.Place(tc.g, tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var b [8]byte
+			for _, q := range pl {
+				binary.LittleEndian.PutUint64(b[:], uint64(q))
+				h.Write(b[:])
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Fatalf("placement hash %#x, want %#x", got, tc.want)
+			}
+		})
+	}
+}
+
+// checkEdgeCache fails unless every edge slot of the refiner's level holds
+// the current length of its edge, and returns how many slots are stored
+// saturated (and so answered by recomputation).
+func checkEdgeCache(t *testing.T, r *mlRefiner, when string) int {
+	t.Helper()
+	saturated := 0
+	for v := int32(0); v < int32(r.lvl.N); v++ {
+		pv := r.repc[v]
+		for i := r.lvl.Xadj[v]; i < r.lvl.Xadj[v+1]; i++ {
+			u := r.lvl.Adjncy[i]
+			want := r.dist(pv, r.repc[u])
+			if r.edist[i] != saturate(want) || r.edgeDist(i, pv, r.repc[u]) != want {
+				t.Fatalf("%s: edge slot %d (%d-%d) caches %d, its length is %d", when, i, v, u, r.edist[i], want)
+			}
+			if r.edist[i] == edistFar {
+				saturated++
+			}
+		}
+	}
+	return saturated
+}
+
+// twoDistanceDelta is swapDelta as it was before the edge cache: both
+// lengths of every edge computed on the spot, subtracted as float64.
+func twoDistanceDelta(r *mlRefiner, v, c int32) float64 {
+	lvl, pv, pc := r.lvl, r.repc[v], r.repc[c]
+	d := 0.0
+	for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
+		if u := lvl.Adjncy[i]; u != c {
+			pu := r.repc[u]
+			d += lvl.Adjwgt[i] * (float64(r.dist(pc, pu)) - float64(r.dist(pv, pu)))
+		}
+	}
+	for i := lvl.Xadj[c]; i < lvl.Xadj[c+1]; i++ {
+		if u := lvl.Adjncy[i]; u != v {
+			pu := r.repc[u]
+			d += lvl.Adjwgt[i] * (float64(r.dist(pv, pu)) - float64(r.dist(pc, pu)))
+		}
+	}
+	return d
+}
+
+// TestMLRefinerEdgeCache: the cache is the truth. After setLevel and after
+// every commit of a six-pass run on the shuffled fixture, every slot holds
+// its edge's current length, and the one-distance swapDelta equals the
+// two-distance one bit for bit on every proposal. The second machine is a
+// line longer than a uint16 can count, so some entries are stored
+// saturated and must be recomputed on read.
+func TestMLRefinerEdgeCache(t *testing.T) {
+	cases := []struct {
+		g             *taskgraph.Graph
+		topo          topology.Topology
+		wantSaturated bool
+	}{
+		{taskgraph.Random(512, 2048, 0.5, 1.5, 5), topology.MustTorus(8, 8), false},
+		{taskgraph.Random(70000, 140000, 0.5, 1.5, 5), topology.MustMesh(70000), true},
+	}
+	for _, tc := range cases {
+		r := refinerFixture(t, tc.g, tc.topo)
+		saturated := checkEdgeCache(t, r, "after setLevel")
+		if tc.wantSaturated != (saturated > 0) {
+			t.Fatalf("%s: %d saturated cache entries, want some: %v", tc.topo.Name(), saturated, tc.wantSaturated)
+		}
+		for pass := 0; pass < 6; pass++ {
+			r.scanAll = true
+			r.propose()
+			for v, c := range r.proposals {
+				if c < 0 {
+					continue
+				}
+				got := r.swapDelta(int32(v), c, r.repc[v], r.repc[c])
+				if want := twoDistanceDelta(r, int32(v), c); got != want {
+					t.Fatalf("%s pass %d: swapDelta(%d,%d) = %v, two-distance form %v", tc.topo.Name(), pass, v, c, got, want)
+				}
+			}
+			moves := r.commit()
+			checkEdgeCache(t, r, fmt.Sprintf("%s after commit %d", tc.topo.Name(), pass))
+			if moves == 0 {
+				break
+			}
+		}
+	}
+}
+
+// TestMLRefinerDistMatchesTopology: the fast path is the topology. The
+// coarse map and projectLevel measure through the refiner's dist, so it
+// must agree with Topology.Distance on every pair, on each distKind.
+func TestMLRefinerDistMatchesTopology(t *testing.T) {
+	for _, topo := range []topology.Topology{
+		topology.MustTorus(4, 3, 5), topology.MustMesh(5, 4), topology.MustHypercube(6), topology.MustFatTree(4, 3),
+	} {
+		p := topo.Nodes()
+		r := newMLRefiner(topo, localityOrder(topo), p, p)
+		for a := 0; a < p; a++ {
+			for b := 0; b < p; b++ {
+				if got, want := r.dist(int32(a), int32(b)), topo.Distance(a, b); int(got) != want {
+					t.Fatalf("%s: dist(%d,%d) = %d, Topology.Distance %d", topo.Name(), a, b, got, want)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/taskgraph"
@@ -29,7 +33,6 @@ const (
 // floating-point chunk sums identical for every GOMAXPROCS; see the
 // determinism contract in DESIGN.md.
 const (
-	gainScanGrain   = 256  // O(1) per index: read two precomputed slices
 	rowScanGrain    = 16   // O(p) per index: full fest-row work
 	cellGrain       = 4096 // O(1) per index: one table cell
 	thirdOrderGrain = 8    // O(p) per index, heavier constant
@@ -118,7 +121,8 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	if order == OrderThird {
 		return s.mapThirdOrder(g, t)
 	}
-	return s.mapIncremental(g, t, order)
+	m, _ := s.mapIncremental(g, t, order)
+	return m, nil
 }
 
 // mapIncremental implements first- and second-order TopoLB with an
@@ -133,13 +137,37 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 // bit for bit (see the brute-force cross-check test). Scaling by the
 // constant n changes neither argmin nor the gain ordering.
 //
+// Pristine classes. A free task none of whose neighbors is placed yet
+// has the row fl(W_v·totalDist[p]) (all zeros at first order), which
+// depends on the task only through W_v; and a cycle that does not touch
+// it does the same two things to every such row — subtract the entry of
+// the processor just taken, rescan if that processor held the minimum.
+// Tasks with equal Float64bits(W_v) therefore have bit-identical rows
+// and bit-identical (min, argmin, sum) for as long as they stay
+// untouched, so one class record stands for all of them: slot[v] is
+// n+class while v is pristine and v afterwards, and fMin/fMinAt/fSum are
+// indexed by slot. A class row is never stored; its entries are
+// recomputed as float64(W·totalDist[p]), the explicit conversion
+// rounding the product exactly as the store into a materialized row
+// does (without it a platform may fuse the multiply into the
+// accumulation). A task leaves its class when a neighbor is placed: its
+// row is written for the first time and from there the update runs as
+// it always has. The paper's O(p·|Et|) argument — a cycle changes only
+// the rows of the placed task's neighbors — then holds for the rescans
+// too, not only for the row updates.
+//
 // Parallel structure: the per-cycle gain scan is an index-ordered
-// arg-max reduction; each neighbor's fest-row update (and each
-// non-neighbor's free-set shrink) touches per-task state only, so rows
-// fan out across workers. Every reduction tie-breaks on the lowest
-// index exactly like the serial loops, keeping mappings byte-identical
-// for any GOMAXPROCS.
-func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, error) {
+// arg-max reduction; each neighbor's fest-row update, and each other
+// slot's free-set shrink, touches per-slot state only, so they fan out
+// across workers. Every reduction tie-breaks on the lowest index exactly
+// like the serial loops, keeping mappings byte-identical for any
+// GOMAXPROCS.
+//
+// The second result is a work counter: how many times a slot that lost
+// only a processor had to be rescanned in full because that processor
+// held its minimum — the work the classes share, pinned by
+// TestTopoLBRescanCount.
+func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, int64) {
 	n := t.Nodes()
 	d := newDists(t)
 	m := make(Mapping, n)
@@ -151,27 +179,50 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 	totalDist := make([]float64, n)
 	topology.TotalDistances(t, totalDist)
 
-	fest := make([]float64, n*n) // row = task, col = processor; scaled by n
-	unplacedW := make([]float64, n)
+	// Group the tasks into pristine classes by the bits of their row
+	// scale: W_v at second order, 0 (one class, all-zero rows) at first.
+	// Sorted rather than hashed: no map on the request path.
+	scale := make([]float64, n)
+	if order == OrderSecond {
+		for v := range scale {
+			scale[v] = g.WeightedDegree(v)
+		}
+	}
+	byScale := make([]int32, n)
+	for v := range byScale {
+		byScale[v] = int32(v)
+	}
+	slices.SortFunc(byScale, func(a, b int32) int {
+		return cmp.Compare(math.Float64bits(scale[a]), math.Float64bits(scale[b]))
+	})
+	slot := make([]int32, n) // n+class while pristine, v once touched
+	var classW []float64     // per class: the shared row scale
+	var classLive []int32    // per class: members still pristine and free
+	for i, v := range byScale {
+		if i == 0 || math.Float64bits(scale[v]) != math.Float64bits(scale[byScale[i-1]]) {
+			classW = append(classW, scale[v])
+			classLive = append(classLive, 0)
+		}
+		c := len(classW) - 1
+		slot[v] = int32(n + c)
+		classLive[c]++
+	}
+	slots := n + len(classW)
+
+	fest := make([]float64, n*n) // row = task, col = processor; scaled by n; written at first touch
 	taskFree := make([]bool, n)
 	procFree := make([]bool, n)
-	fMin := make([]float64, n) // min fest over free processors
-	fMinAt := make([]int, n)   // argmin processor
-	fSum := make([]float64, n) // Σ fest over free processors
+	fMin := make([]float64, slots) // min fest over free processors
+	fMinAt := make([]int, slots)   // argmin processor
+	fSum := make([]float64, slots) // Σ fest over free processors
 	for v := 0; v < n; v++ {
 		taskFree[v] = true
 		procFree[v] = true
-		unplacedW[v] = g.WeightedDegree(v)
 	}
-	parallel.For(n, rowScanGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := fest[v*n : (v+1)*n]
-			if order == OrderSecond {
-				for p := 0; p < n; p++ {
-					row[p] = unplacedW[v] * totalDist[p]
-				}
-			}
-			rescanRow(row, procFree, &fMin[v], &fMinAt[v], &fSum[v])
+	var rescans atomic.Int64
+	parallel.For(len(classW), rowScanGrain, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			rescanClass(classW[c], totalDist, procFree, &fMin[n+c], &fMinAt[n+c], &fSum[n+c])
 		}
 	})
 
@@ -181,11 +232,12 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 	for k := 0; k < n; k++ {
 		// Select the task with maximum gain = FAvg − FMin.
 		nFree := float64(freeProcs)
-		tk, _ := parallel.ArgMax(n, gainScanGrain, func(v int) (float64, bool) {
-			return fSum[v]/nFree - fMin[v], taskFree[v]
+		tk, _ := parallel.ArgMax(n, cellGrain, func(v int) (float64, bool) {
+			sl := slot[v]
+			return fSum[sl]/nFree - fMin[sl], taskFree[v]
 		})
 		// Select the cheapest free processor for tk.
-		pk := fMinAt[tk]
+		pk := fMinAt[slot[tk]]
 		m[tk] = pk
 		taskFree[tk] = false
 		procFree[pk] = false
@@ -193,23 +245,36 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 		if freeProcs == 0 {
 			break
 		}
+		if sl := int(slot[tk]); sl >= n {
+			classLive[sl-n]--
+		}
 
 		d.fillScaledRow(distRow, pk, float64(n))
 		// Neighbors of tk gain an exact term (and, at second order, lose
-		// the expected-distance term for this edge).
+		// the expected-distance term for this edge). A pristine neighbor
+		// leaves its class here and gets its row written first.
 		adj, w := g.Neighbors(tk)
 		for _, u := range adj {
 			isNbr[u] = true
+			if sl := int(slot[u]); sl >= n && taskFree[u] {
+				classLive[sl-n]--
+			}
 		}
-		parallel.For(len(adj), 1, func(lo, hi int) {
+		parallel.For(len(adj), rowScanGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				u := int(adj[i])
 				if !taskFree[u] {
 					continue
 				}
 				c := w[i]
-				unplacedW[u] -= c
 				row := fest[u*n : (u+1)*n]
+				if sl := int(slot[u]); sl >= n {
+					cw := classW[sl-n]
+					for p := 0; p < n; p++ {
+						row[p] = cw * totalDist[p]
+					}
+					slot[u] = int32(u)
+				}
 				if order == OrderSecond {
 					for p := 0; p < n; p++ {
 						row[p] += c * (distRow[p] - totalDist[p])
@@ -222,23 +287,39 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 				rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
 			}
 		})
-		// Other unplaced tasks only lose processor pk from their free set.
-		parallel.For(n, gainScanGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if !taskFree[v] || isNbr[v] {
+		// Every other slot — a touched free task, or a class that still
+		// has members — only loses processor pk from its free set.
+		parallel.For(slots, cellGrain, func(lo, hi int) {
+			done := 0
+			for sl := lo; sl < hi; sl++ {
+				if sl < n {
+					if !taskFree[sl] || isNbr[sl] || int(slot[sl]) != sl {
+						continue
+					}
+					fSum[sl] -= fest[sl*n+pk]
+					if fMinAt[sl] == pk {
+						rescanRow(fest[sl*n:(sl+1)*n], procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+						done++
+					}
 					continue
 				}
-				fSum[v] -= fest[v*n+pk]
-				if fMinAt[v] == pk {
-					rescanRow(fest[v*n:(v+1)*n], procFree, &fMin[v], &fMinAt[v], &fSum[v])
+				if classLive[sl-n] == 0 {
+					continue
+				}
+				cw := classW[sl-n]
+				fSum[sl] -= float64(cw * totalDist[pk])
+				if fMinAt[sl] == pk {
+					rescanClass(cw, totalDist, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+					done++
 				}
 			}
+			rescans.Add(int64(done))
 		})
 		for _, u := range adj {
 			isNbr[u] = false
 		}
 	}
-	return m, nil
+	return m, rescans.Load()
 }
 
 // rescanRow recomputes the minimum, argmin, and sum of a fest row over the
@@ -250,6 +331,24 @@ func rescanRow(row []float64, procFree []bool, minVal *float64, minAt *int, sum 
 			continue
 		}
 		v := row[p]
+		s += v
+		if ma < 0 || v < mv {
+			mv, ma = v, p
+		}
+	}
+	*minVal, *minAt, *sum = mv, ma, s
+}
+
+// rescanClass is rescanRow for a pristine class: the row is not stored,
+// its entries are float64(cw·totalDist[p]) — rounded by the conversion
+// exactly as a stored entry is, so the two agree to the last bit.
+func rescanClass(cw float64, totalDist []float64, procFree []bool, minVal *float64, minAt *int, sum *float64) {
+	mv, ma, s := 0.0, -1, 0.0
+	for p, free := range procFree {
+		if !free {
+			continue
+		}
+		v := float64(cw * totalDist[p])
 		s += v
 		if ma < 0 || v < mv {
 			mv, ma = v, p

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/taskgraph"
@@ -133,4 +135,209 @@ func integerize(g *taskgraph.Graph) *taskgraph.Graph {
 		}
 	}
 	return b.Build("int[" + g.Name() + "]")
+}
+
+// referenceRowTopoLB is first- and second-order TopoLB as it was before
+// the pristine classes: every task owns a stored fest row from the first
+// cycle on, filled up front as W_v·totalDist[p], and every free
+// non-neighbor row pays its own subtract and its own rescan each cycle.
+// It is the oracle for mapIncremental, which must place the same task
+// on the same processor in every cycle — and, unlike the brute-force
+// reference above, it does the same floating-point operations in the same
+// order, so the comparison is exact for any weights at any size. The
+// second result is the sequence in which tasks were placed.
+func referenceRowTopoLB(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, []int) {
+	n := t.Nodes()
+	d := newDists(t)
+	m := make(Mapping, n)
+	for i := range m {
+		m[i] = -1
+	}
+	totalDist := make([]float64, n)
+	topology.TotalDistances(t, totalDist)
+
+	fest := make([]float64, n*n)
+	taskFree := make([]bool, n)
+	procFree := make([]bool, n)
+	fMin := make([]float64, n)
+	fMinAt := make([]int, n)
+	fSum := make([]float64, n)
+	for v := 0; v < n; v++ {
+		taskFree[v] = true
+		procFree[v] = true
+	}
+	for v := 0; v < n; v++ {
+		row := fest[v*n : (v+1)*n]
+		if order == OrderSecond {
+			wv := g.WeightedDegree(v)
+			for p := 0; p < n; p++ {
+				row[p] = wv * totalDist[p]
+			}
+		}
+		rescanRow(row, procFree, &fMin[v], &fMinAt[v], &fSum[v])
+	}
+
+	distRow := make([]float64, n)
+	isNbr := make([]bool, n)
+	seq := make([]int, 0, n)
+	freeProcs := n
+	for k := 0; k < n; k++ {
+		nFree := float64(freeProcs)
+		tk, best := -1, 0.0
+		for v := 0; v < n; v++ {
+			if !taskFree[v] {
+				continue
+			}
+			if gain := fSum[v]/nFree - fMin[v]; tk < 0 || gain > best {
+				tk, best = v, gain
+			}
+		}
+		pk := fMinAt[tk]
+		m[tk] = pk
+		seq = append(seq, tk)
+		taskFree[tk] = false
+		procFree[pk] = false
+		freeProcs--
+		if freeProcs == 0 {
+			break
+		}
+
+		d.fillScaledRow(distRow, pk, float64(n))
+		adj, w := g.Neighbors(tk)
+		for i, u32 := range adj {
+			u := int(u32)
+			isNbr[u] = true
+			if !taskFree[u] {
+				continue
+			}
+			c := w[i]
+			row := fest[u*n : (u+1)*n]
+			if order == OrderSecond {
+				for p := 0; p < n; p++ {
+					row[p] += c * (distRow[p] - totalDist[p])
+				}
+			} else {
+				for p := 0; p < n; p++ {
+					row[p] += c * distRow[p]
+				}
+			}
+			rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
+		}
+		for v := 0; v < n; v++ {
+			if !taskFree[v] || isNbr[v] {
+				continue
+			}
+			fSum[v] -= fest[v*n+pk]
+			if fMinAt[v] == pk {
+				rescanRow(fest[v*n:(v+1)*n], procFree, &fMin[v], &fMinAt[v], &fSum[v])
+			}
+		}
+		for _, u := range adj {
+			isNbr[u] = false
+		}
+	}
+	return m, seq
+}
+
+// pristineWins counts the cycles after the first whose placed task had no
+// placed neighbor: the gain scan was won, and the processor chosen,
+// through a class record rather than a materialized row.
+func pristineWins(g *taskgraph.Graph, seq []int) int {
+	touched := make([]bool, g.NumVertices())
+	wins := 0
+	for k, tk := range seq {
+		if k > 0 && !touched[tk] {
+			wins++
+		}
+		adj, _ := g.Neighbors(tk)
+		for _, u := range adj {
+			touched[u] = true
+		}
+	}
+	return wins
+}
+
+// islands builds two connected components of fractional-weight edges plus
+// a tail of isolated zero-degree tasks: while one component is being
+// placed the other is still pristine and competes in the gain scan
+// through its class records, and the isolated tasks stay pristine to the
+// end.
+func islands(n int) *taskgraph.Graph {
+	b := taskgraph.NewBuilder(n)
+	half := n * 3 / 8
+	for c := 0; c < 2; c++ {
+		base := c * half
+		for i := 0; i < half; i++ {
+			b.AddEdge(base+i, base+(i+1)%half, 1.3+0.01*float64(i%7))
+			b.AddEdge(base+i, base+(i*5+2)%half, 0.7)
+		}
+	}
+	return b.Build(fmt.Sprintf("islands(%d)", n))
+}
+
+// TestTopoLBMatchesRowReference demands placement-for-placement equality
+// between the class-sharing implementation and the row-per-task one, at
+// both incremental orders and at GOMAXPROCS 1, 2 and 8, on inputs the
+// brute-force check never reaches: fractional weights, a mesh (totalDist
+// varies by processor), disconnected graphs with isolated tasks, all W_v
+// distinct, all W_v equal, and the degenerate sizes.
+func TestTopoLBMatchesRowReference(t *testing.T) {
+	one := taskgraph.NewBuilder(1).Build("one")
+	two := taskgraph.NewBuilder(2).AddEdge(0, 1, 0.731).Build("two")
+	cases := []struct {
+		g            *taskgraph.Graph
+		topo         topology.Topology
+		pristineWins bool // some later cycle must place a still-pristine task
+	}{
+		{one, topology.MustMesh(1), false},
+		{two, topology.MustMesh(2), false},
+		{two, topology.MustTorus(2), false},
+		{taskgraph.Random(64, 192, 0.37, 9.91, 1), topology.MustMesh(8, 8), false},     // W_v all distinct
+		{taskgraph.Random(64, 192, 0.37, 9.91, 2), topology.MustTorus(4, 4, 4), false}, // constant totalDist
+		{taskgraph.Torus2D(8, 8, 0.3), topology.MustMesh(8, 8), false},                 // W_v all equal
+		{taskgraph.Mesh2D(8, 8, 0.3), topology.MustTorus(8, 8), false},                 // three W_v classes
+		{islands(64), topology.MustMesh(8, 8), true},
+		{islands(64), topology.MustTorus(8, 8), true},
+		{taskgraph.Random(256, 1024, 0.37, 9.91, 3), topology.MustMesh(16, 16), false},
+		{taskgraph.Mesh2D(16, 16, 1.1), topology.MustTorus(16, 16), false},
+		{islands(256), topology.MustMesh(16, 16), true},
+		{taskgraph.Random(256, 600, 0.37, 9.91, 4), topology.MustHypercube(8), false},
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range cases {
+		for _, order := range []Order{OrderFirst, OrderSecond} {
+			want, seq := referenceRowTopoLB(tc.g, tc.topo, order)
+			if tc.pristineWins && pristineWins(tc.g, seq) == 0 {
+				t.Errorf("%s on %s, order %d: no pristine task won a gain scan after the first", tc.g.Name(), tc.topo.Name(), order)
+			}
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				got, err := TopoLB{Order: order}.Map(tc.g, tc.topo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range want {
+					if got[v] != want[v] {
+						t.Errorf("%s on %s, order %d, GOMAXPROCS %d: task %d on %d, reference %d",
+							tc.g.Name(), tc.topo.Name(), order, procs, v, got[v], want[v])
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTopoLBRescanCount is the clock-free regression gate for the pristine
+// classes: on mesh2d:32,32 → torus:32,32 the row-per-task formulation
+// rescanned 97 878 rows per call because the processor just taken held
+// their minimum (760 of touched tasks, 97 118 of pristine tasks that all
+// agreed on that processor); sharing
+// them leaves the touched ones plus at most one per live class per cycle.
+func TestTopoLBRescanCount(t *testing.T) {
+	g, topo := taskgraph.Mesh2D(32, 32, 1024), topology.MustTorus(32, 32)
+	if got := TopoLBRescans(g, topo, OrderSecond); got > 2000 {
+		t.Fatalf("TopoLB did %d full-row rescans on %s -> %s; want <= 2000", got, g.Name(), topo.Name())
+	}
 }

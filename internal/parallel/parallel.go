@@ -49,7 +49,10 @@ func workers(nchunks int) int {
 //
 //lint:hotpath parallel kernel body: per-index path must stay allocation-free at any GOMAXPROCS
 func For(n, grain int, fn func(lo, hi int)) {
-	nchunks, grain := chunks(n, grain)
+	// g, not a reassigned grain: the workers capture it, and a captured
+	// variable that is assigned twice lives on the heap — one allocation
+	// per call, inline path included.
+	nchunks, g := chunks(n, grain)
 	if nchunks == 0 {
 		return
 	}
@@ -70,8 +73,8 @@ func For(n, grain int, fn func(lo, hi int)) {
 				if c >= nchunks {
 					return
 				}
-				lo := c * grain
-				hi := lo + grain
+				lo := c * g
+				hi := lo + g
 				if hi > n {
 					hi = n
 				}
@@ -91,16 +94,16 @@ func For(n, grain int, fn func(lo, hi int)) {
 //lint:hotpath parallel kernel body: per-index path must stay allocation-free at any GOMAXPROCS
 func Reduce[T any](n, grain int, chunk func(lo, hi int) T, merge func(acc, next T) T) T {
 	var zero T
-	nchunks, grain := chunks(n, grain)
+	nchunks, g := chunks(n, grain)
 	if nchunks == 0 {
 		return zero
 	}
 	w := workers(nchunks)
 	if w <= 1 {
-		acc := chunk(0, min(grain, n))
+		acc := chunk(0, min(g, n))
 		for c := 1; c < nchunks; c++ {
-			lo := c * grain
-			hi := lo + grain
+			lo := c * g
+			hi := lo + g
 			if hi > n {
 				hi = n
 			}
@@ -111,8 +114,8 @@ func Reduce[T any](n, grain int, chunk func(lo, hi int) T, merge func(acc, next 
 	//lint:ignore hotalloc one partial-results slice per call, amortized over the n-element reduction
 	partial := make([]T, nchunks)
 	//lint:ignore hotalloc O(1) capturing closure per call; chunk bodies run allocation-free
-	For(n, grain, func(lo, hi int) {
-		partial[lo/grain] = chunk(lo, hi)
+	For(n, g, func(lo, hi int) {
+		partial[lo/g] = chunk(lo, hi)
 	})
 	acc := partial[0]
 	for c := 1; c < nchunks; c++ {

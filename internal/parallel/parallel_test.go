@@ -157,3 +157,84 @@ func TestMapOrderedResults(t *testing.T) {
 		}
 	})
 }
+
+// allocData is what the allocation guard's callbacks read; package-level,
+// so the callbacks capture nothing and every allocation counted is the
+// helper's own.
+var (
+	allocData  = make([]float64, 1<<16)
+	allocSinkF float64
+	allocSinkI int
+	allocSinkS []float64
+)
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): the
+// forked path only exists above one worker, so it has to be measured
+// there. Other goroutines are idle during a test, so the count is the
+// helper's; it is averaged over the runs and truncated like AllocsPerRun.
+func mallocsPerRun(runs int, f func()) int {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestKernelAllocs is the dynamic guard behind the package's five
+// //lint:hotpath roots. Inline (GOMAXPROCS 1, or a single chunk at any
+// width) For and Reduce allocate nothing; ArgMax and ArgMin allocate the
+// one scan closure that would be handed to workers, Map that closure and
+// its result. Forked (GOMAXPROCS 2) each allocates a small constant — the
+// shared counter, the wait group, one closure per worker, Reduce's slice
+// of partials — that is the same for 16 chunks and for 256: nothing per
+// chunk, nothing per index.
+func TestKernelAllocs(t *testing.T) {
+	const grain = 256
+	kernels := []struct {
+		name           string
+		inline, forked int // allocation ceilings per call; forked is the measured count plus one
+		run            func(n int)
+	}{
+		{"For", 0, 5, func(n int) {
+			For(n, grain, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					allocData[i]++
+				}
+			})
+		}},
+		{"Reduce", 0, 7, func(n int) {
+			allocSinkF = Reduce(n, grain, func(lo, hi int) float64 {
+				s := 0.0
+				for i := lo; i < hi; i++ {
+					s += allocData[i]
+				}
+				return s
+			}, func(a, b float64) float64 { return a + b })
+		}},
+		{"ArgMax", 1, 8, func(n int) {
+			allocSinkI, _ = ArgMax(n, grain, func(i int) (float64, bool) { return allocData[i], true })
+		}},
+		{"ArgMin", 1, 8, func(n int) {
+			allocSinkI, _ = ArgMin(n, grain, func(i int) (float64, bool) { return allocData[i], true })
+		}},
+		{"Map", 2, 7, func(n int) {
+			allocSinkS = Map(n, grain, func(i int) float64 { return allocData[i] })
+		}},
+	}
+	withGOMAXPROCS(t, []int{1, 2}, func(procs int) {
+		for _, k := range kernels {
+			for _, n := range []int{grain, 16 * grain, 256 * grain} {
+				want := k.inline
+				if procs > 1 && n > grain {
+					want = k.forked
+				}
+				if got := mallocsPerRun(50, func() { k.run(n) }); got > want {
+					t.Errorf("GOMAXPROCS %d: %s over %d indices allocates %d times a call; want <= %d", procs, k.name, n, got, want)
+				}
+			}
+		}
+	})
+}

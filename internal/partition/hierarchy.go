@@ -102,17 +102,20 @@ func BuildHierarchy(g *taskgraph.Graph, opt HierarchyOptions) *Hierarchy {
 	}
 	h := &Hierarchy{}
 	cur := FromTaskGraph(g)
+	// Matching scratch is allocated once at the finest size and sliced per
+	// level; only cmap, which the hierarchy keeps, is per level.
+	pref := make([]int32, n)
+	match := make([]int32, n)
+	var scratch contractScratch
 	for cur.N > coarsenTo && len(h.Levels) < maxLevels {
-		pref := make([]int32, cur.N)
-		match := make([]int32, cur.N)
 		cmap := make([]int32, cur.N)
-		coarseN := matchHeavyEdge(cur, nil, 0, maxTasks, pref, match, cmap)
+		coarseN := matchHeavyEdge(cur, nil, 0, maxTasks, pref[:cur.N], match[:cur.N], cmap)
 		// Stagnation guard: a level that shrinks by less than 3% means the
 		// task-count cap (or graph structure) blocks further contraction.
 		if int(coarseN) >= cur.N || float64(coarseN) > 0.97*float64(cur.N) {
 			break
 		}
-		coarse := contract(cur, cmap, match, coarseN, false)
+		coarse := contract(cur, cmap, coarseN, false, &scratch)
 		h.Levels = append(h.Levels, coarse)
 		h.Cmaps = append(h.Cmaps, cmap)
 		cur = coarse
@@ -205,17 +208,34 @@ func matchHeavyEdge(lvl *CGraph, order []int32, maxVwgt float64, maxTasks int32,
 	return coarseN
 }
 
-// contract builds the coarse graph induced by cmap/match. Merged values
+// contractScratch holds contract's per-coarse-vertex work arrays. The
+// zero value is ready; the first contraction of a coarsening run sizes
+// it, and every later (smaller) level reuses the same memory.
+type contractScratch struct {
+	memA, memB    []int32 // members of each coarse vertex, ascending
+	seenC, seenAt []int32 // neighbor dedup stamps and positions
+}
+
+// sized returns the four arrays cut to coarseN entries, (re)allocating
+// only when the scratch has never been this large.
+func (sc *contractScratch) sized(coarseN int32) (memA, memB, seenC, seenAt []int32) {
+	if int32(cap(sc.memA)) < coarseN {
+		sc.memA, sc.memB = make([]int32, coarseN), make([]int32, coarseN)
+		sc.seenC, sc.seenAt = make([]int32, coarseN), make([]int32, coarseN)
+	}
+	return sc.memA[:coarseN], sc.memB[:coarseN], sc.seenC[:coarseN], sc.seenAt[:coarseN]
+}
+
+// contract builds the coarse graph induced by cmap. Merged values
 // accumulate in ascending fine-member order, so the result is independent
 // of the commit visit order that numbered the coarse vertices. With
 // sortAdj the per-vertex adjacency blocks are sorted by neighbor id
 // (matching taskgraph's convention); otherwise blocks keep first-
 // encounter order, which is already deterministic. No hash maps: dedup
 // uses timestamped scratch arrays, O(n + |E|) total.
-func contract(lvl *CGraph, cmap, match []int32, coarseN int32, sortAdj bool) *CGraph {
+func contract(lvl *CGraph, cmap []int32, coarseN int32, sortAdj bool, sc *contractScratch) *CGraph {
 	// Members of each coarse vertex in ascending fine order.
-	memA := make([]int32, coarseN)
-	memB := make([]int32, coarseN)
+	memA, memB, seenC, seenAt := sc.sized(coarseN)
 	for i := range memA {
 		memA[i] = -1
 		memB[i] = -1
@@ -239,8 +259,6 @@ func contract(lvl *CGraph, cmap, match []int32, coarseN int32, sortAdj bool) *CG
 	coarse.Adjwgt = make([]float64, 0, total)
 	// seenC/seenAt dedup coarse neighbors per vertex: seenC[cu] == c marks
 	// cu already emitted for the current c, at position seenAt[cu].
-	seenC := make([]int32, coarseN)
-	seenAt := make([]int32, coarseN)
 	for i := range seenC {
 		seenC[i] = -1
 	}

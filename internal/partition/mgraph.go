@@ -55,7 +55,7 @@ func (m *mgraph) totalVwgt() float64 {
 // lives in hierarchy.go (shared with the mapping hierarchy); this wrapper
 // keeps the partitioner's historical rng-permuted visit order and sorted
 // coarse adjacency.
-func (m *mgraph) coarsen(rng *rand.Rand, maxVwgt float64) (*mgraph, []int32) {
+func (m *mgraph) coarsen(rng *rand.Rand, maxVwgt float64, sc *contractScratch) (*mgraph, []int32) {
 	lvl := &CGraph{N: m.n, Xadj: m.xadj, Adjncy: m.adjncy, Adjwgt: m.adjwgt, Vwgt: m.vwgt}
 	perm := rng.Perm(m.n)
 	order := make([]int32, m.n)
@@ -66,7 +66,7 @@ func (m *mgraph) coarsen(rng *rand.Rand, maxVwgt float64) (*mgraph, []int32) {
 	match := make([]int32, m.n)
 	cmap := make([]int32, m.n)
 	coarseN := matchHeavyEdge(lvl, order, maxVwgt, 0, pref, match, cmap)
-	coarse := contract(lvl, cmap, match, coarseN, true)
+	coarse := contract(lvl, cmap, coarseN, true, sc)
 	return &mgraph{n: coarse.N, xadj: coarse.Xadj, adjncy: coarse.Adjncy,
 		adjwgt: coarse.Adjwgt, vwgt: coarse.Vwgt}, cmap
 }

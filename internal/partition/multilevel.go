@@ -71,9 +71,10 @@ func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 	maxVwgt := 1.5 * m0.totalVwgt() / float64(k)
 	levels := []*mgraph{m0}
 	var cmaps [][]int32
+	var scratch contractScratch
 	for levels[len(levels)-1].n > coarsenTo {
 		cur := levels[len(levels)-1]
-		coarse, cmap := cur.coarsen(rng, maxVwgt)
+		coarse, cmap := cur.coarsen(rng, maxVwgt, &scratch)
 		if coarse.n >= cur.n || float64(coarse.n) > 0.95*float64(cur.n) {
 			break // matching stagnated
 		}
