@@ -111,9 +111,9 @@ func TestHotpathAnnotationsMatchBenchCases(t *testing.T) {
 			[]string{"TestMultilevelProposeZeroAlloc", "TestSessionBatchAllocs"}},
 		// Steady state in packet, buffered and wormhole mode allocates 0.
 		{"netsim", []string{"(*Engine).Run"}, []string{"TestZeroAllocSteadyState", "TestWormholeZeroAllocSteadyState"}},
-		// Inline the five allocate at most a scan closure and Map's result;
+		// Inline the three allocate at most Map's closure and result;
 		// forked, a constant that does not grow with the chunk count.
-		{"parallel", []string{"ArgMax", "ArgMin", "For", "Map", "Reduce"}, []string{"TestKernelAllocs"}},
+		{"parallel", []string{"For", "Map", "Reduce"}, []string{"TestKernelAllocs"}},
 		{"sfc",
 			[]string{"HilbertDecode2", "HilbertDecode3", "HilbertEncode2", "HilbertEncode3",
 				"MortonDecode2", "MortonDecode3", "MortonEncode2", "MortonEncode3"},

@@ -6,6 +6,12 @@ import (
 	"repro/internal/topology"
 )
 
+// hopBytesGrain is the fixed number of tasks whose edges share one
+// floating-point accumulator in HopBytes. It is part of the metric's
+// value: the chunk partials are added in index order, so changing the
+// grain changes the last bits of every recorded hop-bytes.
+const hopBytesGrain = 64
+
 // HopBytes returns the paper's evaluation metric (§3):
 //
 //	HB(Gt, Gp, P) = Σ_{e_ab ∈ Et} c_ab · d_p(P(a), P(b))

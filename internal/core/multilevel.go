@@ -95,7 +95,7 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 
 	// Coarsen. levels[0] is the input graph; levels[i] contracts
 	// levels[i-1] via h.Cmaps[i-1].
-	h := partition.BuildHierarchy(g, partition.HierarchyOptions{CoarsenTo: target})
+	h := partition.BuildHierarchy(g, target)
 	levels := make([]*partition.CGraph, 1+len(h.Levels))
 	levels[0] = partition.FromTaskGraph(g)
 	copy(levels[1:], h.Levels)

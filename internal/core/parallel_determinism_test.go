@@ -1,15 +1,16 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
 
-// determinismStrategies are every kernel with a parallel code path.
+// determinismStrategies are the paper's kernels and the refiner over them.
 func determinismStrategies() []Strategy {
 	return []Strategy{
 		TopoLB{Order: OrderFirst},
@@ -20,47 +21,47 @@ func determinismStrategies() []Strategy {
 	}
 }
 
-// TestParallelMappingsIdenticalAcrossGOMAXPROCS: the ISSUE's determinism
-// contract — every parallel kernel must produce byte-identical mappings
-// (and bit-identical hop-bytes) at GOMAXPROCS 1, 2, and 8, since all
-// reductions merge fixed chunks in index order.
+// TestParallelMappingsIdenticalAcrossGOMAXPROCS: every strategy's
+// mappings and hop-bytes bits, hashed over three machines and four random
+// graphs each, against the hash recorded at GOMAXPROCS 1 when these
+// kernels still called package parallel. The test sets no width of its
+// own: the kernels are serial loops, and what they call that can fork
+// (TotalDistances, HopBytes) has its own width tests. CI runs the package
+// at GOMAXPROCS 2 and 8 against the same constants.
 func TestParallelMappingsIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	shapes := []topology.Topology{
 		topology.MustTorus(4, 4),
 		topology.MustMesh(5, 3),
 		topology.MustTorus(2, 3, 3),
 	}
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	for _, to := range shapes {
-		n := to.Nodes()
-		for seed := int64(0); seed < 4; seed++ {
-			g := taskgraph.Random(n, 2*n, 1, 16, seed)
-			for _, s := range determinismStrategies() {
-				name := fmt.Sprintf("%s/%s/seed=%d", s.Name(), to.Name(), seed)
-				runtime.GOMAXPROCS(1)
-				ref, err := s.Map(g, to)
+	want := map[string]uint64{
+		"TopoLB(order=1)": 0x3420954234616909,
+		"TopoLB":          0x794055991431156f,
+		"TopoLB(order=3)": 0x0b57b7efd97cef8c,
+		"TopoCentLB":      0xa05ecbe16aec6d0c,
+		"Random+Refine":   0x9e911a9c507fc451,
+	}
+	for _, s := range determinismStrategies() {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, to := range shapes {
+			n := to.Nodes()
+			for seed := int64(0); seed < 4; seed++ {
+				g := taskgraph.Random(n, 2*n, 1, 16, seed)
+				m, err := s.Map(g, to)
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("%s/%s/seed=%d: %v", s.Name(), to.Name(), seed, err)
 				}
-				refHB := HopBytes(g, to, ref)
-				for _, procs := range []int{2, 8} {
-					runtime.GOMAXPROCS(procs)
-					got, err := s.Map(g, to)
-					if err != nil {
-						t.Fatalf("%s procs=%d: %v", name, procs, err)
-					}
-					for v := range got {
-						if got[v] != ref[v] {
-							t.Fatalf("%s: GOMAXPROCS=%d mapping diverges at task %d (%d vs %d)",
-								name, procs, v, got[v], ref[v])
-						}
-					}
-					if hb := HopBytes(g, to, got); hb != refHB {
-						t.Errorf("%s: GOMAXPROCS=%d HopBytes %v != %v", name, procs, hb, refHB)
-					}
+				for _, p := range m {
+					binary.LittleEndian.PutUint64(b[:], uint64(p))
+					h.Write(b[:])
 				}
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(HopBytes(g, to, m)))
+				h.Write(b[:])
 			}
+		}
+		if got := h.Sum64(); got != want[s.Name()] {
+			t.Errorf("%s: mappings hash %#x, want %#x", s.Name(), got, want[s.Name()])
 		}
 	}
 }
@@ -89,41 +90,6 @@ func TestMappingsIdenticalWithAndWithoutDistanceMatrix(t *testing.T) {
 					t.Fatalf("%s seed %d: matrix changes placement of task %d (%d vs %d)",
 						s.Name(), seed, v, with[v], without[v])
 				}
-			}
-		}
-	}
-}
-
-// TestRefineParallelMatchesSerialSweep: Refine's speculative candidate
-// evaluation must apply exactly the swaps the serial sweep would, so the
-// swap count and final mapping agree at every GOMAXPROCS.
-func TestRefineParallelMatchesSerialSweep(t *testing.T) {
-	to := topology.MustTorus(6, 6)
-	g := taskgraph.Mesh2D(6, 6, 1e4)
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	type result struct {
-		m     Mapping
-		swaps int
-	}
-	var ref result
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		m, err := (Random{Seed: 9}).Map(g, to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		swaps := Refine(g, to, m, 8)
-		if procs == 1 {
-			ref = result{m: m, swaps: swaps}
-			continue
-		}
-		if swaps != ref.swaps {
-			t.Errorf("GOMAXPROCS=%d: %d swaps, serial did %d", procs, swaps, ref.swaps)
-		}
-		for v := range m {
-			if m[v] != ref.m[v] {
-				t.Fatalf("GOMAXPROCS=%d: refined mapping diverges at task %d", procs, v)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/parallel"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -162,14 +161,13 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 	for len(h.heap) > 0 {
 		tk := h.pop()
 		// Place tk on the free processor minimizing the first-order cost:
-		// hop-bytes to its already-placed neighbors. The scan is an
-		// index-ordered arg-min over processors — each candidate's cost is
-		// summed in edge order like the serial loop, so the placement is
-		// byte-identical for any GOMAXPROCS.
+		// hop-bytes to its already-placed neighbors, summed in edge order;
+		// ties go to the lowest processor.
 		adj, w := g.Neighbors(tk)
-		pk, _ := parallel.ArgMin(n, rowScanGrain, func(p int) (float64, bool) {
-			if !procFree[p] {
-				return 0, false
+		pk, best := -1, 0.0
+		for p, free := range procFree {
+			if !free {
+				continue
 			}
 			cost := 0.0
 			if d.dm != nil {
@@ -186,8 +184,10 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 					}
 				}
 			}
-			return cost, true
-		})
+			if pk < 0 || cost < best {
+				pk, best = p, cost
+			}
+		}
 		m[tk] = pk
 		procFree[pk] = false
 		// The placement raises the keys of tk's still-unplaced neighbors.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
-	"repro/internal/parallel"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -25,18 +23,6 @@ const (
 	// OrderThird approximates unplaced neighbors as uniformly random over
 	// the still-available processors; O(p³) total running time.
 	OrderThird Order = 3
-)
-
-// Grain sizes for the parallel kernels: the fixed chunk length handed to
-// package parallel, chosen by per-index cost so a chunk amortizes one
-// goroutine dispatch. Fixed grains (rather than n/workers) keep
-// floating-point chunk sums identical for every GOMAXPROCS; see the
-// determinism contract in DESIGN.md.
-const (
-	rowScanGrain    = 16   // O(p) per index: full fest-row work
-	cellGrain       = 4096 // O(1) per index: one table cell
-	thirdOrderGrain = 8    // O(p) per index, heavier constant
-	hopBytesGrain   = 64   // O(deg) per index: one task's edges
 )
 
 // dists resolves pairwise processor distances through the globally cached
@@ -60,25 +46,19 @@ func (d dists) dist(a, b int) int {
 	return d.t.Distance(a, b)
 }
 
-// fillScaledRow sets distRow[p] = scale × d(p, pk) for every processor,
-// in parallel. Distances are symmetric, so the matrix row for pk serves
-// as the column.
+// fillScaledRow sets distRow[p] = scale × d(p, pk) for every processor.
+// Distances are symmetric, so the matrix row for pk serves as the column.
 func (d dists) fillScaledRow(distRow []float64, pk int, scale float64) {
-	n := len(distRow)
 	if d.dm != nil {
 		row := d.dm.Row(pk)
-		parallel.For(n, cellGrain, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				distRow[p] = scale * float64(row[p])
-			}
-		})
+		for p := range distRow {
+			distRow[p] = scale * float64(row[p])
+		}
 		return
 	}
-	parallel.For(n, cellGrain, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			distRow[p] = scale * float64(d.t.Distance(p, pk))
-		}
-	})
+	for p := range distRow {
+		distRow[p] = scale * float64(d.t.Distance(p, pk))
+	}
 }
 
 // TopoLB is the paper's mapping heuristic (§4, Algorithm 1). In each of p
@@ -156,13 +136,6 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 // the rows of the placed task's neighbors — then holds for the rescans
 // too, not only for the row updates.
 //
-// Parallel structure: the per-cycle gain scan is an index-ordered
-// arg-max reduction; each neighbor's fest-row update, and each other
-// slot's free-set shrink, touches per-slot state only, so they fan out
-// across workers. Every reduction tie-breaks on the lowest index exactly
-// like the serial loops, keeping mappings byte-identical for any
-// GOMAXPROCS.
-//
 // The second result is a work counter: how many times a slot that lost
 // only a processor had to be rescanned in full because that processor
 // held its minimum — the work the classes share, pinned by
@@ -219,23 +192,28 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 		taskFree[v] = true
 		procFree[v] = true
 	}
-	var rescans atomic.Int64
-	parallel.For(len(classW), rowScanGrain, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			rescanClass(classW[c], totalDist, procFree, &fMin[n+c], &fMinAt[n+c], &fSum[n+c])
-		}
-	})
+	for c, cw := range classW {
+		rescanClass(cw, totalDist, procFree, &fMin[n+c], &fMinAt[n+c], &fSum[n+c])
+	}
+	var rescans int64
 
 	distRow := make([]float64, n) // n × d(p, pk)
 	isNbr := make([]bool, n)      // scratch, cleared after each cycle
 	freeProcs := n
 	for k := 0; k < n; k++ {
-		// Select the task with maximum gain = FAvg − FMin.
+		// Select the task with maximum gain = FAvg − FMin; ties go to the
+		// lowest task id.
 		nFree := float64(freeProcs)
-		tk, _ := parallel.ArgMax(n, cellGrain, func(v int) (float64, bool) {
+		tk, best := -1, 0.0
+		for v, free := range taskFree {
+			if !free {
+				continue
+			}
 			sl := slot[v]
-			return fSum[sl]/nFree - fMin[sl], taskFree[v]
-		})
+			if gain := fSum[sl]/nFree - fMin[sl]; tk < 0 || gain > best {
+				tk, best = v, gain
+			}
+		}
 		// Select the cheapest free processor for tk.
 		pk := fMinAt[slot[tk]]
 		m[tk] = pk
@@ -260,66 +238,59 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 				classLive[sl-n]--
 			}
 		}
-		parallel.For(len(adj), rowScanGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				u := int(adj[i])
-				if !taskFree[u] {
-					continue
-				}
-				c := w[i]
-				row := fest[u*n : (u+1)*n]
-				if sl := int(slot[u]); sl >= n {
-					cw := classW[sl-n]
-					for p := 0; p < n; p++ {
-						row[p] = cw * totalDist[p]
-					}
-					slot[u] = int32(u)
-				}
-				if order == OrderSecond {
-					for p := 0; p < n; p++ {
-						row[p] += c * (distRow[p] - totalDist[p])
-					}
-				} else {
-					for p := 0; p < n; p++ {
-						row[p] += c * distRow[p]
-					}
-				}
-				rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
+		for i, a := range adj {
+			u := int(a)
+			if !taskFree[u] {
+				continue
 			}
-		})
+			c := w[i]
+			row := fest[u*n : (u+1)*n]
+			if sl := int(slot[u]); sl >= n {
+				cw := classW[sl-n]
+				for p := 0; p < n; p++ {
+					row[p] = cw * totalDist[p]
+				}
+				slot[u] = int32(u)
+			}
+			if order == OrderSecond {
+				for p := 0; p < n; p++ {
+					row[p] += c * (distRow[p] - totalDist[p])
+				}
+			} else {
+				for p := 0; p < n; p++ {
+					row[p] += c * distRow[p]
+				}
+			}
+			rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
+		}
 		// Every other slot — a touched free task, or a class that still
 		// has members — only loses processor pk from its free set.
-		parallel.For(slots, cellGrain, func(lo, hi int) {
-			done := 0
-			for sl := lo; sl < hi; sl++ {
-				if sl < n {
-					if !taskFree[sl] || isNbr[sl] || int(slot[sl]) != sl {
-						continue
-					}
-					fSum[sl] -= fest[sl*n+pk]
-					if fMinAt[sl] == pk {
-						rescanRow(fest[sl*n:(sl+1)*n], procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
-						done++
-					}
-					continue
-				}
-				if classLive[sl-n] == 0 {
-					continue
-				}
-				cw := classW[sl-n]
-				fSum[sl] -= float64(cw * totalDist[pk])
-				if fMinAt[sl] == pk {
-					rescanClass(cw, totalDist, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
-					done++
-				}
+		for sl := 0; sl < n; sl++ {
+			if !taskFree[sl] || isNbr[sl] || int(slot[sl]) != sl {
+				continue
 			}
-			rescans.Add(int64(done))
-		})
+			fSum[sl] -= fest[sl*n+pk]
+			if fMinAt[sl] == pk {
+				rescanRow(fest[sl*n:(sl+1)*n], procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+				rescans++
+			}
+		}
+		for c, cw := range classW {
+			if classLive[c] == 0 {
+				continue
+			}
+			sl := n + c
+			fSum[sl] -= float64(cw * totalDist[pk])
+			if fMinAt[sl] == pk {
+				rescanClass(cw, totalDist, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+				rescans++
+			}
+		}
 		for _, u := range adj {
 			isNbr[u] = false
 		}
 	}
-	return m, rescans.Load()
+	return m, rescans
 }
 
 // rescanRow recomputes the minimum, argmin, and sum of a fest row over the
@@ -357,19 +328,10 @@ func rescanClass(cw float64, totalDist []float64, procFree []bool, minVal *float
 	*minVal, *minAt, *sum = mv, ma, s
 }
 
-// thirdCand is a third-order selection candidate: task tk placed on
-// processor pk with the given gain, or tk < 0 for "none yet".
-type thirdCand struct {
-	tk, pk int
-	gain   float64
-}
-
 // mapThirdOrder implements third-order TopoLB: the expected distance for an
 // unplaced neighbor is taken over the *free* processors, so every fest
 // value changes each cycle and the full table is rescanned — O(p²) per
-// cycle, O(p³) total (§4.4). The per-cycle scan fans the per-task row
-// evaluations out across workers and merges candidates in task order with
-// a strictly-greater replacement rule, matching the serial scan exactly.
+// cycle, O(p³) total (§4.4).
 func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	n := t.Nodes()
 	d := newDists(t)
@@ -394,37 +356,29 @@ func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping,
 	freeProcs := n
 	for k := 0; k < n; k++ {
 		inv := 1 / float64(freeProcs)
-		best := parallel.Reduce(n, thirdOrderGrain, func(lo, hi int) thirdCand {
-			best := thirdCand{tk: -1}
-			for v := lo; v < hi; v++ {
-				if !taskFree[v] {
+		// Ties in gain go to the lowest task id, ties in fest to the
+		// lowest processor.
+		tk, pk, best := -1, -1, 0.0
+		for v := 0; v < n; v++ {
+			if !taskFree[v] {
+				continue
+			}
+			row := base[v*n : (v+1)*n]
+			mv, ma, sum := 0.0, -1, 0.0
+			for p := 0; p < n; p++ {
+				if !procFree[p] {
 					continue
 				}
-				row := base[v*n : (v+1)*n]
-				mv, ma, sum := 0.0, -1, 0.0
-				for p := 0; p < n; p++ {
-					if !procFree[p] {
-						continue
-					}
-					f := row[p] + unplacedW[v]*sumFree[p]*inv
-					sum += f
-					if ma < 0 || f < mv {
-						mv, ma = f, p
-					}
-				}
-				gain := sum*inv - mv
-				if best.tk < 0 || gain > best.gain {
-					best = thirdCand{tk: v, pk: ma, gain: gain}
+				f := row[p] + unplacedW[v]*sumFree[p]*inv
+				sum += f
+				if ma < 0 || f < mv {
+					mv, ma = f, p
 				}
 			}
-			return best
-		}, func(acc, next thirdCand) thirdCand {
-			if acc.tk < 0 || (next.tk >= 0 && next.gain > acc.gain) {
-				return next
+			if gain := sum*inv - mv; tk < 0 || gain > best {
+				tk, pk, best = v, ma, gain
 			}
-			return acc
-		})
-		tk, pk := best.tk, best.pk
+		}
 		m[tk] = pk
 		taskFree[tk] = false
 		procFree[pk] = false
@@ -433,26 +387,22 @@ func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping,
 			break
 		}
 		d.fillScaledRow(distRow, pk, 1)
-		parallel.For(n, cellGrain, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				sumFree[p] -= distRow[p]
-			}
-		})
+		for p := range sumFree {
+			sumFree[p] -= distRow[p]
+		}
 		adj, w := g.Neighbors(tk)
-		parallel.For(len(adj), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				u := int(adj[i])
-				if !taskFree[u] {
-					continue
-				}
-				c := w[i]
-				unplacedW[u] -= c
-				row := base[u*n : (u+1)*n]
-				for p := 0; p < n; p++ {
-					row[p] += c * distRow[p]
-				}
+		for i, a := range adj {
+			u := int(a)
+			if !taskFree[u] {
+				continue
 			}
-		})
+			c := w[i]
+			unplacedW[u] -= c
+			row := base[u*n : (u+1)*n]
+			for p := 0; p < n; p++ {
+				row[p] += c * distRow[p]
+			}
+		}
 	}
 	return m, nil
 }

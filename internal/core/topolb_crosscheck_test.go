@@ -277,10 +277,10 @@ func islands(n int) *taskgraph.Graph {
 
 // TestTopoLBMatchesRowReference demands placement-for-placement equality
 // between the class-sharing implementation and the row-per-task one, at
-// both incremental orders and at GOMAXPROCS 1, 2 and 8, on inputs the
-// brute-force check never reaches: fractional weights, a mesh (totalDist
-// varies by processor), disconnected graphs with isolated tasks, all W_v
-// distinct, all W_v equal, and the degenerate sizes.
+// both incremental orders, on inputs the brute-force check never reaches:
+// fractional weights, a mesh (totalDist varies by processor), disconnected
+// graphs with isolated tasks, all W_v distinct, all W_v equal, and the
+// degenerate sizes.
 func TestTopoLBMatchesRowReference(t *testing.T) {
 	one := taskgraph.NewBuilder(1).Build("one")
 	two := taskgraph.NewBuilder(2).AddEdge(0, 1, 0.731).Build("two")
@@ -303,26 +303,21 @@ func TestTopoLBMatchesRowReference(t *testing.T) {
 		{islands(256), topology.MustMesh(16, 16), true},
 		{taskgraph.Random(256, 600, 0.37, 9.91, 4), topology.MustHypercube(8), false},
 	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range cases {
 		for _, order := range []Order{OrderFirst, OrderSecond} {
 			want, seq := referenceRowTopoLB(tc.g, tc.topo, order)
 			if tc.pristineWins && pristineWins(tc.g, seq) == 0 {
 				t.Errorf("%s on %s, order %d: no pristine task won a gain scan after the first", tc.g.Name(), tc.topo.Name(), order)
 			}
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				got, err := TopoLB{Order: order}.Map(tc.g, tc.topo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range want {
-					if got[v] != want[v] {
-						t.Errorf("%s on %s, order %d, GOMAXPROCS %d: task %d on %d, reference %d",
-							tc.g.Name(), tc.topo.Name(), order, procs, v, got[v], want[v])
-						break
-					}
+			got, err := TopoLB{Order: order}.Map(tc.g, tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range want {
+				if got[v] != want[v] {
+					t.Errorf("%s on %s, order %d: task %d on %d, reference %d",
+						tc.g.Name(), tc.topo.Name(), order, v, got[v], want[v])
+					break
 				}
 			}
 		}
@@ -339,5 +334,39 @@ func TestTopoLBRescanCount(t *testing.T) {
 	g, topo := taskgraph.Mesh2D(32, 32, 1024), topology.MustTorus(32, 32)
 	if got := TopoLBRescans(g, topo, OrderSecond); got > 2000 {
 		t.Fatalf("TopoLB did %d full-row rescans on %s -> %s; want <= 2000", got, g.Name(), topo.Name())
+	}
+}
+
+// TestPlacementScanAllocs is the allocation ceiling on the two paper
+// kernels' placement scans, measured at GOMAXPROCS 1 and 2 (not with
+// testing.AllocsPerRun, which pins the width to 1): on mesh2d:16,16 →
+// torus:16,16 each allocates its tables (15 and 19 objects) and, at two
+// cores, the one fork inside topology.TotalDistances (4–5 more) — nothing
+// per placement. A fork put back into either scan costs closures and
+// goroutines per cycle: before the scans were loops TopoCentLB allocated
+// 525 objects at one core and 2 059 at two, TopoLB 1 299 and 1 303.
+func TestPlacementScanAllocs(t *testing.T) {
+	g, topo := taskgraph.Mesh2D(16, 16, 1e4), topology.MustTorus(16, 16)
+	mallocs := func(s Strategy) uint64 {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := s.Map(g, topo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, s := range []Strategy{TopoCentLB{}, TopoLB{}} {
+		mallocs(s) // builds the cached distance matrix
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			if got := mallocs(s); got > 32 {
+				t.Errorf("%s at GOMAXPROCS %d allocates %d objects a call, want <= 32", s.Name(), procs, got)
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package hiertopo
 
 import (
 	"encoding/json"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/taskgraph"
@@ -311,6 +313,80 @@ func TestSpecCanonicalMatchesBuild(t *testing.T) {
 		}
 		if _, perr := Parse(spec); perr == nil || perr.Error() != berr.Error() {
 			t.Errorf("Parse(%q) error %v, want Build's %v", spec, perr, berr)
+		}
+	}
+}
+
+// TestHierHopBytesBitIdenticalAcrossGOMAXPROCS: at 4 096 tasks with
+// non-integral weights and costs HierHopBytes is 64 chunks, forked at any
+// width above one; the sum must carry the bits of the chunk partials added
+// in index order at every width.
+func TestHierHopBytesBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	h := mustParse(t, "pod:4@37.3/rack:4@3.7:torus-16x16")
+	n := h.Nodes()
+	g := taskgraph.Random(n, 4*n, 0.37, 9.91, 6)
+	m := make([]int, n)
+	for v := range m {
+		m[v] = (v*1237 + 11) % n // 1237 is odd, so a bijection on 4 096
+	}
+	want := 0.0
+	for lo := 0; lo < n; lo += hierHopBytesGrain {
+		part := 0.0
+		for v := lo; v < lo+hierHopBytesGrain; v++ {
+			adj, w := g.Neighbors(v)
+			for i, u := range adj {
+				if int32(v) < u {
+					part += w[i] * h.DistanceF(m[v], m[u])
+				}
+			}
+		}
+		want += part
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := HierHopBytes(g, h, m); got != want {
+			t.Errorf("GOMAXPROCS=%d: HierHopBytes = %v (%#x), want %v (%#x)",
+				procs, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestOverLimitLeafRejectedBeforeItIsBuilt: topomapd parses a hierarchy
+// on the request goroutine before admission, so a leaf over the 4 096
+// limit must be refused from its dimensions — building hypercube-20 to
+// count its processors took 0.78 s and 185 MB.
+func TestOverLimitLeafRejectedBeforeItIsBuilt(t *testing.T) {
+	for spec, want := range map[string]string{
+		"pod:2:hypercube-20":   `hiertopo: leaf "hypercube-20" has 1048576 processors, limit 4096`,
+		"pod:2:torus-64x64x16": `hiertopo: leaf "torus-64x64x16" has 65536 processors, limit 4096`,
+		"pod:2:fattree-16x5":   `hiertopo: leaf "fattree-16x5" has 1048576 processors, limit 4096`,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(spec)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error %v, want %s", spec, err, want)
+		}
+		if kb := (after.TotalAlloc - before.TotalAlloc) >> 10; kb >= 64 {
+			t.Errorf("Parse(%q) allocated %d KB to refuse the leaf, want < 64", spec, kb)
+		}
+	}
+	for _, spec := range []string{"pod:2:hypercube-12", "pod:2:torus-16x16x16", "pod:2:fattree-8x4", "pod:2:mesh-4096"} {
+		if h := mustParse(t, spec); h.Nodes() != 2*4096 {
+			t.Errorf("Parse(%q) has %d processors, want %d", spec, h.Nodes(), 2*4096)
+		}
+	}
+	// Shapes their constructor rejects keep its message, whatever the
+	// product of their extents comes to.
+	for spec, want := range map[string]string{
+		"pod:2:mesh--100x-100":     `hiertopo: leaf "mesh--100x-100": topology: shape dimensions must all be >= 1`,
+		"pod:2:hypercube-30":       `hiertopo: leaf "hypercube-30": topology: hypercube dimension 30 out of range [0,22]`,
+		"pod:2:fattree-1x99999999": `hiertopo: leaf "fattree-1x99999999": topology: fat-tree arity 1 out of range [2,64]`,
+	} {
+		if _, err := Parse(spec); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error %v, want %s", spec, err, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package hiertopo
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -92,36 +93,68 @@ func compactSpec(levels []Level, leafSpec string) string {
 	return b.String()
 }
 
-// parseLeafSpec reads a leaf topology spec's kind and dimensions and
-// checks the kind's arity, without constructing the topology.
-func parseLeafSpec(spec string) (kind string, dims []int, err error) {
+// parseLeafSpec reads a leaf topology spec's kind and dimensions, checks
+// the kind's arity and counts the processors of the shape (see mulNodes),
+// without constructing the topology.
+func parseLeafSpec(spec string) (kind string, dims []int, nodes int, err error) {
 	kind, rest, ok := strings.Cut(spec, "-")
 	if !ok {
-		return "", nil, fmt.Errorf("hiertopo: leaf spec %q needs kind-dims (e.g. torus-2x4)", spec)
+		return "", nil, 0, fmt.Errorf("hiertopo: leaf spec %q needs kind-dims (e.g. torus-2x4)", spec)
 	}
 	parts := strings.Split(rest, "x")
 	dims = make([]int, len(parts))
 	for i, p := range parts {
 		v, err := strconv.Atoi(p)
 		if err != nil {
-			return "", nil, fmt.Errorf("hiertopo: bad leaf dimension %q in %q", p, spec)
+			return "", nil, 0, fmt.Errorf("hiertopo: bad leaf dimension %q in %q", p, spec)
 		}
 		dims[i] = v
 	}
 	switch kind {
 	case "torus", "mesh":
+		nodes = 1
+		for _, d := range dims {
+			nodes = mulNodes(nodes, d)
+		}
 	case "hypercube":
 		if len(dims) != 1 {
-			return "", nil, fmt.Errorf("hiertopo: leaf hypercube takes one dimension, got %q", spec)
+			return "", nil, 0, fmt.Errorf("hiertopo: leaf hypercube takes one dimension, got %q", spec)
 		}
+		nodes = powNodes(2, dims[0])
 	case "fattree":
 		if len(dims) != 2 {
-			return "", nil, fmt.Errorf("hiertopo: leaf fattree takes arity and levels, got %q", spec)
+			return "", nil, 0, fmt.Errorf("hiertopo: leaf fattree takes arity and levels, got %q", spec)
 		}
+		nodes = powNodes(dims[0], dims[1])
 	default:
-		return "", nil, fmt.Errorf("hiertopo: unknown leaf topology kind %q (known: torus, mesh, hypercube, fattree)", kind)
+		return "", nil, 0, fmt.Errorf("hiertopo: unknown leaf topology kind %q (known: torus, mesh, hypercube, fattree)", kind)
 	}
-	return kind, dims, nil
+	return kind, dims, nodes, nil
+}
+
+// mulNodes returns n·d as a processor count: 0 if either factor is below
+// 1, and topology.MaxNodes+1 once the product passes topology.MaxNodes.
+// Both mean the shape's constructor rejects it and says why; both are
+// absorbing, so a product of extents needs no overflow check of its own.
+func mulNodes(n, d int) int {
+	switch {
+	case n < 1 || d < 1:
+		return 0
+	case d > topology.MaxNodes/n:
+		return topology.MaxNodes + 1
+	}
+	return n * d
+}
+
+// powNodes returns base^exp through mulNodes. A base of 2 or more passes
+// topology.MaxNodes within bits.Len(MaxNodes) steps and a base of 1 never
+// moves, so the loop is bounded whatever exp a request sends.
+func powNodes(base, exp int) int {
+	n := 1
+	for i := 0; i < min(exp, bits.Len(topology.MaxNodes)); i++ {
+		n = mulNodes(n, base)
+	}
+	return n
 }
 
 // parseLeaf constructs the topology a leaf spec names. "" binds
@@ -130,9 +163,14 @@ func parseLeaf(spec string) (topology.Topology, error) {
 	if spec == "" {
 		return topology.NewMesh(1)
 	}
-	kind, dims, err := parseLeafSpec(spec)
+	kind, dims, nodes, err := parseLeafSpec(spec)
 	if err != nil {
 		return nil, err
+	}
+	// Checked on the count, before construction: a leaf a thousand times
+	// over the limit would otherwise be laid out in full to be refused.
+	if nodes > maxFanout && nodes <= topology.MaxNodes {
+		return nil, fmt.Errorf("hiertopo: leaf %q has %d processors, limit %d", spec, nodes, maxFanout)
 	}
 	var t topology.Topology
 	switch kind {
@@ -147,9 +185,6 @@ func parseLeaf(spec string) (topology.Topology, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("hiertopo: leaf %q: %w", spec, err)
-	}
-	if t.Nodes() > maxFanout {
-		return nil, fmt.Errorf("hiertopo: leaf %q has %d processors, limit %d", spec, t.Nodes(), maxFanout)
 	}
 	return t, nil
 }
@@ -211,7 +246,7 @@ func (s *Spec) Canonical() (string, error) {
 		return "", err
 	}
 	if leaf != "" {
-		if _, _, err := parseLeafSpec(leaf); err != nil {
+		if _, _, _, err := parseLeafSpec(leaf); err != nil {
 			return "", err
 		}
 	}

@@ -11,7 +11,7 @@ func init() {
 	Register(&Analyzer{
 		Name: "parallelpurity",
 		Doc: "closures passed to the internal/parallel kernels (For, Reduce, " +
-			"Map, ArgMin, ArgMax) run concurrently over index chunks, so " +
+			"Map) run concurrently over index chunks, so " +
 			"bit-identical results at any GOMAXPROCS require them to be pure " +
 			"per-index transforms: no writes to captured variables, no writes " +
 			"to captured slices at indices not derived from the closure's own " +
@@ -25,7 +25,6 @@ func init() {
 // checked. The value is the human-readable callee rendered in messages.
 var parallelKernels = map[string]bool{
 	"For": true, "Reduce": true, "Map": true,
-	"ArgMin": true, "ArgMax": true,
 }
 
 func runParallelpurity(p *Pass) {

@@ -25,9 +25,9 @@ func sumBad(xs []float64) float64 {
 // countBad increments a captured counter.
 func countBad(xs []float64) int {
 	n := 0
-	_, _ = parallel.ArgMax(len(xs), 64, func(i int) (float64, bool) {
+	_ = parallel.Map(len(xs), 64, func(i int) bool {
 		n++
-		return xs[i], xs[i] > 1
+		return xs[i] > 1
 	})
 	return n
 }

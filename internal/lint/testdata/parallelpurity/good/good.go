@@ -48,10 +48,9 @@ func resetGood(counts []int) {
 	})
 }
 
-// pickGood scans with a pure scorer over captured read-only data.
-func pickGood(xs []float64) int {
-	best, _ := parallel.ArgMax(len(xs), 64, func(i int) (float64, bool) {
-		return xs[i], xs[i] > 0.75
+// pickGood maps a pure predicate over captured read-only data.
+func pickGood(xs []float64) []bool {
+	return parallel.Map(len(xs), 64, func(i int) bool {
+		return xs[i] > 0.75
 	})
-	return best
 }

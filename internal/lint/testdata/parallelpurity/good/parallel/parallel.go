@@ -26,23 +26,3 @@ func Map[R any](n, grain int, fn func(i int) R) []R {
 	}
 	return out
 }
-
-func ArgMin(n, grain int, f func(i int) (float64, bool)) (int, float64) {
-	best, bv := -1, 0.0
-	for i := 0; i < n; i++ {
-		if v, ok := f(i); ok && (best < 0 || v < bv) {
-			best, bv = i, v
-		}
-	}
-	return best, bv
-}
-
-func ArgMax(n, grain int, f func(i int) (float64, bool)) (int, float64) {
-	best, bv := -1, 0.0
-	for i := 0; i < n; i++ {
-		if v, ok := f(i); ok && (best < 0 || v > bv) {
-			best, bv = i, v
-		}
-	}
-	return best, bv
-}

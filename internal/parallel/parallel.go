@@ -1,6 +1,6 @@
 // Package parallel provides small deterministic fork-join helpers for the
 // mapping kernels: a chunked parallel loop, an index-ordered reduction, and
-// lowest-index arg-min/arg-max.
+// an index-ordered map.
 //
 // Determinism contract: every helper produces a result that is bit-identical
 // for any GOMAXPROCS value, including 1. Two rules make that hold:
@@ -9,8 +9,7 @@
 //     never by the worker count. Workers pull chunks dynamically, but which
 //     indices share a floating-point accumulator is always the same.
 //  2. Per-chunk partial results are merged strictly in ascending index
-//     order, and the arg-min/arg-max merges break ties toward the lowest
-//     index — exactly the semantics of the serial loops they replace.
+//     order — exactly the semantics of the serial loops they replace.
 //
 // The worker count comes from runtime.GOMAXPROCS(0) at call time, capped by
 // the number of chunks; when only one worker would run, the helpers execute
@@ -144,75 +143,4 @@ func Map[R any](n, grain int, fn func(i int) R) []R {
 		}
 	})
 	return out
-}
-
-// argResult carries an argument-reduction candidate: the lowest index seen
-// so far with the extremal value, or idx < 0 when no index qualified.
-type argResult struct {
-	idx int
-	val float64
-}
-
-// ArgMax returns the lowest index i in [0, n) maximizing f, considering
-// only indices where ok is true, along with the maximum value. The
-// replacement rule is strict (a later index replaces the champion only
-// when its value is strictly greater), matching the serial idiom
-//
-//	if best < 0 || v > bestVal { best, bestVal = i, v }
-//
-// ArgMax returns (-1, 0) when no index qualifies.
-//
-//lint:hotpath parallel kernel body: per-index path must stay allocation-free at any GOMAXPROCS
-func ArgMax(n, grain int, f func(i int) (float64, bool)) (int, float64) {
-	if n <= 0 {
-		return -1, 0
-	}
-	//lint:ignore hotalloc O(1) capturing closure per call; scan bodies use stack argResult values only
-	r := Reduce(n, grain, func(lo, hi int) argResult {
-		best := argResult{idx: -1}
-		for i := lo; i < hi; i++ {
-			if v, ok := f(i); ok && (best.idx < 0 || v > best.val) {
-				best = argResult{idx: i, val: v}
-			}
-		}
-		return best
-	}, func(acc, next argResult) argResult {
-		if acc.idx < 0 || (next.idx >= 0 && next.val > acc.val) {
-			return next
-		}
-		return acc
-	})
-	if r.idx < 0 {
-		return -1, 0
-	}
-	return r.idx, r.val
-}
-
-// ArgMin is ArgMax with the comparison reversed: the lowest index with the
-// strictly smallest value wins.
-//
-//lint:hotpath parallel kernel body: per-index path must stay allocation-free at any GOMAXPROCS
-func ArgMin(n, grain int, f func(i int) (float64, bool)) (int, float64) {
-	if n <= 0 {
-		return -1, 0
-	}
-	//lint:ignore hotalloc O(1) capturing closure per call; scan bodies use stack argResult values only
-	r := Reduce(n, grain, func(lo, hi int) argResult {
-		best := argResult{idx: -1}
-		for i := lo; i < hi; i++ {
-			if v, ok := f(i); ok && (best.idx < 0 || v < best.val) {
-				best = argResult{idx: i, val: v}
-			}
-		}
-		return best
-	}, func(acc, next argResult) argResult {
-		if acc.idx < 0 || (next.idx >= 0 && next.val < acc.val) {
-			return next
-		}
-		return acc
-	})
-	if r.idx < 0 {
-		return -1, 0
-	}
-	return r.idx, r.val
 }

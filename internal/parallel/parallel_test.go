@@ -88,58 +88,6 @@ func TestReduceEmptyReturnsZero(t *testing.T) {
 	}
 }
 
-// TestArgMaxMatchesSerialTieBreak: equal values must keep the lowest index,
-// and the skip predicate must behave like the serial `continue`.
-func TestArgMaxMatchesSerialTieBreak(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vals := make([]float64, 513)
-	skip := make([]bool, len(vals))
-	for i := range vals {
-		vals[i] = float64(rng.Intn(9)) // many ties
-		skip[i] = rng.Intn(4) == 0
-	}
-	serial := func() (int, float64) {
-		best, bv := -1, 0.0
-		for i, v := range vals {
-			if skip[i] {
-				continue
-			}
-			if best < 0 || v > bv {
-				best, bv = i, v
-			}
-		}
-		return best, bv
-	}
-	wantIdx, wantVal := serial()
-	withGOMAXPROCS(t, []int{1, 2, 8}, func(procs int) {
-		for _, grain := range []int{1, 7, 64, 1024} {
-			idx, val := ArgMax(len(vals), grain, func(i int) (float64, bool) {
-				return vals[i], !skip[i]
-			})
-			if idx != wantIdx || val != wantVal {
-				t.Errorf("procs=%d grain=%d: ArgMax = (%d,%v), want (%d,%v)", procs, grain, idx, val, wantIdx, wantVal)
-			}
-		}
-	})
-}
-
-func TestArgMinMatchesSerialTieBreak(t *testing.T) {
-	vals := []float64{5, 3, 3, 8, 3, 1, 1, 9}
-	idx, val := ArgMin(len(vals), 2, func(i int) (float64, bool) { return vals[i], true })
-	if idx != 5 || val != 1 {
-		t.Errorf("ArgMin = (%d,%v), want (5,1)", idx, val)
-	}
-}
-
-func TestArgReductionsEmpty(t *testing.T) {
-	if idx, _ := ArgMax(10, 4, func(i int) (float64, bool) { return 0, false }); idx != -1 {
-		t.Errorf("ArgMax with all-skip = %d, want -1", idx)
-	}
-	if idx, _ := ArgMin(0, 4, func(i int) (float64, bool) { return 0, true }); idx != -1 {
-		t.Errorf("ArgMin over empty range = %d, want -1", idx)
-	}
-}
-
 // TestMapOrderedResults: Map must return fn(i) at index i for any worker
 // count, including empty and sub-grain inputs.
 func TestMapOrderedResults(t *testing.T) {
@@ -164,7 +112,6 @@ func TestMapOrderedResults(t *testing.T) {
 var (
 	allocData  = make([]float64, 1<<16)
 	allocSinkF float64
-	allocSinkI int
 	allocSinkS []float64
 )
 
@@ -183,14 +130,13 @@ func mallocsPerRun(runs int, f func()) int {
 	return int(after.Mallocs-before.Mallocs) / runs
 }
 
-// TestKernelAllocs is the dynamic guard behind the package's five
+// TestKernelAllocs is the dynamic guard behind the package's three
 // //lint:hotpath roots. Inline (GOMAXPROCS 1, or a single chunk at any
-// width) For and Reduce allocate nothing; ArgMax and ArgMin allocate the
-// one scan closure that would be handed to workers, Map that closure and
-// its result. Forked (GOMAXPROCS 2) each allocates a small constant — the
-// shared counter, the wait group, one closure per worker, Reduce's slice
-// of partials — that is the same for 16 chunks and for 256: nothing per
-// chunk, nothing per index.
+// width) For and Reduce allocate nothing; Map allocates the loop closure
+// that would be handed to workers and its result. Forked (GOMAXPROCS 2)
+// each allocates a small constant — the shared counter, the wait group,
+// one closure per worker, Reduce's slice of partials — that is the same
+// for 16 chunks and for 256: nothing per chunk, nothing per index.
 func TestKernelAllocs(t *testing.T) {
 	const grain = 256
 	kernels := []struct {
@@ -213,12 +159,6 @@ func TestKernelAllocs(t *testing.T) {
 				}
 				return s
 			}, func(a, b float64) float64 { return a + b })
-		}},
-		{"ArgMax", 1, 8, func(n int) {
-			allocSinkI, _ = ArgMax(n, grain, func(i int) (float64, bool) { return allocData[i], true })
-		}},
-		{"ArgMin", 1, 8, func(n int) {
-			allocSinkI, _ = ArgMin(n, grain, func(i int) (float64, bool) { return allocData[i], true })
 		}},
 		{"Map", 2, 7, func(n int) {
 			allocSinkS = Map(n, grain, func(i int) float64 { return allocData[i] })

@@ -6,8 +6,8 @@ import "math/rand"
 // vertex weight. It runs greedy graph-growing from several seeds, refines
 // each candidate with FM, and returns the side assignment with the
 // smallest edge cut among balanced candidates.
-func bisect(m *mgraph, leftFrac float64, rng *rand.Rand, tries int) []int8 {
-	if m.n == 1 {
+func bisect(m *CGraph, leftFrac float64, rng *rand.Rand, tries int) []int8 {
+	if m.N == 1 {
 		return []int8{0}
 	}
 	total := m.totalVwgt()
@@ -47,25 +47,25 @@ func better(cut, bal, bestCut, bestBal float64) bool {
 // growRegion grows side 0 from a random seed by repeatedly absorbing the
 // unassigned vertex with the strongest connection to the region until the
 // target weight is reached. Both sides are guaranteed non-empty.
-func growRegion(m *mgraph, target float64, rng *rand.Rand) []int8 {
-	side := make([]int8, m.n)
+func growRegion(m *CGraph, target float64, rng *rand.Rand) []int8 {
+	side := make([]int8, m.N)
 	for i := range side {
 		side[i] = 1
 	}
-	conn := make([]float64, m.n) // connection of each side-1 vertex to side 0
-	seed := int32(rng.Intn(m.n))
+	conn := make([]float64, m.N) // connection of each side-1 vertex to side 0
+	seed := int32(rng.Intn(m.N))
 	side[seed] = 0
-	weight := m.vwgt[seed]
+	weight := m.Vwgt[seed]
 	adj, w := m.neighbors(seed)
 	for i, u := range adj {
 		conn[u] += w[i]
 	}
-	inSideOne := m.n - 1
+	inSideOne := m.N - 1
 	for weight < target && inSideOne > 1 {
 		// Pick the unassigned vertex with max connection; fall back to any.
 		best := int32(-1)
 		bestConn := -1.0
-		for v := int32(0); v < int32(m.n); v++ {
+		for v := int32(0); v < int32(m.N); v++ {
 			if side[v] == 1 && conn[v] > bestConn {
 				best, bestConn = v, conn[v]
 			}
@@ -74,11 +74,11 @@ func growRegion(m *mgraph, target float64, rng *rand.Rand) []int8 {
 			break
 		}
 		// Stop if overshooting hurts more than stopping short.
-		if weight+m.vwgt[best] > target && weight+m.vwgt[best]-target > target-weight {
+		if weight+m.Vwgt[best] > target && weight+m.Vwgt[best]-target > target-weight {
 			break
 		}
 		side[best] = 0
-		weight += m.vwgt[best]
+		weight += m.Vwgt[best]
 		inSideOne--
 		adj, w := m.neighbors(best)
 		for i, u := range adj {
@@ -90,9 +90,9 @@ func growRegion(m *mgraph, target float64, rng *rand.Rand) []int8 {
 	return side
 }
 
-func bisectionCut(m *mgraph, side []int8) float64 {
+func bisectionCut(m *CGraph, side []int8) float64 {
 	cut := 0.0
-	for v := int32(0); v < int32(m.n); v++ {
+	for v := int32(0); v < int32(m.N); v++ {
 		adj, w := m.neighbors(v)
 		for i, u := range adj {
 			if side[v] != side[u] {
@@ -103,11 +103,11 @@ func bisectionCut(m *mgraph, side []int8) float64 {
 	return cut / 2
 }
 
-func bisectionImbalance(m *mgraph, side []int8, target, total float64) float64 {
+func bisectionImbalance(m *CGraph, side []int8, target, total float64) float64 {
 	w0 := 0.0
 	for v, s := range side {
 		if s == 0 {
-			w0 += m.vwgt[v]
+			w0 += m.Vwgt[v]
 		}
 	}
 	b0 := ratio(w0, target)
@@ -132,16 +132,16 @@ func ratio(x, y float64) float64 {
 // pass tentatively moves every vertex once in best-gain order, then keeps
 // the best prefix seen. Balance may drift within 15 % of the targets and
 // neither side may empty.
-func fmRefineBisection(m *mgraph, side []int8, target, total float64) {
+func fmRefineBisection(m *CGraph, side []int8, target, total float64) {
 	const maxPasses = 6
-	n := int32(m.n)
+	n := int32(m.N)
 	gain := make([]float64, n)
 	locked := make([]bool, n)
 	count := [2]int{}
 	weight := [2]float64{}
 	for v := int32(0); v < n; v++ {
 		count[side[v]]++
-		weight[side[v]] += m.vwgt[v]
+		weight[side[v]] += m.Vwgt[v]
 	}
 	limit := [2]float64{target * 1.15, (total - target) * 1.15}
 	for pass := 0; pass < maxPasses; pass++ {
@@ -172,7 +172,7 @@ func fmRefineBisection(m *mgraph, side []int8, target, total float64) {
 					continue
 				}
 				from, to := side[v], 1-side[v]
-				if count[from] <= 1 || weight[to]+m.vwgt[v] > limit[to] {
+				if count[from] <= 1 || weight[to]+m.Vwgt[v] > limit[to] {
 					continue
 				}
 				if best < 0 || gain[v] > bestGain {
@@ -187,8 +187,8 @@ func fmRefineBisection(m *mgraph, side []int8, target, total float64) {
 			locked[best] = true
 			count[from]--
 			count[to]++
-			weight[from] -= m.vwgt[best]
-			weight[to] += m.vwgt[best]
+			weight[from] -= m.Vwgt[best]
+			weight[to] += m.Vwgt[best]
 			cum += bestGain
 			history = append(history, move{best, bestGain})
 			if cum > bestCum {
@@ -213,8 +213,8 @@ func fmRefineBisection(m *mgraph, side []int8, target, total float64) {
 			side[v] = to
 			count[from]--
 			count[to]++
-			weight[from] -= m.vwgt[v]
-			weight[to] += m.vwgt[v]
+			weight[from] -= m.Vwgt[v]
+			weight[to] += m.Vwgt[v]
 		}
 		if bestCum <= 0 {
 			break

@@ -7,13 +7,13 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// This file is the generalized home of the heavy-edge matching kernel
-// that mgraph.coarsen introduced for the k-way partitioner: the same
-// match/contract machinery, exposed as an explicit coarsening hierarchy
-// (every level plus every fine→coarse map) so multilevel *mapping* can
-// uncoarsen with local refinement. Levels carry merged vertex weights and
-// merged finest-task counts; memory is O(n + |E|) summed over the whole
-// hierarchy because level sizes decay geometrically.
+// This file is the home of the heavy-edge matching kernel the k-way
+// partitioner and the mapping hierarchy share: the same match/contract
+// machinery, exposed as an explicit coarsening hierarchy (every level
+// plus every fine→coarse map) so multilevel *mapping* can uncoarsen with
+// local refinement. Levels carry merged vertex weights and merged
+// finest-task counts; memory is O(n + |E|) summed over the whole hierarchy
+// because level sizes decay geometrically.
 
 // CGraph is one level of a coarsening hierarchy in CSR form. Adjacency
 // blocks are deterministic but not sorted unless produced with sortAdj.
@@ -42,6 +42,19 @@ func (c *CGraph) TcountOf(v int32) int32 {
 	return c.Tcount[v]
 }
 
+func (c *CGraph) neighbors(v int32) ([]int32, []float64) {
+	lo, hi := c.Xadj[v], c.Xadj[v+1]
+	return c.Adjncy[lo:hi], c.Adjwgt[lo:hi]
+}
+
+func (c *CGraph) totalVwgt() float64 {
+	s := 0.0
+	for _, w := range c.Vwgt {
+		s += w
+	}
+	return s
+}
+
 // Hierarchy is a sequence of increasingly coarse graphs produced by
 // repeated heavy-edge matching. Levels[0] is the first contraction of the
 // input; Levels[len-1] is the coarsest graph. Cmaps[i] maps the vertices
@@ -49,19 +62,6 @@ func (c *CGraph) TcountOf(v int32) int32 {
 type Hierarchy struct {
 	Levels []*CGraph
 	Cmaps  [][]int32
-}
-
-// HierarchyOptions configures BuildHierarchy.
-type HierarchyOptions struct {
-	// CoarsenTo stops coarsening once a level has at most this many
-	// vertices. Default 128.
-	CoarsenTo int
-	// MaxTasks caps the finest-task count merged into one coarse vertex,
-	// keeping coarse vertices divisible into balanced slot blocks.
-	// Default ceil(2·n / CoarsenTo).
-	MaxTasks int32
-	// MaxLevels bounds the hierarchy depth. Default 64.
-	MaxLevels int
 }
 
 // FromTaskGraph wraps g as a finest-level CGraph. The CSR slices alias
@@ -77,29 +77,22 @@ func FromTaskGraph(g *taskgraph.Graph) *CGraph {
 	}
 }
 
+// maxHierarchyLevels bounds the hierarchy depth; levels shrink by at
+// least 3 %, so only a pathological graph gets near it.
+const maxHierarchyLevels = 64
+
 // BuildHierarchy coarsens g by repeated heavy-edge matching until the
-// coarsest level has at most opt.CoarsenTo vertices or matching
-// stagnates. The result is byte-deterministic at any GOMAXPROCS: the
+// coarsest level has at most coarsenTo (≥ 1) vertices or matching
+// stagnates.
+// No coarse vertex merges more than ceil(2·n / coarsenTo) finest tasks
+// (at least 2), which keeps coarse vertices divisible into balanced slot
+// blocks. The result is byte-deterministic at any GOMAXPROCS: the
 // matching preference scan is a pure per-vertex function evaluated in
 // parallel, and matches are committed serially in ascending vertex order
 // with lowest-index tie-breaks.
-func BuildHierarchy(g *taskgraph.Graph, opt HierarchyOptions) *Hierarchy {
-	coarsenTo := opt.CoarsenTo
-	if coarsenTo <= 0 {
-		coarsenTo = 128
-	}
-	maxLevels := opt.MaxLevels
-	if maxLevels <= 0 {
-		maxLevels = 64
-	}
+func BuildHierarchy(g *taskgraph.Graph, coarsenTo int) *Hierarchy {
 	n := g.NumVertices()
-	maxTasks := opt.MaxTasks
-	if maxTasks <= 0 {
-		maxTasks = int32((2*n + coarsenTo - 1) / coarsenTo)
-		if maxTasks < 2 {
-			maxTasks = 2
-		}
-	}
+	maxTasks := max(2, int32((2*n+coarsenTo-1)/coarsenTo))
 	h := &Hierarchy{}
 	cur := FromTaskGraph(g)
 	// Matching scratch is allocated once at the finest size and sliced per
@@ -107,7 +100,7 @@ func BuildHierarchy(g *taskgraph.Graph, opt HierarchyOptions) *Hierarchy {
 	pref := make([]int32, n)
 	match := make([]int32, n)
 	var scratch contractScratch
-	for cur.N > coarsenTo && len(h.Levels) < maxLevels {
+	for cur.N > coarsenTo && len(h.Levels) < maxHierarchyLevels {
 		cmap := make([]int32, cur.N)
 		coarseN := matchHeavyEdge(cur, nil, 0, maxTasks, pref[:cur.N], match[:cur.N], cmap)
 		// Stagnation guard: a level that shrinks by less than 3% means the

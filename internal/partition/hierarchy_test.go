@@ -16,7 +16,7 @@ import (
 func TestHierarchyConservation(t *testing.T) {
 	g := taskgraph.Stencil9(32, 32, 1000)
 	n := g.NumVertices()
-	h := BuildHierarchy(g, HierarchyOptions{CoarsenTo: 64})
+	h := BuildHierarchy(g, 64)
 	if len(h.Levels) == 0 {
 		t.Fatal("no coarsening happened")
 	}
@@ -89,7 +89,7 @@ func TestHierarchyDeterministic(t *testing.T) {
 	var ref *Hierarchy
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		h := BuildHierarchy(g, HierarchyOptions{CoarsenTo: 100})
+		h := BuildHierarchy(g, 100)
 		runtime.GOMAXPROCS(prev)
 		if ref == nil {
 			ref = h
@@ -101,16 +101,31 @@ func TestHierarchyDeterministic(t *testing.T) {
 	}
 }
 
-// TestHierarchyMaxTasks checks the merged-task cap: no coarse vertex may
-// swallow more finest tasks than MaxTasks allows.
+// TestHierarchyMaxTasks checks the merged-task cap, ceil(2·n / coarsenTo),
+// on a graph where it binds: a 1 000-ring halves at every level while
+// 1 000 isolated tasks never match, so the ring's vertices reach the cap
+// of 8 with the level still far above coarsenTo, and coarsening must stop
+// there rather than merge 8 + 8.
 func TestHierarchyMaxTasks(t *testing.T) {
-	g := taskgraph.Stencil9(40, 40, 1000)
-	h := BuildHierarchy(g, HierarchyOptions{CoarsenTo: 25, MaxTasks: 80})
+	const ring, n, coarsenTo = 1000, 2000, 500
+	const limit = 2 * n / coarsenTo
+	b := taskgraph.NewBuilder(n)
+	for v := 0; v < ring; v++ {
+		b.AddEdge(v, (v+1)%ring, 1000)
+	}
+	h := BuildHierarchy(b.Build("ring+isolated"), coarsenTo)
+	most := int32(0)
 	for li, lvl := range h.Levels {
 		for v := int32(0); v < int32(lvl.N); v++ {
-			if tc := lvl.TcountOf(v); tc > 80 {
-				t.Fatalf("level %d vertex %d merged %d tasks, cap 80", li, v, tc)
+			tc := lvl.TcountOf(v)
+			if tc > limit {
+				t.Fatalf("level %d vertex %d merged %d tasks, cap %d", li, v, tc, limit)
 			}
+			most = max(most, tc)
 		}
+	}
+	if coarsest := h.Levels[len(h.Levels)-1]; most != limit || coarsest.N <= coarsenTo {
+		t.Fatalf("largest vertex holds %d tasks at %d vertices; want the cap %d to stop coarsening above %d",
+			most, coarsest.N, limit, coarsenTo)
 	}
 }

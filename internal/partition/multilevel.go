@@ -67,15 +67,15 @@ func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 	rng := rand.New(rand.NewSource(ml.Seed))
 
 	// Coarsening phase.
-	m0 := fromTaskGraph(g)
+	m0 := FromTaskGraph(g)
 	maxVwgt := 1.5 * m0.totalVwgt() / float64(k)
-	levels := []*mgraph{m0}
+	levels := []*CGraph{m0}
 	var cmaps [][]int32
 	var scratch contractScratch
-	for levels[len(levels)-1].n > coarsenTo {
+	for levels[len(levels)-1].N > coarsenTo {
 		cur := levels[len(levels)-1]
-		coarse, cmap := cur.coarsen(rng, maxVwgt, &scratch)
-		if coarse.n >= cur.n || float64(coarse.n) > 0.95*float64(cur.n) {
+		coarse, cmap := coarsen(cur, rng, maxVwgt, &scratch)
+		if coarse.N >= cur.N || float64(coarse.N) > 0.95*float64(cur.N) {
 			break // matching stagnated
 		}
 		levels = append(levels, coarse)
@@ -84,20 +84,22 @@ func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 
 	// Initial partition of the coarsest level by recursive bisection.
 	coarsest := levels[len(levels)-1]
-	assign := make([]int, coarsest.n)
-	ids := make([]int32, coarsest.n)
+	assign := make([]int, coarsest.N)
+	ids := make([]int32, coarsest.N)
+	inv := make([]int32, coarsest.N) // extract's scratch: -1 between calls
 	for i := range ids {
 		ids[i] = int32(i)
+		inv[i] = -1
 	}
-	recursiveBisect(coarsest, ids, k, 0, assign, rng, tries)
+	recursiveBisect(coarsest, ids, k, 0, assign, rng, tries, inv)
 	kwayRefine(coarsest, assign, k, eps, passes, rng)
 
 	// Uncoarsening with refinement.
 	for lvl := len(levels) - 2; lvl >= 0; lvl-- {
 		fine := levels[lvl]
 		cmap := cmaps[lvl]
-		projected := make([]int, fine.n)
-		for v := 0; v < fine.n; v++ {
+		projected := make([]int, fine.N)
+		for v := 0; v < fine.N; v++ {
 			projected[v] = assign[cmap[v]]
 		}
 		assign = projected
@@ -108,12 +110,58 @@ func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 	return r, nil
 }
 
+// coarsen matches vertices by heavy-edge matching and contracts matched
+// pairs, returning the coarse graph and the fine→coarse vertex map.
+// maxVwgt bounds the weight of a contracted vertex so one giant vertex
+// cannot make balanced partitioning impossible. The match/contract kernel
+// is the mapping hierarchy's (hierarchy.go); the partitioner keeps its
+// rng-permuted visit order and sorted coarse adjacency.
+func coarsen(lvl *CGraph, rng *rand.Rand, maxVwgt float64, sc *contractScratch) (*CGraph, []int32) {
+	perm := rng.Perm(lvl.N)
+	order := make([]int32, lvl.N)
+	for i, v := range perm {
+		order[i] = int32(v)
+	}
+	pref := make([]int32, lvl.N)
+	match := make([]int32, lvl.N)
+	cmap := make([]int32, lvl.N)
+	coarseN := matchHeavyEdge(lvl, order, maxVwgt, 0, pref, match, cmap)
+	return contract(lvl, cmap, coarseN, true, sc), cmap
+}
+
+// extract builds the subgraph of m induced by the selected vertices;
+// edges leaving the selection are dropped and sub-vertex i corresponds to
+// sel[i]. inv is scratch of at least m.N entries, all -1 on entry and on
+// return.
+func extract(m *CGraph, sel, inv []int32) *CGraph {
+	for i, v := range sel {
+		inv[v] = int32(i)
+	}
+	sub := &CGraph{N: len(sel), Xadj: make([]int32, len(sel)+1), Vwgt: make([]float64, len(sel))}
+	for i, v := range sel {
+		sub.Vwgt[i] = m.Vwgt[v]
+		adj, w := m.neighbors(v)
+		for j, u := range adj {
+			if su := inv[u]; su >= 0 {
+				sub.Adjncy = append(sub.Adjncy, su)
+				sub.Adjwgt = append(sub.Adjwgt, w[j])
+			}
+		}
+		sub.Xadj[i+1] = int32(len(sub.Adjncy))
+	}
+	for _, v := range sel {
+		inv[v] = -1
+	}
+	return sub
+}
+
 // recursiveBisect assigns parts [offset, offset+k) to the vertices of sub
 // (whose vertex i is original vertex ids[i] of the level graph), writing
-// into assign indexed by original level-vertex id.
-func recursiveBisect(m *mgraph, ids []int32, k, offset int, assign []int, rng *rand.Rand, tries int) {
+// into assign indexed by original level-vertex id. inv is extract's
+// scratch, sized for the level graph.
+func recursiveBisect(m *CGraph, ids []int32, k, offset int, assign []int, rng *rand.Rand, tries int, inv []int32) {
 	sub := m
-	if len(ids) != m.n {
+	if len(ids) != m.N {
 		panic("partition: ids/graph size mismatch")
 	}
 	if k == 1 {
@@ -137,14 +185,14 @@ func recursiveBisect(m *mgraph, ids []int32, k, offset int, assign []int, rng *r
 			ids1 = append(ids1, ids[i])
 		}
 	}
-	recursiveBisect(sub.extract(sel0), ids0, k1, offset, assign, rng, tries)
-	recursiveBisect(sub.extract(sel1), ids1, k2, offset+k1, assign, rng, tries)
+	recursiveBisect(extract(sub, sel0, inv), ids0, k1, offset, assign, rng, tries, inv)
+	recursiveBisect(extract(sub, sel1, inv), ids1, k2, offset+k1, assign, rng, tries, inv)
 }
 
 // ensureSideCounts guarantees side 0 has at least k1 vertices and side 1
 // at least k2, moving the lightest vertices across as needed (bisect can
 // produce lopsided counts when vertex weights vary wildly).
-func ensureSideCounts(m *mgraph, side []int8, k1, k2 int) {
+func ensureSideCounts(m *CGraph, side []int8, k1, k2 int) {
 	count := [2]int{}
 	for _, s := range side {
 		count[s]++
@@ -155,9 +203,9 @@ func ensureSideCounts(m *mgraph, side []int8, k1, k2 int) {
 			w float64
 		}
 		var cands []vw
-		for v := int32(0); v < int32(m.n); v++ {
+		for v := int32(0); v < int32(m.N); v++ {
 			if side[v] == long {
-				cands = append(cands, vw{v, m.vwgt[v]})
+				cands = append(cands, vw{v, m.Vwgt[v]})
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool {

@@ -8,18 +8,18 @@ import "math/rand"
 // the balance limit and does not empty its source part. Zero-gain moves
 // are taken only when they strictly improve balance. Passes stop early
 // when a full pass makes no move.
-func kwayRefine(m *mgraph, assign []int, k int, eps float64, passes int, rng *rand.Rand) {
+func kwayRefine(m *CGraph, assign []int, k int, eps float64, passes int, rng *rand.Rand) {
 	loads := make([]float64, k)
 	counts := make([]int, k)
-	for v := 0; v < m.n; v++ {
-		loads[assign[v]] += m.vwgt[v]
+	for v := 0; v < m.N; v++ {
+		loads[assign[v]] += m.Vwgt[v]
 		counts[assign[v]]++
 	}
 	total := m.totalVwgt()
 	limit := (1 + eps) * total / float64(k)
 	conn := make([]float64, k)
 	touched := make([]int, 0, 16)
-	order := rng.Perm(m.n)
+	order := rng.Perm(m.N)
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for _, vi := range order {
@@ -52,10 +52,10 @@ func kwayRefine(m *mgraph, assign []int, k int, eps float64, passes int, rng *ra
 				if gain < 0 {
 					continue
 				}
-				if loads[p]+m.vwgt[v] > limit && loads[p]+m.vwgt[v] >= loads[from] {
+				if loads[p]+m.Vwgt[v] > limit && loads[p]+m.Vwgt[v] >= loads[from] {
 					continue // would overflow without improving balance
 				}
-				improvesBalance := loads[p]+m.vwgt[v] < loads[from]
+				improvesBalance := loads[p]+m.Vwgt[v] < loads[from]
 				//lint:ignore floatcmp exact tie detection between identically computed gains; an epsilon would merge distinct gains
 				if gain > bestGain || (gain == bestGain && improvesBalance && (best < 0 || loads[p] < bestLoad)) {
 					if gain > 0 || improvesBalance {
@@ -68,8 +68,8 @@ func kwayRefine(m *mgraph, assign []int, k int, eps float64, passes int, rng *ra
 			}
 			if best >= 0 {
 				assign[v] = best
-				loads[from] -= m.vwgt[v]
-				loads[best] += m.vwgt[v]
+				loads[from] -= m.Vwgt[v]
+				loads[best] += m.Vwgt[v]
 				counts[from]--
 				counts[best]++
 				moved++
