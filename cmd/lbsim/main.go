@@ -26,8 +26,8 @@ import (
 func main() {
 	dump := flag.String("dump", "", "instrument the workload and write an LB database to this file")
 	sim := flag.String("sim", "", "simulate strategies on this LB database file")
-	workload := flag.String("workload", "leanmd:64", "workload for -dump: leanmd:P | mesh2d:RX,RY | random:N,M")
-	topoSpec := flag.String("topo", "torus:8,8", "topology: torus:.. | mesh:.. | hypercube:D")
+	workload := flag.String("workload", "leanmd:64", "workload for -dump: "+strings.Join(cliutil.PatternNames(), " | "))
+	topoSpec := flag.String("topo", "torus:8,8", "topology: "+strings.Join(cliutil.RouterNames(), " | "))
 	msg := flag.Float64("msg", 1e4, "message bytes per edge per iteration")
 	iters := flag.Int("iters", 10, "instrumented iterations for -dump")
 	strategies := flag.String("strategy", "topolb,topocentlb,random",

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/experiments"
@@ -24,8 +25,8 @@ import (
 )
 
 func main() {
-	topoSpec := flag.String("topo", "torus:4,4,4", "topology: torus:.. | mesh:.. | hypercube:D")
-	patSpec := flag.String("pattern", "mesh2d:8,8", "pattern: mesh2d:RX,RY | mesh3d:RX,RY,RZ | ring:N")
+	topoSpec := flag.String("topo", "torus:4,4,4", "topology: "+strings.Join(cliutil.RouterNames(), " | "))
+	patSpec := flag.String("pattern", "mesh2d:8,8", "pattern: "+strings.Join(cliutil.PatternNames(), " | "))
 	msg := flag.Float64("msg", 4096, "message bytes per edge per iteration")
 	iters := flag.Int("iters", 200, "iterations")
 	compute := flag.Float64("compute", 20e-6, "seconds of compute per task per iteration")

@@ -32,9 +32,8 @@ import (
 )
 
 func main() {
-	topoSpec := flag.String("topo", "torus:8,8",
-		"topology: torus:D1,D2[,..] | mesh:D1,.. | hypercube:D | fattree:A,L | hier:LEVEL:N/..[:LEAF]")
-	patSpec := flag.String("pattern", "", "pattern spec, e.g. mesh2d:8,8 (see internal/cliutil)")
+	topoSpec := flag.String("topo", "torus:8,8", "topology: "+strings.Join(cliutil.TopologyNames(), " | "))
+	patSpec := flag.String("pattern", "", "pattern: "+strings.Join(cliutil.PatternNames(), " | "))
 	graphFile := flag.String("graph", "", "task graph JSON file (alternative to -pattern)")
 	msg := flag.Float64("msg", 1e5, "message bytes per edge for built-in patterns")
 	strategies := flag.String("strategy", "topolb,topocentlb,random",

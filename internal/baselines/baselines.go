@@ -19,7 +19,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -45,7 +44,7 @@ func (Bokhari) Name() string { return "Bokhari" }
 
 // Map implements core.Strategy.
 func (s Bokhari) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := core.CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	jumps := s.Jumps
@@ -53,13 +52,14 @@ func (s Bokhari) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, err
 		jumps = 4
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
+	d := core.NewDists(t)
 	n := t.Nodes()
 	m := core.Mapping(rng.Perm(n))
 	best := m.Clone()
-	bestScore := cardinality(g, t, best)
+	bestScore := cardinality(g, d, best)
 	for j := 0; j <= jumps; j++ {
-		improveCardinality(g, t, m)
-		if sc := cardinality(g, t, m); sc > bestScore {
+		improveCardinality(g, d, m)
+		if sc := cardinality(g, d, m); sc > bestScore {
 			bestScore = sc
 			best = m.Clone()
 		}
@@ -74,12 +74,12 @@ func (s Bokhari) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, err
 
 // cardinality counts task edges whose endpoint processors are adjacent
 // (distance <= 1) — Bokhari's objective.
-func cardinality(g *taskgraph.Graph, t topology.Topology, m core.Mapping) int {
+func cardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping) int {
 	score := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		adj, _ := g.Neighbors(v)
 		for _, u := range adj {
-			if int32(v) < u && t.Distance(m[v], m[u]) <= 1 {
+			if int32(v) < u && d.Dist(m[v], m[u]) <= 1 {
 				score++
 			}
 		}
@@ -89,15 +89,15 @@ func cardinality(g *taskgraph.Graph, t topology.Topology, m core.Mapping) int {
 
 // improveCardinality performs greedy pairwise exchanges until a full pass
 // finds no improving swap.
-func improveCardinality(g *taskgraph.Graph, t topology.Topology, m core.Mapping) {
+func improveCardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping) {
 	n := len(m)
 	for {
 		improved := false
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				before := localCardinality(g, t, m, a) + localCardinality(g, t, m, b)
+				before := localCardinality(g, d, m, a) + localCardinality(g, d, m, b)
 				m[a], m[b] = m[b], m[a]
-				after := localCardinality(g, t, m, a) + localCardinality(g, t, m, b)
+				after := localCardinality(g, d, m, a) + localCardinality(g, d, m, b)
 				if after <= before {
 					m[a], m[b] = m[b], m[a] // revert
 				} else {
@@ -111,24 +111,15 @@ func improveCardinality(g *taskgraph.Graph, t topology.Topology, m core.Mapping)
 	}
 }
 
-func localCardinality(g *taskgraph.Graph, t topology.Topology, m core.Mapping, v int) int {
+func localCardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping, v int) int {
 	adj, _ := g.Neighbors(v)
 	score := 0
 	for _, u := range adj {
-		if t.Distance(m[v], m[int(u)]) <= 1 {
+		if d.Dist(m[v], m[int(u)]) <= 1 {
 			score++
 		}
 	}
 	return score
-}
-
-// checkSizes mirrors core's equal-cardinality precondition.
-func checkSizes(g *taskgraph.Graph, t topology.Topology) error {
-	if g.NumVertices() != t.Nodes() {
-		return fmt.Errorf("baselines: task count %d != processor count %d",
-			g.NumVertices(), t.Nodes())
-	}
-	return nil
 }
 
 // Annealing minimizes hop-bytes by simulated annealing over processor
@@ -152,7 +143,7 @@ func (Annealing) Name() string { return "Annealing" }
 
 // Map implements core.Strategy.
 func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := core.CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()
@@ -169,6 +160,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		cooling = 0.92
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
+	dist := core.NewDists(t)
 	m := core.Mapping(rng.Perm(n))
 	cur := core.HopBytes(g, t, m)
 	best := m.Clone()
@@ -182,7 +174,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		if a == b {
 			continue
 		}
-		temp += math.Abs(swapDelta(g, t, m, a, b))
+		temp += math.Abs(core.SwapDelta(g, dist, m, a, b))
 	}
 	temp = temp/50 + 1e-9
 
@@ -192,7 +184,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 			if a == b {
 				continue
 			}
-			d := swapDelta(g, t, m, a, b)
+			d := core.SwapDelta(g, dist, m, a, b)
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
 				m[a], m[b] = m[b], m[a]
 				cur += d
@@ -205,28 +197,4 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		temp *= cooling
 	}
 	return best, nil
-}
-
-// swapDelta is the hop-bytes change from exchanging the processors of
-// tasks a and b (the a–b edge cancels out and is skipped).
-func swapDelta(g *taskgraph.Graph, t topology.Topology, m core.Mapping, a, b int) float64 {
-	pa, pb := m[a], m[b]
-	delta := 0.0
-	adjA, wA := g.Neighbors(a)
-	for i, u := range adjA {
-		if int(u) == b {
-			continue
-		}
-		pu := m[u]
-		delta += wA[i] * float64(t.Distance(pb, pu)-t.Distance(pa, pu))
-	}
-	adjB, wB := g.Neighbors(b)
-	for i, u := range adjB {
-		if int(u) == a {
-			continue
-		}
-		pu := m[u]
-		delta += wB[i] * float64(t.Distance(pa, pu)-t.Distance(pb, pu))
-	}
-	return delta
 }

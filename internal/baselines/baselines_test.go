@@ -1,6 +1,9 @@
 package baselines
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +51,7 @@ func TestBokhariImprovesCardinality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cardinality(g, to, m)
+	got := cardinality(g, core.NewDists(to), m)
 	// Random placement adjacency on a 4x4 torus is far below the 24 edges;
 	// Bokhari must recover a clear majority.
 	if got < 12 {
@@ -241,5 +244,41 @@ func TestPhysicalOptimizationQualityComparable(t *testing.T) {
 	hT, hA := core.HopsPerByte(g, to, mT), core.HopsPerByte(g, to, mA)
 	if hA > 2*hT {
 		t.Errorf("annealing %v more than 2x TopoLB %v — schedule too weak", hA, hT)
+	}
+}
+
+// TestPlacementHashes pins the three search baselines' placements on two
+// machines, recorded at 008445d, when Bokhari and Annealing called
+// Topology.Distance per pair through their own swap delta. They read the
+// cached matrix through core.Dists and core.SwapDelta now; the difference
+// of two int32 distances and of two int distances is the same float64, so
+// every accept decision, and the walk, must repeat.
+func TestPlacementHashes(t *testing.T) {
+	mesh, torus := taskgraph.Mesh2D(6, 6, 1e5), topology.MustTorus(6, 6)
+	random, cube := taskgraph.Random(32, 96, 1, 20, 7), topology.MustHypercube(5)
+	for _, tc := range []struct {
+		s    core.Strategy
+		g    *taskgraph.Graph
+		t    topology.Topology
+		want string
+	}{
+		{Bokhari{Seed: 1}, mesh, torus, "ae8179579004eb3b"},
+		{Annealing{Seed: 1}, mesh, torus, "660af2da25f79910"},
+		{Genetic{Seed: 1}, mesh, torus, "31d0410e7bc81f68"},
+		{Bokhari{Seed: 1}, random, cube, "1d5662ea78043065"},
+		{Annealing{Seed: 1}, random, cube, "760e276f4b25f0f2"},
+		{Genetic{Seed: 1}, random, cube, "72d2f639180f72fd"},
+	} {
+		m, err := tc.s.Map(tc.g, tc.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, p := range m {
+			_ = binary.Write(h, binary.LittleEndian, int64(p))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != tc.want {
+			t.Errorf("%s on %s: placement hash %s, recorded %s", tc.s.Name(), tc.t.Name(), got, tc.want)
+		}
 	}
 }

@@ -32,7 +32,7 @@ func (Genetic) Name() string { return "Genetic" }
 
 // Map implements core.Strategy.
 func (s Genetic) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := core.CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()

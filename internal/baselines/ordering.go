@@ -25,7 +25,7 @@ func (LeeAggarwal) Name() string { return "LeeAggarwal" }
 
 // Map implements core.Strategy.
 func (s LeeAggarwal) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := core.CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()
@@ -144,7 +144,7 @@ func (TauraChien) Name() string { return "TauraChien" }
 
 // Map implements core.Strategy.
 func (s TauraChien) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := core.CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()

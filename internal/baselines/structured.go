@@ -26,7 +26,7 @@ func (Snake) Name() string { return "Snake" }
 
 // Map implements core.Strategy.
 func (s Snake) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := core.CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	co, ok := t.(topology.Coordinated)
@@ -116,7 +116,7 @@ func (ARM) Name() string { return "ARM" }
 
 // Map implements core.Strategy.
 func (s ARM) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := core.CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	h, ok := t.(*topology.Hypercube)

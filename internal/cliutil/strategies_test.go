@@ -16,10 +16,10 @@ import (
 	"repro/internal/topology"
 )
 
-// propertyMachines are small machines of every kind the parsers build; the
-// last is hierarchical. hybrid:2x2 tiles the first two.
-var propertyMachines = []string{"torus:4,4", "mesh:2,6", "torus:2,3,2",
-	"hypercube:3", "fattree:2,3", "hier:pod:2/node:2:torus-2x2"}
+// propertyMachines are small machines of every kind the parsers build:
+// each row of the machine table, flat and as the leaf of a hierarchy.
+// hybrid:2x2 tiles the torus.
+var propertyMachines = machineSpecs()
 
 // placeOn runs one row's strategy on one machine: at n == p through Map,
 // at n == 4p (with coordinates, so the geometric constructors get some)
@@ -231,11 +231,20 @@ func docNames(t *testing.T, file, from, to string) []string {
 	return names
 }
 
-// TestDocsMatchTable: README's strategy list and DESIGN §13's portfolio
-// order are the table's, in the table's order.
+// TestDocsMatchTable: README's strategy, pattern and machine lists and
+// DESIGN §13's portfolio order are the tables', in the tables' order.
 func TestDocsMatchTable(t *testing.T) {
-	if got := docNames(t, "../../README.md", "Strategies accepted everywhere:", ".\n"); !slices.Equal(got, StrategyNames()) {
-		t.Errorf("README lists\n %v\nthe table has\n %v", got, StrategyNames())
+	for _, list := range []struct {
+		from, to string
+		want     []string
+	}{
+		{"Strategies accepted everywhere:", ".\n", StrategyNames()},
+		{"Patterns accepted everywhere:", ".\n", PatternNames()},
+		{"Machines accepted everywhere:", " —", TopologyNames()},
+	} {
+		if got := docNames(t, "../../README.md", list.from, list.to); !slices.Equal(got, list.want) {
+			t.Errorf("README, %q\n %v\nthe table has\n %v", list.from, got, list.want)
+		}
 	}
 	var want []string
 	for _, r := range portfolioRows() {

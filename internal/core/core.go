@@ -74,9 +74,9 @@ func (m Mapping) Clone() Mapping {
 	return c
 }
 
-// checkSizes verifies the equal-cardinality precondition shared by all
-// strategies.
-func checkSizes(g *taskgraph.Graph, t topology.Topology) error {
+// CheckSizes verifies the equal-cardinality precondition shared by all
+// strategies, here and in internal/baselines.
+func CheckSizes(g *taskgraph.Graph, t topology.Topology) error {
 	if g.NumVertices() != t.Nodes() {
 		return fmt.Errorf("core: task count %d != processor count %d (partition first)",
 			g.NumVertices(), t.Nodes())

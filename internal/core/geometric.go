@@ -46,7 +46,7 @@ func (s SFC) WithCoords(coords [][]float64) Strategy {
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s SFC) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	placement, err := s.Place(g, t)
@@ -167,7 +167,7 @@ func (s RCBSFC) WithCoords(coords [][]float64) Strategy {
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s RCBSFC) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	placement, err := s.Place(g, t)

@@ -74,7 +74,7 @@ func (s HierMap) WithCoords(coords [][]float64) Strategy {
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s HierMap) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	placement, err := s.Place(g, t)

@@ -21,7 +21,7 @@ const hopBytesGrain = 64
 // over fixed vertex chunks and merged in index order, so the value is
 // identical for any GOMAXPROCS.
 func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
-	d := newDists(t)
+	d := NewDists(t)
 	return parallel.Reduce(g.NumVertices(), hopBytesGrain, func(lo, hi int) float64 {
 		hb := 0.0
 		for v := lo; v < hi; v++ {

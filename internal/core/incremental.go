@@ -61,7 +61,7 @@ import (
 // topomapd session layer) serialize access per state.
 type IncrementalState struct {
 	topo  topology.Topology
-	d     dists
+	d     Dists
 	procs int
 
 	// Per-task state, indexed by stable task id. Removed tasks leave dead
@@ -165,7 +165,7 @@ func NewIncrementalState(g *taskgraph.Graph, t topology.Topology, m Mapping) (*I
 	}
 	s := &IncrementalState{
 		topo:   t,
-		d:      newDists(t),
+		d:      NewDists(t),
 		procs:  t.Nodes(),
 		alive:  make([]bool, n),
 		load:   make([]float64, n),
@@ -252,7 +252,7 @@ func (a *incAdj) remove(u int32) bool {
 
 // edgeContribution is edge e's current hop-bytes term w·d(P(a), P(b)).
 func (s *IncrementalState) edgeContribution(e int32) float64 {
-	return s.edgeW[e] * float64(s.d.dist(s.proc[s.edgeA[e]], s.proc[s.edgeB[e]]))
+	return s.edgeW[e] * float64(s.d.Dist(s.proc[s.edgeA[e]], s.proc[s.edgeB[e]]))
 }
 
 // setLeaf writes edge e's contribution into the summation tree.

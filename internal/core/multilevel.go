@@ -61,7 +61,7 @@ func (s MultilevelMap) Name() string { return "Multilevel" }
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s MultilevelMap) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	placement, err := s.Place(g, t)

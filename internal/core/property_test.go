@@ -24,7 +24,7 @@ func TestPropertySwapDeltaMatchesRecomputation(t *testing.T) {
 			return true
 		}
 		before := HopBytes(g, to, m)
-		delta := swapDelta(g, newDists(to), m, a, b)
+		delta := SwapDelta(g, NewDists(to), m, a, b)
 		m[a], m[b] = m[b], m[a]
 		after := HopBytes(g, to, m)
 		m[a], m[b] = m[b], m[a] // restore

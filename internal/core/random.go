@@ -20,7 +20,7 @@ func (Random) Name() string { return "Random" }
 
 // Map implements Strategy.
 func (s Random) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -38,7 +38,7 @@ func (Identity) Name() string { return "Identity" }
 
 // Map implements Strategy.
 func (Identity) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	m := make(Mapping, t.Nodes())

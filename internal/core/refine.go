@@ -66,7 +66,7 @@ func (r RefineTopoLB) maxPasses() int {
 // sweepCandidates). Returns the number of swaps performed.
 func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) int {
 	n := len(m)
-	d := newDists(t)
+	d := NewDists(t)
 	occupant := make([]int, n) // processor -> task
 	for task, proc := range m {
 		occupant[proc] = task
@@ -103,11 +103,11 @@ func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) i
 // candidate against the mapping that swap left. The loop is serial on
 // purpose: a swap delta is O(deg) work, far below what a fork costs
 // (DESIGN §6).
-func sweepCandidates(g *taskgraph.Graph, d dists, m Mapping, occupant []int, a, count int, partner func(j int) int) int {
+func sweepCandidates(g *taskgraph.Graph, d Dists, m Mapping, occupant []int, a, count int, partner func(j int) int) int {
 	swaps := 0
 	for j := 0; j < count; j++ {
 		b := partner(j)
-		if a != b && swapDelta(g, d, m, a, b) < -1e-12 {
+		if a != b && SwapDelta(g, d, m, a, b) < -1e-12 {
 			m[a], m[b] = m[b], m[a]
 			occupant[m[a]] = a
 			occupant[m[b]] = b
@@ -117,10 +117,10 @@ func sweepCandidates(g *taskgraph.Graph, d dists, m Mapping, occupant []int, a, 
 	return swaps
 }
 
-// swapDelta returns the hop-bytes change from swapping the processors of
+// SwapDelta returns the hop-bytes change from swapping the processors of
 // tasks a and b (negative is better). The a–b edge itself, if any,
 // contributes identically before and after and is skipped.
-func swapDelta(g *taskgraph.Graph, d dists, m Mapping, a, b int) float64 {
+func SwapDelta(g *taskgraph.Graph, d Dists, m Mapping, a, b int) float64 {
 	pa, pb := m[a], m[b]
 	delta := 0.0
 	adjA, wA := g.Neighbors(a)

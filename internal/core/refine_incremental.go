@@ -270,7 +270,7 @@ func (r *incRefiner) moveDelta(a, p int) float64 {
 	}
 	for i, u := range adj.nbr {
 		pu := s.proc[u]
-		delta += s.edgeW[adj.eid[i]] * float64(s.d.dist(p, pu)-s.d.dist(pa, pu))
+		delta += s.edgeW[adj.eid[i]] * float64(s.d.Dist(p, pu)-s.d.Dist(pa, pu))
 	}
 	return delta
 }
@@ -302,13 +302,13 @@ func (r *incRefiner) swapDelta(a, b int) float64 {
 	for i, u := range adjA.nbr {
 		if int(u) != b {
 			pu := s.proc[u]
-			delta += s.edgeW[adjA.eid[i]] * float64(s.d.dist(pb, pu)-s.d.dist(pa, pu))
+			delta += s.edgeW[adjA.eid[i]] * float64(s.d.Dist(pb, pu)-s.d.Dist(pa, pu))
 		}
 	}
 	for i, u := range adjB.nbr {
 		if int(u) != a {
 			pu := s.proc[u]
-			delta += s.edgeW[adjB.eid[i]] * float64(s.d.dist(pa, pu)-s.d.dist(pb, pu))
+			delta += s.edgeW[adjB.eid[i]] * float64(s.d.Dist(pa, pu)-s.d.Dist(pb, pu))
 		}
 	}
 	return delta

@@ -109,11 +109,11 @@ func (h *taskHeap) siftDown(i int) bool {
 
 // Map implements Strategy.
 func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()
-	d := newDists(t)
+	d := NewDists(t)
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1

@@ -25,20 +25,22 @@ const (
 	OrderThird Order = 3
 )
 
-// dists resolves pairwise processor distances through the globally cached
+// Dists resolves pairwise processor distances through the globally cached
 // distance matrix when the machine is small enough to materialize,
-// falling back to the Topology's virtual Distance otherwise.
-type dists struct {
+// falling back to the Topology's virtual Distance otherwise. A strategy
+// takes one per Map call.
+type Dists struct {
 	dm *topology.DistanceMatrix
 	t  topology.Topology
 }
 
-func newDists(t topology.Topology) dists {
-	return dists{dm: topology.CachedDistances(t), t: t}
+// NewDists returns the distance handle of t.
+func NewDists(t topology.Topology) Dists {
+	return Dists{dm: topology.CachedDistances(t), t: t}
 }
 
-// dist returns the hop distance between processors a and b.
-func (d dists) dist(a, b int) int {
+// Dist returns the hop distance between processors a and b.
+func (d Dists) Dist(a, b int) int {
 	if d.dm != nil {
 		return int(d.dm.Lookup(a, b))
 	}
@@ -48,7 +50,7 @@ func (d dists) dist(a, b int) int {
 
 // fillScaledRow sets distRow[p] = scale × d(p, pk) for every processor.
 // Distances are symmetric, so the matrix row for pk serves as the column.
-func (d dists) fillScaledRow(distRow []float64, pk int, scale float64) {
+func (d Dists) fillScaledRow(distRow []float64, pk int, scale float64) {
 	if d.dm != nil {
 		row := d.dm.Row(pk)
 		for p := range distRow {
@@ -88,7 +90,7 @@ func (s TopoLB) Name() string {
 
 // Map implements Strategy.
 func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := checkSizes(g, t); err != nil {
+	if err := CheckSizes(g, t); err != nil {
 		return nil, err
 	}
 	order := s.Order
@@ -142,7 +144,7 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 // TestTopoLBRescanCount.
 func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, int64) {
 	n := t.Nodes()
-	d := newDists(t)
+	d := NewDists(t)
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1
@@ -334,7 +336,7 @@ func rescanClass(cw float64, totalDist []float64, procFree []bool, minVal *float
 // cycle, O(p³) total (§4.4).
 func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	n := t.Nodes()
-	d := newDists(t)
+	d := NewDists(t)
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1

@@ -148,7 +148,7 @@ func integerize(g *taskgraph.Graph) *taskgraph.Graph {
 // second result is the sequence in which tasks were placed.
 func referenceRowTopoLB(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, []int) {
 	n := t.Nodes()
-	d := newDists(t)
+	d := NewDists(t)
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1

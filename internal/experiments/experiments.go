@@ -131,6 +131,24 @@ func Registry() []Experiment {
 	}
 }
 
+// ExtrasRegistry lists the comparisons that go beyond the paper: the
+// related-work baselines of §2, the hierarchical mapper the conclusion
+// proposes, and adaptive routing in the network simulator.
+func ExtrasRegistry() []Experiment {
+	return []Experiment{
+		{"extras-strategies", ExtrasStrategies},
+		{"extras-hybrid", ExtrasHybrid},
+		{"extras-routing", ExtrasRouting},
+		{"extras-scaling", ExtrasScaling},
+		{"extras-modern", ExtrasModern},
+		{"extras-buffered", ExtrasBuffered},
+		{"extras-wormhole", ExtrasWormhole},
+		{"extras-sfc", ExtrasSFC},
+		{"extras-hier", ExtrasHier},
+		{"scale-multilevel", ExtrasScaleMultilevel},
+	}
+}
+
 // All lists the three registries one after another: the paper's
 // experiments, the ablations, the extras.
 func All() []Experiment {

@@ -7,7 +7,63 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hiertopo"
+	"repro/internal/taskgraph"
+	"repro/internal/topology"
 )
+
+// ExtrasModern compares how much topology-aware mapping is worth across
+// machine families — the paper's motivation in reverse. Torus and mesh
+// machines reward mapping heavily; low-diameter hypercubes, fat-trees,
+// and dragonflies leave little on the table.
+func ExtrasModern(quick bool) (*Table, error) {
+	g := taskgraph.Mesh2D(6, 6, 1e5) // 36 tasks everywhere
+	type machine struct {
+		id   float64
+		topo topology.Topology
+	}
+	// All machines sized exactly 36 nodes.
+	torus, err := topology.NewTorus(6, 6)
+	if err != nil {
+		return nil, err
+	}
+	mesh, err := topology.NewMesh(6, 6)
+	if err != nil {
+		return nil, err
+	}
+	df, err := topology.NewDragonfly(4, 2) // 36 routers: g=9, a=4
+	if err != nil {
+		return nil, err
+	}
+	machines := []machine{
+		{1, torus},
+		{2, mesh},
+		{3, df},
+	}
+	t := &Table{
+		ID:      "extras-modern",
+		Title:   "value of mapping by machine family (36-node machines, 6x6 Jacobi)",
+		Columns: []string{"machine", "diameter", "E[random]", "topolb", "random", "win"},
+		Notes:   "machine column: 1=2D-torus 2=2D-mesh 3=dragonfly(a=4,h=2)",
+	}
+	for _, mc := range machines {
+		mT, err := (core.TopoLB{}).Map(g, mc.topo)
+		if err != nil {
+			return nil, err
+		}
+		hT := core.HopsPerByte(g, mc.topo, mT)
+		hR, err := randomHPB(g, mc.topo, 5)
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []float64{
+			mc.id,
+			float64(topology.Diameter(mc.topo)),
+			topology.MeanDistance(mc.topo),
+			hT, hR, hR / hT,
+		})
+	}
+	return t, nil
+}
 
 // ExtrasHier sweeps the per-level cost ratio of a 2-pod/4-rack/8-node
 // hierarchical machine and compares the two-phase hier mapper against

@@ -4,10 +4,85 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hybrid"
 	"repro/internal/partition"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
+
+// ExtrasHybrid quantifies the §6 future-work trade: the hierarchical
+// block mapper against flat TopoLB, quality and runtime as p grows.
+func ExtrasHybrid(quick bool) (*Table, error) {
+	sides := []int{8, 16}
+	if !quick {
+		sides = append(sides, 32, 48)
+	}
+	t := &Table{
+		ID:      "extras-hybrid",
+		Title:   "hierarchical Hybrid mapper vs flat TopoLB (2D-mesh onto 2D-torus)",
+		Columns: []string{"p", "hpb_flat", "hpb_hybrid", "ms_flat", "ms_hybrid"},
+		Notes:   "hybrid tiles the machine into 4x4 blocks (paper §6 future work)",
+	}
+	for _, side := range sides {
+		g := taskgraph.Mesh2D(side, side, 1e5)
+		torus := topology.MustTorus(side, side)
+		start := time.Now()
+		mF, err := (core.TopoLB{}).Map(g, torus)
+		if err != nil {
+			return nil, err
+		}
+		flatMs := float64(time.Since(start).Microseconds()) / 1e3
+		start = time.Now()
+		mH, err := (hybrid.Hybrid{Block: []int{4, 4}, Seed: 1}).Map(g, torus)
+		if err != nil {
+			return nil, err
+		}
+		hybMs := float64(time.Since(start).Microseconds()) / 1e3
+		t.Rows = append(t.Rows, []float64{
+			float64(side * side),
+			core.HopsPerByte(g, torus, mF),
+			core.HopsPerByte(g, torus, mH),
+			flatMs, hybMs,
+		})
+	}
+	return t, nil
+}
+
+// ExtrasScaling validates the paper's §4.4 complexity analysis: TopoLB's
+// running time should grow ~quadratically with p on constant-degree task
+// graphs (O(p·|Et|) table updates plus O(p²) selection scans), while
+// TopoCentLB is cheaper by a constant factor and the hierarchical Hybrid
+// grows much more gently.
+func ExtrasScaling(quick bool) (*Table, error) {
+	sides := []int{8, 16}
+	if !quick {
+		sides = append(sides, 32, 48, 64)
+	}
+	t := &Table{
+		ID:      "extras-scaling",
+		Title:   "strategy running time (ms) vs machine size",
+		Columns: []string{"p", "topolb_ms", "topocentlb_ms", "hybrid4x4_ms"},
+		Notes:   "2D-mesh pattern onto square 2D-torus; validates §4.4 complexity",
+	}
+	for _, side := range sides {
+		g := taskgraph.Mesh2D(side, side, 1e5)
+		torus := topology.MustTorus(side, side)
+		row := []float64{float64(side * side)}
+		for _, s := range []core.Strategy{
+			core.TopoLB{},
+			core.TopoCentLB{},
+			hybrid.Hybrid{Block: []int{4, 4}, Seed: 1},
+		} {
+			start := time.Now()
+			if _, err := s.Map(g, torus); err != nil {
+				return nil, err
+			}
+			row = append(row, float64(time.Since(start).Microseconds())/1e3)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t, nil
+}
 
 // ExtrasScaleMultilevel measures the hierarchical multilevel mapper
 // (coarsen → map → refine, closed-form distances only) against the flat

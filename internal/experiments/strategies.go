@@ -4,9 +4,55 @@ import (
 	"time"
 
 	topomap "repro"
+	"repro/internal/baselines"
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/taskgraph"
+	"repro/internal/topology"
 )
+
+// ExtrasStrategies pits TopoLB against the related-work algorithms of §2
+// — Bokhari's pairwise exchange, simulated annealing, a genetic
+// algorithm, and snake (space-filling-curve) mapping — on hop-byte
+// quality and running time. The physical-optimization methods approach
+// heuristic quality at orders of magnitude more work, the paper's core
+// argument for heuristics.
+func ExtrasStrategies(quick bool) (*Table, error) {
+	side := 8
+	if !quick {
+		side = 16
+	}
+	g := taskgraph.Mesh2D(side, side, 1e5)
+	torus := topology.MustTorus(side, side)
+	t := &Table{
+		ID:      "extras-strategies",
+		Title:   "TopoLB vs related-work mappers (2D-mesh onto 2D-torus)",
+		Columns: []string{"strategy", "hops_per_byte", "runtime_ms"},
+		Notes:   "strategy column: 1=TopoLB 2=TopoCentLB 3=Snake 4=Bokhari 5=Annealing 6=Genetic 7=Random",
+	}
+	strategies := []core.Strategy{
+		core.TopoLB{},
+		core.TopoCentLB{},
+		baselines.Snake{TaskDims: []int{side, side}},
+		baselines.Bokhari{Seed: 1},
+		baselines.Annealing{Seed: 1},
+		baselines.Genetic{Seed: 1},
+		core.Random{Seed: 1},
+	}
+	for i, s := range strategies {
+		start := time.Now()
+		m, err := s.Map(g, torus)
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []float64{
+			float64(i + 1),
+			core.HopsPerByte(g, torus, m),
+			float64(time.Since(start).Microseconds()) / 1e3,
+		})
+	}
+	return t, nil
+}
 
 // ExtrasSFC compares the near-linear geometric tier (sfc, rcb-sfc)
 // against the hierarchical multilevel mapper and the flat TopoLB

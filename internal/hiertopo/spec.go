@@ -2,7 +2,6 @@ package hiertopo
 
 import (
 	"fmt"
-	"math/bits"
 	"strconv"
 	"strings"
 
@@ -16,9 +15,9 @@ import (
 // Levels are listed outermost first as name:count segments separated by
 // "/". A segment may append "@cost" to override that level's composite
 // cost ("rack:4@50"). The innermost segment may append a third field
-// binding the leaf topology: torus-D1xD2[x...], mesh-D1[x...],
-// hypercube-D, or fattree-ARITYxLEVELS; without it every leaf is a
-// single processor. Parse(h.Spec()) reproduces h exactly.
+// binding the leaf topology — a row of topology.Machines() spelled with
+// "-" and "x", like torus-D1xD2[x...] or hypercube-D; without it every
+// leaf is a single processor. Parse(h.Spec()) reproduces h exactly.
 func Parse(spec string) (*Hierarchy, error) {
 	segs := strings.Split(spec, "/")
 	levels := make([]Level, 0, len(segs))
@@ -93,68 +92,33 @@ func compactSpec(levels []Level, leafSpec string) string {
 	return b.String()
 }
 
-// parseLeafSpec reads a leaf topology spec's kind and dimensions, checks
-// the kind's arity and counts the processors of the shape (see mulNodes),
-// without constructing the topology.
-func parseLeafSpec(spec string) (kind string, dims []int, nodes int, err error) {
+// parseLeafSpec reads a leaf topology spec's kind and dimensions and
+// checks the kind's arity, without constructing the topology.
+func parseLeafSpec(spec string) (row topology.MachineRow, dims []int, err error) {
 	kind, rest, ok := strings.Cut(spec, "-")
 	if !ok {
-		return "", nil, 0, fmt.Errorf("hiertopo: leaf spec %q needs kind-dims (e.g. torus-2x4)", spec)
+		return row, nil, fmt.Errorf("hiertopo: leaf spec %q needs kind-dims (e.g. torus-2x4)", spec)
 	}
 	parts := strings.Split(rest, "x")
 	dims = make([]int, len(parts))
 	for i, p := range parts {
 		v, err := strconv.Atoi(p)
 		if err != nil {
-			return "", nil, 0, fmt.Errorf("hiertopo: bad leaf dimension %q in %q", p, spec)
+			return row, nil, fmt.Errorf("hiertopo: bad leaf dimension %q in %q", p, spec)
 		}
 		dims[i] = v
 	}
-	switch kind {
-	case "torus", "mesh":
-		nodes = 1
-		for _, d := range dims {
-			nodes = mulNodes(nodes, d)
+	if row, ok = topology.FindMachine(kind); !ok {
+		var known []string
+		for _, r := range topology.Machines() {
+			known = append(known, r.Kind)
 		}
-	case "hypercube":
-		if len(dims) != 1 {
-			return "", nil, 0, fmt.Errorf("hiertopo: leaf hypercube takes one dimension, got %q", spec)
-		}
-		nodes = powNodes(2, dims[0])
-	case "fattree":
-		if len(dims) != 2 {
-			return "", nil, 0, fmt.Errorf("hiertopo: leaf fattree takes arity and levels, got %q", spec)
-		}
-		nodes = powNodes(dims[0], dims[1])
-	default:
-		return "", nil, 0, fmt.Errorf("hiertopo: unknown leaf topology kind %q (known: torus, mesh, hypercube, fattree)", kind)
+		return row, nil, fmt.Errorf("hiertopo: unknown leaf topology kind %q (known: %s)", kind, strings.Join(known, ", "))
 	}
-	return kind, dims, nodes, nil
-}
-
-// mulNodes returns n·d as a processor count: 0 if either factor is below
-// 1, and topology.MaxNodes+1 once the product passes topology.MaxNodes.
-// Both mean the shape's constructor rejects it and says why; both are
-// absorbing, so a product of extents needs no overflow check of its own.
-func mulNodes(n, d int) int {
-	switch {
-	case n < 1 || d < 1:
-		return 0
-	case d > topology.MaxNodes/n:
-		return topology.MaxNodes + 1
+	if err := row.Check(dims); err != nil {
+		return row, nil, fmt.Errorf("hiertopo: leaf %q: %w", spec, err)
 	}
-	return n * d
-}
-
-// powNodes returns base^exp through mulNodes. A base of 2 or more passes
-// topology.MaxNodes within bits.Len(MaxNodes) steps and a base of 1 never
-// moves, so the loop is bounded whatever exp a request sends.
-func powNodes(base, exp int) int {
-	n := 1
-	for i := 0; i < min(exp, bits.Len(topology.MaxNodes)); i++ {
-		n = mulNodes(n, base)
-	}
-	return n
+	return row, dims, nil
 }
 
 // parseLeaf constructs the topology a leaf spec names. "" binds
@@ -163,26 +127,17 @@ func parseLeaf(spec string) (topology.Topology, error) {
 	if spec == "" {
 		return topology.NewMesh(1)
 	}
-	kind, dims, nodes, err := parseLeafSpec(spec)
+	row, dims, err := parseLeafSpec(spec)
 	if err != nil {
 		return nil, err
 	}
 	// Checked on the count, before construction: a leaf a thousand times
-	// over the limit would otherwise be laid out in full to be refused.
-	if nodes > maxFanout && nodes <= topology.MaxNodes {
+	// over the limit would otherwise be laid out in full to be refused. A
+	// count past topology.MaxNodes is the constructor's to refuse.
+	if nodes := row.Nodes(dims); nodes > maxFanout && nodes <= topology.MaxNodes {
 		return nil, fmt.Errorf("hiertopo: leaf %q has %d processors, limit %d", spec, nodes, maxFanout)
 	}
-	var t topology.Topology
-	switch kind {
-	case "torus":
-		t, err = topology.NewTorus(dims...)
-	case "mesh":
-		t, err = topology.NewMesh(dims...)
-	case "hypercube":
-		t, err = topology.NewHypercube(dims[0])
-	case "fattree":
-		t, err = topology.NewFatTree(dims[0], dims[1])
-	}
+	t, err := row.New(dims)
 	if err != nil {
 		return nil, fmt.Errorf("hiertopo: leaf %q: %w", spec, err)
 	}
@@ -246,7 +201,7 @@ func (s *Spec) Canonical() (string, error) {
 		return "", err
 	}
 	if leaf != "" {
-		if _, _, _, err := parseLeafSpec(leaf); err != nil {
+		if _, _, err := parseLeafSpec(leaf); err != nil {
 			return "", err
 		}
 	}

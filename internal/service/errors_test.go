@@ -132,6 +132,27 @@ func TestErrorTaxonomyAcrossEndpoints(t *testing.T) {
 
 		{"unknown pattern", `{"topology":"torus:4,4","graph":{"pattern":"klein:4,4"}}`, 400,
 			`job: cliutil: unknown pattern "klein:4,4"`, true},
+		// Outside a pattern row's bounds: the generators panic there, so each
+		// of these was a 500 counted in internal_errors until the table
+		// checked the bounds first.
+		{"ring below its bound", `{"topology":"torus:2","graph":{"pattern":"ring:2"}}`, 400,
+			"job: cliutil: pattern extent 2 must be >= 3", true},
+		{"torus2d below its bound", `{"topology":"torus:2,2","graph":{"pattern":"torus2d:2,2"}}`, 400,
+			"job: cliutil: pattern extent 2 must be >= 3", true},
+		{"alltoall below its bound", `{"topology":"mesh:1","graph":{"pattern":"alltoall:1"}}`, 400,
+			"job: cliutil: pattern extent 1 must be >= 2", true},
+		{"transpose below its bound", `{"topology":"mesh:1","graph":{"pattern":"transpose:1"}}`, 400,
+			"job: cliutil: pattern extent 1 must be >= 2", true},
+		{"butterfly above its bound", `{"topology":"torus:4,4","graph":{"pattern":"butterfly:21"}}`, 400,
+			"job: cliutil: pattern extent 21 must be <= 20", true},
+		{"random below its bound", `{"topology":"torus:2","graph":{"pattern":"random:2,5"}}`, 400,
+			"job: cliutil: pattern extent 2 must be >= 3", true},
+		{"rgg below its bound", `{"topology":"mesh:1","graph":{"pattern":"rgg:1,4"}}`, 400,
+			"job: cliutil: pattern extent 1 must be >= 2", true},
+		{"negative message bytes", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4","msg_bytes":-5}}`, 400,
+			"job: cliutil: message bytes -5 must be >= 0", true},
+		{"hop-bytes overflow", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4","msg_bytes":1e308}}`, 422,
+			"job: hop-bytes is not finite (+Inf); lower graph.msg_bytes or the edge weights", true},
 		{"bad topology dimension", `{"topology":"torus:0,4","graph":{"pattern":"mesh2d:4,4"}}`, 400,
 			"job: topology: shape dimensions must all be >= 1", true},
 		// Refused on their numbers, before a neighbour list is laid out.

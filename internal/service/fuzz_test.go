@@ -34,6 +34,11 @@ func fuzzSeeds(f *testing.F) {
 		`{"graph":{"pattern":"ring:16"},"topology":"hypercube:4","strategy":"hybrid:2x2","refine":true}`,
 		`{"graph":{"pattern":"mesh2d:2,2"},"topology":"fattree:2,2","strategy":"psychic"}`,
 		`{"topology":"hier:pod","graph":{"pattern":"klein:4,4"},"constraints":[{"level":"pod","kind":"mandatory"}]}`,
+		// Below and above a pattern row's bounds, where the generators panic.
+		`{"graph":{"pattern":"ring:2"},"topology":"torus:2"}`,
+		`{"graph":{"pattern":"torus2d:2,2"},"topology":"torus:2,2"}`,
+		`{"graph":{"pattern":"butterfly:21"},"topology":"hypercube:4"}`,
+		`{"graph":{"pattern":"mesh2d:4,4","msg_bytes":-5},"topology":"torus:4,4"}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -68,8 +69,8 @@ type Job struct {
 // GraphSpec names a task graph. Exactly one of Pattern or Inline must be
 // set.
 type GraphSpec struct {
-	// Pattern is a generator spec like "mesh2d:16,16" (see
-	// internal/cliutil).
+	// Pattern is a generator spec like "mesh2d:16,16": a row of
+	// patternTable in internal/cliutil/patterns.go.
 	Pattern string `json:"pattern,omitempty"`
 	// MsgBytes is the per-edge byte count for pattern generators.
 	// Default 1e5.
@@ -618,6 +619,10 @@ func (j *job) compute() (*JobResult, error) {
 	}
 	res.Mapping = m
 	res.HopBytes = core.HopBytes(j.graph, j.topo, m)
+	if math.IsInf(res.HopBytes, 0) || math.IsNaN(res.HopBytes) {
+		// JSON has no spelling for it: the edge weights overflow a float64.
+		return nil, badJob(422, "job: hop-bytes is not finite (%g); lower graph.msg_bytes or the edge weights", res.HopBytes)
+	}
 	if total := j.graph.TotalComm(); total > 0 {
 		res.HopsPerByte = res.HopBytes / total
 	}

@@ -10,6 +10,27 @@ import (
 // paper's LeanMD dumps — the total chare count is LeanMDCells + p.
 const LeanMDCells = 18 * 15 * 12
 
+var leanMDGrid = []int{18, 15, 12}
+
+// halo26 is the cell stencil: one arm per pair of the 26-neighborhood,
+// weighted by the surface the two cells share — a face 4×, an edge 2×, a
+// corner 1×.
+var halo26 = func() []arm {
+	var arms []arm
+	for dx := -1; dx <= 1; dx++ {
+		for dy := -1; dy <= 1; dy++ {
+			for dz := -1; dz <= 1; dz++ {
+				if (dx*3+dy)*3+dz <= 0 {
+					continue // the opposite arm lists this pair
+				}
+				zeros := 3 - dx*dx - dy*dy - dz*dz // 2 on a face, 1 on an edge, 0 at a corner
+				arms = append(arms, arm{[]int{dx, dy, dz}, float64(int(1) << uint(zeros))})
+			}
+		}
+	}
+	return arms
+}()
+
 // LeanMD synthesizes a molecular-dynamics communication graph standing in
 // for the paper's LeanMD load-database dumps (which are not public). It
 // has 3240 + p chares:
@@ -27,48 +48,13 @@ func LeanMD(p int, msgBytes float64, seed int64) *Graph {
 	if p < 1 {
 		panic("taskgraph: LeanMD needs p >= 1")
 	}
-	const cx, cy, cz = 18, 15, 12
 	rng := rand.New(rand.NewSource(seed))
 	n := LeanMDCells + p
 	b := NewBuilder(n)
-	id := func(x, y, z int) int { return (x*cy+y)*cz + z }
-	for x := 0; x < cx; x++ {
-		for y := 0; y < cy; y++ {
-			for z := 0; z < cz; z++ {
-				v := id(x, y, z)
-				b.SetVertexWeight(v, 0.75+rng.Float64()*0.5)
-				for dx := -1; dx <= 1; dx++ {
-					for dy := -1; dy <= 1; dy++ {
-						for dz := -1; dz <= 1; dz++ {
-							if dx == 0 && dy == 0 && dz == 0 {
-								continue
-							}
-							nx, ny, nz := x+dx, y+dy, z+dz
-							if nx < 0 || nx >= cx || ny < 0 || ny >= cy || nz < 0 || nz >= cz {
-								continue
-							}
-							u := id(nx, ny, nz)
-							if u < v {
-								continue // add each pair once
-							}
-							shared := 3 // 3 - |dx|-|dy|-|dz| nonzero offsets
-							if dx != 0 {
-								shared--
-							}
-							if dy != 0 {
-								shared--
-							}
-							if dz != 0 {
-								shared--
-							}
-							// shared==2: face (4×), 1: edge (2×), 0: corner (1×).
-							b.AddEdge(v, u, msgBytes*float64(int(1)<<uint(shared)))
-						}
-					}
-				}
-			}
-		}
+	for v := 0; v < LeanMDCells; v++ {
+		b.SetVertexWeight(v, 0.75+rng.Float64()*0.5)
 	}
+	addStencil(b, leanMDGrid, false, halo26, msgBytes)
 	// Integrator chares: light control traffic to a contiguous cell block.
 	per := LeanMDCells / p
 	if per < 1 {
@@ -94,17 +80,8 @@ func LeanMD(p int, msgBytes float64, seed int64) *Graph {
 // integrator at the centroid of its cell block. The layout matches
 // LeanMD(p, ...) for any message size and seed.
 func LeanMDCoords(p int) [][]float64 {
-	const cx, cy, cz = 18, 15, 12
 	coords := make([][]float64, LeanMDCells+p)
-	i := 0
-	for x := 0; x < cx; x++ {
-		for y := 0; y < cy; y++ {
-			for z := 0; z < cz; z++ {
-				coords[i] = []float64{float64(x), float64(y), float64(z)}
-				i++
-			}
-		}
-	}
+	fillGridCoords(leanMDGrid, coords)
 	per := LeanMDCells / p
 	if per < 1 {
 		per = 1

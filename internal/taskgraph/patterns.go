@@ -2,82 +2,155 @@ package taskgraph
 
 import "fmt"
 
+// arm is one arm of a grid stencil: every cell exchanges frac × msgBytes
+// with the cell d away. A stencil lists each undirected pair once.
+type arm struct {
+	d    []int
+	frac float64
+}
+
+var (
+	faces1 = []arm{{[]int{1}, 1}}
+	faces2 = []arm{{[]int{1, 0}, 1}, {[]int{0, 1}, 1}}
+	faces3 = []arm{{[]int{1, 0, 0}, 1}, {[]int{0, 1, 0}, 1}, {[]int{0, 0, 1}, 1}}
+	// Corner halos are a quarter of a face's.
+	nine = []arm{faces2[0], faces2[1], {[]int{1, 1}, 0.25}, {[]int{1, -1}, 0.25}}
+)
+
+// cellID is the task id of the cell at c in a grid of extents ext:
+// row-major, last extent fastest — x·ry + y in two dimensions,
+// (x·ry + y)·rz + z in three. Graphs and coordinates both number through
+// it, so a pattern's geometry matches its graph by construction.
+func cellID(ext, c []int) int {
+	id := 0
+	for k, e := range ext {
+		id = id*e + c[k]
+	}
+	return id
+}
+
+// eachCell calls visit with the id and coordinates of every cell of the
+// grid, in id order. c is reused between calls.
+func eachCell(ext []int, visit func(id int, c []int)) {
+	c := make([]int, len(ext))
+	for {
+		visit(cellID(ext, c), c)
+		k := len(ext) - 1
+		for ; k >= 0; k-- {
+			if c[k]++; c[k] < ext[k] {
+				break
+			}
+			c[k] = 0
+		}
+		if k < 0 {
+			return
+		}
+	}
+}
+
+// addStencil adds, on b's first vertices, the edges of stencil over the
+// grid: arms that leave the grid wrap around when wrap is set and are
+// dropped otherwise.
+func addStencil(b *Builder, ext []int, wrap bool, stencil []arm, msgBytes float64) {
+	to := make([]int, len(ext))
+	eachCell(ext, func(id int, c []int) {
+	arms:
+		for _, a := range stencil {
+			for k, e := range ext {
+				x := c[k] + a.d[k]
+				if wrap {
+					x = (x + e) % e
+				} else if x < 0 || x >= e {
+					continue arms
+				}
+				to[k] = x
+			}
+			b.AddEdge(id, cellID(ext, to), msgBytes*a.frac)
+		}
+	})
+}
+
+// grid builds the pattern every lattice generator below is: one task per
+// cell. Extents below 1 — below 3 with wrap, where a shorter ring would
+// double its edges — panic.
+func grid(name string, ext []int, wrap bool, stencil []arm, msgBytes float64) *Graph {
+	least := 1
+	if wrap {
+		least = 3
+	}
+	n := 1
+	for _, e := range ext {
+		if e < least {
+			panic(fmt.Sprintf("taskgraph: %s: extents must be >= %d", name, least))
+		}
+		n *= e
+	}
+	b := NewBuilder(n)
+	addStencil(b, ext, wrap, stencil, msgBytes)
+	return b.Build(name)
+}
+
+// GridCoords returns the lattice position of every task of a grid pattern
+// with these extents, one row per task — the geometry the
+// coordinate-consuming strategies (RCB, SFC) pair with it.
+func GridCoords(ext ...int) [][]float64 {
+	n := 1
+	for _, e := range ext {
+		n *= e
+	}
+	coords := make([][]float64, n)
+	fillGridCoords(ext, coords)
+	return coords
+}
+
+// fillGridCoords writes the grid's positions into the first rows of coords.
+func fillGridCoords(ext []int, coords [][]float64) {
+	eachCell(ext, func(id int, c []int) {
+		row := make([]float64, len(c))
+		for k, x := range c {
+			row[k] = float64(x)
+		}
+		coords[id] = row
+	})
+}
+
 // Mesh2D builds the paper's principal benchmark pattern: rx × ry tasks in a
 // logical 2D mesh, each exchanging msgBytes per iteration with its 4
 // neighbors (3 on the boundary, 2 in the corners).
 func Mesh2D(rx, ry int, msgBytes float64) *Graph {
-	if rx < 1 || ry < 1 {
-		panic("taskgraph: Mesh2D extents must be >= 1")
-	}
-	b := NewBuilder(rx * ry)
-	id := func(x, y int) int { return x*ry + y }
-	for x := 0; x < rx; x++ {
-		for y := 0; y < ry; y++ {
-			if x+1 < rx {
-				b.AddEdge(id(x, y), id(x+1, y), msgBytes)
-			}
-			if y+1 < ry {
-				b.AddEdge(id(x, y), id(x, y+1), msgBytes)
-			}
-		}
-	}
-	return b.Build(fmt.Sprintf("mesh2d(%d,%d)", rx, ry))
+	return grid(fmt.Sprintf("mesh2d(%d,%d)", rx, ry), []int{rx, ry}, false, faces2, msgBytes)
 }
 
 // Mesh3D builds a 3D Jacobi-like pattern (Table 1's workload): tasks in an
 // rx × ry × rz grid, each exchanging msgBytes with its up-to-6 face
 // neighbors per iteration.
 func Mesh3D(rx, ry, rz int, msgBytes float64) *Graph {
-	if rx < 1 || ry < 1 || rz < 1 {
-		panic("taskgraph: Mesh3D extents must be >= 1")
-	}
-	b := NewBuilder(rx * ry * rz)
-	id := func(x, y, z int) int { return (x*ry+y)*rz + z }
-	for x := 0; x < rx; x++ {
-		for y := 0; y < ry; y++ {
-			for z := 0; z < rz; z++ {
-				if x+1 < rx {
-					b.AddEdge(id(x, y, z), id(x+1, y, z), msgBytes)
-				}
-				if y+1 < ry {
-					b.AddEdge(id(x, y, z), id(x, y+1, z), msgBytes)
-				}
-				if z+1 < rz {
-					b.AddEdge(id(x, y, z), id(x, y, z+1), msgBytes)
-				}
-			}
-		}
-	}
-	return b.Build(fmt.Sprintf("mesh3d(%d,%d,%d)", rx, ry, rz))
+	return grid(fmt.Sprintf("mesh3d(%d,%d,%d)", rx, ry, rz), []int{rx, ry, rz}, false, faces3, msgBytes)
 }
 
-// Ring builds n tasks in a cycle, each exchanging msgBytes with both
+// Ring builds n ≥ 3 tasks in a cycle, each exchanging msgBytes with both
 // neighbors.
 func Ring(n int, msgBytes float64) *Graph {
-	if n < 3 {
-		panic("taskgraph: Ring needs at least 3 tasks")
-	}
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n, msgBytes)
-	}
-	return b.Build(fmt.Sprintf("ring(%d)", n))
+	return grid(fmt.Sprintf("ring(%d)", n), []int{n}, true, faces1, msgBytes)
 }
 
 // Torus2D builds an rx × ry pattern with wraparound neighbor exchange.
 func Torus2D(rx, ry int, msgBytes float64) *Graph {
-	if rx < 3 || ry < 3 {
-		panic("taskgraph: Torus2D extents must be >= 3")
-	}
-	b := NewBuilder(rx * ry)
-	id := func(x, y int) int { return x*ry + y }
-	for x := 0; x < rx; x++ {
-		for y := 0; y < ry; y++ {
-			b.AddEdge(id(x, y), id((x+1)%rx, y), msgBytes)
-			b.AddEdge(id(x, y), id(x, (y+1)%ry), msgBytes)
-		}
-	}
-	return b.Build(fmt.Sprintf("torus2d(%d,%d)", rx, ry))
+	return grid(fmt.Sprintf("torus2d(%d,%d)", rx, ry), []int{rx, ry}, true, faces2, msgBytes)
+}
+
+// Stencil9 builds an rx × ry 9-point stencil: each task exchanges
+// msgBytes with its 4 face neighbors and msgBytes/4 with its 4 diagonal
+// neighbors, as in high-order finite difference codes.
+func Stencil9(rx, ry int, msgBytes float64) *Graph {
+	return grid(fmt.Sprintf("stencil9(%d,%d)", rx, ry), []int{rx, ry}, false, nine, msgBytes)
+}
+
+// Wavefront builds the dependency-free communication footprint of an
+// rx × ry wavefront sweep (as in Sweep3D): each task exchanges with its
+// east and south neighbors only — Mesh2D's edges under its own name.
+func Wavefront(rx, ry int, msgBytes float64) *Graph {
+	return grid(fmt.Sprintf("wavefront(%d,%d)", rx, ry), []int{rx, ry}, false, faces2, msgBytes)
 }
 
 // AllToAll builds n tasks each exchanging msgBytes with every other task —

@@ -2,35 +2,6 @@ package taskgraph
 
 import "fmt"
 
-// Stencil9 builds an rx × ry 9-point stencil: each task exchanges
-// msgBytes with its 4 face neighbors and msgBytes/4 with its 4 diagonal
-// neighbors (corner halos are smaller), as in high-order finite
-// difference codes.
-func Stencil9(rx, ry int, msgBytes float64) *Graph {
-	if rx < 1 || ry < 1 {
-		panic("taskgraph: Stencil9 extents must be >= 1")
-	}
-	b := NewBuilder(rx * ry)
-	id := func(x, y int) int { return x*ry + y }
-	for x := 0; x < rx; x++ {
-		for y := 0; y < ry; y++ {
-			if x+1 < rx {
-				b.AddEdge(id(x, y), id(x+1, y), msgBytes)
-			}
-			if y+1 < ry {
-				b.AddEdge(id(x, y), id(x, y+1), msgBytes)
-			}
-			if x+1 < rx && y+1 < ry {
-				b.AddEdge(id(x, y), id(x+1, y+1), msgBytes/4)
-			}
-			if x+1 < rx && y > 0 {
-				b.AddEdge(id(x, y), id(x+1, y-1), msgBytes/4)
-			}
-		}
-	}
-	return b.Build(fmt.Sprintf("stencil9(%d,%d)", rx, ry))
-}
-
 // Transpose builds the communication of a 2D FFT-style transpose on an
 // n × n logical matrix of tasks: task (i,j) exchanges with task (j,i).
 // Transposes are the classic long-range pattern that punishes
@@ -79,26 +50,4 @@ func Butterfly(stages int, msgBytes float64) *Graph {
 		}
 	}
 	return b.Build(fmt.Sprintf("butterfly(%d)", stages))
-}
-
-// Wavefront builds the dependency-free communication footprint of an
-// rx × ry wavefront sweep (as in Sweep3D): each task exchanges with its
-// east and south neighbors only, giving a directional banded structure.
-func Wavefront(rx, ry int, msgBytes float64) *Graph {
-	if rx < 1 || ry < 1 {
-		panic("taskgraph: Wavefront extents must be >= 1")
-	}
-	b := NewBuilder(rx * ry)
-	id := func(x, y int) int { return x*ry + y }
-	for x := 0; x < rx; x++ {
-		for y := 0; y < ry; y++ {
-			if x+1 < rx {
-				b.AddEdge(id(x, y), id(x+1, y), msgBytes)
-			}
-			if y+1 < ry {
-				b.AddEdge(id(x, y), id(x, y+1), msgBytes)
-			}
-		}
-	}
-	return b.Build(fmt.Sprintf("wavefront(%d,%d)", rx, ry))
 }

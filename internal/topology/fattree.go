@@ -33,12 +33,9 @@ func NewFatTree(arity, levels int) (*FatTree, error) {
 	if levels < 1 || levels > 10 {
 		return nil, fmt.Errorf("topology: fat-tree levels %d out of range [1,10]", levels)
 	}
-	n := 1
-	for i := 0; i < levels; i++ {
-		n *= arity
-		if n > MaxNodes {
-			return nil, fmt.Errorf("topology: fat-tree too large (> %d leaves)", MaxNodes)
-		}
+	n := powNodes(arity, levels)
+	if n > MaxNodes {
+		return nil, fmt.Errorf("topology: fat-tree too large (> %d leaves)", MaxNodes)
 	}
 	f := &FatTree{arity: arity, levels: levels, n: n,
 		name: fmt.Sprintf("fattree(k=%d,l=%d)", arity, levels)}

@@ -74,18 +74,12 @@ const MaxNodes = 1 << 22
 // volume returns the product of dims, or an error if any extent is < 1 or
 // the product exceeds MaxNodes.
 func volume(dims []int) (int, error) {
-	if len(dims) == 0 {
+	v := mulAll(dims)
+	switch {
+	case len(dims) == 0 || v == 0:
 		return 0, ErrBadShape
-	}
-	v := 1
-	for _, d := range dims {
-		if d < 1 {
-			return 0, ErrBadShape
-		}
-		if d > MaxNodes/v {
-			return 0, fmt.Errorf("topology: shape %s too large (> %d nodes)", dimsString(dims), MaxNodes)
-		}
-		v *= d
+	case v > MaxNodes:
+		return 0, fmt.Errorf("topology: shape %s too large (> %d nodes)", dimsString(dims), MaxNodes)
 	}
 	return v, nil
 }
