@@ -7,7 +7,8 @@ package benchtab
 // lib-scale workload are not repeated here (core.multilevelmap_ms,
 // core.sfc_ms, core.rcbsfc_ms, core.hiermap_ms time them); what stays is
 // the comparison against a reference, the million-task headline no
-// lib-scale job reaches, the curve codecs, and `auto` over HTTP.
+// lib-scale job reaches, phase one (partition.Multilevel) alone on the
+// jobs svc-cold partitions, the curve codecs, and `auto` over HTTP.
 
 import (
 	"bytes"
@@ -105,6 +106,25 @@ func (c placeCase) bench(p placer) func(*testing.B) {
 	}
 }
 
+// partitionRow measures phase one alone — partition.Multilevel on the
+// pattern, into k groups — for the jobs svc-cold partitions, where it is
+// the larger share of a request. Its exact column is allocs/op.
+func partitionRow(name, pattern string, k int, smoke bool) Row {
+	return Row{Suite: "multilevel", Name: "partition/Multilevel/" + name, Smoke: smoke, Run: func(b *testing.B) {
+		g, err := cliutil.ParsePattern(pattern, 1e5, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := (partition.Multilevel{Seed: 1}).Partition(g, k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}}
+}
+
 func multilevelRows() []Row {
 	row := func(smoke bool, c placeCase) Row {
 		return Row{Suite: "multilevel", Name: c.name(), Smoke: smoke, Run: c.bench(multilevel), Ref: c.bench(flat), RefName: "flat"}
@@ -117,6 +137,9 @@ func multilevelRows() []Row {
 		row(false, placeCase{"stencil9:128,128", "torus:32,16"}),
 		row(false, placeCase{"stencil9:256,256", "torus:32,32"}),
 		{Suite: "multilevel", Name: million.name(), Run: million.bench(multilevel)},
+		partitionRow("stencil9-64x64,k=256", "stencil9:64,64", 256, true),
+		partitionRow("stencil9-128x128,k=512", "stencil9:128,128", 512, false),
+		partitionRow("leanmd-256", "leanmd:256", 256, false),
 	}
 }
 

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/taskgraph"
 )
@@ -35,6 +34,11 @@ func (Multilevel) Name() string { return "multilevel" }
 
 // Partition implements Partitioner.
 func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
+	return ml.partition(g, k, &arena{})
+}
+
+// partition is Partition on the caller's (zero) arena.
+func (ml Multilevel) partition(g *taskgraph.Graph, k int, ar *arena) (*Result, error) {
 	if err := checkArgs(g, k); err != nil {
 		return nil, err
 	}
@@ -71,10 +75,12 @@ func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 	maxVwgt := 1.5 * m0.totalVwgt() / float64(k)
 	levels := []*CGraph{m0}
 	var cmaps [][]int32
-	var scratch contractScratch
+	if m0.N > coarsenTo {
+		ar.forCoarsening(m0.N)
+	}
 	for levels[len(levels)-1].N > coarsenTo {
 		cur := levels[len(levels)-1]
-		coarse, cmap := coarsen(cur, rng, maxVwgt, &scratch)
+		coarse, cmap := coarsen(cur, rng, maxVwgt, ar)
 		if coarse.N >= cur.N || float64(coarse.N) > 0.95*float64(cur.N) {
 			break // matching stagnated
 		}
@@ -82,24 +88,34 @@ func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 		cmaps = append(cmaps, cmap)
 	}
 
+	// The assignment ping-pongs between two buffers on the way back up,
+	// even levels in one and odd levels in the other, so the finest level's
+	// lands in one of exactly its size.
+	var bufs [2][]int
+	for i := range bufs {
+		if i < len(levels) {
+			bufs[i] = make([]int, levels[i].N)
+		}
+	}
+
 	// Initial partition of the coarsest level by recursive bisection.
-	coarsest := levels[len(levels)-1]
-	assign := make([]int, coarsest.N)
+	lvl := len(levels) - 1
+	coarsest := levels[lvl]
+	ar.forBisection(coarsest.N)
+	assign := bufs[lvl%2][:coarsest.N]
 	ids := make([]int32, coarsest.N)
-	inv := make([]int32, coarsest.N) // extract's scratch: -1 between calls
 	for i := range ids {
 		ids[i] = int32(i)
-		inv[i] = -1
 	}
-	recursiveBisect(coarsest, ids, k, 0, assign, rng, tries, inv)
+	recursiveBisect(coarsest, ids, k, 0, assign, rng, tries, ar)
 	kwayRefine(coarsest, assign, k, eps, passes, rng)
 
 	// Uncoarsening with refinement.
-	for lvl := len(levels) - 2; lvl >= 0; lvl-- {
+	for lvl--; lvl >= 0; lvl-- {
 		fine := levels[lvl]
 		cmap := cmaps[lvl]
-		projected := make([]int, fine.N)
-		for v := 0; v < fine.N; v++ {
+		projected := bufs[lvl%2][:fine.N]
+		for v := range projected {
 			projected[v] = assign[cmap[v]]
 		}
 		assign = projected
@@ -110,23 +126,79 @@ func (ml Multilevel) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 	return r, nil
 }
 
+// arena is the scratch memory of one Partition call: what the phases
+// would otherwise allocate per level, per bisection try and per FM pass.
+// Partition owns it and sizes each group of buffers once, for the largest
+// graph its phase sees (the finest level for coarsening, the coarsest for
+// bisection); every user cuts them to its own graph. A buffer belongs to
+// the innermost call that fills it and is dead when that call's caller
+// has read it, with two exceptions that outlive their call: bisect's best
+// and byWgt, which recursiveBisect reads until it recurses. Nothing here
+// is shared between calls.
+type arena struct {
+	// Coarsening: the rng-permuted visit order and matchHeavyEdge's work
+	// arrays, and contract's.
+	order, pref, match []int32
+	contract           contractScratch
+	// Bisection of the coarsest graph and its subgraphs.
+	inv        []int32 // extract's inverse map: -1 between calls
+	sel, ids   []int32 // recursiveBisect's split of a graph and of its ids
+	side, best []int8  // growRegion's candidate, bisect's best so far
+	conn       []float64
+	byWgt      []int32 // vertices in ascending (Vwgt, id) order, one sort a bisect
+	// fmRefineBisection's (see fm).
+	gain         []float64
+	locked       []bool
+	history      []fmMove
+	leaf, leafAt []int32
+	node         []int32
+	// Instrumentation, for tests: the tree nodes the call's FM passes
+	// touched, and a function shown every fmRefineBisection input.
+	fmNodes   int64
+	observeFM func(m *CGraph, side []int8, target, total float64)
+}
+
+// forCoarsening sizes the coarsening buffers for a finest level of n
+// vertices.
+func (ar *arena) forCoarsening(n int) {
+	buf := make([]int32, 3*n)
+	ar.order, ar.pref, ar.match = buf[:n], buf[n:2*n], buf[2*n:]
+}
+
+// forBisection sizes the bisection buffers for a coarsest level of n
+// vertices.
+func (ar *arena) forBisection(n int) {
+	buf := make([]int32, 8*n)
+	ar.inv, ar.sel, ar.ids, ar.byWgt = buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n]
+	ar.leaf, ar.leafAt, ar.node = buf[4*n:5*n], buf[5*n:6*n], buf[6*n:]
+	for i := range ar.inv {
+		ar.inv[i] = -1
+	}
+	sides := make([]int8, 2*n)
+	ar.side, ar.best = sides[:n], sides[n:]
+	floats := make([]float64, 2*n)
+	ar.conn, ar.gain = floats[:n], floats[n:]
+	ar.locked = make([]bool, n)
+	ar.history = make([]fmMove, 0, n)
+}
+
 // coarsen matches vertices by heavy-edge matching and contracts matched
 // pairs, returning the coarse graph and the fine→coarse vertex map.
 // maxVwgt bounds the weight of a contracted vertex so one giant vertex
 // cannot make balanced partitioning impossible. The match/contract kernel
 // is the mapping hierarchy's (hierarchy.go); the partitioner keeps its
 // rng-permuted visit order and sorted coarse adjacency.
-func coarsen(lvl *CGraph, rng *rand.Rand, maxVwgt float64, sc *contractScratch) (*CGraph, []int32) {
-	perm := rng.Perm(lvl.N)
-	order := make([]int32, lvl.N)
-	for i, v := range perm {
-		order[i] = int32(v)
+func coarsen(lvl *CGraph, rng *rand.Rand, maxVwgt float64, ar *arena) (*CGraph, []int32) {
+	// rng.Perm(lvl.N), drawn into the arena: the same draws, no []int.
+	order := ar.order[:lvl.N]
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
 	}
-	pref := make([]int32, lvl.N)
-	match := make([]int32, lvl.N)
 	cmap := make([]int32, lvl.N)
-	coarseN := matchHeavyEdge(lvl, order, maxVwgt, 0, pref, match, cmap)
-	return contract(lvl, cmap, coarseN, true, sc), cmap
+	coarseN := matchHeavyEdge(lvl, order, maxVwgt, 0, ar.pref[:lvl.N], ar.match[:lvl.N], cmap)
+	return contract(lvl, cmap, coarseN, true, &ar.contract), cmap
 }
 
 // extract builds the subgraph of m induced by the selected vertices;
@@ -137,7 +209,22 @@ func extract(m *CGraph, sel, inv []int32) *CGraph {
 	for i, v := range sel {
 		inv[v] = int32(i)
 	}
-	sub := &CGraph{N: len(sel), Xadj: make([]int32, len(sel)+1), Vwgt: make([]float64, len(sel))}
+	edges := 0
+	for _, v := range sel {
+		adj, _ := m.neighbors(v)
+		for _, u := range adj {
+			if inv[u] >= 0 {
+				edges++
+			}
+		}
+	}
+	sub := &CGraph{
+		N:      len(sel),
+		Xadj:   make([]int32, len(sel)+1),
+		Adjncy: make([]int32, 0, edges),
+		Adjwgt: make([]float64, 0, edges),
+		Vwgt:   make([]float64, len(sel)),
+	}
 	for i, v := range sel {
 		sub.Vwgt[i] = m.Vwgt[v]
 		adj, w := m.neighbors(v)
@@ -155,76 +242,77 @@ func extract(m *CGraph, sel, inv []int32) *CGraph {
 	return sub
 }
 
-// recursiveBisect assigns parts [offset, offset+k) to the vertices of sub
+// recursiveBisect assigns parts [offset, offset+k) to the vertices of m
 // (whose vertex i is original vertex ids[i] of the level graph), writing
-// into assign indexed by original level-vertex id. inv is extract's
-// scratch, sized for the level graph.
-func recursiveBisect(m *CGraph, ids []int32, k, offset int, assign []int, rng *rand.Rand, tries int, inv []int32) {
-	sub := m
-	if len(ids) != m.N {
-		panic("partition: ids/graph size mismatch")
-	}
+// into assign indexed by original level-vertex id. It reorders ids. A
+// single part needs no graph: m may be nil when k is 1.
+func recursiveBisect(m *CGraph, ids []int32, k, offset int, assign []int, rng *rand.Rand, tries int, ar *arena) {
 	if k == 1 {
 		for _, v := range ids {
 			assign[v] = offset
 		}
 		return
 	}
+	if len(ids) != m.N {
+		panic("partition: ids/graph size mismatch")
+	}
 	k1 := (k + 1) / 2
 	k2 := k - k1
-	side := bisect(sub, float64(k1)/float64(k), rng, tries)
-	ensureSideCounts(sub, side, k1, k2)
-	var sel0, sel1 []int32
-	var ids0, ids1 []int32
-	for i, s := range side {
+	side := bisect(m, float64(k1)/float64(k), rng, tries, ar)
+	ensureSideCounts(side, ar.byWgt[:m.N], k1, k2)
+	// Side 0's vertices and ids move to the front, each side keeping its
+	// order.
+	n0 := 0
+	for _, s := range side {
 		if s == 0 {
-			sel0 = append(sel0, int32(i))
-			ids0 = append(ids0, ids[i])
-		} else {
-			sel1 = append(sel1, int32(i))
-			ids1 = append(ids1, ids[i])
+			n0++
 		}
 	}
-	recursiveBisect(extract(sub, sel0, inv), ids0, k1, offset, assign, rng, tries, inv)
-	recursiveBisect(extract(sub, sel1, inv), ids1, k2, offset+k1, assign, rng, tries, inv)
+	sel, moved := ar.sel[:m.N], ar.ids[:m.N]
+	at := [2]int{0, n0}
+	for i, s := range side {
+		sel[at[s]], moved[at[s]] = int32(i), ids[i]
+		at[s]++
+	}
+	copy(ids, moved)
+	// Both halves are cut out before either is bisected: the recursion
+	// reuses sel.
+	var sub [2]*CGraph
+	if k1 > 1 {
+		sub[0] = extract(m, sel[:n0], ar.inv)
+	}
+	if k2 > 1 {
+		sub[1] = extract(m, sel[n0:], ar.inv)
+	}
+	recursiveBisect(sub[0], ids[:n0], k1, offset, assign, rng, tries, ar)
+	recursiveBisect(sub[1], ids[n0:], k2, offset+k1, assign, rng, tries, ar)
 }
 
 // ensureSideCounts guarantees side 0 has at least k1 vertices and side 1
-// at least k2, moving the lightest vertices across as needed (bisect can
-// produce lopsided counts when vertex weights vary wildly).
-func ensureSideCounts(m *CGraph, side []int8, k1, k2 int) {
+// at least k2, moving the lightest vertices (lowest id first among equals)
+// across as needed (bisect can produce lopsided counts when vertex weights
+// vary wildly). byWgt is bisect's weight order of the graph.
+func ensureSideCounts(side []int8, byWgt []int32, k1, k2 int) {
 	count := [2]int{}
 	for _, s := range side {
 		count[s]++
 	}
-	need := func(short, long int8, deficit int) {
-		type vw struct {
-			v int32
-			w float64
-		}
-		var cands []vw
-		for v := int32(0); v < int32(m.N); v++ {
-			if side[v] == long {
-				cands = append(cands, vw{v, m.Vwgt[v]})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].w < cands[j].w {
-				return true
-			}
-			if cands[j].w < cands[i].w {
-				return false
-			}
-			return cands[i].v < cands[j].v
-		})
-		for i := 0; i < deficit && i < len(cands); i++ {
-			side[cands[i].v] = short
-		}
+	var short int8
+	var deficit int
+	switch {
+	case count[0] < k1:
+		short, deficit = 0, k1-count[0]
+	case count[1] < k2:
+		short, deficit = 1, k2-count[1]
 	}
-	if count[0] < k1 {
-		need(0, 1, k1-count[0])
-	} else if count[1] < k2 {
-		need(1, 0, k2-count[1])
+	for _, v := range byWgt {
+		if deficit == 0 {
+			break
+		}
+		if side[v] != short {
+			side[v] = short
+			deficit--
+		}
 	}
 }
 
