@@ -6,8 +6,9 @@
 // can be profiled. End-to-end and per-layer numbers are not here: those
 // are bench/cmd/topobench's (BENCHMARK.json). A row earns its place by
 // measuring what that harness cannot see — a reference implementation
-// on the same box (legacy simulator, no-matrix kernels, full recompute,
-// flat pipeline), a scheduler stream, a codec, a size beyond its jobs.
+// on the same box (packet model beside flits, no-matrix kernels, full
+// recompute, flat pipeline), a scheduler stream, a codec, a size beyond
+// its jobs.
 package benchtab
 
 import (

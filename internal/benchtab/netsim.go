@@ -1,26 +1,19 @@
 package benchtab
 
-// Suite "netsim": the simulator core against the frozen pre-rewrite
-// implementation in internal/netsim/legacy on the same workloads. The
-// cross-check tests hold the two to bit-identical statistics, so the
-// ratio is implementation speed alone. Each simulation is
-// single-threaded; the rows still run at every width like the rest.
+// Suite "netsim": the simulator core on scheduler streams and packet-,
+// credit- and flit-level workloads. Each simulation is single-threaded;
+// the rows still run at every width like the rest. events/op and
+// allocs/op are the exact columns benchjson -compare gates; the Stats the
+// same workloads produce are pinned by the netsim package's goldens and
+// its reference network, not here.
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/netsim/legacy"
 	"repro/internal/topology"
 )
-
-// timerEngine is what engineRow needs of either engine.
-type timerEngine interface {
-	Schedule(at float64, fn func())
-	After(delay float64, fn func())
-	Run() float64
-}
 
 // engineRow measures raw scheduler throughput: pending self-rescheduling
 // timers dispatching total events. With the fixed 1 µs period the timers
@@ -30,41 +23,31 @@ type timerEngine interface {
 // costs the run queue a heap key: its worst case. The residual allocs/op
 // are the workload's own tick closures.
 func engineRow(name string, smoke bool, pending, total int, tiefree bool) Row {
-	drive := func(eng timerEngine) {
-		gap := func() float64 { return 1e-6 }
-		if tiefree {
-			rng := rand.New(rand.NewSource(1))
-			gap = func() float64 { return rng.ExpFloat64() * 1e-6 }
-		}
-		left := total - pending
-		var tick func()
-		tick = func() {
-			if left > 0 {
-				left--
-				eng.After(gap(), tick)
-			}
-		}
-		for j := 0; j < pending; j++ {
-			eng.Schedule(float64(j)*1e-7, tick)
-		}
-		eng.Run()
-	}
-	return Row{Suite: "netsim", Name: "Engine/" + name, Smoke: smoke, RefName: "legacy",
+	return Row{Suite: "netsim", Name: "Engine/" + name, Smoke: smoke,
 		Run: func(b *testing.B) {
 			eng := &netsim.Engine{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				eng.Reset()
-				drive(eng)
+				gap := func() float64 { return 1e-6 }
+				if tiefree {
+					rng := rand.New(rand.NewSource(1))
+					gap = func() float64 { return rng.ExpFloat64() * 1e-6 }
+				}
+				left := total - pending
+				var tick func()
+				tick = func() {
+					if left > 0 {
+						left--
+						eng.After(gap(), tick)
+					}
+				}
+				for j := 0; j < pending; j++ {
+					eng.Schedule(float64(j)*1e-7, tick)
+				}
+				eng.Run()
 			}
 			b.ReportMetric(float64(eng.Processed()), "events/op")
-		},
-		Ref: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				drive(&legacy.Engine{})
-			}
-			b.ReportMetric(float64(total), "events/op")
 		},
 	}
 }
@@ -116,35 +99,15 @@ func steady(cfg netsim.Config, load int) func(b *testing.B) {
 	}
 }
 
-// hotspotRow pits the engine in steady state against a fresh legacy
-// engine per run (it has no Reset), unbounded links or credit-based flow
-// control with `buffered` packets per link. The legacy side schedules the
-// identical event sequence but does not count it.
+// hotspotRow measures the engine in steady state on the hotspot scenario,
+// unbounded links or credit-based flow control with `buffered` packets per
+// link.
 func hotspotRow(name string, smoke bool, load, buffered int) Row {
-	cfg := hotspotConfig(256, buffered)
-	return Row{Suite: "netsim", Name: name, Smoke: smoke, RefName: "legacy",
-		Run: steady(cfg, load),
-		Ref: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := &legacy.Engine{}
-				net, err := legacy.NewNetwork(eng, legacy.Config{
-					Topology: cfg.Topology, LinkBandwidth: cfg.LinkBandwidth, LinkLatency: cfg.LinkLatency,
-					PacketSize: cfg.PacketSize, BufferPackets: cfg.BufferPackets,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hotspot(load, func(s, d int, bytes float64) { net.Send(s, d, bytes, nil) })
-				eng.Run()
-			}
-		},
-	}
+	return Row{Suite: "netsim", Name: name, Smoke: smoke, Run: steady(hotspotConfig(256, buffered), load)}
 }
 
 // wormholeRow measures the flit-level mode against the packet model of
-// the same engine on the same workload. There is no legacy wormhole, so
-// the ratio prices the fidelity (one event per flit per hop, an order of
+// the same engine on the same workload: the ratio prices the fidelity (one event per flit per hop, an order of
 // magnitude more events) rather than a rewrite.
 func wormholeRow(name string, smoke bool, load int) Row {
 	packet := hotspotConfig(1024, 0)

@@ -125,22 +125,6 @@ func TestHopBytesZeroCommGraph(t *testing.T) {
 	}
 }
 
-func TestTaskHopBytesSumsToTwiceTotal(t *testing.T) {
-	g := taskgraph.Random(20, 60, 1, 10, 3)
-	to := topology.MustTorus(4, 5)
-	m, err := Random{Seed: 2}.Map(g, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for v := 0; v < 20; v++ {
-		sum += TaskHopBytes(g, to, m, v)
-	}
-	if diff := math.Abs(sum/2 - HopBytes(g, to, m)); diff > 1e-6 {
-		t.Errorf("per-task sum/2 = %v, HopBytes = %v", sum/2, HopBytes(g, to, m))
-	}
-}
-
 func TestRandomMatchesAnalyticExpectation(t *testing.T) {
 	// Paper Figure 1: random placement's hops/byte tracks √p/2 on a 2D
 	// torus. Average over seeds to tame variance.

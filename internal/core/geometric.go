@@ -46,14 +46,7 @@ func (s SFC) WithCoords(coords [][]float64) Strategy {
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s SFC) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := CheckSizes(g, t); err != nil {
-		return nil, err
-	}
-	placement, err := s.Place(g, t)
-	if err != nil {
-		return nil, err
-	}
-	return Mapping(placement), nil
+	return placeMap(s, g, t)
 }
 
 // Place implements Placer for any n >= p.
@@ -167,14 +160,7 @@ func (s RCBSFC) WithCoords(coords [][]float64) Strategy {
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s RCBSFC) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := CheckSizes(g, t); err != nil {
-		return nil, err
-	}
-	placement, err := s.Place(g, t)
-	if err != nil {
-		return nil, err
-	}
-	return Mapping(placement), nil
+	return placeMap(s, g, t)
 }
 
 // Place implements Placer for any n >= p.

@@ -74,14 +74,7 @@ func (s HierMap) WithCoords(coords [][]float64) Strategy {
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s HierMap) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := CheckSizes(g, t); err != nil {
-		return nil, err
-	}
-	placement, err := s.Place(g, t)
-	if err != nil {
-		return nil, err
-	}
-	return Mapping(placement), nil
+	return placeMap(s, g, t)
 }
 
 // Place maps n tasks onto the hierarchy. n >= Nodes() is the ordinary

@@ -46,17 +46,6 @@ func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
 	}, func(a, b float64) float64 { return a + b })
 }
 
-// TaskHopBytes returns HB(v), the hop-bytes due to a single task's edges.
-// The overall hop-bytes is half the sum of TaskHopBytes over all tasks.
-func TaskHopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping, v int) float64 {
-	adj, w := g.Neighbors(v)
-	hb := 0.0
-	for i, u := range adj {
-		hb += w[i] * float64(t.Distance(m[v], m[u]))
-	}
-	return hb
-}
-
 // HopsPerByte returns HopBytes divided by the total communication volume —
 // the average number of links each byte crosses. The paper reports this
 // normalized form in Figures 1–6. Returns 0 for graphs with no

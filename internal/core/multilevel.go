@@ -40,6 +40,18 @@ type Placer interface {
 	Place(g *taskgraph.Graph, t topology.Topology) ([]int, error)
 }
 
+// placeMap is Map for every Placer: on n == p, Place is a bijection.
+func placeMap(s Placer, g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
+	if err := CheckSizes(g, t); err != nil {
+		return nil, err
+	}
+	placement, err := s.Place(g, t)
+	if err != nil {
+		return nil, err
+	}
+	return Mapping(placement), nil
+}
+
 // MultilevelMap is the hierarchical coarsen→map→refine strategy. The zero
 // value is ready to use.
 type MultilevelMap struct {
@@ -61,14 +73,7 @@ func (s MultilevelMap) Name() string { return "Multilevel" }
 
 // Map implements Strategy for the n == p case; the result is a bijection.
 func (s MultilevelMap) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	if err := CheckSizes(g, t); err != nil {
-		return nil, err
-	}
-	placement, err := s.Place(g, t)
-	if err != nil {
-		return nil, err
-	}
-	return Mapping(placement), nil
+	return placeMap(s, g, t)
 }
 
 // Place implements Placer for any n >= p. The result is byte-identical at

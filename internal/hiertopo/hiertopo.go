@@ -11,8 +11,8 @@
 // two processors in the same leaf are separated by their exact leaf
 // distance, and two processors whose paths diverge at level i are
 // separated by that level's cost (outer levels cost more, default 10×
-// per level). HierDistance/HierHopBytes expose the float-valued form of
-// the same metric for refinement arithmetic.
+// per level). DistanceF/HierHopBytes expose the float-valued form of the
+// same metric for refinement arithmetic.
 //
 // Hierarchies are built deterministically from a compact spec string
 //
@@ -287,10 +287,6 @@ func (h *Hierarchy) DistanceF(a, b int) float64 {
 	}
 	panic("hiertopo: divergence not found")
 }
-
-// HierDistance returns the composite distance between processors a and b
-// of h (the package-level form of DistanceF).
-func HierDistance(h *Hierarchy, a, b int) float64 { return h.DistanceF(a, b) }
 
 // hierHopBytesGrain bounds per-chunk work to O(grain·deg).
 const hierHopBytesGrain = 64

@@ -126,9 +126,6 @@ func TestDistanceComposite(t *testing.T) {
 	if h.Distance(42, 42) != 0 {
 		t.Fatalf("Distance(a,a) != 0")
 	}
-	if HierDistance(h, 0, 256) != 1000 {
-		t.Fatalf("HierDistance disagrees with DistanceF")
-	}
 }
 
 func TestDivergeLevel(t *testing.T) {

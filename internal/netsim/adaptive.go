@@ -11,8 +11,8 @@ package netsim
 
 // onAdapt is the adaptive-routing packet event: the packet stands at
 // p.cur; either it has arrived, or it picks the least-congested minimal
-// neighbor (lowest CSR position wins ties, matching Neighbors order) and
-// reserves that link.
+// neighbor (the lowest LinkSet row position, which is Neighbors order,
+// wins ties) and reserves that link.
 func (n *Network) onAdapt(pi int32) {
 	p := &n.pkts[pi]
 	cur, dst := int(p.cur), int(p.dst)
@@ -26,15 +26,15 @@ func (n *Network) onAdapt(pi int32) {
 	distCur := n.cfg.Topology.Distance(cur, dst)
 	next, nextLink := -1, int32(-1)
 	var bestFree float64
-	for i := n.nbrOff[cur]; i < n.nbrOff[cur+1]; i++ {
-		u := int(n.nbrNode[i])
+	first, to := n.links.Row(cur)
+	for i, u := range to {
 		//lint:ignore hotalloc Topology.Distance implementations are arithmetic on coordinates; zero-alloc pinned by BenchmarkNetsim allocs/op
-		if n.cfg.Topology.Distance(u, dst) != distCur-1 {
+		if n.cfg.Topology.Distance(int(u), dst) != distCur-1 {
 			continue
 		}
-		li := n.nbrLink[i]
+		li := first + int32(i)
 		if next < 0 || n.freeAt[li] < bestFree {
-			next, nextLink, bestFree = u, li, n.freeAt[li]
+			next, nextLink, bestFree = int(u), li, n.freeAt[li]
 		}
 	}
 	if next < 0 {

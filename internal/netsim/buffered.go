@@ -60,7 +60,7 @@ func (b *bufNetwork) request(pi int32) {
 	p := &b.n.pkts[pi]
 	path := b.n.msgs[p.msg].path
 	cur, next := path[p.hop], path[p.hop+1]
-	li := b.n.linkIndex(cur, next)
+	li := int32(b.n.links.Index(cur, next))
 	p.vc = b.chooseVC(p, path)
 	l := &b.links[li]
 	if l.busy || l.credits[p.vc] == 0 {

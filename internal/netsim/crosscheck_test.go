@@ -1,51 +1,27 @@
 package netsim_test
 
-// Differential tests pinning the bit-identical-output contract of the
-// rebuilt event core: the typed-event engine (run queue, pooled packet
-// state) must reproduce the frozen pre-optimization simulator in
-// internal/netsim/legacy stat for stat, bit for bit, on every routing
-// mode. Stats are compared through math.Float64bits so the
-// check is exact, not epsilon-based.
+// The golden workloads: nine fixed scenarios over tori and meshes, every
+// routing mode, whose Stats words, event counts and latency streams
+// golden_test.go pins. Until e87b49d they were also run on the frozen
+// pre-rewrite simulator (internal/netsim/legacy) and matched it bit for
+// bit; the words recorded there are its output. Random machines, configs
+// and send times are reference_test.go's.
 
 import (
 	"errors"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/netsim/legacy"
 	"repro/internal/topology"
 )
 
-// workload drives one traffic pattern through either simulator via the
-// shared send closure.
+// workload drives one traffic pattern through the send closure.
 type workload struct {
 	name string
 	topo topology.Router
 	cfg  func() netsim.Config // Topology filled in by the runner
 	send func(send func(src, dst int, bytes float64))
-}
-
-// statsBits flattens Stats into comparable uint64 words.
-func statsBits(msgsSent, msgsDelivered int, floats ...float64) []uint64 {
-	out := []uint64{uint64(msgsSent), uint64(msgsDelivered)}
-	for _, f := range floats {
-		out = append(out, math.Float64bits(f))
-	}
-	return out
-}
-
-func newBits(s netsim.Stats) []uint64 {
-	return statsBits(s.MessagesSent, s.MessagesDelivered,
-		s.BytesSent, s.AvgLatency, s.MaxLatency, s.MaxLinkBusy, s.AvgLinkBusy,
-		s.P50, s.P95, s.P99)
-}
-
-func legacyBits(s legacy.Stats) []uint64 {
-	return statsBits(s.MessagesSent, s.MessagesDelivered,
-		s.BytesSent, s.AvgLatency, s.MaxLatency, s.MaxLinkBusy, s.AvgLinkBusy,
-		s.P50, s.P95, s.P99)
 }
 
 func crosscheckWorkloads() []workload {
@@ -163,7 +139,7 @@ func crosscheckWorkloads() []workload {
 
 // runNew executes w on the rebuilt engine and returns its Stats and the
 // engine, for the event counters.
-func runNew(t *testing.T, w workload) (netsim.Stats, *netsim.Engine) {
+func runNew(t *testing.T, w workload) (*netsim.Network, *netsim.Engine) {
 	t.Helper()
 	eng := &netsim.Engine{}
 	cfg := w.cfg()
@@ -174,101 +150,7 @@ func runNew(t *testing.T, w workload) (netsim.Stats, *netsim.Engine) {
 	}
 	w.send(func(src, dst int, bytes float64) { net.Send(src, dst, bytes, nil) })
 	eng.Run()
-	return net.Stats(), eng
-}
-
-func runLegacy(t *testing.T, w workload) legacy.Stats {
-	t.Helper()
-	eng := &legacy.Engine{}
-	cfg := w.cfg()
-	lcfg := legacy.Config{
-		Topology:         w.topo,
-		LinkBandwidth:    cfg.LinkBandwidth,
-		LinkLatency:      cfg.LinkLatency,
-		PacketSize:       cfg.PacketSize,
-		SendOverhead:     cfg.SendOverhead,
-		Adaptive:         cfg.Adaptive,
-		BufferPackets:    cfg.BufferPackets,
-		CollectLatencies: cfg.CollectLatencies,
-	}
-	net, err := legacy.NewNetwork(eng, lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.send(func(src, dst int, bytes float64) { net.Send(src, dst, bytes, nil) })
-	eng.Run()
-	return net.Stats()
-}
-
-// TestCrossCheckAgainstLegacy is the determinism contract: for every
-// workload, routing mode and GOMAXPROCS setting, the rebuilt engine's
-// Stats must equal the frozen legacy simulator's bit for bit.
-func TestCrossCheckAgainstLegacy(t *testing.T) {
-	for _, procs := range []int{1, 2, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, w := range crosscheckWorkloads() {
-			want := legacyBits(runLegacy(t, w))
-			stats, _ := runNew(t, w)
-			got := newBits(stats)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("GOMAXPROCS=%d %s: stats word %d = %#x, legacy %#x",
-						procs, w.name, i, got[i], want[i])
-					break
-				}
-			}
-		}
-		runtime.GOMAXPROCS(prev)
-	}
-}
-
-// TestCrossCheckLatencyStreams compares the full per-message latency
-// streams, not just the aggregates: same length, same order, same bits.
-func TestCrossCheckLatencyStreams(t *testing.T) {
-	for _, w := range crosscheckWorkloads() {
-		cfg := w.cfg()
-		if !cfg.CollectLatencies {
-			continue
-		}
-		leng := &legacy.Engine{}
-		lcfg := legacy.Config{
-			Topology:         w.topo,
-			LinkBandwidth:    cfg.LinkBandwidth,
-			LinkLatency:      cfg.LinkLatency,
-			PacketSize:       cfg.PacketSize,
-			SendOverhead:     cfg.SendOverhead,
-			Adaptive:         cfg.Adaptive,
-			BufferPackets:    cfg.BufferPackets,
-			CollectLatencies: true,
-		}
-		lnet, err := legacy.NewNetwork(leng, lcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.send(func(src, dst int, bytes float64) { lnet.Send(src, dst, bytes, nil) })
-		leng.Run()
-
-		eng := &netsim.Engine{}
-		cfg.Topology = w.topo
-		net, err := netsim.NewNetwork(eng, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.send(func(src, dst int, bytes float64) { net.Send(src, dst, bytes, nil) })
-		eng.Run()
-
-		want, got := lnet.Latencies(), net.Latencies()
-		if len(want) != len(got) {
-			t.Errorf("%s: %d latencies, legacy %d", w.name, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Errorf("%s: latency[%d] = %x, legacy %x", w.name, i, got[i], want[i])
-				break
-			}
-		}
-	}
+	return net, eng
 }
 
 // TestEngineResetReusesArena checks that one engine produces identical
@@ -287,7 +169,7 @@ func TestEngineResetReusesArena(t *testing.T) {
 		}
 		w.send(func(src, dst int, bytes float64) { net.Send(src, dst, bytes, nil) })
 		eng.Run()
-		bits := newBits(net.Stats())
+		bits := netsim.StatsWords(net.Stats())
 		if rep == 0 {
 			first = bits
 			continue

@@ -34,8 +34,15 @@
 // closure on the packet hot paths, and nothing in the queue for the
 // collector to scan. Packet and in-flight-message state live in
 // free-list pools on the Network, so steady-state simulation does not
-// allocate. The frozen pre-optimization implementation is kept in the
-// legacy subpackage as a differential-testing oracle.
+// allocate.
+//
+// The oracles are tests. refEngine (scheduler_test.go) sorts every pending
+// event and holds the run queue to the (time, seq) order. refNetwork
+// (reference_test.go) is the packet model written the plain way, one
+// closure per event on refEngine; random tori, meshes and hypercubes,
+// configs and staggered sends hold Network to it on every Stats word and
+// latency, deterministic and adaptive. Buffered and wormhole mode are held
+// by golden Stats words and latency-stream hashes (golden_test.go).
 package netsim
 
 import "math"

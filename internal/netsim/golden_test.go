@@ -2,17 +2,22 @@ package netsim_test
 
 // Golden Stats, recorded at commit 60ad936 — the last with the binary
 // heap and the calendar queue, which agreed on every word below at
-// thresholds {auto, heap only, calendar at once}. They pin the simulator's
-// observable behaviour across the scheduler's replacement; the wormhole
-// workloads have no other oracle.
+// thresholds {auto, heap only, calendar at once}, and the legacy simulator
+// with them on the nine non-wormhole workloads. They pin the simulator's
+// observable behaviour; buffered and wormhole mode have no other oracle.
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
-// goldenStats maps a workload name to Engine.Processed() and the newBits
-// words of its Stats.
+// goldenStats maps a workload name to Engine.Processed() and the
+// StatsWords of its Stats.
 var goldenStats = map[string]struct {
 	events int64
 	words  []uint64
@@ -31,8 +36,34 @@ var goldenStats = map[string]struct {
 	"wormhole/ring-dateline":              {684, []uint64{0xc, 0xc, 0x40c1940000000000, 0x3f73c6a7ef9db231, 0x3f8178d4fdf3b649, 0x3f6cac083126e97f, 0x3f5cac083126e97f, 0x3f720c49ba5e3543, 0x3f8178d4fdf3b649, 0x3f8178d4fdf3b649}},
 }
 
+// goldenLatencyHashes maps every golden workload that collects latencies
+// to latencyHash of its whole latency stream, recorded at e87b49d, where
+// the legacy simulator still matched the four non-wormhole streams
+// latency by latency.
+var goldenLatencyHashes = map[string]uint64{
+	"deterministic/all-to-all-packets":    0xb960f818a4e0cd6e,
+	"deterministic/shift-mesh-monolithic": 0xd3e5dcf2c3c4572f,
+	"adaptive/hotspot":                    0x62c7ccee0bbb56a1,
+	"buffered/torus-all-to-all":           0x8c32de2afbf4bdda,
+	"wormhole/hotspot-2d":                 0x5a7de6852af2d45b,
+	"wormhole/ring-dateline":              0x50d1996f5922aa97,
+}
+
+// latencyHash is FNV-1a over the little-endian bits of every latency, in
+// delivery order.
+func latencyHash(lat []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, l := range lat {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(l))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
 // checkGolden runs every workload at GOMAXPROCS {1, 2, 8} and requires
-// the recorded event count and every recorded Stats word.
+// the recorded event count, every recorded Stats word and, where the
+// workload collects latencies, the recorded latency stream.
 func checkGolden(t *testing.T, ws []workload) {
 	t.Helper()
 	for _, procs := range []int{1, 2, 8} {
@@ -43,11 +74,18 @@ func checkGolden(t *testing.T, ws []workload) {
 				t.Errorf("%s: no golden entry", w.name)
 				continue
 			}
-			stats, eng := runNew(t, w)
+			net, eng := runNew(t, w)
 			if eng.Processed() != want.events {
 				t.Errorf("GOMAXPROCS=%d %s: %d events, golden %d", procs, w.name, eng.Processed(), want.events)
 			}
-			got := newBits(stats)
+			h, ok := goldenLatencyHashes[w.name]
+			switch collects := w.cfg().CollectLatencies; {
+			case ok != collects:
+				t.Errorf("%s: collects latencies %v, has a golden latency hash %v", w.name, collects, ok)
+			case ok && latencyHash(net.Latencies()) != h:
+				t.Errorf("GOMAXPROCS=%d %s: latency stream hash %#x, golden %#x", procs, w.name, latencyHash(net.Latencies()), h)
+			}
+			got := netsim.StatsWords(net.Stats())
 			for i := range want.words {
 				if got[i] != want.words[i] {
 					t.Errorf("GOMAXPROCS=%d %s: stats word %d = %#x, golden %#x",
@@ -60,9 +98,9 @@ func checkGolden(t *testing.T, ws []workload) {
 	}
 }
 
-// TestGoldenStatsCrosscheck holds the legacy-comparable workloads to the
-// recorded words too, so the legacy oracle and the record cannot drift
-// apart unnoticed.
+// TestGoldenStatsCrosscheck holds the nine workloads the legacy simulator
+// was once compared on to its recorded words and latency streams; in
+// buffered mode this is the only exact check.
 func TestGoldenStatsCrosscheck(t *testing.T) {
 	checkGolden(t, crosscheckWorkloads())
 }

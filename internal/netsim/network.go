@@ -162,20 +162,12 @@ type message struct {
 type Network struct {
 	cfg    Config
 	eng    *Engine
-	id     uint16 // this network's slot in eng.nets; Send re-validates it
-	links  *topology.LinkSet
-	freeAt []float64 // per-link: time the link becomes free
-	busy   []float64 // per-link: accumulated transmission time
+	id     uint16            // this network's slot in eng.nets; Send re-validates it
+	links  *topology.LinkSet // link ids: the per-link slices' indices
+	freeAt []float64         // per-link: time the link becomes free
+	busy   []float64         // per-link: accumulated transmission time
 	buf    *bufNetwork
 	wh     *whNetwork
-
-	// CSR adjacency with dense link ids: the neighbors of node v are
-	// nbrNode[nbrOff[v]:nbrOff[v+1]], in Topology.Neighbors order, and
-	// nbrLink holds each edge's LinkSet index. Replaces the map lookup in
-	// LinkSet.Index on the per-hop hot path.
-	nbrOff  []int32
-	nbrNode []int32
-	nbrLink []int32
 
 	// Free-list pools: steady-state simulation recycles message and
 	// packet records (and their route storage) instead of allocating.
@@ -208,17 +200,6 @@ func NewNetwork(eng *Engine, cfg Config) (*Network, error) {
 		busy:   make([]float64, ls.Len()),
 	}
 	n.id = eng.register(n)
-	nodes := cfg.Topology.Nodes()
-	n.nbrOff = make([]int32, nodes+1)
-	n.nbrNode = make([]int32, 0, ls.Len())
-	n.nbrLink = make([]int32, 0, ls.Len())
-	for v := 0; v < nodes; v++ {
-		for _, u := range cfg.Topology.Neighbors(v) {
-			n.nbrNode = append(n.nbrNode, int32(u))
-			n.nbrLink = append(n.nbrLink, int32(ls.Index(v, u)))
-		}
-		n.nbrOff[v+1] = int32(len(n.nbrNode))
-	}
 	if cfg.BufferPackets > 0 {
 		n.buf = newBufNetwork(n)
 	}
@@ -232,19 +213,6 @@ func NewNetwork(eng *Engine, cfg Config) (*Network, error) {
 		n.wh = newWhNetwork(n)
 	}
 	return n, nil
-}
-
-// linkIndex returns the dense index of the directed link from a to b by
-// scanning a's (constant-degree) CSR row — faster than the LinkSet map
-// on the per-hop path. It panics if (a, b) is not a link.
-func (n *Network) linkIndex(a, b int) int32 {
-	lo, hi := n.nbrOff[a], n.nbrOff[a+1]
-	for i := lo; i < hi; i++ {
-		if n.nbrNode[i] == int32(b) {
-			return n.nbrLink[i]
-		}
-	}
-	panic(fmt.Sprintf("netsim: (%d,%d) is not a link", a, b))
 }
 
 // allocMsg takes a message record from the pool (or grows it).
@@ -373,7 +341,7 @@ func (n *Network) onHop(pi int32) {
 		n.packetDone(mi)
 		return
 	}
-	li := n.linkIndex(m.path[p.hop], m.path[p.hop+1])
+	li := n.links.Index(m.path[p.hop], m.path[p.hop+1])
 	tx := m.bytes / n.cfg.LinkBandwidth
 	start := n.eng.now
 	if n.freeAt[li] > start {

@@ -87,7 +87,7 @@ func (w *whNetwork) prepareRoute(mi int32) {
 	vc := int8(0)
 	for h := 0; h < hops; h++ {
 		a, b := m.path[h], m.path[h+1]
-		m.links = append(m.links, w.n.linkIndex(a, b))
+		m.links = append(m.links, int32(w.n.links.Index(a, b)))
 		switch {
 		case wrapsDims(w.dims, a, b):
 			vc = 1 // crossed the wraparound seam: dateline channel

@@ -207,9 +207,10 @@ func wormholeDeterminismWorkloads() []workload {
 	}
 }
 
-// TestWormholeDeterminism extends the bit-identical contract to the new
-// mode, which has no legacy oracle: every workload must reproduce the
-// golden Stats words and event count at GOMAXPROCS {1,2,8}.
+// TestWormholeDeterminism extends the bit-identical contract to wormhole
+// mode, which the reference network does not model: every workload must
+// reproduce the golden Stats words, event count and latency stream at
+// GOMAXPROCS {1,2,8}.
 func TestWormholeDeterminism(t *testing.T) {
 	checkGolden(t, wormholeDeterminismWorkloads())
 }
@@ -242,7 +243,7 @@ func TestWormholeResetReuse(t *testing.T) {
 		}
 		w.send(func(src, dst int, bytes float64) { net.Send(src, dst, bytes, nil) })
 		eng.Run()
-		bits := newBits(net.Stats())
+		bits := netsim.StatsWords(net.Stats())
 		if rep == 0 {
 			first = bits
 			continue

@@ -30,7 +30,7 @@ func NewDistanceMatrix(t Topology) *DistanceMatrix {
 		parallel.For(n, 16, func(lo, hi int) {
 			queue := make([]int32, 0, n)
 			for a := lo; a < hi; a++ {
-				g.bfsRow(a, m.d[a*n:(a+1)*n], queue)
+				g.bfsRow(a, m.d[a*n:(a+1)*n], nil, queue)
 			}
 		})
 		return m

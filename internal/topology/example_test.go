@@ -29,9 +29,11 @@ func ExampleMesh_Distance() {
 	// Output: 6
 }
 
-// ExampleEnumerateLinks gives per-link dense indices for simulator state.
+// ExampleEnumerateLinks gives per-link dense indices for simulator state:
+// node 0 of a 2x2 mesh has links 0 and 1, to its neighbours 2 and 1.
 func ExampleEnumerateLinks() {
 	ls := topology.EnumerateLinks(topology.MustMesh(2, 2))
-	fmt.Println(ls.Len(), ls.Has(0, 1), ls.Has(0, 3))
-	// Output: 8 true false
+	first, to := ls.Row(0)
+	fmt.Println(ls.Len(), first, to, ls.Index(0, 1))
+	// Output: 8 0 [2 1] 1
 }

@@ -149,12 +149,17 @@ func (g *Graph) Diameter() int {
 }
 
 // bfsRow fills dist (length n) with BFS distances from src, marking
-// unreachable nodes -1. queue is caller-provided scratch with capacity n;
-// unlike row it touches no shared state, so distance-matrix construction
-// can run one BFS per goroutine without locking.
-func (g *Graph) bfsRow(src int, dist []int32, queue []int32) {
+// unreachable nodes -1, and prev, unless nil, with each node's BFS
+// predecessor (-1 for src and unreachable nodes). queue is caller-provided
+// scratch with capacity n; bfsRow touches no shared state, so
+// distance-matrix construction can run one BFS per goroutine without
+// locking.
+func (g *Graph) bfsRow(src int, dist, prev, queue []int32) {
 	for i := range dist {
 		dist[i] = -1
+	}
+	for i := range prev {
+		prev[i] = -1
 	}
 	dist[src] = 0
 	queue = append(queue[:0], int32(src))
@@ -164,41 +169,23 @@ func (g *Graph) bfsRow(src int, dist []int32, queue []int32) {
 		for _, v := range g.adj[u] {
 			if dist[v] < 0 {
 				dist[v] = du
+				if prev != nil {
+					prev[v] = u
+				}
 				queue = append(queue, int32(v))
 			}
 		}
 	}
 }
 
-// row returns the cached BFS distance row for src, computing it on first
-// use. Safe for concurrent callers.
+// row returns the cached BFS distance row for src, computing it and the
+// predecessors Route follows on first use. Safe for concurrent callers.
 func (g *Graph) row(src int) []int32 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.dist[src] != nil {
-		return g.dist[src]
+	if g.dist[src] == nil {
+		g.dist[src], g.prev[src] = make([]int32, g.n), make([]int32, g.n)
+		g.bfsRow(src, g.dist[src], g.prev[src], make([]int32, 0, g.n))
 	}
-	d := make([]int32, g.n)
-	p := make([]int32, g.n)
-	for i := range d {
-		d[i] = -1
-		p[i] = -1
-	}
-	d[src] = 0
-	queue := make([]int32, 0, g.n)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.adj[u] {
-			if d[v] < 0 {
-				d[v] = d[u] + 1
-				p[v] = u
-				queue = append(queue, int32(v))
-			}
-		}
-	}
-	g.dist[src] = d
-	g.prev[src] = p
-	return d
+	return g.dist[src]
 }

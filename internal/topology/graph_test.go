@@ -115,17 +115,60 @@ func TestEnumerateLinksGrid(t *testing.T) {
 	if got := ls.Len(); got != 24 {
 		t.Fatalf("Len() = %d, want 24", got)
 	}
-	for i := 0; i < ls.Len(); i++ {
-		l := ls.Link(i)
-		if got := ls.Index(l.From, l.To); got != i {
-			t.Errorf("Index round trip: %d vs %d", got, i)
-		}
-		if !ls.Has(l.From, l.To) {
-			t.Errorf("Has(%d,%d) = false", l.From, l.To)
+	for a := 0; a < m.Nodes(); a++ {
+		first, to := ls.Row(a)
+		for i, b := range to {
+			if got := ls.Index(a, int(b)); got != int(first)+i {
+				t.Errorf("Index(%d,%d) = %d, want %d", a, b, got, int(first)+i)
+			}
+			if m.Distance(a, int(b)) != 1 {
+				t.Errorf("link (%d,%d) joins non-adjacent nodes", a, b)
+			}
 		}
 	}
-	if ls.Has(0, 8) {
-		t.Error("Has(0,8) = true for non-adjacent pair")
+}
+
+// TestLinkIdsAreNeighborPositions: on every machine kind and on a Graph, a
+// link's id is its position in the concatenated Neighbors lists and no
+// node repeats a neighbour, so the ids are the ones the map-based
+// enumeration this CSR replaced gave (ascending source, then Neighbors
+// order, duplicates skipped) and every per-link array keeps its order.
+func TestLinkIdsAreNeighborPositions(t *testing.T) {
+	var machines []Topology
+	for _, row := range Machines() {
+		shapes := map[int][][]int{0: {{2, 3}, {4, 1, 3}}, 1: {{3}}, 2: {{2, 3}, {3, 2}}}[row.Arity]
+		for _, dims := range shapes {
+			m, err := row.New(dims)
+			if err != nil {
+				t.Fatalf("%s%v: %v", row.Kind, dims, err)
+			}
+			machines = append(machines, m)
+		}
+	}
+	g, err := NewGraph(5, [][2]int{{0, 1}, {3, 1}, {1, 2}, {4, 0}, {2, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines = append(machines, g, MustDragonfly(3, 1))
+	for _, m := range machines {
+		ls := EnumerateLinks(m)
+		id := 0
+		for a := 0; a < m.Nodes(); a++ {
+			seen := map[int]bool{}
+			for _, b := range m.Neighbors(a) {
+				if seen[b] {
+					t.Errorf("%s: node %d lists neighbour %d twice", m.Name(), a, b)
+				}
+				seen[b] = true
+				if got := ls.Index(a, b); got != id {
+					t.Errorf("%s: Index(%d,%d) = %d, want %d", m.Name(), a, b, got, id)
+				}
+				id++
+			}
+		}
+		if ls.Len() != id {
+			t.Errorf("%s: Len() = %d, want %d", m.Name(), ls.Len(), id)
+		}
 	}
 }
 

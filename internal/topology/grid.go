@@ -25,9 +25,8 @@ func newGrid(dims []int, wrap bool) (*grid, error) {
 	return g, nil
 }
 
-func (g *grid) Nodes() int   { return g.n }
-func (g *grid) Dims() []int  { return cloneInts(g.dims) }
-func (g *grid) NumDims() int { return len(g.dims) }
+func (g *grid) Nodes() int  { return g.n }
+func (g *grid) Dims() []int { return cloneInts(g.dims) }
 
 // Coord converts rank to coordinates in row-major order.
 func (g *grid) Coord(rank int, c []int) {

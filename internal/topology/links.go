@@ -2,59 +2,47 @@ package topology
 
 import "fmt"
 
-// Link is a directed network link from one node to an adjacent node. Every
-// undirected edge of the topology yields two Links, one per direction,
-// matching full-duplex hardware channels.
-type Link struct {
-	From, To int
-}
-
-// LinkSet enumerates all directed links of a topology and assigns each a
-// dense index, so per-link state (queues, byte loads) can live in slices.
+// LinkSet gives every directed link of a topology a dense id, so per-link
+// state (queues, byte loads) can live in slices. Every undirected edge
+// yields two links, one per direction, matching full-duplex hardware
+// channels. It is a CSR of the neighbour lists: links are numbered by
+// source, then in Neighbors order.
 type LinkSet struct {
-	links []Link
-	index map[Link]int
+	off []int32 // node a's links are ids off[a] .. off[a+1]-1
+	to  []int32 // the head of each link
 }
 
-// EnumerateLinks builds the LinkSet of t. Link order is deterministic:
-// ascending by From, then by the order of Neighbors(From).
+// EnumerateLinks builds the LinkSet of t. No topology repeats a neighbour,
+// so the ids are exactly the positions in the concatenated Neighbors lists.
 func EnumerateLinks(t Topology) *LinkSet {
 	n := t.Nodes()
-	ls := &LinkSet{index: make(map[Link]int)}
+	ls := &LinkSet{off: make([]int32, n+1)}
 	for a := 0; a < n; a++ {
 		for _, b := range t.Neighbors(a) {
-			l := Link{From: a, To: b}
-			if _, dup := ls.index[l]; dup {
-				continue
-			}
-			ls.index[l] = len(ls.links)
-			ls.links = append(ls.links, l)
+			ls.to = append(ls.to, int32(b))
 		}
+		ls.off[a+1] = int32(len(ls.to))
 	}
 	return ls
 }
 
 // Len returns the number of directed links.
-func (ls *LinkSet) Len() int { return len(ls.links) }
+func (ls *LinkSet) Len() int { return len(ls.to) }
 
-// Link returns the i-th link.
-func (ls *LinkSet) Link(i int) Link { return ls.links[i] }
-
-// Links returns all links; the slice must not be modified.
-func (ls *LinkSet) Links() []Link { return ls.links }
-
-// Index returns the dense index of the directed link from a to b. It
-// panics if (a, b) is not a link of the topology.
-func (ls *LinkSet) Index(a, b int) int {
-	i, ok := ls.index[Link{From: a, To: b}]
-	if !ok {
-		panic(fmt.Sprintf("topology: (%d,%d) is not a link", a, b))
-	}
-	return i
+// Row returns the links out of node a: their heads, in Neighbors order, and
+// the id of the first; the i-th has id first+i. The slice must not be
+// modified.
+func (ls *LinkSet) Row(a int) (first int32, to []int32) {
+	return ls.off[a], ls.to[ls.off[a]:ls.off[a+1]]
 }
 
-// Has reports whether (a, b) is a directed link.
-func (ls *LinkSet) Has(a, b int) bool {
-	_, ok := ls.index[Link{From: a, To: b}]
-	return ok
+// Index returns the id of the directed link from a to b by scanning a's
+// (constant-degree) row. It panics if (a, b) is not a link.
+func (ls *LinkSet) Index(a, b int) int {
+	for i := ls.off[a]; i < ls.off[a+1]; i++ {
+		if ls.to[i] == int32(b) {
+			return int(i)
+		}
+	}
+	panic(fmt.Sprintf("topology: (%d,%d) is not a link", a, b))
 }
