@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/hiertopo"
 	"repro/internal/partition"
 	"repro/internal/service"
 	"repro/internal/sfc"
@@ -81,15 +80,6 @@ func (c placeCase) operands(b *testing.B) (*taskgraph.Graph, topology.Topology, 
 	return g, t, cliutil.PatternCoords(c.pattern, 1)
 }
 
-// hopBytes is the metric the case's machine is judged by: composite
-// hop-bytes on a hierarchy, plain hop-bytes on a flat machine.
-func hopBytes(g *taskgraph.Graph, t topology.Topology, placement []int) float64 {
-	if h, ok := t.(*hiertopo.Hierarchy); ok {
-		return hiertopo.HierHopBytes(g, h, placement)
-	}
-	return core.HopBytes(g, t, placement)
-}
-
 func (c placeCase) bench(p placer) func(*testing.B) {
 	return func(b *testing.B) {
 		g, t, coords := c.operands(b)
@@ -102,7 +92,7 @@ func (c placeCase) bench(p placer) func(*testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(hopBytes(g, t, placement), "hop-bytes")
+		b.ReportMetric(core.HopBytes(g, t, placement), "hop-bytes")
 	}
 }
 

@@ -83,34 +83,39 @@ func TestHopBytesIdentityOnMatchingShapes(t *testing.T) {
 // TestHopBytesBitIdenticalAcrossGOMAXPROCS: at 4 096 tasks with
 // non-integral weights HopBytes is 64 chunks, forked at any width above
 // one; the sum must carry the same bits at every width — the bits of the
-// chunk partials added in index order.
+// chunk partials added in index order, each edge charged the machine's
+// own Distance (on the hierarchy, the composite one).
 func TestHopBytesBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
-	to := topology.MustTorus(16, 16, 16)
-	n := to.Nodes()
-	g := taskgraph.Random(n, 4*n, 0.37, 9.91, 6)
-	m, err := Random{Seed: 5}.Map(g, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.0
-	for lo := 0; lo < n; lo += hopBytesGrain {
-		part := 0.0
-		for v := lo; v < lo+hopBytesGrain; v++ {
-			adj, w := g.Neighbors(v)
-			for i, u := range adj {
-				if int32(v) < u {
-					part += w[i] * float64(to.Distance(m[v], m[u]))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, to := range []topology.Topology{
+		topology.MustTorus(16, 16, 16),
+		mustHier(t, "pod:4@37/rack:4@4:torus-16x16"),
+	} {
+		n := to.Nodes()
+		g := taskgraph.Random(n, 4*n, 0.37, 9.91, 6)
+		m, err := Random{Seed: 5}.Map(g, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for lo := 0; lo < n; lo += hopBytesGrain {
+			part := 0.0
+			for v := lo; v < lo+hopBytesGrain; v++ {
+				adj, w := g.Neighbors(v)
+				for i, u := range adj {
+					if int32(v) < u {
+						part += w[i] * float64(to.Distance(m[v], m[u]))
+					}
 				}
 			}
+			want += part
 		}
-		want += part
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		if got := HopBytes(g, to, m); got != want {
-			t.Errorf("GOMAXPROCS=%d: HopBytes = %v (%#x), want %v (%#x)",
-				procs, got, math.Float64bits(got), want, math.Float64bits(want))
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			if got := HopBytes(g, to, m); got != want {
+				t.Errorf("%s, GOMAXPROCS=%d: HopBytes = %v (%#x), want %v (%#x)",
+					to.Name(), procs, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 }

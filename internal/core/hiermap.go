@@ -27,15 +27,19 @@ import (
 // The expensive machinery never sees the composite distance: partition
 // cuts minimize edge weight (the bytes that will cross a level boundary,
 // whatever its cost), and leaf kernels see only the leaf topology. Only
-// the cheap final refinement consults Hierarchy.DistanceF.
+// the cheap final refinement consults Hierarchy.Distance, through
+// SwapDelta — the hop-bytes every strategy is reported and judged by.
 
-// hierLeafTopoLBMax bounds the leaf size mapped with TopoLB by default;
-// larger leaves use the multilevel kernel, whose cost is near-linear.
+// hierLeafTopoLBMax bounds the leaf size mapped with TopoLB; larger
+// leaves use the multilevel kernel, whose cost is near-linear.
 const hierLeafTopoLBMax = 2048
 
 // hierMaxCand bounds the cross-leaf swap candidates examined per task
-// per refinement pass.
-const hierMaxCand = 8
+// per refinement pass; hierRefinePasses bounds the passes.
+const (
+	hierMaxCand      = 8
+	hierRefinePasses = 2
+)
 
 // HierMap is the two-phase hierarchical strategy. It requires a
 // *hiertopo.Hierarchy topology; flat machines should use the ordinary
@@ -43,15 +47,6 @@ const hierMaxCand = 8
 type HierMap struct {
 	// Seed drives the per-level partitioner.
 	Seed int64
-	// Epsilon is the per-level partition slack before exact-count
-	// repair; 0 means the partitioner default.
-	Epsilon float64
-	// RefinePasses bounds the cross-leaf swap sweeps after leaf mapping.
-	// 0 means the default (2); negative disables refinement.
-	RefinePasses int
-	// Leaf maps a full leaf bijectively; nil picks TopoLB for leaves up
-	// to 2048 processors and Multilevel beyond.
-	Leaf Strategy
 	// Coords are per-task positions (row i = task i). When set, phase 1
 	// splits regions by exact-count coordinate bisection instead of graph
 	// partitioning: siblings are equidistant under the composite metric,
@@ -168,7 +163,6 @@ func (d *hierDescender) descend(sub *taskgraph.Graph, verts []int, level, base i
 		}
 		r, err := partition.CapacityPartition(sub, targets, partition.Multilevel{
 			Seed:         d.s.Seed ^ int64(base)<<20 ^ int64(level),
-			Epsilon:      d.s.Epsilon,
 			BisectTries:  4 * effort,
 			RefinePasses: 4 * effort,
 			CoarsenTo:    coarsenTo,
@@ -329,9 +323,6 @@ func (d *hierDescender) mapLeaf(sub *taskgraph.Graph, verts []int, base int) err
 
 // leafStrategy picks the bijective kernel for an m-processor leaf view.
 func (d *hierDescender) leafStrategy(m int) Strategy {
-	if d.s.Leaf != nil {
-		return d.s.Leaf
-	}
 	if m <= hierLeafTopoLBMax {
 		return TopoLB{}
 	}
@@ -368,23 +359,16 @@ func (p *prefixTopology) Distance(a, b int) int {
 // adjacency on this adapter.
 func (p *prefixTopology) Neighbors(a int) []int { return nil }
 
-// refine runs serial cross-leaf swap sweeps under the composite metric:
-// for each task in ascending order, the first few communication partners
-// living in other leaves are tried as swap partners, and the first
-// partner achieving the best strictly-improving composite hop-bytes
-// delta wins. Swaps exchange whole placements, so per-processor task
-// counts are preserved in every mode. Serial and first-wins, the pass is
-// byte-identical at any GOMAXPROCS.
+// refine runs serial cross-leaf swap sweeps: for each task in ascending
+// order, the first few communication partners living in other leaves are
+// tried as swap partners, and the first partner achieving the best
+// strictly-improving SwapDelta wins. Swaps exchange whole placements, so
+// per-processor task counts are preserved in every mode. Serial and
+// first-wins, the pass is byte-identical at any GOMAXPROCS.
 func (s HierMap) refine(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []int) {
-	passes := s.RefinePasses
-	if passes == 0 {
-		passes = 2
-	}
-	if passes < 0 {
-		return
-	}
+	d := NewDists(h)
 	n := g.NumVertices()
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < hierRefinePasses; pass++ {
 		moves := 0
 		for v := 0; v < n; v++ {
 			pv := placement[v]
@@ -401,7 +385,7 @@ func (s HierMap) refine(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []i
 				if cands > hierMaxCand {
 					break
 				}
-				if delta := hierSwapDelta(g, h, placement, v, u); delta < bestDelta {
+				if delta := SwapDelta(g, d, placement, v, u); delta < bestDelta {
 					best, bestDelta = u, delta
 				}
 			}
@@ -414,29 +398,4 @@ func (s HierMap) refine(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []i
 			break
 		}
 	}
-}
-
-// hierSwapDelta returns the change in composite hop-bytes if tasks v and
-// u exchange processors. The v–u edge, if any, is symmetric under the
-// swap and skipped.
-func hierSwapDelta(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []int, v, u int) float64 {
-	pv, pu := placement[v], placement[u]
-	d := 0.0
-	adj, w := g.Neighbors(v)
-	for i, x := range adj {
-		if int(x) == u {
-			continue
-		}
-		px := placement[x]
-		d += w[i] * (h.DistanceF(pu, px) - h.DistanceF(pv, px))
-	}
-	adj, w = g.Neighbors(u)
-	for i, x := range adj {
-		if int(x) == v {
-			continue
-		}
-		px := placement[x]
-		d += w[i] * (h.DistanceF(pv, px) - h.DistanceF(pu, px))
-	}
-	return d
 }

@@ -1,0 +1,73 @@
+package core_test
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/cliutil"
+	"repro/internal/core"
+	"repro/internal/hiertopo"
+)
+
+// TestHierMapPlaceHashes pins HierMap{Seed: 1}.Place, placement for
+// placement: the four lib-scale hier inputs with and without their
+// pattern's coordinates, a packing case (fewer tasks than processors), a
+// surjective case on another machine, and extras-hier's ratio-3 machine.
+// The hashes were recorded at 254cd3f, while the cross-leaf refine pass
+// still scored swaps in floating-point level costs. Every hierarchy here
+// has integral costs, under which that score and SwapDelta's are the same
+// sums, so no hash may move.
+func TestHierMapPlaceHashes(t *testing.T) {
+	const machine = "pod:2/rack:4/node:8:torus-2x4"
+	cases := []struct {
+		pattern, machine string
+		coords           bool
+		want             uint64
+	}{
+		{"rgg:1024,8", machine, false, 0xe4ebb1a68243a71d},
+		{"rgg:1024,8", machine, true, 0x5bf9cfd758ed8f2d},
+		{"rgg:4096,8", machine, false, 0xf3f85b4a79b0a399},
+		{"rgg:4096,8", machine, true, 0x7a345774bf2b95f1},
+		{"stencil9:32,16", machine, false, 0x6f633e436a848b85},
+		{"stencil9:32,16", machine, true, 0x49f6081c90a90a25},
+		{"stencil9:80,48", machine, false, 0x8e5b7e4de3947f15},
+		{"stencil9:80,48", machine, true, 0x3c6b8e8b020cd825},
+		{"stencil9:20,10", machine, false, 0x2fb1727883bb97e5},
+		{"rgg:960,8", "zone:3/host:4:mesh-3x3", false, 0x59bfe0392fc94085},
+		{"stencil9:40,24", "pod:2@27/rack:4@9/node:8@3:torus-2x4", true, 0x69feeafa265fa825},
+	}
+	for _, tc := range cases {
+		name := tc.pattern + "/" + tc.machine
+		if tc.coords {
+			name += "/coords"
+		}
+		t.Run(name, func(t *testing.T) {
+			g, err := cliutil.ParsePattern(tc.pattern, 1e5, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := hiertopo.Parse(tc.machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := core.HierMap{Seed: 1}
+			if tc.coords {
+				s.Coords = cliutil.PatternCoords(tc.pattern, 1)
+			}
+			pl, err := s.Place(g, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := fnv.New64a()
+			var b [8]byte
+			for _, q := range pl {
+				binary.LittleEndian.PutUint64(b[:], uint64(q))
+				sum.Write(b[:])
+			}
+			if got := sum.Sum64(); got != tc.want {
+				t.Errorf("placement hash %#x, want %#x", got, tc.want)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -131,7 +133,7 @@ func TestHierBeatsFlatOnStencil(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hier Place: %v", err)
 	}
-	hierHB := hiertopo.HierHopBytes(g, h, hier)
+	hierHB := HopBytes(g, h, hier)
 
 	bestFlat := 0.0
 	bestName := ""
@@ -140,7 +142,7 @@ func TestHierBeatsFlatOnStencil(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s Place: %v", flat.Name(), err)
 		}
-		hb := hiertopo.HierHopBytes(g, h, pl)
+		hb := HopBytes(g, h, pl)
 		if bestName == "" || hb < bestFlat {
 			bestFlat, bestName = hb, flat.Name()
 		}
@@ -150,18 +152,6 @@ func TestHierBeatsFlatOnStencil(t *testing.T) {
 	if hierHB > 0.75*bestFlat {
 		t.Fatalf("hier composite hop-bytes %.4g not >= 25%% below best flat (%s) %.4g",
 			hierHB, bestName, bestFlat)
-	}
-}
-
-func TestHierMapLeafOverride(t *testing.T) {
-	h := mustHier(t, "rack:2/node:2:mesh-2x2")
-	g := taskgraph.Mesh2D(4, 4, 1e5)
-	m, err := HierMap{Leaf: TopoCentLB{}}.Map(g, h)
-	if err != nil {
-		t.Fatalf("Map with leaf override: %v", err)
-	}
-	if err := m.Validate(g, h); err != nil {
-		t.Fatalf("not a bijection: %v", err)
 	}
 }
 
@@ -202,13 +192,13 @@ func TestHierMapGeoPartition(t *testing.T) {
 			t.Fatalf("processor %d received no task (placement must stay surjective)", p)
 		}
 	}
-	geoHB := hiertopo.HierHopBytes(g, h, pl)
+	geoHB := HopBytes(g, h, pl)
 
 	graphPl, err := HierMap{}.Place(g, h)
 	if err != nil {
 		t.Fatalf("Place without coords: %v", err)
 	}
-	if graphHB := hiertopo.HierHopBytes(g, h, graphPl); geoHB > graphHB {
+	if graphHB := HopBytes(g, h, graphPl); geoHB > graphHB {
 		t.Errorf("geo partition hop-bytes %.4g worse than graph partition %.4g", geoHB, graphHB)
 	}
 	for _, flat := range []Placer{SFC{Coords: coords}, RCBSFC{Coords: coords}} {
@@ -216,7 +206,7 @@ func TestHierMapGeoPartition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s Place: %v", flat.Name(), err)
 		}
-		if fhb := hiertopo.HierHopBytes(g, h, fpl); geoHB > fhb {
+		if fhb := HopBytes(g, h, fpl); geoHB > fhb {
 			t.Errorf("geo hier hop-bytes %.4g worse than coord-informed %s %.4g", geoHB, flat.Name(), fhb)
 		}
 	}
@@ -246,4 +236,124 @@ func TestHierMapGeoPartition(t *testing.T) {
 			t.Fatalf("short coords changed the graph-partition placement at task %d", i)
 		}
 	}
+}
+
+// hierLeafMapped is Place without its last step: phase 1 and the leaf
+// kernels, before the cross-leaf refine pass.
+func hierLeafMapped(t testing.TB, g *taskgraph.Graph, h *hiertopo.Hierarchy) []int {
+	t.Helper()
+	n := g.NumVertices()
+	d := &hierDescender{s: HierMap{Seed: 1}, h: h, placement: make([]int, n)}
+	verts := make([]int, n)
+	for i := range verts {
+		verts[i] = i
+	}
+	if err := d.descend(g, verts, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	return d.placement
+}
+
+// integralGraph is a seeded random graph on n tasks, about 3n edges with
+// whole-number weights in [1, 100], so every hop-bytes sum over it is
+// exact and "did not rise" is an exact comparison.
+func integralGraph(n int, seed int64) *taskgraph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := taskgraph.NewBuilder(n)
+	for e := 0; e < 3*n; e++ {
+		if a, c := rng.Intn(n), rng.Intn(n); a != c {
+			b.AddEdge(a, c, float64(1+rng.Intn(100)))
+		}
+	}
+	return b.Build(fmt.Sprintf("integral(n=%d,seed=%d)", n, seed))
+}
+
+// requireRefineNeverRaises runs the cross-leaf refine pass on the leaf
+// mapping of g and fails if it raised the hop-bytes the mapping is
+// reported with or changed any processor's task count. It reports
+// whether the pass lowered the hop-bytes.
+func requireRefineNeverRaises(t testing.TB, g *taskgraph.Graph, h *hiertopo.Hierarchy) bool {
+	t.Helper()
+	pl := hierLeafMapped(t, g, h)
+	before := HopBytes(g, h, pl)
+	counts := make([]int, h.Nodes())
+	for _, q := range pl {
+		counts[q]++
+	}
+	HierMap{}.refine(g, h, pl)
+	if after := HopBytes(g, h, pl); after > before {
+		t.Errorf("%s on %s: refine raised hop-bytes %v -> %v", g.Name(), h.Spec(), before, after)
+	}
+	for _, q := range pl {
+		counts[q]--
+	}
+	for q, c := range counts {
+		if c != 0 {
+			t.Errorf("%s on %s: refine changed processor %d's task count by %d", g.Name(), h.Spec(), q, -c)
+		}
+	}
+	return HopBytes(g, h, pl) < before
+}
+
+// TestHierRefineNeverRaisesHopBytes: on hierarchies whose level costs are
+// not whole numbers, the cross-leaf pass must not raise HopBytes, the
+// value every response and benchmark reports. Tasks number half, once
+// and twice the processors: packing, bijective and surjective placements.
+func TestHierRefineNeverRaisesHopBytes(t *testing.T) {
+	specs := []string{
+		"pod:2@2.4/rack:4@1.6/node:4@1.4:torus-2x2",
+		"pod:2@3.49/rack:4@2.5:mesh-2x4",
+		"pod:2@2.49/rack:2@1.51/node:2@1.49:mesh-2x2",
+		"zone:2@7.5/host:4@1.5:torus-2x2",
+		"pod:3@4.6/rack:2@2.5/node:2@1.5:mesh-3",
+		"rack:4@1.4:mesh-2x2",
+	}
+	lowered := 0
+	for i := 0; i < 36; i++ {
+		h := mustHier(t, specs[i%len(specs)])
+		n := h.Nodes() * (1 + i/len(specs)%3) / 2
+		if requireRefineNeverRaises(t, integralGraph(n, int64(i)), h) {
+			lowered++
+		}
+	}
+	t.Logf("refine lowered hop-bytes in %d of 36 cases", lowered)
+}
+
+// FuzzHierRefine: the same property on hierarchies of one to three
+// levels, fan-outs 1–4, fractional costs in [1, 50] and a small leaf,
+// under a graph read from the remaining bytes.
+func FuzzHierRefine(f *testing.F) {
+	f.Add([]byte{2, 1, 90, 3, 200, 3, 40, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{3, 1, 100, 3, 60, 1, 140, 2, 30, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add([]byte{1, 3, 77, 4, 48})
+	f.Add([]byte("1\x031011220\xc807012\x01yZ000"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		levels := make([]hiertopo.Level, 1+next()%3)
+		cost := 1.0
+		for i := len(levels) - 1; i >= 0; i-- {
+			cost += float64(next()) / 16
+			levels[i] = hiertopo.Level{Name: fmt.Sprintf("l%d", i), Count: 1 + next()%4, Cost: cost}
+		}
+		leaves := []string{"", "mesh-2", "mesh-3", "torus-2x2", "mesh-2x3", "hypercube-2"}
+		h, err := hiertopo.New(levels, leaves[next()%len(leaves)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 1 + next()%(2*h.Nodes()+2)
+		b := taskgraph.NewBuilder(n)
+		for len(data) >= 3 {
+			if a, c := next()%n, next()%n; a != c {
+				b.AddEdge(a, c, float64(1+next()%100))
+			}
+		}
+		requireRefineNeverRaises(t, b.Build("fuzz"), h)
+	})
 }

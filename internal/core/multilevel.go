@@ -55,15 +55,9 @@ func placeMap(s Placer, g *taskgraph.Graph, t topology.Topology) (Mapping, error
 // MultilevelMap is the hierarchical coarsen→map→refine strategy. The zero
 // value is ready to use.
 type MultilevelMap struct {
-	// CoarsenTo stops coarsening once a level has at most this many
-	// vertices. Default min(2p, 1024) — small enough that the coarse
-	// strategy's superquadratic cost stays in the tens of milliseconds.
-	CoarsenTo int
 	// RefinePasses bounds the refinement sweeps per uncoarsening level.
 	// 0 means the default (2); negative disables refinement.
 	RefinePasses int
-	// Coarse maps the coarsest graph; nil means TopoLB{}.
-	Coarse Strategy
 }
 
 var _ Placer = MultilevelMap{}
@@ -84,17 +78,13 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 	if n < p {
 		return nil, fmt.Errorf("core: %d tasks cannot cover %d processors", n, p)
 	}
-	// The coarsest graph may be smaller than p: chunks are slot ranges,
-	// and slot→processor stays surjective regardless of the chunk count,
-	// so the coarse strategy's superquadratic cost is bounded by the cap
-	// even on hundred-thousand-node machines.
-	target := s.CoarsenTo
-	if target <= 0 {
-		target = 2 * p
-		if target > 1024 {
-			target = 1024
-		}
-	}
+	// Coarsen to min(2p, 1024) vertices — small enough that TopoLB's
+	// superquadratic cost on the coarsest graph stays in the tens of
+	// milliseconds. The coarsest graph may be smaller than p: chunks are
+	// slot ranges, and slot→processor stays surjective regardless of the
+	// chunk count, so the cap bounds that cost even on hundred-thousand-
+	// node machines.
+	target := min(2*p, 1024)
 
 	procOrder := localityOrder(t)
 
@@ -113,14 +103,10 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 	r := newMLRefiner(t, procOrder, n, p)
 	r.reserve(levels[0].N, len(levels[0].Adjncy))
 
-	// Map the coarsest graph with the ordinary n==p machinery, viewing the
-	// nc equal slot chunks through their center-slot representative
-	// processors. The adapter is Ephemeral: nothing materializes a matrix.
-	coarse := s.Coarse
-	if coarse == nil {
-		coarse = TopoLB{}
-	}
-	cm, err := coarse.Map(coarseTaskGraph(coarsest), newRepTopology(r, nc))
+	// Map the coarsest graph with TopoLB, viewing the nc equal slot chunks
+	// through their center-slot representative processors. The adapter is
+	// Ephemeral: nothing materializes a matrix.
+	cm, err := TopoLB{}.Map(coarseTaskGraph(coarsest), newRepTopology(r, nc))
 	if err != nil {
 		return nil, fmt.Errorf("core: multilevel coarse mapping: %w", err)
 	}
@@ -262,7 +248,7 @@ func (rt *repTopology) Distance(a, b int) int {
 }
 
 // Neighbors returns nil: chunk adjacency has no useful machine meaning,
-// and the coarse strategies (TopoLB, TopoCentLB) never consult it.
+// and TopoLB never consults it.
 func (rt *repTopology) Neighbors(a int) []int { return nil }
 
 // projectLevel pushes a coarse slot layout down one level: each coarse

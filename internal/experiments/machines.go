@@ -115,7 +115,7 @@ func ExtrasHier(quick bool) (*Table, error) {
 					float64(wi + 1),
 					r,
 					float64(si + 1),
-					hiertopo.HierHopBytes(g, h, pl) / g.TotalComm(),
+					core.HopsPerByte(g, h, pl),
 					float64(time.Since(start).Microseconds()) / 1e3,
 				})
 			}

@@ -2,12 +2,15 @@ package hiertopo
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 )
 
 // requireRoundTrip fails unless Parse(h.Spec()) is h again: same
 // processor count, same canonical spec, and the same diverging level for
-// pairs of ranks sampled at every scale of the machine.
+// pairs of ranks sampled at every scale of the machine. It also holds h
+// to what resolveLevels promises of Distance: crossing any level costs at
+// least one link, and never more than crossing a level outside it.
 func requireRoundTrip(t *testing.T, h *Hierarchy) {
 	t.Helper()
 	again, err := Parse(h.Spec())
@@ -25,6 +28,20 @@ func requireRoundTrip(t *testing.T, h *Hierarchy) {
 				t.Fatalf("%q: DivergeLevel(%d,%d) = %d, reparsed %d", h.Spec(), a, b, want, got)
 			}
 		}
+	}
+	// Rank InstanceSize(i) is the first outside instance 0 of level i, so
+	// (0, InstanceSize(i)) crosses level i or, when fan-outs of 1 stand in
+	// between, a level outside it.
+	outer := math.MaxInt
+	for i := 0; i < h.NumLevels(); i++ {
+		if h.InstanceSize(i) == n {
+			continue // a single instance: nothing crosses it
+		}
+		d := h.Distance(0, h.InstanceSize(i))
+		if d < 1 || d > outer {
+			t.Fatalf("%q: crossing level %d costs %d, a level outside it %d", h.Spec(), i, d, outer)
+		}
+		outer = d
 	}
 }
 

@@ -10,9 +10,9 @@
 // A Hierarchy implements topology.Topology with a composite distance:
 // two processors in the same leaf are separated by their exact leaf
 // distance, and two processors whose paths diverge at level i are
-// separated by that level's cost (outer levels cost more, default 10×
-// per level). DistanceF/HierHopBytes expose the float-valued form of the
-// same metric for refinement arithmetic.
+// separated by that level's cost rounded to a whole number of links
+// (outer levels cost more, default 10× per level). Hop-bytes on a
+// hierarchy is core.HopBytes over that Distance, as on any other machine.
 //
 // Hierarchies are built deterministically from a compact spec string
 //
@@ -25,10 +25,9 @@ package hiertopo
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
-	"repro/internal/parallel"
-	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
 
@@ -44,7 +43,9 @@ type Level struct {
 	// Cost is the composite distance charged to a byte whose endpoints
 	// diverge at this level. 0 derives it: 1/Bandwidth when Bandwidth is
 	// set, otherwise 10^(levels−i) so each boundary outward costs 10×
-	// more. Resolved costs must be ≥ 1 and must not increase inward.
+	// more. Resolved costs must lie in [1, math.MaxInt32] and must not
+	// increase inward. Distances charge the cost rounded to the nearest
+	// integer.
 	Cost float64
 	// Bandwidth is the level's relative link bandwidth (leaf links =
 	// 1.0); it informs Cost when Cost is unset.
@@ -76,7 +77,7 @@ type Hierarchy struct {
 	n        int
 	leafSize int
 	inst     []int   // inst[i] = processors per level-i instance
-	icost    []int32 // integer form of the level costs (min 1)
+	icost    []int32 // level costs rounded to the nearest integer
 	spec     string
 	name     string
 
@@ -113,11 +114,7 @@ func New(levels []Level, leafSpec string) (*Hierarchy, error) {
 	for i := L - 1; i >= 0; i-- {
 		h.inst[i] = sz
 		sz *= h.levels[i].Count
-		ic := int32(h.levels[i].Cost + 0.5)
-		if ic < 1 {
-			ic = 1
-		}
-		h.icost[i] = ic
+		h.icost[i] = int32(h.levels[i].Cost + 0.5)
 	}
 	h.spec = compactSpec(h.levels, h.leafSpec)
 	h.name = "hier(" + h.spec + ")"
@@ -159,6 +156,10 @@ func resolveLevels(levels []Level, leafSize int) (int, error) {
 		}
 		if lv.Cost < 1 {
 			return 0, fmt.Errorf("hiertopo: level %q cost %g must be >= 1 (crossing a level can never be cheaper than a link)", lv.Name, lv.Cost)
+		}
+		// Distance charges int32(Cost+0.5). The negated test also refuses NaN.
+		if !(lv.Cost < math.MaxInt32+0.5) {
+			return 0, fmt.Errorf("hiertopo: level %q cost %g out of range [1,%d] (distances charge it rounded to a whole number)", lv.Name, lv.Cost, math.MaxInt32)
 		}
 		if n > topology.MaxNodes/lv.Count {
 			return 0, fmt.Errorf("hiertopo: hierarchy exceeds %d processors", topology.MaxNodes)
@@ -270,45 +271,6 @@ func (h *Hierarchy) Distance(a, b int) int {
 		}
 	}
 	panic("hiertopo: divergence not found")
-}
-
-// DistanceF is the float-valued composite distance: exact level costs
-// without integer rounding. With integral costs (the default model) it
-// agrees with Distance exactly.
-func (h *Hierarchy) DistanceF(a, b int) float64 {
-	if a/h.leafSize == b/h.leafSize {
-		base := a / h.leafSize * h.leafSize
-		return float64(h.leaf.Distance(a-base, b-base))
-	}
-	for i, s := range h.inst {
-		if a/s != b/s {
-			return h.levels[i].Cost
-		}
-	}
-	panic("hiertopo: divergence not found")
-}
-
-// hierHopBytesGrain bounds per-chunk work to O(grain·deg).
-const hierHopBytesGrain = 64
-
-// HierHopBytes returns the composite hop-bytes of mapping m: every
-// communicated byte weighted by the composite distance its endpoints'
-// processors are apart. Per-task subtotals merge in index order, so the
-// value is identical for any GOMAXPROCS.
-func HierHopBytes(g *taskgraph.Graph, h *Hierarchy, m []int) float64 {
-	return parallel.Reduce(g.NumVertices(), hierHopBytesGrain, func(lo, hi int) float64 {
-		hb := 0.0
-		for v := lo; v < hi; v++ {
-			adj, w := g.Neighbors(v)
-			pv := m[v]
-			for i, u := range adj {
-				if int32(v) < u {
-					hb += w[i] * h.DistanceF(pv, m[u])
-				}
-			}
-		}
-		return hb
-	}, func(a, b float64) float64 { return a + b })
 }
 
 // Subtree returns the machine seen by one instance of level i: the

@@ -150,8 +150,8 @@ type LevelSpec struct {
 	// Count is the level's fan-out.
 	Count int `json:"count"`
 	// Cost is the composite distance charged when a message's endpoints
-	// diverge at this level; 0 derives it from Bandwidth or the 10×
-	// positional default.
+	// diverge at this level, rounded to the nearest integer; 0 derives it
+	// from Bandwidth or the 10× positional default. See Level.Cost.
 	Cost float64 `json:"cost,omitempty"`
 	// Bandwidth is the level's relative link bandwidth (leaf links = 1).
 	Bandwidth float64 `json:"bandwidth,omitempty"`

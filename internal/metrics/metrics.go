@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -24,9 +25,11 @@ import (
 //
 //lint:ignore jsoncontract float fields marshal via Go's shortest-form strconv — deterministic for identical inputs; wire bytes pinned by cache equality and golden tests
 type Report struct {
-	// HopBytes is Σ c_ab · d(P(a), P(b)) — the paper's metric.
+	// HopBytes is Σ c_ab · d(P(a), P(b)) — the paper's metric, as
+	// core.HopBytes sums it, to the bit.
 	HopBytes float64
-	// HopsPerByte normalizes HopBytes by the total communication volume.
+	// HopsPerByte normalizes HopBytes by the total communication volume
+	// (taskgraph.Graph.TotalComm).
 	HopsPerByte float64
 	// MaxDilation is the largest hop distance any edge suffers.
 	MaxDilation int
@@ -61,19 +64,19 @@ func Evaluate(g *taskgraph.Graph, t topology.Topology, m []int) (*Report, error)
 			return nil, fmt.Errorf("metrics: task %d on processor %d, out of [0,%d)", v, p, procs)
 		}
 	}
-	r := &Report{}
-	totalBytes := 0.0
+	r := &Report{HopBytes: core.HopBytes(g, t, m)}
+	if total := g.TotalComm(); total > 0 {
+		r.HopsPerByte = r.HopBytes / total
+	}
 	edges := 0
 	for v := 0; v < n; v++ {
-		adj, w := g.Neighbors(v)
-		for i, u := range adj {
+		adj, _ := g.Neighbors(v)
+		for _, u := range adj {
 			if int32(v) >= u {
 				continue
 			}
 			d := t.Distance(m[v], m[u])
 			edges++
-			totalBytes += w[i]
-			r.HopBytes += w[i] * float64(d)
 			r.MeanDilation += float64(d)
 			if d > r.MaxDilation {
 				r.MaxDilation = d
@@ -85,9 +88,6 @@ func Evaluate(g *taskgraph.Graph, t topology.Topology, m []int) (*Report, error)
 	}
 	if edges > 0 {
 		r.MeanDilation /= float64(edges)
-	}
-	if totalBytes > 0 {
-		r.HopsPerByte = r.HopBytes / totalBytes
 	}
 
 	if router, ok := t.(topology.Router); ok {

@@ -120,7 +120,8 @@ func TestHierStructuralSpecSharesKey(t *testing.T) {
 
 // TestHierConstraintValidation covers the constraint rejection paths:
 // flat machines, unknown levels, bad kinds, and required-infeasible all
-// produce typed 400s before any compute happens.
+// produce typed 400s before any compute happens — as do level costs
+// Distance cannot charge, in either hierarchy spelling.
 func TestHierConstraintValidation(t *testing.T) {
 	srv := NewServer(Config{})
 	defer srv.Close()
@@ -149,6 +150,11 @@ func TestHierConstraintValidation(t *testing.T) {
 		{"hier strategy on flat", Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "torus:4,4",
 			Strategy: "hier"},
 			"strategy hier requires a hierarchical topology", 400},
+		{"compact cost out of range", Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"}, Topology: "hier:pod:2@1e12/node:4:mesh-2x2"},
+			`level \"pod\" cost 1e+12 out of range [1,2147483647]`, 400},
+		{"JSON cost out of range", Job{Graph: GraphSpec{Pattern: "mesh2d:4,4"},
+			Hierarchy: &hiertopo.Spec{Levels: []hiertopo.LevelSpec{{Name: "pod", Count: 2, Cost: 3e9}, {Name: "node", Count: 8}}}},
+			`level \"pod\" cost 3e+09 out of range [1,2147483647]`, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
