@@ -2,6 +2,7 @@ package topomap_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	topomap "repro"
@@ -29,6 +30,35 @@ func TestFacadeTopologyConstructors(t *testing.T) {
 	}
 	if topomap.MeanDistance(torus) != 2 || topomap.Diameter(torus) != 4 {
 		t.Error("metric helpers wrong")
+	}
+}
+
+// TestFacadeRejectsDisconnectedMachine: a machine whose processors cannot
+// all reach each other has no hop distance between its components. It
+// used to be accepted with a distance of -1 there, so TopoLB and
+// TopoCentLB split RingPattern(4, 100) across the two components to
+// [0 2 1 3] and reported hop-bytes of -400.
+func TestFacadeRejectsDisconnectedMachine(t *testing.T) {
+	g, err := topomap.NewGraphTopology(4, [][2]int{{0, 1}, {2, 3}})
+	if err == nil {
+		t.Fatalf("NewGraphTopology accepted a disconnected machine %s", g.Name())
+	}
+	if !strings.Contains(err.Error(), "node 2 is unreachable from node 0") {
+		t.Errorf("error %q does not name node 2", err)
+	}
+	ring, err := topomap.NewGraphTopology(4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := topomap.RingPattern(4, 100)
+	for _, s := range []topomap.Strategy{topomap.TopoLB{}, topomap.TopoCentLB{}} {
+		m, err := s.Map(pattern, ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hb := topomap.HopBytes(pattern, ring, m); hb != 400 {
+			t.Errorf("%s: ring onto a ring machine has hop-bytes %v, want 400", s.Name(), hb)
+		}
 	}
 }
 

@@ -52,14 +52,14 @@ func (s Bokhari) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, err
 		jumps = 4
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	d := core.NewDists(t)
+	d := topology.NewDists(t)
 	n := t.Nodes()
 	m := core.Mapping(rng.Perm(n))
 	best := m.Clone()
-	bestScore := cardinality(g, d, best)
+	bestScore := cardinality(g, &d, best)
 	for j := 0; j <= jumps; j++ {
-		improveCardinality(g, d, m)
-		if sc := cardinality(g, d, m); sc > bestScore {
+		improveCardinality(g, &d, m)
+		if sc := cardinality(g, &d, m); sc > bestScore {
 			bestScore = sc
 			best = m.Clone()
 		}
@@ -74,7 +74,7 @@ func (s Bokhari) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, err
 
 // cardinality counts task edges whose endpoint processors are adjacent
 // (distance <= 1) — Bokhari's objective.
-func cardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping) int {
+func cardinality(g *taskgraph.Graph, d *topology.Dists, m core.Mapping) int {
 	score := 0
 	for v := 0; v < g.NumVertices(); v++ {
 		adj, _ := g.Neighbors(v)
@@ -89,7 +89,7 @@ func cardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping) int {
 
 // improveCardinality performs greedy pairwise exchanges until a full pass
 // finds no improving swap.
-func improveCardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping) {
+func improveCardinality(g *taskgraph.Graph, d *topology.Dists, m core.Mapping) {
 	n := len(m)
 	for {
 		improved := false
@@ -111,7 +111,7 @@ func improveCardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping) {
 	}
 }
 
-func localCardinality(g *taskgraph.Graph, d core.Dists, m core.Mapping, v int) int {
+func localCardinality(g *taskgraph.Graph, d *topology.Dists, m core.Mapping, v int) int {
 	adj, _ := g.Neighbors(v)
 	score := 0
 	for _, u := range adj {
@@ -160,7 +160,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		cooling = 0.92
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	dist := core.NewDists(t)
+	dist := topology.NewDists(t)
 	m := core.Mapping(rng.Perm(n))
 	cur := core.HopBytes(g, t, m)
 	best := m.Clone()
@@ -174,7 +174,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		if a == b {
 			continue
 		}
-		temp += math.Abs(core.SwapDelta(g, dist, m, a, b))
+		temp += math.Abs(core.SwapDelta(g, &dist, m, a, b))
 	}
 	temp = temp/50 + 1e-9
 
@@ -184,7 +184,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 			if a == b {
 				continue
 			}
-			d := core.SwapDelta(g, dist, m, a, b)
+			d := core.SwapDelta(g, &dist, m, a, b)
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
 				m[a], m[b] = m[b], m[a]
 				cur += d

@@ -51,7 +51,8 @@ func TestBokhariImprovesCardinality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cardinality(g, core.NewDists(to), m)
+	d := topology.NewDists(to)
+	got := cardinality(g, &d, m)
 	// Random placement adjacency on a 4x4 torus is far below the 24 edges;
 	// Bokhari must recover a clear majority.
 	if got < 12 {
@@ -250,7 +251,7 @@ func TestPhysicalOptimizationQualityComparable(t *testing.T) {
 // TestPlacementHashes pins the three search baselines' placements on two
 // machines, recorded at 008445d, when Bokhari and Annealing called
 // Topology.Distance per pair through their own swap delta. They read the
-// cached matrix through core.Dists and core.SwapDelta now; the difference
+// cached matrix through topology.Dists and core.SwapDelta now; the difference
 // of two int32 distances and of two int distances is the same float64, so
 // every accept decision, and the walk, must repeat.
 func TestPlacementHashes(t *testing.T) {

@@ -310,7 +310,9 @@ func (d *hierDescender) mapLeaf(sub *taskgraph.Graph, verts []int, base int) err
 		}
 	default: // m < slf: pack onto the head of the leaf's locality order
 		order := localityOrder(leaf)
-		mm, err := d.leafStrategy(m).Map(sub, newPrefixTopology(leaf, order[:m]))
+		prefix := &subsetTopology{d: topology.ClosedDists(leaf), reps: order[:m],
+			name: fmt.Sprintf("hierprefix(%s,%d)", leaf.Name(), m)}
+		mm, err := d.leafStrategy(m).Map(sub, prefix)
 		if err != nil {
 			return fmt.Errorf("core: hier leaf at rank %d: %w", base, err)
 		}
@@ -329,36 +331,6 @@ func (d *hierDescender) leafStrategy(m int) Strategy {
 	return MultilevelMap{}
 }
 
-// prefixTopology views the first len(reps) processors of a leaf's
-// locality order as a topology of their own, so a bijective kernel can
-// pack an underfull leaf. Ephemeral: its distances depend on the prefix
-// length, not just the leaf's name.
-type prefixTopology struct {
-	t    topology.Topology
-	reps []int32
-	name string
-}
-
-func newPrefixTopology(t topology.Topology, reps []int32) *prefixTopology {
-	return &prefixTopology{t: t, reps: reps, name: fmt.Sprintf("hierprefix(%s,%d)", t.Name(), len(reps))}
-}
-
-// EphemeralTopology marks the adapter as non-cacheable.
-func (p *prefixTopology) EphemeralTopology() {}
-
-var _ topology.Ephemeral = (*prefixTopology)(nil)
-
-func (p *prefixTopology) Nodes() int   { return len(p.reps) }
-func (p *prefixTopology) Name() string { return p.name }
-
-func (p *prefixTopology) Distance(a, b int) int {
-	return p.t.Distance(int(p.reps[a]), int(p.reps[b]))
-}
-
-// Neighbors returns nil: the bijective kernels never consult machine
-// adjacency on this adapter.
-func (p *prefixTopology) Neighbors(a int) []int { return nil }
-
 // refine runs serial cross-leaf swap sweeps: for each task in ascending
 // order, the first few communication partners living in other leaves are
 // tried as swap partners, and the first partner achieving the best
@@ -366,7 +338,7 @@ func (p *prefixTopology) Neighbors(a int) []int { return nil }
 // per-processor task counts are preserved in every mode. Serial and
 // first-wins, the pass is byte-identical at any GOMAXPROCS.
 func (s HierMap) refine(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []int) {
-	d := NewDists(h)
+	d := topology.NewDists(h)
 	n := g.NumVertices()
 	for pass := 0; pass < hierRefinePasses; pass++ {
 		moves := 0
@@ -385,7 +357,7 @@ func (s HierMap) refine(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []i
 				if cands > hierMaxCand {
 					break
 				}
-				if delta := SwapDelta(g, d, placement, v, u); delta < bestDelta {
+				if delta := SwapDelta(g, &d, placement, v, u); delta < bestDelta {
 					best, bestDelta = u, delta
 				}
 			}

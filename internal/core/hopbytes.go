@@ -21,14 +21,16 @@ const hopBytesGrain = 64
 // over fixed vertex chunks and merged in index order, so the value is
 // identical for any GOMAXPROCS.
 func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
-	d := NewDists(t)
+	d := topology.NewDists(t)
 	return parallel.Reduce(g.NumVertices(), hopBytesGrain, func(lo, hi int) float64 {
+		d := d // the chunk's own copy: a method call on the captured one would move it to the heap
+		dm := d.Matrix()
 		hb := 0.0
 		for v := lo; v < hi; v++ {
 			adj, w := g.Neighbors(v)
 			pv := m[v]
-			if d.dm != nil {
-				row := d.dm.Row(pv)
+			if dm != nil {
+				row := dm.Row(pv)
 				for i, u := range adj {
 					if int32(v) < u {
 						hb += w[i] * float64(row[m[u]])
@@ -37,7 +39,7 @@ func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
 			} else {
 				for i, u := range adj {
 					if int32(v) < u {
-						hb += w[i] * float64(d.t.Distance(pv, m[u]))
+						hb += w[i] * float64(d.Dist(pv, m[u]))
 					}
 				}
 			}

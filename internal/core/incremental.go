@@ -61,7 +61,7 @@ import (
 // topomapd session layer) serialize access per state.
 type IncrementalState struct {
 	topo  topology.Topology
-	d     Dists
+	d     topology.Dists
 	procs int
 
 	// Per-task state, indexed by stable task id. Removed tasks leave dead
@@ -165,7 +165,7 @@ func NewIncrementalState(g *taskgraph.Graph, t topology.Topology, m Mapping) (*I
 	}
 	s := &IncrementalState{
 		topo:   t,
-		d:      NewDists(t),
+		d:      topology.NewDists(t),
 		procs:  t.Nodes(),
 		alive:  make([]bool, n),
 		load:   make([]float64, n),

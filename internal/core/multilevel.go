@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -15,8 +14,8 @@ import (
 // graph by repeated heavy-edge matching, map the coarsest graph with an
 // ordinary p==n strategy, then uncoarsen level by level with bounded local
 // refinement. Every distance on this path — coarse map, projection,
-// refinement deltas — comes from one closed-form function, the refiner's
-// dist (a coordinate table, a popcount, or Topology.Distance); no O(p²)
+// refinement deltas — comes from the machine's closed-form oracle,
+// topology.ClosedDists, through the refiner's dist; no O(p²)
 // DistanceMatrix is ever materialized, so million-task graphs map onto
 // hundred-thousand-node machines in O(n + |E|) memory.
 //
@@ -104,9 +103,15 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 	r.reserve(levels[0].N, len(levels[0].Adjncy))
 
 	// Map the coarsest graph with TopoLB, viewing the nc equal slot chunks
-	// through their center-slot representative processors. The adapter is
-	// Ephemeral: nothing materializes a matrix.
-	cm, err := TopoLB{}.Map(coarseTaskGraph(coarsest), newRepTopology(r, nc))
+	// [i·n/nc, (i+1)·n/nc) through their center-slot representative
+	// processors. The adapter is Ephemeral: nothing materializes a matrix.
+	reps := make([]int32, nc)
+	for i := range reps {
+		center := int32((2*int64(i) + 1) * int64(n) / (2 * int64(nc)))
+		reps[i] = procOrder[slotProc(center, n, p)]
+	}
+	chunks := &subsetTopology{d: r.d, reps: reps, name: fmt.Sprintf("mlrep(%s,nc=%d)", t.Name(), nc)}
+	cm, err := TopoLB{}.Map(coarseTaskGraph(coarsest), chunks)
 	if err != nil {
 		return nil, fmt.Errorf("core: multilevel coarse mapping: %w", err)
 	}
@@ -213,43 +218,34 @@ func coarseTaskGraph(c *partition.CGraph) *taskgraph.Graph {
 	return b.Build("multilevel-coarse")
 }
 
-// repTopology views nc equal slot chunks through their center-slot
-// representative processors, so a p==n strategy can map the coarsest graph
-// without ever seeing the full machine. Distances are the refiner's — the
-// real topology's, through its fast path; the adapter is Ephemeral because
-// its distance function depends on n and the chunk layout, not just its
-// name.
-type repTopology struct {
-	r    *mlRefiner
+// subsetTopology views the processors reps of a machine as a machine of
+// their own, node i being reps[i], measured by the machine's oracle: a
+// bijective kernel maps onto it without ever seeing the full machine. The
+// multilevel mapper views its coarse slot chunks through their
+// representative processors this way, and HierMap an underfull leaf
+// through the head of its locality order. It is Ephemeral because its
+// distances depend on reps, not just its name.
+type subsetTopology struct {
+	d    topology.Dists
 	reps []int32
 	name string
 }
 
-func newRepTopology(r *mlRefiner, nc int) *repTopology {
-	reps := make([]int32, nc)
-	for i := range reps {
-		// Center slot of chunk i (chunks are [i·n/nc, (i+1)·n/nc)).
-		center := int32((2*int64(i) + 1) * int64(r.n) / (2 * int64(nc)))
-		reps[i] = r.procOrder[slotProc(center, r.n, r.p)]
-	}
-	return &repTopology{r: r, reps: reps, name: fmt.Sprintf("mlrep(%s,nc=%d)", r.t.Name(), nc)}
-}
-
 // EphemeralTopology marks the adapter as non-cacheable.
-func (rt *repTopology) EphemeralTopology() {}
+func (s *subsetTopology) EphemeralTopology() {}
 
-var _ topology.Ephemeral = (*repTopology)(nil)
+var _ topology.Ephemeral = (*subsetTopology)(nil)
 
-func (rt *repTopology) Nodes() int   { return len(rt.reps) }
-func (rt *repTopology) Name() string { return rt.name }
+func (s *subsetTopology) Nodes() int   { return len(s.reps) }
+func (s *subsetTopology) Name() string { return s.name }
 
-func (rt *repTopology) Distance(a, b int) int {
-	return int(rt.r.dist(rt.reps[a], rt.reps[b]))
+func (s *subsetTopology) Distance(a, b int) int {
+	return s.d.Dist(int(s.reps[a]), int(s.reps[b]))
 }
 
-// Neighbors returns nil: chunk adjacency has no useful machine meaning,
-// and TopoLB never consults it.
-func (rt *repTopology) Neighbors(a int) []int { return nil }
+// Neighbors returns nil: a subset's adjacency has no machine meaning, and
+// the bijective kernels never consult it.
+func (s *subsetTopology) Neighbors(a int) []int { return nil }
 
 // projectLevel pushes a coarse slot layout down one level: each coarse
 // vertex's slot run is split between its (at most two) children. The
@@ -325,19 +321,6 @@ const swapEps = 1e-12
 // proposeGrain is the fixed chunk size of the parallel proposal sweep.
 const proposeGrain = 64
 
-// distKind selects the refiner's distance fast path, chosen once per
-// Place call. Interface dispatch plus rank decomposition costs more than
-// the whole remaining per-edge work, so grids get a precomputed
-// coordinate table and hypercubes a popcount; everything else calls
-// Topology.Distance.
-type distKind uint8
-
-const (
-	distGeneric distKind = iota
-	distGrid
-	distHypercube
-)
-
 // mlRefiner runs bounded local refinement on one hierarchy level: each
 // pass proposes equal-population slot-run swaps in parallel against the
 // frozen layout, then commits them serially in ascending vertex order,
@@ -346,6 +329,7 @@ const (
 // surrogate (center-slot representative distance) is the exact hop-bytes.
 type mlRefiner struct {
 	t         topology.Topology
+	d         topology.Dists // ClosedDists(t), chosen once per Place call
 	procOrder []int32
 	n, p      int
 	lvl       *partition.CGraph
@@ -360,43 +344,10 @@ type mlRefiner struct {
 	edist   []uint16
 	dirty   []bool // vertices whose neighborhood changed last commit
 	scanAll bool   // first pass of a level scans every vertex
-
-	kind   distKind
-	nd     int     // grid dimensionality
-	dims   []int32 // grid extents
-	coords []int32 // flat proc → coordinates table, p×nd
-	wrap   bool    // torus wraparound
 }
 
 func newMLRefiner(t topology.Topology, procOrder []int32, n, p int) *mlRefiner {
-	r := &mlRefiner{t: t, procOrder: procOrder, n: n, p: p, slotOwner: make([]int32, n)}
-	wrap := false
-	switch t.(type) {
-	case *topology.Torus:
-		wrap = true
-	case *topology.Mesh:
-	case *topology.Hypercube:
-		r.kind = distHypercube
-		return r
-	default:
-		return r
-	}
-	co := t.(topology.Coordinated)
-	dims := co.Dims()
-	r.kind, r.wrap, r.nd = distGrid, wrap, len(dims)
-	r.dims = make([]int32, r.nd)
-	for i, d := range dims {
-		r.dims[i] = int32(d)
-	}
-	r.coords = make([]int32, p*r.nd)
-	buf := make([]int, r.nd)
-	for q := 0; q < p; q++ {
-		co.Coord(q, buf)
-		for i, c := range buf {
-			r.coords[q*r.nd+i] = int32(c)
-		}
-	}
-	return r
+	return &mlRefiner{t: t, d: topology.ClosedDists(t), procOrder: procOrder, n: n, p: p, slotOwner: make([]int32, n)}
 }
 
 // reserve makes the per-vertex and per-edge buffers hold at least nv
@@ -474,33 +425,12 @@ func (r *mlRefiner) refine(passes int) {
 	}
 }
 
-// dist returns the hop distance between processors a and b. It is the one
-// distance function of the V-cycle: the coarse map (through repTopology),
-// projectLevel and the refinement sweeps all call it.
+// dist returns the hop distance between processors a and b. It is the
+// V-cycle's one distance: the coarse map (through subsetTopology),
+// projectLevel and the refinement sweeps all read r.d, and this wrapper
+// inlines, so a distance costs exactly one call.
 func (r *mlRefiner) dist(a, b int32) int32 {
-	switch r.kind {
-	case distGrid:
-		ca := r.coords[int(a)*r.nd : int(a)*r.nd+r.nd]
-		cb := r.coords[int(b)*r.nd : int(b)*r.nd+r.nd]
-		s := int32(0)
-		for i := 0; i < r.nd; i++ {
-			d := ca[i] - cb[i]
-			if d < 0 {
-				d = -d
-			}
-			if r.wrap {
-				if w := r.dims[i] - d; w < d {
-					d = w
-				}
-			}
-			s += d
-		}
-		return s
-	case distHypercube:
-		return int32(bits.OnesCount32(uint32(a ^ b)))
-	}
-	//lint:ignore hotalloc Topology.Distance dispatches to closed-form coordinate arithmetic (fat-trees and other non-grid machines); zero allocations, pinned by TestMultilevelProposeZeroAlloc
-	return int32(r.t.Distance(int(a), int(b)))
+	return int32(r.d.Dist(int(a), int(b)))
 }
 
 // procNeighbors returns the machine neighbors of processor q.
@@ -520,7 +450,7 @@ func (r *mlRefiner) rep(v int32) int32 {
 // the best delta wins, in a fixed candidate order, so the result is
 // identical at any GOMAXPROCS.
 //
-//lint:hotpath uncoarsen refinement inner loop: the per-vertex proposal scan runs at every hierarchy level over every vertex and must stay allocation-free, with distances from closed-form Topology.Distance only
+//lint:hotpath uncoarsen refinement inner loop: the per-vertex proposal scan runs at every hierarchy level over every vertex and must stay allocation-free, with distances from the closed-form oracle only
 func (r *mlRefiner) propose() {
 	//lint:ignore hotalloc one capturing closure per sweep; the per-vertex body is allocation-free
 	parallel.For(r.lvl.N, proposeGrain, func(lo, hi int) {

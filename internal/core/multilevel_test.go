@@ -256,7 +256,7 @@ func TestMultilevelProposeZeroAlloc(t *testing.T) {
 
 // TestMultilevelEphemeralNoMatrix checks the memory contract: placing a
 // large graph on a large machine must not materialize a distance matrix —
-// the rep-topology adapter is Ephemeral and the refiner uses closed-form
+// the subset adapter is Ephemeral and the refiner uses closed-form
 // distances only.
 func TestMultilevelEphemeralNoMatrix(t *testing.T) {
 	topo, err := topology.NewTorus(16, 16, 8) // 2048 nodes
@@ -404,7 +404,8 @@ func TestMLRefinerEdgeCache(t *testing.T) {
 
 // TestMLRefinerDistMatchesTopology: the fast path is the topology. The
 // coarse map and projectLevel measure through the refiner's dist, so it
-// must agree with Topology.Distance on every pair, on each distKind.
+// must agree with Topology.Distance on every pair, on each closed-form
+// kind of the oracle.
 func TestMLRefinerDistMatchesTopology(t *testing.T) {
 	for _, topo := range []topology.Topology{
 		topology.MustTorus(4, 3, 5), topology.MustMesh(5, 4), topology.MustHypercube(6), topology.MustFatTree(4, 3),

@@ -24,7 +24,8 @@ func TestPropertySwapDeltaMatchesRecomputation(t *testing.T) {
 			return true
 		}
 		before := HopBytes(g, to, m)
-		delta := SwapDelta(g, NewDists(to), m, a, b)
+		d := topology.NewDists(to)
+		delta := SwapDelta(g, &d, m, a, b)
 		m[a], m[b] = m[b], m[a]
 		after := HopBytes(g, to, m)
 		m[a], m[b] = m[b], m[a] // restore

@@ -66,7 +66,7 @@ func (r RefineTopoLB) maxPasses() int {
 // sweepCandidates). Returns the number of swaps performed.
 func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) int {
 	n := len(m)
-	d := NewDists(t)
+	d := topology.NewDists(t)
 	occupant := make([]int, n) // processor -> task
 	for task, proc := range m {
 		occupant[proc] = task
@@ -80,13 +80,13 @@ func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) i
 			// serial sweep, the adjacency snapshot is taken before any of
 			// its swaps apply, while occupants are read at trial time.
 			nbrs := t.Neighbors(m[a])
-			improved += sweepCandidates(g, d, m, occupant, a, len(nbrs),
+			improved += sweepCandidates(g, &d, m, occupant, a, len(nbrs),
 				func(j int) int { return occupant[nbrs[j]] })
 			adj, _ := g.Neighbors(a)
-			improved += sweepCandidates(g, d, m, occupant, a, len(adj),
+			improved += sweepCandidates(g, &d, m, occupant, a, len(adj),
 				func(j int) int { return int(adj[j]) })
 			if n <= 256 {
-				improved += sweepCandidates(g, d, m, occupant, a, n-a-1,
+				improved += sweepCandidates(g, &d, m, occupant, a, n-a-1,
 					func(j int) int { return a + 1 + j })
 			}
 		}
@@ -103,7 +103,7 @@ func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) i
 // candidate against the mapping that swap left. The loop is serial on
 // purpose: a swap delta is O(deg) work, far below what a fork costs
 // (DESIGN §6).
-func sweepCandidates(g *taskgraph.Graph, d Dists, m Mapping, occupant []int, a, count int, partner func(j int) int) int {
+func sweepCandidates(g *taskgraph.Graph, d *topology.Dists, m Mapping, occupant []int, a, count int, partner func(j int) int) int {
 	swaps := 0
 	for j := 0; j < count; j++ {
 		b := partner(j)
@@ -120,13 +120,13 @@ func sweepCandidates(g *taskgraph.Graph, d Dists, m Mapping, occupant []int, a, 
 // SwapDelta returns the hop-bytes change from swapping the processors of
 // tasks a and b (negative is better). The a–b edge itself, if any,
 // contributes identically before and after and is skipped.
-func SwapDelta(g *taskgraph.Graph, d Dists, m Mapping, a, b int) float64 {
+func SwapDelta(g *taskgraph.Graph, d *topology.Dists, m Mapping, a, b int) float64 {
 	pa, pb := m[a], m[b]
 	delta := 0.0
 	adjA, wA := g.Neighbors(a)
 	adjB, wB := g.Neighbors(b)
-	if d.dm != nil {
-		rowA, rowB := d.dm.Row(pa), d.dm.Row(pb)
+	if dm := d.Matrix(); dm != nil {
+		rowA, rowB := dm.Row(pa), dm.Row(pb)
 		for i, u := range adjA {
 			if int(u) == b {
 				continue
@@ -148,14 +148,14 @@ func SwapDelta(g *taskgraph.Graph, d Dists, m Mapping, a, b int) float64 {
 			continue
 		}
 		pu := m[u]
-		delta += wA[i] * float64(d.t.Distance(pb, pu)-d.t.Distance(pa, pu))
+		delta += wA[i] * float64(d.Dist(pb, pu)-d.Dist(pa, pu))
 	}
 	for i, u := range adjB {
 		if int(u) == a {
 			continue
 		}
 		pu := m[u]
-		delta += wB[i] * float64(d.t.Distance(pa, pu)-d.t.Distance(pb, pu))
+		delta += wB[i] * float64(d.Dist(pa, pu)-d.Dist(pb, pu))
 	}
 	return delta
 }

@@ -260,7 +260,7 @@ func (r *incRefiner) moveDelta(a, p int) float64 {
 	adj := &s.adj[a]
 	pa := s.proc[a]
 	delta := 0.0
-	if dm := s.d.dm; dm != nil {
+	if dm := s.d.Matrix(); dm != nil {
 		rowP, rowA := dm.Row(p), dm.Row(pa)
 		for i, u := range adj.nbr {
 			pu := s.proc[u]
@@ -283,7 +283,7 @@ func (r *incRefiner) swapDelta(a, b int) float64 {
 	pa, pb := s.proc[a], s.proc[b]
 	adjA, adjB := &s.adj[a], &s.adj[b]
 	delta := 0.0
-	if dm := s.d.dm; dm != nil {
+	if dm := s.d.Matrix(); dm != nil {
 		rowA, rowB := dm.Row(pa), dm.Row(pb)
 		for i, u := range adjA.nbr {
 			if int(u) != b {

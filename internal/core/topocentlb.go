@@ -113,7 +113,8 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 		return nil, err
 	}
 	n := t.Nodes()
-	d := NewDists(t)
+	d := topology.NewDists(t)
+	dm := d.Matrix()
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1
@@ -170,8 +171,8 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 				continue
 			}
 			cost := 0.0
-			if d.dm != nil {
-				row := d.dm.Row(p)
+			if dm != nil {
+				row := dm.Row(p)
 				for i, u := range adj {
 					if pu := m[u]; pu >= 0 {
 						cost += w[i] * float64(row[pu])
@@ -180,7 +181,7 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 			} else {
 				for i, u := range adj {
 					if pu := m[u]; pu >= 0 {
-						cost += w[i] * float64(d.t.Distance(p, pu))
+						cost += w[i] * float64(d.Dist(p, pu))
 					}
 				}
 			}

@@ -25,41 +25,18 @@ const (
 	OrderThird Order = 3
 )
 
-// Dists resolves pairwise processor distances through the globally cached
-// distance matrix when the machine is small enough to materialize,
-// falling back to the Topology's virtual Distance otherwise. A strategy
-// takes one per Map call.
-type Dists struct {
-	dm *topology.DistanceMatrix
-	t  topology.Topology
-}
-
-// NewDists returns the distance handle of t.
-func NewDists(t topology.Topology) Dists {
-	return Dists{dm: topology.CachedDistances(t), t: t}
-}
-
-// Dist returns the hop distance between processors a and b.
-func (d Dists) Dist(a, b int) int {
-	if d.dm != nil {
-		return int(d.dm.Lookup(a, b))
-	}
-	//lint:ignore hotalloc the fallback for machines over the matrix cap: the topology answers from its own arithmetic or lazily built rows
-	return d.t.Distance(a, b)
-}
-
 // fillScaledRow sets distRow[p] = scale × d(p, pk) for every processor.
 // Distances are symmetric, so the matrix row for pk serves as the column.
-func (d Dists) fillScaledRow(distRow []float64, pk int, scale float64) {
-	if d.dm != nil {
-		row := d.dm.Row(pk)
+func fillScaledRow(d *topology.Dists, distRow []float64, pk int, scale float64) {
+	if dm := d.Matrix(); dm != nil {
+		row := dm.Row(pk)
 		for p := range distRow {
 			distRow[p] = scale * float64(row[p])
 		}
 		return
 	}
 	for p := range distRow {
-		distRow[p] = scale * float64(d.t.Distance(p, pk))
+		distRow[p] = scale * float64(d.Dist(p, pk))
 	}
 }
 
@@ -144,7 +121,7 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 // TestTopoLBRescanCount.
 func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, int64) {
 	n := t.Nodes()
-	d := NewDists(t)
+	d := topology.NewDists(t)
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1
@@ -229,7 +206,7 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 			classLive[sl-n]--
 		}
 
-		d.fillScaledRow(distRow, pk, float64(n))
+		fillScaledRow(&d, distRow, pk, float64(n))
 		// Neighbors of tk gain an exact term (and, at second order, lose
 		// the expected-distance term for this edge). A pristine neighbor
 		// leaves its class here and gets its row written first.
@@ -336,7 +313,7 @@ func rescanClass(cw float64, totalDist []float64, procFree []bool, minVal *float
 // cycle, O(p³) total (§4.4).
 func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	n := t.Nodes()
-	d := NewDists(t)
+	d := topology.NewDists(t)
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1
@@ -388,7 +365,7 @@ func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping,
 		if freeProcs == 0 {
 			break
 		}
-		d.fillScaledRow(distRow, pk, 1)
+		fillScaledRow(&d, distRow, pk, 1)
 		for p := range sumFree {
 			sumFree[p] -= distRow[p]
 		}

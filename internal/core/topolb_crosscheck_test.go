@@ -148,7 +148,7 @@ func integerize(g *taskgraph.Graph) *taskgraph.Graph {
 // second result is the sequence in which tasks were placed.
 func referenceRowTopoLB(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, []int) {
 	n := t.Nodes()
-	d := NewDists(t)
+	d := topology.NewDists(t)
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1
@@ -202,7 +202,7 @@ func referenceRowTopoLB(g *taskgraph.Graph, t topology.Topology, order Order) (M
 			break
 		}
 
-		d.fillScaledRow(distRow, pk, float64(n))
+		fillScaledRow(&d, distRow, pk, float64(n))
 		adj, w := g.Neighbors(tk)
 		for i, u32 := range adj {
 			u := int(u32)

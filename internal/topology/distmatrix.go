@@ -20,9 +20,9 @@ type DistanceMatrix struct {
 
 // NewDistanceMatrix builds the table for t with one parallel per-source
 // sweep: breadth-first search per source for explicit Graphs (no shared
-// BFS cache, no locks), the closed-form Distance for everything else.
-// Rows are filled independently and written to disjoint slices, so the
-// result is identical for any GOMAXPROCS.
+// BFS cache, no locks), the closed-form oracle, ClosedDists, for
+// everything else. Rows are filled independently and written to disjoint
+// slices, so the result is identical for any GOMAXPROCS.
 func NewDistanceMatrix(t Topology) *DistanceMatrix {
 	n := t.Nodes()
 	m := &DistanceMatrix{n: n, d: make([]int32, n*n)}
@@ -35,11 +35,13 @@ func NewDistanceMatrix(t Topology) *DistanceMatrix {
 		})
 		return m
 	}
+	d := ClosedDists(t)
 	parallel.For(n, 16, func(lo, hi int) {
+		d := d // the chunk's own copy: a method call on the captured one would move it to the heap
 		for a := lo; a < hi; a++ {
 			row := m.d[a*n : (a+1)*n]
-			for b := 0; b < n; b++ {
-				row[b] = int32(t.Distance(a, b))
+			for b := range row {
+				row[b] = int32(d.Dist(a, b))
 			}
 		}
 	})
@@ -49,7 +51,7 @@ func NewDistanceMatrix(t Topology) *DistanceMatrix {
 // Nodes returns the number of nodes the matrix covers.
 func (m *DistanceMatrix) Nodes() int { return m.n }
 
-// Lookup returns the hop distance between a and b (-1 if unreachable).
+// Lookup returns the hop distance between a and b.
 func (m *DistanceMatrix) Lookup(a, b int) int32 { return m.d[a*m.n+b] }
 
 // Row returns the distances from a to every node. The slice aliases the
@@ -71,9 +73,9 @@ func init() { distMatrixCap.Store(DefaultDistanceMatrixCap) }
 // SetDistanceMatrixCap sets the materialization bound in cells and
 // returns the previous value. Passing 0 (or negative) disables the cache
 // entirely — every CachedDistances call returns nil and kernels fall back
-// to Topology.Distance; benchmarks use this to measure the un-cached
-// baseline. Already-cached matrices are not re-checked against the new
-// bound.
+// to the machine's closed form (ClosedDists); benchmarks use this to
+// measure the un-cached baseline. Already-cached matrices are not
+// re-checked against the new bound.
 func SetDistanceMatrixCap(cells int) int {
 	return int(distMatrixCap.Swap(int64(cells)))
 }
@@ -153,10 +155,10 @@ func PurgeDistanceCache() int {
 }
 
 // Ephemeral marks adapter topologies whose Name does not uniquely
-// determine their distance function — e.g. a multilevel mapper's
-// chunk-center representative view, whose distances depend on the task
-// graph being mapped. CachedDistances never materializes or caches a
-// matrix for an Ephemeral topology: a cache hit across two different
+// determine their distance function — e.g. a mapper's view of a subset of
+// a machine's processors, whose distances depend on the subset chosen for
+// the task graph being mapped. CachedDistances never materializes or
+// caches a matrix for an Ephemeral topology: a cache hit across two different
 // adapters with equal names would silently serve wrong distances, and
 // the adapters exist precisely to keep memory free of O(p²) tables.
 type Ephemeral interface {
@@ -167,8 +169,9 @@ type Ephemeral interface {
 
 // CachedDistances returns the lazily built, globally cached distance
 // matrix for t, or nil when t is too large to materialize under the
-// current cap (callers must then fall back to t.Distance). The cache is
-// keyed by Name()+node count — Name must uniquely determine the distance
+// current cap. Kernels do not call it: NewDists does, and falls back to
+// the closed form when it returns nil. The cache is keyed by
+// Name()+node count — Name must uniquely determine the distance
 // function, which holds for every closed-form topology in this package;
 // explicit Graphs carry a process-unique id instead, since two graphs
 // with equal node and edge counts share a Name but not distances, and

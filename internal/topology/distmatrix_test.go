@@ -42,20 +42,6 @@ func TestDistanceMatrixMatchesDistance(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrixDisconnectedGraph(t *testing.T) {
-	g, err := NewGraph(4, [][2]int{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewDistanceMatrix(g)
-	if d := m.Lookup(0, 3); d != -1 {
-		t.Errorf("Lookup across components = %d, want -1", d)
-	}
-	if d := m.Lookup(2, 3); d != 1 {
-		t.Errorf("Lookup(2,3) = %d, want 1", d)
-	}
-}
-
 func TestCachedDistancesReturnsSameMatrix(t *testing.T) {
 	to := MustTorus(5, 4)
 	m1 := CachedDistances(to)

@@ -1,0 +1,70 @@
+package topology
+
+import "math/bits"
+
+// distKind selects where a Dists answers from.
+type distKind uint8
+
+const (
+	distGeneric distKind = iota // Topology.Distance
+	distMatrix                  // the cached DistanceMatrix
+	distGrid                    // a mesh's or torus's coordinate table
+	distCube                    // a hypercube's popcount
+)
+
+// Dists is the mapping kernels' one distance oracle. It is chosen once per
+// kernel call and answers from the cached DistanceMatrix when one is
+// materialized, otherwise from the machine's own closed form: the
+// coordinate table of a mesh or torus, the popcount of a hypercube, and
+// Topology.Distance for everything else (fat-trees, graphs, hierarchies,
+// adapters). Every source returns the integers Topology.Distance returns,
+// so a kernel's result never depends on which one it got. A Dists is a
+// value: building and querying one allocates nothing.
+type Dists struct {
+	kind distKind
+	m    *DistanceMatrix
+	g    *grid
+	t    Topology
+}
+
+// NewDists returns t's oracle: the cached matrix when one fits under the
+// cap (see CachedDistances), ClosedDists(t) otherwise.
+func NewDists(t Topology) Dists {
+	if m := CachedDistances(t); m != nil {
+		return Dists{kind: distMatrix, m: m, t: t}
+	}
+	return ClosedDists(t)
+}
+
+// ClosedDists returns t's oracle without the matrix: for the O(n+|E|)
+// paths that must never materialize p² cells, whatever the cap.
+func ClosedDists(t Topology) Dists {
+	switch t := t.(type) {
+	case *Torus:
+		return Dists{kind: distGrid, g: t.grid, t: t}
+	case *Mesh:
+		return Dists{kind: distGrid, g: t.grid, t: t}
+	case *Hypercube:
+		return Dists{kind: distCube, t: t}
+	}
+	return Dists{t: t}
+}
+
+// Matrix returns the matrix the oracle answers from, or nil. A kernel
+// whose inner loop walks one processor's distances hoists Matrix().Row
+// out of it; a per-lookup Dist costs that loop a call per cell.
+func (d *Dists) Matrix() *DistanceMatrix { return d.m }
+
+// Dist returns the hop distance between processors a and b.
+func (d *Dists) Dist(a, b int) int {
+	switch d.kind {
+	case distMatrix:
+		return int(d.m.Lookup(a, b))
+	case distGrid:
+		return d.g.dist(a, b)
+	case distCube:
+		return bits.OnesCount32(uint32(a ^ b))
+	}
+	//lint:ignore hotalloc fat-trees, hierarchies and adapters answer from their own arithmetic, graphs from lazily built rows; zero allocations at steady state, pinned by TestMultilevelProposeZeroAlloc and TestSessionBatchAllocs
+	return d.t.Distance(a, b)
+}

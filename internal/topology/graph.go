@@ -24,14 +24,15 @@ type Graph struct {
 	name string
 
 	mu   sync.Mutex
-	dist [][]int32 // dist[src] filled lazily; -1 means unreachable
+	dist [][]int32 // dist[src] filled lazily
 	prev [][]int32 // BFS predecessor for Route, filled with dist
 }
 
 var _ Router = (*Graph)(nil)
 
-// NewGraph builds a graph on n nodes from undirected edges. Self-loops and
-// duplicate edges are rejected; endpoints must be in [0, n).
+// NewGraph builds a graph on n nodes from undirected edges. Self-loops,
+// duplicate edges and disconnected graphs are rejected (every pair of
+// processors must have a distance); endpoints must be in [0, n).
 func NewGraph(n int, edges [][2]int) (*Graph, error) {
 	if n < 1 || n > MaxNodes {
 		return nil, fmt.Errorf("topology: graph must have 1..%d nodes, got %d", MaxNodes, n)
@@ -56,6 +57,11 @@ func NewGraph(n int, edges [][2]int) (*Graph, error) {
 	}
 	g.dist = make([][]int32, n)
 	g.prev = make([][]int32, n)
+	for v, d := range g.row(0) {
+		if d < 0 {
+			return nil, fmt.Errorf("topology: graph is disconnected: node %d is unreachable from node 0", v)
+		}
+	}
 	return g, nil
 }
 
@@ -91,7 +97,7 @@ func (g *Graph) Neighbors(a int) []int {
 	return g.adj[a]
 }
 
-// Distance implements Topology. It returns -1 if b is unreachable from a.
+// Distance implements Topology.
 func (g *Graph) Distance(a, b int) int {
 	checkNode(a, g.n)
 	checkNode(b, g.n)
@@ -99,14 +105,10 @@ func (g *Graph) Distance(a, b int) int {
 }
 
 // Route implements Router, following BFS predecessors from b back to a.
-// It panics if b is unreachable from a.
 func (g *Graph) Route(path []int, a, b int) []int {
 	checkNode(a, g.n)
 	checkNode(b, g.n)
-	d := g.row(a)
-	if d[b] < 0 {
-		panic(fmt.Sprintf("topology: no route from %d to %d", a, b))
-	}
+	g.row(a) // fills prev[a] on first use
 	g.mu.Lock()
 	prev := g.prev[a]
 	g.mu.Unlock()
@@ -124,18 +126,7 @@ func (g *Graph) Route(path []int, a, b int) []int {
 	return path
 }
 
-// Connected reports whether the graph is connected.
-func (g *Graph) Connected() bool {
-	d := g.row(0)
-	for _, v := range d {
-		if v < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Diameter returns the largest finite pairwise distance. It is O(n·m).
+// Diameter returns the largest pairwise distance. It is O(n·m).
 func (g *Graph) Diameter() int {
 	diam := 0
 	for a := 0; a < g.n; a++ {
@@ -148,12 +139,11 @@ func (g *Graph) Diameter() int {
 	return diam
 }
 
-// bfsRow fills dist (length n) with BFS distances from src, marking
-// unreachable nodes -1, and prev, unless nil, with each node's BFS
-// predecessor (-1 for src and unreachable nodes). queue is caller-provided
-// scratch with capacity n; bfsRow touches no shared state, so
-// distance-matrix construction can run one BFS per goroutine without
-// locking.
+// bfsRow fills dist (length n) with BFS distances from src, -1 marking a
+// node not reached, and prev, unless nil, with each node's BFS predecessor
+// (-1 for src). queue is caller-provided scratch with capacity n; bfsRow
+// touches no shared state, so distance-matrix construction can run one
+// BFS per goroutine without locking.
 func (g *Graph) bfsRow(src int, dist, prev, queue []int32) {
 	for i := range dist {
 		dist[i] = -1

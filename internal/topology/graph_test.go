@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -43,26 +44,57 @@ func TestGraphRingDistances(t *testing.T) {
 	}
 }
 
-func TestGraphDisconnectedDistanceIsMinusOne(t *testing.T) {
-	g, err := NewGraph(4, [][2]int{{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Distance(0, 3); got != -1 {
-		t.Errorf("Distance across components = %d, want -1", got)
-	}
-	if g.Connected() {
-		t.Error("Connected() = true for disconnected graph")
+// TestNewGraphRejectsDisconnected: every pair of a machine's processors
+// has a distance, so a graph with more than one component is refused at
+// construction, naming the first node that node 0 cannot reach, rather
+// than answering -1 for the pairs across components (which the mapping
+// kernels used to read as a saving).
+func TestNewGraphRejectsDisconnected(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		edges [][2]int
+		node  string
+	}{
+		{4, [][2]int{{0, 1}, {2, 3}}, "node 2 "},
+		{4, [][2]int{{0, 1}}, "node 2 "},
+		{2, nil, "node 1 "},
+		{5, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}}, "node 3 "},
+		{5, [][2]int{{1, 2}, {2, 3}, {3, 4}}, "node 1 "},
+	} {
+		g, err := NewGraph(tc.n, tc.edges)
+		if err == nil {
+			t.Errorf("NewGraph(%d, %v) = %s, want an error", tc.n, tc.edges, g.Name())
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "disconnected") || !strings.Contains(msg, tc.node) {
+			t.Errorf("NewGraph(%d, %v): error %q does not name %q", tc.n, tc.edges, msg, tc.node)
+		}
 	}
 }
 
+// TestGraphConnected: connected graphs are accepted, a single node
+// included, and every distance they answer is a hop count.
 func TestGraphConnected(t *testing.T) {
-	g, err := NewGraph(5, ring(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Connected() {
-		t.Error("ring should be connected")
+	for _, tc := range []struct {
+		n     int
+		edges [][2]int
+	}{
+		{1, nil},
+		{5, ring(5)},
+		{4, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{5, [][2]int{{4, 0}, {4, 1}, {4, 2}, {4, 3}}},
+	} {
+		g, err := NewGraph(tc.n, tc.edges)
+		if err != nil {
+			t.Fatalf("NewGraph(%d, %v): %v", tc.n, tc.edges, err)
+		}
+		for a := 0; a < tc.n; a++ {
+			for b := 0; b < tc.n; b++ {
+				if d := g.Distance(a, b); d < 0 || d >= tc.n || (d == 0) != (a == b) {
+					t.Errorf("%v: Distance(%d,%d) = %d", tc.edges, a, b, d)
+				}
+			}
+		}
 	}
 }
 

@@ -34,28 +34,6 @@ func MustMesh(dims ...int) *Mesh {
 // Name implements Topology.
 func (m *Mesh) Name() string { return m.name }
 
-// Distance returns the Manhattan distance between a and b.
-func (m *Mesh) Distance(a, b int) int {
-	checkNode(a, m.n)
-	checkNode(b, m.n)
-	dist := 0
-	for _, st := range m.strides {
-		ai, bi := a/st, b/st
-		a, b = a%st, b%st
-		if ai > bi {
-			dist += ai - bi
-		} else {
-			dist += bi - ai
-		}
-	}
-	return dist
-}
-
-// Route implements Router with dimension-ordered (e-cube) routing.
-func (m *Mesh) Route(path []int, a, b int) []int {
-	return m.routeGrid(path, a, b, false)
-}
-
 // Diameter returns Σ_i (d_i - 1).
 func (m *Mesh) Diameter() int {
 	d := 0

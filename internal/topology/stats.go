@@ -58,23 +58,24 @@ func SampleMeanDistance(t Topology, samples int, seed int64) float64 {
 // the node count to approximate the distance to an unplaced task.
 //
 // Rows are summed independently in ascending q order and fanned out with
-// parallel.For, reading the cached distance matrix when one is available.
-// Distances are integers, so every partial sum is exact in float64 and
-// the result is bit-identical for any GOMAXPROCS and either source.
+// parallel.For, reading t's oracle (NewDists). Distances are integers, so
+// every partial sum is exact in float64 and the result is bit-identical
+// for any GOMAXPROCS and any source.
 func TotalDistances(t Topology, out []float64) {
 	n := t.Nodes()
-	dm := CachedDistances(t)
+	d := NewDists(t)
 	parallel.For(n, 8, func(lo, hi int) {
+		d := d // the chunk's own copy: a method call on the captured one would move it to the heap
+		dm := d.Matrix()
 		for p := lo; p < hi; p++ {
 			sum := 0.0
 			if dm != nil {
-				row := dm.Row(p)
-				for q := 0; q < n; q++ {
-					sum += float64(row[q])
+				for _, x := range dm.Row(p) {
+					sum += float64(x)
 				}
 			} else {
 				for q := 0; q < n; q++ {
-					sum += float64(t.Distance(p, q))
+					sum += float64(d.Dist(p, q))
 				}
 			}
 			out[p] = sum

@@ -5,7 +5,9 @@
 //
 // A Topology exposes the number of nodes, adjacency, and shortest-path
 // distance. Mesh, torus, and hypercube distances are closed-form; arbitrary
-// graphs use cached breadth-first search. Topologies that support
+// graphs use cached breadth-first search. The mapping kernels read every
+// distance through Dists, one oracle over the cached DistanceMatrix and
+// those closed forms. Topologies that support
 // deterministic routing also implement Router, which enumerates the exact
 // sequence of directed links a message traverses; the network simulator and
 // the machine emulator charge link loads along those routes.

@@ -35,32 +35,6 @@ func MustTorus(dims ...int) *Torus {
 // Name implements Topology.
 func (t *Torus) Name() string { return t.name }
 
-// Distance returns the wraparound Manhattan distance between a and b.
-func (t *Torus) Distance(a, b int) int {
-	checkNode(a, t.n)
-	checkNode(b, t.n)
-	dist := 0
-	for i, st := range t.strides {
-		ai, bi := a/st, b/st
-		a, b = a%st, b%st
-		d := ai - bi
-		if d < 0 {
-			d = -d
-		}
-		if w := t.dims[i] - d; w < d {
-			d = w
-		}
-		dist += d
-	}
-	return dist
-}
-
-// Route implements Router with dimension-ordered routing taking the shorter
-// wraparound direction in each dimension.
-func (t *Torus) Route(path []int, a, b int) []int {
-	return t.routeGrid(path, a, b, true)
-}
-
 // Diameter returns Σ_i floor(d_i / 2).
 func (t *Torus) Diameter() int {
 	d := 0

@@ -41,6 +41,7 @@ func NewHypercube(dim int) (*Hypercube, error) { return topology.NewHypercube(di
 func NewFatTree(arity, levels int) (*FatTree, error) { return topology.NewFatTree(arity, levels) }
 
 // NewGraphTopology constructs an arbitrary topology from undirected edges.
+// The graph must be connected: every pair of processors needs a distance.
 func NewGraphTopology(n int, edges [][2]int) (*GraphTopology, error) {
 	return topology.NewGraph(n, edges)
 }
