@@ -124,13 +124,22 @@ func Quotient(g *taskgraph.Graph, r *Result) (*taskgraph.Graph, error) {
 	for p, l := range loads {
 		b.SetVertexWeight(p, l)
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		adj, w := g.Neighbors(v)
-		for i, u := range adj {
-			if int32(v) < u && r.Assign[v] != r.Assign[u] {
-				b.AddEdge(r.Assign[v], r.Assign[int(u)], w[i])
+	// One sum per group pair, each in fine-edge order from 0: the order a
+	// Builder fed every cut edge would have summed them in.
+	sums := make(map[uint64]float64)
+	xadj, adjncy, adjwgt := g.CSR()
+	for v, p := range r.Assign {
+		for i := xadj[v]; i < xadj[v+1]; i++ {
+			if u := int(adjncy[i]); v < u && p != r.Assign[u] {
+				lo, hi := min(p, r.Assign[u]), max(p, r.Assign[u])
+				sums[uint64(lo)<<32|uint64(hi)] += adjwgt[i]
 			}
 		}
+	}
+	b.Grow(len(sums))
+	//lint:ignore determinism each pair is added once, so nothing is summed in map order, and Build sorts every row by neighbour
+	for pq, s := range sums {
+		b.AddEdge(int(pq>>32), int(uint32(pq)), s)
 	}
 	return b.Build(fmt.Sprintf("quotient[%s,k=%d]", g.Name(), r.K)), nil
 }

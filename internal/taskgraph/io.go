@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -146,6 +147,9 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("taskgraph: metis vertex %d weight: %w", v+1, err)
 			}
+			if !validWeight(w) {
+				return nil, fmt.Errorf("taskgraph: metis vertex %d: weight %v is negative or not finite", v+1, w)
+			}
 			b.SetVertexWeight(v, w)
 			i = 1
 		}
@@ -164,6 +168,9 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 				if err != nil {
 					return nil, fmt.Errorf("taskgraph: metis vertex %d edge weight: %w", v+1, err)
 				}
+				if !validWeight(ew) {
+					return nil, fmt.Errorf("taskgraph: metis vertex %d: edge weight %v is negative or not finite", v+1, ew)
+				}
 				i++
 			}
 			if u-1 > v { // each undirected edge appears twice; take one side
@@ -177,6 +184,10 @@ func ReadMetis(r io.Reader) (*Graph, error) {
 	}
 	return g, nil
 }
+
+// validWeight reports whether a parsed weight is one a graph may carry:
+// finite and not negative.
+func validWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
 
 func nextDataLine(sc *bufio.Scanner) (string, error) {
 	for sc.Scan() {

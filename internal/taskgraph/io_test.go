@@ -116,6 +116,24 @@ func TestReadMetisErrors(t *testing.T) {
 	}
 }
 
+// A weight that is negative or not finite is an error naming its vertex,
+// not a panic in the builder or a NaN in TotalComm.
+func TestReadMetisRejectsBadWeights(t *testing.T) {
+	for _, in := range []string{
+		"2 1 011\n1 2 7\n-5 1 7\n",
+		"2 1 011\n1 2 7\nNaN 1 7\n",
+		"2 1 011\n1 2 7\n+Inf 1 7\n",
+		"2 1 001\n2 7\n1 -7\n",
+		"2 1 001\n2 7\n1 nan\n",
+		"2 1 001\n2 7\n1 -Inf\n",
+	} {
+		_, err := ReadMetis(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "vertex 2") {
+			t.Errorf("%q: error %v, want one naming vertex 2", in, err)
+		}
+	}
+}
+
 // Property: JSON round-trip preserves TotalComm and TotalLoad for random
 // graphs of varying shape.
 func TestPropertyJSONRoundTripTotals(t *testing.T) {

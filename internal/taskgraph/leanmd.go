@@ -80,8 +80,7 @@ func LeanMD(p int, msgBytes float64, seed int64) *Graph {
 // integrator at the centroid of its cell block. The layout matches
 // LeanMD(p, ...) for any message size and seed.
 func LeanMDCoords(p int) [][]float64 {
-	coords := make([][]float64, LeanMDCells+p)
-	fillGridCoords(leanMDGrid, coords)
+	coords := gridCoords(leanMDGrid, LeanMDCells+p)
 	per := LeanMDCells / p
 	if per < 1 {
 		per = 1
@@ -92,7 +91,7 @@ func LeanMDCoords(p int) [][]float64 {
 		if hi > LeanMDCells {
 			hi = LeanMDCells
 		}
-		cen := []float64{0, 0, 0}
+		cen := coords[LeanMDCells+j]
 		for c := lo; c < hi; c++ {
 			for d := 0; d < 3; d++ {
 				cen[d] += coords[c][d]
@@ -101,7 +100,6 @@ func LeanMDCoords(p int) [][]float64 {
 		for d := range cen {
 			cen[d] /= float64(hi - lo)
 		}
-		coords[LeanMDCells+j] = cen
 	}
 	return coords
 }

@@ -48,10 +48,10 @@ func eachCell(ext []int, visit func(id int, c []int)) {
 	}
 }
 
-// addStencil adds, on b's first vertices, the edges of stencil over the
-// grid: arms that leave the grid wrap around when wrap is set and are
-// dropped otherwise.
-func addStencil(b *Builder, ext []int, wrap bool, stencil []arm, msgBytes float64) {
+// eachArm calls pair with every pair of stencil over the grid that
+// AddEdge would keep, cell by cell in id order and arm by arm: arms that
+// leave the grid wrap around when wrap is set and are dropped otherwise.
+func eachArm(ext []int, wrap bool, stencil []arm, msgBytes float64, pair func(a, b int, w float64)) {
 	to := make([]int, len(ext))
 	eachCell(ext, func(id int, c []int) {
 	arms:
@@ -65,14 +65,24 @@ func addStencil(b *Builder, ext []int, wrap bool, stencil []arm, msgBytes float6
 				}
 				to[k] = x
 			}
-			b.AddEdge(id, cellID(ext, to), msgBytes*a.frac)
+			if v, w := cellID(ext, to), msgBytes*a.frac; keepEdge(id, v, w) {
+				pair(id, v, w)
+			}
 		}
 	})
 }
 
+// addStencil adds, on b's first vertices, the edges of stencil over the
+// grid.
+func addStencil(b *Builder, ext []int, wrap bool, stencil []arm, msgBytes float64) {
+	eachArm(ext, wrap, stencil, msgBytes, func(a, v int, w float64) { b.AddEdge(a, v, w) })
+}
+
 // grid builds the pattern every lattice generator below is: one task per
-// cell. Extents below 1 — below 3 with wrap, where a shorter ring would
-// double its edges — panic.
+// cell, its CSR filled in place by walking the stencil twice, to count
+// and to place, in the order a Builder would have received the edges.
+// Extents below 1 — below 3 with wrap, where a shorter ring would double
+// its edges — panic.
 func grid(name string, ext []int, wrap bool, stencil []arm, msgBytes float64) *Graph {
 	least := 1
 	if wrap {
@@ -85,9 +95,11 @@ func grid(name string, ext []int, wrap bool, stencil []arm, msgBytes float64) *G
 		}
 		n *= e
 	}
-	b := NewBuilder(n)
-	addStencil(b, ext, wrap, stencil, msgBytes)
-	return b.Build(name)
+	f := newCSRFill(n)
+	eachArm(ext, wrap, stencil, msgBytes, f.count)
+	f.alloc()
+	eachArm(ext, wrap, stencil, msgBytes, f.place)
+	return f.finish(name, ones(n))
 }
 
 // GridCoords returns the lattice position of every task of a grid pattern
@@ -98,20 +110,31 @@ func GridCoords(ext ...int) [][]float64 {
 	for _, e := range ext {
 		n *= e
 	}
-	coords := make([][]float64, n)
-	fillGridCoords(ext, coords)
+	return gridCoords(ext, n)
+}
+
+// gridCoords returns rows coordinate rows of len(ext) zeros, the first
+// ones holding the grid's positions in id order.
+func gridCoords(ext []int, rows int) [][]float64 {
+	coords := flatRows(rows, len(ext))
+	eachCell(ext, func(id int, c []int) {
+		for k, x := range c {
+			coords[id][k] = float64(x)
+		}
+	})
 	return coords
 }
 
-// fillGridCoords writes the grid's positions into the first rows of coords.
-func fillGridCoords(ext []int, coords [][]float64) {
-	eachCell(ext, func(id int, c []int) {
-		row := make([]float64, len(c))
-		for k, x := range c {
-			row[k] = float64(x)
-		}
-		coords[id] = row
-	})
+// flatRows returns n rows of d zeros carved from one array. Each row's
+// capacity is d, so an append to one row copies it instead of
+// overwriting the next.
+func flatRows(n, d int) [][]float64 {
+	flat := make([]float64, n*d)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return rows
 }
 
 // Mesh2D builds the paper's principal benchmark pattern: rx × ry tasks in a

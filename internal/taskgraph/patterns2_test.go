@@ -95,6 +95,8 @@ func TestPattern2Panics(t *testing.T) {
 		"bintree":   func() { BinaryTree(0, 1) },
 		"butterfly": func() { Butterfly(0, 1) },
 		"wavefront": func() { Wavefront(1, 0, 1) },
+		// A grid fills its CSR itself, with AddEdge's rule for bytes.
+		"negative bytes": func() { Stencil9(3, 3, -1) },
 	} {
 		func() {
 			defer func() {

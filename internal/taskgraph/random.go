@@ -85,9 +85,9 @@ func rggPoints(n int, seed int64) (xs, ys []float64) {
 // rgg pattern.
 func RandomGeometricCoords(n int, seed int64) [][]float64 {
 	xs, ys := rggPoints(n, seed)
-	coords := make([][]float64, n)
-	for i := range coords {
-		coords[i] = []float64{xs[i], ys[i]}
+	coords := flatRows(n, 2)
+	for i, c := range coords {
+		c[0], c[1] = xs[i], ys[i]
 	}
 	return coords
 }

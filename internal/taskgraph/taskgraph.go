@@ -5,12 +5,14 @@
 // the two endpoint tasks per iteration — there are no DAG dependencies.
 //
 // Graphs are stored in compressed sparse row (CSR) form so the mapping
-// algorithms' inner loops touch contiguous memory. Construction goes
-// through a Builder, which combines duplicate edges by summing weights.
+// algorithms' inner loops touch contiguous memory. Every graph is
+// finished by FromCSR, which sorts each row and combines duplicate edges
+// by summing weights; irregular inputs reach it through a Builder.
 package taskgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -23,12 +25,122 @@ type Graph struct {
 	adjwgt []float64 // edge weight (bytes) parallel to adjncy
 }
 
+// FromCSR finishes a graph from CSR arrays and takes ownership of them:
+// row v, adj[xadj[v]:xadj[v+1]] with the bytes parallel in wgt, lists v's
+// partners, each undirected pair from both sides. Each row is sorted by
+// neighbour, stably, and repeated neighbours merge into one entry whose
+// weight is their bytes summed in row order starting from 0. That order
+// is the whole summation contract: a Builder lists a pair's bytes in
+// AddEdge order, so every graph sums exactly as an accumulator per vertex
+// pair would.
+func FromCSR(name string, vwgt []float64, xadj, adj []int32, wgt []float64) *Graph {
+	n := len(vwgt)
+	if len(xadj) != n+1 || xadj[0] != 0 || int(xadj[n]) != len(adj) || len(wgt) != len(adj) {
+		panic(fmt.Sprintf("taskgraph: malformed CSR: %d vertices, %d offsets, %d neighbours, %d weights",
+			n, len(xadj), len(adj), len(wgt)))
+	}
+	var long *row // sort.Stable's operand, for the rare long unsorted row
+	lo, out := int32(0), int32(0)
+	for v := 0; v < n; v++ {
+		hi := xadj[v+1]
+		if r := adj[lo:hi]; !slices.IsSorted(r) {
+			if len(r) <= 16 {
+				insertionSortRow(r, wgt[lo:hi])
+			} else {
+				if long == nil {
+					long = new(row)
+				}
+				long.adj, long.wgt = r, wgt[lo:hi]
+				sort.Stable(long)
+			}
+		}
+		first := out
+		for i := lo; i < hi; i++ {
+			u, w := adj[i], wgt[i]
+			if out == first || adj[out-1] != u {
+				adj[out], wgt[out] = u, 0
+				out++
+			}
+			wgt[out-1] += w
+		}
+		xadj[v+1] = out
+		lo = hi
+	}
+	return &Graph{name: name, vwgt: vwgt, xadj: xadj, adjncy: adj[:out], adjwgt: wgt[:out]}
+}
+
+// row sorts one CSR row by neighbour, carrying the weights along.
+type row struct {
+	adj []int32
+	wgt []float64
+}
+
+func (r *row) Len() int           { return len(r.adj) }
+func (r *row) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
+func (r *row) Swap(i, j int) {
+	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
+	r.wgt[i], r.wgt[j] = r.wgt[j], r.wgt[i]
+}
+
+// insertionSortRow is sort.Stable for the short rows nearly every graph
+// has, without the interface.
+func insertionSortRow(adj []int32, wgt []float64) {
+	for i := 1; i < len(adj); i++ {
+		for j := i; j > 0 && adj[j] < adj[j-1]; j-- {
+			adj[j], adj[j-1] = adj[j-1], adj[j]
+			wgt[j], wgt[j-1] = wgt[j-1], wgt[j]
+		}
+	}
+}
+
+// csrFill lays out a CSR by counting sort: count every pair, alloc, place
+// every pair again in the same order, then finish. Each row receives its
+// entries in placing order, which FromCSR keeps for equal neighbours.
+type csrFill struct {
+	xadj []int32
+	adj  []int32
+	wgt  []float64
+}
+
+func newCSRFill(n int) *csrFill { return &csrFill{xadj: make([]int32, n+1)} }
+
+func (f *csrFill) count(a, b int, _ float64) {
+	f.xadj[a+1]++
+	f.xadj[b+1]++
+}
+
+// alloc turns the counts into row starts; xadj[v] is then row v's cursor.
+func (f *csrFill) alloc() {
+	for v := 1; v < len(f.xadj); v++ {
+		f.xadj[v] += f.xadj[v-1]
+	}
+	f.adj = make([]int32, f.xadj[len(f.xadj)-1])
+	f.wgt = make([]float64, len(f.adj))
+}
+
+func (f *csrFill) place(a, b int, w float64) {
+	i := f.xadj[a]
+	f.adj[i], f.wgt[i] = int32(b), w
+	f.xadj[a]++
+	j := f.xadj[b]
+	f.adj[j], f.wgt[j] = int32(a), w
+	f.xadj[b]++
+}
+
+// finish shifts the cursors, each now at its row's end, back to row
+// starts and hands the arrays to FromCSR.
+func (f *csrFill) finish(name string, vwgt []float64) *Graph {
+	copy(f.xadj[1:], f.xadj)
+	f.xadj[0] = 0
+	return FromCSR(name, vwgt, f.xadj, f.adj, f.wgt)
+}
+
 // Builder accumulates vertices and edges for a Graph. The zero Builder is
 // not usable; call NewBuilder.
 type Builder struct {
-	n    int
 	vwgt []float64
-	adj  []map[int32]float64 // adjacency with weight accumulation
+	a, b []int32   // endpoints of every kept AddEdge call, in call order
+	w    []float64 // its bytes
 }
 
 // NewBuilder creates a builder for a graph on n vertices, all with vertex
@@ -37,11 +149,16 @@ func NewBuilder(n int) *Builder {
 	if n < 1 {
 		panic(fmt.Sprintf("taskgraph: need at least 1 vertex, got %d", n))
 	}
-	b := &Builder{n: n, vwgt: make([]float64, n), adj: make([]map[int32]float64, n)}
-	for i := range b.vwgt {
-		b.vwgt[i] = 1
+	return &Builder{vwgt: ones(n)}
+}
+
+// ones returns n vertex weights of 1.
+func ones(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
 	}
-	return b
+	return w
 }
 
 // SetVertexWeight sets the computation weight of v.
@@ -58,49 +175,48 @@ func (b *Builder) SetVertexWeight(v int, w float64) *Builder {
 // by construction and is dropped, matching the paper's model where only
 // inter-task edges contribute to hop-bytes.
 func (b *Builder) AddEdge(a, v int, bytes float64) *Builder {
-	if a < 0 || a >= b.n || v < 0 || v >= b.n {
-		panic(fmt.Sprintf("taskgraph: edge (%d,%d) out of range [0,%d)", a, v, b.n))
+	if n := len(b.vwgt); a < 0 || a >= n || v < 0 || v >= n {
+		panic(fmt.Sprintf("taskgraph: edge (%d,%d) out of range [0,%d)", a, v, n))
 	}
-	if bytes < 0 {
-		panic("taskgraph: negative edge weight")
+	if keepEdge(a, v, bytes) {
+		b.a = append(b.a, int32(a))
+		b.b = append(b.b, int32(v))
+		b.w = append(b.w, bytes)
 	}
-	if a == v || bytes <= 0 {
-		return b
-	}
-	if b.adj[a] == nil {
-		b.adj[a] = make(map[int32]float64)
-	}
-	if b.adj[v] == nil {
-		b.adj[v] = make(map[int32]float64)
-	}
-	b.adj[a][int32(v)] += bytes
-	b.adj[v][int32(a)] += bytes
 	return b
 }
 
-// Build finalizes the graph. Adjacency lists are sorted by neighbor index
-// for determinism.
+// Grow makes room for m more AddEdge calls without reallocating, for
+// callers that know their edge count.
+func (b *Builder) Grow(m int) {
+	b.a = slices.Grow(b.a, m)
+	b.b = slices.Grow(b.b, m)
+	b.w = slices.Grow(b.w, m)
+}
+
+// keepEdge is AddEdge's rule for a pair in range, and every generator's
+// that fills a CSR itself: negative bytes panic; self-pairs and zero
+// bytes are dropped.
+func keepEdge(a, v int, bytes float64) bool {
+	if bytes < 0 {
+		panic("taskgraph: negative edge weight")
+	}
+	return a != v && bytes > 0
+}
+
+// Build finalizes the graph: the edges are counting-sorted into rows in
+// AddEdge order, and FromCSR sorts each row by neighbour and sums
+// repeated pairs in that order.
 func (b *Builder) Build(name string) *Graph {
-	g := &Graph{name: name, vwgt: b.vwgt, xadj: make([]int32, b.n+1)}
-	total := 0
-	for _, m := range b.adj {
-		total += len(m)
+	f := newCSRFill(len(b.vwgt))
+	for i := range b.a {
+		f.count(int(b.a[i]), int(b.b[i]), 0)
 	}
-	g.adjncy = make([]int32, 0, total)
-	g.adjwgt = make([]float64, 0, total)
-	for v := 0; v < b.n; v++ {
-		keys := make([]int32, 0, len(b.adj[v]))
-		for u := range b.adj[v] {
-			keys = append(keys, u)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, u := range keys {
-			g.adjncy = append(g.adjncy, u)
-			g.adjwgt = append(g.adjwgt, b.adj[v][u])
-		}
-		g.xadj[v+1] = int32(len(g.adjncy))
+	f.alloc()
+	for i, w := range b.w {
+		f.place(int(b.a[i]), int(b.b[i]), w)
 	}
-	return g
+	return f.finish(name, b.vwgt)
 }
 
 // Name returns the graph's descriptive name.
