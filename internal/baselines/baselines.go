@@ -165,6 +165,11 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 	cur := core.HopBytes(g, t, m)
 	best := m.Clone()
 	bestHB := cur
+	swapDelta := func(a, b int) float64 {
+		adjA, wA := g.Neighbors(a)
+		adjB, wB := g.Neighbors(b)
+		return core.SwapDelta(&dist, m, m[a], m[b], a, adjA, wA, b, adjB, wB)
+	}
 
 	// Initial temperature: mean |Δ| of random swaps, so roughly half of
 	// uphill moves are accepted at the start.
@@ -174,7 +179,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		if a == b {
 			continue
 		}
-		temp += math.Abs(core.SwapDelta(g, &dist, m, a, b))
+		temp += math.Abs(swapDelta(a, b))
 	}
 	temp = temp/50 + 1e-9
 
@@ -184,7 +189,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 			if a == b {
 				continue
 			}
-			d := core.SwapDelta(g, &dist, m, a, b)
+			d := swapDelta(a, b)
 			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
 				m[a], m[b] = m[b], m[a]
 				cur += d

@@ -169,17 +169,22 @@ func (r *Runtime) Run(iterations int) (emulator.Result, error) {
 	if err != nil {
 		return emulator.Result{}, err
 	}
-	// Instrument: measured load and communication scale with iterations.
+	r.instrument(iterations)
+	return res, nil
+}
+
+// instrument adds the measurements of a window of the given iterations:
+// each chare's load and each pair's bytes scale with the count. Run and
+// RunSimulated both end with it.
+func (r *Runtime) instrument(iterations int) {
 	n := r.app.NumChares()
 	for v := 0; v < n; v++ {
 		r.instrLoad[v] += r.app.Work(v) * r.workUnitTime * float64(iterations)
 		for _, m := range r.app.Messages(v) {
-			k := commKey(v, m.To)
-			r.instrComm[k] += m.Bytes * float64(iterations)
+			r.instrComm[commKey(v, m.To)] += m.Bytes * float64(iterations)
 		}
 	}
 	r.instrIters += iterations
-	return res, nil
 }
 
 func commKey(a, b int) [2]int32 {

@@ -41,14 +41,7 @@ func (r *Runtime) RunSimulated(iterations int) (trace.Result, error) {
 	if err != nil {
 		return trace.Result{}, err
 	}
-	// Instrument as Run does.
-	for v := 0; v < n; v++ {
-		r.instrLoad[v] += r.app.Work(v) * r.workUnitTime * float64(iterations)
-		for _, m := range r.app.Messages(v) {
-			r.instrComm[commKey(v, m.To)] += m.Bytes * float64(iterations)
-		}
-	}
-	r.instrIters += iterations
+	r.instrument(iterations)
 	return res, nil
 }
 

@@ -344,20 +344,22 @@ func (s HierMap) refine(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []i
 		moves := 0
 		for v := 0; v < n; v++ {
 			pv := placement[v]
-			adj, _ := g.Neighbors(v)
+			adj, w := g.Neighbors(v)
 			best := -1
 			bestDelta := -swapEps
 			cands := 0
 			for _, u32 := range adj {
 				u := int(u32)
-				if h.DivergeLevel(pv, placement[u]) < 0 {
+				pu := placement[u]
+				if h.DivergeLevel(pv, pu) < 0 {
 					continue // same leaf: the leaf kernel already optimized it
 				}
 				cands++
 				if cands > hierMaxCand {
 					break
 				}
-				if delta := SwapDelta(g, &d, placement, v, u); delta < bestDelta {
+				adjU, wU := g.Neighbors(u)
+				if delta := SwapDelta(&d, placement, pv, pu, v, adj, w, u, adjU, wU); delta < bestDelta {
 					best, bestDelta = u, delta
 				}
 			}

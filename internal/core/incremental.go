@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -29,6 +30,18 @@ import (
 // Applying a mutation touches only the O(deg(task)) incident leaves plus
 // their root paths, so a delta costs O(deg·log |E|) while reading the
 // total is O(1).
+//
+// # Rows
+//
+// The graph is one adjacency: task v's row lists its partners in
+// ascending id order, each with the edge's weight and the id of the
+// edge's leaf. Both rows of an edge carry its weight and leaf id, and the
+// leaf id is the only identity an edge has; a contribution is computed
+// from whichever row entry is at hand. The refiner scores candidates with
+// SwapDelta straight off these rows. A removed edge's leaf is zeroed and
+// pushed on a free list, and the next inserted edge pops it, so leaf ids —
+// and with them the tree's shape and every total — follow the mutation
+// history alone.
 //
 // # Exactness
 //
@@ -78,28 +91,23 @@ type IncrementalState struct {
 	clean     []bool
 	cleanCost float64 // the MigrationCost the set bits were computed under
 
-	// adj[v] lists v's communication partners in ascending id order, each
-	// with the id of the shared edge record. adjBuf is the single backing
-	// array CloneInto lays a clone's adjacency into, kept for reuse.
-	adj    []incAdj
-	adjBuf []int32
-
-	// Edge records, indexed by edge id. Dead records (freed by edge
-	// removal) have weight 0, a zeroed leaf, and sit on the free list.
-	edgeA, edgeB []int32
-	edgeW        []float64
-	freeEdges    []int32
-
-	tree      sumTree
-	liveTasks int
-	liveEdges int
+	// adj[v] is task v's row (see "Rows"). The rows are laid out in one
+	// backing array per field, kept for reuse by CloneInto.
+	adj             []incRow
+	nbrBuf, leafBuf []int32
+	wBuf            []float64
+	freeLeaves      []int32 // leaves of removed edges, zeroed, reused last-in first-out
+	tree            sumTree
+	liveTasks       int
+	liveEdges       int
 }
 
-// incAdj is one task's adjacency: partner ids (sorted ascending) and the
-// parallel edge-record ids.
-type incAdj struct {
-	nbr []int32
-	eid []int32
+// incRow is one task's row: partner ids (sorted ascending) and, entry for
+// entry, the shared edge's weight and leaf id.
+type incRow struct {
+	nbr  []int32
+	w    []float64
+	leaf []int32
 }
 
 // incCounters are the process-wide incremental-engine counters surfaced
@@ -172,7 +180,6 @@ func NewIncrementalState(g *taskgraph.Graph, t topology.Topology, m Mapping) (*I
 		proc:   make([]int, n),
 		anchor: make([]int, n),
 		clean:  make([]bool, n),
-		adj:    make([]incAdj, n),
 	}
 	copy(s.proc, m)
 	copy(s.anchor, m)
@@ -181,84 +188,82 @@ func NewIncrementalState(g *taskgraph.Graph, t topology.Topology, m Mapping) (*I
 		s.load[v] = g.VertexWeight(v)
 	}
 	s.liveTasks = n
-	nEdges := g.NumEdges()
-	s.edgeA = make([]int32, 0, nEdges)
-	s.edgeB = make([]int32, 0, nEdges)
-	s.edgeW = make([]float64, 0, nEdges)
-	s.tree.init(nEdges)
+	s.reserveRows(n, 2*g.NumEdges())
+	s.tree.init(g.NumEdges())
+	off := 0
 	for v := 0; v < n; v++ {
 		adj, w := g.Neighbors(v)
-		a := &s.adj[v]
-		a.nbr = make([]int32, len(adj))
-		a.eid = make([]int32, len(adj))
-		copy(a.nbr, adj)
+		r := s.carveRow(v, off, off+len(adj))
+		off += len(adj)
+		copy(r.nbr, adj)
+		copy(r.w, w)
+		// Leaves go to the edges in CSR order, each from its lower end's
+		// row; the higher end, met later, copies the id from that row.
 		for i, u := range adj {
 			if int32(v) < u {
-				eid := int32(len(s.edgeA))
-				s.edgeA = append(s.edgeA, int32(v))
-				s.edgeB = append(s.edgeB, u)
-				s.edgeW = append(s.edgeW, w[i])
-				a.eid[i] = eid
+				r.leaf[i] = int32(s.liveEdges)
+				s.liveEdges++
+				s.setLeaf(v, i)
+			} else {
+				ru := &s.adj[u]
+				j, _ := ru.search(int32(v))
+				r.leaf[i] = ru.leaf[j]
 			}
 		}
-	}
-	// Second pass fills the back-references (u > v sees the edge id the
-	// v < u pass assigned).
-	for v := 0; v < n; v++ {
-		a := &s.adj[v]
-		for i, u := range a.nbr {
-			if u < int32(v) {
-				a.eid[i] = s.adj[u].edgeID(int32(v))
-			}
-		}
-	}
-	s.liveEdges = len(s.edgeA)
-	for eid := range s.edgeA {
-		s.tree.set(eid, s.edgeContribution(int32(eid)))
 	}
 	incCounters.states.Add(1)
 	return s, nil
 }
 
-// edgeID returns the edge-record id shared with partner u, or -1.
-func (a *incAdj) edgeID(u int32) int32 {
-	i := sort.Search(len(a.nbr), func(i int) bool { return a.nbr[i] >= u })
-	if i < len(a.nbr) && a.nbr[i] == u {
-		return a.eid[i]
+// reserveRows sizes adj to n rows and each backing array to entries, the
+// rows' total length, reusing the slices where they are large enough.
+func (s *IncrementalState) reserveRows(n, entries int) {
+	if cap(s.nbrBuf) < entries {
+		s.nbrBuf = make([]int32, entries)
+		s.leafBuf = make([]int32, entries)
+		s.wBuf = make([]float64, entries)
 	}
-	return -1
-}
-
-// insert adds partner u with edge id e, keeping ascending order.
-func (a *incAdj) insert(u, e int32) {
-	i := sort.Search(len(a.nbr), func(i int) bool { return a.nbr[i] >= u })
-	a.nbr = append(a.nbr, 0)
-	a.eid = append(a.eid, 0)
-	copy(a.nbr[i+1:], a.nbr[i:])
-	copy(a.eid[i+1:], a.eid[i:])
-	a.nbr[i], a.eid[i] = u, e
-}
-
-// remove drops partner u. Reports whether u was present.
-func (a *incAdj) remove(u int32) bool {
-	i := sort.Search(len(a.nbr), func(i int) bool { return a.nbr[i] >= u })
-	if i >= len(a.nbr) || a.nbr[i] != u {
-		return false
+	s.nbrBuf, s.leafBuf, s.wBuf = s.nbrBuf[:entries], s.leafBuf[:entries], s.wBuf[:entries]
+	if cap(s.adj) < n {
+		s.adj = make([]incRow, n)
 	}
-	a.nbr = append(a.nbr[:i], a.nbr[i+1:]...)
-	a.eid = append(a.eid[:i], a.eid[i+1:]...)
-	return true
+	s.adj = s.adj[:n]
 }
 
-// edgeContribution is edge e's current hop-bytes term w·d(P(a), P(b)).
-func (s *IncrementalState) edgeContribution(e int32) float64 {
-	return s.edgeW[e] * float64(s.d.Dist(s.proc[s.edgeA[e]], s.proc[s.edgeB[e]]))
+// carveRow makes entries [off, end) of the backing arrays task v's row and
+// returns it. Each field is capacity-clipped to the row, so a later insert
+// reallocates that row privately instead of overwriting the next one.
+func (s *IncrementalState) carveRow(v, off, end int) *incRow {
+	s.adj[v] = incRow{nbr: s.nbrBuf[off:end:end], w: s.wBuf[off:end:end], leaf: s.leafBuf[off:end:end]}
+	return &s.adj[v]
 }
 
-// setLeaf writes edge e's contribution into the summation tree.
-func (s *IncrementalState) setLeaf(e int32) {
-	s.tree.set(int(e), s.edgeContribution(e))
-	incCounters.edgeUpdates.Add(1)
+// search returns the index of partner u in the row, or the index it would
+// be inserted at, and whether it is there.
+func (r *incRow) search(u int32) (int, bool) {
+	i := sort.Search(len(r.nbr), func(i int) bool { return r.nbr[i] >= u })
+	return i, i < len(r.nbr) && r.nbr[i] == u
+}
+
+// insert puts partner u, with weight w and leaf id leaf, at index i.
+func (r *incRow) insert(i int, u int32, w float64, leaf int32) {
+	r.nbr = slices.Insert(r.nbr, i, u)
+	r.w = slices.Insert(r.w, i, w)
+	r.leaf = slices.Insert(r.leaf, i, leaf)
+}
+
+// remove drops the entry at index i.
+func (r *incRow) remove(i int) {
+	r.nbr = slices.Delete(r.nbr, i, i+1)
+	r.w = slices.Delete(r.w, i, i+1)
+	r.leaf = slices.Delete(r.leaf, i, i+1)
+}
+
+// setLeaf writes the current contribution of task v's entry i,
+// w·d(P(v), P(u)), into the edge's leaf.
+func (s *IncrementalState) setLeaf(v, i int) {
+	r := &s.adj[v]
+	s.tree.set(int(r.leaf[i]), r.w[i]*float64(s.d.Dist(s.proc[v], s.proc[r.nbr[i]])))
 }
 
 // markMoved clears the clean bits that read task v's processor: its own,
@@ -336,7 +341,7 @@ func (s *IncrementalState) ProcLoads() []float64 {
 // ascending partner order.
 func (s *IncrementalState) TaskHopBytes(v int) float64 {
 	hb := 0.0
-	for _, e := range s.adj[v].eid {
+	for _, e := range s.adj[v].leaf {
 		hb += s.tree.leaf(int(e))
 	}
 	return hb
@@ -378,43 +383,43 @@ func (s *IncrementalState) SetComm(a, b int, bytes float64) error {
 	if bytes < 0 {
 		return fmt.Errorf("core: incremental: negative bytes between %d and %d", a, b)
 	}
-	e := s.adj[a].edgeID(int32(b))
-	if e >= 0 || bytes > 0 {
-		// One marking serves the adjacency before and after the edit: the
-		// two differ only in a and b themselves.
-		s.markComm(a)
-		s.markComm(b)
+	ra, rb := &s.adj[a], &s.adj[b]
+	i, found := ra.search(int32(b))
+	if !found && !(bytes > 0) {
+		incCounters.mutations.Add(1)
+		return nil // absent and staying so
 	}
+	// One marking serves the adjacency before and after the edit: the two
+	// differ only in a and b themselves.
+	s.markComm(a)
+	s.markComm(b)
+	j, _ := rb.search(int32(a))
 	switch {
-	case e >= 0 && bytes > 0: // update
-		s.edgeW[e] = bytes
-		s.setLeaf(e)
-	case e >= 0: // remove
-		s.adj[a].remove(int32(b))
-		s.adj[b].remove(int32(a))
-		s.edgeW[e] = 0
+	case found && bytes > 0: // update
+		ra.w[i], rb.w[j] = bytes, bytes
+		s.setLeaf(a, i)
+	case found: // remove
+		e := ra.leaf[i]
+		ra.remove(i)
+		rb.remove(j)
 		s.tree.set(int(e), 0)
-		incCounters.edgeUpdates.Add(1)
-		s.freeEdges = append(s.freeEdges, e)
+		s.freeLeaves = append(s.freeLeaves, e)
 		s.liveEdges--
-	case bytes > 0: // insert
-		if n := len(s.freeEdges); n > 0 {
-			e = s.freeEdges[n-1]
-			s.freeEdges = s.freeEdges[:n-1]
-			s.edgeA[e], s.edgeB[e], s.edgeW[e] = int32(a), int32(b), bytes
+	default: // insert, into the leaf freed last or else a new one
+		var e int32
+		if n := len(s.freeLeaves); n > 0 {
+			e = s.freeLeaves[n-1]
+			s.freeLeaves = s.freeLeaves[:n-1]
 		} else {
-			e = int32(len(s.edgeA))
-			s.edgeA = append(s.edgeA, int32(a))
-			s.edgeB = append(s.edgeB, int32(b))
-			s.edgeW = append(s.edgeW, bytes)
-			s.tree.ensure(len(s.edgeA))
+			e = int32(s.liveEdges) // every leaf id below it is live
+			s.tree.ensure(s.liveEdges + 1)
 		}
-		s.adj[a].insert(int32(b), e)
-		s.adj[b].insert(int32(a), e)
-		s.setLeaf(e)
+		ra.insert(i, int32(b), bytes, e)
+		rb.insert(j, int32(a), bytes, e)
+		s.setLeaf(a, i)
 		s.liveEdges++
-	default: // absent and bytes == 0: nothing to do
 	}
+	incCounters.edgeUpdates.Add(1)
 	incCounters.mutations.Add(1)
 	return nil
 }
@@ -440,11 +445,11 @@ func (s *IncrementalState) moveTask(v, p int) {
 		return
 	}
 	s.proc[v] = p
-	eid := s.adj[v].eid
-	for _, e := range eid {
-		s.tree.set(int(e), s.edgeContribution(e))
+	leaves := s.adj[v].leaf
+	for i := range leaves {
+		s.setLeaf(v, i)
 	}
-	incCounters.edgeUpdates.Add(int64(len(eid)))
+	incCounters.edgeUpdates.Add(int64(len(leaves)))
 	s.markMoved(v)
 }
 
@@ -465,7 +470,7 @@ func (s *IncrementalState) AddTask(load float64, p int) (int, error) {
 	s.proc = append(s.proc, p)
 	s.anchor = append(s.anchor, p)
 	s.clean = append(s.clean, false)
-	s.adj = append(s.adj, incAdj{})
+	s.adj = append(s.adj, incRow{})
 	s.liveTasks++
 	incCounters.mutations.Add(1)
 	return v, nil
@@ -480,17 +485,18 @@ func (s *IncrementalState) RemoveTask(v int) error {
 		return err
 	}
 	s.markMoved(v)
-	a := &s.adj[v]
-	for i, u := range a.nbr {
-		e := a.eid[i]
-		s.adj[u].remove(int32(v))
-		s.edgeW[e] = 0
+	r := &s.adj[v]
+	for i, u := range r.nbr {
+		e := r.leaf[i]
+		ru := &s.adj[u]
+		j, _ := ru.search(int32(v))
+		ru.remove(j)
 		s.tree.set(int(e), 0)
-		incCounters.edgeUpdates.Add(1)
-		s.freeEdges = append(s.freeEdges, e)
+		s.freeLeaves = append(s.freeLeaves, e)
 		s.liveEdges--
 	}
-	a.nbr, a.eid = nil, nil
+	incCounters.edgeUpdates.Add(int64(len(r.nbr)))
+	*r = incRow{}
 	s.alive[v] = false
 	s.load[v] = 0
 	s.liveTasks--
@@ -532,9 +538,9 @@ func (s *IncrementalState) Clone() *IncrementalState { return s.CloneInto(nil) }
 // are reused where they are large enough, so a caller that keeps the clone
 // it did not adopt — the session layer refines a clone speculatively and
 // adopts it only when the improvement clears the migration-cost threshold
-// — pays a copy, not an allocation, per batch. All adjacency goes into one
-// backing array, each task's lists capacity-clipped to their length so a
-// later insert reallocates that task's lists privately. dst must not be s.
+// — pays a copy, not an allocation, per batch. The rows are laid out as
+// NewIncrementalState lays them out, one backing array per field. dst must
+// not be s.
 func (s *IncrementalState) CloneInto(dst *IncrementalState) *IncrementalState {
 	if dst == nil {
 		dst = &IncrementalState{}
@@ -546,31 +552,20 @@ func (s *IncrementalState) CloneInto(dst *IncrementalState) *IncrementalState {
 	dst.anchor = append(dst.anchor[:0], s.anchor...)
 	dst.clean = append(dst.clean[:0], s.clean...)
 	dst.cleanCost = s.cleanCost
-	dst.edgeA = append(dst.edgeA[:0], s.edgeA...)
-	dst.edgeB = append(dst.edgeB[:0], s.edgeB...)
-	dst.edgeW = append(dst.edgeW[:0], s.edgeW...)
-	dst.freeEdges = append(dst.freeEdges[:0], s.freeEdges...)
+	dst.freeLeaves = append(dst.freeLeaves[:0], s.freeLeaves...)
 	dst.liveTasks, dst.liveEdges = s.liveTasks, s.liveEdges
 	dst.tree.cloneFrom(&s.tree)
 
-	// Each live edge sits in two adjacency lists; partner ids fill the
-	// first half of the backing array, edge ids the second.
-	half := 2 * s.liveEdges
-	if cap(dst.adjBuf) < 2*half {
-		dst.adjBuf = make([]int32, 2*half)
-	}
-	buf := dst.adjBuf[:2*half]
-	if cap(dst.adj) < len(s.adj) {
-		dst.adj = make([]incAdj, len(s.adj))
-	}
-	dst.adj = dst.adj[:len(s.adj)]
+	// Each live edge sits in two rows.
+	dst.reserveRows(len(s.adj), 2*s.liveEdges)
 	off := 0
 	for v := range s.adj {
-		a := &s.adj[v]
-		end := off + len(a.nbr)
-		dst.adj[v] = incAdj{nbr: buf[off:end:end], eid: buf[half+off : half+end : half+end]}
-		copy(dst.adj[v].nbr, a.nbr)
-		copy(dst.adj[v].eid, a.eid)
+		r := &s.adj[v]
+		end := off + len(r.nbr)
+		c := dst.carveRow(v, off, end)
+		copy(c.nbr, r.nbr)
+		copy(c.w, r.w)
+		copy(c.leaf, r.leaf)
 		off = end
 	}
 	return dst
@@ -585,10 +580,10 @@ func (s *IncrementalState) Graph(name string) *taskgraph.Graph {
 		b.SetVertexWeight(v, s.load[v])
 	}
 	for v := range s.adj {
-		a := &s.adj[v]
-		for i, u := range a.nbr {
+		r := &s.adj[v]
+		for i, u := range r.nbr {
 			if int32(v) < u {
-				b.AddEdge(v, int(u), s.edgeW[a.eid[i]])
+				b.AddEdge(v, int(u), r.w[i])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/taskgraph"
@@ -107,6 +108,153 @@ func TestIncrementalMatchesFullHopBytes(t *testing.T) {
 			}
 			requireExact(t, s, to, ctx)
 		}
+	}
+}
+
+// requireRowsMatchGraph fails unless the state's rows are the graph the
+// stream built (want, keyed by (lo, hi) task pair) and hold its leaves
+// right: each task's row is its row in Graph(), both rows of an edge name
+// one leaf holding w·Distance of its endpoints, no two edges share a
+// leaf, every freed leaf is zero and owned by no edge, and the total is
+// HopBytes of Graph().
+func requireRowsMatchGraph(t *testing.T, s *IncrementalState, to topology.Topology, want map[[2]int]float64, ctx string) {
+	t.Helper()
+	g := s.Graph("rows")
+	if g.NumEdges() != len(want) || s.NumEdges() != len(want) {
+		t.Fatalf("%s: Graph() has %d edges, the state counts %d, the stream built %d", ctx, g.NumEdges(), s.NumEdges(), len(want))
+	}
+	owner := make(map[int32][2]int)
+	for v := range s.adj {
+		r := &s.adj[v]
+		adj, w := g.Neighbors(v)
+		if !slices.Equal(r.nbr, adj) || !slices.Equal(r.w, w) || len(r.leaf) != len(r.nbr) {
+			t.Fatalf("%s: task %d row %v %v %v, Graph() row %v %v", ctx, v, r.nbr, r.w, r.leaf, adj, w)
+		}
+		for i, u := range r.nbr {
+			key := [2]int{min(v, int(u)), max(v, int(u))}
+			if bytes, ok := want[key]; !ok || bytes != r.w[i] {
+				t.Fatalf("%s: edge %v weighs %v in task %d's row, the stream set %v", ctx, key, r.w[i], v, bytes)
+			}
+			e := r.leaf[i]
+			if o, ok := owner[e]; ok && o != key {
+				t.Fatalf("%s: leaf %d held by edges %v and %v", ctx, e, o, key)
+			}
+			owner[e] = key
+			if got, c := s.tree.leaf(int(e)), r.w[i]*float64(to.Distance(s.proc[v], s.proc[u])); got != c {
+				t.Fatalf("%s: leaf %d of edge %v holds %v, want %v", ctx, e, key, got, c)
+			}
+		}
+	}
+	if len(owner) != len(want) {
+		t.Fatalf("%s: %d edges own %d leaves", ctx, len(want), len(owner))
+	}
+	for _, e := range s.freeLeaves {
+		if _, ok := owner[e]; ok || s.tree.leaf(int(e)) != 0 {
+			t.Fatalf("%s: freed leaf %d is owned (%v) or non-zero (%v)", ctx, e, ok, s.tree.leaf(int(e)))
+		}
+	}
+	requireExact(t, s, to, ctx)
+}
+
+// TestIncrementalRowsMatchGraph runs a delta stream that removes and
+// re-adds edges and tasks, so freed leaves are reused, and after every
+// step holds the rows to the graph the stream built and the kernel, fed
+// the materialized rows, to recomputation.
+func TestIncrementalRowsMatchGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	to := topology.MustTorus(4, 4)
+	n := 24
+	g := intWeightGraph(n, 30, rng)
+	s, err := NewIncrementalState(g, to, randomPlacement(n, to.Nodes(), rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[[2]int]float64)
+	for v := 0; v < n; v++ {
+		adj, w := g.Neighbors(v)
+		for i, u := range adj {
+			want[[2]int{min(v, int(u)), max(v, int(u))}] = w[i]
+		}
+	}
+	live := make([]int, n)
+	for v := range live {
+		live[v] = v
+	}
+	reused := 0
+	setComm := func(a, b int, bytes float64) {
+		key := [2]int{min(a, b), max(a, b)}
+		_, had := want[key]
+		free, leaves := len(s.freeLeaves), s.liveEdges+len(s.freeLeaves)
+		last := int32(-1)
+		if free > 0 {
+			last = s.freeLeaves[free-1]
+		}
+		if err := s.SetComm(a, b, bytes); err != nil {
+			t.Fatal(err)
+		}
+		if delete(want, key); bytes > 0 {
+			want[key] = bytes
+		}
+		if !had && bytes > 0 && free > 0 {
+			// An insert with a leaf free takes the one freed last instead
+			// of a new one.
+			r := &s.adj[a]
+			i, _ := r.search(int32(b))
+			if s.liveEdges+len(s.freeLeaves) != leaves || r.leaf[i] != last {
+				t.Fatalf("insert of %v took leaf %d (leaves %d -> %d), want %d, freed last", key, r.leaf[i], leaves, s.liveEdges+len(s.freeLeaves), last)
+			}
+			reused++
+		}
+	}
+	for step := 0; step < 400; step++ {
+		ctx := fmt.Sprintf("step %d", step)
+		switch k := rng.Intn(10); {
+		case k < 3: // insert or update an edge
+			a, b := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+			if a == b {
+				continue
+			}
+			setComm(a, b, float64(1+rng.Intn(1000)))
+		case k < 6: // remove an edge
+			a := live[rng.Intn(len(live))]
+			if nbr := s.adj[a].nbr; len(nbr) > 0 {
+				setComm(a, int(nbr[rng.Intn(len(nbr))]), 0)
+			}
+		case k < 7 && len(live) > 6: // remove a task
+			i := rng.Intn(len(live))
+			v := live[i]
+			if err := s.RemoveTask(v); err != nil {
+				t.Fatal(err)
+			}
+			for key := range want {
+				if key[0] == v || key[1] == v {
+					delete(want, key)
+				}
+			}
+			live = append(live[:i], live[i+1:]...)
+		case k < 8: // add a task and wire it up
+			id, err := s.AddTask(1, rng.Intn(to.Nodes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 2; j++ {
+				setComm(id, live[rng.Intn(len(live))], float64(1+rng.Intn(1000)))
+			}
+			live = append(live, id)
+		default:
+			if err := s.MoveTask(live[rng.Intn(len(live))], rng.Intn(to.Nodes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireRowsMatchGraph(t, s, to, want, ctx)
+		a, m, mg := live[rng.Intn(len(live))], s.Mapping(), s.Graph("kernel")
+		for _, b := range s.adj[a].nbr {
+			requireSwapDeltaExact(t, mg, to, &s.d, m, a, int(b), 0)
+			requireSwapDeltaExact(t, mg, to, &s.d, m, a, -1, m[b])
+		}
+	}
+	if reused < 20 {
+		t.Fatalf("only %d inserts reused a freed leaf", reused)
 	}
 }
 

@@ -105,9 +105,14 @@ func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) i
 // (DESIGN §6).
 func sweepCandidates(g *taskgraph.Graph, d *topology.Dists, m Mapping, occupant []int, a, count int, partner func(j int) int) int {
 	swaps := 0
+	adjA, wA := g.Neighbors(a)
 	for j := 0; j < count; j++ {
 		b := partner(j)
-		if a != b && SwapDelta(g, d, m, a, b) < -1e-12 {
+		if a == b {
+			continue
+		}
+		adjB, wB := g.Neighbors(b)
+		if SwapDelta(d, m, m[a], m[b], a, adjA, wA, b, adjB, wB) < -1e-12 {
 			m[a], m[b] = m[b], m[a]
 			occupant[m[a]] = a
 			occupant[m[b]] = b
@@ -117,45 +122,41 @@ func sweepCandidates(g *taskgraph.Graph, d *topology.Dists, m Mapping, occupant 
 	return swaps
 }
 
-// SwapDelta returns the hop-bytes change from swapping the processors of
-// tasks a and b (negative is better). The a–b edge itself, if any,
-// contributes identically before and after and is skipped.
-func SwapDelta(g *taskgraph.Graph, d *topology.Dists, m Mapping, a, b int) float64 {
-	pa, pb := m[a], m[b]
+// SwapDelta returns the hop-bytes change (negative is better) when task a,
+// whose partners and weights are adjA and wA, goes from processor pa to pb
+// while task b, whose row is adjB and wB, goes from pb to pa; m holds every
+// other task's processor. A move of a alone is b = -1 with an empty row.
+// The a–b edge, if any, is as long after a swap as before and is skipped.
+// Every refiner but the multilevel one (DESIGN §11) scores with it.
+func SwapDelta(d *topology.Dists, m Mapping, pa, pb, a int, adjA []int32, wA []float64, b int, adjB []int32, wB []float64) float64 {
 	delta := 0.0
-	adjA, wA := g.Neighbors(a)
-	adjB, wB := g.Neighbors(b)
 	if dm := d.Matrix(); dm != nil {
 		rowA, rowB := dm.Row(pa), dm.Row(pb)
 		for i, u := range adjA {
-			if int(u) == b {
-				continue
+			if int(u) != b {
+				pu := m[u]
+				delta += wA[i] * float64(rowB[pu]-rowA[pu])
 			}
-			pu := m[u]
-			delta += wA[i] * float64(rowB[pu]-rowA[pu])
 		}
 		for i, u := range adjB {
-			if int(u) == a {
-				continue
+			if int(u) != a {
+				pu := m[u]
+				delta += wB[i] * float64(rowA[pu]-rowB[pu])
 			}
-			pu := m[u]
-			delta += wB[i] * float64(rowA[pu]-rowB[pu])
 		}
 		return delta
 	}
 	for i, u := range adjA {
-		if int(u) == b {
-			continue
+		if int(u) != b {
+			pu := m[u]
+			delta += wA[i] * float64(d.Dist(pb, pu)-d.Dist(pa, pu))
 		}
-		pu := m[u]
-		delta += wA[i] * float64(d.Dist(pb, pu)-d.Dist(pa, pu))
 	}
 	for i, u := range adjB {
-		if int(u) == a {
-			continue
+		if int(u) != a {
+			pu := m[u]
+			delta += wB[i] * float64(d.Dist(pa, pu)-d.Dist(pb, pu))
 		}
-		pu := m[u]
-		delta += wB[i] * float64(d.Dist(pa, pu)-d.Dist(pb, pu))
 	}
 	return delta
 }

@@ -53,10 +53,11 @@ type IncRefineResult struct {
 }
 
 // RefineIncremental improves the placement in place by local moves and
-// pairwise swaps, reusing RefineTopoLB's sweep machinery on the
-// incremental state: for each live task the candidates are (a) moving it
-// to a communication partner's processor, (b) moving it to a processor
-// adjacent to its own, and (c) swapping it with a communication partner.
+// pairwise swaps, sweeping like RefineTopoLB and scoring with its kernel,
+// SwapDelta, over the incremental state's rows: for each live task the
+// candidates are (a) moving it to a communication partner's processor,
+// (b) moving it to a processor adjacent to its own, and (c) swapping it
+// with a communication partner.
 // A candidate is accepted only when its hop-bytes change plus the
 // migration penalty (MigrationCost × change in off-anchor task count) is
 // strictly negative, the per-processor load bound holds, and the
@@ -158,7 +159,7 @@ func (r *incRefiner) sweepTask(a int) int {
 		return 0
 	}
 	r.evaluated++
-	partners := s.adj[a].nbr
+	ra := &s.adj[a]
 	//lint:ignore hotalloc every Topology hands out a neighbour list it built once; one call per scored task, none on the clean path
 	topoNbrs := s.topo.Neighbors(s.proc[a])
 	accepted := 0
@@ -166,20 +167,20 @@ func (r *incRefiner) sweepTask(a int) int {
 	// candidate's delta matters only to the clean bit, so it is computed
 	// only while markable holds.
 	markable := true
-	for _, u := range partners {
-		if p := s.proc[u]; r.moveScore(a, p, &markable) {
+	for _, u := range ra.nbr {
+		if p := s.proc[u]; r.moveScore(a, ra, p, &markable) {
 			r.applyMove(a, p)
 			accepted++
 		}
 	}
 	for _, p := range topoNbrs {
-		if r.moveScore(a, p, &markable) {
+		if r.moveScore(a, ra, p, &markable) {
 			r.applyMove(a, p)
 			accepted++
 		}
 	}
-	for _, u := range partners {
-		if r.swapScore(a, int(u), &markable) {
+	for _, u := range ra.nbr {
+		if r.swapScore(a, ra, int(u), &markable) {
 			r.applySwap(a, int(u))
 			accepted++
 		}
@@ -190,13 +191,13 @@ func (r *incRefiner) sweepTask(a int) int {
 	return accepted
 }
 
-// moveScore reports whether moving task a to processor p strictly
-// improves the penalized objective within the load bound and the
+// moveScore reports whether moving task a, whose row is ra, to processor p
+// strictly improves the penalized objective within the load bound and the
 // migration budget. It clears *markable when the move's delta is negative,
 // whether or not a gate stops it.
 //
 //lint:hotpath see sweepTask
-func (r *incRefiner) moveScore(a, p int, markable *bool) bool {
+func (r *incRefiner) moveScore(a int, ra *incRow, p int, markable *bool) bool {
 	s := r.s
 	pa := s.proc[a]
 	if p == pa {
@@ -216,7 +217,7 @@ func (r *incRefiner) moveScore(a, p int, markable *bool) bool {
 	if gated && !*markable {
 		return false
 	}
-	if r.moveDelta(a, p)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
+	if SwapDelta(&s.d, s.proc, pa, p, a, ra.nbr, ra.w, -1, nil, nil)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
 		*markable = false
 		return !gated
 	}
@@ -226,7 +227,7 @@ func (r *incRefiner) moveScore(a, p int, markable *bool) bool {
 // swapScore is moveScore for exchanging the processors of tasks a and b.
 //
 //lint:hotpath see sweepTask
-func (r *incRefiner) swapScore(a, b int, markable *bool) bool {
+func (r *incRefiner) swapScore(a int, ra *incRow, b int, markable *bool) bool {
 	s := r.s
 	pa, pb := s.proc[a], s.proc[b]
 	if a == b || pa == pb {
@@ -245,73 +246,12 @@ func (r *incRefiner) swapScore(a, b int, markable *bool) bool {
 	if gated && !*markable {
 		return false
 	}
-	if r.swapDelta(a, b)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
+	rb := &s.adj[b]
+	if SwapDelta(&s.d, s.proc, pa, pb, a, ra.nbr, ra.w, b, rb.nbr, rb.w)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
 		*markable = false
 		return !gated
 	}
 	return false
-}
-
-// moveDelta returns the hop-bytes change from moving task a to processor
-// p: O(deg(a)) distance lookups, read off two matrix rows when the
-// machine's distances are materialized.
-func (r *incRefiner) moveDelta(a, p int) float64 {
-	s := r.s
-	adj := &s.adj[a]
-	pa := s.proc[a]
-	delta := 0.0
-	if dm := s.d.Matrix(); dm != nil {
-		rowP, rowA := dm.Row(p), dm.Row(pa)
-		for i, u := range adj.nbr {
-			pu := s.proc[u]
-			delta += s.edgeW[adj.eid[i]] * float64(rowP[pu]-rowA[pu])
-		}
-		return delta
-	}
-	for i, u := range adj.nbr {
-		pu := s.proc[u]
-		delta += s.edgeW[adj.eid[i]] * float64(s.d.Dist(p, pu)-s.d.Dist(pa, pu))
-	}
-	return delta
-}
-
-// swapDelta returns the hop-bytes change from swapping the processors of
-// tasks a and b; the a–b edge contributes identically before and after
-// and is skipped.
-func (r *incRefiner) swapDelta(a, b int) float64 {
-	s := r.s
-	pa, pb := s.proc[a], s.proc[b]
-	adjA, adjB := &s.adj[a], &s.adj[b]
-	delta := 0.0
-	if dm := s.d.Matrix(); dm != nil {
-		rowA, rowB := dm.Row(pa), dm.Row(pb)
-		for i, u := range adjA.nbr {
-			if int(u) != b {
-				pu := s.proc[u]
-				delta += s.edgeW[adjA.eid[i]] * float64(rowB[pu]-rowA[pu])
-			}
-		}
-		for i, u := range adjB.nbr {
-			if int(u) != a {
-				pu := s.proc[u]
-				delta += s.edgeW[adjB.eid[i]] * float64(rowA[pu]-rowB[pu])
-			}
-		}
-		return delta
-	}
-	for i, u := range adjA.nbr {
-		if int(u) != b {
-			pu := s.proc[u]
-			delta += s.edgeW[adjA.eid[i]] * float64(s.d.Dist(pb, pu)-s.d.Dist(pa, pu))
-		}
-	}
-	for i, u := range adjB.nbr {
-		if int(u) != a {
-			pu := s.proc[u]
-			delta += s.edgeW[adjB.eid[i]] * float64(s.d.Dist(pa, pu)-s.d.Dist(pb, pu))
-		}
-	}
-	return delta
 }
 
 // applyMove commits moving task a to processor p, updating the placement,

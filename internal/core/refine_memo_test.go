@@ -208,7 +208,7 @@ func requireCleanSound(tb testing.TB, s *IncrementalState, to topology.Topology,
 				if v == b && int(u) == a {
 					continue // the a–b edge was counted from a's side
 				}
-				w := s.edgeW[s.adj[v].eid[i]]
+				w := s.adj[v].w[i]
 				after := to.Distance(place(v, a, pa, b, pb), place(int(u), a, pa, b, pb))
 				before := to.Distance(s.proc[v], s.proc[u])
 				d += w * float64(after-before)

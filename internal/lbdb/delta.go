@@ -80,6 +80,9 @@ func (d Delta) Validate(tasks, procs int) error {
 		if d.Bytes < 0 {
 			return fmt.Errorf("lbdb: delta %s: negative bytes", d.Kind)
 		}
+		if !(d.Bytes <= maxBytes) {
+			return fmt.Errorf("lbdb: delta %s: %g bytes, above 2^53", d.Kind, d.Bytes)
+		}
 	case DeltaAdd:
 		if d.Load < 0 {
 			return fmt.Errorf("lbdb: delta %s: negative load", d.Kind)

@@ -166,6 +166,10 @@ func TestDeltaValidate(t *testing.T) {
 		{Kind: DeltaComm, Task: 0, Other: 0},
 		{Kind: DeltaComm, Task: 0, Other: 99},
 		{Kind: DeltaComm, Task: 0, Other: 1, Bytes: -4},
+		{Kind: DeltaComm, Task: 0, Other: 1, Bytes: 1<<53 + 2},
+		{Kind: DeltaComm, Task: 0, Other: 1, Bytes: 1e308},
+		{Kind: DeltaComm, Task: 0, Other: 1, Bytes: math.Inf(1)},
+		{Kind: DeltaComm, Task: 0, Other: 1, Bytes: math.NaN()},
 		{Kind: DeltaAdd, Load: -1},
 		{Kind: DeltaAdd, Proc: 99},
 		{Kind: DeltaRemove, Task: 99},
@@ -178,6 +182,7 @@ func TestDeltaValidate(t *testing.T) {
 	good := []Delta{
 		{Kind: DeltaLoad, Task: 3, Load: 2.5},
 		{Kind: DeltaComm, Task: 0, Other: 1, Bytes: 0},
+		{Kind: DeltaComm, Task: 0, Other: 1, Bytes: 1 << 53},
 		{Kind: DeltaAdd, Load: 0, Proc: 3},
 		{Kind: DeltaRemove, Task: 9},
 	}

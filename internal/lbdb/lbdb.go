@@ -35,6 +35,12 @@ type Comm struct {
 	Bytes float64 `json:"bytes"`
 }
 
+// maxBytes bounds one pair's recorded volume: 2^53, below which integer
+// byte counts are exact in float64 (the incremental engine's exactness
+// contract), and far below where a hop-bytes total overflows to +Inf. A
+// NaN volume fails the same check.
+const maxBytes = 1 << 53
+
 // Database is a dump of one load-balancing step.
 type Database struct {
 	// Step is the load-balancing step number this dump captures.
@@ -75,6 +81,9 @@ func (db *Database) Validate() error {
 		}
 		if c.Bytes < 0 {
 			return fmt.Errorf("lbdb: comm (%d,%d) has negative bytes", c.From, c.To)
+		}
+		if !(c.Bytes <= maxBytes) {
+			return fmt.Errorf("lbdb: comm (%d,%d) has %g bytes, above 2^53", c.From, c.To, c.Bytes)
 		}
 		k := [2]int32{c.From, c.To}
 		if seen[k] {

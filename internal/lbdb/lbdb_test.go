@@ -2,6 +2,7 @@ package lbdb
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -37,6 +38,8 @@ func TestValidateRejectsBad(t *testing.T) {
 		"comm order":     func(db *Database) { db.Comms[0].From = 1; db.Comms[0].To = 0 },
 		"self comm":      func(db *Database) { db.Comms[0].From = 1; db.Comms[0].To = 1 },
 		"negative bytes": func(db *Database) { db.Comms[0].Bytes = -1 },
+		"bytes > 2^53":   func(db *Database) { db.Comms[0].Bytes = 1e308 },
+		"NaN bytes":      func(db *Database) { db.Comms[0].Bytes = math.NaN() },
 		"duplicate":      func(db *Database) { db.Comms[1] = db.Comms[0] },
 	}
 	for name, mutate := range cases {

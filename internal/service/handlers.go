@@ -87,16 +87,8 @@ func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
 // handleMap serves POST /v1/map.
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	s.stats.syncRequests.Add(1)
-	data, release, err := s.readBody(r)
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
-		return
-	}
 	var spec Job
-	err = decodeStrict(data, &spec)
-	release()
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
+	if !s.decode(w, r, &spec) {
 		return
 	}
 	j, err := s.name(spec)
@@ -138,16 +130,8 @@ type batchResponse struct {
 // completion time).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.stats.batchRequests.Add(1)
-	data, release, err := s.readBody(r)
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
-		return
-	}
 	var req batchRequest
-	err = decodeStrict(data, &req)
-	release()
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -201,16 +185,8 @@ type submitResponse struct {
 //
 //lint:ignore jsoncontract async jobs outlive the request by design: work runs under the server lifetime context, and /v1/jobs/{id} serves the result later
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	data, release, err := s.readBody(r)
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
-		return
-	}
 	var spec Job
-	err = decodeStrict(data, &spec)
-	release()
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
+	if !s.decode(w, r, &spec) {
 		return
 	}
 	j, err := s.name(spec)

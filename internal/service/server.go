@@ -533,22 +533,26 @@ func (s *Server) Snapshot() Stats {
 // JSON does not grow a fresh buffer per request.
 var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBody reads at most s.cfg.MaxBody bytes of r's body into a pooled
-// buffer. Callers must call the returned release func when finished with
-// the bytes.
-func (s *Server) readBody(r *http.Request) ([]byte, func(), error) {
+// decode reads at most s.cfg.MaxBody bytes of r's body into a pooled
+// buffer and decodes them into v with decodeStrict. On any failure it
+// writes the error response and reports false; the handler just returns.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bodyBuffers.Get().(*bytes.Buffer)
 	buf.Reset()
-	release := func() { bodyBuffers.Put(buf) }
-	if _, err := io.Copy(buf, io.LimitReader(r.Body, s.cfg.MaxBody+1)); err != nil {
-		release()
-		return nil, nil, badJob(400, "read body: %v", err)
+	defer bodyBuffers.Put(buf)
+	var err error
+	if _, rerr := io.Copy(buf, io.LimitReader(r.Body, s.cfg.MaxBody+1)); rerr != nil {
+		err = badJob(400, "read body: %v", rerr)
+	} else if int64(buf.Len()) > s.cfg.MaxBody {
+		err = badJob(413, "request body exceeds %d bytes", s.cfg.MaxBody)
+	} else {
+		err = decodeStrict(buf.Bytes(), v)
 	}
-	if int64(buf.Len()) > s.cfg.MaxBody {
-		release()
-		return nil, nil, badJob(413, "request body exceeds %d bytes", s.cfg.MaxBody)
+	if err != nil {
+		s.writeError(w, errStatus(err), err)
+		return false
 	}
-	return buf.Bytes(), release, nil
+	return true
 }
 
 // decodeStrict unmarshals data rejecting unknown fields and trailing

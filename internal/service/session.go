@@ -192,16 +192,8 @@ func (ss *session) infoLocked(withMapping bool) sessionInfo {
 
 // handleSessionCreate serves POST /v1/sessions.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	data, release, err := s.readBody(r)
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
-		return
-	}
 	var spec SessionSpec
-	err = decodeStrict(data, &spec)
-	release()
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
+	if !s.decode(w, r, &spec) {
 		return
 	}
 	ss, err := s.newSession(spec)
@@ -255,6 +247,9 @@ func (s *Server) newSession(spec SessionSpec) (*session, error) {
 	if err != nil {
 		return nil, badJob(400, "session: %v", err)
 	}
+	if topo.Nodes() != spec.DB.NumProcs {
+		return nil, badJob(422, "session: db recorded %d procs but topology %s has %d nodes", spec.DB.NumProcs, spec.Topology, topo.Nodes())
+	}
 	budget := -1 // unlimited
 	if spec.MigrationBudget != nil {
 		if *spec.MigrationBudget < 0 {
@@ -266,9 +261,11 @@ func (s *Server) newSession(spec SessionSpec) (*session, error) {
 		return nil, err
 	}
 	defer s.releaseSlot()
+	// With the machine's size checked above, what Incremental refuses is a
+	// defect of the db itself (Database.Validate).
 	state, err := spec.DB.Incremental(topo)
 	if err != nil {
-		return nil, badJob(422, "session: %v", err)
+		return nil, badJob(400, "session: %v", err)
 	}
 	return &session{
 		state: state,
@@ -338,16 +335,8 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, 404, badJob(404, "session %q not found", r.PathValue("id")))
 		return
 	}
-	data, release, err := s.readBody(r)
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
-		return
-	}
 	var req deltasRequest
-	err = decodeStrict(data, &req)
-	release()
-	if err != nil {
-		s.writeError(w, errStatus(err), err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.Deltas) == 0 {
@@ -377,7 +366,7 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	default:
 	}
 	resp := deltasResponse{}
-	err = s.applyDeltas(ss, req.Deltas, &resp)
+	err := s.applyDeltas(ss, req.Deltas, &resp)
 	if err == nil && !req.NoRemap {
 		err = s.remap(ss, &resp)
 	}

@@ -397,6 +397,39 @@ func TestSessionErrors(t *testing.T) {
 	})
 }
 
+// TestSessionRefusesOverflowingBytes: a comm volume above 2^53 would take
+// a session's hop-bytes to +Inf, which JSON cannot carry, and leave every
+// later response an empty body. In a delta and in a new session's db it is
+// a 400 with a JSON error body instead; nothing fails to write, and the
+// session keeps its hop-bytes.
+func TestSessionRefusesOverflowingBytes(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	_, created := doJSON(t, ts, "POST", "/v1/sessions", newSessionSpec(""))
+	id, hb := created["id"].(string), created["hop_bytes"]
+	huge := strings.Replace(sessionDB, `"bytes":1000000`, `"bytes":1e308`, 1)
+	requests := []struct{ name, path, payload string }{
+		{"delta", "/v1/sessions/" + id + "/deltas", `{"deltas":[{"kind":"comm","task":0,"other":1,"bytes":1e308}]}`},
+		{"db", "/v1/sessions", `{"topology":"mesh:2,2","db":` + huge + `}`},
+	}
+	for _, rq := range requests {
+		status, body := doJSON(t, ts, "POST", rq.path, rq.payload)
+		if msg, _ := body["error"].(string); status != 400 || !strings.Contains(msg, "above 2^53") {
+			t.Errorf("%s: status %d body %v, want 400 naming the 2^53 bound", rq.name, status, body)
+		}
+	}
+	status, info := doJSON(t, ts, "GET", "/v1/sessions/"+id, "")
+	if status != 200 || info["hop_bytes"] != hb {
+		t.Errorf("GET after the refusals: status %d hop_bytes %v, want 200 and %v", status, info["hop_bytes"], hb)
+	}
+	if n := srv.stats.writeFailures.Load(); n != 0 {
+		t.Errorf("write_failures = %d, want 0", n)
+	}
+}
+
 // TestStatsSessionFields pins the /stats wire contract for the session
 // and incremental-engine counters.
 func TestStatsSessionFields(t *testing.T) {
