@@ -56,11 +56,18 @@ func requireSubsetMatches(t *testing.T, s *subsetTopology, base topology.Topolog
 }
 
 // TestDistsMatchDistance: the oracle is the machine. On every row of
-// topology.Machines() at small sizes, a hierarchy, a connected Graph and
-// the subset adapter over both of the oracle's sources, each source
-// answers Topology.Distance on every pair.
+// topology.Machines() at small sizes, grids on both sides of the 64-bit
+// label boundary, a hierarchy, a connected Graph and the subset adapter
+// over both of the oracle's sources, each source answers
+// Topology.Distance on every pair.
 func TestDistsMatchDistance(t *testing.T) {
-	var machines []topology.Topology
+	// Labels: 64 bits, extent-2 rings and extent-1 dimensions. Coordinate
+	// form: 65 bits, and an odd ring.
+	machines := []topology.Topology{
+		topology.MustTorus(128), topology.MustMesh(65), topology.MustTorus(2, 2),
+		topology.MustTorus(1, 6, 1), topology.MustMesh(1, 5, 1, 3),
+		topology.MustTorus(130), topology.MustMesh(66), topology.MustTorus(4, 3),
+	}
 	shapes := map[int][][]int{0: {{5}, {1, 4}, {3, 4}, {2, 3, 2}}, 1: {{0}, {4}}, 2: {{2, 3}, {3, 2}}}
 	for _, row := range topology.Machines() {
 		for _, dims := range shapes[row.Arity] {
@@ -110,6 +117,9 @@ func FuzzDistsMatchDistance(f *testing.F) {
 	f.Add([]byte{4, 8, 1, 3, 6, 2, 5, 0, 4})
 	f.Add([]byte{5, 2, 2, 9, 3, 3, 40})
 	f.Add([]byte{6, 1, 0, 3, 9, 4, 4, 7, 1, 2})
+	f.Add([]byte{0, 128, 127, 0, 40})   // torus:128, 64-bit labels
+	f.Add([]byte{1, 129, 65, 1, 50})    // mesh:66,2: 66 bits, coordinates
+	f.Add([]byte{6, 0, 128, 129, 9, 3}) // a subset of torus:130
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -151,8 +161,10 @@ func FuzzDistsMatchDistance(f *testing.F) {
 }
 
 // fuzzMachine builds a machine of row's kind with at most 3 dimensions of
-// extent 1–6 (a hypercube of dimension 0–6, a fat-tree of arity 2–4 and
-// 1–3 levels).
+// extent 1–6, or, when the high bit of the dimension byte is set, 1 or 2
+// dimensions whose first extent is 1–140: a mesh or torus on either side
+// of the 64-bit label boundary (a hypercube of dimension 0–6, a fat-tree
+// of arity 2–4 and 1–3 levels).
 func fuzzMachine(t *testing.T, row topology.MachineRow, next func() int) topology.Topology {
 	var dims []int
 	switch row.Kind {
@@ -161,7 +173,12 @@ func fuzzMachine(t *testing.T, row topology.MachineRow, next func() int) topolog
 	case "fattree":
 		dims = []int{2 + next()%3, 1 + next()%3}
 	default:
-		dims = make([]int, 1+next()%3)
+		k := next()
+		if k >= 128 {
+			dims = []int{1 + next()%140, 1 + next()%6}[:1+k%2]
+			break
+		}
+		dims = make([]int, 1+k%3)
 		for i := range dims {
 			dims[i] = 1 + next()%6
 		}

@@ -13,6 +13,10 @@ type grid struct {
 	coords []int32
 	ext    []int32 // dims as int32, beside coords
 	wrap   bool    // torus: every dimension wraps around
+	// labels[r] is rank r's partial-cube label, whose popcount distance to
+	// another rank's is their hop distance; nil unless the grid has labels
+	// that fit one word (see buildLabels).
+	labels []uint64
 }
 
 func newGrid(dims []int, wrap bool) (*grid, error) {
@@ -39,7 +43,66 @@ func newGrid(dims []int, wrap bool) (*grid, error) {
 		}
 	}
 	g.buildNeighbors()
+	g.buildLabels()
 	return g, nil
+}
+
+// buildLabels fills g.labels when the grid is a partial cube whose labels
+// fit one uint64. A path of k nodes embeds in the (k−1)-cube by its
+// thermometer code (x ↦ the low x bits set), an even ring of 2m nodes in
+// the m-cube (x ↦ the low x bits for x ≤ m, the top 2m − x of the m bits
+// after), and an extent of 1 takes no bits. A product of partial cubes is
+// one, its dimensions' codes side by side, so the Hamming distance of two
+// labels is the hop distance of their ranks. An odd ring is not a partial
+// cube, so a torus with an odd extent above 1 keeps the coordinate form,
+// as does every shape needing more than 64 bits.
+func (g *grid) buildLabels() {
+	width := 0
+	for _, e := range g.dims {
+		if g.wrap && e > 2 && e%2 != 0 {
+			return
+		}
+		if width += g.labelBits(e); width > 64 {
+			return
+		}
+	}
+	// codes[base[i]+x] is coordinate x's code in dimension i, shifted to
+	// that dimension's bits. A shift by 64 is 0 in Go, so a 64-bit code
+	// needs no special case.
+	nd := len(g.dims)
+	base := make([]int, nd)
+	codes := make([]uint64, 0, 2*width+nd) // Σ extents: ≤ 2 per bit, 1 per dimension
+	off := 0
+	for i, e := range g.dims {
+		base[i] = len(codes)
+		w := g.labelBits(e)
+		full := uint64(1)<<w - 1
+		for x := 0; x < e; x++ {
+			c := uint64(1)<<x - 1
+			if x > w {
+				c = full &^ (uint64(1)<<(x-w) - 1)
+			}
+			codes = append(codes, c<<off)
+		}
+		off += w
+	}
+	g.labels = make([]uint64, g.n)
+	for r := range g.labels {
+		var l uint64
+		for i, x := range g.coords[r*nd : r*nd+nd] {
+			l |= codes[base[i]+int(x)]
+		}
+		g.labels[r] = l
+	}
+}
+
+// labelBits is the label width of a dimension of extent e: e − 1 for a
+// path, e/2 for a ring of three or more (even, once buildLabels checked).
+func (g *grid) labelBits(e int) int {
+	if g.wrap && e > 2 {
+		return e / 2
+	}
+	return e - 1
 }
 
 func (g *grid) Nodes() int  { return g.n }
@@ -103,12 +166,19 @@ func (g *grid) dist(a, b int) int {
 // buildNeighbors materializes neighbor lists. With wrap, each dimension of
 // extent >= 3 contributes wraparound links; extent-2 dimensions contribute a
 // single link (avoiding a duplicate edge), and extent-1 dimensions none.
+// The lists are capped rows of one flat array, sized for the largest
+// degree, so construction makes two allocations, not one per node.
 func (g *grid) buildNeighbors() {
 	g.nbrs = make([][]int, g.n)
+	deg := 0
+	for _, d := range g.dims {
+		deg += min(d-1, 2)
+	}
+	flat := make([]int, 0, g.n*deg)
 	c := make([]int, len(g.dims))
 	for r := 0; r < g.n; r++ {
 		g.Coord(r, c)
-		var nb []int
+		nb := flat[len(flat):len(flat)]
 		for i, d := range g.dims {
 			if d == 1 {
 				continue
@@ -124,7 +194,8 @@ func (g *grid) buildNeighbors() {
 				nb = append(nb, r+(hi-c[i])*g.strides[i])
 			}
 		}
-		g.nbrs[r] = nb
+		g.nbrs[r] = nb[:len(nb):len(nb)]
+		flat = flat[:len(flat)+len(nb)]
 	}
 }
 
