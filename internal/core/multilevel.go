@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -53,11 +52,10 @@ func placeMap(s Placer, g *taskgraph.Graph, t topology.Topology) (Mapping, error
 
 // MultilevelMap is the hierarchical coarsen→map→refine strategy. The zero
 // value is ready to use.
-type MultilevelMap struct {
-	// RefinePasses bounds the refinement sweeps per uncoarsening level.
-	// 0 means the default (2); negative disables refinement.
-	RefinePasses int
-}
+type MultilevelMap struct{}
+
+// mlRefinePasses bounds the refinement sweeps per uncoarsening level.
+const mlRefinePasses = 2
 
 var _ Placer = MultilevelMap{}
 
@@ -100,7 +98,7 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 	// through its dist too, and its buffers, sized here for the finest
 	// level, are reused down the V-cycle.
 	r := newMLRefiner(t, procOrder, n, p)
-	r.reserve(levels[0].N, len(levels[0].Adjncy))
+	r.reserve(levels[0].N)
 
 	// Map the coarsest graph with TopoLB, viewing the nc equal slot chunks
 	// [i·n/nc, (i+1)·n/nc) through their center-slot representative
@@ -129,16 +127,12 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 		cursor += coarsest.TcountOf(v)
 	}
 
-	passes := s.RefinePasses
-	if passes == 0 {
-		passes = 2
-	}
 	r.setLevel(coarsest, start)
-	r.refine(passes)
+	r.refine()
 	for li := len(levels) - 2; li >= 0; li-- {
 		start = r.projectLevel(levels[li], levels[li+1], h.Cmaps[li], start)
 		r.setLevel(levels[li], start)
-		r.refine(passes)
+		r.refine()
 	}
 
 	placement := make([]int, n)
@@ -174,10 +168,12 @@ func localityOrder(t topology.Topology) []int32 {
 		}
 		return order
 	}
-	dims := co.Dims()
-	buf := make([]int, len(dims))
-	var rec func(lo, hi []int)
-	rec = func(lo, hi []int) {
+	// One box [lo, hi) is split in place: each half is recursed into with
+	// its bound set, then the bound is restored.
+	hi := co.Dims()
+	lo := make([]int, len(hi))
+	var rec func()
+	rec = func() {
 		// Split the longest dimension with extent > 1 (lowest index on
 		// ties); a unit box emits its rank.
 		d, ext := -1, 1
@@ -187,19 +183,18 @@ func localityOrder(t topology.Topology) []int32 {
 			}
 		}
 		if d < 0 {
-			copy(buf, lo)
-			order = append(order, int32(co.Rank(buf)))
+			order = append(order, int32(co.Rank(lo)))
 			return
 		}
-		mid := lo[d] + ext/2
-		hiA := append([]int(nil), hi...)
-		hiA[d] = mid
-		loB := append([]int(nil), lo...)
-		loB[d] = mid
-		rec(lo, hiA)
-		rec(loB, hi)
+		l, h := lo[d], hi[d]
+		mid := l + ext/2
+		hi[d] = mid
+		rec()
+		hi[d], lo[d] = h, mid
+		rec()
+		lo[d] = l
 	}
-	rec(make([]int, len(dims)), append([]int(nil), dims...))
+	rec()
 	return order
 }
 
@@ -274,7 +269,7 @@ func (r *mlRefiner) projectLevel(fine, coarse *partition.CGraph, cmap []int32, c
 	// the coarse level's repc, which its refine left equal to rep(c) over
 	// cstart, so an edge costs no division.
 	parentRep := func(u int32) int32 {
-		return r.repc[cmap[u]]
+		return int32(r.repc[cmap[u]])
 	}
 	// Approximate cost of placing fine vertex v at rep processor pv,
 	// against parent-level reps; the v–sib edge is order-invariant inside
@@ -338,12 +333,9 @@ type mlRefiner struct {
 	start     []int32
 	slotOwner []int32 // slot → owning vertex, len n
 	proposals []int32 // per-vertex swap partner, -1 = none
-	repc      []int32 // per-vertex representative processor cache
-	// edist[i] is the current length of edge slot i of the level's CSR:
-	// dist(repc[v], repc[Adjncy[i]]) for the v whose row holds i, stored
-	// saturated at edistFar (see edgeDist). Filled by setLevel, kept true
-	// by commit, read-only during propose.
-	edist   []uint16
+	// repc[v] is vertex v's representative processor: the level's layout
+	// as a Mapping, so SwapDelta scores a swap straight off the CSR rows.
+	repc    Mapping
 	dirty   []bool // vertices whose neighborhood changed last commit
 	scanAll bool   // first pass of a level scans every vertex
 }
@@ -357,17 +349,14 @@ func newMLRefiner(t topology.Topology, procOrder []int32, n, p int) *mlRefiner {
 		n: n, p: p, slotOwner: make([]int32, n)}
 }
 
-// reserve makes the per-vertex and per-edge buffers hold at least nv
-// vertices and ne edge slots. Place calls it once with the finest level's
-// sizes, so no level of the V-cycle allocates its own.
-func (r *mlRefiner) reserve(nv, ne int) {
+// reserve makes the per-vertex buffers hold at least nv vertices. Place
+// calls it once with the finest level's size, so no level of the V-cycle
+// allocates its own.
+func (r *mlRefiner) reserve(nv int) {
 	if cap(r.proposals) < nv {
 		r.proposals = make([]int32, nv)
-		r.repc = make([]int32, nv)
+		r.repc = make(Mapping, nv)
 		r.dirty = make([]bool, nv)
-	}
-	if cap(r.edist) < ne {
-		r.edist = make([]uint16, ne)
 	}
 }
 
@@ -376,54 +365,24 @@ func (r *mlRefiner) reserve(nv, ne int) {
 func (r *mlRefiner) setLevel(lvl *partition.CGraph, start []int32) {
 	r.lvl = lvl
 	r.start = start
-	r.reserve(lvl.N, len(lvl.Adjncy))
+	r.reserve(lvl.N)
 	r.proposals = r.proposals[:lvl.N]
 	r.repc = r.repc[:lvl.N]
 	r.dirty = r.dirty[:lvl.N]
-	r.edist = r.edist[:len(lvl.Adjncy)]
 	for v := int32(0); v < int32(lvl.N); v++ {
 		tc := lvl.TcountOf(v)
 		for s := start[v]; s < start[v]+tc; s++ {
 			r.slotOwner[s] = v
 		}
-		r.repc[v] = r.rep(v)
+		r.repc[v] = int(r.rep(v))
 	}
-	parallel.For(lvl.N, proposeGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			pv := r.repc[v]
-			for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
-				r.edist[i] = saturate(r.dist(pv, r.repc[lvl.Adjncy[i]]))
-			}
-		}
-	})
 }
 
-// edistFar is the largest storable edge distance; it stands for "this or
-// anything longer" (only machines of diameter ≥ 65 535 reach it), and
-// edgeDist recomputes such an entry instead of trusting it.
-const edistFar = math.MaxUint16
-
-func saturate(d int32) uint16 {
-	if d >= edistFar {
-		return edistFar
-	}
-	return uint16(d)
-}
-
-// edgeDist returns the current length of edge slot i, which joins
-// processors a and b: the cached value unless it is saturated.
-func (r *mlRefiner) edgeDist(i, a, b int32) int32 {
-	if e := r.edist[i]; e != edistFar {
-		return int32(e)
-	}
-	return r.dist(a, b)
-}
-
-// refine runs up to passes propose/commit sweeps, stopping early once a
-// sweep commits no move. The first sweep scans every vertex; later sweeps
-// rescan only vertices whose neighborhood a commit changed.
-func (r *mlRefiner) refine(passes int) {
-	for pass := 0; pass < passes; pass++ {
+// refine runs up to mlRefinePasses propose/commit sweeps, stopping early
+// once a sweep commits no move. The first sweep scans every vertex; later
+// sweeps rescan only vertices whose neighborhood a commit changed.
+func (r *mlRefiner) refine() {
+	for pass := 0; pass < mlRefinePasses; pass++ {
 		r.scanAll = pass == 0
 		r.propose()
 		if r.commit() == 0 {
@@ -441,9 +400,9 @@ func (r *mlRefiner) dist(a, b int32) int32 {
 }
 
 // procNeighbors returns the machine neighbors of processor q.
-func (r *mlRefiner) procNeighbors(q int32) []int {
+func (r *mlRefiner) procNeighbors(q int) []int {
 	//lint:ignore hotalloc Topology.Neighbors returns a precomputed adjacency slice on every machine topology; zero allocations, pinned by TestMultilevelProposeZeroAlloc
-	return r.t.Neighbors(int(q))
+	return r.t.Neighbors(q)
 }
 
 // owner returns the vertex holding processor rank q's first slot. Slots
@@ -486,8 +445,8 @@ func (r *mlRefiner) proposeOne(v int32) int32 {
 	// Gain filter: a vertex whose every edge already spans <= 1 hop cannot
 	// reduce its own terms; skip it (partners still scan from their side).
 	far := false
-	for _, e := range r.edist[lvl.Xadj[v]:lvl.Xadj[v+1]] {
-		if e > 1 {
+	for _, u := range lvl.Adjncy[lvl.Xadj[v]:lvl.Xadj[v+1]] {
+		if r.dist(int32(pv), int32(r.repc[u])) > 1 {
 			far = true
 			break
 		}
@@ -516,7 +475,7 @@ func (r *mlRefiner) proposeOne(v int32) int32 {
 // consider evaluates candidate partner c for vertex v and returns the
 // updated best partner and delta. Strictly better deltas replace, so the
 // first candidate reaching the best value wins (fixed candidate order).
-func (r *mlRefiner) consider(v, c, tc, pv, best int32, bestDelta float64) (int32, float64) {
+func (r *mlRefiner) consider(v, c, tc int32, pv int, best int32, bestDelta float64) (int32, float64) {
 	if c == v || r.lvl.TcountOf(c) != tc {
 		return best, bestDelta
 	}
@@ -531,39 +490,18 @@ func (r *mlRefiner) consider(v, c, tc, pv, best int32, bestDelta float64) (int32
 }
 
 // swapDelta returns the change in the level's surrogate hop-bytes if v
-// (rep pv) and c (rep pc) exchange slot runs. The v–c edge, if any, is
-// symmetric under the swap and skipped. Each edge costs one distance: its
-// length after the swap; its current length is the cached one. The
-// difference of the two integers is the same number the difference of
-// their float64 images was, so the sum is the same sum.
-func (r *mlRefiner) swapDelta(v, c, pv, pc int32) float64 {
-	lvl := r.lvl
-	d := 0.0
-	for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
-		u := lvl.Adjncy[i]
-		if u == c {
-			continue
-		}
-		pu := r.repc[u]
-		d += lvl.Adjwgt[i] * float64(r.dist(pc, pu)-r.edgeDist(i, pv, pu))
-	}
-	for i := lvl.Xadj[c]; i < lvl.Xadj[c+1]; i++ {
-		u := lvl.Adjncy[i]
-		if u == v {
-			continue
-		}
-		pu := r.repc[u]
-		d += lvl.Adjwgt[i] * float64(r.dist(pv, pu)-r.edgeDist(i, pc, pu))
-	}
-	return d
+// (rep pv) and c (rep pc) exchange slot runs: SwapDelta over the two CSR
+// rows, with repc as the mapping.
+func (r *mlRefiner) swapDelta(v, c int32, pv, pc int) float64 {
+	x := r.lvl.Xadj
+	adj, w := r.lvl.Adjncy, r.lvl.Adjwgt
+	return SwapDelta(&r.d, r.repc, pv, pc, int(v), adj[x[v]:x[v+1]], w[x[v]:x[v+1]], int(c), adj[x[c]:x[c+1]], w[x[c]:x[c+1]])
 }
 
 // commit applies proposals serially in ascending vertex order, recomputing
 // each delta against the live layout (earlier commits may have changed
 // it), and returns the number of swaps applied. Swapped vertices and
-// their communication partners are marked dirty for the next pass, and
-// the edge-distance cache is brought up to date before the next proposal
-// is revalidated against it.
+// their communication partners are marked dirty for the next pass.
 func (r *mlRefiner) commit() int {
 	for i := range r.dirty {
 		r.dirty[i] = false
@@ -598,23 +536,10 @@ func (r *mlRefiner) commit() int {
 }
 
 // moved records that v's representative changed: v and its communication
-// partners are marked for the next pass, and the cached length of every
-// edge at v is refreshed in both rows that hold it — v's and the
-// partner's (hop distance is symmetric, so one computation serves both).
+// partners are marked for the next pass.
 func (r *mlRefiner) moved(v int32) {
-	lvl := r.lvl
-	pv := r.repc[v]
 	r.dirty[v] = true
-	for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
-		u := lvl.Adjncy[i]
+	for _, u := range r.lvl.Adjncy[r.lvl.Xadj[v]:r.lvl.Xadj[v+1]] {
 		r.dirty[u] = true
-		e := saturate(r.dist(pv, r.repc[u]))
-		r.edist[i] = e
-		for j := lvl.Xadj[u]; j < lvl.Xadj[u+1]; j++ {
-			if lvl.Adjncy[j] == v {
-				r.edist[j] = e
-				break
-			}
-		}
 	}
 }

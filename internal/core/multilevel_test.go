@@ -2,8 +2,8 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -209,48 +209,39 @@ func TestMultilevelRefinementMonotonic(t *testing.T) {
 	}
 }
 
-// TestMultilevelRefineDisabled checks the RefinePasses < 0 switch: with
-// refinement off, the placement is pure coarse projection.
-func TestMultilevelRefineDisabled(t *testing.T) {
-	topo, err := topology.NewTorus(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := taskgraph.Stencil9(32, 32, 1024)
-	off, err := MultilevelMap{RefinePasses: -1}.Place(g, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := MultilevelMap{}.Place(g, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hbOff := HopBytes(g, topo, off)
-	hbOn := HopBytes(g, topo, on)
-	if hbOn > hbOff {
-		t.Fatalf("refinement made the mapping worse: %g (on) > %g (off)", hbOn, hbOff)
-	}
-}
-
 // TestMultilevelProposeZeroAlloc pins the hotpath contract: one proposal
-// sweep allocates at most the parallel.For closure — nothing per vertex.
+// sweep allocates at most the parallel.For closure — nothing per vertex —
+// on one machine of each closed-form Dists kind: an even torus (labels),
+// an odd torus (coordinate table), a hypercube and a fat-tree.
 func TestMultilevelProposeZeroAlloc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	topo, err := topology.NewTorus(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := taskgraph.Random(512, 2048, 500, 1500, 5)
-	r := refinerFixture(t, g, topo)
-	r.scanAll = true
-	allocs := testing.AllocsPerRun(20, func() {
-		r.propose()
-	})
-	// The parallel.For closure and its capture context are the only
-	// allocations allowed — a constant per sweep, nothing per vertex.
-	if allocs > 2 {
-		t.Fatalf("propose sweep allocates %v times; want <= 2 (the sweep closure)", allocs)
+	for _, topo := range []topology.Topology{
+		topology.MustTorus(8, 8), topology.MustTorus(4, 3, 5), topology.MustHypercube(6), topology.MustFatTree(4, 3),
+	} {
+		r := refinerFixture(t, g, topo)
+		r.scanAll = true
+		allocs := testing.AllocsPerRun(20, func() {
+			r.propose()
+		})
+		// The parallel.For closure and its capture context are the only
+		// allocations allowed — a constant per sweep, nothing per vertex.
+		if allocs > 2 {
+			t.Fatalf("%s: propose sweep allocates %v times; want <= 2 (the sweep closure)", topo.Name(), allocs)
+		}
+	}
+}
+
+// TestLocalityOrderAllocsFlat: the bisection splits one box in place, so
+// the allocation count of localityOrder does not grow with the machine.
+func TestLocalityOrderAllocsFlat(t *testing.T) {
+	small, large := topology.MustTorus(16, 16), topology.MustTorus(64, 32, 32)
+	a := testing.AllocsPerRun(5, func() { localityOrder(small) })
+	b := testing.AllocsPerRun(5, func() { localityOrder(large) })
+	if a != b || b > 8 {
+		t.Fatalf("localityOrder allocates %v times on %s and %v on %s; want the same count, at most 8",
+			a, small.Name(), b, large.Name())
 	}
 }
 
@@ -300,8 +291,6 @@ func TestMultilevelPlaceHashes(t *testing.T) {
 			topology.MustHypercube(7), 0xaf50ad6bd906df05},
 		{"random/fattree", MultilevelMap{}, taskgraph.Random(2000, 8000, 100, 1000, 3),
 			topology.MustFatTree(4, 3), 0xa272db575b1c7665},
-		{"stencil/torus/no-refine", MultilevelMap{RefinePasses: -1}, taskgraph.Stencil9(64, 64, 1024),
-			topology.MustTorus(8, 8), 0xe8d61c8fef6e2325},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -322,87 +311,72 @@ func TestMultilevelPlaceHashes(t *testing.T) {
 	}
 }
 
-// checkEdgeCache fails unless every edge slot of the refiner's level holds
-// the current length of its edge, and returns how many slots are stored
-// saturated (and so answered by recomputation).
-func checkEdgeCache(t *testing.T, r *mlRefiner, when string) int {
-	t.Helper()
-	saturated := 0
-	for v := int32(0); v < int32(r.lvl.N); v++ {
-		pv := r.repc[v]
-		for i := r.lvl.Xadj[v]; i < r.lvl.Xadj[v+1]; i++ {
-			u := r.lvl.Adjncy[i]
-			want := r.dist(pv, r.repc[u])
-			if r.edist[i] != saturate(want) || r.edgeDist(i, pv, r.repc[u]) != want {
-				t.Fatalf("%s: edge slot %d (%d-%d) caches %d, its length is %d", when, i, v, u, r.edist[i], want)
-			}
-			if r.edist[i] == edistFar {
-				saturated++
-			}
-		}
-	}
-	return saturated
-}
-
-// twoDistanceDelta is swapDelta as it was before the edge cache: both
-// lengths of every edge computed on the spot, subtracted as float64.
-func twoDistanceDelta(r *mlRefiner, v, c int32) float64 {
-	lvl, pv, pc := r.lvl, r.repc[v], r.repc[c]
-	d := 0.0
-	for i := lvl.Xadj[v]; i < lvl.Xadj[v+1]; i++ {
-		if u := lvl.Adjncy[i]; u != c {
-			pu := r.repc[u]
-			d += lvl.Adjwgt[i] * (float64(r.dist(pc, pu)) - float64(r.dist(pv, pu)))
-		}
-	}
-	for i := lvl.Xadj[c]; i < lvl.Xadj[c+1]; i++ {
-		if u := lvl.Adjncy[i]; u != v {
-			pu := r.repc[u]
-			d += lvl.Adjwgt[i] * (float64(r.dist(pv, pu)) - float64(r.dist(pc, pu)))
-		}
-	}
-	return d
-}
-
-// TestMLRefinerEdgeCache: the cache is the truth. After setLevel and after
-// every commit of a six-pass run on the shuffled fixture, every slot holds
-// its edge's current length, and the one-distance swapDelta equals the
-// two-distance one bit for bit on every proposal. The second machine is a
-// line longer than a uint16 can count, so some entries are stored
-// saturated and must be recomputed on read.
-func TestMLRefinerEdgeCache(t *testing.T) {
+// TestMLRefinerDeltaIsHopBytes: the V-cycle's swap score is the exact
+// hop-bytes change. At the finest level every proposal's delta, scored
+// against the live layout, must equal HopBytes after the swap minus
+// HopBytes before, to 1e-9 of the hop-bytes being subtracted. The machines
+// cover each closed-form Dists kind. mesh:70000 is a line longer than a
+// uint16 can count; a full HopBytes there costs a millisecond, so each
+// pass checks the first 32 proposals touching an edge longer than 65 535
+// hops, before or after the swap, and one vertex in 1024 besides.
+func TestMLRefinerDeltaIsHopBytes(t *testing.T) {
+	const far = 65535
+	small := taskgraph.Random(512, 2048, 0.5, 1.5, 5)
 	cases := []struct {
-		g             *taskgraph.Graph
-		topo          topology.Topology
-		wantSaturated bool
+		g    *taskgraph.Graph
+		topo topology.Topology
 	}{
-		{taskgraph.Random(512, 2048, 0.5, 1.5, 5), topology.MustTorus(8, 8), false},
-		{taskgraph.Random(70000, 140000, 0.5, 1.5, 5), topology.MustMesh(70000), true},
+		{small, topology.MustTorus(8, 8)},
+		{small, topology.MustTorus(4, 3, 5)},
+		{small, topology.MustHypercube(6)},
+		{small, topology.MustFatTree(4, 3)},
+		{taskgraph.Random(70000, 140000, 0.5, 1.5, 5), topology.MustMesh(70000)},
 	}
 	for _, tc := range cases {
 		r := refinerFixture(t, tc.g, tc.topo)
-		saturated := checkEdgeCache(t, r, "after setLevel")
-		if tc.wantSaturated != (saturated > 0) {
-			t.Fatalf("%s: %d saturated cache entries, want some: %v", tc.topo.Name(), saturated, tc.wantSaturated)
-		}
-		for pass := 0; pass < 6; pass++ {
+		long := tc.topo.Nodes() > far
+		checked, farChecked := 0, 0
+		for pass := 0; pass < 3; pass++ {
 			r.scanAll = true
 			r.propose()
+			m := append(Mapping(nil), r.repc...)
+			before := HopBytes(tc.g, tc.topo, m)
+			passFar := 0
 			for v, c := range r.proposals {
 				if c < 0 {
 					continue
 				}
-				got := r.swapDelta(int32(v), c, r.repc[v], r.repc[c])
-				if want := twoDistanceDelta(r, int32(v), c); got != want {
-					t.Fatalf("%s pass %d: swapDelta(%d,%d) = %v, two-distance form %v", tc.topo.Name(), pass, v, c, got, want)
+				got := r.swapDelta(int32(v), c, m[v], m[c])
+				touchesFar := false
+				for _, x := range []int{v, int(c)} {
+					adj, _ := tc.g.Neighbors(x)
+					for _, u := range adj {
+						pu := m[u]
+						touchesFar = touchesFar || tc.topo.Distance(m[v], pu) > far || tc.topo.Distance(m[c], pu) > far
+					}
 				}
+				if touchesFar && passFar < 32 {
+					passFar++
+				} else if long && v%1024 != 0 {
+					continue
+				}
+				m[v], m[c] = m[c], m[v]
+				after := HopBytes(tc.g, tc.topo, m)
+				m[v], m[c] = m[c], m[v]
+				if want := after - before; math.Abs(got-want) > 1e-9*max(before, after) {
+					t.Fatalf("%s pass %d: swap (%d,%d) scored %v, HopBytes moved %v", tc.topo.Name(), pass, v, c, got, want)
+				}
+				checked++
 			}
-			moves := r.commit()
-			checkEdgeCache(t, r, fmt.Sprintf("%s after commit %d", tc.topo.Name(), pass))
-			if moves == 0 {
+			farChecked += passFar
+			if r.commit() == 0 {
 				break
 			}
 		}
+		if checked == 0 || long != (farChecked > 0) {
+			t.Fatalf("%s: %d proposals checked, %d over an edge longer than %d hops", tc.topo.Name(), checked, farChecked, far)
+		}
+		t.Logf("%s: %d proposals checked, %d over an edge longer than %d hops", tc.topo.Name(), checked, farChecked, far)
 	}
 }
 

@@ -127,7 +127,7 @@ func sweepCandidates(g *taskgraph.Graph, d *topology.Dists, m Mapping, occupant 
 // while task b, whose row is adjB and wB, goes from pb to pa; m holds every
 // other task's processor. A move of a alone is b = -1 with an empty row.
 // The a–b edge, if any, is as long after a swap as before and is skipped.
-// Every refiner but the multilevel one (DESIGN §11) scores with it.
+// Every refiner scores with it, the V-cycle's included (DESIGN §11).
 func SwapDelta(d *topology.Dists, m Mapping, pa, pb, a int, adjA []int32, wA []float64, b int, adjB []int32, wB []float64) float64 {
 	delta := 0.0
 	if dm := d.Matrix(); dm != nil {

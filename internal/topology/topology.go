@@ -48,7 +48,8 @@ type Router interface {
 // coordinate grid (meshes and tori).
 type Coordinated interface {
 	Topology
-	// Dims returns the extent of each dimension.
+	// Dims returns the extent of each dimension in a new slice the caller
+	// may modify.
 	Dims() []int
 	// Coord converts a node rank to grid coordinates, filling c, which must
 	// have length len(Dims()).
