@@ -68,6 +68,7 @@ func (s LeeAggarwal) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping,
 	for i, u := range adj {
 		placedComm[u] = w[i]
 	}
+	d := topology.NewDists(t)
 	for placedTasks < n {
 		tk := -1
 		for v := 0; v < n; v++ {
@@ -93,7 +94,7 @@ func (s LeeAggarwal) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping,
 			cost := 0.0
 			for i, u := range adj {
 				if pu := m[u]; pu >= 0 {
-					cost += w[i] * float64(t.Distance(p, pu))
+					cost += w[i] * float64(d.Dist(p, pu))
 				}
 			}
 			// Look-ahead: penalize processors with few free neighbors

@@ -11,7 +11,8 @@ import (
 // requireDistsMatch fails unless every source of to's distance oracle —
 // the cached matrix, the closed form NewDists falls back to under
 // SetDistanceMatrixCap(0), and ClosedDists — answers to.Distance for
-// every pair (a, b) with a in rows.
+// every pair (a, b) with a in rows, and answers Dist(b, a) the same:
+// fillScaledRow reads a processor's row as its column.
 func requireDistsMatch(t *testing.T, to topology.Topology, rows []int) {
 	t.Helper()
 	withMatrix := topology.NewDists(to)
@@ -37,6 +38,9 @@ func requireDistsMatch(t *testing.T, to topology.Topology, rows []int) {
 				if got := src.d.Dist(a, b); got != want {
 					t.Fatalf("%s: %s Dist(%d,%d) = %d, Distance %d", to.Name(), src.name, a, b, got, want)
 				}
+				if got := src.d.Dist(b, a); got != want {
+					t.Fatalf("%s: %s Dist(%d,%d) = %d, Distance(%d,%d) %d", to.Name(), src.name, b, a, got, a, b, want)
+				}
 			}
 		}
 	}
@@ -59,7 +63,7 @@ func requireSubsetMatches(t *testing.T, s *subsetTopology, base topology.Topolog
 // topology.Machines() at small sizes, grids on both sides of the 64-bit
 // label boundary, a hierarchy, a connected Graph and the subset adapter
 // over both of the oracle's sources, each source answers
-// Topology.Distance on every pair.
+// Topology.Distance on every pair, in both orders.
 func TestDistsMatchDistance(t *testing.T) {
 	// Labels: 64 bits, extent-2 rings and extent-1 dimensions. Coordinate
 	// form: 65 bits, and an odd ring.

@@ -24,23 +24,13 @@ func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
 	d := topology.NewDists(t)
 	return parallel.Reduce(g.NumVertices(), hopBytesGrain, func(lo, hi int) float64 {
 		d := d // the chunk's own copy: a method call on the captured one would move it to the heap
-		dm := d.Matrix()
 		hb := 0.0
 		for v := lo; v < hi; v++ {
 			adj, w := g.Neighbors(v)
 			pv := m[v]
-			if dm != nil {
-				row := dm.Row(pv)
-				for i, u := range adj {
-					if int32(v) < u {
-						hb += w[i] * float64(row[m[u]])
-					}
-				}
-			} else {
-				for i, u := range adj {
-					if int32(v) < u {
-						hb += w[i] * float64(d.Dist(pv, m[u]))
-					}
+			for i, u := range adj {
+				if int32(v) < u {
+					hb += w[i] * float64(d.Dist(pv, m[u]))
 				}
 			}
 		}

@@ -281,7 +281,7 @@ func (r *mlRefiner) projectLevel(fine, coarse *partition.CGraph, cmap []int32, c
 			if u == sib {
 				continue
 			}
-			cost += fine.Adjwgt[i] * float64(r.dist(pv, parentRep(u)))
+			cost += fine.Adjwgt[i] * float64(r.d.Dist(int(pv), int(parentRep(u))))
 		}
 		return cost
 	}
@@ -391,14 +391,6 @@ func (r *mlRefiner) refine() {
 	}
 }
 
-// dist returns the hop distance between processors a and b. It is the
-// V-cycle's one distance: the coarse map (through subsetTopology),
-// projectLevel and the refinement sweeps all read r.d, and this wrapper
-// inlines, so a distance costs exactly one call.
-func (r *mlRefiner) dist(a, b int32) int32 {
-	return int32(r.d.Dist(int(a), int(b)))
-}
-
 // procNeighbors returns the machine neighbors of processor q.
 func (r *mlRefiner) procNeighbors(q int) []int {
 	//lint:ignore hotalloc Topology.Neighbors returns a precomputed adjacency slice on every machine topology; zero allocations, pinned by TestMultilevelProposeZeroAlloc
@@ -446,7 +438,7 @@ func (r *mlRefiner) proposeOne(v int32) int32 {
 	// reduce its own terms; skip it (partners still scan from their side).
 	far := false
 	for _, u := range lvl.Adjncy[lvl.Xadj[v]:lvl.Xadj[v+1]] {
-		if r.dist(int32(pv), int32(r.repc[u])) > 1 {
+		if r.d.Dist(pv, r.repc[u]) > 1 {
 			far = true
 			break
 		}

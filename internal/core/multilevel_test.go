@@ -402,10 +402,11 @@ func TestMLRefinerNeighborCandidates(t *testing.T) {
 }
 
 // TestMLRefinerDistMatchesTopology: the fast path is the topology. The
-// coarse map and projectLevel measure through the refiner's dist, so it
-// must agree with Topology.Distance on every pair, on each closed-form
-// kind of the oracle: an odd torus and a 65-bit mesh (coordinate table),
-// an even torus and a small mesh (labels), a hypercube and a fat-tree.
+// coarse map and projectLevel measure through the refiner's oracle r.d,
+// so it must agree with Topology.Distance on every pair, on each
+// closed-form kind of the oracle: an odd torus and a 65-bit mesh
+// (coordinate table), an even torus and a small mesh (labels), a
+// hypercube and a fat-tree.
 func TestMLRefinerDistMatchesTopology(t *testing.T) {
 	for _, topo := range []topology.Topology{
 		topology.MustTorus(4, 3, 5), topology.MustMesh(66), topology.MustTorus(4, 6, 2), topology.MustMesh(5, 4),
@@ -415,8 +416,8 @@ func TestMLRefinerDistMatchesTopology(t *testing.T) {
 		r := newMLRefiner(topo, localityOrder(topo), p, p)
 		for a := 0; a < p; a++ {
 			for b := 0; b < p; b++ {
-				if got, want := r.dist(int32(a), int32(b)), topo.Distance(a, b); int(got) != want {
-					t.Fatalf("%s: dist(%d,%d) = %d, Topology.Distance %d", topo.Name(), a, b, got, want)
+				if got, want := r.d.Dist(a, b), topo.Distance(a, b); got != want {
+					t.Fatalf("%s: r.d.Dist(%d,%d) = %d, Topology.Distance %d", topo.Name(), a, b, got, want)
 				}
 			}
 		}

@@ -114,7 +114,6 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 	}
 	n := t.Nodes()
 	d := topology.NewDists(t)
-	dm := d.Matrix()
 	m := make(Mapping, n)
 	for i := range m {
 		m[i] = -1
@@ -171,18 +170,9 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 				continue
 			}
 			cost := 0.0
-			if dm != nil {
-				row := dm.Row(p)
-				for i, u := range adj {
-					if pu := m[u]; pu >= 0 {
-						cost += w[i] * float64(row[pu])
-					}
-				}
-			} else {
-				for i, u := range adj {
-					if pu := m[u]; pu >= 0 {
-						cost += w[i] * float64(d.Dist(p, pu))
-					}
+			for i, u := range adj {
+				if pu := m[u]; pu >= 0 {
+					cost += w[i] * float64(d.Dist(p, pu))
 				}
 			}
 			if pk < 0 || cost < best {

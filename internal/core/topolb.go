@@ -26,17 +26,11 @@ const (
 )
 
 // fillScaledRow sets distRow[p] = scale × d(p, pk) for every processor.
-// Distances are symmetric, so the matrix row for pk serves as the column.
+// Distances are symmetric, so it reads pk's row, d(pk, p): on the matrix
+// that walks one row of cells, not a column.
 func fillScaledRow(d *topology.Dists, distRow []float64, pk int, scale float64) {
-	if dm := d.Matrix(); dm != nil {
-		row := dm.Row(pk)
-		for p := range distRow {
-			distRow[p] = scale * float64(row[p])
-		}
-		return
-	}
 	for p := range distRow {
-		distRow[p] = scale * float64(d.Dist(p, pk))
+		distRow[p] = scale * float64(d.Dist(pk, p))
 	}
 }
 

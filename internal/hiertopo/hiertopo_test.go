@@ -152,7 +152,7 @@ func TestDistanceMatrixAgrees(t *testing.T) {
 	dm := topology.NewDistanceMatrix(h)
 	for a := 0; a < h.Nodes(); a++ {
 		for b := 0; b < h.Nodes(); b++ {
-			if int(dm.Lookup(a, b)) != h.Distance(a, b) {
+			if int(dm.Row(a)[b]) != h.Distance(a, b) {
 				t.Fatalf("matrix disagrees at (%d,%d)", a, b)
 			}
 		}

@@ -111,7 +111,10 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 	localCoord := make([]int, len(dims))
 	globalCoord := make([]int, len(dims))
 	for grp, members := range groups {
-		sub := inducedSubgraph(g, members)
+		sub, err := taskgraph.Induced(g, members)
+		if err != nil {
+			return nil, fmt.Errorf("hybrid: block %d: %w", grp, err)
+		}
 		localMap, err := inner.Map(sub, localTopo)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: block %d mapping: %w", grp, err)
@@ -203,24 +206,4 @@ func equalCountPartition(g *taskgraph.Graph, k int, seed int64) ([]int, error) {
 		counts[bestTarget]++
 	}
 	return assign, nil
-}
-
-// inducedSubgraph extracts the subgraph on members (in order): sub-vertex
-// i corresponds to members[i]. Edges leaving the set are dropped.
-func inducedSubgraph(g *taskgraph.Graph, members []int) *taskgraph.Graph {
-	idx := make(map[int]int, len(members))
-	for i, v := range members {
-		idx[v] = i
-	}
-	b := taskgraph.NewBuilder(len(members))
-	for i, v := range members {
-		b.SetVertexWeight(i, g.VertexWeight(v))
-		adj, w := g.Neighbors(v)
-		for j, u := range adj {
-			if k, ok := idx[int(u)]; ok && i < k {
-				b.AddEdge(i, k, w[j])
-			}
-		}
-	}
-	return b.Build("induced")
 }

@@ -69,13 +69,14 @@ func Evaluate(g *taskgraph.Graph, t topology.Topology, m []int) (*Report, error)
 		r.HopsPerByte = r.HopBytes / total
 	}
 	edges := 0
+	dists := topology.NewDists(t)
 	for v := 0; v < n; v++ {
 		adj, _ := g.Neighbors(v)
 		for _, u := range adj {
 			if int32(v) >= u {
 				continue
 			}
-			d := t.Distance(m[v], m[u])
+			d := dists.Dist(m[v], m[u])
 			edges++
 			r.MeanDilation += float64(d)
 			if d > r.MaxDilation {

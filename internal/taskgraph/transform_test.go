@@ -99,6 +99,12 @@ func TestInduced(t *testing.T) {
 	if sub.NumVertices() != 3 || sub.NumEdges() != 2 {
 		t.Fatalf("shape (%d,%d)", sub.NumVertices(), sub.NumEdges())
 	}
+	if sub.EdgeWeight(0, 1) != 10 || sub.EdgeWeight(1, 2) != 10 {
+		t.Error("induced edge weights wrong")
+	}
+	if sub.EdgeWeight(0, 2) != 0 {
+		t.Error("unexpected induced edge 0-2")
+	}
 	if _, err := Induced(g, []int{0, 0}); err == nil {
 		t.Error("duplicate: want error")
 	}

@@ -41,7 +41,7 @@ func NewDistanceMatrix(t Topology) *DistanceMatrix {
 		for a := lo; a < hi; a++ {
 			row := m.d[a*n : (a+1)*n]
 			for b := range row {
-				row[b] = int32(d.Dist(a, b))
+				row[b] = int32(d.closed(a, b)) // a ClosedDists never holds a matrix
 			}
 		}
 	})
@@ -50,9 +50,6 @@ func NewDistanceMatrix(t Topology) *DistanceMatrix {
 
 // Nodes returns the number of nodes the matrix covers.
 func (m *DistanceMatrix) Nodes() int { return m.n }
-
-// Lookup returns the hop distance between a and b.
-func (m *DistanceMatrix) Lookup(a, b int) int32 { return m.d[a*m.n+b] }
 
 // Row returns the distances from a to every node. The slice aliases the
 // matrix and must not be modified.

@@ -24,6 +24,8 @@ const (
 // never depends on which one it got. A Dists is a value: building and
 // querying one allocates nothing.
 type Dists struct {
+	md   []int32 // the matrix's cells, for distMatrix
+	n    int     // the matrix's width
 	kind distKind
 	m    *DistanceMatrix
 	g    *grid
@@ -35,7 +37,7 @@ type Dists struct {
 // cap (see CachedDistances), ClosedDists(t) otherwise.
 func NewDists(t Topology) Dists {
 	if m := CachedDistances(t); m != nil {
-		return Dists{kind: distMatrix, m: m, t: t}
+		return Dists{md: m.d, n: m.n, kind: distMatrix, m: m, t: t}
 	}
 	return ClosedDists(t)
 }
@@ -63,18 +65,27 @@ func gridDists(g *grid, t Topology) Dists {
 	return Dists{kind: distGrid, g: g, t: t}
 }
 
-// Matrix returns the matrix the oracle answers from, or nil. A kernel
-// whose inner loop walks one processor's distances hoists Matrix().Row
-// out of it; a per-lookup Dist costs that loop a call per cell.
+// Matrix returns the matrix the oracle answers from, or nil. Only
+// SwapDelta reads it: its two loops hoist Matrix().Row, where a loop over
+// Dist measured slower (DESIGN §6).
 func (d *Dists) Matrix() *DistanceMatrix { return d.m }
 
-// Dist returns the hop distance between processors a and b.
+// Dist returns the hop distance between processors a and b. It inlines:
+// the matrix cell is read in the caller's loop, and every other source is
+// one call to closed. Keep it under the inliner's budget; CI checks that
+// the kernels inline it.
 func (d *Dists) Dist(a, b int) int {
+	if d.kind == distMatrix {
+		return int(d.md[a*d.n+b])
+	}
+	return d.closed(a, b)
+}
+
+// closed answers Dist from every source but the matrix.
+func (d *Dists) closed(a, b int) int {
 	switch d.kind {
 	case distLabel:
 		return bits.OnesCount64(d.l[a] ^ d.l[b])
-	case distMatrix:
-		return int(d.m.Lookup(a, b))
 	case distGrid:
 		return d.g.dist(a, b)
 	case distCube:

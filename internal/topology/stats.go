@@ -66,17 +66,10 @@ func TotalDistances(t Topology, out []float64) {
 	d := NewDists(t)
 	parallel.For(n, 8, func(lo, hi int) {
 		d := d // the chunk's own copy: a method call on the captured one would move it to the heap
-		dm := d.Matrix()
 		for p := lo; p < hi; p++ {
 			sum := 0.0
-			if dm != nil {
-				for _, x := range dm.Row(p) {
-					sum += float64(x)
-				}
-			} else {
-				for q := 0; q < n; q++ {
-					sum += float64(d.Dist(p, q))
-				}
+			for q := 0; q < n; q++ {
+				sum += float64(d.Dist(p, q))
 			}
 			out[p] = sum
 		}
