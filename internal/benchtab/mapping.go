@@ -3,8 +3,8 @@ package benchtab
 // Suite "mapping": the paper's strategies, Refine and HopBytes on a
 // 2D-mesh pattern mapped to a 2D torus of the same shape. The reference
 // side is the same kernel with the distance matrix disabled (every hot
-// loop distance is one topology.Dists call that XORs and popcounts the
-// torus's partial-cube labels), at the same width: the ratio at
+// loop distance XORs and popcounts the torus's partial-cube labels, through
+// topology.Dists), at the same width: the ratio at
 // GOMAXPROCS 1 is the matrix's contribution alone, and a row's own times
 // across widths are the fork-join substrate's.
 

@@ -20,6 +20,9 @@ func requireDistsMatch(t *testing.T, to topology.Topology, rows []int) {
 	if (withMatrix.Matrix() == nil) != ephemeral {
 		t.Fatalf("%s: NewDists has a matrix: %v, Ephemeral: %v", to.Name(), withMatrix.Matrix() != nil, ephemeral)
 	}
+	if withMatrix.Matrix() != nil && withMatrix.Labels() != nil {
+		t.Fatalf("%s: NewDists answers from the matrix and carries labels", to.Name())
+	}
 	prev := topology.SetDistanceMatrixCap(0)
 	noMatrix := topology.NewDists(to)
 	topology.SetDistanceMatrixCap(prev)

@@ -13,10 +13,11 @@ import (
 // graph by repeated heavy-edge matching, map the coarsest graph with an
 // ordinary p==n strategy, then uncoarsen level by level with bounded local
 // refinement. Every distance on this path — coarse map, projection,
-// refinement deltas — comes from the machine's closed-form oracle,
-// topology.ClosedDists, through the refiner's dist; no O(p²)
-// DistanceMatrix is ever materialized, so million-task graphs map onto
-// hundred-thousand-node machines in O(n + |E|) memory.
+// refinement deltas — comes from the machine's closed-form oracle, the
+// refiner's topology.ClosedDists: its partial-cube labels on a mesh, even
+// torus or hypercube, which SwapDelta reads directly, and Dist otherwise.
+// No O(p²) DistanceMatrix is ever materialized, so million-task graphs
+// map onto hundred-thousand-node machines in O(n + |E|) memory.
 //
 // Placement model. Tasks occupy a linear slot space [0, n). Processor
 // q owns the contiguous slot block [⌈q·n/p⌉, ⌈(q+1)·n/p⌉), so every

@@ -405,8 +405,8 @@ func TestMLRefinerNeighborCandidates(t *testing.T) {
 // coarse map and projectLevel measure through the refiner's oracle r.d,
 // so it must agree with Topology.Distance on every pair, on each
 // closed-form kind of the oracle: an odd torus and a 65-bit mesh
-// (coordinate table), an even torus and a small mesh (labels), a
-// hypercube and a fat-tree.
+// (coordinate table), an even torus, a small mesh and a hypercube
+// (labels), and a fat-tree.
 func TestMLRefinerDistMatchesTopology(t *testing.T) {
 	for _, topo := range []topology.Topology{
 		topology.MustTorus(4, 3, 5), topology.MustMesh(66), topology.MustTorus(4, 6, 2), topology.MustMesh(5, 4),

@@ -72,9 +72,9 @@ func TestParallelMappingsIdenticalAcrossGOMAXPROCS(t *testing.T) {
 // table stores exactly the integers each closed form returns, so disabling
 // it must not change a single placement or hop-bytes bit. Every oracle
 // kind the kernels fall back to — a torus's and a mesh's coordinate
-// table, a hypercube's popcount, a fat-tree's Distance, and a hierarchy's
-// over leaves of each kind — is held to the matrix through every kernel
-// that reads one: the strategies, Refine (under RefineTopoLB), HopBytes,
+// table, a hypercube's labels (its ranks), a fat-tree's Distance, and a
+// hierarchy's over leaves of each kind — is held to the matrix through
+// every kernel that reads one: the strategies, Refine (under RefineTopoLB), HopBytes,
 // RefineIncremental and HierMap's cross-leaf refine.
 func TestMappingsIdenticalWithAndWithoutDistanceMatrix(t *testing.T) {
 	// outcomes runs every kernel that applies to the machine and returns

@@ -68,8 +68,11 @@ func swapDeltaSources(to topology.Topology) map[string]*topology.Dists {
 // TestPropertySwapDeltaMatchesRecomputation: the one delta kernel equals
 // the recomputed hop-bytes difference, to the bit, for every swap and
 // every move of a random integer-weighted graph placed with sharing on a
-// small machine of every topology.Machines() row, a hierarchy and a Graph,
-// each read through the cached matrix and through the closed form.
+// small machine of every topology.Machines() row, an even torus, a
+// hierarchy and a Graph, each read through the cached matrix and through
+// the closed form. The closed form of the mesh, the even torus and the
+// hypercube is their partial-cube labels, so SwapDelta's label loops are
+// the ones under test there.
 func TestPropertySwapDeltaMatchesRecomputation(t *testing.T) {
 	var machines []topology.Topology
 	shapes := map[int][]int{0: {3, 4}, 1: {3}, 2: {2, 3}}
@@ -80,6 +83,13 @@ func TestPropertySwapDeltaMatchesRecomputation(t *testing.T) {
 		}
 		machines = append(machines, m)
 	}
+	evenTorus := topology.MustTorus(4, 2)
+	machines = append(machines, evenTorus)
+	labelled := map[string]bool{
+		topology.MustMesh(3, 4).Name():   true,
+		topology.MustHypercube(3).Name(): true,
+		evenTorus.Name():                 true,
+	}
 	g, err := topology.NewGraph(7, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 0}, {1, 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +97,9 @@ func TestPropertySwapDeltaMatchesRecomputation(t *testing.T) {
 	machines = append(machines, g, mustHier(t, "pod:2@70/rack:2@7/node:4@3:torus-2x2"))
 	for i, to := range machines {
 		for name, d := range swapDeltaSources(to) {
+			if want := labelled[to.Name()] && name == "no-matrix"; (d.Labels() != nil) != want {
+				t.Fatalf("%s/%s: reads labels: %v, want %v", to.Name(), name, d.Labels() != nil, want)
+			}
 			t.Run(to.Name()+"/"+name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(i)))
 				n := to.Nodes() + 3 // tasks outnumber processors
@@ -114,6 +127,12 @@ func FuzzSwapDeltaMatchesRecomputation(f *testing.F) {
 	f.Add([]byte{2, 5, 1, 12, 7, 0, 1, 5, 3, 2, 8})
 	f.Add([]byte{5, 4, 1, 2, 9, 14, 1, 3, 9, 0, 2, 1, 0, 4})
 	f.Add([]byte{6, 1, 0, 3, 9, 4, 4, 0, 11, 2, 7, 7, 1, 5})
+	// torus:4,2 without the matrix, so SwapDelta reads its labels: eight
+	// tasks on a ten-edge graph, tasks 1 and 5 swapped.
+	f.Add([]byte{0, 1, 3, 1, 1, 6, 10,
+		0, 1, 2, 1, 2, 3, 2, 3, 1, 3, 4, 5, 4, 5, 2,
+		5, 6, 1, 6, 7, 4, 7, 0, 2, 0, 4, 3, 2, 6, 1,
+		0, 7, 3, 5, 2, 6, 1, 4, 1, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

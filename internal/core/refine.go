@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
@@ -127,7 +128,10 @@ func sweepCandidates(g *taskgraph.Graph, d *topology.Dists, m Mapping, occupant 
 // while task b, whose row is adjB and wB, goes from pb to pa; m holds every
 // other task's processor. A move of a alone is b = -1 with an empty row.
 // The a–b edge, if any, is as long after a swap as before and is skipped.
-// Every refiner scores with it, the V-cycle's included (DESIGN §11).
+// Every refiner scores with it, the V-cycle's included (DESIGN §11). It
+// reads one of three sources, each summing the same integer terms in the
+// same order: the matrix's rows of pa and pb, the labels of pa and pb
+// (the V-cycle's, off ClosedDists on a labelled machine), or Dist.
 func SwapDelta(d *topology.Dists, m Mapping, pa, pb, a int, adjA []int32, wA []float64, b int, adjB []int32, wB []float64) float64 {
 	delta := 0.0
 	if dm := d.Matrix(); dm != nil {
@@ -142,6 +146,22 @@ func SwapDelta(d *topology.Dists, m Mapping, pa, pb, a int, adjA []int32, wA []f
 			if int(u) != a {
 				pu := m[u]
 				delta += wB[i] * float64(rowA[pu]-rowB[pu])
+			}
+		}
+		return delta
+	}
+	if l := d.Labels(); l != nil {
+		la, lb := l[pa], l[pb]
+		for i, u := range adjA {
+			if int(u) != b {
+				x := l[m[u]]
+				delta += wA[i] * float64(bits.OnesCount64(lb^x)-bits.OnesCount64(la^x))
+			}
+		}
+		for i, u := range adjB {
+			if int(u) != a {
+				x := l[m[u]]
+				delta += wB[i] * float64(bits.OnesCount64(la^x)-bits.OnesCount64(lb^x))
 			}
 		}
 		return delta

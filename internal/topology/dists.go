@@ -9,27 +9,26 @@ const (
 	distGeneric distKind = iota // Topology.Distance
 	distMatrix                  // the cached DistanceMatrix
 	distGrid                    // a mesh's or torus's coordinate table
-	distCube                    // a hypercube's popcount
-	distLabel                   // a mesh's or torus's partial-cube labels
+	distLabel                   // partial-cube labels: a grid's, or a hypercube's ranks
 )
 
 // Dists is the mapping kernels' one distance oracle. It is chosen once per
 // kernel call and answers from the cached DistanceMatrix when one is
 // materialized, otherwise from the machine's own closed form: the
 // popcount of two partial-cube labels on a mesh or even torus whose labels
-// fit a word (see grid.buildLabels), the coordinate table of any other
-// mesh or torus, the popcount of a hypercube, and Topology.Distance for
-// everything else (fat-trees, graphs, hierarchies, adapters). Every source
-// returns the integers Topology.Distance returns, so a kernel's result
-// never depends on which one it got. A Dists is a value: building and
-// querying one allocates nothing.
+// fit a word (see grid.buildLabels) and on a hypercube (whose labels are
+// its ranks), the coordinate table of any other mesh or torus, and
+// Topology.Distance for everything else (fat-trees, graphs, hierarchies,
+// adapters). Every source returns the integers Topology.Distance returns,
+// so a kernel's result never depends on which one it got. A Dists is a
+// value: building and querying one allocates nothing.
 type Dists struct {
 	md   []int32 // the matrix's cells, for distMatrix
 	n    int     // the matrix's width
 	kind distKind
 	m    *DistanceMatrix
 	g    *grid
-	l    []uint64 // the grid's labels, for distLabel
+	l    []uint64 // the machine's labels, for distLabel
 	t    Topology
 }
 
@@ -51,7 +50,7 @@ func ClosedDists(t Topology) Dists {
 	case *Mesh:
 		return gridDists(t.grid, t)
 	case *Hypercube:
-		return Dists{kind: distCube, t: t}
+		return Dists{kind: distLabel, l: t.labels, t: t}
 	}
 	return Dists{t: t}
 }
@@ -66,9 +65,16 @@ func gridDists(g *grid, t Topology) Dists {
 }
 
 // Matrix returns the matrix the oracle answers from, or nil. Only
-// SwapDelta reads it: its two loops hoist Matrix().Row, where a loop over
-// Dist measured slower (DESIGN §6).
+// SwapDelta reads it: its matrix loops hoist Matrix().Row, where a loop
+// over Dist measured slower (DESIGN §6).
 func (d *Dists) Matrix() *DistanceMatrix { return d.m }
+
+// Labels returns the partial-cube labels the oracle answers from, or nil:
+// Dist(a, b) is bits.OnesCount64(l[a] ^ l[b]). Only SwapDelta reads them:
+// its label loops hoist the two processors' labels, so an edge costs one
+// load and no call (DESIGN §6). It inlines; CI checks that it does in
+// refine.go.
+func (d *Dists) Labels() []uint64 { return d.l }
 
 // Dist returns the hop distance between processors a and b. It inlines:
 // the matrix cell is read in the caller's loop, and every other source is
@@ -88,8 +94,6 @@ func (d *Dists) closed(a, b int) int {
 		return bits.OnesCount64(d.l[a] ^ d.l[b])
 	case distGrid:
 		return d.g.dist(a, b)
-	case distCube:
-		return bits.OnesCount32(uint32(a ^ b))
 	}
 	//lint:ignore hotalloc fat-trees, hierarchies and adapters answer from their own arithmetic, graphs from lazily built rows; zero allocations at steady state, pinned by TestMultilevelProposeZeroAlloc and TestSessionBatchAllocs
 	return d.t.Distance(a, b)

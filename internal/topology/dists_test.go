@@ -3,13 +3,15 @@ package topology
 import "testing"
 
 // TestClosedDistsLabelBoundary: ClosedDists answers from partial-cube
-// labels exactly on the meshes and even tori whose labels fit 64 bits, and
-// from the coordinate table on the rest, and each shape's oracle answers
-// Distance on every pair (on the rows of a few ranks for the 65 536-node
-// machine).
+// labels exactly on the meshes and even tori whose labels fit 64 bits and
+// on hypercubes, whose labels are their ranks, and from the coordinate
+// table on the other meshes and tori; Labels returns the labels exactly
+// then; and each shape's oracle answers Distance on every pair (on the
+// rows of a few ranks for the 65 536-node machines).
 func TestClosedDistsLabelBoundary(t *testing.T) {
 	torus := func(dims ...int) Topology { return MustTorus(dims...) }
 	mesh := func(dims ...int) Topology { return MustMesh(dims...) }
+	cube := func(dim int) Topology { return MustHypercube(dim) }
 	cases := []struct {
 		m      Topology
 		labels bool
@@ -26,8 +28,11 @@ func TestClosedDistsLabelBoundary(t *testing.T) {
 		{torus(4, 1, 2), true},
 		{mesh(1, 5, 1, 3), true},
 		{mesh(33, 33), true}, // 64 bits
-		{torus(130), false},  // 65 bits
-		{mesh(66), false},    // 65 bits
+		{cube(0), true},
+		{cube(3), true},
+		{cube(16), true},
+		{torus(130), false}, // 65 bits
+		{mesh(66), false},   // 65 bits
 		{torus(64, 32, 34), false},
 		{torus(4, 3), false}, // an odd ring is not a partial cube
 		{torus(5), false},
@@ -41,6 +46,9 @@ func TestClosedDistsLabelBoundary(t *testing.T) {
 			}
 			if want := distGrid; !tc.labels && d.kind != want {
 				t.Fatalf("ClosedDists kind %d, want the coordinate form", d.kind)
+			}
+			if got := d.Labels() != nil; got != tc.labels {
+				t.Fatalf("Labels() != nil: %v, want %v", got, tc.labels)
 			}
 			rows := []int{0, tc.m.Nodes() / 3, tc.m.Nodes() - 1}
 			if tc.m.Nodes() <= 4096 {

@@ -13,7 +13,10 @@ type Hypercube struct {
 	dim  int
 	n    int
 	nbrs [][]int
-	name string
+	// labels[r] is r: a hypercube is its own partial cube, so its ranks
+	// are the labels ClosedDists reads, as it reads a grid's.
+	labels []uint64
+	name   string
 }
 
 var _ Router = (*Hypercube)(nil)
@@ -26,7 +29,9 @@ func NewHypercube(dim int) (*Hypercube, error) {
 	}
 	h := &Hypercube{dim: dim, n: 1 << dim, name: fmt.Sprintf("hypercube(%d)", dim)}
 	h.nbrs = make([][]int, h.n)
+	h.labels = make([]uint64, h.n)
 	for r := 0; r < h.n; r++ {
+		h.labels[r] = uint64(r)
 		nb := make([]int, dim)
 		for i := 0; i < dim; i++ {
 			nb[i] = r ^ (1 << i)
