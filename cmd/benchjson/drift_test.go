@@ -105,10 +105,13 @@ func TestHotpathAnnotationsMatchBenchCases(t *testing.T) {
 		guards []string
 	}{
 		// The propose sweep may allocate only the parallel.For closure; a
-		// clean-state remap step only RefineIncremental's per-call scratch.
+		// clean-state remap step only RefineIncremental's per-call scratch;
+		// the label-cut pass only its candidate lists and one closure per
+		// sweep, never per task.
 		{"core",
-			[]string{"(*incRefiner).moveScore", "(*incRefiner).swapScore", "(*incRefiner).sweepTask", "(*mlRefiner).propose"},
-			[]string{"TestMultilevelProposeZeroAlloc", "TestSessionBatchAllocs"}},
+			[]string{"(*incRefiner).moveScore", "(*incRefiner).swapScore", "(*incRefiner).sweepTask",
+				"(*mlRefiner).markCandidates", "(*mlRefiner).propose", "(*mlRefiner).proposeCut"},
+			[]string{"TestMultilevelProposeZeroAlloc", "TestSessionBatchAllocs", "TestLabelCutAllocsPerCall"}},
 		// Steady state in packet, buffered and wormhole mode allocates 0.
 		{"netsim", []string{"(*Engine).Run"}, []string{"TestZeroAllocSteadyState", "TestWormholeZeroAllocSteadyState"}},
 		// Inline the three allocate at most Map's closure and result;

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/partition"
@@ -135,6 +137,7 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 		r.setLevel(levels[li], start)
 		r.refine()
 	}
+	r.labelCut()
 
 	placement := make([]int, n)
 	for v := range placement {
@@ -338,7 +341,7 @@ type mlRefiner struct {
 	// as a Mapping, so SwapDelta scores a swap straight off the CSR rows.
 	repc    Mapping
 	dirty   []bool // vertices whose neighborhood changed last commit
-	scanAll bool   // first pass of a level scans every vertex
+	scanAll bool   // a level's first pass, and labelCut's first sweep, scan every vertex
 }
 
 func newMLRefiner(t topology.Topology, procOrder []int32, n, p int) *mlRefiner {
@@ -512,20 +515,26 @@ func (r *mlRefiner) commit() int {
 		if r.swapDelta(v, c, pv, pc) >= -swapEps {
 			continue
 		}
-		tc := r.lvl.TcountOf(v)
-		r.start[v], r.start[c] = r.start[c], r.start[v]
-		for s := r.start[v]; s < r.start[v]+tc; s++ {
-			r.slotOwner[s] = v
-		}
-		for s := r.start[c]; s < r.start[c]+tc; s++ {
-			r.slotOwner[s] = c
-		}
-		r.repc[v], r.repc[c] = pc, pv
+		r.exchange(v, c, pv, pc)
 		r.moved(v)
 		r.moved(c)
 		moves++
 	}
 	return moves
+}
+
+// exchange swaps the slot runs of v (rep pv) and c (rep pc), which hold
+// equally many tasks.
+func (r *mlRefiner) exchange(v, c int32, pv, pc int) {
+	tc := r.lvl.TcountOf(v)
+	r.start[v], r.start[c] = r.start[c], r.start[v]
+	for s := r.start[v]; s < r.start[v]+tc; s++ {
+		r.slotOwner[s] = v
+	}
+	for s := r.start[c]; s < r.start[c]+tc; s++ {
+		r.slotOwner[s] = c
+	}
+	r.repc[v], r.repc[c] = pc, pv
 }
 
 // moved records that v's representative changed: v and its communication
@@ -535,4 +544,226 @@ func (r *mlRefiner) moved(v int32) {
 	for _, u := range r.lvl.Adjncy[r.lvl.Xadj[v]:r.lvl.Xadj[v+1]] {
 		r.dirty[u] = true
 	}
+}
+
+// cutOrders is how many digit orders the label-cut pass sweeps: the
+// labels' digits ascending, then descending.
+const cutOrders = 2
+
+// labelCut is the finest level's last pass on a machine with partial-cube
+// labels, the local search of TiMEr (Glantz, Predari and Meyerhenke,
+// Topology-induced Enhancement of Mappings). Hop-bytes is the sum over
+// edges of w·popcount(l[a]^l[b]), so it is also the sum over the label's
+// digits of the weight each digit cuts. Each order starts with one sweep
+// over the edges that lists every digit's candidates: the tasks whose
+// weight across the digit is more than half their weighted degree (the
+// second order's sweep revisits only the tasks the first order's swaps
+// made dirty). Then, digit by digit, each candidate seeks a partner among
+// the same digit's candidates in its sibling block: across the digit,
+// sharing every earlier digit of the order (cutPartner says on which
+// processors). Proposals are made in parallel against the frozen layout
+// and committed serially in ascending task order, each rescored by
+// SwapDelta against the live layout and kept only if it lowers hop-bytes
+// by more than swapEps. A swap exchanges two slots, so every processor
+// keeps its task count. It returns the number of swaps; without labels it
+// does nothing.
+func (r *mlRefiner) labelCut() int {
+	l := r.d.Labels()
+	if l == nil {
+		return 0
+	}
+	var used uint64
+	for _, x := range l {
+		used |= x
+	}
+	want := make([]uint64, r.lvl.N)
+	var at [65]int32
+	var cand []int32
+	swaps := 0
+	r.scanAll = true
+	for o := 0; o < cutOrders; o++ {
+		cand = r.cutCandidates(l, want, &at, cand)
+		r.scanAll = false
+		clear(r.dirty)
+		var prefix uint64
+		for rem := used; rem != 0; {
+			d := bits.TrailingZeros64(rem)
+			if o == 1 {
+				d = 63 - bits.LeadingZeros64(rem)
+			}
+			bit := uint64(1) << d
+			rem &^= bit
+			if list := cand[at[d]:at[d+1]]; len(list) > 0 {
+				r.proposeCut(l, want, list, prefix|bit, bit)
+				swaps += r.commitCut(l, list, prefix|bit, bit)
+			}
+			prefix |= bit
+		}
+	}
+	return swaps
+}
+
+// cutCandidates sets want[v] to the digits whose cut carries more than
+// half of v's weighted degree, in one sweep over the edges (of every task
+// on scanAll, else of the tasks a swap made dirty), and returns every
+// digit's candidates in one list: digit d's are cand[at[d]:at[d+1]], in
+// ascending task order. cand's storage is reused.
+func (r *mlRefiner) cutCandidates(l, want []uint64, at *[65]int32, cand []int32) []int32 {
+	r.markCandidates(l, want)
+	*at = [65]int32{}
+	for _, m := range want {
+		for ; m != 0; m &= m - 1 {
+			at[bits.TrailingZeros64(m)+1]++
+		}
+	}
+	for d := range 64 {
+		at[d+1] += at[d]
+	}
+	cand = slices.Grow(cand[:0], int(at[64]))[:at[64]]
+	next := *at
+	for v, m := range want {
+		for ; m != 0; m &= m - 1 {
+			d := bits.TrailingZeros64(m)
+			cand[next[d]] = int32(v)
+			next[d]++
+		}
+	}
+	return cand
+}
+
+// markCandidates fills want, one pure per-task computation. A task
+// whose processor and partners' processors have not moved since the last
+// sweep keeps its digits.
+//
+//lint:hotpath label-cut candidate sweep: one pass over every task's edges at the finest level, allocation-free per task
+func (r *mlRefiner) markCandidates(l, want []uint64) {
+	//lint:ignore hotalloc one capturing closure per sweep; the per-task body is allocation-free
+	parallel.For(len(want), proposeGrain, func(lo, hi int) {
+		// cross[d] is the task's weight across digit d; the digits set
+		// in seen are reset after each task.
+		var cross [64]float64
+		x, adj, w := r.lvl.Xadj, r.lvl.Adjncy, r.lvl.Adjwgt
+		for v := lo; v < hi; v++ {
+			if !r.scanAll && !r.dirty[v] {
+				continue
+			}
+			lv := l[r.repc[v]]
+			deg := 0.0
+			var seen uint64
+			for i := x[v]; i < x[v+1]; i++ {
+				deg += w[i]
+				diff := lv ^ l[r.repc[adj[i]]]
+				seen |= diff
+				for ; diff != 0; diff &= diff - 1 {
+					cross[bits.TrailingZeros64(diff)] += w[i]
+				}
+			}
+			var m uint64
+			for ; seen != 0; seen &= seen - 1 {
+				d := bits.TrailingZeros64(seen)
+				if 2*cross[d] > deg {
+					m |= 1 << d
+				}
+				cross[d] = 0
+			}
+			want[v] = m
+		}
+	})
+}
+
+// proposeCut fills proposals[i] with the best partner of candidate
+// list[i] across digit bit (-1 when no swap improves), against the frozen
+// layout. keep is the digits the two processors must differ in exactly
+// bit: the order's earlier digits and bit itself.
+//
+//lint:hotpath label-cut proposal sweep: one partner search per candidate of a digit at the finest level, allocation-free per task
+func (r *mlRefiner) proposeCut(l, want []uint64, list []int32, keep, bit uint64) {
+	//lint:ignore hotalloc one capturing closure per digit; the per-candidate body is allocation-free
+	parallel.For(len(list), proposeGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r.proposals[i] = r.cutPartner(l, want, list[i], keep, bit)
+		}
+	})
+}
+
+// cutPartner returns the partner whose swap with candidate v gives the
+// most negative hop-bytes delta (-1 if none clears swapEps). It scans the
+// same digit's candidates on v's machine neighbour across bit, then on
+// every processor in v's sibling block that holds one of v's
+// communication partners, and scores at most cutMaxScores of them. The
+// first candidate reaching the best delta wins.
+func (r *mlRefiner) cutPartner(l, want []uint64, v int32, keep, bit uint64) int32 {
+	lvl := r.lvl
+	pv := r.repc[v]
+	lv := l[pv]
+	best := int32(-1)
+	bestDelta := -swapEps
+	budget := cutMaxScores
+	mirror := -1
+	for _, q := range r.procNeighbors(pv) {
+		if l[q]^lv == bit {
+			mirror = q
+			best, bestDelta, budget = r.cutScan(want, v, pv, q, bit, best, bestDelta, budget)
+		}
+	}
+	last := -1
+	for _, u := range lvl.Adjncy[lvl.Xadj[v]:lvl.Xadj[v+1]] {
+		if budget <= 0 {
+			break
+		}
+		q := r.repc[u]
+		if q == last || q == mirror || (l[q]^lv)&keep != bit {
+			continue
+		}
+		last = q
+		best, bestDelta, budget = r.cutScan(want, v, pv, q, bit, best, bestDelta, budget)
+	}
+	return best
+}
+
+// cutMaxScores bounds the swaps one candidate scores per digit. On
+// geometric graphs a candidate rarely meets more; on expanders, where
+// most tasks are candidates of most digits, it keeps a digit's sweep
+// linear in its candidates.
+const cutMaxScores = 16
+
+// cutScan scores v against the candidates of digit bit on processor q, in
+// slot order, while budget lasts, and returns the updated best partner,
+// its delta and the budget left.
+func (r *mlRefiner) cutScan(want []uint64, v int32, pv, q int, bit uint64, best int32, bestDelta float64, budget int) (int32, float64, int) {
+	qi := r.procIndex[q]
+	for s, e := firstSlot(qi, r.n, r.p), firstSlot(qi+1, r.n, r.p); s < e && budget > 0; s++ {
+		c := r.slotOwner[s]
+		if want[c]&bit == 0 {
+			continue
+		}
+		budget--
+		if d := r.swapDelta(v, c, pv, q); d < bestDelta {
+			best, bestDelta = c, d
+		}
+	}
+	return best, bestDelta, budget
+}
+
+// commitCut applies the proposals for list serially in ascending order,
+// each only while its two processors still sit across bit in one sibling
+// block and its delta, rescored against the live layout, still clears
+// swapEps. It returns the number of swaps applied.
+func (r *mlRefiner) commitCut(l []uint64, list []int32, keep, bit uint64) int {
+	swaps := 0
+	for i, v := range list {
+		c := r.proposals[i]
+		if c < 0 {
+			continue
+		}
+		pv, pc := r.repc[v], r.repc[c]
+		if (l[pv]^l[pc])&keep != bit || r.swapDelta(v, c, pv, pc) >= -swapEps {
+			continue
+		}
+		r.exchange(v, c, pv, pc)
+		r.moved(v)
+		r.moved(c)
+		swaps++
+	}
+	return swaps
 }

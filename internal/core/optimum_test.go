@@ -92,10 +92,11 @@ func bruteOptimum(g *taskgraph.Graph, t topology.Topology) (Mapping, float64) {
 // TestRefinersKeepTheOptimum: a refiner accepts a swap only if it lowers
 // hop-bytes, so started at an exact optimum it must swap nothing. The
 // optimum is found by brute force over all 8! bijections, for five
-// integer-weighted graphs on three flat machines (Refine and the V-cycle's
-// finest-level pass) and on an eight-processor hierarchy (HierMap's
-// cross-leaf pass). All three score with SwapDelta: a sign or epsilon slip
-// in it makes them move off the optimum, and this test fails.
+// integer-weighted graphs on three flat machines (Refine, the V-cycle's
+// finest-level pass and its label-cut pass, all three machines labelled)
+// and on an eight-processor hierarchy (HierMap's cross-leaf pass). All
+// four score with SwapDelta: a sign or epsilon slip in it makes them move
+// off the optimum, and this test fails.
 func TestRefinersKeepTheOptimum(t *testing.T) {
 	for _, topo := range []topology.Topology{
 		topology.MustTorus(2, 4), topology.MustMesh(2, 2, 2), topology.MustHypercube(3),
@@ -126,6 +127,10 @@ func TestRefinersKeepTheOptimum(t *testing.T) {
 				if moves := r.commit(); moves != 0 || !slices.Equal(r.repc, opt) {
 					t.Errorf("the V-cycle's refine made %d swaps from the optimum (hop-bytes %v -> %v)",
 						moves, cost, HopBytes(g, topo, r.repc))
+				}
+				if swaps := r.labelCut(); swaps != 0 || !slices.Equal(r.repc, opt) {
+					t.Errorf("the label-cut pass made %d swaps from the optimum (hop-bytes %v -> %v)",
+						swaps, cost, HopBytes(g, topo, r.repc))
 				}
 			})
 		}
