@@ -378,10 +378,12 @@ func TestExtrasScaleMultilevelShape(t *testing.T) {
 		}
 		// On the structured stencil family multilevel stays within 10% of
 		// flat; irregular geometric graphs pay the linear-order trade (see
-		// the table notes) but stay within a fixed factor.
+		// the table notes) but stay within a fixed factor: the worst ratio
+		// measured here since the finest level's label-cut pass, 2.37 on
+		// rgg:4096 (2.82 before it), plus 10 %.
 		bound := 1.1
 		if row[iRGG] == 1 {
-			bound = 5
+			bound = 2.61
 		}
 		if row[iM] > bound*row[iF] {
 			t.Errorf("n=%v: multilevel %v exceeds %vx flat %v", row[1], row[iM], bound, row[iF])
