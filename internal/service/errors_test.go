@@ -119,6 +119,10 @@ func TestErrorTaxonomyAcrossEndpoints(t *testing.T) {
 			`job: sim: netsim: unknown mode "tachyon" (want packet or wormhole)`, false},
 		{"bad inline graph", `{"topology":"torus:4,4","graph":{"inline":{"vertexWeights":[1,1],"edges":[[0,5]],"edgeWeights":[1]}}}`, 400,
 			"job: inline graph: taskgraph: bad edge (0,5)", false},
+		// encoding/json read an edge into a [2]int32, dropping a third
+		// endpoint and zero-filling a missing one.
+		{"inline edge without two endpoints", `{"topology":"torus:4,4","graph":{"inline":{"vertexWeights":[1,1,1],"edges":[[0,1,2]],"edgeWeights":[1]}}}`, 400,
+			"job: inline graph: taskgraph: edge 0 lists 3 endpoints, want 2", false},
 		{"bad structural level", `{"graph":{"pattern":"mesh2d:4,4"},"hierarchy":{"levels":[{"name":"Pod!","count":2}]}}`, 400,
 			`job: hierarchy: hiertopo: level name "pod!" must be lowercase alphanumeric starting with a letter`, false},
 		{"constraints on a flat machine", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"constraints":[{"level":"rack"}]}`, 400,

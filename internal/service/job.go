@@ -362,18 +362,18 @@ func name(spec Job, maxTasks int) (*job, error) {
 	}
 	var graphBytes []byte
 	if spec.Graph.Pattern == "" {
-		j.graph, err = taskgraph.ReadJSON(bytes.NewReader(spec.Graph.Inline))
+		j.graph, err = taskgraph.ParseJSON(spec.Graph.Inline)
 		if err != nil {
 			return nil, badJob(400, "job: inline graph: %v", err)
 		}
 		// Canonicalize the inline graph for hashing: WriteJSON emits
 		// vertices and edges in a fixed order regardless of the order the
-		// client listed them.
-		var buf bytes.Buffer
-		if err := j.graph.WriteJSON(&buf); err != nil {
+		// client listed them. A canonical request is those bytes less the
+		// newline, so its length sizes the buffer.
+		graphBytes, err = j.graph.AppendJSON(make([]byte, 0, len(spec.Graph.Inline)+1))
+		if err != nil {
 			return nil, badJob(500, "job: canonicalize inline graph: %v", err)
 		}
-		graphBytes = buf.Bytes()
 	}
 	j.spec = spec
 	if j.auto && spec.AutoBudgetMS == 0 {
@@ -572,7 +572,9 @@ func contentKey(spec *Job, inlineGraph []byte) string {
 	if spec.Graph.Pattern != "" {
 		hashf(h, "pattern\x00%s\x00%g\x00%d\x00", spec.Graph.Pattern, spec.Graph.MsgBytes, spec.Graph.Seed)
 	} else {
-		hashf(h, "inline\x00%d\x00%s", len(inlineGraph), inlineGraph)
+		hashf(h, "inline\x00%d\x00", len(inlineGraph))
+		//lint:ignore errcheck hash.Hash.Write is documented to never return an error
+		h.Write(inlineGraph)
 	}
 	if s := spec.Sim; s != nil {
 		hashf(h, "sim\x00%d\x00%g\x00%g\x00%g\x00%d\x00%t\x00%d\x00%s\x00%d\x00%d\x00%t\x00",

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/hiertopo"
+	"repro/internal/taskgraph"
 )
 
 // inlineSquare is a 4-cycle in the taskgraph JSON format; inlineSquareAlt
@@ -172,6 +174,56 @@ func TestHitAllocationsFlat(t *testing.T) {
 	if large > hitAllocCeiling {
 		t.Errorf("hit allocates %v objects, ceiling %d", large, hitAllocCeiling)
 	}
+}
+
+// hitAllocCeilingInline bounds what naming a 256-vertex inline job and
+// finding it in the cache may allocate (measured: 19). Reading the graph
+// with encoding/json and writing it back with json.Encoder took 120.
+const hitAllocCeilingInline = 19
+
+// TestHitAllocationsInline pins the cost of the one kind of hit that
+// still reads its operand before it has a key: an inline graph is parsed
+// and written back in canonical form on every request.
+func TestHitAllocationsInline(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	spec := benchInlineJob(t)
+	srv.cache.put(mustKey(t, spec), []byte("{}"))
+	allocs := testing.AllocsPerRun(200, func() {
+		j, err := srv.name(spec)
+		if err != nil || srv.cache.get(j.key) == nil {
+			t.Fatalf("primed job missed the cache (err %v)", err)
+		}
+	})
+	ceiling := hitAllocCeilingInline
+	if raceEnabled {
+		ceiling += 4 // sync.Pool drops items under -race
+	}
+	if allocs > float64(ceiling) {
+		t.Errorf("inline hit allocates %v objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkNameInline times naming the benchmark's 22 KB inline job: the
+// whole of a cache hit's work on it but the request's decoding.
+func BenchmarkNameInline(b *testing.B) {
+	spec := benchInlineJob(b)
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := name(spec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchInlineJob is topomapd's benchmark inline job: a 256-task random
+// geometric graph, compacted as a request carries it.
+func benchInlineJob(tb testing.TB) Job {
+	var buf bytes.Buffer
+	if err := taskgraph.RandomGeometricDeg(256, 6, 1e5, 7).WriteJSON(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return Job{Graph: GraphSpec{Inline: bytes.TrimSpace(buf.Bytes())}, Topology: "torus:16,16"}
 }
 
 // TestHitBuildsNothing pins the other half: after a job is cached, equal

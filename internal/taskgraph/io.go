@@ -2,71 +2,12 @@ package taskgraph
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 )
-
-// jsonGraph is the serialized form of a Graph. Edges are listed once
-// (a < b) to keep files small.
-type jsonGraph struct {
-	Name          string     `json:"name"`
-	VertexWeights []float64  `json:"vertexWeights"`
-	Edges         [][2]int32 `json:"edges"`
-	EdgeWeights   []float64  `json:"edgeWeights"`
-}
-
-// WriteJSON serializes g.
-func (g *Graph) WriteJSON(w io.Writer) error {
-	jg := jsonGraph{Name: g.name, VertexWeights: g.vwgt}
-	for v := 0; v < g.NumVertices(); v++ {
-		adj, wts := g.Neighbors(v)
-		for i, u := range adj {
-			if int32(v) < u {
-				jg.Edges = append(jg.Edges, [2]int32{int32(v), u})
-				jg.EdgeWeights = append(jg.EdgeWeights, wts[i])
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&jg)
-}
-
-// ReadJSON deserializes a Graph written by WriteJSON.
-func ReadJSON(r io.Reader) (*Graph, error) {
-	var jg jsonGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
-		return nil, fmt.Errorf("taskgraph: decode: %w", err)
-	}
-	if len(jg.VertexWeights) == 0 {
-		return nil, fmt.Errorf("taskgraph: empty graph")
-	}
-	if len(jg.Edges) != len(jg.EdgeWeights) {
-		return nil, fmt.Errorf("taskgraph: %d edges but %d edge weights", len(jg.Edges), len(jg.EdgeWeights))
-	}
-	n := len(jg.VertexWeights)
-	b := NewBuilder(n)
-	for v, w := range jg.VertexWeights {
-		if w < 0 {
-			return nil, fmt.Errorf("taskgraph: negative weight at vertex %d", v)
-		}
-		b.SetVertexWeight(v, w)
-	}
-	for i, e := range jg.Edges {
-		a, c := int(e[0]), int(e[1])
-		if a < 0 || a >= n || c < 0 || c >= n || a == c {
-			return nil, fmt.Errorf("taskgraph: bad edge (%d,%d)", a, c)
-		}
-		if jg.EdgeWeights[i] < 0 {
-			return nil, fmt.Errorf("taskgraph: negative weight on edge (%d,%d)", a, c)
-		}
-		b.AddEdge(a, c, jg.EdgeWeights[i])
-	}
-	return b.Build(jg.Name), nil
-}
 
 // WriteMetis writes g in the METIS graph-file format (header "n m 011",
 // then per-vertex lines "vwgt nbr wgt nbr wgt ..." with 1-based vertex
