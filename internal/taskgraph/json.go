@@ -413,7 +413,9 @@ func (s *jsonScanner) float() (float64, bool) {
 }
 
 // int32 consumes a number as encoding/json reads it into an int32: one
-// with a fraction or an exponent, or out of range, is declined.
+// with a fraction or an exponent, or out of range, is declined. It reads
+// the digits itself: number and strconv.ParseInt per endpoint made
+// naming the benchmark's inline graph about 15 % slower.
 func (s *jsonScanner) int32() (int32, bool) {
 	s.skipSpace()
 	d, i := s.data, s.i

@@ -143,19 +143,6 @@ func TestReadJSONRefusesMalformedEdgesAndTrailingData(t *testing.T) {
 	}
 }
 
-// TestParseJSONMatchesReference runs the fuzz seeds' kind of input
-// through both readers at a size the fuzz corpus lacks.
-func TestParseJSONMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		g := RandomGeometricDeg(64<<seed, 6, 1e5, seed)
-		data, err := g.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkReadersAgree(t, data)
-	}
-}
-
 // checkReadersAgree holds ParseJSON to referenceReadJSON on data: the
 // same verdict and, on a graph, the same name, weights, CSR and bytes
 // written back.
