@@ -123,6 +123,10 @@ func TestErrorTaxonomyAcrossEndpoints(t *testing.T) {
 		// endpoint and zero-filling a missing one.
 		{"inline edge without two endpoints", `{"topology":"torus:4,4","graph":{"inline":{"vertexWeights":[1,1,1],"edges":[[0,1,2]],"edgeWeights":[1]}}}`, 400,
 			"job: inline graph: taskgraph: edge 0 lists 3 endpoints, want 2", false},
+		// Repeated edges are summed; this sum has no JSON spelling, and
+		// failing to write the graph back to name it was a 500.
+		{"inline edge weights summing past float64", `{"topology":"torus:4,4","graph":{"inline":{"vertexWeights":[1,1],"edges":[[0,1],[1,0]],"edgeWeights":[1e308,1e308]}}}`, 400,
+			"job: inline graph: taskgraph: the weights of edge (0,1) sum past float64's range", false},
 		{"bad structural level", `{"graph":{"pattern":"mesh2d:4,4"},"hierarchy":{"levels":[{"name":"Pod!","count":2}]}}`, 400,
 			`job: hierarchy: hiertopo: level name "pod!" must be lowercase alphanumeric starting with a letter`, false},
 		{"constraints on a flat machine", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"constraints":[{"level":"rack"}]}`, 400,

@@ -54,7 +54,7 @@ func FuzzReadMetis(f *testing.F) {
 // FuzzReadJSON holds ParseJSON, the one-pass reader and its
 // encoding/json fallback, to referenceReadJSON: the same verdict on every
 // input and, on a graph, the same name, weights, CSR and bytes written
-// back.
+// back. Every graph either reader accepts must write back.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"name":"x","vertexWeights":[1,1],"edges":[[0,1]],"edgeWeights":[5]}`)
 	f.Add(`{"vertexWeights":[]}`)
@@ -78,6 +78,8 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"name":"x","vertexWeights":[1,1,1],"edges":[[0,1,2]],"edgeWeights":[3]}`)
 	f.Add(`{"name":"x","vertexWeights":[1,1,1],"edges":[[2]],"edgeWeights":[3]}`)
 	f.Add(`{"name":"x",` + tail + ` x`)
+	// Repeated edges whose weights sum past float64's range.
+	f.Add(`{"name":"x","vertexWeights":[1,1],"edges":[[0,1],[1,0]],"edgeWeights":[1e308,1e308]}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		checkReadersAgree(t, []byte(data))
 	})

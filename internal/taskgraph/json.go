@@ -200,7 +200,8 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 // whitespace may follow it. The weights must not be negative, every edge
 // must join two distinct vertices in range, and the two edge lists must
 // be equally long. Zero-weight edges are dropped and repeated ones
-// summed, as by a Builder.
+// summed, as by a Builder; a sum past float64's range is refused, so
+// every graph ParseJSON returns can be written back.
 func ParseJSON(data []byte) (*Graph, error) {
 	b, name, ok := scanJSON(data)
 	if !ok {
@@ -230,7 +231,8 @@ func decodeJSON(data []byte) (*Builder, string, error) {
 }
 
 // finishJSON checks a decoded graph, drops its zero-weight edges and
-// builds it. b holds the vertex weights and every listed edge, unchecked.
+// builds it. b holds the vertex weights and every listed edge, unchecked;
+// each weight is finite, as both readers refuse a number out of range.
 func finishJSON(b *Builder, name string) (*Graph, error) {
 	n := len(b.vwgt)
 	if n == 0 {
@@ -259,7 +261,16 @@ func finishJSON(b *Builder, name string) (*Graph, error) {
 		}
 	}
 	b.a, b.b, b.w = b.a[:kept], b.b[:kept], b.w[:kept]
-	return b.Build(name), nil
+	g := b.Build(name)
+	for v := 0; v < n; v++ {
+		adj, wts := g.Neighbors(v)
+		for i, u := range adj {
+			if math.IsInf(wts[i], 0) {
+				return nil, fmt.Errorf("taskgraph: the weights of edge (%d,%d) sum past float64's range", v, u)
+			}
+		}
+	}
+	return g, nil
 }
 
 // scanJSON is ParseJSON's one pass: it fills a Builder straight from the
@@ -498,7 +509,11 @@ func (s *jsonScanner) edges(b *Builder) bool {
 // holds, for its capacity alone: how often sep occurs before the first
 // end, where the writer's spelling puts them (',' before "]" for numbers,
 // one less than their count; '[' before "]]" for pairs), or 0 if end
-// does not come.
+// does not come. Without it, letting append grow the four slices, naming
+// the benchmark's inline job took 55 allocations and 81 KB instead of 19
+// and 62 KB, and svc-warm's alloc_kb_per_op rose from 35.6 to 38.6 (four
+// alternated 6 s pairs on a 2-core Xeon); its time did not move beyond
+// the noise.
 func (s *jsonScanner) count(sep byte, end string) int {
 	rest := s.data[s.i:]
 	j := bytes.Index(rest, []byte(end))
