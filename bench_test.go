@@ -218,7 +218,8 @@ func TestRefinePassAllocs(t *testing.T) {
 }
 
 // Extras benchmarks: the studies beyond the paper (related-work mappers,
-// hierarchical hybrid, adaptive routing, flow control, modern machines).
+// hierarchical hybrid, adaptive routing, flow control, modern machines,
+// the strategy front).
 
 func BenchmarkExtrasStrategies(b *testing.B) { benchExperiment(b, "extras-strategies", nil) }
 func BenchmarkExtrasHybrid(b *testing.B)     { benchExperiment(b, "extras-hybrid", nil) }
@@ -226,6 +227,7 @@ func BenchmarkExtrasRouting(b *testing.B)    { benchExperiment(b, "extras-routin
 func BenchmarkExtrasScaling(b *testing.B)    { benchExperiment(b, "extras-scaling", nil) }
 func BenchmarkExtrasModern(b *testing.B)     { benchExperiment(b, "extras-modern", nil) }
 func BenchmarkExtrasBuffered(b *testing.B)   { benchExperiment(b, "extras-buffered", nil) }
+func BenchmarkExtrasFront(b *testing.B)      { benchExperiment(b, "extras-front", nil) }
 
 // BenchmarkAnnealingMap measures the physical-optimization comparator's
 // cost (the paper's argument against it for online load balancing).

@@ -146,6 +146,8 @@ func ExtrasRegistry() []Experiment {
 		{"extras-sfc", ExtrasSFC},
 		{"extras-hier", ExtrasHier},
 		{"scale-multilevel", ExtrasScaleMultilevel},
+		{"extras-front", ExtrasFront},
+		{"extras-front-tau", ExtrasFrontTau},
 	}
 }
 

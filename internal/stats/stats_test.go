@@ -96,3 +96,50 @@ func TestPropertySummaryInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKendallTauBHandComputed checks τ-b against vectors counted by hand:
+// C and D are the concordant and discordant pairs, tx and ty the pairs
+// tied in x and in y, and τ-b = (C − D)/√((n₀ − tx)(n₀ − ty)).
+func TestKendallTauBHandComputed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		xs, ys []float64
+		want   float64
+	}{
+		{"same order", []float64{1, 2, 3, 4}, []float64{10, 20, 30, 40}, 1},
+		{"reversed", []float64{1, 2, 3, 4}, []float64{4, 3, 2, 1}, -1},
+		// C = 7, D = 3 over 10 pairs.
+		{"no ties", []float64{1, 2, 3, 4, 5}, []float64{3, 1, 2, 5, 4}, 0.4},
+		// C = 4, D = 0, one pair tied in x, another tied in y: 4/√(5·5).
+		{"one tie each", []float64{1, 2, 2, 3}, []float64{1, 2, 3, 3}, 0.8},
+		// The first pair is tied in both; the other two are discordant.
+		{"tied in both", []float64{1, 1, 2}, []float64{5, 5, 1}, -1},
+		// C = 2, D = 6, tx = 2, ty = 1 over 10 pairs: −4/√(8·9).
+		{"ties on both sides", []float64{12, 2, 1, 12, 2}, []float64{1, 4, 7, 1, 0}, -4 / math.Sqrt(72)},
+	} {
+		if got := KendallTauB(tc.xs, tc.ys); math.Abs(got-tc.want) > 1e-15 {
+			t.Errorf("%s: τ-b = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := KendallTauB(tc.ys, tc.xs); math.Abs(got-tc.want) > 1e-15 {
+			t.Errorf("%s, arguments swapped: τ-b = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestKendallTauBUndefined(t *testing.T) {
+	for _, xs := range [][]float64{nil, {1}, {2, 2, 2}} {
+		ys := make([]float64, len(xs))
+		for i := range ys {
+			ys[i] = float64(i)
+		}
+		if got := KendallTauB(xs, ys); !math.IsNaN(got) {
+			t.Errorf("τ-b(%v, %v) = %v, want NaN", xs, ys, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("want panic for samples of different lengths")
+		}
+	}()
+	KendallTauB([]float64{1, 2}, []float64{1})
+}
