@@ -126,9 +126,7 @@ func TestFacadeBaselineStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []topomap.Strategy{
-		topomap.Bokhari{Seed: 1, Jumps: 1},
 		topomap.Annealing{Seed: 1, Levels: 5, MovesPerLevel: 50},
-		topomap.Genetic{Seed: 1, Population: 10, Generations: 5},
 		topomap.Snake{TaskDims: []int{4, 4}},
 		topomap.Hybrid{Block: []int{2, 2}, Seed: 1},
 		topomap.TopoLB{Order: topomap.OrderFirst},
@@ -141,13 +139,6 @@ func TestFacadeBaselineStrategies(t *testing.T) {
 		if err := m.Validate(g, machine); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
 		}
-	}
-	cube, err := topomap.NewHypercube(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (topomap.ARM{Seed: 1}).Map(g, cube); err != nil {
-		t.Errorf("ARM: %v", err)
 	}
 }
 

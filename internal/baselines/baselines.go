@@ -1,24 +1,19 @@
-// Package baselines implements the mapping algorithms the paper's related
-// work section (§2) surveys, so TopoLB can be compared against the
-// approaches it was designed to improve on:
+// Package baselines implements two of the mapping approaches the paper's
+// related-work section (§2) surveys, so TopoLB can be compared against
+// them:
 //
-//   - Bokhari's pairwise-exchange algorithm on the edge-adjacency metric
-//     with probabilistic jumps [Bokhari 1981]
 //   - simulated annealing over processor swaps, after Bollinger &
 //     Midkiff's process annealing [1988]
-//   - a genetic algorithm with PMX crossover and swap mutation, after
-//     Arunkumar & Chockalingam [1992] and Orduña et al. [2001]
 //   - space-filling-curve (snake) mapping, the classic structured-grid
 //     practice
-//   - Allocation by Recursive Mincut (ARM) for hypercubes, after Ercal,
-//     Ramanujam & Sadayappan [1988]
 //
-// The physical-optimization methods (annealing, genetic) produce good
-// mappings but — as the paper argues — take orders of magnitude longer
-// than the heuristics; the ablation experiments quantify that trade-off.
+// Annealing produces good mappings but — as the paper argues — takes
+// orders of magnitude longer than the heuristics; the extras tables
+// quantify that trade-off.
 package baselines
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -26,101 +21,6 @@ import (
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
-
-// Bokhari is the 1981 pairwise-exchange mapper. Its quality metric is the
-// number of task-graph edges whose endpoints land on adjacent processors
-// (to be maximized). Each phase tries all pairwise exchanges, keeping any
-// that improve the metric; when no exchange helps, a probabilistic jump
-// perturbs the mapping and the best mapping seen is retained.
-type Bokhari struct {
-	// Jumps is the number of probabilistic restarts; zero means 4.
-	Jumps int
-	// Seed drives jump randomness.
-	Seed int64
-}
-
-// Name implements core.Strategy.
-func (Bokhari) Name() string { return "Bokhari" }
-
-// Map implements core.Strategy.
-func (s Bokhari) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
-	if err := core.CheckSizes(g, t); err != nil {
-		return nil, err
-	}
-	jumps := s.Jumps
-	if jumps <= 0 {
-		jumps = 4
-	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	d := topology.NewDists(t)
-	n := t.Nodes()
-	m := core.Mapping(rng.Perm(n))
-	best := m.Clone()
-	bestScore := cardinality(g, &d, best)
-	for j := 0; j <= jumps; j++ {
-		improveCardinality(g, &d, m)
-		if sc := cardinality(g, &d, m); sc > bestScore {
-			bestScore = sc
-			best = m.Clone()
-		}
-		// Probabilistic jump: swap a handful of random pairs.
-		for k := 0; k < n/4+1; k++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			m[a], m[b] = m[b], m[a]
-		}
-	}
-	return best, nil
-}
-
-// cardinality counts task edges whose endpoint processors are adjacent
-// (distance <= 1) — Bokhari's objective.
-func cardinality(g *taskgraph.Graph, d *topology.Dists, m core.Mapping) int {
-	score := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		adj, _ := g.Neighbors(v)
-		for _, u := range adj {
-			if int32(v) < u && d.Dist(m[v], m[u]) <= 1 {
-				score++
-			}
-		}
-	}
-	return score
-}
-
-// improveCardinality performs greedy pairwise exchanges until a full pass
-// finds no improving swap.
-func improveCardinality(g *taskgraph.Graph, d *topology.Dists, m core.Mapping) {
-	n := len(m)
-	for {
-		improved := false
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				before := localCardinality(g, d, m, a) + localCardinality(g, d, m, b)
-				m[a], m[b] = m[b], m[a]
-				after := localCardinality(g, d, m, a) + localCardinality(g, d, m, b)
-				if after <= before {
-					m[a], m[b] = m[b], m[a] // revert
-				} else {
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			return
-		}
-	}
-}
-
-func localCardinality(g *taskgraph.Graph, d *topology.Dists, m core.Mapping, v int) int {
-	adj, _ := g.Neighbors(v)
-	score := 0
-	for _, u := range adj {
-		if d.Dist(m[v], m[int(u)]) <= 1 {
-			score++
-		}
-	}
-	return score
-}
 
 // Annealing minimizes hop-bytes by simulated annealing over processor
 // swaps (Bollinger & Midkiff's process-annealing phase). The temperature
@@ -202,4 +102,90 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		temp *= cooling
 	}
 	return best, nil
+}
+
+// Snake is the classic structured-grid practice: tasks are assumed to
+// form a logical grid of TaskDims (row-major numbering, as the taskgraph
+// pattern builders produce), and both the task grid and the Coordinated
+// machine are linearized boustrophedon ("snake") order so consecutive —
+// hence heavily communicating — tasks land on adjacent processors. A
+// strong baseline on mesh-shaped workloads, inapplicable elsewhere.
+type Snake struct {
+	// TaskDims is the logical task grid shape; its volume must equal the
+	// task count.
+	TaskDims []int
+}
+
+// Name implements core.Strategy.
+func (Snake) Name() string { return "Snake" }
+
+// Map implements core.Strategy.
+func (s Snake) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, error) {
+	if err := core.CheckSizes(g, t); err != nil {
+		return nil, err
+	}
+	co, ok := t.(topology.Coordinated)
+	if !ok {
+		return nil, fmt.Errorf("baselines: Snake requires a mesh/torus machine, got %s", t.Name())
+	}
+	vol := 1
+	for _, d := range s.TaskDims {
+		if d < 1 {
+			return nil, fmt.Errorf("baselines: bad task dimension %d", d)
+		}
+		vol *= d
+	}
+	if vol != g.NumVertices() {
+		return nil, fmt.Errorf("baselines: task dims %v have volume %d, graph has %d tasks",
+			s.TaskDims, vol, g.NumVertices())
+	}
+	taskOrder := snakeOrder(s.TaskDims)
+	// snakeOrder yields row-major ranks, which is exactly the Coordinated
+	// rank convention.
+	procOrder := snakeOrder(co.Dims())
+	m := make(core.Mapping, len(taskOrder))
+	for i, task := range taskOrder {
+		m[task] = procOrder[i]
+	}
+	return m, nil
+}
+
+// snakeOrder linearizes a row-major grid in boustrophedon order: the last
+// dimension sweeps back and forth as outer dimensions advance, so
+// consecutive ranks are always grid neighbors.
+func snakeOrder(dims []int) []int {
+	n := 1
+	strides := make([]int, len(dims))
+	for i := len(dims) - 1; i >= 0; i-- {
+		strides[i] = n
+		n *= dims[i]
+	}
+	order := make([]int, 0, n)
+	coord := make([]int, len(dims))
+	dir := make([]int, len(dims))
+	for i := range dir {
+		dir[i] = 1
+	}
+	for {
+		rank := 0
+		for i, c := range coord {
+			rank += c * strides[i]
+		}
+		order = append(order, rank)
+		// Advance the deepest dimension in its current direction,
+		// reflecting at the ends like a plotter.
+		i := len(dims) - 1
+		for i >= 0 {
+			coord[i] += dir[i]
+			if coord[i] >= 0 && coord[i] < dims[i] {
+				break
+			}
+			coord[i] -= dir[i] // stay, flip, carry outward
+			dir[i] = -dir[i]
+			i--
+		}
+		if i < 0 {
+			return order
+		}
+	}
 }

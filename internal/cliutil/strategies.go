@@ -66,10 +66,7 @@ var strategyTable = []StrategyRow{
 		New: func(_ int64, c [][]float64) core.Strategy { return core.RCBSFC{Coords: c} }},
 	{Name: "random", New: func(seed int64, _ [][]float64) core.Strategy { return core.Random{Seed: seed} }},
 	{Name: "identity", New: plain(core.Identity{})},
-	{Name: "bokhari", New: func(seed int64, _ [][]float64) core.Strategy { return baselines.Bokhari{Seed: seed} }},
 	{Name: "annealing", New: func(seed int64, _ [][]float64) core.Strategy { return baselines.Annealing{Seed: seed} }},
-	{Name: "genetic", New: func(seed int64, _ [][]float64) core.Strategy { return baselines.Genetic{Seed: seed} }},
-	{Name: "arm", New: func(seed int64, _ [][]float64) core.Strategy { return baselines.ARM{Seed: seed} }},
 	// The block shape is spelled with "x" so a hybrid spec survives a
 	// comma-separated strategy list.
 	{Name: "hybrid:BXxBY[x...]", Bind: bindHybrid},

@@ -74,8 +74,8 @@ func (m Mapping) Clone() Mapping {
 	return c
 }
 
-// CheckSizes verifies the equal-cardinality precondition shared by all
-// strategies, here and in internal/baselines.
+// CheckSizes verifies Map's one-task-per-processor precondition, here and
+// in internal/baselines; a Placer takes more tasks through Place.
 func CheckSizes(g *taskgraph.Graph, t topology.Topology) error {
 	if g.NumVertices() != t.Nodes() {
 		return fmt.Errorf("core: task count %d != processor count %d (partition first)",

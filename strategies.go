@@ -9,24 +9,13 @@ import (
 // The related-work mapping algorithms surveyed in the paper's §2, usable
 // anywhere a Strategy is accepted.
 
-// Bokhari is the 1981 pairwise-exchange mapper on the edge-adjacency
-// metric with probabilistic jumps.
-type Bokhari = baselines.Bokhari
-
 // Annealing minimizes hop-bytes by simulated annealing over processor
 // swaps (a physical-optimization comparator: high quality, slow).
 type Annealing = baselines.Annealing
 
-// Genetic minimizes hop-bytes with a permutation genetic algorithm (PMX
-// crossover, swap mutation, elitism).
-type Genetic = baselines.Genetic
-
 // Snake maps a logical task grid onto a mesh/torus machine in
 // boustrophedon order — the classic structured-grid practice.
 type Snake = baselines.Snake
-
-// ARM is Allocation by Recursive Mincut for hypercube machines.
-type ARM = baselines.ARM
 
 // Hybrid is the hierarchical block-wise mapper the paper's conclusion
 // proposes for very large machines: blocks are mapped coarsely, then
