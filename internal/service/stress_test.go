@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -167,6 +168,20 @@ func awaitDrained(t *testing.T, srv *Server) {
 		if time.Now().After(deadline) {
 			t.Fatalf("not drained: queue_depth=%d jobs_running=%d flights=%d",
 				st.QueueDepth, st.JobsRunning, inFlight)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitGoroutines waits up to five seconds for the goroutine count to
+// fall back to before, the count taken before the server started: after
+// Close, nothing the server or its handlers started may still run.
+func awaitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the server started", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
