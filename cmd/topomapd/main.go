@@ -45,6 +45,18 @@ import (
 	"repro/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers: a client that never finishes them would otherwise hold
+// a connection goroutine forever. There is deliberately no WriteTimeout,
+// which would also cut session watch long-polls, legitimately as long as
+// -watch-timeout.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is the daemon's listener configuration.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func main() {
 	// Every default is the server's own (service.DefaultConfig), so -h
 	// prints what the server will use; a zero still means "the default".
@@ -64,7 +76,7 @@ func main() {
 
 	srv := service.NewServer(cfg)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("topomapd: listening on %s\n", *addr)

@@ -70,6 +70,19 @@ import (
 // tasks whose inputs it changed (see markMoved, markComm), so a refinement
 // call after a small delta batch re-scores only that neighbourhood.
 //
+// # Undo
+//
+// RefineIncremental journals its accepted steps — each the task that
+// moved and the processor it left — and Revert replays the journal
+// backwards through the same move, so a caller can refine in place and
+// take the result back when it does not pay, instead of refining a copy.
+// The undo is exact: every touched edge leaf is rewritten at its original
+// endpoints, so by the summation tree's exactness every total is
+// bit-identical to the one before the call; each undo step clears the
+// clean bits of its neighbourhood as any move does, so the bits that
+// survive are sound at the restored placement. Every other exported
+// mutator empties the journal, so a Revert after any of them does nothing.
+//
 // IncrementalState is not safe for concurrent mutation; callers (the
 // topomapd session layer) serialize access per state.
 type IncrementalState struct {
@@ -100,7 +113,15 @@ type IncrementalState struct {
 	tree            sumTree
 	liveTasks       int
 	liveEdges       int
+
+	// undo is the last RefineIncremental's accepted steps in order (see
+	// "Undo"); emptied by every other exported mutator.
+	undo []undoStep
 }
+
+// undoStep is one journaled refinement step: task moved off processor
+// from.
+type undoStep struct{ task, from int32 }
 
 // incRow is one task's row: partner ids (sorted ascending) and, entry for
 // entry, the shared edge's weight and leaf id.
@@ -356,6 +377,7 @@ func (s *IncrementalState) checkTask(v int) error {
 
 // SetLoad replaces task v's load.
 func (s *IncrementalState) SetLoad(v int, load float64) error {
+	s.undo = s.undo[:0]
 	if err := s.checkTask(v); err != nil {
 		return err
 	}
@@ -371,6 +393,7 @@ func (s *IncrementalState) SetLoad(v int, load float64) error {
 // bytes > 0 creates the edge if absent; bytes == 0 removes it. Costs
 // O(deg) for the adjacency edit plus O(log |E|) for the tree update.
 func (s *IncrementalState) SetComm(a, b int, bytes float64) error {
+	s.undo = s.undo[:0]
 	if err := s.checkTask(a); err != nil {
 		return err
 	}
@@ -428,6 +451,7 @@ func (s *IncrementalState) SetComm(a, b int, bytes float64) error {
 // of each incident edge, O(deg(v)·log |E|), and clearing the clean bits of
 // v, N(v) and N(N(v)), O(Σ_{u∈N(v)} deg(u)).
 func (s *IncrementalState) MoveTask(v, p int) error {
+	s.undo = s.undo[:0]
 	if err := s.checkTask(v); err != nil {
 		return err
 	}
@@ -458,6 +482,7 @@ func (s *IncrementalState) moveTask(v, p int) {
 // referring to tasks by the id AddTask handed out. The new task starts
 // unmigrated (its anchor is p) and with no communication edges.
 func (s *IncrementalState) AddTask(load float64, p int) (int, error) {
+	s.undo = s.undo[:0]
 	if load < 0 {
 		return 0, fmt.Errorf("core: incremental: negative load for new task")
 	}
@@ -481,6 +506,7 @@ func (s *IncrementalState) AddTask(load float64, p int) (int, error) {
 // O(Σ_{u∈N(v)} deg(u)) twice over: for the partner adjacency edits, and
 // for clearing the clean bits of N(v) and N(N(v)).
 func (s *IncrementalState) RemoveTask(v int) error {
+	s.undo = s.undo[:0]
 	if err := s.checkTask(v); err != nil {
 		return err
 	}
@@ -511,6 +537,7 @@ func (s *IncrementalState) RemoveTask(v int) error {
 // migration delta is at its maximum (+1 a move, +2 a swap): at a cost of
 // zero or more no score falls, so the bits survive.
 func (s *IncrementalState) SetAnchor() {
+	s.undo = s.undo[:0]
 	copy(s.anchor, s.proc)
 	if s.cleanCost < 0 {
 		clear(s.clean)
@@ -529,18 +556,31 @@ func (s *IncrementalState) Migrations() int {
 	return n
 }
 
+// Revert undoes the accepted steps of the last RefineIncremental, last
+// step first, when no other exported mutator has run since (see "Undo");
+// otherwise it does nothing. Placement, hop-bytes bits and the migration
+// count return to what they were before the call; clean bits stay set
+// wherever the undo left their inputs unchanged. O(Σ deg) over the steps
+// undone, plus their clean-bit clearing.
+func (s *IncrementalState) Revert() {
+	for i := len(s.undo) - 1; i >= 0; i-- {
+		s.moveTask(int(s.undo[i].task), int(s.undo[i].from))
+	}
+	s.undo = s.undo[:0]
+}
+
 // Clone returns an independent deep copy sharing only the immutable
 // topology: CloneInto with nothing to reuse.
 func (s *IncrementalState) Clone() *IncrementalState { return s.CloneInto(nil) }
 
 // CloneInto makes dst an independent deep copy of s, sharing only the
 // immutable topology, and returns it; a nil dst is allocated. dst's slices
-// are reused where they are large enough, so a caller that keeps the clone
-// it did not adopt — the session layer refines a clone speculatively and
-// adopts it only when the improvement clears the migration-cost threshold
-// — pays a copy, not an allocation, per batch. The rows are laid out as
-// NewIncrementalState lays them out, one backing array per field. dst must
-// not be s.
+// are reused where they are large enough, so a caller that copies
+// repeatedly — a benchmark resetting to one state, a replay that refines
+// copies — pays a copy, not an allocation, each time. The rows are laid
+// out as NewIncrementalState lays them out, one backing array per field.
+// The copy's undo journal starts empty: Revert undoes only refinement of
+// the state it is called on. dst must not be s.
 func (s *IncrementalState) CloneInto(dst *IncrementalState) *IncrementalState {
 	if dst == nil {
 		dst = &IncrementalState{}
@@ -554,6 +594,7 @@ func (s *IncrementalState) CloneInto(dst *IncrementalState) *IncrementalState {
 	dst.cleanCost = s.cleanCost
 	dst.freeLeaves = append(dst.freeLeaves[:0], s.freeLeaves...)
 	dst.liveTasks, dst.liveEdges = s.liveTasks, s.liveEdges
+	dst.undo = dst.undo[:0]
 	dst.tree.cloneFrom(&s.tree)
 
 	// Each live edge sits in two rows.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -146,4 +147,54 @@ func probeStreamGolden(t *testing.T) {
 	if got := treated.HopBytes() / control.HopBytes(); got != wantRatio {
 		t.Errorf("treated/control hop-bytes %v, want %v", got, wantRatio)
 	}
+}
+
+// TestProbeStreamInPlace replays the probe stream the session layer's way
+// — refine in place, SetAnchor on adoption, Revert otherwise — beside
+// probeRemap's clone path, which TestProbeStreamGolden pins: every batch
+// must read the same hop-bytes bits, adoption and migrations, and the
+// final mappings must agree. The in-place side keeps the clean bits a
+// dropped remap learned, so over the stream it scores fewer tasks.
+func TestProbeStreamInPlace(t *testing.T) {
+	cloned, edges := probeState(t)
+	inPlace := cloned.Clone()
+	rngC := rand.New(rand.NewSource(probeSeed))
+	rngI := rand.New(rand.NewSource(probeSeed))
+	var spare *IncrementalState
+	var evalCloned, evalInPlace int64
+	scored := func(f func()) int64 {
+		c0 := IncrementalCounters()
+		f()
+		return IncrementalCounters().RefineEvaluated - c0.RefineEvaluated
+	}
+	for b := 0; b < probeBatches; b++ {
+		probeDrift(t, cloned, edges, rngC)
+		probeDrift(t, inPlace, edges, rngI)
+		var remapped bool
+		var migrations int
+		evalCloned += scored(func() { cloned, spare, remapped, migrations = probeRemap(cloned, spare) })
+		var res IncRefineResult
+		evalInPlace += scored(func() { res = inPlace.RefineIncremental(probeOpts) })
+		gain := res.HopBytesBefore - res.HopBytesAfter
+		adopt := res.Migrations > 0 && gain-probeOpts.MigrationCost*float64(res.Migrations) > probeThreshold*res.HopBytesBefore
+		if adopt {
+			inPlace.SetAnchor()
+		} else {
+			inPlace.Revert()
+			res.Migrations = 0
+		}
+		if math.Float64bits(inPlace.HopBytes()) != math.Float64bits(cloned.HopBytes()) ||
+			adopt != remapped || res.Migrations != migrations {
+			t.Fatalf("batch %d: in place {%v %t %d}, cloned {%v %t %d}", b,
+				inPlace.HopBytes(), adopt, res.Migrations, cloned.HopBytes(), remapped, migrations)
+		}
+	}
+	if fmt.Sprint(inPlace.Mapping()) != fmt.Sprint(cloned.Mapping()) {
+		t.Error("final mappings differ")
+	}
+	if evalInPlace >= evalCloned {
+		t.Errorf("in place scored %d tasks, cloned %d: the kept clean bits saved nothing", evalInPlace, evalCloned)
+	}
+	t.Logf("tasks scored per batch: cloned %.0f, in place %.0f",
+		float64(evalCloned)/probeBatches, float64(evalInPlace)/probeBatches)
 }

@@ -71,8 +71,12 @@ type IncRefineResult struct {
 // a task whose clean bit is set (see IncrementalState, "Clean bits") is
 // passed over in O(1), which changes no placement, total or result — a
 // clean task is one the full scan would have accepted nothing for.
+//
+// The accepted steps are journaled, so Revert can take the run back
+// exactly (see IncrementalState, "Undo").
 func (s *IncrementalState) RefineIncremental(opts IncRefineOptions) IncRefineResult {
 	incCounters.refineCalls.Add(1)
+	s.undo = s.undo[:0]
 	res := IncRefineResult{HopBytesBefore: s.HopBytes()}
 	//lint:ignore floatcmp the bits hold for exactly the cost they were computed under
 	if opts.MigrationCost != s.cleanCost {
@@ -265,6 +269,8 @@ func (r *incRefiner) applyMove(a, p int) {
 	r.procLoad[p] += s.load[a]
 	r.procCount[pa]--
 	r.procCount[p]++
+	//lint:ignore hotalloc the journal keeps its capacity across calls, so it grows only while one run accepts more steps than any before it; pinned by TestSessionBatchAllocs
+	s.undo = append(s.undo, undoStep{int32(a), int32(pa)})
 	s.moveTask(a, p)
 	r.moves++
 	incCounters.refineMoves.Add(1)
@@ -279,6 +285,8 @@ func (r *incRefiner) applySwap(a, b int) {
 	la, lb := s.load[a], s.load[b]
 	r.procLoad[pa] += lb - la
 	r.procLoad[pb] += la - lb
+	//lint:ignore hotalloc the journal keeps its capacity across calls, so it grows only while one run accepts more steps than any before it; pinned by TestSessionBatchAllocs
+	s.undo = append(s.undo, undoStep{int32(a), int32(pa)}, undoStep{int32(b), int32(pb)})
 	s.moveTask(a, pb)
 	s.moveTask(b, pa)
 	r.swaps++

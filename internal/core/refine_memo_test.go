@@ -17,17 +17,18 @@ func (s *IncrementalState) wipeClean() { clear(s.clean) }
 // memoPair drives two states through one stream of operations: memo
 // keeps its clean bits, ref has them wiped before every RefineIncremental.
 // The two must never differ in placement, hop-bytes or refinement result,
-// and every clean bit of memo must survive a brute-force re-score.
+// and every clean bit of memo must survive a brute-force re-score. In a
+// remap step memo refines in place and reverts or re-anchors, as the
+// session layer does; ref refines a clone and adopts or drops it, the
+// session layer's earlier way, so it is the oracle for Revert.
 type memoPair struct {
 	tb        testing.TB
 	to        topology.Topology
 	memo, ref *IncrementalState
-	// Spares for the clone-then-adopt-or-drop step, as the session layer
-	// keeps them.
-	memoSpare, refSpare *IncrementalState
-	opts                IncRefineOptions
-	baseCost            float64 // opts.MigrationCost as configured; the stream moves it
-	zeroLoads           bool    // all loads zero: the task-count limit applies
+	refSpare  *IncrementalState // where ref's remap clones are built
+	opts      IncRefineOptions
+	baseCost  float64 // opts.MigrationCost as configured; the stream moves it
+	zeroLoads bool    // all loads zero: the task-count limit applies
 }
 
 func newMemoPair(tb testing.TB, seed int64, opts IncRefineOptions, zeroLoads bool) *memoPair {
@@ -118,21 +119,25 @@ func (p *memoPair) run(data []byte) {
 			p.both(ctx, func(s *IncrementalState) error { return s.MoveTask(v, proc) })
 		case 7:
 			p.both(ctx, func(s *IncrementalState) error { s.SetAnchor(); return nil })
-		case 8: // refine a clone; adopt it or keep it as the next spare
+		case 8: // remap: memo refines in place and re-anchors or reverts; ref refines a clone and adopts or drops it
 			adopt := b.pick(2) == 1
-			mc, rc := p.memo.CloneInto(p.memoSpare), p.ref.CloneInto(p.refSpare)
-			p.refine(ctx+" (clone)", mc, rc)
+			rc := p.ref.CloneInto(p.refSpare)
+			p.refine(ctx+" (remap)", p.memo, rc)
 			if adopt {
-				mc.SetAnchor()
+				p.memo.SetAnchor()
 				rc.SetAnchor()
-				p.memo, p.memoSpare = mc, p.memo
 				p.ref, p.refSpare = rc, p.ref
 			} else {
-				p.memoSpare, p.refSpare = mc, rc
+				p.memo.Revert()
+				// ref keeps its unrefined state, copied so that its undo
+				// window is closed as memo's Revert closes memo's.
+				p.ref, p.refSpare = p.ref.CloneInto(rc), p.ref
 			}
 		case 9: // the caller changes its mind about what a migration costs
 			p.opts.MigrationCost = p.baseCost + 3*float64(b.pick(2))
-		default: // 10, 11: refine in place
+		case 10: // undo whatever the last operation was: a refinement, or nothing
+			p.both(ctx, func(s *IncrementalState) error { s.Revert(); return nil })
+		default: // 11: refine in place
 			p.refine(ctx, p.memo, p.ref)
 		}
 		p.same(ctx, p.memo, p.ref)
@@ -317,18 +322,102 @@ func TestRefineMemoSkips(t *testing.T) {
 }
 
 // TestSessionBatchAllocs is the dynamic half of the //lint:hotpath tags on
-// sweepTask, moveScore and swapScore: one remap step on an all-clean
-// 4096-task state — clone into the spare, refine — allocates nothing but
+// sweepTask, moveScore and swapScore and of the journal appends in
+// applyMove and applySwap: one session batch on a converged 4096-task
+// state — a probe-stream drift batch, refinement in place, then Revert
+// (a dropped remap) or SetAnchor (an adopted one) — allocates nothing but
 // RefineIncremental's per-call scratch.
 func TestSessionBatchAllocs(t *testing.T) {
-	s, _ := probeState(t)
+	s, edges := probeState(t)
 	s.RefineIncremental(IncRefineOptions{MaxPasses: 1 << 20, MaxMigrations: -1, LoadTolerance: 1e9})
-	spare := s.Clone()
-	allocs := testing.AllocsPerRun(20, func() {
-		s.CloneInto(spare).RefineIncremental(probeOpts)
-	})
-	if allocs > 4 {
-		t.Errorf("clean-state remap step allocates %v objects, want <= 4", allocs)
+	rng := rand.New(rand.NewSource(probeSeed))
+	for _, adopt := range []bool{false, true} {
+		steps := 0
+		batch := func() {
+			probeDrift(t, s, edges, rng)
+			res := s.RefineIncremental(probeOpts)
+			steps += res.Moves + res.Swaps
+			if adopt {
+				s.SetAnchor()
+			} else {
+				s.Revert()
+			}
+		}
+		batch() // the journal's first growth
+		allocs := testing.AllocsPerRun(20, batch)
+		if allocs > 4 {
+			t.Errorf("adopt=%t: remap step allocates %v objects, want <= 4", adopt, allocs)
+		}
+		if steps == 0 {
+			t.Errorf("adopt=%t: no batch accepted a step, so no journal append was measured", adopt)
+		}
+		t.Logf("adopt=%t: %v allocations per batch, %d steps accepted", adopt, allocs, steps)
+	}
+}
+
+// TestRevertAfterMutationIsNoOp: Revert right after RefineIncremental
+// restores the placement, the hop-bytes bits and the migration count, and
+// after any other exported mutator it changes nothing.
+func TestRevertAfterMutationIsNoOp(t *testing.T) {
+	type snap struct {
+		m          Mapping
+		hb         uint64
+		migrations int
+	}
+	take := func(s *IncrementalState) snap {
+		return snap{s.Mapping(), math.Float64bits(s.HopBytes()), s.Migrations()}
+	}
+	requireSame := func(ctx string, got, want snap) {
+		t.Helper()
+		if got.hb != want.hb || got.migrations != want.migrations || fmt.Sprint(got.m) != fmt.Sprint(want.m) {
+			t.Errorf("%s: state moved: hop-bytes bits %x -> %x, migrations %d -> %d",
+				ctx, want.hb, got.hb, want.migrations, got.migrations)
+		}
+	}
+	to := topology.MustTorus(4, 4)
+	fresh := func() *IncrementalState {
+		rng := rand.New(rand.NewSource(9))
+		s, err := NewIncrementalState(intWeightGraph(48, 96, rng), to, randomPlacement(48, to.Nodes(), rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	opts := IncRefineOptions{MaxMigrations: -1}
+	mutators := []struct {
+		name string
+		f    func(s *IncrementalState) error
+	}{
+		{"SetLoad", func(s *IncrementalState) error { return s.SetLoad(3, 7) }},
+		{"SetComm insert", func(s *IncrementalState) error { return s.SetComm(0, 40, 300) }},
+		{"SetComm update", func(s *IncrementalState) error { return s.SetComm(0, 1, 300) }},
+		{"SetComm remove", func(s *IncrementalState) error { return s.SetComm(0, 1, 0) }},
+		{"MoveTask", func(s *IncrementalState) error { return s.MoveTask(5, (s.Proc(5)+1)%s.Procs()) }},
+		{"AddTask", func(s *IncrementalState) error { _, err := s.AddTask(1, 2); return err }},
+		{"RemoveTask", func(s *IncrementalState) error { return s.RemoveTask(7) }},
+		{"SetAnchor", func(s *IncrementalState) error { s.SetAnchor(); return nil }},
+		{"CloneInto", func(s *IncrementalState) error { fresh().CloneInto(s); return nil }},
+	}
+
+	s := fresh()
+	before := take(s)
+	if res := s.RefineIncremental(opts); res.Moves+res.Swaps == 0 {
+		t.Fatal("refinement accepted nothing; the undo is untested")
+	}
+	s.Revert()
+	requireSame("Revert after RefineIncremental", take(s), before)
+	requireExact(t, s, to, "reverted")
+	requireCleanSound(t, s, to, "reverted")
+
+	for _, mu := range mutators {
+		s := fresh()
+		s.RefineIncremental(opts)
+		if err := mu.f(s); err != nil {
+			t.Fatalf("%s: %v", mu.name, err)
+		}
+		after := take(s)
+		s.Revert()
+		requireSame("Revert after "+mu.name, take(s), after)
 	}
 }
 

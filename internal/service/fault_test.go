@@ -210,6 +210,60 @@ func TestSessionPanicContained(t *testing.T) {
 	}
 }
 
+// TestSessionFaultClosesWaitingReaders: readers that found a session
+// before a batch on it faulted, and waited for its lock, must not read the
+// state the fault may have left half-refined: a watch for a version it has
+// not seen resolves "closed", and a GET is a 404.
+func TestSessionFaultClosesWaitingReaders(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	setFaultHook(t, func(s string, _ *Job) {
+		if s == "session-refine" {
+			close(entered)
+			<-release
+			panic("injected refine fault")
+		}
+	})
+	srv := NewServer(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	status, created := doJSON(t, ts, "POST", "/v1/sessions", newSessionSpec(""))
+	wantStatus(t, status, 201, nil)
+	id := created["id"].(string)
+	type reply struct {
+		status int
+		body   map[string]any
+	}
+	batch, watched, got := make(chan int, 1), make(chan reply, 1), make(chan reply, 1)
+	go func() {
+		status, _ := doJSON(t, ts, "POST", "/v1/sessions/"+id+"/deltas", `{"deltas":[{"kind":"load","task":0,"load":2}]}`)
+		batch <- status
+	}()
+	<-entered // the batch holds the session's lock
+	go func() {
+		status, body := doJSON(t, ts, "GET", "/v1/sessions/"+id+"/watch?version=0", "")
+		watched <- reply{status, body}
+	}()
+	go func() {
+		status, body := doJSON(t, ts, "GET", "/v1/sessions/"+id, "")
+		got <- reply{status, body}
+	}()
+	waitForWatcher(t, srv, 1)         // the watch has found the session
+	time.Sleep(20 * time.Millisecond) // and the GET, most likely, too
+	close(release)
+
+	if status := <-batch; status != 500 {
+		t.Errorf("faulty batch: status %d, want 500", status)
+	}
+	if w := <-watched; w.status != 200 || w.body["event"] != "closed" {
+		t.Errorf("waiting watch: status %d body %v, want the closed event", w.status, w.body)
+	}
+	if g := <-got; g.status != 404 {
+		t.Errorf("waiting GET: status %d body %v, want 404", g.status, g.body)
+	}
+}
+
 // TestSessionFaultsUnderStress is the containment under contention (the
 // CI -race mapping-service step runs it at GOMAXPROCS 2 and 8): writers
 // hammer three sessions while every seventh batch stage panics. Every

@@ -4,20 +4,21 @@
 // instrumented lbdb.Database plus a topology, then streams typed deltas
 // (load drift, communication drift, task churn) as the program runs. The
 // server maintains a core.IncrementalState — O(deg) hop-bytes updates
-// instead of full recomputes — and after each delta batch speculatively
-// refines a clone under a migration budget. The refined placement is
-// pushed to watchers only when its predicted gain, net of the migration
-// cost, clears the session's threshold: the paper's §5.1 economics that
-// remapping is worthwhile only when the improvement outweighs the cost
-// of moving chare state.
+// instead of full recomputes — and after each delta batch refines it in
+// place under a migration budget. The refined placement is pushed to
+// watchers only when its predicted gain, net of the migration cost,
+// clears the session's threshold, and is otherwise reverted: the paper's
+// §5.1 economics that remapping is worthwhile only when the improvement
+// outweighs the cost of moving chare state.
 //
 // Watchers long-poll GET /v1/sessions/{id}/watch and always get a
 // terminal JSON event: "mapping" (a new placement), "timeout" (nothing
 // changed; poll again), "closed" (session deleted or evicted), or
 // "shutdown" (server stopping). Memory stays bounded: at most
 // MaxSessions sessions (least-recently-used is evicted), each capped at
-// MaxTasks tasks and MaxSessionEdges communication edges — held twice,
-// the state and the spare the next batch's clone is built in.
+// MaxTasks tasks and MaxSessionEdges communication edges, held once: a
+// remap refines the state itself and undoes what it does not push, so no
+// spare copy is kept.
 package service
 
 import (
@@ -57,19 +58,17 @@ type SessionSpec struct {
 	RefinePasses int `json:"refine_passes,omitempty"`
 }
 
-// session is one live remapping session. The mutex guards the state, the
-// spare, version, and the changed channel; the closed channel is closed
-// exactly once, under the store's lock, on delete/evict/shutdown.
+// session is one live remapping session. The mutex guards the state,
+// version, and the changed channel; the closed channel is closed exactly
+// once, under the store's lock, on delete/evict/shutdown. The state is
+// held once, with no spare: a remap refines it in place under the mutex
+// and reverts it before unlocking unless it pushes, so a reader never
+// sees a refinement that was not pushed.
 type session struct {
 	id string
 
-	mu    sync.Mutex
-	state *core.IncrementalState
-	// spare is what the last remap attempt left over — the refined clone
-	// it did not adopt, or the state the adopted clone superseded — and
-	// the storage the next batch's clone is built in. Nil until the first
-	// attempt; garbage with the session.
-	spare   *core.IncrementalState
+	mu      sync.Mutex
+	state   *core.IncrementalState
 	opts    core.IncRefineOptions
 	thresh  float64
 	version int64
@@ -90,6 +89,18 @@ func (ss *session) bumpLocked() {
 
 func (ss *session) close() {
 	ss.closeOnce.Do(func() { close(ss.closed) })
+}
+
+// closedLocked reports whether the session was closed — possibly by a
+// fault that left its state half-applied, which must then not be read.
+// Callers hold ss.mu.
+func (ss *session) closedLocked() bool {
+	select {
+	case <-ss.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // sessionStore holds live sessions with least-recently-used eviction.
@@ -326,9 +337,9 @@ type deltasResponse struct {
 }
 
 // handleSessionDeltas serves POST /v1/sessions/{id}/deltas: apply the
-// batch to the incremental state (O(deg) per delta), then speculatively
-// refine a clone under the migration budget and adopt it only when the
-// net gain clears the threshold.
+// batch to the incremental state (O(deg) per delta), then refine the
+// state under the migration budget, keeping the result only when the net
+// gain clears the threshold.
 func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 	ss, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
@@ -357,13 +368,11 @@ func (s *Server) handleSessionDeltas(w http.ResponseWriter, r *http.Request) {
 
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	select {
-	case <-ss.closed:
+	if ss.closedLocked() {
 		// Closed while this request waited for the lock — by a fault in
 		// the batch ahead of it, perhaps, which leaves the state unfit.
 		s.writeError(w, 404, badJob(404, "session %q not found", ss.id))
 		return
-	default:
 	}
 	resp := deltasResponse{}
 	err := s.applyDeltas(ss, req.Deltas, &resp)
@@ -403,33 +412,31 @@ func (s *Server) applyDeltas(ss *session, deltas []lbdb.Delta, resp *deltasRespo
 	return nil
 }
 
-// remap refines a clone of the session's state — built in the spare the
-// last attempt left — under the migration budget, and adopts it when it
-// moved tasks and its gain, net of the migration cost, clears the
-// threshold. Either way one state is left over as the next spare. Callers
-// hold ss.mu.
+// remap refines the session's state in place under the migration budget
+// and adopts the result when it moved tasks and its gain, net of the
+// migration cost, clears the threshold; otherwise it reverts the state to
+// the placement and hop-bytes it had before, keeping the clean bits the
+// undo left sound. Callers hold ss.mu.
 func (s *Server) remap(ss *session, resp *deltasResponse) (err error) {
 	defer s.containSession(ss, "refine", &err)
 	if faultHook != nil {
 		faultHook("session-refine", nil)
 	}
-	refined := ss.state.CloneInto(ss.spare)
-	res := refined.RefineIncremental(ss.opts)
+	res := ss.state.RefineIncremental(ss.opts)
 	gain := res.HopBytesBefore - res.HopBytesAfter
 	net := gain - ss.opts.MigrationCost*float64(res.Migrations)
 	if res.Migrations > 0 && net > ss.thresh*res.HopBytesBefore {
 		// Adopt: the pushed placement becomes the new anchor, so the next
 		// remap's budget counts migrations from what the client has after
 		// acting on this push.
-		refined.SetAnchor()
-		ss.state, ss.spare = refined, ss.state
+		ss.state.SetAnchor()
 		ss.bumpLocked()
 		resp.Remapped = true
 		resp.Migrations = res.Migrations
 		resp.Gain = gain
 		s.stats.remapsPushed.Add(1)
 	} else {
-		ss.spare = refined
+		ss.state.Revert()
 		s.stats.remapsSuppressed.Add(1)
 	}
 	return nil
@@ -476,6 +483,13 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ss.mu.Lock()
+	if ss.closedLocked() {
+		// Closed while this request waited for the lock, as in
+		// handleSessionDeltas.
+		ss.mu.Unlock()
+		s.writeError(w, 404, badJob(404, "session %q not found", ss.id))
+		return
+	}
 	info := ss.infoLocked(true)
 	ss.mu.Unlock()
 	s.writeJSON(w, info)
@@ -510,6 +524,16 @@ type watchEvent struct {
 	Mapping  []int   `json:"mapping,omitempty"`
 }
 
+// eventLocked is the watch event for a version the watcher has not seen:
+// the current placement, or "closed" when the session was closed since
+// the handler found it. Callers hold ss.mu.
+func (ss *session) eventLocked() watchEvent {
+	if ss.closedLocked() {
+		return watchEvent{Event: watchClosed}
+	}
+	return watchEvent{Event: watchMapping, Version: ss.version, HopBytes: ss.state.HopBytes(), Mapping: ss.state.Mapping()}
+}
+
 // handleSessionWatch serves GET /v1/sessions/{id}/watch?version=N: a
 // long-poll that returns immediately when the session's mapping version
 // already exceeds N, and otherwise blocks — no goroutines, just the
@@ -536,7 +560,7 @@ func (s *Server) handleSessionWatch(w http.ResponseWriter, r *http.Request) {
 
 	ss.mu.Lock()
 	if ss.version > since {
-		ev := watchEvent{Event: watchMapping, Version: ss.version, HopBytes: ss.state.HopBytes(), Mapping: ss.state.Mapping()}
+		ev := ss.eventLocked()
 		ss.mu.Unlock()
 		s.writeJSON(w, ev)
 		return
@@ -549,7 +573,7 @@ func (s *Server) handleSessionWatch(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-changed:
 		ss.mu.Lock()
-		ev := watchEvent{Event: watchMapping, Version: ss.version, HopBytes: ss.state.HopBytes(), Mapping: ss.state.Mapping()}
+		ev := ss.eventLocked()
 		ss.mu.Unlock()
 		s.writeJSON(w, ev)
 	case <-ss.closed:
