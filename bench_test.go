@@ -1,15 +1,16 @@
 package topomap_test
 
-// One benchmark per table and figure of the paper's evaluation, plus the
-// ablation studies from DESIGN.md. Each experiment benchmark regenerates
-// the corresponding table (quick configuration) and logs it; run
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation, the ablation studies and the extras (the quick
+// configuration of each id in experiments.All), one sub-benchmark per
+// id, and logs the table; run
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Experiments/fig7' -benchmem .
 //
-// to reproduce every result, or `go run ./cmd/experiments` for the
-// full-size sweeps. The kernel-level micro-benchmarks are the rows of
-// internal/benchtab (what cmd/benchjson records); BenchmarkMicro drives
-// every one of them, so each can be run and profiled by name:
+// for one, or `go run ./cmd/experiments` for the full-size sweeps. The
+// kernel-level micro-benchmarks are the rows of internal/benchtab (what
+// cmd/benchjson records); BenchmarkMicro drives every one of them, so
+// each can be run and profiled by name:
 //
 //	go test -run '^$' -bench 'Micro/netsim/Hotspot' -benchmem -cpuprofile cpu.prof .
 
@@ -29,11 +30,14 @@ import (
 	"repro/internal/trace"
 )
 
-func benchExperiment(b *testing.B, id string, headline func(*experiments.Table) (string, float64)) {
-	exp, ok := experiments.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
+// BenchmarkExperiments runs every experiment id as a sub-benchmark.
+func BenchmarkExperiments(b *testing.B) {
+	for _, exp := range experiments.All() {
+		b.Run(exp.ID, func(b *testing.B) { benchExperiment(b, exp) })
 	}
+}
+
+func benchExperiment(b *testing.B, exp experiments.Experiment) {
 	var tbl *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -45,7 +49,7 @@ func benchExperiment(b *testing.B, id string, headline func(*experiments.Table) 
 	var buf bytes.Buffer
 	tbl.Format(&buf)
 	b.Log("\n" + buf.String())
-	if headline != nil {
+	if headline := headlines[exp.ID]; headline != nil {
 		name, v := headline(tbl)
 		b.ReportMetric(v, name)
 	}
@@ -69,103 +73,56 @@ func lastRowRatio(a, c string) func(*experiments.Table) (string, float64) {
 	}
 }
 
-// BenchmarkTable1 regenerates Table 1 (3D Jacobi, random vs optimal
-// mapping on an (8,8,8) mesh; ratio = random/optimal at the largest
-// message size).
-func BenchmarkTable1(b *testing.B) {
-	benchExperiment(b, "table1", lastRowRatio("random_ms", "optimal_ms"))
+// lastRowTopoLB reports TopoLB's hops/byte at the largest p.
+func lastRowTopoLB(t *experiments.Table) (string, float64) {
+	return "topolb_hpb", t.Rows[len(t.Rows)-1][colIndex(t, "topolb")]
 }
 
-// BenchmarkFig1 regenerates Figure 1 (2D-mesh onto 2D-torus hops/byte;
-// the headline is TopoLB's hops/byte at the largest p — the paper finds
-// the optimal 1.0).
-func BenchmarkFig1(b *testing.B) {
-	benchExperiment(b, "fig1", func(t *experiments.Table) (string, float64) {
-		return "topolb_hpb", t.Rows[len(t.Rows)-1][colIndex(t, "topolb")]
-	})
+// reduction reports col's reduction against random at the largest p, in %.
+func reduction(col string) func(*experiments.Table) (string, float64) {
+	return func(t *experiments.Table) (string, float64) {
+		row := t.Rows[len(t.Rows)-1]
+		return "reduction_%", 100 * (1 - row[colIndex(t, col)]/row[colIndex(t, "random")])
+	}
 }
 
-// BenchmarkFig2 regenerates Figure 2 (zoom: TopoLB vs TopoCentLB).
-func BenchmarkFig2(b *testing.B) {
-	benchExperiment(b, "fig2", lastRowRatio("topocentlb", "topolb"))
+// randomOverTopoLB reports random/TopoLB in the first row, or the last.
+func randomOverTopoLB(name string, last bool) func(*experiments.Table) (string, float64) {
+	return func(t *experiments.Table) (string, float64) {
+		row := t.Rows[0]
+		if last {
+			row = t.Rows[len(t.Rows)-1]
+		}
+		return name, row[colIndex(t, "random")] / row[colIndex(t, "topolb")]
+	}
 }
 
-// BenchmarkFig3 regenerates Figure 3 (2D-mesh onto 3D-torus).
-func BenchmarkFig3(b *testing.B) {
-	benchExperiment(b, "fig3", func(t *experiments.Table) (string, float64) {
-		return "topolb_hpb", t.Rows[len(t.Rows)-1][colIndex(t, "topolb")]
-	})
-}
-
-// BenchmarkFig4 regenerates Figure 4 (zoom of Figure 3; at p=64 the
-// optimal 1.0 is attainable).
-func BenchmarkFig4(b *testing.B) {
-	benchExperiment(b, "fig4", func(t *experiments.Table) (string, float64) {
+// headlines are the metrics BenchmarkExperiments reports beside a paper
+// experiment's time, keyed by id; the ablations and extras report none.
+var headlines = map[string]func(*experiments.Table) (string, float64){
+	// Table 1: random/optimal at the largest message size.
+	"table1": lastRowRatio("random_ms", "optimal_ms"),
+	// Figs 1 and 3: the paper finds TopoLB optimal (1.0) on 2D meshes.
+	"fig1": lastRowTopoLB,
+	"fig2": lastRowRatio("topocentlb", "topolb"),
+	"fig3": lastRowTopoLB,
+	// Fig 4: at p = 64 the optimal 1.0 is attainable.
+	"fig4": func(t *experiments.Table) (string, float64) {
 		return "topolb_p64", t.Rows[0][colIndex(t, "topolb")]
-	})
+	},
+	// Figs 5 and 6: the paper reports ~34 % for TopoLB, ~40 % refined.
+	"fig5": reduction("topolb"),
+	"fig6": reduction("topolb+refine"),
+	// Figs 7 and 9 at the lowest bandwidth (paper: random can exceed 2×
+	// TopoLB's completion time there), Fig 8 at the highest.
+	"fig7": randomOverTopoLB("congested_ratio", false),
+	"fig8": randomOverTopoLB("uncongested_ratio", true),
+	"fig9": randomOverTopoLB("congested_ratio", false),
+	// Figs 10 and 11: random/TopoLB on BlueGene tori and meshes at the
+	// largest p.
+	"fig10": lastRowRatio("random_s", "topolb_s"),
+	"fig11": lastRowRatio("random_s", "topolb_s"),
 }
-
-// BenchmarkFig5 regenerates Figure 5 (LeanMD onto 2D tori; headline is
-// TopoLB's reduction vs random at the largest p — paper: ~34%).
-func BenchmarkFig5(b *testing.B) {
-	benchExperiment(b, "fig5", func(t *experiments.Table) (string, float64) {
-		row := t.Rows[len(t.Rows)-1]
-		return "reduction_%", 100 * (1 - row[colIndex(t, "topolb")]/row[colIndex(t, "random")])
-	})
-}
-
-// BenchmarkFig6 regenerates Figure 6 (LeanMD onto 3D tori; paper: ~40%
-// with refinement).
-func BenchmarkFig6(b *testing.B) {
-	benchExperiment(b, "fig6", func(t *experiments.Table) (string, float64) {
-		row := t.Rows[len(t.Rows)-1]
-		return "reduction_%", 100 * (1 - row[colIndex(t, "topolb+refine")]/row[colIndex(t, "random")])
-	})
-}
-
-// BenchmarkFig7 regenerates Figure 7 (average message latency vs
-// bandwidth; headline is random/TopoLB latency at the lowest bandwidth).
-func BenchmarkFig7(b *testing.B) {
-	benchExperiment(b, "fig7", func(t *experiments.Table) (string, float64) {
-		row := t.Rows[0]
-		return "congested_ratio", row[colIndex(t, "random")] / row[colIndex(t, "topolb")]
-	})
-}
-
-// BenchmarkFig8 regenerates Figure 8 (uncongested zoom of Figure 7).
-func BenchmarkFig8(b *testing.B) {
-	benchExperiment(b, "fig8", func(t *experiments.Table) (string, float64) {
-		row := t.Rows[len(t.Rows)-1]
-		return "uncongested_ratio", row[colIndex(t, "random")] / row[colIndex(t, "topolb")]
-	})
-}
-
-// BenchmarkFig9 regenerates Figure 9 (completion time vs bandwidth;
-// paper: random can exceed 2× TopoLB at low bandwidth).
-func BenchmarkFig9(b *testing.B) {
-	benchExperiment(b, "fig9", func(t *experiments.Table) (string, float64) {
-		row := t.Rows[0]
-		return "congested_ratio", row[colIndex(t, "random")] / row[colIndex(t, "topolb")]
-	})
-}
-
-// BenchmarkFig10 regenerates Figure 10 (BlueGene 3D-torus time vs p).
-func BenchmarkFig10(b *testing.B) {
-	benchExperiment(b, "fig10", lastRowRatio("random_s", "topolb_s"))
-}
-
-// BenchmarkFig11 regenerates Figure 11 (BlueGene 3D-mesh time vs p).
-func BenchmarkFig11(b *testing.B) {
-	benchExperiment(b, "fig11", lastRowRatio("random_s", "topolb_s"))
-}
-
-// Ablation benchmarks for the design choices DESIGN.md calls out.
-
-func BenchmarkAblationEstimation(b *testing.B) { benchExperiment(b, "ablation-estimation", nil) }
-func BenchmarkAblationSelection(b *testing.B)  { benchExperiment(b, "ablation-selection", nil) }
-func BenchmarkAblationRefine(b *testing.B)     { benchExperiment(b, "ablation-refine", nil) }
-func BenchmarkAblationDistance(b *testing.B)   { benchExperiment(b, "ablation-distance", nil) }
-func BenchmarkAblationPartition(b *testing.B)  { benchExperiment(b, "ablation-partition", nil) }
 
 // BenchmarkMicro runs every row of the benchjson table, reference sides
 // included, as sub-benchmarks named suite/row[/reference].
@@ -216,18 +173,6 @@ func TestRefinePassAllocs(t *testing.T) {
 		t.Errorf("one Refine pass allocates %v objects, want <= 4", allocs)
 	}
 }
-
-// Extras benchmarks: the studies beyond the paper (related-work mappers,
-// hierarchical hybrid, adaptive routing, flow control, modern machines,
-// the strategy front).
-
-func BenchmarkExtrasStrategies(b *testing.B) { benchExperiment(b, "extras-strategies", nil) }
-func BenchmarkExtrasHybrid(b *testing.B)     { benchExperiment(b, "extras-hybrid", nil) }
-func BenchmarkExtrasRouting(b *testing.B)    { benchExperiment(b, "extras-routing", nil) }
-func BenchmarkExtrasScaling(b *testing.B)    { benchExperiment(b, "extras-scaling", nil) }
-func BenchmarkExtrasModern(b *testing.B)     { benchExperiment(b, "extras-modern", nil) }
-func BenchmarkExtrasBuffered(b *testing.B)   { benchExperiment(b, "extras-buffered", nil) }
-func BenchmarkExtrasFront(b *testing.B)      { benchExperiment(b, "extras-front", nil) }
 
 // BenchmarkAnnealingMap measures the physical-optimization comparator's
 // cost (the paper's argument against it for online load balancing).

@@ -126,7 +126,7 @@ func TestFacadeBaselineStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []topomap.Strategy{
-		topomap.Annealing{Seed: 1, Levels: 5, MovesPerLevel: 50},
+		topomap.Annealing{Seed: 1},
 		topomap.Snake{TaskDims: []int{4, 4}},
 		topomap.Hybrid{Block: []int{2, 2}, Seed: 1},
 		topomap.TopoLB{Order: topomap.OrderFirst},

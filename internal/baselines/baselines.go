@@ -25,18 +25,20 @@ import (
 // Annealing minimizes hop-bytes by simulated annealing over processor
 // swaps (Bollinger & Midkiff's process-annealing phase). The temperature
 // starts at a scale set by sampling random swap deltas and decays
-// geometrically; each temperature level attempts MovesPerLevel swaps,
-// accepting uphill moves with probability exp(−Δ/T).
+// geometrically by annealCooling over annealLevels temperature levels;
+// each level attempts annealMovesPerProc·p swaps, accepting uphill moves
+// with probability exp(−Δ/T).
 type Annealing struct {
 	// Seed drives the random walk.
 	Seed int64
-	// Levels is the number of temperature steps; zero means 60.
-	Levels int
-	// MovesPerLevel is attempted swaps per level; zero means 40·p.
-	MovesPerLevel int
-	// Cooling is the geometric decay factor; zero means 0.92.
-	Cooling float64
 }
+
+// Annealing's schedule.
+const (
+	annealLevels       = 60
+	annealMovesPerProc = 40
+	annealCooling      = 0.92
+)
 
 // Name implements core.Strategy.
 func (Annealing) Name() string { return "Annealing" }
@@ -47,18 +49,6 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 		return nil, err
 	}
 	n := t.Nodes()
-	levels := s.Levels
-	if levels <= 0 {
-		levels = 60
-	}
-	moves := s.MovesPerLevel
-	if moves <= 0 {
-		moves = 40 * n
-	}
-	cooling := s.Cooling
-	if cooling <= 0 || cooling >= 1 {
-		cooling = 0.92
-	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	dist := topology.NewDists(t)
 	m := core.Mapping(rng.Perm(n))
@@ -83,8 +73,8 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 	}
 	temp = temp/50 + 1e-9
 
-	for lvl := 0; lvl < levels; lvl++ {
-		for mv := 0; mv < moves; mv++ {
+	for lvl := 0; lvl < annealLevels; lvl++ {
+		for mv := 0; mv < annealMovesPerProc*n; mv++ {
 			a, b := rng.Intn(n), rng.Intn(n)
 			if a == b {
 				continue
@@ -99,7 +89,7 @@ func (s Annealing) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, e
 				}
 			}
 		}
-		temp *= cooling
+		temp *= annealCooling
 	}
 	return best, nil
 }

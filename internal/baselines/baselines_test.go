@@ -15,7 +15,7 @@ func TestBaselinesProduceBijections(t *testing.T) {
 	g := taskgraph.Mesh2D(4, 4, 100)
 	to := topology.MustTorus(4, 4)
 	strategies := []core.Strategy{
-		Annealing{Seed: 1, Levels: 10, MovesPerLevel: 100},
+		Annealing{Seed: 1},
 		Snake{TaskDims: []int{4, 4}},
 	}
 	for _, s := range strategies {
@@ -58,7 +58,7 @@ func TestAnnealingApproachesOptimal(t *testing.T) {
 func TestAnnealingBeatsRandomStart(t *testing.T) {
 	g := taskgraph.Random(25, 80, 1, 10, 2)
 	to := topology.MustTorus(5, 5)
-	m, err := Annealing{Seed: 2, Levels: 30, MovesPerLevel: 500}.Map(g, to)
+	m, err := Annealing{Seed: 2}.Map(g, to)
 	if err != nil {
 		t.Fatal(err)
 	}

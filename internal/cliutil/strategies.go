@@ -53,7 +53,6 @@ var strategyTable = []StrategyRow{
 	{Name: "topolb", New: plain(core.TopoLB{}), Auto: 4, EstMS: estTopoLB},
 	{Name: "topolb1", New: plain(core.TopoLB{Order: core.OrderFirst})},
 	{Name: "topolb3", New: plain(core.TopoLB{Order: core.OrderThird})},
-	{Name: "topolb+refine", New: plain(core.RefineTopoLB{Base: core.TopoLB{}})},
 	{Name: "topocentlb", New: plain(core.TopoCentLB{}), Auto: 3, EstMS: estTopoCentLB},
 	{Name: "multilevel", New: plain(core.MultilevelMap{}), Auto: 5, EstMS: estMultilevel},
 	{Name: "hier", NeedsHierarchy: true, Auto: 6, EstMS: estHier,

@@ -162,7 +162,7 @@ func TestOneRowAddsAStrategy(t *testing.T) {
 // TestStrategyNamesPinned: the names, their order and the unknown-strategy
 // message are wire bytes (topomapd answers 400 with the message).
 func TestStrategyNamesPinned(t *testing.T) {
-	const want = `cliutil: unknown strategy "nope" (known: topolb, topolb1, topolb3, topolb+refine, topocentlb, multilevel, hier, sfc, rcb-sfc, random, identity, annealing, hybrid:BXxBY[x...])`
+	const want = `cliutil: unknown strategy "nope" (known: topolb, topolb1, topolb3, topocentlb, multilevel, hier, sfc, rcb-sfc, random, identity, annealing, hybrid:BXxBY[x...])`
 	if _, err := ParseStrategy("nope", 1); err == nil || err.Error() != want {
 		t.Errorf("unknown-strategy message\n got %v\nwant %s", err, want)
 	}

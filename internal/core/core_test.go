@@ -19,7 +19,7 @@ func allStrategies() []Strategy {
 		Random{Seed: 1},
 		Identity{},
 		RefineTopoLB{Base: TopoLB{}},
-		RefineTopoLB{Base: Random{Seed: 1}, MaxPasses: 2},
+		RefineTopoLB{Base: Random{Seed: 1}},
 	}
 }
 

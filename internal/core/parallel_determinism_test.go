@@ -19,7 +19,7 @@ func determinismStrategies() []Strategy {
 		TopoLB{Order: OrderSecond},
 		TopoLB{Order: OrderThird},
 		TopoCentLB{},
-		RefineTopoLB{Base: Random{Seed: 3}, MaxPasses: 4},
+		RefineTopoLB{Base: Random{Seed: 3}},
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 // RefineTopoLB is the paper's topology-aware refiner (§5.2.3): starting
 // from an existing mapping it repeatedly examines task pairs and swaps
 // their processors whenever the swap strictly reduces hop-bytes, sweeping
-// until a full pass finds no improving swap (or MaxPasses is reached). It
-// is intended to run after an initial strategy such as TopoLB.
+// until a full pass finds no improving swap (or refinePasses is reached).
+// It is intended to run after an initial strategy such as TopoLB.
 type RefineTopoLB struct {
 	// Base produces the initial mapping. Required.
 	Base Strategy
-	// MaxPasses bounds the number of full sweeps; zero means 8.
-	MaxPasses int
 }
+
+// refinePasses bounds RefineTopoLB's full sweeps.
+const refinePasses = 8
 
 // Name implements Strategy.
 func (r RefineTopoLB) Name() string {
@@ -47,15 +48,8 @@ func (r RefineTopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, err
 	if err != nil {
 		return nil, err
 	}
-	Refine(g, t, m, r.maxPasses())
+	Refine(g, t, m, refinePasses)
 	return m, nil
-}
-
-func (r RefineTopoLB) maxPasses() int {
-	if r.MaxPasses <= 0 {
-		return 8
-	}
-	return r.MaxPasses
 }
 
 // Refine improves mapping m in place by pairwise swaps, each accepted only

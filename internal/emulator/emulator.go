@@ -14,16 +14,18 @@
 //
 // where maxLinkBytes is found by routing every message of the iteration
 // with the topology's deterministic routing and accumulating per-link byte
-// loads. Steady-state iterations are identical, so one iteration is
-// analyzed and scaled — which is what lets the emulator sweep hundreds of
-// processors × thousands of iterations instantly. Absolute times are
-// model times, not BlueGene wall clock; orderings and growth trends are
-// the reproducible quantities.
+// loads: metrics.RoutedLoads, the walk metrics.Evaluate reads too.
+// Steady-state iterations are identical, so one iteration is analyzed and
+// scaled — which is what lets the emulator sweep hundreds of processors ×
+// thousands of iterations instantly. Absolute times are model times, not
+// BlueGene wall clock; orderings and growth trends are the reproducible
+// quantities.
 package emulator
 
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -108,70 +110,46 @@ func (m *Machine) RunIterative(g *taskgraph.Graph, mapping []int, iterations int
 		}
 	}
 
-	// Compute phase: chare loads serialize per processor.
+	// One pass over the chares: compute serializes per processor, every
+	// directed message counts against its sender, and hop counts come
+	// from the distance oracle (a route has Distance+1 nodes).
 	procCompute := make([]float64, procs)
-	for v := 0; v < n; v++ {
-		procCompute[mapping[v]] += computePerUnit * g.VertexWeight(v)
-	}
-	computePhase := 0.0
-	for _, c := range procCompute {
-		if c > computePhase {
-			computePhase = c
-		}
-	}
-
-	// Communication phase: route every directed message, accumulate link
-	// loads and per-processor message counts.
-	links := topology.EnumerateLinks(m.Topo)
-	linkBytes := make([]float64, links.Len())
 	procMsgs := make([]int, procs)
+	dists := topology.NewDists(m.Topo)
 	maxHops := 0
 	hopBytes, totalBytes := 0.0, 0.0
-	var path, back []int
 	for v := 0; v < n; v++ {
-		adj, w := g.Neighbors(v)
 		src := mapping[v]
+		procCompute[src] += computePerUnit * g.VertexWeight(v)
+		adj, w := g.Neighbors(v)
+		procMsgs[src] += len(adj)
 		for i, u := range adj {
-			dst := mapping[u]
-			bytes := w[i]
-			procMsgs[src]++
-			totalBytes += bytes
-			if src == dst {
+			totalBytes += w[i]
+			hops := dists.Dist(src, mapping[u])
+			if hops == 0 {
 				continue
 			}
-			path = m.Topo.Route(path[:0], src, dst)
-			hops := len(path) - 1
 			if hops > maxHops {
 				maxHops = hops
 			}
-			hopBytes += bytes * float64(hops)
-			fwd := bytes
-			if m.SplitRouting && hops > 1 {
-				// Half the bytes take the reverse of dst's route back to
-				// src — a minimal path correcting dimensions in the
-				// opposite order — using each of its links backwards.
-				fwd = bytes / 2
-				back = m.Topo.Route(back[:0], dst, src)
-				for h := 0; h+1 < len(back); h++ {
-					linkBytes[links.Index(back[h+1], back[h])] += bytes / 2
-				}
-			}
-			for h := 0; h+1 < len(path); h++ {
-				linkBytes[links.Index(path[h], path[h+1])] += fwd
-			}
+			hopBytes += w[i] * float64(hops)
 		}
 	}
-	maxLink, sumLink := 0.0, 0.0
-	for _, b := range linkBytes {
+
+	loads := metrics.RoutedLoads(g, m.Topo, mapping, m.SplitRouting)
+	computePhase, maxLink, sumLink, maxMsgs := 0.0, 0.0, 0.0, 0
+	for p, c := range procCompute {
+		if c > computePhase {
+			computePhase = c
+		}
+		if procMsgs[p] > maxMsgs {
+			maxMsgs = procMsgs[p]
+		}
+	}
+	for _, b := range loads {
 		sumLink += b
 		if b > maxLink {
 			maxLink = b
-		}
-	}
-	maxMsgs := 0
-	for _, c := range procMsgs {
-		if c > maxMsgs {
-			maxMsgs = c
 		}
 	}
 	commPhase := maxLink/m.LinkBandwidth + float64(maxHops)*m.HopLatency + float64(maxMsgs)*m.MsgOverhead
@@ -182,8 +160,8 @@ func (m *Machine) RunIterative(g *taskgraph.Graph, mapping []int, iterations int
 		MaxLinkBytes: maxLink,
 		MaxHops:      maxHops,
 	}
-	if links.Len() > 0 {
-		res.AvgLinkBytes = sumLink / float64(links.Len())
+	if len(loads) > 0 {
+		res.AvgLinkBytes = sumLink / float64(len(loads))
 	}
 	if totalBytes > 0 {
 		res.AvgHops = hopBytes / totalBytes

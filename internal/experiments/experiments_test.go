@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -232,6 +234,31 @@ func TestFig10Fig11Shape(t *testing.T) {
 		if row[iR] < torusRow[iR] {
 			t.Errorf("p=%v: random on mesh %v faster than on torus %v", row[0], row[iR], torusRow[iR])
 		}
+	}
+}
+
+// TestEmulatorTablesHash pins every float of the quick Table 1, Fig 10
+// and Fig 11 rows to the bit. The hash was recorded before the emulator
+// read its link loads from metrics.RoutedLoads, an exact rewrite of its
+// own routing loop, so it must survive it.
+func TestEmulatorTablesHash(t *testing.T) {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, f := range []func(bool) (*Table, error){Table1, Fig10, Fig11} {
+		tbl, err := f(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range tbl.Rows {
+			for _, v := range row {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	const want uint64 = 0xa16eca5b5a22e77f
+	if got := h.Sum64(); got != want {
+		t.Errorf("quick table1+fig10+fig11 rows hash %#x, want %#x", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,10 +44,16 @@ const (
 	frontMsgBytes = 1e4
 	frontReps     = 5
 	frontBlock    = "4x4"
+	// frontRefinedAt is the refined topolb row's index in frontStrategies.
+	frontRefinedAt = 3
 )
 
 // frontStrategies are the strategy table's rows for flat machines, in
 // table order; a row with an argument is bound to frontBlock ("hybrid:4x4").
+// The topolb row refined (core.RefineTopoLB, a job's "refine": true) is
+// one more row, at frontRefinedAt: the place the table's former
+// "topolb+refine" row held, so the strategy codes of the recorded fronts
+// stand.
 func frontStrategies() ([]cliutil.StrategyRow, error) {
 	var rows []cliutil.StrategyRow
 	for _, r := range cliutil.StrategyTable() {
@@ -62,7 +69,11 @@ func frontStrategies() ([]cliutil.StrategyRow, error) {
 			rows = append(rows, r)
 		}
 	}
-	return rows, nil
+	base := rows[slices.IndexFunc(rows, func(r cliutil.StrategyRow) bool { return r.Name == "topolb" })].New
+	refined := cliutil.StrategyRow{Name: "topolb+refine", New: func(seed int64, c [][]float64) core.Strategy {
+		return core.RefineTopoLB{Base: base(seed, c)}
+	}}
+	return slices.Insert(rows, frontRefinedAt, refined), nil
 }
 
 // frontGraph builds the graph every row of cell c maps, the machine, and

@@ -27,9 +27,6 @@ type Hybrid struct {
 	// Block is the block shape; every machine dimension must be divisible
 	// by the corresponding block extent.
 	Block []int
-	// Inner maps within blocks and across the block grid; nil means
-	// TopoLB.
-	Inner core.Strategy
 	// Seed drives the partitioning phase.
 	Seed int64
 }
@@ -59,10 +56,6 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 		blockGrid[i] = dims[i] / b
 		blockVol *= b
 	}
-	inner := h.Inner
-	if inner == nil {
-		inner = core.TopoLB{}
-	}
 	numBlocks := t.Nodes() / blockVol
 
 	// Phase 1: equal-count partition of tasks into one group per block.
@@ -90,7 +83,7 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 	if err != nil {
 		return nil, err
 	}
-	blockMap, err := inner.Map(q, blockTopo)
+	blockMap, err := core.TopoLB{}.Map(q, blockTopo)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: block-level mapping: %w", err)
 	}
@@ -115,7 +108,7 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: block %d: %w", grp, err)
 		}
-		localMap, err := inner.Map(sub, localTopo)
+		localMap, err := core.TopoLB{}.Map(sub, localTopo)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: block %d mapping: %w", grp, err)
 		}

@@ -92,7 +92,7 @@ func Evaluate(g *taskgraph.Graph, t topology.Topology, m []int) (*Report, error)
 	}
 
 	if router, ok := t.(topology.Router); ok {
-		loads := RoutedLoads(g, router, m)
+		loads := RoutedLoads(g, router, m, false)
 		sum, sumSq := 0.0, 0.0
 		for _, b := range loads {
 			sum += b
@@ -130,11 +130,18 @@ func Evaluate(g *taskgraph.Graph, t topology.Topology, m []int) (*Report, error)
 // RoutedLoads returns the bytes each directed link carries per iteration
 // when every task-graph edge sends its weight both ways along the
 // topology's deterministic routes. The slice is indexed by
-// topology.EnumerateLinks order.
-func RoutedLoads(g *taskgraph.Graph, t topology.Router, m []int) []float64 {
+// topology.EnumerateLinks order. It is the repository's one routing of
+// task-graph messages onto links: Evaluate reads it, and so does the
+// contention emulator.
+//
+// With split, each message of more than one hop sends half its bytes
+// along the reverse of dst's route back to src — a minimal path that
+// corrects dimensions in the opposite order — the emulator's stand-in
+// for BlueGene's adaptive routing.
+func RoutedLoads(g *taskgraph.Graph, t topology.Router, m []int, split bool) []float64 {
 	links := topology.EnumerateLinks(t)
 	loads := make([]float64, links.Len())
-	var path []int
+	var path, back []int
 	for v := 0; v < g.NumVertices(); v++ {
 		adj, w := g.Neighbors(v)
 		for i, u := range adj {
@@ -143,8 +150,16 @@ func RoutedLoads(g *taskgraph.Graph, t topology.Router, m []int) []float64 {
 				continue
 			}
 			path = t.Route(path[:0], src, dst)
+			bytes := w[i]
+			if split && len(path) > 2 {
+				bytes /= 2
+				back = t.Route(back[:0], dst, src)
+				for h := 0; h+1 < len(back); h++ {
+					loads[links.Index(back[h+1], back[h])] += bytes
+				}
+			}
 			for h := 0; h+1 < len(path); h++ {
-				loads[links.Index(path[h], path[h+1])] += w[i]
+				loads[links.Index(path[h], path[h+1])] += bytes
 			}
 		}
 	}

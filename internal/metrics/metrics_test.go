@@ -76,21 +76,23 @@ func TestEvaluateMatchesCoreHopBytes(t *testing.T) {
 }
 
 func TestRoutedLoadsConserveHopBytes(t *testing.T) {
-	// Σ link loads = Σ over directed messages of bytes×hops = 2×HopBytes.
+	// Σ link loads = Σ over directed messages of bytes×hops = 2×HopBytes,
+	// with or without split routing: both halves take minimal paths.
 	g := taskgraph.Mesh2D(4, 4, 250)
 	to := topology.MustTorus(4, 4)
 	m, err := (core.Random{Seed: 2}).Map(g, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := RoutedLoads(g, to, m)
-	sum := 0.0
-	for _, b := range loads {
-		sum += b
-	}
 	want := 2 * core.HopBytes(g, to, m)
-	if math.Abs(sum-want) > 1e-9 {
-		t.Errorf("sum of link loads %v, want %v", sum, want)
+	for _, split := range []bool{false, true} {
+		sum := 0.0
+		for _, b := range RoutedLoads(g, to, m, split) {
+			sum += b
+		}
+		if math.Abs(sum-want) > 1e-9 {
+			t.Errorf("split %v: sum of link loads %v, want %v", split, sum, want)
+		}
 	}
 }
 
@@ -154,12 +156,13 @@ func TestMetricsWithoutRouterSkipLinkLoads(t *testing.T) {
 	}
 }
 
-// Property: hop-bytes lower bound — MaxLinkBytes ≥ MeanLinkBytes and
+// Property: hop-bytes lower bound — MaxLinkBytes ≥ MeanLinkBytes, with
+// and without split routing (Evaluate's own link loads are unsplit), and
 // HopsPerByte ≥ MeanDilation-weighted sanity across random placements.
 func TestPropertyLinkLoadBounds(t *testing.T) {
 	g := taskgraph.Mesh2D(4, 4, 100)
 	to := topology.MustTorus(4, 4)
-	f := func(seed int64) bool {
+	f := func(seed int64, split bool) bool {
 		m, err := (core.Random{Seed: seed}).Map(g, to)
 		if err != nil {
 			return false
@@ -168,8 +171,15 @@ func TestPropertyLinkLoadBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return r.MaxLinkBytes >= r.MeanLinkBytes && r.MaxDilation >= 1 &&
-			float64(r.MaxDilation) >= r.MeanDilation
+		loads := RoutedLoads(g, to, m, split)
+		maxLoad, sum := 0.0, 0.0
+		for _, b := range loads {
+			sum += b
+			maxLoad = max(maxLoad, b)
+		}
+		return r.MaxLinkBytes >= r.MeanLinkBytes && maxLoad >= sum/float64(len(loads)) &&
+			(split || maxLoad == r.MaxLinkBytes) &&
+			r.MaxDilation >= 1 && float64(r.MaxDilation) >= r.MeanDilation
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

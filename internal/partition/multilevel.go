@@ -14,9 +14,6 @@ import (
 //
 // The zero value uses sensible defaults; all fields are optional.
 type Multilevel struct {
-	// Epsilon is the allowed load imbalance (max part load may reach
-	// (1+Epsilon)·average). Default 0.10.
-	Epsilon float64
 	// Seed drives all randomized choices; runs are deterministic per seed.
 	Seed int64
 	// CoarsenTo stops coarsening once the graph has at most this many
@@ -28,6 +25,10 @@ type Multilevel struct {
 	// RefinePasses bounds k-way refinement passes per level. Default 4.
 	RefinePasses int
 }
+
+// balanceEpsilon is Multilevel's allowed load imbalance: a part's load
+// may reach (1+balanceEpsilon)·average.
+const balanceEpsilon = 0.10
 
 // Name implements Partitioner.
 func (Multilevel) Name() string { return "multilevel" }
@@ -48,10 +49,6 @@ func (ml Multilevel) partition(g *taskgraph.Graph, k int, ar *arena) (*Result, e
 	}
 	if k == 1 {
 		return &Result{Assign: make([]int, n), K: 1}, nil
-	}
-	eps := ml.Epsilon
-	if eps <= 0 {
-		eps = 0.10
 	}
 	tries := ml.BisectTries
 	if tries <= 0 {
@@ -108,7 +105,7 @@ func (ml Multilevel) partition(g *taskgraph.Graph, k int, ar *arena) (*Result, e
 		ids[i] = int32(i)
 	}
 	recursiveBisect(coarsest, ids, k, 0, assign, rng, tries, ar)
-	kwayRefine(coarsest, assign, k, eps, passes, rng)
+	kwayRefine(coarsest, assign, k, balanceEpsilon, passes, rng)
 
 	// Uncoarsening with refinement.
 	for lvl--; lvl >= 0; lvl-- {
@@ -119,7 +116,7 @@ func (ml Multilevel) partition(g *taskgraph.Graph, k int, ar *arena) (*Result, e
 			projected[v] = assign[cmap[v]]
 		}
 		assign = projected
-		kwayRefine(fine, assign, k, eps, passes, rng)
+		kwayRefine(fine, assign, k, balanceEpsilon, passes, rng)
 	}
 	r := &Result{Assign: assign, K: k}
 	repairEmptyGroups(g, r)

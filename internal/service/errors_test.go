@@ -119,6 +119,9 @@ func TestErrorTaxonomyAcrossEndpoints(t *testing.T) {
 		// other, answered with the list of the ones that are left.
 		{"removed strategy", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"strategy":"bokhari"}`, 400,
 			`job: cliutil: unknown strategy "bokhari" (known: ` + strings.Join(cliutil.StrategyNames(), ", ") + `)`, false},
+		// Refinement has one spelling, "refine": true.
+		{"removed strategy", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"strategy":"topolb+refine"}`, 400,
+			`job: cliutil: unknown strategy "topolb+refine" (known: ` + strings.Join(cliutil.StrategyNames(), ", ") + `)`, false},
 		{"unknown sim mode", `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"sim":{"mode":"tachyon"}}`, 400,
 			`job: sim: netsim: unknown mode "tachyon" (want packet or wormhole)`, false},
 		{"bad inline graph", `{"topology":"torus:4,4","graph":{"inline":{"vertexWeights":[1,1],"edges":[[0,5]],"edgeWeights":[1]}}}`, 400,
