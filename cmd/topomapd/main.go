@@ -49,7 +49,8 @@ import (
 // request headers: a client that never finishes them would otherwise hold
 // a connection goroutine forever. There is deliberately no WriteTimeout,
 // which would also cut session watch long-polls, legitimately as long as
-// -watch-timeout.
+// -watch-timeout: the service bounds each response's write itself, from
+// the moment it starts writing.
 const readHeaderTimeout = 10 * time.Second
 
 // newHTTPServer is the daemon's listener configuration.

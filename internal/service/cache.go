@@ -9,28 +9,77 @@ import (
 // exactly the bytes a fresh computation would produce — the cache can
 // never serve a stale or divergent response. Bounded by entry count and
 // total body bytes, whichever trips first.
+//
+// The entries are also indexed by spelling: the SHA-256 of a raw /v1/map
+// body that was named to the entry's key. For one server, naming is a
+// pure function of the body bytes (and Config.MaxTasks), so a body whose
+// digest is indexed would name to that key again and can be answered
+// without decoding or naming it. Each entry holds at most one spelling,
+// the latest, and it leaves the index with the entry, so the entry and
+// byte bounds cap the index too.
 type resultCache struct {
 	mu         sync.Mutex
 	entries    map[string]*cacheEntry
+	spelled    map[[32]byte]*cacheEntry
 	head, tail *cacheEntry // most- and least-recently used
 	bytes      int64
 	maxEntries int
 	maxBytes   int64
 
-	hits, misses, evictions int64
+	hits, misses, evictions, spelledHits int64
 }
 
 type cacheEntry struct {
 	key        string
 	body       []byte
+	spelling   [32]byte // its digest in resultCache.spelled, if it is there
 	prev, next *cacheEntry
 }
 
 func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 	return &resultCache{
 		entries:    make(map[string]*cacheEntry),
+		spelled:    make(map[[32]byte]*cacheEntry),
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
+	}
+}
+
+// getSpelled returns the body and key of the entry whose spelling is d,
+// or a nil body. A hit counts as a result-cache hit; a miss counts
+// nothing, because the request goes on to name its job and get counts it.
+func (c *resultCache) getSpelled(d [32]byte) ([]byte, string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.spelled[d]
+	if !ok {
+		return nil, ""
+	}
+	c.hits++
+	c.spelledHits++
+	c.moveToFront(e)
+	return e.body, e.key
+}
+
+// spell indexes d as the spelling of key's entry, replacing the entry's
+// previous spelling. It does nothing when key is not cached: a body too
+// large to cache, or one evicted since it was computed, is not indexed.
+func (c *resultCache) spell(d [32]byte, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	c.unspell(e)
+	e.spelling = d
+	c.spelled[d] = e
+}
+
+// unspell drops e's spelling from the index, if it has one.
+func (c *resultCache) unspell(e *cacheEntry) {
+	if c.spelled[e.spelling] == e {
+		delete(c.spelled, e.spelling)
 	}
 }
 
@@ -73,16 +122,20 @@ func (c *resultCache) put(key string, body []byte) {
 		}
 		c.remove(lru)
 		delete(c.entries, lru.key)
+		c.unspell(lru)
 		c.bytes -= int64(len(lru.body))
 		c.evictions++
 	}
 }
 
-// counters returns (hits, misses, evictions, entries, bytes).
-func (c *resultCache) counters() (int64, int64, int64, int, int64) {
+func (c *resultCache) counters() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, len(c.entries), c.bytes
+	return CacheStats{
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+		Entries: len(c.entries), Bytes: c.bytes,
+		SpelledHits: c.spelledHits, Spellings: len(c.spelled),
+	}
 }
 
 func (c *resultCache) pushFront(e *cacheEntry) {

@@ -136,20 +136,8 @@ func FuzzJobBuild(f *testing.F) {
 			wantJobError(t, err)
 			return
 		}
-		if j.mapTopo.Nodes() > 4*fuzzMaxTasks {
-			return // a packing region far larger than the job: slow, not wrong
-		}
-		if s := j.spec.Sim; s != nil {
-			unit := 64 // the default flit size
-			if s.PacketSize > 0 {
-				unit = min(unit, s.PacketSize)
-			}
-			if s.FlitSize > 0 {
-				unit = min(unit, s.FlitSize)
-			}
-			if events := j.graph.TotalComm() / float64(unit) * float64(s.Iterations); !(events < 1e5) {
-				return
-			}
+		if fuzzTooSlow(j) {
+			return
 		}
 		res, err := j.compute()
 		if err != nil {
@@ -173,6 +161,28 @@ func FuzzJobBuild(f *testing.F) {
 			t.Fatalf("result does not encode: %v", err)
 		}
 	})
+}
+
+// fuzzTooSlow reports whether computing a built job would take longer
+// than a fuzz iteration may: a packing region far larger than the job,
+// or a simulation of too many events. Slow, not wrong.
+func fuzzTooSlow(j *job) bool {
+	if j.mapTopo.Nodes() > 4*fuzzMaxTasks {
+		return true
+	}
+	if s := j.spec.Sim; s != nil {
+		unit := 64 // the default flit size
+		if s.PacketSize > 0 {
+			unit = min(unit, s.PacketSize)
+		}
+		if s.FlitSize > 0 {
+			unit = min(unit, s.FlitSize)
+		}
+		if events := j.graph.TotalComm() / float64(unit) * float64(s.Iterations); !(events < 1e5) {
+			return true
+		}
+	}
+	return false
 }
 
 func wantJobError(t *testing.T, err error) {

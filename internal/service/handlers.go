@@ -2,9 +2,11 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 	"sync"
+	"time"
 )
 
 // Handler returns the service's HTTP mux:
@@ -35,12 +37,34 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		s.writeBody(w, []byte(`{"ok":true}`))
 	})
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Replace a deadline left on a kept-alive connection by its last
+		// request, for the responses the mux writes itself (404, 405).
+		armWrite(w)
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// writeDeadline bounds the writing of one response. A client that stops
+// reading gets its connection closed after this long, instead of holding
+// the connection and its handler goroutine for good. The deadline is
+// armed as a response is written, not when its request arrives, so a wait
+// for a result does not count against it and a watch long-poll is not
+// cut. (A server-wide WriteTimeout would cut both.) Tests shorten it.
+var writeDeadline = 30 * time.Second
+
+// armWrite sets w's connection write deadline to writeDeadline from now.
+func armWrite(w http.ResponseWriter) {
+	//lint:ignore seededrand the wall clock bounds only how long a write may block; no response byte depends on it
+	deadline := time.Now().Add(writeDeadline)
+	//lint:ignore errcheck only a writer without a connection (httptest.ResponseRecorder) refuses a deadline, and it has nothing to bound
+	_ = http.NewResponseController(w).SetWriteDeadline(deadline)
 }
 
 // writeJSON encodes v to w. A failed write means the client went away
 // mid-response; there is no recovery, so failures are only counted.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	armWrite(w)
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.stats.writeFailures.Add(1)
@@ -70,6 +94,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 		// the workers map, so a short client backoff is enough.
 		w.Header().Set("Retry-After", "1")
 	}
+	armWrite(w)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if encErr := json.NewEncoder(w).Encode(errorBody{Error: err.Error(), Status: status}); encErr != nil {
@@ -78,17 +103,35 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
+	armWrite(w)
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(body); err != nil {
 		s.stats.writeFailures.Add(1)
 	}
 }
 
-// handleMap serves POST /v1/map.
+// handleMap serves POST /v1/map. A body whose digest the result cache
+// has indexed is answered from it before it is decoded or named; any
+// other body goes decode → name → do, and a 200 indexes its digest (see
+// resultCache for why the two paths answer alike).
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	s.stats.syncRequests.Add(1)
+	buf := s.readBody(w, r)
+	if buf == nil {
+		return
+	}
+	d := sha256.Sum256(buf.Bytes())
+	if body, key := s.cache.getSpelled(d); body != nil {
+		bodyBuffers.Put(buf)
+		w.Header().Set("X-Topomapd-Key", key)
+		s.writeBody(w, body)
+		return
+	}
 	var spec Job
-	if !s.decode(w, r, &spec) {
+	err := decodeStrict(buf.Bytes(), &spec)
+	bodyBuffers.Put(buf)
+	if err != nil {
+		s.writeError(w, errStatus(err), err)
 		return
 	}
 	j, err := s.name(spec)
@@ -103,6 +146,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
+	s.cache.spell(d, j.key)
 	w.Header().Set("X-Topomapd-Key", j.key)
 	s.writeBody(w, body)
 }
@@ -209,6 +253,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.countError(status)
 		s.async.complete(aj, body, status, err)
 	}()
+	armWrite(w)
 	w.Header().Set("X-Topomapd-Key", j.key)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)

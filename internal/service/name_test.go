@@ -181,9 +181,11 @@ func TestHitAllocationsFlat(t *testing.T) {
 // with encoding/json and writing it back with json.Encoder took 120.
 const hitAllocCeilingInline = 19
 
-// TestHitAllocationsInline pins the cost of the one kind of hit that
-// still reads its operand before it has a key: an inline graph is parsed
-// and written back in canonical form on every request.
+// TestHitAllocationsInline pins the cost of naming an inline job on the
+// way to a hit: its graph is parsed and written back in canonical form
+// before there is a key. /v1/map pays it only for a spelling the cache
+// has not indexed (TestSpelledHitAllocations pins the indexed hit);
+// every /v1/batch entry and /v1/jobs submission pays it.
 func TestHitAllocationsInline(t *testing.T) {
 	srv := NewServer(Config{})
 	defer srv.Close()
@@ -204,8 +206,9 @@ func TestHitAllocationsInline(t *testing.T) {
 	}
 }
 
-// BenchmarkNameInline times naming the benchmark's 22 KB inline job: the
-// whole of a cache hit's work on it but the request's decoding.
+// BenchmarkNameInline times naming the benchmark's 22 KB inline job: a
+// name-path hit's work on it, decoding aside. A repeated /v1/map spelling
+// skips both (BenchmarkMapHit times the two paths through Handler()).
 func BenchmarkNameInline(b *testing.B) {
 	spec := benchInlineJob(b)
 	b.ReportAllocs()

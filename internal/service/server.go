@@ -431,13 +431,7 @@ type Stats struct {
 	InternalErrors int64 `json:"internal_errors"`
 	WriteFailures  int64 `json:"write_failures"`
 
-	ResultCache struct {
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Evictions int64 `json:"evictions"`
-		Entries   int   `json:"entries"`
-		Bytes     int64 `json:"bytes"`
-	} `json:"result_cache"`
+	ResultCache CacheStats `json:"result_cache"`
 
 	// Auto reports the portfolio counters: how many auto jobs computed,
 	// the slowest portfolio wall-clock seen, and per-candidate totals in
@@ -469,6 +463,20 @@ type Stats struct {
 	System metrics.SystemCounters `json:"system"`
 }
 
+// CacheStats is the result cache's /stats entry. Hits include the
+// spelled hits: /v1/map requests answered from their body's digest,
+// before decoding (see resultCache). Spellings is how many digests are
+// indexed, at most one per entry.
+type CacheStats struct {
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	Evictions   int64 `json:"evictions"`
+	Entries     int   `json:"entries"`
+	Bytes       int64 `json:"bytes"`
+	SpelledHits int64 `json:"spelled_hits"`
+	Spellings   int   `json:"spellings"`
+}
+
 // AutoStratStats is one portfolio candidate's /stats entry.
 type AutoStratStats struct {
 	Strategy    string `json:"strategy"`
@@ -494,12 +502,7 @@ func (s *Server) Snapshot() Stats {
 	st.ClientErrors = s.stats.clientErrors.Load()
 	st.InternalErrors = s.stats.internalErrors.Load()
 	st.WriteFailures = s.stats.writeFailures.Load()
-	hits, misses, evictions, entries, bytes := s.cache.counters()
-	st.ResultCache.Hits = hits
-	st.ResultCache.Misses = misses
-	st.ResultCache.Evictions = evictions
-	st.ResultCache.Entries = entries
-	st.ResultCache.Bytes = bytes
+	st.ResultCache = s.cache.counters()
 	st.Auto.JobsComputed = s.stats.autoComputed.Load()
 	st.Auto.MaxPortfolioNs = s.stats.autoMaxPortfolioNs.Load()
 	st.Auto.Strategies = make([]AutoStratStats, len(portfolio))
@@ -533,21 +536,37 @@ func (s *Server) Snapshot() Stats {
 // JSON does not grow a fresh buffer per request.
 var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decode reads at most s.cfg.MaxBody bytes of r's body into a pooled
-// buffer and decodes them into v with decodeStrict. On any failure it
-// writes the error response and reports false; the handler just returns.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// readBody reads at most s.cfg.MaxBody bytes of r's body into a pooled
+// buffer, which the caller returns to bodyBuffers once it is done with
+// the bytes. On failure it writes the error response (400, or 413 past
+// the limit) and returns nil; the handler just returns.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *bytes.Buffer {
 	buf := bodyBuffers.Get().(*bytes.Buffer)
 	buf.Reset()
-	defer bodyBuffers.Put(buf)
 	var err error
 	if _, rerr := io.Copy(buf, io.LimitReader(r.Body, s.cfg.MaxBody+1)); rerr != nil {
 		err = badJob(400, "read body: %v", rerr)
 	} else if int64(buf.Len()) > s.cfg.MaxBody {
 		err = badJob(413, "request body exceeds %d bytes", s.cfg.MaxBody)
-	} else {
-		err = decodeStrict(buf.Bytes(), v)
 	}
+	if err != nil {
+		bodyBuffers.Put(buf)
+		s.writeError(w, errStatus(err), err)
+		return nil
+	}
+	return buf
+}
+
+// decode reads r's body with readBody and decodes it into v with
+// decodeStrict. On any failure it writes the error response and reports
+// false; the handler just returns.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf := s.readBody(w, r)
+	if buf == nil {
+		return false
+	}
+	err := decodeStrict(buf.Bytes(), v)
+	bodyBuffers.Put(buf)
 	if err != nil {
 		s.writeError(w, errStatus(err), err)
 		return false
