@@ -10,6 +10,6 @@ import (
 // a cycle did not otherwise touch, because the processor just taken held
 // their minimum. A count, not a timing, so tests can pin it.
 func TopoLBRescans(g *taskgraph.Graph, t topology.Topology, order Order) int64 {
-	_, rescans := TopoLB{}.mapIncremental(g, t, order)
+	_, rescans := TopoLB{}.mapIncremental(g, t, order, nil)
 	return rescans
 }

@@ -79,11 +79,13 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 		return nil, fmt.Errorf("core: %d tasks cannot cover %d processors", n, p)
 	}
 	// Coarsen to min(2p, 1024) vertices — small enough that TopoLB's
-	// superquadratic cost on the coarsest graph stays in the tens of
-	// milliseconds. The coarsest graph may be smaller than p: chunks are
-	// slot ranges, and slot→processor stays surjective regardless of the
-	// chunk count, so the cap bounds that cost even on hundred-thousand-
-	// node machines.
+	// superquadratic time on the coarsest graph stays in the tens of
+	// milliseconds. Time, not memory, sets the cap: TopoLB holds only the
+	// fest rows live at once, a frontier, not nc² cells. Moving the cap
+	// would move placements. The coarsest graph may be smaller than p:
+	// chunks are slot ranges, and slot→processor stays surjective
+	// regardless of the chunk count, so the cap bounds that cost even on
+	// hundred-thousand-node machines.
 	target := min(2*p, 1024)
 
 	procOrder := localityOrder(t)

@@ -74,14 +74,14 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	if order == OrderThird {
 		return s.mapThirdOrder(g, t)
 	}
-	m, _ := s.mapIncremental(g, t, order)
+	m, _ := s.mapIncremental(g, t, order, nil)
 	return m, nil
 }
 
 // mapIncremental implements first- and second-order TopoLB with an
-// incrementally maintained p×p fest table plus per-task minimum and sum
-// over available processors (§4.4). Total time O(p·|Et| + p²), dominated
-// by table updates; memory p² float64.
+// incrementally maintained fest table plus per-task minimum and sum over
+// available processors (§4.4). Total time O(p·|Et| + p²), dominated by
+// table updates; memory p·(peak live rows) float64, not p².
 //
 // The table stores n·fest rather than fest: the second-order expected
 // distance Σ_q d(p,q) / n becomes the integer-valued total distance, so
@@ -109,11 +109,27 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 // the rows of the placed task's neighbors — then holds for the rescans
 // too, not only for the row updates.
 //
+// Live rows. A row is read only between its task's first touch and its
+// placement, so rows live in a pool: a task takes one where it leaves its
+// class, and gives it back when it is placed. The pool doubles when it is
+// full, so it holds about twice the most rows ever live at once — the
+// frontier between placed and pristine tasks, tens of rows on a 1024-task
+// mesh, not p. The touched free tasks are kept on a live list, and each
+// cycle walks that list and the live classes, not all n slots.
+// Selection is the scan in task order that replaces its pick only on a
+// strictly larger gain, over the live list plus, per live class, its
+// lowest-id free member: the class's other members share that member's
+// gain bit for bit, so the scan would never take them. gainArgmax gives
+// that scan's answer whatever order the candidates come in. Each row
+// sees the same operations in the same order as a p×p table's row, so
+// the placements are those of referenceRowTopoLB in the tests.
+//
 // The second result is a work counter: how many times a slot that lost
 // only a processor had to be rescanned in full because that processor
 // held its minimum — the work the classes share, pinned by
-// TestTopoLBRescanCount.
-func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Order) (Mapping, int64) {
+// TestTopoLBRescanCount. A non-nil seq (length n) receives the task
+// placed in each cycle, for the tests' oracles.
+func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Order, seq []int) (Mapping, int64) {
 	n := t.Nodes()
 	d := topology.NewDists(t)
 	m := make(Mapping, n)
@@ -127,7 +143,8 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 
 	// Group the tasks into pristine classes by the bits of their row
 	// scale: W_v at second order, 0 (one class, all-zero rows) at first.
-	// Sorted rather than hashed: no map on the request path.
+	// Sorted rather than hashed: no map on the request path. Ties go by
+	// id, so each class's members run in id order from its cursor.
 	scale := make([]float64, n)
 	if order == OrderSecond {
 		for v := range scale {
@@ -139,23 +156,40 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 		byScale[v] = int32(v)
 	}
 	slices.SortFunc(byScale, func(a, b int32) int {
-		return cmp.Compare(math.Float64bits(scale[a]), math.Float64bits(scale[b]))
+		return cmp.Or(cmp.Compare(math.Float64bits(scale[a]), math.Float64bits(scale[b])), cmp.Compare(a, b))
 	})
-	slot := make([]int32, n) // n+class while pristine, v once touched
-	var classW []float64     // per class: the shared row scale
-	var classLive []int32    // per class: members still pristine and free
-	for i, v := range byScale {
-		if i == 0 || math.Float64bits(scale[v]) != math.Float64bits(scale[byScale[i-1]]) {
-			classW = append(classW, scale[v])
-			classLive = append(classLive, 0)
+	newClass := func(i int) bool {
+		return i == 0 || math.Float64bits(scale[byScale[i]]) != math.Float64bits(scale[byScale[i-1]])
+	}
+	classes := 0
+	for i := range byScale {
+		if newClass(i) {
+			classes++
 		}
-		c := len(classW) - 1
+	}
+	slot := make([]int32, n)                 // n+class while pristine, v once touched
+	classW := make([]float64, classes)       // per class: the shared row scale
+	classLive := make([]int32, classes)      // per class: members still pristine and free
+	classCur := make([]int32, classes)       // per class: byScale index at or before its lowest-id free pristine member
+	liveClasses := make([]int32, 0, classes) // classes with classLive > 0, in class order
+	for i, v := range byScale {
+		if newClass(i) {
+			c := len(liveClasses)
+			classW[c], classCur[c] = scale[v], int32(i)
+			liveClasses = append(liveClasses, int32(c))
+		}
+		c := len(liveClasses) - 1
 		slot[v] = int32(n + c)
 		classLive[c]++
 	}
-	slots := n + len(classW)
+	slots := n + classes
 
-	fest := make([]float64, n*n) // row = task, col = processor; scaled by n; written at first touch
+	var pool []float64              // live fest rows, n entries each; row = task, col = processor; scaled by n
+	rowOf := make([]int32, n)       // a touched free task's row in pool
+	freeRows := make([]int32, 0, n) // rows given back by placed tasks
+	rowsUsed := 0                   // rows ever handed out
+	live := make([]int32, 0, n)     // touched free tasks
+	livePos := make([]int32, n)     // a touched free task's index in live
 	taskFree := make([]bool, n)
 	procFree := make([]bool, n)
 	fMin := make([]float64, slots) // min fest over free processors
@@ -177,15 +211,22 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 		// Select the task with maximum gain = FAvg − FMin; ties go to the
 		// lowest task id.
 		nFree := float64(freeProcs)
-		tk, best := -1, 0.0
-		for v, free := range taskFree {
-			if !free {
-				continue
+		sel := gainArgmax{tk: -1, first: n}
+		for _, v := range live {
+			sel.offer(int(v), fSum[v]/nFree-fMin[v])
+		}
+		for _, c := range liveClasses {
+			i := classCur[c]
+			for int(slot[byScale[i]]) != n+int(c) || !taskFree[byScale[i]] {
+				i++
 			}
-			sl := slot[v]
-			if gain := fSum[sl]/nFree - fMin[sl]; tk < 0 || gain > best {
-				tk, best = v, gain
-			}
+			classCur[c] = i
+			sl := n + int(c)
+			sel.offer(int(byScale[i]), fSum[sl]/nFree-fMin[sl])
+		}
+		tk := sel.winner()
+		if seq != nil {
+			seq[k] = tk
 		}
 		// Select the cheapest free processor for tk.
 		pk := fMinAt[slot[tk]]
@@ -198,12 +239,19 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 		}
 		if sl := int(slot[tk]); sl >= n {
 			classLive[sl-n]--
+		} else {
+			freeRows = append(freeRows, rowOf[tk])
+			last := live[len(live)-1]
+			live[livePos[tk]] = last
+			livePos[last] = livePos[tk]
+			live = live[:len(live)-1]
 		}
 
 		fillScaledRow(&d, distRow, pk, float64(n))
 		// Neighbors of tk gain an exact term (and, at second order, lose
 		// the expected-distance term for this edge). A pristine neighbor
-		// leaves its class here and gets its row written first.
+		// leaves its class here, takes a row from the pool and gets it
+		// written first.
 		adj, w := g.Neighbors(tk)
 		for _, u := range adj {
 			isNbr[u] = true
@@ -217,14 +265,28 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 				continue
 			}
 			c := w[i]
-			row := fest[u*n : (u+1)*n]
 			if sl := int(slot[u]); sl >= n {
+				if len(freeRows) == 0 {
+					if rowsUsed*n == len(pool) {
+						grown := make([]float64, max(2*len(pool), min(n, 16)*n))
+						copy(grown, pool)
+						pool = grown
+					}
+					freeRows = append(freeRows, int32(rowsUsed))
+					rowsUsed++
+				}
+				rowOf[u] = freeRows[len(freeRows)-1]
+				freeRows = freeRows[:len(freeRows)-1]
+				livePos[u] = int32(len(live))
+				live = append(live, int32(u))
+				row := pool[int(rowOf[u])*n:][:n]
 				cw := classW[sl-n]
 				for p := 0; p < n; p++ {
 					row[p] = cw * totalDist[p]
 				}
 				slot[u] = int32(u)
 			}
+			row := pool[int(rowOf[u])*n:][:n]
 			if order == OrderSecond {
 				for p := 0; p < n; p++ {
 					row[p] += c * (distRow[p] - totalDist[p])
@@ -236,34 +298,66 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 			}
 			rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
 		}
-		// Every other slot — a touched free task, or a class that still
-		// has members — only loses processor pk from its free set.
-		for sl := 0; sl < n; sl++ {
-			if !taskFree[sl] || isNbr[sl] || int(slot[sl]) != sl {
+		// Every other live slot — a touched free task, or a class that
+		// still has members — only loses processor pk from its free set.
+		for _, v := range live {
+			if isNbr[v] {
 				continue
 			}
-			fSum[sl] -= fest[sl*n+pk]
-			if fMinAt[sl] == pk {
-				rescanRow(fest[sl*n:(sl+1)*n], procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+			row := pool[int(rowOf[v])*n:][:n]
+			fSum[v] -= row[pk]
+			if fMinAt[v] == pk {
+				rescanRow(row, procFree, &fMin[v], &fMinAt[v], &fSum[v])
 				rescans++
 			}
 		}
-		for c, cw := range classW {
+		kept := liveClasses[:0]
+		for _, c := range liveClasses {
 			if classLive[c] == 0 {
 				continue
 			}
-			sl := n + c
+			kept = append(kept, c)
+			cw, sl := classW[c], n+int(c)
 			fSum[sl] -= float64(cw * totalDist[pk])
 			if fMinAt[sl] == pk {
 				rescanClass(cw, totalDist, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
 				rescans++
 			}
 		}
+		liveClasses = kept
 		for _, u := range adj {
 			isNbr[u] = false
 		}
 	}
 	return m, rescans
+}
+
+// gainArgmax is TopoLB's task selection over candidates offered in any
+// order. It answers as a scan in task-id order would that keeps the first
+// task and replaces it only on a strictly larger gain: the lowest id among
+// the largest gains — unless the lowest-id candidate's gain is NaN, which
+// such a scan never replaces.
+type gainArgmax struct {
+	tk       int // lowest id among the largest non-NaN gains; -1 if none yet
+	best     float64
+	first    int // lowest id offered
+	firstNaN bool
+}
+
+func (a *gainArgmax) offer(v int, gain float64) {
+	if v < a.first {
+		a.first, a.firstNaN = v, math.IsNaN(gain)
+	}
+	if !math.IsNaN(gain) && (a.tk < 0 || gain > a.best || (gain >= a.best && v < a.tk)) {
+		a.tk, a.best = v, gain
+	}
+}
+
+func (a *gainArgmax) winner() int {
+	if a.firstNaN || a.tk < 0 {
+		return a.first
+	}
+	return a.tk
 }
 
 // rescanRow recomputes the minimum, argmin, and sum of a fest row over the

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/taskgraph"
@@ -279,8 +282,9 @@ func islands(n int) *taskgraph.Graph {
 // between the class-sharing implementation and the row-per-task one, at
 // both incremental orders, on inputs the brute-force check never reaches:
 // fractional weights, a mesh (totalDist varies by processor), disconnected
-// graphs with isolated tasks, all W_v distinct, all W_v equal, and the
-// degenerate sizes.
+// graphs with isolated tasks, all W_v distinct, all W_v equal, the
+// degenerate sizes, weights so large that rows overflow and gains are
+// NaN, p = 4096, and an rgg graph, whose frontier of live rows is wide.
 func TestTopoLBMatchesRowReference(t *testing.T) {
 	one := taskgraph.NewBuilder(1).Build("one")
 	two := taskgraph.NewBuilder(2).AddEdge(0, 1, 0.731).Build("two")
@@ -302,26 +306,255 @@ func TestTopoLBMatchesRowReference(t *testing.T) {
 		{taskgraph.Mesh2D(16, 16, 1.1), topology.MustTorus(16, 16), false},
 		{islands(256), topology.MustMesh(16, 16), true},
 		{taskgraph.Random(256, 600, 0.37, 9.91, 4), topology.MustHypercube(8), false},
+		{taskgraph.Random(64, 192, 1e306, 1e308, 6), topology.MustTorus(8, 8), false}, // rows overflow: NaN gains
+		{taskgraph.Mesh2D(64, 64, 1.1), topology.MustTorus(64, 64), false},
+		{taskgraph.RandomGeometricDeg(1024, 8, 1.1, 5), topology.MustTorus(32, 32), false},
 	}
 	for _, tc := range cases {
 		for _, order := range []Order{OrderFirst, OrderSecond} {
-			want, seq := referenceRowTopoLB(tc.g, tc.topo, order)
+			seq := requireMatchesReference(t, tc.g, tc.topo, order)
 			if tc.pristineWins && pristineWins(tc.g, seq) == 0 {
 				t.Errorf("%s on %s, order %d: no pristine task won a gain scan after the first", tc.g.Name(), tc.topo.Name(), order)
 			}
-			got, err := TopoLB{Order: order}.Map(tc.g, tc.topo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range want {
-				if got[v] != want[v] {
-					t.Errorf("%s on %s, order %d: task %d on %d, reference %d",
-						tc.g.Name(), tc.topo.Name(), order, v, got[v], want[v])
-					break
-				}
-			}
 		}
 	}
+}
+
+// requireMatchesReference runs mapIncremental and fails t unless its
+// placements and placement order are referenceRowTopoLB's and its rescan
+// count is referenceSlotRescans'. It returns the placement order.
+func requireMatchesReference(t *testing.T, g *taskgraph.Graph, topo topology.Topology, order Order) []int {
+	t.Helper()
+	want, wantSeq := referenceRowTopoLB(g, topo, order)
+	seq := make([]int, topo.Nodes())
+	got, rescans := TopoLB{}.mapIncremental(g, topo, order, seq)
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("%s on %s, order %d: task %d on %d, reference %d",
+				g.Name(), topo.Name(), order, v, got[v], want[v])
+		}
+	}
+	for k := range wantSeq {
+		if seq[k] != wantSeq[k] {
+			t.Fatalf("%s on %s, order %d: cycle %d placed task %d, reference %d",
+				g.Name(), topo.Name(), order, k, seq[k], wantSeq[k])
+		}
+	}
+	if want := referenceSlotRescans(g, topo, order); rescans != want {
+		t.Fatalf("%s on %s, order %d: %d rescans, reference %d", g.Name(), topo.Name(), order, rescans, want)
+	}
+	return wantSeq
+}
+
+// FuzzTopoLBMatchesReference turns bytes into a small weighted graph on a
+// torus, mesh or hypercube and holds mapIncremental at both orders to the
+// references, placement by placement. Integral weights 1–16 make tasks
+// share pristine classes; fractional ones from 256 values leave most
+// tasks alone in their own.
+func FuzzTopoLBMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 3, 3, 0, 0, 1, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{1, 2, 4, 1, 5, 0, 7, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	f.Add([]byte{2, 5, 0, 0, 1, 1, 3, 200, 100, 50, 25, 12, 6, 3})
+	f.Add([]byte{0, 7, 7, 1, 0, 0, 0})
+	f.Add([]byte{1, 1, 1, 0, 0, 1, 2, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		var topo topology.Topology
+		switch next() % 3 {
+		case 0:
+			topo = topology.MustTorus(1+next()%8, 1+next()%8)
+		case 1:
+			topo = topology.MustMesh(1+next()%8, 1+next()%8)
+		default:
+			topo = topology.MustHypercube(next() % 7)
+		}
+		n := topo.Nodes()
+		integral := next()%2 == 0
+		b := taskgraph.NewBuilder(n)
+		for len(data) >= 3 {
+			a, c, x := next()%n, next()%n, next()
+			w := float64(1 + x%16)
+			if !integral {
+				w = float64(1+x)/7 + 0.125
+			}
+			b.AddEdge(a, c, w)
+		}
+		g := b.Build("fuzz")
+		for _, order := range []Order{OrderFirst, OrderSecond} {
+			requireMatchesReference(t, g, topo, order)
+		}
+	})
+}
+
+// referenceSlotRescans runs mapIncremental as it was before the row
+// pool — a p×p fest table written at each task's first touch, every
+// cycle walking all n task slots and every class — and returns its
+// rescan count. The count belongs to the class formulation, which the
+// row-per-task reference does not have, so this is its oracle.
+func referenceSlotRescans(g *taskgraph.Graph, t topology.Topology, order Order) int64 {
+	n := t.Nodes()
+	d := topology.NewDists(t)
+	totalDist := make([]float64, n)
+	topology.TotalDistances(t, totalDist)
+
+	scale := make([]float64, n)
+	if order == OrderSecond {
+		for v := range scale {
+			scale[v] = g.WeightedDegree(v)
+		}
+	}
+	byScale := make([]int32, n)
+	for v := range byScale {
+		byScale[v] = int32(v)
+	}
+	slices.SortFunc(byScale, func(a, b int32) int {
+		return cmp.Compare(math.Float64bits(scale[a]), math.Float64bits(scale[b]))
+	})
+	slot := make([]int32, n)
+	var classW []float64
+	var classLive []int32
+	for i, v := range byScale {
+		if i == 0 || math.Float64bits(scale[v]) != math.Float64bits(scale[byScale[i-1]]) {
+			classW = append(classW, scale[v])
+			classLive = append(classLive, 0)
+		}
+		c := len(classW) - 1
+		slot[v] = int32(n + c)
+		classLive[c]++
+	}
+	slots := n + len(classW)
+
+	fest := make([]float64, n*n)
+	taskFree := make([]bool, n)
+	procFree := make([]bool, n)
+	fMin := make([]float64, slots)
+	fMinAt := make([]int, slots)
+	fSum := make([]float64, slots)
+	for v := 0; v < n; v++ {
+		taskFree[v] = true
+		procFree[v] = true
+	}
+	for c, cw := range classW {
+		rescanClass(cw, totalDist, procFree, &fMin[n+c], &fMinAt[n+c], &fSum[n+c])
+	}
+	var rescans int64
+
+	distRow := make([]float64, n)
+	isNbr := make([]bool, n)
+	freeProcs := n
+	for k := 0; k < n; k++ {
+		nFree := float64(freeProcs)
+		tk, best := -1, 0.0
+		for v, free := range taskFree {
+			if !free {
+				continue
+			}
+			sl := slot[v]
+			if gain := fSum[sl]/nFree - fMin[sl]; tk < 0 || gain > best {
+				tk, best = v, gain
+			}
+		}
+		pk := fMinAt[slot[tk]]
+		taskFree[tk] = false
+		procFree[pk] = false
+		freeProcs--
+		if freeProcs == 0 {
+			break
+		}
+		if sl := int(slot[tk]); sl >= n {
+			classLive[sl-n]--
+		}
+
+		fillScaledRow(&d, distRow, pk, float64(n))
+		adj, w := g.Neighbors(tk)
+		for _, u := range adj {
+			isNbr[u] = true
+			if sl := int(slot[u]); sl >= n && taskFree[u] {
+				classLive[sl-n]--
+			}
+		}
+		for i, a := range adj {
+			u := int(a)
+			if !taskFree[u] {
+				continue
+			}
+			c := w[i]
+			row := fest[u*n : (u+1)*n]
+			if sl := int(slot[u]); sl >= n {
+				cw := classW[sl-n]
+				for p := 0; p < n; p++ {
+					row[p] = cw * totalDist[p]
+				}
+				slot[u] = int32(u)
+			}
+			if order == OrderSecond {
+				for p := 0; p < n; p++ {
+					row[p] += c * (distRow[p] - totalDist[p])
+				}
+			} else {
+				for p := 0; p < n; p++ {
+					row[p] += c * distRow[p]
+				}
+			}
+			rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
+		}
+		for sl := 0; sl < n; sl++ {
+			if !taskFree[sl] || isNbr[sl] || int(slot[sl]) != sl {
+				continue
+			}
+			fSum[sl] -= fest[sl*n+pk]
+			if fMinAt[sl] == pk {
+				rescanRow(fest[sl*n:(sl+1)*n], procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+				rescans++
+			}
+		}
+		for c, cw := range classW {
+			if classLive[c] == 0 {
+				continue
+			}
+			sl := n + c
+			fSum[sl] -= float64(cw * totalDist[pk])
+			if fMinAt[sl] == pk {
+				rescanClass(cw, totalDist, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+				rescans++
+			}
+		}
+		for _, u := range adj {
+			isNbr[u] = false
+		}
+	}
+	return rescans
+}
+
+// peakLiveRows is the most fest rows mapIncremental holds at once for
+// this placement order: tasks with a placed neighbor that are not placed
+// themselves.
+func peakLiveRows(g *taskgraph.Graph, seq []int) int {
+	touched := make([]bool, g.NumVertices())
+	placed := make([]bool, g.NumVertices())
+	live, peak := 0, 0
+	for _, tk := range seq {
+		placed[tk] = true
+		if touched[tk] {
+			live--
+		}
+		adj, _ := g.Neighbors(tk)
+		for _, u := range adj {
+			if !touched[u] && !placed[u] {
+				touched[u] = true
+				live++
+			}
+		}
+		peak = max(peak, live)
+	}
+	return peak
 }
 
 // TestTopoLBRescanCount is the clock-free regression gate for the pristine
@@ -334,6 +567,47 @@ func TestTopoLBRescanCount(t *testing.T) {
 	g, topo := taskgraph.Mesh2D(32, 32, 1024), topology.MustTorus(32, 32)
 	if got := TopoLBRescans(g, topo, OrderSecond); got > 2000 {
 		t.Fatalf("TopoLB did %d full-row rescans on %s -> %s; want <= 2000", got, g.Name(), topo.Name())
+	}
+}
+
+// TestTopoLBBytes is the ceiling on what one TopoLB call allocates, fest
+// rows included: on mesh2d:32,32 → torus:32,32 a p×p table alone was
+// 8 MB, while the rows live at once number a few dozen (logged).
+func TestTopoLBBytes(t *testing.T) {
+	g, topo := taskgraph.Mesh2D(32, 32, 1024), topology.MustTorus(32, 32)
+	const runs = 3
+	TopoLB{}.Map(g, topo) // builds the cached distance matrix
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := (TopoLB{}).Map(g, topo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	_, seq := referenceRowTopoLB(g, topo, OrderSecond)
+	t.Logf("%s -> %s: %d bytes a call, %d fest rows live at most", g.Name(), topo.Name(), got, peakLiveRows(g, seq))
+	if got > 2_500_000 {
+		t.Errorf("TopoLB allocates %d bytes a call on %s -> %s, want <= 2 500 000", got, g.Name(), topo.Name())
+	}
+}
+
+// BenchmarkTopoLB times one second-order TopoLB call, mesh onto torus, at
+// p = 256, 1024 and 4096, with its bytes per call.
+func BenchmarkTopoLB(b *testing.B) {
+	for _, side := range []int{16, 32, 64} {
+		g, topo := taskgraph.Mesh2D(side, side, 1024), topology.MustTorus(side, side)
+		b.Run(fmt.Sprintf("p=%d", side*side), func(b *testing.B) {
+			TopoLB{}.Map(g, topo) // builds the cached distance matrix
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := (TopoLB{}).Map(g, topo); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

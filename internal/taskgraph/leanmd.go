@@ -54,12 +54,17 @@ func LeanMD(p int, msgBytes float64, seed int64) *Graph {
 	for v := 0; v < LeanMDCells; v++ {
 		b.SetVertexWeight(v, 0.75+rng.Float64()*0.5)
 	}
-	addStencil(b, leanMDGrid, false, halo26, msgBytes)
-	// Integrator chares: light control traffic to a contiguous cell block.
 	per := LeanMDCells / p
 	if per < 1 {
 		per = 1
 	}
+	// Size the builder for both edge families up front: grown append by
+	// append, its arrays leave a few MB of garbage per graph.
+	arms := 0
+	eachArm(leanMDGrid, false, halo26, msgBytes, func(int, int, float64) { arms++ })
+	b.Grow(arms + p*per)
+	addStencil(b, leanMDGrid, false, halo26, msgBytes)
+	// Integrator chares: light control traffic to a contiguous cell block.
 	for i := 0; i < p; i++ {
 		v := LeanMDCells + i
 		b.SetVertexWeight(v, 0.25)
