@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emulator"
 	"repro/internal/experiments"
+	"repro/internal/hiertopo"
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/taskgraph"
@@ -160,7 +161,9 @@ func BenchmarkTwoPhasePipeline(b *testing.B) {
 // runs at GOMAXPROCS 2: one sweep allocates its copy of the mapping and
 // its occupant table, nothing per candidate list. A fork put back into
 // sweepCandidates costs a closure and goroutines per list — thousands per
-// pass — and only shows where there is a second core to fork onto.
+// pass — and only shows where there is a second core to fork onto. The
+// second case is the shape HierMap refines: four tasks per processor of
+// a hierarchy, dealt round-robin.
 func TestRefinePassAllocs(t *testing.T) {
 	g := taskgraph.Mesh2D(16, 16, 1e5)
 	to := topology.MustTorus(16, 16)
@@ -168,9 +171,22 @@ func TestRefinePassAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Refine(g, to, m0.Clone(), 1) // builds the cached distance matrix
-	if allocs := testing.AllocsPerRun(10, func() { core.Refine(g, to, m0.Clone(), 1) }); allocs > 4 {
-		t.Errorf("one Refine pass allocates %v objects, want <= 4", allocs)
+	h, err := hiertopo.Parse("pod:2/rack:2/node:4:mesh-2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	surj := make(core.Mapping, g.NumVertices())
+	for v := range surj {
+		surj[v] = v % h.Nodes()
+	}
+	for _, tc := range []struct {
+		topo topology.Topology
+		m    core.Mapping
+	}{{to, m0}, {h, surj}} {
+		core.Refine(g, tc.topo, tc.m.Clone(), 1) // builds the caches a pass reads
+		if allocs := testing.AllocsPerRun(10, func() { core.Refine(g, tc.topo, tc.m.Clone(), 1) }); allocs > 4 {
+			t.Errorf("one Refine pass on %s allocates %v objects, want <= 4", tc.topo.Name(), allocs)
+		}
 	}
 }
 

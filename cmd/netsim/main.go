@@ -47,6 +47,9 @@ func main() {
 
 	var prog *trace.Program
 	var g *taskgraph.Graph
+	// Geometric strategies read the pattern's coordinates; a replayed
+	// trace carries no geometry, so its jobs use the BFS fallback.
+	var coords [][]float64
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		fatalIf(err)
@@ -58,6 +61,7 @@ func main() {
 	} else {
 		g, err = cliutil.ParsePattern(*patSpec, *msg, *seed)
 		fatalIf(err)
+		coords = cliutil.PatternCoords(*patSpec, *seed)
 		prog, err = trace.FromTaskGraph(g, *iters, *compute)
 		fatalIf(err)
 	}
@@ -84,7 +88,7 @@ func main() {
 	fatalIf(err)
 	jobs := make([]experiments.SimJob, len(strats))
 	for i, strat := range strats {
-		m, err := strat.Map(g, topo)
+		m, err := cliutil.WithCoords(strat, coords).Map(g, topo)
 		fatalIf(err)
 		jobs[i] = experiments.SimJob{Prog: prog, Mapping: m, Cfg: cfg}
 	}

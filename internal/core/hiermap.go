@@ -20,9 +20,10 @@ import (
 // the job, a compact prefix of children receives at most its capacity —
 // the packing mode the service's placement constraints rely on). Phase 2
 // maps each leaf partition with an ordinary flat kernel against the real
-// leaf topology. A final bounded cross-leaf swap pass refines the result
-// under the composite metric, where moving a byte across an outer level
-// costs an order of magnitude more than crossing an inner one.
+// leaf topology. Finally hierRefinePasses sweeps of Refine, the paper's
+// swap pass, refine the whole placement under the composite metric, where
+// moving a byte across an outer level costs an order of magnitude more
+// than crossing an inner one.
 //
 // The expensive machinery never sees the composite distance: partition
 // cuts minimize edge weight (the bytes that will cross a level boundary,
@@ -34,12 +35,8 @@ import (
 // leaves use the multilevel kernel, whose cost is near-linear.
 const hierLeafTopoLBMax = 2048
 
-// hierMaxCand bounds the cross-leaf swap candidates examined per task
-// per refinement pass; hierRefinePasses bounds the passes.
-const (
-	hierMaxCand      = 8
-	hierRefinePasses = 2
-)
+// hierRefinePasses bounds the Refine sweeps over the finished placement.
+const hierRefinePasses = 2
 
 // HierMap is the two-phase hierarchical strategy. It requires a
 // *hiertopo.Hierarchy topology; flat machines should use the ordinary
@@ -98,7 +95,7 @@ func (s HierMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, error) {
 	if err := d.descend(g, verts, 0, 0); err != nil {
 		return nil, err
 	}
-	s.refine(g, h, d.placement)
+	Refine(g, h, d.placement, hierRefinePasses)
 	return d.placement, nil
 }
 
@@ -329,47 +326,4 @@ func (d *hierDescender) leafStrategy(m int) Strategy {
 		return TopoLB{}
 	}
 	return MultilevelMap{}
-}
-
-// refine runs serial cross-leaf swap sweeps: for each task in ascending
-// order, the first few communication partners living in other leaves are
-// tried as swap partners, and the first partner achieving the best
-// strictly-improving SwapDelta wins. Swaps exchange whole placements, so
-// per-processor task counts are preserved in every mode. Serial and
-// first-wins, the pass is byte-identical at any GOMAXPROCS.
-func (s HierMap) refine(g *taskgraph.Graph, h *hiertopo.Hierarchy, placement []int) {
-	d := topology.NewDists(h)
-	n := g.NumVertices()
-	for pass := 0; pass < hierRefinePasses; pass++ {
-		moves := 0
-		for v := 0; v < n; v++ {
-			pv := placement[v]
-			adj, w := g.Neighbors(v)
-			best := -1
-			bestDelta := -swapEps
-			cands := 0
-			for _, u32 := range adj {
-				u := int(u32)
-				pu := placement[u]
-				if h.DivergeLevel(pv, pu) < 0 {
-					continue // same leaf: the leaf kernel already optimized it
-				}
-				cands++
-				if cands > hierMaxCand {
-					break
-				}
-				adjU, wU := g.Neighbors(u)
-				if delta := SwapDelta(&d, placement, pv, pu, v, adj, w, u, adjU, wU); delta < bestDelta {
-					best, bestDelta = u, delta
-				}
-			}
-			if best >= 0 {
-				placement[v], placement[best] = placement[best], placement[v]
-				moves++
-			}
-		}
-		if moves == 0 {
-			break
-		}
-	}
 }

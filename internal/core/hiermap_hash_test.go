@@ -23,10 +23,13 @@ import (
 // hop-bytes before → after. Seven were re-recorded again when the
 // V-cycle's finest level gained the label-cut pass, which lowers every
 // overfull labelled leaf's own hop-bytes; the second arrow of each
-// comment reads that change. rgg:1024,8 without coordinates ends
-// 405 634 hop-bytes (0.01 %) higher: its leaves went 4280032544 →
-// 4279752300 before the cross-leaf pass, which is greedy and stopped at
-// another local optimum.
+// comment reads that change. Nine were re-recorded when HierMap's own
+// cross-leaf pass (the first eight cross-leaf partners of each task, best
+// one kept) gave way to two sweeps of Refine; the last arrow of each
+// comment reads that change, and is the only one where no earlier change
+// moved the case. Eight fall. rgg:960,8 on the zone:3 machine ends 2.4 %
+// higher: both passes are greedy, and Refine's first-improvement sweep
+// stops at another local optimum there.
 func TestHierMapPlaceHashes(t *testing.T) {
 	const machine = "pod:2/rack:4/node:8:torus-2x4"
 	cases := []struct {
@@ -34,16 +37,16 @@ func TestHierMapPlaceHashes(t *testing.T) {
 		coords           bool
 		want             uint64
 	}{
-		{"rgg:1024,8", machine, false, 0x7f4ef4c80fac4c89}, // 4113181911 → 4113092586 → 4113498220
-		{"rgg:1024,8", machine, true, 0x7430b98771acd939},  // 2523103285 → 2520019175 → 2519468920
-		{"rgg:4096,8", machine, false, 0xe0bd0bb7bc9ea80d}, // 7136738467 → 7130742203 → 7108149528
-		{"rgg:4096,8", machine, true, 0x00cecf30e0b47fa5},  // 5973246508 → 5975917814 → 5949215860
-		{"stencil9:32,16", machine, false, 0x6f633e436a848b85},
+		{"rgg:1024,8", machine, false, 0xd420eb281a3a079},      // 4113181911 → 4113092586 → 4113498220 → 4112641447
+		{"rgg:1024,8", machine, true, 0x7dd1bab28e47546d},      // 2523103285 → 2520019175 → 2519468920 → 2516253638
+		{"rgg:4096,8", machine, false, 0xd6dbc8d1a99ec07d},     // 7136738467 → 7130742203 → 7108149528 → 7089854516
+		{"rgg:4096,8", machine, true, 0x9ddc88dca7e623c5},      // 5973246508 → 5975917814 → 5949215860 → 5930752936
+		{"stencil9:32,16", machine, false, 0xdbd6bdb1318684c5}, // 4393600000 → 4393050000
 		{"stencil9:32,16", machine, true, 0x49f6081c90a90a25},
-		{"stencil9:80,48", machine, false, 0xf0f8d673cd9d3b65}, // 1.3037375e10 → 1.3038475e10 → 1.300285e10
-		{"stencil9:80,48", machine, true, 0x2f363005e7bd9125},  // 1.11144e10 → 1.10984e10 → 1.10888e10
-		{"stencil9:20,10", machine, false, 0x2fb1727883bb97e5},
-		{"rgg:960,8", "zone:3/host:4:mesh-3x3", false, 0xc2ad18505fb7e285}, // 583668761.6 → 580774789.6 → 575093078.9
+		{"stencil9:80,48", machine, false, 0xef901086bc2181e5},             // 1.3037375e10 → 1.3038475e10 → 1.300285e10 → 1.298445e10
+		{"stencil9:80,48", machine, true, 0xcc34ea8b1b93b625},              // 1.11144e10 → 1.10984e10 → 1.10888e10 → 1.10808e10
+		{"stencil9:20,10", machine, false, 0x78f3d9c2f3e0a025},             // 612625000 → 610450000
+		{"rgg:960,8", "zone:3/host:4:mesh-3x3", false, 0xa43c760389e3cbe5}, // 583668761.6 → 580774789.6 → 575093078.9 → 589022067.8
 		{"stencil9:40,24", "pod:2@27/rack:4@9/node:8@3:torus-2x4", true, 0x69feeafa265fa825},
 	}
 	for _, tc := range cases {

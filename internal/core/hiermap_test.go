@@ -239,7 +239,7 @@ func TestHierMapGeoPartition(t *testing.T) {
 }
 
 // hierLeafMapped is Place without its last step: phase 1 and the leaf
-// kernels, before the cross-leaf refine pass.
+// kernels, before Refine.
 func hierLeafMapped(t testing.TB, g *taskgraph.Graph, h *hiertopo.Hierarchy) []int {
 	t.Helper()
 	n := g.NumVertices()
@@ -268,7 +268,7 @@ func integralGraph(n int, seed int64) *taskgraph.Graph {
 	return b.Build(fmt.Sprintf("integral(n=%d,seed=%d)", n, seed))
 }
 
-// requireRefineNeverRaises runs the cross-leaf refine pass on the leaf
+// requireRefineNeverRaises runs Refine, as Place does, on the leaf
 // mapping of g and fails if it raised the hop-bytes the mapping is
 // reported with or changed any processor's task count. It reports
 // whether the pass lowered the hop-bytes.
@@ -280,7 +280,7 @@ func requireRefineNeverRaises(t testing.TB, g *taskgraph.Graph, h *hiertopo.Hier
 	for _, q := range pl {
 		counts[q]++
 	}
-	HierMap{}.refine(g, h, pl)
+	Refine(g, h, pl, hierRefinePasses)
 	if after := HopBytes(g, h, pl); after > before {
 		t.Errorf("%s on %s: refine raised hop-bytes %v -> %v", g.Name(), h.Spec(), before, after)
 	}
@@ -296,9 +296,9 @@ func requireRefineNeverRaises(t testing.TB, g *taskgraph.Graph, h *hiertopo.Hier
 }
 
 // TestHierRefineNeverRaisesHopBytes: on hierarchies whose level costs are
-// not whole numbers, the cross-leaf pass must not raise HopBytes, the
-// value every response and benchmark reports. Tasks number half, once
-// and twice the processors: packing, bijective and surjective placements.
+// not whole numbers, Refine must not raise HopBytes, the value every
+// response and benchmark reports. Tasks number half, once and twice the
+// processors: packing, bijective and surjective placements.
 func TestHierRefineNeverRaisesHopBytes(t *testing.T) {
 	specs := []string{
 		"pod:2@2.4/rack:4@1.6/node:4@1.4:torus-2x2",

@@ -94,9 +94,9 @@ func bruteOptimum(g *taskgraph.Graph, t topology.Topology) (Mapping, float64) {
 // optimum is found by brute force over all 8! bijections, for five
 // integer-weighted graphs on three flat machines (Refine, the V-cycle's
 // finest-level pass and its label-cut pass, all three machines labelled)
-// and on an eight-processor hierarchy (HierMap's cross-leaf pass). All
-// four score with SwapDelta: a sign or epsilon slip in it makes them move
-// off the optimum, and this test fails.
+// and on an eight-processor hierarchy (Refine as HierMap runs it). All
+// three refiners score with SwapDelta: a sign or epsilon slip in it makes
+// them move off the optimum, and this test fails.
 func TestRefinersKeepTheOptimum(t *testing.T) {
 	for _, topo := range []topology.Topology{
 		topology.MustTorus(2, 4), topology.MustMesh(2, 2, 2), topology.MustHypercube(3),
@@ -143,10 +143,9 @@ func TestRefinersKeepTheOptimum(t *testing.T) {
 	for _, g := range optimumGraphs() {
 		t.Run(fmt.Sprintf("%s/%s", h.Name(), g.Name()), func(t *testing.T) {
 			opt, cost := bruteOptimum(g, h)
-			placement := []int(slices.Clone(opt))
-			HierMap{}.refine(g, h, placement)
-			if !slices.Equal(placement, opt) {
-				t.Errorf("HierMap's refine moved off the optimum (hop-bytes %v -> %v)", cost, HopBytes(g, h, placement))
+			m := slices.Clone(opt)
+			if swaps := Refine(g, h, m, hierRefinePasses); swaps != 0 || !slices.Equal(m, opt) {
+				t.Errorf("Refine made %d swaps from the hierarchy's optimum (hop-bytes %v -> %v)", swaps, cost, HopBytes(g, h, m))
 			}
 		})
 	}

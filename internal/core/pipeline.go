@@ -32,7 +32,9 @@ type PipelineResult struct {
 // build the quotient graph, and map it with strat. A nil part defaults to
 // the multilevel partitioner; a nil strat defaults to TopoLB with
 // refinement. A Placer given more tasks than processors places them in
-// one shot, and the result reports the groups its placement induces.
+// one shot, and the result reports the groups its placement induces; a
+// RefineTopoLB over a Placer places with its Base and then refines those
+// groups, which move whole, so every processor's load is kept.
 func MapTasks(g *taskgraph.Graph, t topology.Topology, part partition.Partitioner, strat Strategy) (*PipelineResult, error) {
 	if g.NumVertices() < t.Nodes() {
 		return nil, fmt.Errorf("core: %d tasks cannot fill %d processors", g.NumVertices(), t.Nodes())
@@ -43,7 +45,11 @@ func MapTasks(g *taskgraph.Graph, t topology.Topology, part partition.Partitione
 	if strat == nil {
 		strat = RefineTopoLB{Base: TopoLB{}}
 	}
-	if pl, ok := strat.(Placer); ok && g.NumVertices() > t.Nodes() {
+	base, refined := strat, false
+	if r, ok := strat.(RefineTopoLB); ok {
+		base, refined = r.Base, true
+	}
+	if pl, ok := base.(Placer); ok && g.NumVertices() > t.Nodes() {
 		placement, err := pl.Place(g, t)
 		if err != nil {
 			return nil, err
@@ -51,6 +57,9 @@ func MapTasks(g *taskgraph.Graph, t topology.Topology, part partition.Partitione
 		// The placement is the partition — group q is the tasks on
 		// processor q — and the identity maps it.
 		part, strat = placed(placement), Identity{}
+		if refined {
+			strat = RefineTopoLB{Base: Identity{}}
+		}
 	}
 	return MapQuotient(g, t, part, strat)
 }

@@ -58,11 +58,17 @@ func (r RefineTopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, err
 // occupant) and (task, communication partner) — the pairs with any chance
 // of first-order improvement — plus a full quadratic sweep when p is
 // small. Candidates are tried one at a time in a fixed order (see
-// sweepCandidates). Returns the number of swaps performed.
+// sweepCandidates). m may also be a placement with several tasks on a
+// processor, or none: a swap exchanges two tasks' processors, so every
+// processor keeps its task count. Returns the number of swaps performed.
 func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) int {
 	n := len(m)
 	d := topology.NewDists(t)
-	occupant := make([]int, n) // processor -> task
+	// processor -> one of its tasks, -1 when it has none
+	occupant := make([]int, t.Nodes())
+	for i := range occupant {
+		occupant[i] = -1
+	}
 	for task, proc := range m {
 		occupant[proc] = task
 	}
@@ -95,15 +101,16 @@ func Refine(g *taskgraph.Graph, t topology.Topology, m Mapping, maxPasses int) i
 
 // sweepCandidates tries task a against partner(0..count-1) in order,
 // applying each strictly improving swap as it is met and trying the next
-// candidate against the mapping that swap left. The loop is serial on
-// purpose: a swap delta is O(deg) work, far below what a fork costs
-// (DESIGN §6).
+// candidate against the mapping that swap left. A partner that is -1 (an
+// empty processor) or shares a's processor is skipped; on a bijection
+// that is b == a alone. The loop is serial on purpose: a swap delta is
+// O(deg) work, far below what a fork costs (DESIGN §6).
 func sweepCandidates(g *taskgraph.Graph, d *topology.Dists, m Mapping, occupant []int, a, count int, partner func(j int) int) int {
 	swaps := 0
 	adjA, wA := g.Neighbors(a)
 	for j := 0; j < count; j++ {
 		b := partner(j)
-		if a == b {
+		if b < 0 || m[b] == m[a] {
 			continue
 		}
 		adjB, wB := g.Neighbors(b)

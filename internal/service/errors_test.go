@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 )
 
 // post sends raw bytes and returns (status, body, header).
@@ -710,6 +711,52 @@ func TestStrategyFailure(t *testing.T) {
 	var eb errorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
 		t.Fatalf("want JSON error body, got %s", body)
+	}
+}
+
+// TestPlacerRefineJobs: a partitioned job whose strategy is a Placer
+// answers 200 with refine set, placing with the strategy and refining
+// the groups it placed, and refinement never raises its hop-bytes.
+func TestPlacerRefineJobs(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	placers := 0
+	for _, r := range cliutil.StrategyTable() {
+		if r.New == nil {
+			continue
+		}
+		if _, ok := r.New(1, nil).(core.Placer); !ok {
+			continue
+		}
+		placers++
+		spec := Job{Graph: GraphSpec{Pattern: "stencil9:64,64", MsgBytes: 1e5, Seed: 1},
+			Topology: "torus:16,16", Strategy: r.Name, Seed: 1}
+		if r.NeedsHierarchy {
+			spec.Graph.Pattern, spec.Topology = "stencil9:32,32", testHier
+		}
+		var hb [2]float64
+		for i, refine := range []bool{false, true} {
+			spec.Refine = refine
+			status, body := postJSON(t, ts.Client(), ts.URL+"/v1/map", spec)
+			if status != 200 {
+				t.Fatalf("%s refine=%v: status %d: %s", r.Name, refine, status, body)
+			}
+			var res JobResult
+			if err := json.Unmarshal(body, &res); err != nil {
+				t.Fatal(err)
+			}
+			hb[i] = res.HopBytes
+		}
+		if hb[1] > hb[0] {
+			t.Errorf("%s: refine raised hop-bytes %v -> %v", r.Name, hb[0], hb[1])
+		}
+		t.Logf("%s on %s: hop-bytes %v -> %v with refine", r.Name, spec.Topology, hb[0], hb[1])
+	}
+	if placers == 0 {
+		t.Fatal("no strategy row builds a Placer")
 	}
 }
 

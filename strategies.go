@@ -33,9 +33,10 @@ type MultilevelMap = core.MultilevelMap
 // recursively splits the task graph into exact-capacity groups down the
 // levels (geometric bisection when task coordinates are set, multilevel
 // graph partitioning otherwise), phase 2 maps each leaf with a flat
-// kernel, and a bounded cross-leaf swap pass refines under the composite
-// metric. Implements Placer; with fewer tasks than processors it packs
-// compactly onto the lowest ranks (the service's constraint mode).
+// kernel, and two sweeps of Refine improve the placement under the
+// composite metric. Implements Placer; with fewer tasks than processors
+// it packs compactly onto the lowest ranks (the service's constraint
+// mode).
 type HierMap = core.HierMap
 
 // SFC is the near-linear geometric strategy: tasks ordered by the
