@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/partition"
 	"repro/internal/sfc"
@@ -91,18 +90,7 @@ func curveTaskOrder(g *taskgraph.Graph, coords [][]float64) ([]int32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: sfc: %w", err)
 	}
-	order := make([]int32, n)
-	for v := range order {
-		order[v] = int32(v)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if keys[a] != keys[b] {
-			return keys[a] < keys[b]
-		}
-		return a < b
-	})
-	return order, nil
+	return sfc.Rank(keys), nil
 }
 
 // bfsOrder returns a breadth-first ordering of g's vertices: components
@@ -204,17 +192,7 @@ func (s RCBSFC) Place(g *taskgraph.Graph, t topology.Topology) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rcb-sfc: %w", err)
 	}
-	partOrder := make([]int32, p)
-	for q := range partOrder {
-		partOrder[q] = int32(q)
-	}
-	sort.Slice(partOrder, func(i, j int) bool {
-		a, b := partOrder[i], partOrder[j]
-		if keys[a] != keys[b] {
-			return keys[a] < keys[b]
-		}
-		return a < b
-	})
+	partOrder := sfc.Rank(keys)
 	// The i-th part along the centroid curve goes to the i-th processor
 	// along the machine curve.
 	procOrder := topology.CurveOrder(t)

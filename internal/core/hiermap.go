@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/hiertopo"
 	"repro/internal/partition"
@@ -15,7 +13,8 @@ import (
 // described by hiertopo.Hierarchy. Phase 1 recursively partitions the
 // task graph across the hierarchy: at every level the vertices of the
 // current region split into exact-capacity groups with
-// partition.CapacityPartition, so each child instance receives precisely
+// partition.CapacityPartition (or partition.CapacityRCB when the tasks
+// have coordinates), so each child instance receives precisely
 // the tasks it has processors for (or, when the machine is larger than
 // the job, a compact prefix of children receives at most its capacity —
 // the packing mode the service's placement constraints rely on). Phase 2
@@ -44,12 +43,14 @@ const hierRefinePasses = 2
 type HierMap struct {
 	// Seed drives the per-level partitioner.
 	Seed int64
-	// Coords are per-task positions (row i = task i). When set, phase 1
-	// splits regions by exact-count coordinate bisection instead of graph
-	// partitioning: siblings are equidistant under the composite metric,
-	// so only the bytes cut per level matter, and on geometric workloads
-	// straight axis cuts beat any coarsened graph cut. Nil falls back to
-	// the graph partitioner.
+	// Coords are per-task positions (row i = task i), read as
+	// partition.RCB reads them. When there is one row per task, phase 1
+	// splits regions by exact-count coordinate bisection
+	// (partition.CapacityRCB) instead of graph partitioning: siblings are
+	// equidistant under the composite metric, so only the bytes cut per
+	// level matter, and on geometric workloads straight axis cuts beat
+	// any coarsened graph cut. Nil, or a slice of another length, falls
+	// back to the graph partitioner.
 	Coords [][]float64
 }
 
@@ -86,6 +87,9 @@ func (s HierMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, error) {
 	}
 	d := &hierDescender{s: s, h: h, placement: make([]int, n)}
 	if len(s.Coords) == n {
+		if err := partition.CheckCoords(s.Coords, n); err != nil {
+			return nil, fmt.Errorf("core: hier: %w", err)
+		}
 		d.coords = s.Coords
 	}
 	verts := make([]int, n)
@@ -105,7 +109,7 @@ type hierDescender struct {
 	h         *hiertopo.Hierarchy
 	placement []int
 	// coords, when non-nil, holds every original task's position and
-	// routes the per-level splits through geoPartition.
+	// routes the per-level splits through partition.CapacityRCB.
 	coords [][]float64
 }
 
@@ -113,7 +117,9 @@ type hierDescender struct {
 // across the children of one level-(level-1) instance based at rank
 // base, recursing until the region is a single leaf. Children are
 // processed in ascending order and leaves are mapped serially, so the
-// recursion is deterministic regardless of GOMAXPROCS.
+// recursion is deterministic regardless of GOMAXPROCS. Coordinate
+// splits never read sub, so under them sub stays the whole graph and
+// only mapLeaf induces a subgraph.
 func (d *hierDescender) descend(sub *taskgraph.Graph, verts []int, level, base int) error {
 	if level == d.h.NumLevels() {
 		return d.mapLeaf(sub, verts, base)
@@ -141,9 +147,14 @@ func (d *hierDescender) descend(sub *taskgraph.Graph, verts []int, level, base i
 		targets[i-1] = cut - prev
 		prev = cut
 	}
-	var groups [][]int
+	var r *partition.Result
+	var err error
 	if d.coords != nil {
-		groups = d.geoPartition(verts, targets)
+		rows := make([][]float64, m)
+		for i, v := range verts {
+			rows[i] = d.coords[v]
+		}
+		r, err = partition.CapacityRCB(rows, targets)
 	} else {
 		// Outer cuts carry exponentially higher composite cost, so the
 		// outermost split gets the most partitioner effort; the budget decays
@@ -158,120 +169,39 @@ func (d *hierDescender) descend(sub *taskgraph.Graph, verts []int, level, base i
 		if coarsenTo < 128 {
 			coarsenTo = 0 // partitioner default
 		}
-		r, err := partition.CapacityPartition(sub, targets, partition.Multilevel{
+		r, err = partition.CapacityPartition(sub, targets, partition.Multilevel{
 			Seed:         d.s.Seed ^ int64(base)<<20 ^ int64(level),
 			BisectTries:  4 * effort,
 			RefinePasses: 4 * effort,
 			CoarsenTo:    coarsenTo,
 		})
-		if err != nil {
-			return fmt.Errorf("core: hier split at level %d: %w", level, err)
-		}
-		groups = make([][]int, k)
-		for i := range groups {
-			groups[i] = make([]int, 0, targets[i])
-		}
-		for v, q := range r.Assign {
-			groups[q] = append(groups[q], v)
-		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: hier split at level %d: %w", level, err)
+	}
+	groups := make([][]int, k)
+	for i := range groups {
+		groups[i] = make([]int, 0, targets[i])
+	}
+	for v, q := range r.Assign {
+		groups[q] = append(groups[q], v)
 	}
 	for i, local := range groups {
 		childVerts := make([]int, len(local))
 		for j, lv := range local {
 			childVerts[j] = verts[lv]
 		}
-		subChild, err := taskgraph.Induced(sub, local)
-		if err != nil {
-			return fmt.Errorf("core: hier split at level %d: %w", level, err)
+		subChild := sub
+		if d.coords == nil {
+			if subChild, err = taskgraph.Induced(sub, local); err != nil {
+				return fmt.Errorf("core: hier split at level %d: %w", level, err)
+			}
 		}
 		if err := d.descend(subChild, childVerts, level+1, base+i*childInst); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// geoPartition splits the region's local indices into len(targets)
-// groups of exactly targets[i] vertices by recursive exact-count
-// coordinate bisection: the target list halves, the region's points sort
-// along the widest axis of their bounding box (ties broken by original
-// task id), and the leading points fill the left targets' summed count
-// exactly. Groups come back in targets order with ascending members —
-// fully deterministic, no RNG, no floats compared for equality.
-func (d *hierDescender) geoPartition(verts []int, targets []int) [][]int {
-	local := make([]int, len(verts))
-	for i := range local {
-		local[i] = i
-	}
-	groups := make([][]int, 0, len(targets))
-	d.geoSplit(local, verts, targets, &groups)
-	for _, g := range groups {
-		sort.Ints(g)
-	}
-	return groups
-}
-
-// geoSplit recursively bisects local (indices into verts) to match
-// targets, appending one group per target to out in order.
-func (d *hierDescender) geoSplit(local []int, verts []int, targets []int, out *[][]int) {
-	if len(targets) == 1 {
-		*out = append(*out, local)
-		return
-	}
-	mid := len(targets) / 2
-	sumLeft := 0
-	for _, t := range targets[:mid] {
-		sumLeft += t
-	}
-	axis := d.widestAxis(local, verts)
-	sort.SliceStable(local, func(a, b int) bool {
-		ca, cb := d.coord(verts[local[a]], axis), d.coord(verts[local[b]], axis)
-		if ca < cb {
-			return true
-		}
-		if cb < ca {
-			return false
-		}
-		return verts[local[a]] < verts[local[b]]
-	})
-	d.geoSplit(local[:sumLeft], verts, targets[:mid], out)
-	d.geoSplit(local[sumLeft:], verts, targets[mid:], out)
-}
-
-// coord reads one axis of a task's position; absent axes read 0.
-func (d *hierDescender) coord(v, axis int) float64 {
-	if c := d.coords[v]; axis < len(c) {
-		return c[axis]
-	}
-	return 0
-}
-
-// widestAxis picks the axis with the largest coordinate extent over the
-// region (lowest axis wins ties), so successive cuts stay short.
-func (d *hierDescender) widestAxis(local []int, verts []int) int {
-	dims := 0
-	for _, li := range local {
-		if l := len(d.coords[verts[li]]); l > dims {
-			dims = l
-		}
-	}
-	best, bestExt := 0, -1.0
-	for ax := 0; ax < dims; ax++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, li := range local {
-			c := d.coord(verts[li], ax)
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
-		if ext := hi - lo; ext > bestExt {
-			best, bestExt = ax, ext
-		}
-	}
-	return best
 }
 
 // mapLeaf places the tasks in verts onto the leaf based at rank base:
@@ -286,6 +216,15 @@ func (d *hierDescender) mapLeaf(sub *taskgraph.Graph, verts []int, base int) err
 			d.placement[v] = base
 		}
 		return nil
+	}
+	if d.coords != nil && m < sub.NumVertices() {
+		// sub is the whole graph (see descend). verts ascend, so the
+		// leaf's subgraph numbers its tasks as inducing region by region
+		// would.
+		var err error
+		if sub, err = taskgraph.Induced(sub, verts); err != nil {
+			return fmt.Errorf("core: hier leaf at rank %d: %w", base, err)
+		}
 	}
 	leaf := d.h.Leaf()
 	switch {

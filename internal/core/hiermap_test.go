@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/hiertopo"
+	"repro/internal/partition"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -234,6 +236,48 @@ func TestHierMapGeoPartition(t *testing.T) {
 	for i := range shortPl {
 		if shortPl[i] != graphPl[i] {
 			t.Fatalf("short coords changed the graph-partition placement at task %d", i)
+		}
+	}
+}
+
+// TestHierMapRefusesMalformedCoords: HierMap reads coordinates as
+// partition.RCB does, so a coordinate slice of the right length that RCB
+// refuses (a ragged row, no axes, more than eight) makes Place return
+// RCB's error instead of reading absent axes as 0 — also when the job
+// fits one leaf and no region is ever split.
+func TestHierMapRefusesMalformedCoords(t *testing.T) {
+	h := mustHier(t, "pod:2/rack:4/node:8:torus-2x4")
+	wide := func(n, dims int) [][]float64 {
+		c := make([][]float64, n)
+		for i := range c {
+			c[i] = make([]float64, dims)
+			if dims > 0 {
+				c[i][0] = float64(i)
+			}
+		}
+		return c
+	}
+	for _, n := range []int{h.Nodes(), 3} {
+		g := taskgraph.Ring(n, 1e5)
+		ragged := wide(n, 2)
+		ragged[n-1] = ragged[n-1][:1]
+		cases := []struct {
+			name   string
+			coords [][]float64
+		}{
+			{"ragged row", ragged},
+			{"zero axes", wide(n, 0)},
+			{"nine axes", wide(n, 9)},
+		}
+		for _, tc := range cases {
+			_, want := partition.RCB{Coords: tc.coords}.Partition(g, 1)
+			if want == nil {
+				t.Fatalf("n=%d %s: partition.RCB accepts these coordinates", n, tc.name)
+			}
+			_, err := HierMap{Coords: tc.coords}.Place(g, h)
+			if err == nil || !strings.Contains(err.Error(), want.Error()) {
+				t.Errorf("n=%d %s: Place error %v, want one carrying %q", n, tc.name, err, want)
+			}
 		}
 	}
 }

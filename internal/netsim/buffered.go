@@ -61,7 +61,7 @@ func (b *bufNetwork) request(pi int32) {
 	path := b.n.msgs[p.msg].path
 	cur, next := path[p.hop], path[p.hop+1]
 	li := int32(b.n.links.Index(cur, next))
-	p.vc = b.chooseVC(p, path)
+	p.vc = datelineVC(b.dims, path, int(p.hop), p.vc)
 	l := &b.links[li]
 	if l.busy || l.credits[p.vc] == 0 {
 		p.next = -1
@@ -76,36 +76,26 @@ func (b *bufNetwork) request(pi int32) {
 	b.start(li, pi)
 }
 
-// chooseVC applies the dateline rule: switch to VC 1 when the upcoming
-// hop crosses a wraparound seam (coordinates jump by more than one), and
-// stay there until the dimension changes direction of travel — detected
-// conservatively by reverting to VC 0 only at dimension boundaries, i.e.
-// when the previous hop was in a different dimension than the next.
-func (b *bufNetwork) chooseVC(p *packet, path []int) int8 {
-	cur, next := path[p.hop], path[p.hop+1]
-	if wrapsDims(b.dims, cur, next) {
+// datelineVC is the dateline rule for hop h of path, given prev, the
+// virtual channel of hop h-1: switch to VC 1 when the hop crosses a
+// wraparound seam (coordinates jump by more than one), and stay there
+// while the route keeps moving in the dimension whose seam it crossed;
+// the first hop in a new dimension is back on VC 0. Buffered and
+// wormhole mode both call it.
+func datelineVC(dims []int, path []int, h int, prev int8) int8 {
+	a, b := path[h], path[h+1]
+	if wrapsDims(dims, a, b) {
 		return 1
 	}
-	if p.hop > 0 {
-		prev := path[p.hop-1]
-		if dimOfDims(b.dims, prev, cur) == dimOfDims(b.dims, cur, next) && p.vc == 1 {
-			return 1 // still in a dimension whose seam we crossed
-		}
+	if h > 0 && prev == 1 && dimOfDims(dims, path[h-1], a) == dimOfDims(dims, a, b) {
+		return 1
 	}
 	return 0
 }
 
-// wraps reports whether the hop from a to b crosses a torus seam: the
-// rank difference is not one of the stride steps of a unit move. For
-// non-coordinated topologies it returns false (no seams).
-func wraps(n *Network, a, b int) bool {
-	co, ok := n.cfg.Topology.(interface{ Dims() []int })
-	if !ok {
-		return false
-	}
-	return wrapsDims(co.Dims(), a, b)
-}
-
+// wrapsDims reports whether the hop from a to b crosses a torus seam of
+// a grid with extents dims: the rank difference is not one of the
+// stride steps of a unit move. Nil dims (no coordinates) have no seams.
 func wrapsDims(dims []int, a, b int) bool {
 	if dims == nil {
 		return false

@@ -140,23 +140,19 @@ func TestBufferedTorusRingTraffic(t *testing.T) {
 }
 
 func TestWrapsDetection(t *testing.T) {
-	eng := &Engine{}
-	net, err := NewNetwork(eng, Config{Topology: topology.MustTorus(4, 4), LinkBandwidth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dims := topology.MustTorus(4, 4).Dims()
 	// Node 0=(0,0): neighbor 3=(0,3) crosses the seam; neighbor 1 does not.
-	if !wraps(net, 0, 3) {
+	if !wrapsDims(dims, 0, 3) {
 		t.Error("0->3 on torus(4,4) should wrap")
 	}
-	if wraps(net, 0, 1) {
+	if wrapsDims(dims, 0, 1) {
 		t.Error("0->1 should not wrap")
 	}
 	// Second dimension seam: 0=(0,0) -> 12=(3,0).
-	if !wraps(net, 0, 12) {
+	if !wrapsDims(dims, 0, 12) {
 		t.Error("0->12 should wrap in dimension 0")
 	}
-	if wraps(net, 4, 8) {
+	if wrapsDims(dims, 4, 8) {
 		t.Error("4->8 is a unit move")
 	}
 }

@@ -88,12 +88,7 @@ func (w *whNetwork) prepareRoute(mi int32) {
 	for h := 0; h < hops; h++ {
 		a, b := m.path[h], m.path[h+1]
 		m.links = append(m.links, int32(w.n.links.Index(a, b)))
-		switch {
-		case wrapsDims(w.dims, a, b):
-			vc = 1 // crossed the wraparound seam: dateline channel
-		case h == 0 || dimOfDims(w.dims, m.path[h-1], a) != dimOfDims(w.dims, a, b):
-			vc = 0 // new dimension: back to the primary channel
-		}
+		vc = datelineVC(w.dims, m.path, h, vc)
 		m.vcs = append(m.vcs, vc)
 	}
 }

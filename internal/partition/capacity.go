@@ -25,18 +25,8 @@ import (
 func CapacityPartition(g *taskgraph.Graph, targets []int, ml Multilevel) (*Result, error) {
 	k := len(targets)
 	n := g.NumVertices()
-	if k < 1 {
-		return nil, fmt.Errorf("partition: capacity partition needs at least one target")
-	}
-	sum := 0
-	for i, t := range targets {
-		if t < 1 {
-			return nil, fmt.Errorf("partition: capacity target %d is %d, must be >= 1", i, t)
-		}
-		sum += t
-	}
-	if sum != n {
-		return nil, fmt.Errorf("partition: capacity targets sum to %d but the graph has %d vertices", sum, n)
+	if err := checkTargets(targets, n); err != nil {
+		return nil, err
 	}
 	if k == 1 {
 		return &Result{Assign: make([]int, n), K: 1}, nil
@@ -50,6 +40,25 @@ func CapacityPartition(g *taskgraph.Graph, targets []int, ml Multilevel) (*Resul
 	}
 	repairCounts(g, r, targets)
 	return r, nil
+}
+
+// checkTargets reports whether targets are exact group sizes for n
+// tasks: at least one group, each of at least one task, summing to n.
+func checkTargets(targets []int, n int) error {
+	if len(targets) < 1 {
+		return fmt.Errorf("partition: capacity partition needs at least one target")
+	}
+	sum := 0
+	for i, t := range targets {
+		if t < 1 {
+			return fmt.Errorf("partition: capacity target %d is %d, must be >= 1", i, t)
+		}
+		sum += t
+	}
+	if sum != n {
+		return fmt.Errorf("partition: capacity targets sum to %d but there are %d tasks", sum, n)
+	}
+	return nil
 }
 
 // repairCounts moves vertices out of over-full groups until every group

@@ -23,47 +23,96 @@ type RCB struct {
 // Name implements Partitioner.
 func (RCB) Name() string { return "rcb" }
 
-// Partition implements Partitioner.
+// Partition implements Partitioner: k parts of equal weight share.
 func (r RCB) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 	if err := checkArgs(g, k); err != nil {
 		return nil, err
 	}
-	// Validation order matters: every error path must be checked before
-	// any r.Coords element is dereferenced, so zero-length or mismatched
-	// coordinate slices report an error instead of panicking.
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, fmt.Errorf("partition: empty graph")
 	}
-	if len(r.Coords) != n {
-		return nil, fmt.Errorf("partition: rcb has %d coordinates for %d tasks", len(r.Coords), n)
+	if err := CheckCoords(r.Coords, n); err != nil {
+		return nil, err
 	}
-	dims := len(r.Coords[0])
+	shares := make([]int, k)
+	for i := range shares {
+		shares[i] = 1
+	}
+	res := &Result{Assign: coordBisect(r.Coords, g.VertexWeights(), shares), K: k}
+	repairEmptyGroups(g, res)
+	return res, nil
+}
+
+// CapacityRCB splits the points coords into len(targets) groups where
+// group i receives exactly targets[i] points — the coordinate form of
+// CapacityPartition, which the hierarchical mapper uses to fill each
+// child's capacity. It runs RCB's bisection with every point weighing
+// one, so each cut falls exactly after the left targets' summed count.
+func CapacityRCB(coords [][]float64, targets []int) (*Result, error) {
+	n := len(coords)
+	if err := checkTargets(targets, n); err != nil {
+		return nil, err
+	}
+	if err := CheckCoords(coords, n); err != nil {
+		return nil, err
+	}
+	return &Result{Assign: coordBisect(coords, nil, targets), K: len(targets)}, nil
+}
+
+// CheckCoords reports whether coords give each of n tasks a position RCB
+// can read: one row per task, every row with the same 1–8 axes. Every
+// error is found before a row is dereferenced, so malformed input never
+// panics.
+func CheckCoords(coords [][]float64, n int) error {
+	if len(coords) != n {
+		return fmt.Errorf("partition: rcb has %d coordinates for %d tasks", len(coords), n)
+	}
+	if n == 0 {
+		return fmt.Errorf("partition: rcb has no coordinates")
+	}
+	dims := len(coords[0])
 	if dims < 1 || dims > 8 {
-		return nil, fmt.Errorf("partition: rcb supports 1-8 coordinate dimensions, got %d", dims)
+		return fmt.Errorf("partition: rcb supports 1-8 coordinate dimensions, got %d", dims)
 	}
-	for v, c := range r.Coords {
+	for v, c := range coords {
 		if len(c) != dims {
-			return nil, fmt.Errorf("partition: task %d has %d coordinates, want %d", v, len(c), dims)
+			return fmt.Errorf("partition: task %d has %d coordinates, want %d", v, len(c), dims)
 		}
 	}
-	assign := make([]int, n)
-	// Presorted-lists RCB: one (coord, id) sort per axis up front, then
-	// stable O(block) splits at every bisection level — O(d·n log n + d·n
-	// log k) total instead of re-sorting each block (O(n log n log k)).
-	// A stable split of a sorted list leaves both halves sorted, and each
-	// block's per-axis list restricted to the block is exactly what
-	// sorting the block would produce, so the cuts (and the resulting
-	// partition) are identical to sort-per-block RCB.
-	orders := make([][]int, dims)
+	return nil
+}
+
+// coordBisect assigns every point of coords to one of len(shares) parts by
+// presorted-lists recursive coordinate bisection and returns the
+// assignment. weight[v] is point v's load; nil weighs every point one.
+//
+// One (coord, id) sort per axis up front, then stable O(block) splits at
+// every bisection level — O(d·n log n + d·n log k) total instead of
+// re-sorting each block (O(n log n log k)). A stable split of a sorted
+// list leaves both halves sorted, and each block's per-axis list
+// restricted to the block is exactly what sorting the block would
+// produce, so the cuts (and the resulting partition) are identical to
+// sort-per-block RCB.
+func coordBisect(coords [][]float64, weight []float64, shares []int) []int {
+	n, dims := len(coords), len(coords[0])
+	b := &bisection{
+		coords:  coords,
+		weight:  weight,
+		orders:  make([][]int32, dims),
+		scratch: make([]int32, n),
+		left:    make([]bool, n),
+		assign:  make([]int, n),
+	}
+	ids := make([]int32, dims*n)
 	key := make([]axisKey, n)
-	for d := 0; d < dims; d++ {
-		for v := 0; v < n; v++ {
-			key[v] = axisKey{c: r.Coords[v][d], id: int32(v)}
+	for d := range b.orders {
+		for v := range key {
+			key[v] = axisKey{c: coords[v][d], id: int32(v)}
 		}
 		slices.SortFunc(key, func(a, b axisKey) int {
-			// Mirrors the historical comparator: coordinate first, id as
-			// the deterministic tie-break (also the NaN fallback).
+			// Coordinate first, id as the deterministic tie-break (also
+			// the NaN fallback).
 			if a.c < b.c {
 				return -1
 			}
@@ -72,17 +121,14 @@ func (r RCB) Partition(g *taskgraph.Graph, k int) (*Result, error) {
 			}
 			return int(a.id) - int(b.id)
 		})
-		orders[d] = make([]int, n)
+		od := ids[d*n : (d+1)*n]
 		for i := range key {
-			orders[d][i] = int(key[i].id)
+			od[i] = key[i].id
 		}
+		b.orders[d] = od
 	}
-	scratch := make([]int, n)
-	left := make([]bool, n)
-	r.bisect(g, orders, scratch, left, k, 0, assign)
-	res := &Result{Assign: assign, K: k}
-	repairEmptyGroups(g, res)
-	return res, nil
+	b.split(0, n, shares, 0)
+	return b.assign
 }
 
 // axisKey is one task's sort key along one axis.
@@ -91,14 +137,28 @@ type axisKey struct {
 	id int32
 }
 
-// bisect assigns parts [offset, offset+k) to the block whose per-axis
-// sorted index lists are orders. scratch and left are shared whole-graph
-// scratch: left is false for every block member on entry and restored on
-// exit.
-func (r RCB) bisect(g *taskgraph.Graph, orders [][]int, scratch []int, left []bool, k, offset int, assign []int) {
+// bisection is the state of one coordBisect call. Every block of the
+// recursion occupies the same position range of each axis list, so a
+// block is its range [lo, hi) and the lists are split in place.
+type bisection struct {
+	coords  [][]float64
+	weight  []float64 // nil: every point weighs one
+	orders  [][]int32 // per axis, point ids in (coordinate, id) order within each block's range
+	scratch []int32
+	left    []bool // false for every point between splits
+	assign  []int
+}
+
+// split assigns parts [offset, offset+len(shares)) to the block at
+// positions [lo, hi). The first ⌈k/2⌉ shares go left: the block is cut
+// along its longest-extent axis at the weighted point closest to the
+// left shares' fraction of the block's load, keeping at least one point
+// per part on each side.
+func (b *bisection) split(lo, hi int, shares []int, offset int) {
+	k := len(shares)
 	if k == 1 {
-		for _, v := range orders[0] {
-			assign[v] = offset
+		for _, v := range b.orders[0][lo:hi] {
+			b.assign[v] = offset
 		}
 		return
 	}
@@ -107,49 +167,59 @@ func (r RCB) bisect(g *taskgraph.Graph, orders [][]int, scratch []int, left []bo
 	// Longest-extent axis of this block: each list is sorted, so the
 	// extent is last minus first.
 	axis, bestExtent := 0, -1.0
-	for d := range orders {
-		l := orders[d]
-		if ext := r.Coords[l[len(l)-1]][d] - r.Coords[l[0]][d]; ext > bestExtent {
+	for d, od := range b.orders {
+		if ext := b.coords[od[hi-1]][d] - b.coords[od[lo]][d]; ext > bestExtent {
 			axis, bestExtent = d, ext
 		}
 	}
-	// Cut the chosen axis's order at the weighted point closest to the
-	// k1/k load fraction, keeping at least k1 tasks left and k2 right.
-	l := orders[axis]
-	total := 0.0
-	for _, v := range l {
-		total += g.VertexWeight(v)
+	l := b.orders[axis][lo:hi]
+	total := float64(len(l))
+	if b.weight != nil {
+		total = 0
+		for _, v := range l {
+			total += b.weight[v]
+		}
 	}
-	target := total * float64(k1) / float64(k)
+	leftShare, allShares := 0, 0
+	for i, s := range shares {
+		allShares += s
+		if i < k1 {
+			leftShare += s
+		}
+	}
+	// Unit weights make target the left shares' exact count, which the
+	// loop below reaches exactly: every share is at least one point.
+	target := total * float64(leftShare) / float64(allShares)
 	cut, acc := 0, 0.0
 	for cut < len(l)-k2 && (acc < target || cut < k1) {
-		acc += g.VertexWeight(l[cut])
+		if b.weight != nil {
+			acc += b.weight[l[cut]]
+		} else {
+			acc++
+		}
 		cut++
 	}
 	for _, v := range l[:cut] {
-		left[v] = true
+		b.left[v] = true
 	}
 	// Stable split of every axis list around the cut set, via scratch.
-	lower := make([][]int, len(orders))
-	upper := make([][]int, len(orders))
-	for d := range orders {
-		od := orders[d]
+	for _, od := range b.orders {
+		od = od[lo:hi]
 		li, ri := 0, cut
 		for _, v := range od {
-			if left[v] {
-				scratch[li] = v
+			if b.left[v] {
+				b.scratch[li] = v
 				li++
 			} else {
-				scratch[ri] = v
+				b.scratch[ri] = v
 				ri++
 			}
 		}
-		copy(od, scratch[:len(od)])
-		lower[d], upper[d] = od[:cut], od[cut:]
+		copy(od, b.scratch[:len(od)])
 	}
 	for _, v := range l[:cut] {
-		left[v] = false
+		b.left[v] = false
 	}
-	r.bisect(g, lower, scratch, left, k1, offset, assign)
-	r.bisect(g, upper, scratch, left, k2, offset+k1, assign)
+	b.split(lo, lo+cut, shares[:k1], offset)
+	b.split(lo+cut, hi, shares[k1:], offset+k1)
 }

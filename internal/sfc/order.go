@@ -1,7 +1,9 @@
 package sfc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -39,14 +41,48 @@ func mortonGeneric(order int, q []uint32) uint64 {
 	return d
 }
 
+// Key encodes the lattice cell q (one entry per axis, each below
+// 2^order) as its curve index: the raw coordinate in 1 dimension, the
+// Hilbert curve in 2 and 3, generic Morton in 4 and more. Task keys
+// (Keys) and processor keys (topology.CurveOrder) both come from it.
+func Key(order int, q []uint32) uint64 {
+	switch len(q) {
+	case 1:
+		return uint64(q[0])
+	case 2:
+		return HilbertEncode2(order, q[0], q[1])
+	case 3:
+		return HilbertEncode3(order, q[0], q[1], q[2])
+	default:
+		return mortonGeneric(order, q)
+	}
+}
+
+// Rank returns the indices of keys in (key, index) order: the curve walk
+// over the points whose curve indices keys holds, coincident or
+// colliding points in index order. Every geometric strategy and the
+// machine's curve walk order their points with it.
+func Rank(keys []uint64) []int32 {
+	order := make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
 // Keys maps each coordinate row to its space-filling-curve index on a
 // quantized integer lattice: the bounding box of all rows is scaled onto
 // a 2^order-per-axis grid (round to nearest), and each cell is encoded
 // with the Hilbert curve for 2 and 3 dimensions, the raw coordinate for
-// 1, and generic Morton for 4–8. Sorting rows by (key, row) yields the
-// locality-preserving linear order the geometric strategies consume;
-// coincident or curve-colliding points tie and must be broken by row
-// index at the sort.
+// 1, and generic Morton for 4–8 (Key). Rank sorts rows by (key, row)
+// into the locality-preserving linear order the geometric strategies
+// consume.
 //
 // Deterministic at any GOMAXPROCS: every key is a pure function of its
 // row and the global bounding box, and rows are written to disjoint
@@ -96,16 +132,7 @@ func Keys(coords [][]float64) ([]uint64, error) {
 			for i := 0; i < d; i++ {
 				q[i] = uint32((row[i]-lo[i])*scale[i] + 0.5)
 			}
-			switch d {
-			case 1:
-				keys[v] = uint64(q[0])
-			case 2:
-				keys[v] = HilbertEncode2(order, q[0], q[1])
-			case 3:
-				keys[v] = HilbertEncode3(order, q[0], q[1], q[2])
-			default:
-				keys[v] = mortonGeneric(order, q[:d])
-			}
+			keys[v] = Key(order, q[:d])
 		}
 	})
 	return keys, nil

@@ -135,3 +135,18 @@ func TestMortonGenericBijective(t *testing.T) {
 		}
 	}
 }
+
+// TestRankOrdersByKeyThenIndex: Rank sorts by key, and equal keys keep
+// index order.
+func TestRankOrdersByKeyThenIndex(t *testing.T) {
+	got := Rank([]uint64{5, 1, 5, 0, 1, 5})
+	want := []int32{3, 1, 4, 0, 2, 5}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Rank = %v, want %v", got, want)
+		}
+	}
+	if len(Rank(nil)) != 0 {
+		t.Fatal("Rank(nil) is not empty")
+	}
+}

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math/bits"
-	"sort"
 
 	"repro/internal/sfc"
 )
@@ -24,12 +23,12 @@ import (
 // Deterministic: the result depends only on the topology's coordinates.
 func CurveOrder(t Topology) []int32 {
 	p := t.Nodes()
-	order := make([]int32, p)
-	for q := range order {
-		order[q] = int32(q)
-	}
 	co, ok := t.(Coordinated)
 	if !ok {
+		order := make([]int32, p)
+		for q := range order {
+			order[q] = int32(q)
+		}
 		return order
 	}
 	dims := co.Dims()
@@ -42,32 +41,13 @@ func CurveOrder(t Topology) []int32 {
 	k := bits.Len(uint(maxExt - 1)) // lattice order: side 2^k covers every extent
 	keys := make([]uint64, p)
 	buf := make([]int, len(dims))
+	cell := make([]uint32, len(dims))
 	for q := 0; q < p; q++ {
 		co.Coord(q, buf)
-		switch len(dims) {
-		case 1:
-			keys[q] = uint64(buf[0])
-		case 2:
-			keys[q] = sfc.HilbertEncode2(k, uint32(buf[0]), uint32(buf[1]))
-		case 3:
-			keys[q] = sfc.HilbertEncode3(k, uint32(buf[0]), uint32(buf[1]), uint32(buf[2]))
-		default:
-			// d-dimensional Morton: interleave one bit per axis per level.
-			var key uint64
-			for lvl := k - 1; lvl >= 0; lvl-- {
-				for i := len(buf) - 1; i >= 0; i-- {
-					key = key<<1 | uint64(buf[i]>>uint(lvl)&1)
-				}
-			}
-			keys[q] = key
+		for i, c := range buf {
+			cell[i] = uint32(c)
 		}
+		keys[q] = sfc.Key(k, cell)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if keys[a] != keys[b] {
-			return keys[a] < keys[b]
-		}
-		return a < b
-	})
-	return order
+	return sfc.Rank(keys)
 }
