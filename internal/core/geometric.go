@@ -166,12 +166,14 @@ func (s RCBSFC) Place(g *taskgraph.Graph, t topology.Topology) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: rcb-sfc: %w", err)
 	}
-	// Part centroids: the mean position of each part's tasks.
+	// Part centroids: the mean position of each part's tasks, rows of
+	// one p×dims slab.
 	dims := len(s.Coords[0])
+	slab := make([]float64, p*dims)
 	centroids := make([][]float64, p)
 	counts := make([]int, p)
 	for q := range centroids {
-		centroids[q] = make([]float64, dims)
+		centroids[q] = slab[q*dims : (q+1)*dims : (q+1)*dims]
 	}
 	for v, q := range pr.Assign {
 		c := centroids[q]

@@ -85,7 +85,7 @@ func (s HierMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: hier strategy needs at least one task")
 	}
-	d := &hierDescender{s: s, h: h, placement: make([]int, n)}
+	d := newHierDescender(s, h, n)
 	if len(s.Coords) == n {
 		if err := partition.CheckCoords(s.Coords, n); err != nil {
 			return nil, fmt.Errorf("core: hier: %w", err)
@@ -111,6 +111,15 @@ type hierDescender struct {
 	// coords, when non-nil, holds every original task's position and
 	// routes the per-level splits through partition.CapacityRCB.
 	coords [][]float64
+	// pos is taskgraph.Induced's scratch, shared by every region and
+	// leaf: the recursion induces one subgraph at a time, and every
+	// graph it induces from has at most n vertices.
+	pos []int32
+}
+
+// newHierDescender returns phase 1's state for n tasks on h.
+func newHierDescender(s HierMap, h *hiertopo.Hierarchy, n int) *hierDescender {
+	return &hierDescender{s: s, h: h, placement: make([]int, n), pos: taskgraph.NewPositions(n)}
 }
 
 // descend splits the tasks in verts (whose induced subgraph is sub)
@@ -193,7 +202,7 @@ func (d *hierDescender) descend(sub *taskgraph.Graph, verts []int, level, base i
 		}
 		subChild := sub
 		if d.coords == nil {
-			if subChild, err = taskgraph.Induced(sub, local); err != nil {
+			if subChild, err = taskgraph.Induced(sub, local, d.pos); err != nil {
 				return fmt.Errorf("core: hier split at level %d: %w", level, err)
 			}
 		}
@@ -222,7 +231,7 @@ func (d *hierDescender) mapLeaf(sub *taskgraph.Graph, verts []int, base int) err
 		// leaf's subgraph numbers its tasks as inducing region by region
 		// would.
 		var err error
-		if sub, err = taskgraph.Induced(sub, verts); err != nil {
+		if sub, err = taskgraph.Induced(sub, verts, d.pos); err != nil {
 			return fmt.Errorf("core: hier leaf at rank %d: %w", base, err)
 		}
 	}

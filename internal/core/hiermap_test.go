@@ -287,7 +287,7 @@ func TestHierMapRefusesMalformedCoords(t *testing.T) {
 func hierLeafMapped(t testing.TB, g *taskgraph.Graph, h *hiertopo.Hierarchy) []int {
 	t.Helper()
 	n := g.NumVertices()
-	d := &hierDescender{s: HierMap{Seed: 1}, h: h, placement: make([]int, n)}
+	d := newHierDescender(HierMap{Seed: 1}, h, n)
 	verts := make([]int, n)
 	for i := range verts {
 		verts[i] = i

@@ -103,8 +103,9 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 	blockCoord := make([]int, len(dims))
 	localCoord := make([]int, len(dims))
 	globalCoord := make([]int, len(dims))
+	pos := taskgraph.NewPositions(g.NumVertices())
 	for grp, members := range groups {
-		sub, err := taskgraph.Induced(g, members)
+		sub, err := taskgraph.Induced(g, members, pos)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: block %d: %w", grp, err)
 		}

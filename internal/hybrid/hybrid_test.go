@@ -143,7 +143,7 @@ func TestEqualCountPartitionIndivisible(t *testing.T) {
 // inner strategy: taskgraph.Induced on a block's members, in member order.
 func TestInducedSubgraphStructure(t *testing.T) {
 	g := taskgraph.Mesh2D(3, 3, 10)
-	sub, err := taskgraph.Induced(g, []int{0, 1, 2}) // top row: a path
+	sub, err := taskgraph.Induced(g, []int{0, 1, 2}, taskgraph.NewPositions(g.NumVertices())) // top row: a path
 	if err != nil {
 		t.Fatal(err)
 	}

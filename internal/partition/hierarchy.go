@@ -219,7 +219,11 @@ func (sc *contractScratch) sized(coarseN int32) (memA, memB, seenC, seenAt []int
 	return sc.memA[:coarseN], sc.memB[:coarseN], sc.seenC[:coarseN], sc.seenAt[:coarseN]
 }
 
-// contract builds the coarse graph induced by cmap. Merged values
+// contract builds the coarse graph induced by cmap, allocating exactly the
+// edges it keeps. A count pass stamps each coarse vertex's distinct
+// coarse neighbors in seenC with -2-c, a value the fill pass never
+// writes, so one clearing serves both passes; Adjncy and Adjwgt are then
+// allocated once at the counted total and filled. Merged values
 // accumulate in ascending fine-member order, so the result is independent
 // of the commit visit order that numbered the coarse vertices. With
 // sortAdj the per-vertex adjacency blocks are sorted by neighbor id
@@ -241,61 +245,77 @@ func contract(lvl *CGraph, cmap []int32, coarseN int32, sortAdj bool, sc *contra
 			memB[c] = v
 		}
 	}
-	coarse := &CGraph{
-		N:      int(coarseN),
-		Xadj:   make([]int32, coarseN+1),
-		Vwgt:   make([]float64, coarseN),
-		Tcount: make([]int32, coarseN),
-	}
-	total := len(lvl.Adjncy)
-	coarse.Adjncy = make([]int32, 0, total)
-	coarse.Adjwgt = make([]float64, 0, total)
 	// seenC/seenAt dedup coarse neighbors per vertex: seenC[cu] == c marks
-	// cu already emitted for the current c, at position seenAt[cu].
+	// cu already emitted for the current c, at position seenAt[cu]; the
+	// count pass marks it with -2-c instead.
 	for i := range seenC {
 		seenC[i] = -1
 	}
-	appendEdges := func(c, m int32) {
-		for i := lvl.Xadj[m]; i < lvl.Xadj[m+1]; i++ {
-			cu := cmap[lvl.Adjncy[i]]
-			if cu == c {
-				continue
+	fxadj, fadj, fwgt := lvl.Xadj, lvl.Adjncy, lvl.Adjwgt
+	xadj := make([]int32, coarseN+1)
+	for c := int32(0); c < coarseN; c++ {
+		stamp, deg := -2-c, int32(0)
+		for _, m := range [2]int32{memA[c], memB[c]} {
+			if m < 0 {
+				break
 			}
-			if seenC[cu] != c {
-				seenC[cu] = c
-				seenAt[cu] = int32(len(coarse.Adjncy))
-				coarse.Adjncy = append(coarse.Adjncy, cu)
-				coarse.Adjwgt = append(coarse.Adjwgt, lvl.Adjwgt[i])
-			} else {
-				coarse.Adjwgt[seenAt[cu]] += lvl.Adjwgt[i]
+			for _, u := range fadj[fxadj[m]:fxadj[m+1]] {
+				if cu := cmap[u]; cu != c && seenC[cu] != stamp {
+					seenC[cu] = stamp
+					deg++
+				}
 			}
 		}
+		xadj[c+1] = xadj[c] + deg
 	}
+	adj := make([]int32, xadj[coarseN])
+	wgt := make([]float64, len(adj))
+	vwgt := make([]float64, coarseN)
+	tcount := make([]int32, coarseN)
+	var sorter *adjSorter // sort.Sort's operand escapes: one per call, not per block
+	if sortAdj {
+		sorter = new(adjSorter)
+	}
+	next := int32(0)
 	for c := int32(0); c < coarseN; c++ {
 		a, b := memA[c], memB[c]
-		coarse.Vwgt[c] = lvl.Vwgt[a]
-		coarse.Tcount[c] = lvl.TcountOf(a)
-		appendEdges(c, a)
+		vwgt[c] = lvl.Vwgt[a]
+		tcount[c] = lvl.TcountOf(a)
 		if b >= 0 {
-			coarse.Vwgt[c] += lvl.Vwgt[b]
-			coarse.Tcount[c] += lvl.TcountOf(b)
-			appendEdges(c, b)
+			vwgt[c] += lvl.Vwgt[b]
+			tcount[c] += lvl.TcountOf(b)
 		}
-		start := coarse.Xadj[c]
-		coarse.Xadj[c+1] = int32(len(coarse.Adjncy))
-		if sortAdj {
-			sortAdjBlock(coarse.Adjncy[start:coarse.Xadj[c+1]], coarse.Adjwgt[start:coarse.Xadj[c+1]])
+		for _, m := range [2]int32{a, b} {
+			if m < 0 {
+				break
+			}
+			lo, hi := fxadj[m], fxadj[m+1]
+			fw := fwgt[lo:hi]
+			for i, u := range fadj[lo:hi] {
+				cu := cmap[u]
+				if cu == c {
+					continue
+				}
+				if seenC[cu] != c {
+					seenC[cu] = c
+					seenAt[cu] = next
+					adj[next], wgt[next] = cu, fw[i]
+					next++
+				} else {
+					wgt[seenAt[cu]] += fw[i]
+				}
+			}
+		}
+		if sorter != nil {
+			sorter.adj, sorter.wgt = adj[xadj[c]:next], wgt[xadj[c]:next]
+			sort.Sort(sorter)
 		}
 	}
-	return coarse
+	return &CGraph{N: int(coarseN), Xadj: xadj, Adjncy: adj, Adjwgt: wgt, Vwgt: vwgt, Tcount: tcount}
 }
 
-// sortAdjBlock sorts one adjacency block by neighbor id, keeping weights
+// adjSorter sorts one adjacency block by neighbor id, keeping weights
 // parallel.
-func sortAdjBlock(adj []int32, wgt []float64) {
-	sort.Sort(&adjSorter{adj: adj, wgt: wgt})
-}
-
 type adjSorter struct {
 	adj []int32
 	wgt []float64

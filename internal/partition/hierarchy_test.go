@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -127,5 +128,54 @@ func TestHierarchyMaxTasks(t *testing.T) {
 	if coarsest := h.Levels[len(h.Levels)-1]; most != limit || coarsest.N <= coarsenTo {
 		t.Fatalf("largest vertex holds %d tasks at %d vertices; want the cap %d to stop coarsening above %d",
 			most, coarsest.N, limit, coarsenTo)
+	}
+}
+
+// TestContractExactCapacity pins contract's count-then-fill sizing: on
+// every level of BuildHierarchy and of Multilevel's coarsening, the
+// coarse adjacency is allocated at exactly the edges it keeps.
+func TestContractExactCapacity(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *taskgraph.Graph
+	}{
+		{"stencil9:64,64", taskgraph.Stencil9(64, 64, 1e5)},
+		{"rgg:4096,8", taskgraph.RandomGeometricDeg(4096, 8, 1e5, 1)},
+	}
+	exact := func(what string, li int, lvl *CGraph) {
+		t.Helper()
+		if cap(lvl.Adjncy) != len(lvl.Adjncy) || cap(lvl.Adjwgt) != len(lvl.Adjwgt) {
+			t.Errorf("%s level %d: Adjncy %d/%d, Adjwgt %d/%d (len/cap)", what, li,
+				len(lvl.Adjncy), cap(lvl.Adjncy), len(lvl.Adjwgt), cap(lvl.Adjwgt))
+		}
+	}
+	for _, c := range cases {
+		h := BuildHierarchy(c.g, 64)
+		if len(h.Levels) < 2 {
+			t.Fatalf("%s: BuildHierarchy made %d levels", c.name, len(h.Levels))
+		}
+		for li, lvl := range h.Levels {
+			exact(c.name+" BuildHierarchy", li, lvl)
+		}
+		// Multilevel's coarsening loop at k = 256, its default CoarsenTo.
+		const k = 256
+		cur := FromTaskGraph(c.g)
+		maxVwgt := 1.5 * cur.totalVwgt() / k
+		ar := &arena{}
+		ar.forCoarsening(cur.N)
+		rng := rand.New(rand.NewSource(1))
+		levels := 0
+		for cur.N > 4*k {
+			coarse, _ := coarsen(cur, rng, maxVwgt, ar)
+			exact(c.name+" coarsen", levels, coarse)
+			if coarse.N >= cur.N || float64(coarse.N) > 0.95*float64(cur.N) {
+				break
+			}
+			cur = coarse
+			levels++
+		}
+		if levels < 2 {
+			t.Fatalf("%s: Multilevel's coarsening made %d levels", c.name, levels)
+		}
 	}
 }

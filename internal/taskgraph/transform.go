@@ -86,29 +86,67 @@ func Permute(g *Graph, perm []int) (*Graph, error) {
 // Induced extracts the subgraph on the given vertices: sub-vertex i
 // corresponds to vertices[i]; edges leaving the set are dropped.
 // Duplicate vertices are rejected.
-func Induced(g *Graph, vertices []int) (*Graph, error) {
-	idx := make(map[int]int, len(vertices))
+//
+// pos is the caller's scratch: at least g.NumVertices() entries, all -1
+// on entry and again on return, error paths included, so one array
+// serves every call on a graph and its subgraphs. Induced stamps each
+// vertex's sub-id in pos, counts the kept pairs of every parent row
+// (each once, from its lower sub-id's side), allocates the sub-graph's
+// CSR once at that count, places each pair on both rows in the same
+// order, and finishes through FromCSR. The result is the one a Builder
+// fed those pairs in that order would build, edge order, weights and
+// name included, without its edge list.
+func Induced(g *Graph, vertices []int, pos []int32) (*Graph, error) {
+	n := g.NumVertices()
+	if len(pos) < n {
+		panic(fmt.Sprintf("taskgraph: Induced needs %d positions, got %d", n, len(pos)))
+	}
 	for i, v := range vertices {
-		if v < 0 || v >= g.NumVertices() {
-			return nil, fmt.Errorf("taskgraph: vertex %d out of range", v)
+		var err error
+		if v < 0 || v >= n {
+			err = fmt.Errorf("taskgraph: vertex %d out of range", v)
+		} else if pos[v] >= 0 {
+			err = fmt.Errorf("taskgraph: duplicate vertex %d", v)
 		}
-		if _, dup := idx[v]; dup {
-			return nil, fmt.Errorf("taskgraph: duplicate vertex %d", v)
+		if err != nil {
+			for _, u := range vertices[:i] {
+				pos[u] = -1
+			}
+			return nil, err
 		}
-		idx[v] = i
+		pos[v] = int32(i)
 	}
 	if len(vertices) == 0 {
 		return nil, fmt.Errorf("taskgraph: empty vertex set")
 	}
-	b := NewBuilder(len(vertices))
-	for i, v := range vertices {
-		b.SetVertexWeight(i, g.VertexWeight(v))
-		adj, w := g.Neighbors(v)
-		for j, u := range adj {
-			if k, ok := idx[int(u)]; ok && i < k {
-				b.AddEdge(i, k, w[j])
+	eachPair := func(pair func(a, b int, w float64)) {
+		for i, v := range vertices {
+			adj, w := g.Neighbors(v)
+			for j, u := range adj {
+				if k := int(pos[u]); k > i && keepEdge(i, k, w[j]) {
+					pair(i, k, w[j])
+				}
 			}
 		}
 	}
-	return b.Build(fmt.Sprintf("induced(%s,%d)", g.Name(), len(vertices))), nil
+	f := newCSRFill(len(vertices))
+	eachPair(f.count)
+	f.alloc()
+	eachPair(f.place)
+	vwgt := make([]float64, len(vertices))
+	for i, v := range vertices {
+		vwgt[i] = g.vwgt[v]
+		pos[v] = -1
+	}
+	return f.finish(fmt.Sprintf("induced(%s,%d)", g.Name(), len(vertices)), vwgt), nil
+}
+
+// NewPositions returns n entries of -1: the scratch Induced takes for a
+// graph of up to n vertices.
+func NewPositions(n int) []int32 {
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return pos
 }

@@ -92,7 +92,8 @@ func TestPermuteValidation(t *testing.T) {
 
 func TestInduced(t *testing.T) {
 	g := Mesh2D(3, 3, 10)
-	sub, err := Induced(g, []int{0, 1, 2}) // top row path
+	pos := NewPositions(g.NumVertices())
+	sub, err := Induced(g, []int{0, 1, 2}, pos) // top row path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +106,13 @@ func TestInduced(t *testing.T) {
 	if sub.EdgeWeight(0, 2) != 0 {
 		t.Error("unexpected induced edge 0-2")
 	}
-	if _, err := Induced(g, []int{0, 0}); err == nil {
+	if _, err := Induced(g, []int{0, 0}, pos); err == nil {
 		t.Error("duplicate: want error")
 	}
-	if _, err := Induced(g, []int{42}); err == nil {
+	if _, err := Induced(g, []int{42}, pos); err == nil {
 		t.Error("out of range: want error")
 	}
-	if _, err := Induced(g, nil); err == nil {
+	if _, err := Induced(g, nil, pos); err == nil {
 		t.Error("empty: want error")
 	}
 }
