@@ -83,11 +83,17 @@ func (c placeCase) operands(b *testing.B) (*taskgraph.Graph, topology.Topology, 
 func (c placeCase) bench(p placer) func(*testing.B) {
 	return func(b *testing.B) {
 		g, t, coords := c.operands(b)
-		var placement []int
+		// One untimed call first. What a call builds lazily on these
+		// operands (a hierarchy's neighbour lists) would otherwise count in
+		// allocs/op whenever a row slow enough to be timed at one iteration
+		// runs, and whether it is depends on the machine.
+		placement, err := p(g, t, coords)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var err error
 			if placement, err = p(g, t, coords); err != nil {
 				b.Fatal(err)
 			}

@@ -29,7 +29,13 @@ import (
 // comment reads that change, and is the only one where no earlier change
 // moved the case. Eight fall. rgg:960,8 on the zone:3 machine ends 2.4 %
 // higher: both passes are greedy, and Refine's first-improvement sweep
-// stops at another local optimum there.
+// stops at another local optimum there. The five surjective cases split
+// without coordinates gained one more arrow when CapacityPartition's
+// count repair took hybrid's rule (rescore the donor's members after
+// every move, not rank them once); all five fall, rgg:960,8 on zone:3 by
+// 26.5 %. The coordinate cases split through CapacityRCB, and the
+// packing case's splits come out the same under both rules, so none of
+// them moved.
 func TestHierMapPlaceHashes(t *testing.T) {
 	const machine = "pod:2/rack:4/node:8:torus-2x4"
 	cases := []struct {
@@ -37,16 +43,16 @@ func TestHierMapPlaceHashes(t *testing.T) {
 		coords           bool
 		want             uint64
 	}{
-		{"rgg:1024,8", machine, false, 0xd420eb281a3a079},      // 4113181911 → 4113092586 → 4113498220 → 4112641447
+		{"rgg:1024,8", machine, false, 0x43b3139f922ff6c1},     // 4113181911 → 4113092586 → 4113498220 → 4112641447 → 3403524207
 		{"rgg:1024,8", machine, true, 0x7dd1bab28e47546d},      // 2523103285 → 2520019175 → 2519468920 → 2516253638
-		{"rgg:4096,8", machine, false, 0xd6dbc8d1a99ec07d},     // 7136738467 → 7130742203 → 7108149528 → 7089854516
+		{"rgg:4096,8", machine, false, 0xe14bc4313d97d1b9},     // 7136738467 → 7130742203 → 7108149528 → 7089854516 → 5220391526
 		{"rgg:4096,8", machine, true, 0x9ddc88dca7e623c5},      // 5973246508 → 5975917814 → 5949215860 → 5930752936
-		{"stencil9:32,16", machine, false, 0xdbd6bdb1318684c5}, // 4393600000 → 4393050000
+		{"stencil9:32,16", machine, false, 0x1a30705b12df44e5}, // 4393600000 → 4393050000 → 4298700000
 		{"stencil9:32,16", machine, true, 0x49f6081c90a90a25},
-		{"stencil9:80,48", machine, false, 0xef901086bc2181e5},             // 1.3037375e10 → 1.3038475e10 → 1.300285e10 → 1.298445e10
+		{"stencil9:80,48", machine, false, 0x85f603b05676db11},             // 1.3037375e10 → 1.3038475e10 → 1.300285e10 → 1.298445e10 → 1.2895875e10
 		{"stencil9:80,48", machine, true, 0xcc34ea8b1b93b625},              // 1.11144e10 → 1.10984e10 → 1.10888e10 → 1.10808e10
 		{"stencil9:20,10", machine, false, 0x78f3d9c2f3e0a025},             // 612625000 → 610450000
-		{"rgg:960,8", "zone:3/host:4:mesh-3x3", false, 0xa43c760389e3cbe5}, // 583668761.6 → 580774789.6 → 575093078.9 → 589022067.8
+		{"rgg:960,8", "zone:3/host:4:mesh-3x3", false, 0xf25e58658f979845}, // 583668761.6 → 580774789.6 → 575093078.9 → 589022067.8 → 432747740.8
 		{"stencil9:40,24", "pod:2@27/rack:4@9/node:8@3:torus-2x4", true, 0x69feeafa265fa825},
 	}
 	for _, tc := range cases {

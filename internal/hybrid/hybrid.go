@@ -4,8 +4,10 @@
 // be needed for scalability".
 //
 // The machine is tiled into equal blocks (sub-grids). Tasks are first
-// partitioned into one group per block and the group-level quotient graph
-// is mapped onto the coarse block grid with TopoLB; then each group is
+// partitioned into one group of exactly one block's size per block, by
+// partition.CapacityPartition (the split the hierarchical mapper makes
+// without coordinates), and the group-level quotient graph is mapped
+// onto the coarse block grid with TopoLB; then each group is
 // mapped within its block, again with TopoLB, using only the group's
 // induced subgraph. Both levels are small, so the total cost drops from
 // TopoLB's O(p²) toward O(B² + p²/B) at a modest hop-byte penalty — the
@@ -58,8 +60,15 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 	}
 	numBlocks := t.Nodes() / blockVol
 
-	// Phase 1: equal-count partition of tasks into one group per block.
-	assign, err := equalCountPartition(g, numBlocks, h.Seed)
+	// Phase 1: one group of exactly blockVol tasks per block. The
+	// multilevel partition keeps the real weights (unit weights would skew
+	// LeanMD-style graphs); CapacityPartition's count repair then moves
+	// each over-full group's least-loss tasks to under-full groups.
+	targets := make([]int, numBlocks)
+	for i := range targets {
+		targets[i] = blockVol
+	}
+	pr, err := partition.CapacityPartition(g, targets, partition.Multilevel{Seed: h.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +78,6 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 	// wraparound survives tiling form a torus of blocks; a mesh stays a
 	// mesh. (For simplicity and safety we use a mesh unless the machine
 	// is a torus.)
-	pr := &partition.Result{Assign: assign, K: numBlocks}
 	q, err := partition.Quotient(g, pr)
 	if err != nil {
 		return nil, err
@@ -92,7 +100,7 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 	// Phase 3: map each group inside its block with the induced subgraph.
 	m := make(core.Mapping, g.NumVertices())
 	groups := make([][]int, numBlocks)
-	for v, grp := range assign {
+	for v, grp := range pr.Assign {
 		groups[grp] = append(groups[grp], v)
 	}
 	localTopo, err := topology.NewMesh(h.Block...)
@@ -123,81 +131,4 @@ func (h Hybrid) Map(g *taskgraph.Graph, t topology.Topology) (core.Mapping, erro
 		}
 	}
 	return m, nil
-}
-
-// equalCountPartition produces a partition with exactly n/k tasks per
-// group: a multilevel partition (unit weights would skew LeanMD-style
-// graphs, so real weights are kept) followed by count repair that moves
-// the least-connected tasks out of over-full groups.
-func equalCountPartition(g *taskgraph.Graph, k int, seed int64) ([]int, error) {
-	n := g.NumVertices()
-	if n%k != 0 {
-		return nil, fmt.Errorf("hybrid: %d tasks not divisible into %d equal blocks", n, k)
-	}
-	size := n / k
-	pr, err := (partition.Multilevel{Seed: seed}).Partition(g, k)
-	if err != nil {
-		return nil, err
-	}
-	assign := append([]int(nil), pr.Assign...)
-	counts := make([]int, k)
-	for _, grp := range assign {
-		counts[grp]++
-	}
-	// Repeatedly move the task with the weakest tie to its over-full
-	// group into the under-full group it communicates with most.
-	for {
-		over := -1
-		for grp, c := range counts {
-			if c > size {
-				over = grp
-				break
-			}
-		}
-		if over < 0 {
-			break
-		}
-		bestV, bestTarget := -1, -1
-		bestLoss := 0.0
-		for v, grp := range assign {
-			if grp != over {
-				continue
-			}
-			adj, w := g.Neighbors(v)
-			connOwn := 0.0
-			connTo := make(map[int]float64)
-			for i, u := range adj {
-				gu := assign[u]
-				if gu == grp {
-					connOwn += w[i]
-				} else if counts[gu] < size {
-					connTo[gu] += w[i]
-				}
-			}
-			target, connBest := -1, -1.0
-			for gu, c := range connTo {
-				//lint:ignore floatcmp exact tie detection: equal sums of the same weights tie-break on the smaller group id
-				if c > connBest || (c == connBest && gu < target) {
-					target, connBest = gu, c
-				}
-			}
-			if target < 0 { // no attractive group; pick any under-full one
-				for gu, c := range counts {
-					if c < size {
-						target = gu
-						break
-					}
-				}
-				connBest = 0
-			}
-			loss := connOwn - connBest
-			if bestV < 0 || loss < bestLoss {
-				bestV, bestTarget, bestLoss = v, target, loss
-			}
-		}
-		assign[bestV] = bestTarget
-		counts[over]--
-		counts[bestTarget]++
-	}
-	return assign, nil
 }

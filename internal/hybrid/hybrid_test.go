@@ -111,34 +111,6 @@ func TestHybridWholeMachineBlockEqualsFlat(t *testing.T) {
 	}
 }
 
-func TestEqualCountPartitionExact(t *testing.T) {
-	g := taskgraph.LeanMD(8, 1e4, 1) // 3248 vertices
-	assign, err := equalCountPartition(g, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 8)
-	for _, grp := range assign {
-		if grp < 0 || grp >= 8 {
-			t.Fatalf("group %d out of range", grp)
-		}
-		counts[grp]++
-	}
-	want := g.NumVertices() / 8
-	for grp, c := range counts {
-		if c != want {
-			t.Errorf("group %d has %d tasks, want exactly %d", grp, c, want)
-		}
-	}
-}
-
-func TestEqualCountPartitionIndivisible(t *testing.T) {
-	g := taskgraph.Ring(10, 1)
-	if _, err := equalCountPartition(g, 4, 1); err == nil {
-		t.Error("want error for 10 tasks into 4 equal blocks")
-	}
-}
-
 // TestInducedSubgraphStructure checks the block subgraph Map hands to its
 // inner strategy: taskgraph.Induced on a block's members, in member order.
 func TestInducedSubgraphStructure(t *testing.T) {

@@ -97,6 +97,14 @@ func (c *Config) validate() error {
 	if c.Topology == nil {
 		return &ConfigError{Field: "Topology", Reason: "required"}
 	}
+	return c.CheckSettings()
+}
+
+// CheckSettings is validate without the Topology check: every rule on
+// the numeric fields, the mode and the flag combinations. A caller that
+// names a simulation before it builds the machine (the mapping service)
+// calls it to refuse an invalid spec first.
+func (c *Config) CheckSettings() error {
 	if math.IsNaN(c.LinkBandwidth) || c.LinkBandwidth <= 0 {
 		return &ConfigError{Field: "LinkBandwidth", Reason: fmt.Sprintf("must be positive, got %v", c.LinkBandwidth)}
 	}

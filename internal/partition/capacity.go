@@ -2,20 +2,19 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/taskgraph"
 )
 
 // CapacityPartition splits g into exactly len(targets) groups where
 // group i receives exactly targets[i] vertices — the constrained form
-// the hierarchical mapper needs, where each group must fill a fixed
-// child capacity. The split minimizes edge cut with the ordinary
-// slack-balanced multilevel machinery, then repairs the counts with a
-// deterministic least-attachment move pass: every surplus vertex of an
-// over-full group migrates to the under-full group it communicates with
-// most (ties toward the lower group index), or to the neediest group
-// when it has no under-full neighbors.
+// the hierarchical mapper (each group fills a fixed child capacity) and
+// the hybrid block mapper (one equal group per block) need. The split
+// minimizes edge cut with the ordinary slack-balanced multilevel
+// machinery, then repairCounts makes the counts exact: each over-full
+// group in turn gives up its least-loss task, rescored after every move,
+// to the under-full group that task communicates with most.
 //
 // Targets are vertex counts, not weights: the hierarchical mapper's
 // downstream leaf kernels place one task per processor slot, so counts
@@ -62,111 +61,94 @@ func checkTargets(targets []int, n int) error {
 }
 
 // repairCounts moves vertices out of over-full groups until every group
-// size matches its target. Candidates leave their donor in order of
-// least net attachment (external pull toward an under-full group minus
-// internal pull), so the cut grows as little as the count constraint
-// allows; every choice breaks ties toward the lower index, keeping the
-// repair deterministic.
+// holds its target. Donors are visited in index order. While a donor is
+// over-full, each of its members is scored by its weight into the donor
+// minus its largest summed weight into any one under-full group (ties
+// toward the lower group index; a member with no under-full neighbour
+// scores against 0 and targets the lowest-index under-full group), and
+// the first member with the least score moves. Scores are exact
+// recomputations: a move rescores only the members adjacent to the moved
+// vertex, and every member when the receiving group fills, because the
+// set of under-full groups then changes.
 func repairCounts(g *taskgraph.Graph, r *Result, targets []int) {
-	sizes := r.GroupSizes()
-	// attachment returns v's edge weight into group q.
-	attachment := func(v, q int) float64 {
-		adj, w := g.Neighbors(v)
-		sum := 0.0
-		for i, u := range adj {
-			if r.Assign[u] == q {
-				sum += w[i]
-			}
-		}
-		return sum
-	}
-	// bestUnderfull returns the under-full group v communicates with
-	// most, or -1 when v has no under-full neighbor group. Per-group
-	// sums accumulate over (group, weight) pairs sorted by group, so the
-	// winner (ties toward the lower group index) is deterministic.
-	bestUnderfull := func(v int) int {
-		adj, w := g.Neighbors(v)
-		type gw struct {
-			q int
-			w float64
-		}
-		var pairs []gw
-		for i, u := range adj {
-			q := r.Assign[u]
-			if sizes[q] < targets[q] {
-				pairs = append(pairs, gw{q, w[i]})
-			}
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].q < pairs[j].q })
-		best, bestW := -1, 0.0
-		for i := 0; i < len(pairs); {
-			j := i
-			sum := 0.0
-			for ; j < len(pairs) && pairs[j].q == pairs[i].q; j++ {
-				sum += pairs[j].w
-			}
-			if best < 0 || sum > bestW {
-				best, bestW = pairs[i].q, sum
-			}
-			i = j
-		}
-		return best
-	}
-	// neediest returns the group with the largest remaining deficit
-	// (ties toward the lower index).
-	neediest := func() int {
-		best, bestDef := -1, 0
-		for q := range targets {
-			if def := targets[q] - sizes[q]; def > bestDef {
-				best, bestDef = q, def
-			}
-		}
-		return best
-	}
-	for d := 0; d < r.K; d++ {
+	assign, sizes := r.Assign, r.GroupSizes()
+	acc := make([]float64, len(targets)) // per-group weight of one vertex
+	seen := make([]bool, len(targets))
+	var touched, members []int
+	var loss []float64
+	var dest []int
+	first := 0 // the lowest-index under-full group
+	for d := range targets {
 		if sizes[d] <= targets[d] {
 			continue
 		}
-		// Rank d's vertices by how cheaply they can leave: external pull
-		// toward some under-full group minus internal pull, descending.
-		type cand struct {
-			v     int
-			score float64
+		if loss == nil {
+			loss, dest = make([]float64, len(assign)), make([]int, len(assign))
 		}
-		var cands []cand
-		for v, q := range r.Assign {
-			if q != d {
-				continue
+		score := func(v int) {
+			adj, w := g.Neighbors(v)
+			own := 0.0
+			for i, u := range adj {
+				if q := assign[u]; q == d {
+					own += w[i]
+				} else if sizes[q] < targets[q] {
+					if !seen[q] {
+						seen[q] = true
+						touched = append(touched, q)
+					}
+					acc[q] += w[i]
+				}
 			}
-			ext := 0.0
-			if b := bestUnderfull(v); b >= 0 {
-				ext = attachment(v, b)
+			to, best := -1, -1.0
+			for _, q := range touched {
+				//lint:ignore floatcmp exact tie detection: equal sums of the same weights go to the lower group index
+				if acc[q] > best || (acc[q] == best && q < to) {
+					to, best = q, acc[q]
+				}
+				acc[q], seen[q] = 0, false
 			}
-			cands = append(cands, cand{v, ext - attachment(v, d)})
+			touched = touched[:0]
+			if to < 0 {
+				to, best = first, 0
+			}
+			loss[v], dest[v] = own-best, to
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].score > cands[j].score {
-				return true
+		members = members[:0]
+		for v, q := range assign {
+			if q == d {
+				members = append(members, v)
 			}
-			if cands[j].score > cands[i].score {
-				return false
+		}
+		rescoreAll := true
+		for sizes[d] > targets[d] {
+			if rescoreAll {
+				for sizes[first] >= targets[first] {
+					first++
+				}
+				for _, v := range members {
+					score(v)
+				}
 			}
-			return cands[i].v < cands[j].v
-		})
-		for _, c := range cands {
-			if sizes[d] == targets[d] {
-				break
+			bi := 0
+			for i, v := range members {
+				if loss[v] < loss[members[bi]] {
+					bi = i
+				}
 			}
-			to := bestUnderfull(c.v)
-			if to < 0 {
-				to = neediest()
-			}
-			if to < 0 {
-				break // no deficit anywhere; nothing left to repair
-			}
-			r.Assign[c.v] = to
+			v, to := members[bi], dest[members[bi]]
+			members = slices.Delete(members, bi, bi+1)
+			assign[v] = to
 			sizes[d]--
 			sizes[to]++
+			// A group that fills leaves the under-full set every score reads.
+			if rescoreAll = sizes[to] == targets[to]; !rescoreAll {
+				adj, _ := g.Neighbors(v)
+				for _, u := range adj {
+					if assign[u] == d {
+						score(int(u))
+					}
+				}
+			}
 		}
 	}
 }

@@ -6,14 +6,23 @@ import (
 	"repro/internal/taskgraph"
 )
 
+// TestCapacityPartitionExactCounts checks every group's count on a mesh
+// and on a LeanMD graph, whose uneven weights leave the multilevel phase
+// far from equal counts (hybrid's eight equal blocks).
 func TestCapacityPartitionExactCounts(t *testing.T) {
-	g := taskgraph.Mesh2D(12, 12, 1e5)
-	for _, targets := range [][]int{
-		{72, 72},
-		{36, 36, 36, 36},
-		{100, 20, 24},
-		{1, 1, 142},
+	mesh := taskgraph.Mesh2D(12, 12, 1e5)
+	leanmd := taskgraph.LeanMD(8, 1e4, 1) // 3248 vertices
+	for _, tc := range []struct {
+		g       *taskgraph.Graph
+		targets []int
+	}{
+		{mesh, []int{72, 72}},
+		{mesh, []int{36, 36, 36, 36}},
+		{mesh, []int{100, 20, 24}},
+		{mesh, []int{1, 1, 142}},
+		{leanmd, []int{406, 406, 406, 406, 406, 406, 406, 406}},
 	} {
+		g, targets := tc.g, tc.targets
 		r, err := CapacityPartition(g, targets, Multilevel{Seed: 1})
 		if err != nil {
 			t.Fatalf("CapacityPartition(%v): %v", targets, err)

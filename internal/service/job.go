@@ -140,6 +140,22 @@ type SimSpec struct {
 	CollectLatencies bool `json:"collect_latencies,omitempty"`
 }
 
+// config is the simulator configuration s spells, in mode, on machine t.
+func (s *SimSpec) config(mode netsim.Mode, t topology.Router) netsim.Config {
+	return netsim.Config{
+		Topology:         t,
+		LinkBandwidth:    s.LinkBandwidth,
+		LinkLatency:      s.LinkLatency,
+		PacketSize:       s.PacketSize,
+		Adaptive:         s.Adaptive,
+		BufferPackets:    s.BufferPackets,
+		Mode:             mode,
+		FlitSize:         s.FlitSize,
+		FlitBuffer:       s.FlitBuffer,
+		CollectLatencies: s.CollectLatencies,
+	}
+}
+
 // JobResult is the response body for one completed job. Field order is
 // the wire order; the body is cached and must be identical to what a
 // direct library call would produce.
@@ -333,14 +349,12 @@ func name(spec Job, maxTasks int) (*job, error) {
 		if err != nil {
 			return nil, badJob(400, "job: sim: %v", err)
 		}
-		if sim.FlitSize < 0 || sim.FlitBuffer < 0 {
-			return nil, badJob(400, "job: sim: flit_size and flit_buffer must be non-negative")
+		if sim.ComputeTime < 0 {
+			return nil, badJob(400, "job: sim.compute_time must be non-negative")
 		}
-		if mode == netsim.ModeWormhole && sim.Adaptive {
-			return nil, badJob(400, "job: sim: wormhole mode routes deterministically (adaptive not supported)")
-		}
-		if mode == netsim.ModeWormhole && sim.BufferPackets > 0 {
-			return nil, badJob(400, "job: sim: wormhole mode has its own flit buffers (buffer_packets not supported)")
+		cfg := sim.config(mode, nil)
+		if err := cfg.CheckSettings(); err != nil {
+			return nil, badJob(400, "job: sim: %v", err)
 		}
 		spec.Sim = &sim
 	}
@@ -647,18 +661,7 @@ func (j *job) compute() (*JobResult, error) {
 		if err != nil {
 			return nil, badJob(400, "job: sim: %v", err)
 		}
-		cfg := netsim.Config{
-			Topology:         j.topo.(topology.Router),
-			LinkBandwidth:    s.LinkBandwidth,
-			LinkLatency:      s.LinkLatency,
-			PacketSize:       s.PacketSize,
-			Adaptive:         s.Adaptive,
-			BufferPackets:    s.BufferPackets,
-			Mode:             mode,
-			FlitSize:         s.FlitSize,
-			FlitBuffer:       s.FlitBuffer,
-			CollectLatencies: s.CollectLatencies,
-		}
+		cfg := s.config(mode, j.topo.(topology.Router))
 		eng := netsim.GetEngine()
 		rr, err := trace.ReplayOn(eng, prog, m, cfg)
 		netsim.PutEngine(eng)

@@ -374,3 +374,38 @@ func awaitAsync(t *testing.T, ts *httptest.Server, id string) fetchResponse {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
+
+// TestBadSimSpecRefusedBeforeBuild: every simulation setting the
+// simulator would refuse is a 400 from naming, before the job takes a
+// build or an admission slot, and the same 400 over HTTP.
+func TestBadSimSpecRefusedBeforeBuild(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, sim := range []string{
+		`{"flit_size":-1}`,
+		`{"mode":"wormhole","adaptive":true}`,
+		`{"mode":"wormhole","buffer_packets":2}`,
+		`{"adaptive":true,"buffer_packets":2}`,
+		`{"link_bandwidth":-1}`,
+		`{"link_latency":-1}`,
+		`{"packet_size":-1}`,
+		`{"buffer_packets":-1}`,
+		`{"compute_time":-1}`,
+	} {
+		body := `{"topology":"torus:4,4","graph":{"pattern":"mesh2d:4,4"},"sim":` + sim + `}`
+		var spec Job
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatal(err)
+		}
+		_, err := name(spec, 0)
+		if je, ok := err.(*jobError); !ok || je.status != 400 {
+			t.Errorf("sim %s: name returned %v, want a 400", sim, err)
+		}
+		status, resp, _ := post(t, ts, "/v1/map", body)
+		if status != 400 {
+			t.Errorf("sim %s: /v1/map answered %d (%s), want 400", sim, status, resp)
+		}
+	}
+}
