@@ -18,8 +18,10 @@ type PatternArg struct {
 	// Max is the largest; 0 leaves the argument to the task cap.
 	Max int
 	// NotTasks keeps an argument that does not multiply the task count
-	// (rgg's average degree) out of the task cap.
+	// (rgg's average degree, random's edge count) out of the task cap.
 	NotTasks bool
+	// unit names what a NotTasks argument counts, for its bound's error.
+	unit string
 }
 
 // PatternRow is everything the repository records about one task-graph
@@ -44,6 +46,10 @@ type PatternRow struct {
 
 // maxPatternTasks caps the product of a spec's task-counting arguments.
 const maxPatternTasks = 1 << 22
+
+// maxPatternEdges caps random's edge count: the edges of the largest
+// stencil9 the task cap admits, 4 a task.
+const maxPatternEdges = 1 << 24
 
 // extents are the arguments of a grid pattern: each at least least.
 func extents(least int, names ...string) []PatternArg {
@@ -73,7 +79,7 @@ var patternTable = []PatternRow{
 	{Kind: "leanmd", Args: extents(1, "P"),
 		Build:  func(a []int, msg float64, seed int64) *taskgraph.Graph { return taskgraph.LeanMD(a[0], msg, seed) },
 		Coords: func(a []int, _ int64) [][]float64 { return taskgraph.LeanMDCoords(a[0]) }},
-	{Kind: "random", Args: []PatternArg{{Name: "N", Min: 3}, {Name: "M", Min: 1}},
+	{Kind: "random", Args: []PatternArg{{Name: "N", Min: 3}, {Name: "M", Min: 1, Max: maxPatternEdges, NotTasks: true, unit: "edges"}},
 		Build: func(a []int, msg float64, seed int64) *taskgraph.Graph {
 			return taskgraph.Random(a[0], a[1], msg/2, msg, seed)
 		}},
@@ -131,6 +137,9 @@ func findPattern(spec string) (PatternRow, []int, error) {
 			v := args[i]
 			if v < a.Min {
 				return r, nil, fmt.Errorf("cliutil: pattern extent %d must be >= %d", v, a.Min)
+			}
+			if a.Max > 0 && v > a.Max && a.unit != "" {
+				return r, nil, fmt.Errorf("cliutil: pattern %s %d must be <= %d %s", a.Name, v, a.Max, a.unit)
 			}
 			if a.Max > 0 && v > a.Max {
 				return r, nil, fmt.Errorf("cliutil: pattern extent %d must be <= %d", v, a.Max)

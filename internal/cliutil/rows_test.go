@@ -177,6 +177,28 @@ func TestPatternRows(t *testing.T) {
 	}
 }
 
+// TestRandomCountsEdges: random's M is an edge count, not a task count.
+// It stays out of the task cap, so a 1 690-task graph with 5 070 edges
+// builds, and it has a bound of its own, refused in a message that says
+// edges.
+func TestRandomCountsEdges(t *testing.T) {
+	g, err := ParsePattern("random:1690,5070", 1000, 3)
+	if err != nil {
+		t.Fatalf("random:1690,5070: %v", err)
+	}
+	if g.NumVertices() != 1690 {
+		t.Errorf("random:1690,5070 has %d tasks, want 1690", g.NumVertices())
+	}
+	if _, _, err := findPattern(fmt.Sprintf("random:%d,%d", maxPatternTasks, maxPatternEdges)); err != nil {
+		t.Errorf("the largest random spec is refused: %v", err)
+	}
+	spec := fmt.Sprintf("random:1690,%d", maxPatternEdges+1)
+	_, err = ParsePattern(spec, 1000, 3)
+	if want := fmt.Sprintf("must be <= %d edges", maxPatternEdges); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: error %v, want one saying %q", spec, err, want)
+	}
+}
+
 // TestMachineRows: the two grammars agree on every row of the machine
 // table — the flat spelling kind:a,b and the leaf spelling kind-axb name
 // the same machine, with the processor count the row gives without

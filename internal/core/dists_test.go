@@ -8,32 +8,47 @@ import (
 	"repro/internal/topology"
 )
 
-// requireDistsMatch fails unless every source of to's distance oracle —
-// the cached matrix, the closed form NewDists falls back to under
+// requireDistsMatch fails unless NewDists picks to's oracle by the
+// policy — labels on a labelled machine, no matrix on an Ephemeral one,
+// the cached matrix otherwise — and every source of to's distances — the
+// one NewDists picks, the matrix MatrixDists keeps for the incremental
+// engine, the closed form NewDists falls back to under
 // SetDistanceMatrixCap(0), and ClosedDists — answers to.Distance for
 // every pair (a, b) with a in rows, and answers Dist(b, a) the same:
 // fillScaledRow reads a processor's row as its column.
 func requireDistsMatch(t *testing.T, to topology.Topology, rows []int) {
 	t.Helper()
-	withMatrix := topology.NewDists(to)
 	_, ephemeral := to.(topology.Ephemeral)
-	if (withMatrix.Matrix() == nil) != ephemeral {
-		t.Fatalf("%s: NewDists has a matrix: %v, Ephemeral: %v", to.Name(), withMatrix.Matrix() != nil, ephemeral)
+	closed := topology.ClosedDists(to)
+	labelled := closed.Labels() != nil
+	oracle := topology.NewDists(to)
+	if (oracle.Matrix() != nil) != (!ephemeral && !labelled) {
+		t.Fatalf("%s: NewDists has a matrix: %v, Ephemeral: %v, labelled: %v", to.Name(), oracle.Matrix() != nil, ephemeral, labelled)
 	}
-	if withMatrix.Matrix() != nil && withMatrix.Labels() != nil {
-		t.Fatalf("%s: NewDists answers from the matrix and carries labels", to.Name())
+	if (oracle.Labels() != nil) != labelled {
+		t.Fatalf("%s: NewDists reads labels: %v, ClosedDists has them: %v", to.Name(), oracle.Labels() != nil, labelled)
+	}
+	if cached := topology.CachedDistances(to); cached != oracle.Matrix() {
+		t.Fatalf("%s: CachedDistances %p, NewDists's matrix %p", to.Name(), cached, oracle.Matrix())
+	}
+	matrix := topology.MatrixDists(to)
+	if (matrix.Matrix() == nil) != ephemeral {
+		t.Fatalf("%s: MatrixDists has a matrix: %v, Ephemeral: %v", to.Name(), matrix.Matrix() != nil, ephemeral)
+	}
+	if matrix.Matrix() != nil && matrix.Labels() != nil {
+		t.Fatalf("%s: MatrixDists answers from the matrix and carries labels", to.Name())
 	}
 	prev := topology.SetDistanceMatrixCap(0)
 	noMatrix := topology.NewDists(to)
+	noMatrixInc := topology.MatrixDists(to)
 	topology.SetDistanceMatrixCap(prev)
-	closed := topology.ClosedDists(to)
-	if noMatrix.Matrix() != nil || closed.Matrix() != nil {
+	if noMatrix.Matrix() != nil || noMatrixInc.Matrix() != nil || closed.Matrix() != nil {
 		t.Fatalf("%s: a matrix with the cap at 0 or from ClosedDists", to.Name())
 	}
 	sources := []struct {
 		name string
 		d    *topology.Dists
-	}{{"matrix", &withMatrix}, {"no-matrix", &noMatrix}, {"ClosedDists", &closed}}
+	}{{"NewDists", &oracle}, {"MatrixDists", &matrix}, {"no-matrix", &noMatrix}, {"ClosedDists", &closed}}
 	for _, a := range rows {
 		for b := 0; b < to.Nodes(); b++ {
 			want := to.Distance(a, b)
@@ -50,9 +65,13 @@ func requireDistsMatch(t *testing.T, to topology.Topology, rows []int) {
 }
 
 // requireSubsetMatches fails unless the subset view answers its base
-// machine's distance between the processors it stands for.
+// machine's distance between the processors it stands for, and carries
+// labels exactly when the oracle it was built over reads them.
 func requireSubsetMatches(t *testing.T, s *subsetTopology, base topology.Topology) {
 	t.Helper()
+	if (s.Labels() != nil) != (s.d.Labels() != nil) {
+		t.Fatalf("%s: carries labels: %v, its oracle reads them: %v", s.Name(), s.Labels() != nil, s.d.Labels() != nil)
+	}
 	for i, a := range s.reps {
 		for j, b := range s.reps {
 			if got, want := s.Distance(i, j), base.Distance(int(a), int(b)); got != want {
@@ -64,8 +83,9 @@ func requireSubsetMatches(t *testing.T, s *subsetTopology, base topology.Topolog
 
 // TestDistsMatchDistance: the oracle is the machine. On every row of
 // topology.Machines() at small sizes, grids on both sides of the 64-bit
-// label boundary, a hierarchy, a connected Graph and the subset adapter
-// over both of the oracle's sources, each source answers
+// label boundary, a hierarchy, a connected Graph, the Graph of a labelled
+// torus (no labels, so NewDists keeps the matrix) and the subset adapter
+// over each of the oracle's sources, each source answers
 // Topology.Distance on every pair, in both orders.
 func TestDistsMatchDistance(t *testing.T) {
 	// Labels: 64 bits, extent-2 rings and extent-1 dimensions. Coordinate
@@ -90,15 +110,15 @@ func TestDistsMatchDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := mustHier(t, "pod:2@70/rack:2@7/node:4@3:torus-2x2")
-	machines = append(machines, g, h)
-	for _, base := range []topology.Topology{topology.MustTorus(4, 3), topology.MustHypercube(4), h} {
+	machines = append(machines, g, h, topology.FromTopology(topology.MustTorus(4, 2)))
+	for _, base := range []topology.Topology{topology.MustTorus(4, 3), topology.MustTorus(4, 2), topology.MustHypercube(4), h} {
 		// Every other processor, last first: a subset in no order of its own.
 		var reps []int32
 		for q := base.Nodes() - 1; q >= 0; q -= 2 {
 			reps = append(reps, int32(q))
 		}
-		for _, d := range []topology.Dists{topology.NewDists(base), topology.ClosedDists(base)} {
-			s := &subsetTopology{d: d, reps: reps, name: fmt.Sprintf("subset(%s,%d)", base.Name(), len(reps))}
+		for _, d := range []topology.Dists{topology.NewDists(base), topology.MatrixDists(base), topology.ClosedDists(base)} {
+			s := newSubsetTopology(d, reps, fmt.Sprintf("subset(%s,%d)", base.Name(), len(reps)))
 			requireSubsetMatches(t, s, base)
 			machines = append(machines, s)
 		}
@@ -114,8 +134,9 @@ func TestDistsMatchDistance(t *testing.T) {
 
 // FuzzDistsMatchDistance: the same agreement on a machine read from the
 // bytes — a row of topology.Machines() and its extents, a connected Graph,
-// a hierarchy, or a subset of a grid or hypercube — checked on the row of
-// one processor read from the remaining bytes.
+// a hierarchy, or a subset of a grid or hypercube over its matrix or its
+// closed form — checked on the row of one processor read from the
+// remaining bytes.
 func FuzzDistsMatchDistance(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 2, 3, 7})
 	f.Add([]byte{1, 1, 5, 9})
@@ -157,9 +178,9 @@ func FuzzDistsMatchDistance(f *testing.F) {
 			}
 			d := topology.ClosedDists(base)
 			if next()%2 == 0 {
-				d = topology.NewDists(base)
+				d = topology.MatrixDists(base)
 			}
-			s := &subsetTopology{d: d, reps: reps, name: fmt.Sprintf("subset(%s,%v)", base.Name(), reps)}
+			s := newSubsetTopology(d, reps, fmt.Sprintf("subset(%s,%v)", base.Name(), reps))
 			requireSubsetMatches(t, s, base)
 			to = s
 		}

@@ -255,8 +255,8 @@ func (d *hierDescender) mapLeaf(sub *taskgraph.Graph, verts []int, base int) err
 		}
 	default: // m < slf: pack onto the head of the leaf's locality order
 		order := localityOrder(leaf)
-		prefix := &subsetTopology{d: topology.ClosedDists(leaf), reps: order[:m],
-			name: fmt.Sprintf("hierprefix(%s,%d)", leaf.Name(), m)}
+		prefix := newSubsetTopology(topology.ClosedDists(leaf), order[:m],
+			fmt.Sprintf("hierprefix(%s,%d)", leaf.Name(), m))
 		mm, err := d.leafStrategy(m).Map(sub, prefix)
 		if err != nil {
 			return fmt.Errorf("core: hier leaf at rank %d: %w", base, err)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/parallel"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
@@ -19,9 +21,26 @@ const hopBytesGrain = 64
 // i.e. every communicated byte weighted by the number of network links it
 // must cross under mapping m. Per-task subtotals are computed in parallel
 // over fixed vertex chunks and merged in index order, so the value is
-// identical for any GOMAXPROCS.
+// identical for any GOMAXPROCS. On labels a task's edges hoist its
+// processor's label.
 func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
 	d := topology.NewDists(t)
+	sum := func(a, b float64) float64 { return a + b }
+	if l := d.Labels(); l != nil {
+		return parallel.Reduce(g.NumVertices(), hopBytesGrain, func(lo, hi int) float64 {
+			hb := 0.0
+			for v := lo; v < hi; v++ {
+				adj, w := g.Neighbors(v)
+				lv := l[m[v]]
+				for i, u := range adj {
+					if int32(v) < u {
+						hb += w[i] * float64(bits.OnesCount64(lv^l[m[u]]))
+					}
+				}
+			}
+			return hb
+		}, sum)
+	}
 	return parallel.Reduce(g.NumVertices(), hopBytesGrain, func(lo, hi int) float64 {
 		d := d // the chunk's own copy: a method call on the captured one would move it to the heap
 		hb := 0.0
@@ -35,7 +54,7 @@ func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
 			}
 		}
 		return hb
-	}, func(a, b float64) float64 { return a + b })
+	}, sum)
 }
 
 // HopsPerByte returns HopBytes divided by the total communication volume —

@@ -194,7 +194,7 @@ func NewIncrementalState(g *taskgraph.Graph, t topology.Topology, m Mapping) (*I
 	}
 	s := &IncrementalState{
 		topo:   t,
-		d:      topology.NewDists(t),
+		d:      topology.MatrixDists(t), // matrix rows even where labels exist: see DESIGN §6
 		procs:  t.Nodes(),
 		alive:  make([]bool, n),
 		load:   make([]float64, n),

@@ -17,7 +17,9 @@ import (
 // refinement. Every distance on this path — coarse map, projection,
 // refinement deltas — comes from the machine's closed-form oracle, the
 // refiner's topology.ClosedDists: its partial-cube labels on a mesh, even
-// torus or hypercube, which SwapDelta reads directly, and Dist otherwise.
+// torus or hypercube, which SwapDelta, the projection and the proposal
+// filter read directly, and Dist otherwise. The coarse map's subset view
+// carries its reps' labels, so the coarse TopoLB reads labels too.
 // No O(p²) DistanceMatrix is ever materialized, so million-task graphs
 // map onto hundred-thousand-node machines in O(n + |E|) memory.
 //
@@ -113,7 +115,7 @@ func (s MultilevelMap) Place(g *taskgraph.Graph, t topology.Topology) ([]int, er
 		center := int32((2*int64(i) + 1) * int64(n) / (2 * int64(nc)))
 		reps[i] = procOrder[slotProc(center, n, p)]
 	}
-	chunks := &subsetTopology{d: r.d, reps: reps, name: fmt.Sprintf("mlrep(%s,nc=%d)", t.Name(), nc)}
+	chunks := newSubsetTopology(r.d, reps, fmt.Sprintf("mlrep(%s,nc=%d)", t.Name(), nc))
 	cm, err := TopoLB{}.Map(coarseTaskGraph(coarsest), chunks)
 	if err != nil {
 		return nil, fmt.Errorf("core: multilevel coarse mapping: %w", err)
@@ -224,12 +226,28 @@ func coarseTaskGraph(c *partition.CGraph) *taskgraph.Graph {
 // bijective kernel maps onto it without ever seeing the full machine. The
 // multilevel mapper views its coarse slot chunks through their
 // representative processors this way, and HierMap an underfull leaf
-// through the head of its locality order. It is Ephemeral because its
+// through the head of its locality order. On a labelled machine it
+// carries the labels of its reps, so its own ClosedDists answers from
+// labels and the kernels read them inline. It is Ephemeral because its
 // distances depend on reps, not just its name.
 type subsetTopology struct {
-	d    topology.Dists
-	reps []int32
-	name string
+	d      topology.Dists
+	reps   []int32
+	labels []uint64 // labels[i] is reps[i]'s label; nil unless d has labels
+	name   string
+}
+
+// newSubsetTopology views reps of the machine d measures, gathering their
+// labels when d has them.
+func newSubsetTopology(d topology.Dists, reps []int32, name string) *subsetTopology {
+	s := &subsetTopology{d: d, reps: reps, name: name}
+	if l := d.Labels(); l != nil {
+		s.labels = make([]uint64, len(reps))
+		for i, q := range reps {
+			s.labels[i] = l[q]
+		}
+	}
+	return s
 }
 
 // EphemeralTopology marks the adapter as non-cacheable.
@@ -239,6 +257,10 @@ var _ topology.Ephemeral = (*subsetTopology)(nil)
 
 func (s *subsetTopology) Nodes() int   { return len(s.reps) }
 func (s *subsetTopology) Name() string { return s.name }
+
+// Labels returns the reps' labels, or nil: what topology.ClosedDists
+// reads to answer the view from labels.
+func (s *subsetTopology) Labels() []uint64 { return s.labels }
 
 func (s *subsetTopology) Distance(a, b int) int {
 	return s.d.Dist(int(s.reps[a]), int(s.reps[b]))
@@ -279,9 +301,19 @@ func (r *mlRefiner) projectLevel(fine, coarse *partition.CGraph, cmap []int32, c
 	}
 	// Approximate cost of placing fine vertex v at rep processor pv,
 	// against parent-level reps; the v–sib edge is order-invariant inside
-	// the run and skipped.
+	// the run and skipped. On labels it hoists pv's.
+	l := r.d.Labels()
 	halfCost := func(v, sib, pv int32) float64 {
 		cost := 0.0
+		if l != nil {
+			lv := l[pv]
+			for i := fine.Xadj[v]; i < fine.Xadj[v+1]; i++ {
+				if u := fine.Adjncy[i]; u != sib {
+					cost += fine.Adjwgt[i] * float64(bits.OnesCount64(lv^l[parentRep(u)]))
+				}
+			}
+			return cost
+		}
 		for i := fine.Xadj[v]; i < fine.Xadj[v+1]; i++ {
 			u := fine.Adjncy[i]
 			if u == sib {
@@ -443,10 +475,20 @@ func (r *mlRefiner) proposeOne(v int32) int32 {
 	// Gain filter: a vertex whose every edge already spans <= 1 hop cannot
 	// reduce its own terms; skip it (partners still scan from their side).
 	far := false
-	for _, u := range lvl.Adjncy[lvl.Xadj[v]:lvl.Xadj[v+1]] {
-		if r.d.Dist(pv, r.repc[u]) > 1 {
-			far = true
-			break
+	if l := r.d.Labels(); l != nil {
+		lv := l[pv]
+		for _, u := range lvl.Adjncy[lvl.Xadj[v]:lvl.Xadj[v+1]] {
+			if bits.OnesCount64(lv^l[r.repc[u]]) > 1 {
+				far = true
+				break
+			}
+		}
+	} else {
+		for _, u := range lvl.Adjncy[lvl.Xadj[v]:lvl.Xadj[v+1]] {
+			if r.d.Dist(pv, r.repc[u]) > 1 {
+				far = true
+				break
+			}
 		}
 	}
 	if !far {

@@ -55,24 +55,28 @@ func requireSwapDeltaExact(tb testing.TB, g *taskgraph.Graph, to topology.Topolo
 	}
 }
 
-// swapDeltaSources returns to's distance oracle with the cached matrix and
-// without it, as NewDists answers under SetDistanceMatrixCap(0).
+// swapDeltaSources returns to's distance oracles: the matrix the
+// incremental engine reads (MatrixDists), the one NewDists picks (labels
+// on a labelled machine, the matrix otherwise), and the closed form
+// NewDists answers under SetDistanceMatrixCap(0).
 func swapDeltaSources(to topology.Topology) map[string]*topology.Dists {
-	withMatrix := topology.NewDists(to)
+	matrix := topology.MatrixDists(to)
+	oracle := topology.NewDists(to)
 	prev := topology.SetDistanceMatrixCap(0)
 	noMatrix := topology.NewDists(to)
 	topology.SetDistanceMatrixCap(prev)
-	return map[string]*topology.Dists{"matrix": &withMatrix, "no-matrix": &noMatrix}
+	return map[string]*topology.Dists{"matrix": &matrix, "NewDists": &oracle, "no-matrix": &noMatrix}
 }
 
 // TestPropertySwapDeltaMatchesRecomputation: the one delta kernel equals
 // the recomputed hop-bytes difference, to the bit, for every swap and
 // every move of a random integer-weighted graph placed with sharing on a
 // small machine of every topology.Machines() row, an even torus, a
-// hierarchy and a Graph, each read through the cached matrix and through
-// the closed form. The closed form of the mesh, the even torus and the
-// hypercube is their partial-cube labels, so SwapDelta's label loops are
-// the ones under test there.
+// hierarchy and a Graph, each read through the cached matrix, through
+// NewDists's choice and through the closed form. NewDists and the closed
+// form of the mesh, the even torus and the hypercube are their
+// partial-cube labels, so SwapDelta's label loops are under test there,
+// and the matrix loops through MatrixDists.
 func TestPropertySwapDeltaMatchesRecomputation(t *testing.T) {
 	var machines []topology.Topology
 	shapes := map[int][]int{0: {3, 4}, 1: {3}, 2: {2, 3}}
@@ -97,8 +101,11 @@ func TestPropertySwapDeltaMatchesRecomputation(t *testing.T) {
 	machines = append(machines, g, mustHier(t, "pod:2@70/rack:2@7/node:4@3:torus-2x2"))
 	for i, to := range machines {
 		for name, d := range swapDeltaSources(to) {
-			if want := labelled[to.Name()] && name == "no-matrix"; (d.Labels() != nil) != want {
+			if want := labelled[to.Name()] && name != "matrix"; (d.Labels() != nil) != want {
 				t.Fatalf("%s/%s: reads labels: %v, want %v", to.Name(), name, d.Labels() != nil, want)
+			}
+			if want := name == "matrix" || (name == "NewDists" && !labelled[to.Name()]); (d.Matrix() != nil) != want {
+				t.Fatalf("%s/%s: reads the matrix: %v, want %v", to.Name(), name, d.Matrix() != nil, want)
 			}
 			t.Run(to.Name()+"/"+name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(i)))

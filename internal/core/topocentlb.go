@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -158,21 +160,44 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 	}
 	h.init()
 
+	// The placed neighbours of the task being placed, in edge order: the
+	// edge weights, and the neighbours' labels on a labelled machine, their
+	// processors otherwise.
+	l := d.Labels()
+	var placedAt []int
+	var placedL []uint64
+	var placedW []float64
 	for len(h.heap) > 0 {
 		tk := h.pop()
 		// Place tk on the free processor minimizing the first-order cost:
 		// hop-bytes to its already-placed neighbors, summed in edge order;
 		// ties go to the lowest processor.
 		adj, w := g.Neighbors(tk)
+		placedAt, placedL, placedW = placedAt[:0], placedL[:0], placedW[:0]
+		for i, u := range adj {
+			if pu := m[u]; pu >= 0 {
+				placedW = append(placedW, w[i])
+				if l != nil {
+					placedL = append(placedL, l[pu])
+				} else {
+					placedAt = append(placedAt, pu)
+				}
+			}
+		}
 		pk, best := -1, 0.0
 		for p, free := range procFree {
 			if !free {
 				continue
 			}
 			cost := 0.0
-			for i, u := range adj {
-				if pu := m[u]; pu >= 0 {
-					cost += w[i] * float64(d.Dist(p, pu))
+			if l != nil {
+				lp := l[p]
+				for k, x := range placedL {
+					cost += placedW[k] * float64(bits.OnesCount64(lp^x))
+				}
+			} else {
+				for k, pu := range placedAt {
+					cost += placedW[k] * float64(d.Dist(p, pu))
 				}
 			}
 			if pk < 0 || cost < best {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/taskgraph"
@@ -27,8 +28,15 @@ const (
 
 // fillScaledRow sets distRow[p] = scale × d(p, pk) for every processor.
 // Distances are symmetric, so it reads pk's row, d(pk, p): on the matrix
-// that walks one row of cells, not a column.
+// that walks one row of cells, not a column, and on labels it hoists pk's.
 func fillScaledRow(d *topology.Dists, distRow []float64, pk int, scale float64) {
+	if l := d.Labels(); l != nil {
+		lk := l[pk]
+		for p, x := range l[:len(distRow)] {
+			distRow[p] = scale * float64(bits.OnesCount64(lk^x))
+		}
+		return
+	}
 	for p := range distRow {
 		distRow[p] = scale * float64(d.Dist(pk, p))
 	}

@@ -12,9 +12,14 @@ func TestCountersTrackCacheAndPool(t *testing.T) {
 	topology.ResetDistCacheStats()
 	netsim.ResetPoolStats()
 
-	to := topology.MustTorus(4, 4)
+	// A labelled machine needs no matrix: the lookup is a bypass.
+	if topology.CachedDistances(topology.MustTorus(4, 4)) != nil {
+		t.Fatal("a matrix for a 16-node even torus, whose labels give every distance")
+	}
+	// An odd torus has no labels: it gets a matrix, built once.
+	to := topology.MustTorus(5, 3)
 	if topology.CachedDistances(to) == nil {
-		t.Fatal("expected a cached matrix for a 16-node torus")
+		t.Fatal("expected a cached matrix for a 15-node odd torus")
 	}
 	if topology.CachedDistances(to) == nil {
 		t.Fatal("second lookup returned nil")
@@ -30,6 +35,9 @@ func TestCountersTrackCacheAndPool(t *testing.T) {
 	}
 	if c.DistMatrixCache.Hits < 1 {
 		t.Errorf("hits = %d, want >= 1", c.DistMatrixCache.Hits)
+	}
+	if c.DistMatrixCache.Bypasses != 1 {
+		t.Errorf("bypasses = %d, want 1", c.DistMatrixCache.Bypasses)
 	}
 	if c.EnginePool.Gets != 2 || c.EnginePool.Puts != 2 {
 		t.Errorf("pool gets/puts = %d/%d, want 2/2", c.EnginePool.Gets, c.EnginePool.Puts)

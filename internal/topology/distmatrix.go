@@ -69,8 +69,9 @@ func init() { distMatrixCap.Store(DefaultDistanceMatrixCap) }
 
 // SetDistanceMatrixCap sets the materialization bound in cells and
 // returns the previous value. Passing 0 (or negative) disables the cache
-// entirely — every CachedDistances call returns nil and kernels fall back
-// to the machine's closed form (ClosedDists); benchmarks use this to
+// entirely — every CachedDistances call returns nil and kernels, the
+// incremental engine's MatrixDists included, fall back to the machine's
+// closed form (ClosedDists); benchmarks use this to
 // measure the un-cached baseline. Already-cached matrices are not
 // re-checked against the new bound.
 func SetDistanceMatrixCap(cells int) int {
@@ -154,10 +155,11 @@ func PurgeDistanceCache() int {
 // Ephemeral marks adapter topologies whose Name does not uniquely
 // determine their distance function — e.g. a mapper's view of a subset of
 // a machine's processors, whose distances depend on the subset chosen for
-// the task graph being mapped. CachedDistances never materializes or
-// caches a matrix for an Ephemeral topology: a cache hit across two different
-// adapters with equal names would silently serve wrong distances, and
-// the adapters exist precisely to keep memory free of O(p²) tables.
+// the task graph being mapped. Neither CachedDistances nor MatrixDists
+// materializes or caches a matrix for an Ephemeral topology: a cache hit
+// across two different adapters with equal names would silently serve
+// wrong distances, and the adapters exist precisely to keep memory free
+// of O(p²) tables.
 type Ephemeral interface {
 	Topology
 	// EphemeralTopology is a marker method.
@@ -165,19 +167,34 @@ type Ephemeral interface {
 }
 
 // CachedDistances returns the lazily built, globally cached distance
-// matrix for t, or nil when t is too large to materialize under the
-// current cap. Kernels do not call it: NewDists does, and falls back to
-// the closed form when it returns nil. The cache is keyed by
-// Name()+node count — Name must uniquely determine the distance
-// function, which holds for every closed-form topology in this package;
-// explicit Graphs carry a process-unique id instead, since two graphs
-// with equal node and edge counts share a Name but not distances, and
-// Ephemeral adapters are never materialized at all.
+// matrix for t, or nil when t needs none, may not have one or is too
+// large to materialize under the current cap. A machine whose ClosedDists
+// answers from labels needs none: a mesh or even torus whose labels fit
+// a word, and a hypercube. An Ephemeral adapter may not have one. So the
+// cache holds only machines without a word-sized closed form: explicit
+// graphs, fat-trees, dragonflies, hierarchies and odd tori (MatrixDists
+// adds the labelled machines the incremental engine reads). Kernels do
+// not call it: NewDists does, and falls back to the closed
+// form when it returns nil. The cache is keyed by Name()+node count — Name
+// must uniquely determine the distance function, which holds for every
+// closed-form topology in this package; explicit Graphs carry a
+// process-unique id instead, since two graphs with equal node and edge
+// counts share a Name but not distances.
 func CachedDistances(t Topology) *DistanceMatrix {
 	if _, ok := t.(Ephemeral); ok {
 		distCacheStats.bypasses.Add(1)
 		return nil
 	}
+	if d := ClosedDists(t); d.kind == distLabel {
+		distCacheStats.bypasses.Add(1)
+		return nil
+	}
+	return cachedMatrix(t)
+}
+
+// cachedMatrix is CachedDistances for any machine but an Ephemeral one:
+// the matrix under the cap, built once per key.
+func cachedMatrix(t Topology) *DistanceMatrix {
 	n := t.Nodes()
 	cells := int64(n) * int64(n)
 	if cap := distMatrixCap.Load(); cap <= 0 || cells > cap {

@@ -13,12 +13,13 @@ const (
 )
 
 // Dists is the mapping kernels' one distance oracle. It is chosen once per
-// kernel call and answers from the cached DistanceMatrix when one is
-// materialized, otherwise from the machine's own closed form: the
-// popcount of two partial-cube labels on a mesh or even torus whose labels
-// fit a word (see grid.buildLabels) and on a hypercube (whose labels are
-// its ranks), the coordinate table of any other mesh or torus, and
-// Topology.Distance for everything else (fat-trees, graphs, hierarchies,
+// kernel call. A machine with a word-sized closed form answers from it:
+// the popcount of two partial-cube labels on a mesh or even torus whose
+// labels fit a word (see grid.buildLabels), on a hypercube (whose labels
+// are its ranks) and on a labelled view (see labelled). Every other
+// machine answers from the cached DistanceMatrix when one is
+// materialized, otherwise from the coordinate table of a mesh or odd
+// torus, or from Topology.Distance (fat-trees, graphs, hierarchies,
 // adapters). Every source returns the integers Topology.Distance returns,
 // so a kernel's result never depends on which one it got. A Dists is a
 // value: building and querying one allocates nothing.
@@ -32,13 +33,40 @@ type Dists struct {
 	t    Topology
 }
 
-// NewDists returns t's oracle: the cached matrix when one fits under the
-// cap (see CachedDistances), ClosedDists(t) otherwise.
+// NewDists returns t's oracle: its labels when ClosedDists(t) has them,
+// else the cached matrix when one fits under the cap (see
+// CachedDistances), else ClosedDists(t).
 func NewDists(t Topology) Dists {
 	if m := CachedDistances(t); m != nil {
-		return Dists{md: m.d, n: m.n, kind: distMatrix, m: m, t: t}
+		return matrixDists(m, t)
 	}
 	return ClosedDists(t)
+}
+
+// MatrixDists returns t's oracle preferring the matrix: the cached matrix
+// whenever one fits under the cap, labelled machines included, else
+// ClosedDists(t). Only the incremental engine asks for it: its session
+// stream of small refinements measured faster on matrix rows than on
+// labels (DESIGN §6).
+func MatrixDists(t Topology) Dists {
+	if _, ok := t.(Ephemeral); !ok {
+		if m := cachedMatrix(t); m != nil {
+			return matrixDists(m, t)
+		}
+	}
+	return ClosedDists(t)
+}
+
+func matrixDists(m *DistanceMatrix, t Topology) Dists {
+	return Dists{md: m.d, n: m.n, kind: distMatrix, m: m, t: t}
+}
+
+// labelled is a view of some of a labelled machine's processors that
+// carries their labels, Labels()[i] being node i's. ClosedDists answers
+// it from them as it answers the machine.
+type labelled interface {
+	Topology
+	Labels() []uint64
 }
 
 // ClosedDists returns t's oracle without the matrix: for the O(n+|E|)
@@ -51,6 +79,10 @@ func ClosedDists(t Topology) Dists {
 		return gridDists(t.grid, t)
 	case *Hypercube:
 		return Dists{kind: distLabel, l: t.labels, t: t}
+	case labelled:
+		if l := t.Labels(); l != nil {
+			return Dists{kind: distLabel, l: l, t: t}
+		}
 	}
 	return Dists{t: t}
 }
@@ -70,10 +102,11 @@ func gridDists(g *grid, t Topology) Dists {
 func (d *Dists) Matrix() *DistanceMatrix { return d.m }
 
 // Labels returns the partial-cube labels the oracle answers from, or nil:
-// Dist(a, b) is bits.OnesCount64(l[a] ^ l[b]). Only SwapDelta reads them:
-// its label loops hoist the two processors' labels, so an edge costs one
-// load and no call (DESIGN §6). It inlines; CI checks that it does in
-// refine.go.
+// Dist(a, b) is bits.OnesCount64(l[a] ^ l[b]). The kernels whose loops
+// read many distances from one processor — SwapDelta, TopoLB's rows,
+// TopoCentLB's scan, HopBytes, TotalDistances and the V-cycle's — hoist
+// that processor's label, so a distance costs one load and no call
+// (DESIGN §6). It inlines; CI checks that it does in refine.go.
 func (d *Dists) Labels() []uint64 { return d.l }
 
 // Dist returns the hop distance between processors a and b. It inlines:

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/parallel"
@@ -58,12 +59,25 @@ func SampleMeanDistance(t Topology, samples int, seed int64) float64 {
 // the node count to approximate the distance to an unplaced task.
 //
 // Rows are summed independently in ascending q order and fanned out with
-// parallel.For, reading t's oracle (NewDists). Distances are integers, so
-// every partial sum is exact in float64 and the result is bit-identical
-// for any GOMAXPROCS and any source.
+// parallel.For, reading t's oracle (NewDists); on labels a row hoists its
+// processor's label. Distances are integers, so every partial sum is
+// exact in float64 and the result is bit-identical for any GOMAXPROCS
+// and any source.
 func TotalDistances(t Topology, out []float64) {
 	n := t.Nodes()
 	d := NewDists(t)
+	if l := d.Labels(); l != nil {
+		parallel.For(n, 8, func(lo, hi int) {
+			for p := lo; p < hi; p++ {
+				lp, sum := l[p], 0.0
+				for _, x := range l[:n] {
+					sum += float64(bits.OnesCount64(lp ^ x))
+				}
+				out[p] = sum
+			}
+		})
+		return
+	}
 	parallel.For(n, 8, func(lo, hi int) {
 		d := d // the chunk's own copy: a method call on the captured one would move it to the heap
 		for p := lo; p < hi; p++ {
