@@ -3,6 +3,7 @@ package cliutil
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -177,10 +178,109 @@ func TestPatternRows(t *testing.T) {
 	}
 }
 
+// TestPatternSizes holds every row's Size to the graph it builds, at its
+// lower bounds and at three larger shapes (argument i at Min+k+i): the
+// tasks always, the edges exactly for a deterministic row. The randomized
+// rows state a bound: random builds its N-cycle and at most max(M, N)
+// edges, rgg a little under the (N−1)(DEG+1)/2 its radius gives in
+// expectation once N is large enough for that expectation to show. A new row is covered by being
+// a row, and must be exact unless it is added here.
+func TestPatternSizes(t *testing.T) {
+	bounded := map[string]func(spec string, built, stated, n int) bool{
+		"random": func(_ string, built, stated, n int) bool { return n <= built && built <= stated },
+		"rgg": func(_ string, built, stated, n int) bool {
+			return n < 1000 || (float64(built) > 0.85*float64(stated) && float64(built) < 1.02*float64(stated))
+		},
+	}
+	for _, r := range patternTable {
+		for _, k := range []int{0, 4, 9, 40} {
+			args := make([]int, len(r.Args))
+			for i, a := range r.Args {
+				args[i] = a.Min + k + i
+				if a.Max > 0 {
+					args[i] = min(args[i], a.Max)
+				}
+			}
+			if r.Kind == "rgg" && k == 40 {
+				args = []int{2000, 8}
+			}
+			spec := r.Kind + ":" + joinInts(args, ",")
+			tasks, edges, err := PatternSize(spec, 1000)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			if tasks > 1<<16 {
+				continue // butterfly:20, a million tasks: slow, not telling
+			}
+			g, err := ParsePattern(spec, 1000, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			if g.NumVertices() != tasks {
+				t.Errorf("%s: Size says %d tasks, the graph has %d", spec, tasks, g.NumVertices())
+			}
+			if ok := bounded[r.Kind]; ok != nil {
+				if !ok(spec, g.NumEdges(), edges, tasks) {
+					t.Errorf("%s: Size states %d edges, the graph has %d", spec, edges, g.NumEdges())
+				}
+			} else if g.NumEdges() != edges {
+				t.Errorf("%s: Size says %d edges, the graph has %d", spec, edges, g.NumEdges())
+			}
+		}
+	}
+}
+
+// TestHugePatternsRefused: specs whose size is past a cap on a count the
+// task-counting arguments alone do not show — transpose's N² tasks,
+// alltoall's N(N−1)/2 edges, rgg's (N−1)(DEG+1)/2 — are refused by a
+// PatternSizeError naming the count, before anything is built, as are
+// arguments past any int product.
+func TestHugePatternsRefused(t *testing.T) {
+	for spec, unit := range map[string]string{
+		"transpose:65536":                "tasks",
+		"alltoall:65536":                 "edges",
+		"rgg:65536,65535":                "edges",
+		"mesh3d:4194304,4194304,4194304": "tasks",
+		"random:3,9223372036854775807":   "edges",
+		"stencil9:9223372036854775807,2": "tasks",
+		"leanmd:9223372036854775807":     "tasks",
+		"alltoall:9223372036854775807":   "tasks",
+		"transpose:3037000500":           "tasks",
+		"rgg:4194304,7":                  "",
+		"torus2d:2048,2049":              "tasks",
+		"mesh2d:4194304,2":               "tasks",
+		"bintree:4194305":                "tasks",
+		"random:4194304,16777217":        "edges",
+		"stencil9:4194304,1":             "",
+		"rgg:4194304,8":                  "edges",
+		"alltoall:5793":                  "",
+		"transpose:2048":                 "",
+		"ring:4194304":                   "",
+		"random:1690,16777216":           "",
+		"mesh3d:1,4194304,1":             "",
+		"leanmd:4191064":                 "",
+		"leanmd:4191065":                 "tasks",
+	} {
+		_, _, err := PatternSize(spec, 1000)
+		var size *PatternSizeError
+		if unit == "" {
+			if err != nil {
+				t.Errorf("%s: %v, want it accepted", spec, err)
+			}
+			continue
+		}
+		if !errors.As(err, &size) || size.Unit != unit || !strings.Contains(err.Error(), unit) {
+			t.Errorf("%s: error %v, want a PatternSizeError on %s", spec, err, unit)
+		}
+		if _, err := ParsePattern(spec, 1000, 1); err == nil {
+			t.Errorf("%s: ParsePattern accepted it", spec)
+		}
+	}
+}
+
 // TestRandomCountsEdges: random's M is an edge count, not a task count.
 // It stays out of the task cap, so a 1 690-task graph with 5 070 edges
-// builds, and it has a bound of its own, refused in a message that says
-// edges.
+// builds, and the edge cap refuses it in a message that says edges.
 func TestRandomCountsEdges(t *testing.T) {
 	g, err := ParsePattern("random:1690,5070", 1000, 3)
 	if err != nil {

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -778,4 +780,35 @@ func mustBuild(t *testing.T, spec Job) *job {
 		t.Fatal(err)
 	}
 	return j
+}
+
+// TestOversizedPatternRefusedUnbuilt: a pattern past MaxTasks is refused
+// from its spec, before its graph is built. stencil9:2048,2048 is
+// 4 194 304 tasks and about 0.4 GB once built; it is refused with the
+// 413 and the body the built graph's count gave, in the allocations of
+// the machine, the spec's arguments and the error — as many as for a
+// pattern a 64th its size, and under a small ceiling.
+func TestOversizedPatternRefusedUnbuilt(t *testing.T) {
+	refuse := func(pattern string, tasks int) float64 {
+		j, err := name(Job{Topology: "torus:16,16", Graph: GraphSpec{Pattern: pattern}}, 16384)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var je *jobError
+		want := fmt.Sprintf("job: graph has %d tasks, limit is 16384", tasks)
+		if err := j.build(); !errors.As(err, &je) || je.status != 413 || je.msg != want {
+			t.Fatalf("%s: build: %v, want the 413 %q", pattern, err, want)
+		}
+		if j.graph != nil {
+			t.Errorf("%s: the refused job built its graph", pattern)
+		}
+		return testing.AllocsPerRun(20, func() { _ = j.build() })
+	}
+	large, small := refuse("stencil9:2048,2048", 4194304), refuse("stencil9:256,256", 65536)
+	if large != small && !raceEnabled {
+		t.Errorf("refusing stencil9:2048,2048 allocates %v objects, stencil9:256,256 %v: want the same", large, small)
+	}
+	if large > 32 {
+		t.Errorf("refusing stencil9:2048,2048 allocates %v objects, ceiling 32", large)
+	}
 }

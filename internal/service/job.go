@@ -430,13 +430,22 @@ func (j *job) build() error {
 	j.mapTopo = j.topo
 	j.hier, _ = j.topo.(*hiertopo.Hierarchy)
 	if spec.Graph.Pattern != "" {
+		// A pattern is sized from its spec: one past the task limit is
+		// refused before its graph is built.
+		tasks, _, err := cliutil.PatternSize(spec.Graph.Pattern, spec.Graph.MsgBytes)
+		if err != nil {
+			return badJob(400, "job: %v", err)
+		}
+		if err := j.checkTasks(tasks); err != nil {
+			return err
+		}
 		j.graph, err = cliutil.ParsePattern(spec.Graph.Pattern, spec.Graph.MsgBytes, spec.Graph.Seed)
 		if err != nil {
 			return badJob(400, "job: %v", err)
 		}
 	}
-	if j.maxTasks > 0 && j.graph.NumVertices() > j.maxTasks {
-		return badJob(413, "job: graph has %d tasks, limit is %d", j.graph.NumVertices(), j.maxTasks)
+	if err := j.checkTasks(j.graph.NumVertices()); err != nil {
+		return err
 	}
 	if len(spec.Constraints) > 0 {
 		if err := j.resolveConstraints(spec.Constraints); err != nil {
@@ -468,6 +477,14 @@ func (j *job) build() error {
 		}
 	}
 	j.built = true
+	return nil
+}
+
+// checkTasks refuses a graph of more tasks than the job's limit.
+func (j *job) checkTasks(tasks int) error {
+	if j.maxTasks > 0 && tasks > j.maxTasks {
+		return badJob(413, "job: graph has %d tasks, limit is %d", tasks, j.maxTasks)
+	}
 	return nil
 }
 

@@ -45,39 +45,81 @@ var halo26 = func() []arm {
 // Cell computation load varies ±25 % pseudo-randomly around 1.0 (density
 // fluctuations). Deterministic for a given seed.
 func LeanMD(p int, msgBytes float64, seed int64) *Graph {
+	return leanMD(p, msgBytes, seed, buildGrain)
+}
+
+// leanMD builds LeanMD's rows in chunks of grain. A cell's row is its
+// halo by the lattice rule, then the integrators whose blocks hold it —
+// ids above every cell, so the row stays sorted; an integrator's row is
+// its block.
+func leanMD(p int, msgBytes float64, seed int64, grain int) *Graph {
 	if p < 1 {
 		panic("taskgraph: LeanMD needs p >= 1")
 	}
+	const cells = LeanMDCells
+	halo := newLattice("leanmd", leanMDGrid, false, halo26, msgBytes)
 	rng := rand.New(rand.NewSource(seed))
-	n := LeanMDCells + p
-	b := NewBuilder(n)
-	for v := 0; v < LeanMDCells; v++ {
-		b.SetVertexWeight(v, 0.75+rng.Float64()*0.5)
+	n := cells + p
+	vwgt := make([]float64, n)
+	for v := 0; v < cells; v++ {
+		vwgt[v] = 0.75 + rng.Float64()*0.5
 	}
-	per := LeanMDCells / p
+	for v := cells; v < n; v++ {
+		vwgt[v] = 0.25
+	}
+	per := cells / p
 	if per < 1 {
 		per = 1
 	}
-	// Size the builder for both edge families up front: grown append by
-	// append, its arrays leave a few MB of garbage per graph.
-	arms := 0
-	eachArm(leanMDGrid, false, halo26, msgBytes, func(int, int, float64) { arms++ })
-	b.Grow(arms + p*per)
-	addStencil(b, leanMDGrid, false, halo26, msgBytes)
-	// Integrator chares: light control traffic to a contiguous cell block.
-	for i := 0; i < p; i++ {
-		v := LeanMDCells + i
-		b.SetVertexWeight(v, 0.25)
-		lo := (i * LeanMDCells) / p
-		hi := lo + per
-		if hi > LeanMDCells {
-			hi = LeanMDCells
+	// Integrator i holds cells [i·cells/p, +per), never past the last;
+	// the blocks start in order, so the integrators holding cell c are
+	// the run [first, end): end is the first whose block starts past c,
+	// first the first whose block starts past c−per.
+	ctl := msgBytes / 8
+	integrators := func(c int) (first, end int) {
+		if !(ctl > 0) {
+			return 0, 0
 		}
-		for c := lo; c < hi; c++ {
-			b.AddEdge(v, c, msgBytes/8)
+		if t := c - per + 1; t > 0 {
+			first = (t*p + cells - 1) / cells
+		}
+		return first, min((c+1)*p+cells-1, p*cells) / cells
+	}
+	count := func(lo, hi int, deg []int32) {
+		if top := min(hi, cells); lo < top {
+			halo.count(lo, top, deg)
+			for c := lo; c < top; c++ {
+				first, end := integrators(c)
+				deg[c-lo] += int32(end - first)
+			}
+		}
+		if ctl > 0 {
+			for v := max(lo, cells); v < hi; v++ {
+				deg[v-lo] = int32(per)
+			}
 		}
 	}
-	return b.Build(fmt.Sprintf("leanmd(p=%d,seed=%d)", p, seed))
+	fill := func(lo, hi int, xadj, adj []int32, wgt []float64) {
+		if top := min(hi, cells); lo < top {
+			halo.fill(lo, top, xadj, adj, wgt)
+			for c := lo; c < top; c++ {
+				first, end := integrators(c)
+				at := int(xadj[c+1]) - (end - first)
+				for i := first; i < end; i++ {
+					adj[at], wgt[at] = int32(cells+i), ctl
+					at++
+				}
+			}
+		}
+		for v := max(lo, cells); v < hi; v++ {
+			row, block := int(xadj[v]), (v-cells)*cells/p
+			for k := range int(xadj[v+1]) - row {
+				adj[row+k], wgt[row+k] = int32(block+k), ctl
+			}
+		}
+	}
+	xadj, adj, wgt := fillRows(n, grain, count, fill)
+	return FromCSR(fmt.Sprintf("leanmd(p=%d,seed=%d)", p, seed), vwgt, xadj, adj, wgt)
 }
 
 // LeanMDCoords returns the spatial coordinates of the LeanMD workload's

@@ -219,3 +219,16 @@ func TestFromCSRSumsInRowOrder(t *testing.T) {
 		t.Errorf("Degree(0) = %d, NumEdges = %d, want 2 and 2", g.Degree(0), g.NumEdges())
 	}
 }
+
+// TestFromCSRSortedRowsSumFromZero: a row already sorted without repeats
+// is finished in place, and each weight is still its sum from 0, so a
+// −0 comes out +0 as it does from a row that merges.
+func TestFromCSRSortedRowsSumFromZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	g := FromCSR("z", []float64{1, 1}, []int32{0, 1, 2}, []int32{1, 0}, []float64{negZero, negZero})
+	for _, w := range g.adjwgt {
+		if math.Float64bits(w) != 0 {
+			t.Errorf("weight %v (bits %x), want +0", w, math.Float64bits(w))
+		}
+	}
+}

@@ -43,6 +43,16 @@ func FromCSR(name string, vwgt []float64, xadj, adj []int32, wgt []float64) *Gra
 	lo, out := int32(0), int32(0)
 	for v := 0; v < n; v++ {
 		hi := xadj[v+1]
+		if out == lo && strictlySorted(adj[lo:hi]) {
+			// Nothing merges and nothing moves: each weight is its sum
+			// from 0, in place.
+			for i := lo; i < hi; i++ {
+				wgt[i] = 0 + wgt[i]
+			}
+			out = hi
+			lo = hi
+			continue
+		}
 		if r := adj[lo:hi]; !slices.IsSorted(r) {
 			if len(r) <= 16 {
 				insertionSortRow(r, wgt[lo:hi])
@@ -67,6 +77,16 @@ func FromCSR(name string, vwgt []float64, xadj, adj []int32, wgt []float64) *Gra
 		lo = hi
 	}
 	return &Graph{name: name, vwgt: vwgt, xadj: xadj, adjncy: adj[:out], adjwgt: wgt[:out]}
+}
+
+// strictlySorted reports whether r is sorted with no repeats.
+func strictlySorted(r []int32) bool {
+	for i := 1; i < len(r); i++ {
+		if r[i] <= r[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // row sorts one CSR row by neighbour, carrying the weights along.
