@@ -162,9 +162,11 @@ var patternTable = []PatternRow{
 		Build: func(a []int, msg float64, seed int64) *taskgraph.Graph {
 			return taskgraph.Random(a[0], a[1], msg/2, msg, seed)
 		}},
-	// The cell-bucketed random geometric graph with target average degree
-	// DEG, cheap enough for million-task instances; its coordinates are the
-	// exact points the generator connected for the same seed.
+	// The cell-bucketed random geometric graph whose radius gives an
+	// interior point DEG+1 expected neighbours (fewer at the border: the
+	// mean degree of rgg:65536,8 is 8.94), cheap enough for million-task
+	// instances; its coordinates are the exact points the generator
+	// connected for the same seed.
 	{Kind: "rgg", Args: []PatternArg{{Name: "N", Min: 2}, {Name: "DEG", Min: 1}},
 		Size: func(a []int) (int, int) { return a[0], half(mul(a[0]-1, a[1]+1)) },
 		Build: func(a []int, msg float64, seed int64) *taskgraph.Graph {

@@ -3,42 +3,103 @@ package partition
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
+
+	"repro/internal/parallel"
 )
+
+// bisectForkMin is the smallest graph whose bisection tries run side by
+// side: below it a try costs less than starting the workers.
+const bisectForkMin = 32
 
 // bisect splits m into two sides, side 0 targeting leftFrac of the total
 // vertex weight. It runs greedy graph-growing from several seeds, refines
 // each candidate with FM, and returns the side assignment with the
-// smallest edge cut among balanced candidates. The result is ar.best and
-// ar.byWgt is left holding m's vertices in ascending (Vwgt, id) order;
-// both are valid until the next bisect on the arena.
+// smallest edge cut among balanced candidates. The result is
+// ar.try0.best and ar.byWgt is left holding m's vertices in ascending
+// (Vwgt, id) order; both are valid until the next bisect on the arena.
+//
+// A try's only random draw is its growRegion seed, so the seeds are drawn
+// up front, in try order, and the tries themselves are independent: on a
+// graph of at least bisectForkMin vertices they run on up to tries
+// workers, each in its own trial scratch, taking the next try as it
+// finishes one. A worker's tries ascend, so it keeps the first best of
+// them; the best of the workers', the lower try on a tie, is the first
+// best of all tries — the serial loop's pick, since better is a strict
+// weak order.
 func bisect(m *CGraph, leftFrac float64, rng *rand.Rand, tries int, ar *arena) []int8 {
-	best := ar.best[:m.N]
 	byWgt := ar.byWgt[:m.N]
 	for i := range byWgt {
 		byWgt[i] = int32(i)
 	}
 	if m.N == 1 {
+		best := ar.try0.best[:1]
 		best[0] = 0
 		return best
 	}
 	sortByWeight(m, byWgt)
 	total := m.totalVwgt()
 	target := total * leftFrac
-	bestCut := -1.0
-	bestBal := -1.0
-	for t := 0; t < tries; t++ {
-		side := growRegion(m, target, rng, ar)
-		fmRefineBisection(m, side, target, total, ar)
-		cut := bisectionCut(m, side)
-		bal := bisectionImbalance(m, side, target, total)
-		if t == 0 || better(cut, bal, bestCut, bestBal) {
-			copy(best, side)
-			bestCut, bestBal = cut, bal
+	seeds := ar.seeds[:tries]
+	for t := range seeds {
+		seeds[t] = int32(rng.Intn(m.N))
+	}
+	w := 1
+	if m.N >= bisectForkMin {
+		w = min(runtime.GOMAXPROCS(0), tries)
+	}
+	ar.nextTry.Store(0)
+	if w <= 1 {
+		ar.try0.run(m, seeds, target, total, &ar.nextTry)
+	} else {
+		workers := ar.forWorkers(w)
+		parallel.For(w, 1, func(i, _ int) {
+			workers[i].run(m, seeds, target, total, &ar.nextTry)
+		})
+		win := workers[0]
+		for _, tr := range workers[1:] {
+			if tr.try >= 0 && (win.try < 0 || better(tr.cut, tr.bal, win.cut, win.bal) ||
+				!better(win.cut, win.bal, tr.cut, tr.bal) && tr.try < win.try) {
+				win = tr
+			}
+		}
+		if win != &ar.try0 {
+			copy(ar.try0.best[:m.N], win.best[:m.N])
 		}
 	}
-	return best
+	if ar.observeFM != nil {
+		// Each try's FM input again, in try order, whichever worker ran it.
+		for _, seed := range seeds {
+			ar.observeFM(m, growRegion(m, target, seed, &ar.try0), target, total)
+		}
+	}
+	return ar.try0.best[:m.N]
+}
+
+// run is bisect's loop over tries on one worker's scratch: it takes the
+// next untried index from next until none is left, grows from that try's
+// seed and refines, and keeps the first best side it finds in tr.best,
+// with its cut, balance and try index (-1: it ran none).
+func (tr *trial) run(m *CGraph, seeds []int32, target, total float64, next *atomic.Int32) {
+	best := tr.best[:m.N]
+	tr.try = -1
+	for {
+		t := int(next.Add(1)) - 1
+		if t >= len(seeds) {
+			return
+		}
+		side := growRegion(m, target, seeds[t], tr)
+		fmRefineBisection(m, side, target, total, tr)
+		cut := bisectionCut(m, side)
+		bal := bisectionImbalance(m, side, target, total)
+		if tr.try < 0 || better(cut, bal, tr.cut, tr.bal) {
+			copy(best, side)
+			tr.cut, tr.bal, tr.try = cut, bal, t
+		}
+	}
 }
 
 // sortByWeight sorts vertices of m into ascending (Vwgt, id) order.
@@ -67,17 +128,16 @@ func better(cut, bal, bestCut, bestBal float64) bool {
 	}
 }
 
-// growRegion grows side 0 from a random seed by repeatedly absorbing the
+// growRegion grows side 0 from the seed vertex by repeatedly absorbing the
 // unassigned vertex with the strongest connection to the region until the
 // target weight is reached. Both sides are guaranteed non-empty.
-func growRegion(m *CGraph, target float64, rng *rand.Rand, ar *arena) []int8 {
-	side := ar.side[:m.N]
+func growRegion(m *CGraph, target float64, seed int32, tr *trial) []int8 {
+	side := tr.side[:m.N]
 	for i := range side {
 		side[i] = 1
 	}
-	conn := ar.conn[:m.N] // connection of each side-1 vertex to side 0
+	conn := tr.conn[:m.N] // connection of each side-1 vertex to side 0
 	clear(conn)
-	seed := int32(rng.Intn(m.N))
 	side[seed] = 0
 	weight := m.Vwgt[seed]
 	adj, w := m.neighbors(seed)
@@ -165,23 +225,20 @@ const fmMaxPasses = 6
 // fmRefineBisection runs Fiduccia–Mattheyses passes on a bisection: each
 // pass tentatively moves every vertex once in best-gain order, then keeps
 // the best prefix seen. Balance may drift within 15 % of the targets and
-// neither side may empty. ar.byWgt must hold m's vertices in ascending
+// neither side may empty. tr.byWgt must hold m's vertices in ascending
 // (Vwgt, id) order.
-func fmRefineBisection(m *CGraph, side []int8, target, total float64, ar *arena) {
-	if ar.observeFM != nil {
-		ar.observeFM(m, side, target, total)
-	}
-	f := newFM(m, side, target, total, ar)
+func fmRefineBisection(m *CGraph, side []int8, target, total float64, tr *trial) {
+	f := newFM(m, side, target, total, tr)
 	for pass := 0; pass < fmMaxPasses; pass++ {
 		if _, bestCum := f.pass(); bestCum <= 0 {
 			break
 		}
 	}
-	ar.fmNodes += f.nodes
+	tr.fmNodes += f.nodes
 }
 
 // fm is the state of one fmRefineBisection call. Its slices are the
-// arena's, cut to the graph.
+// trial's, cut to the graph.
 //
 // The next vertex to move is the first, in (gain descending, id
 // ascending) order, of the unlocked vertices whose move keeps the
@@ -218,12 +275,12 @@ type fm struct {
 	nodes      int64 // tree nodes read or written by pick and replay
 }
 
-func newFM(m *CGraph, side []int8, target, total float64, ar *arena) fm {
+func newFM(m *CGraph, side []int8, target, total float64, tr *trial) fm {
 	n := m.N
 	f := fm{
-		m: m, side: side, byWgt: ar.byWgt[:n],
-		gain: ar.gain[:n], locked: ar.locked[:n], history: ar.history[:0],
-		leafAt: ar.leafAt[:n], leafBuf: ar.leaf[:n], nodeBuf: ar.node[:2*n],
+		m: m, side: side, byWgt: tr.byWgt[:n],
+		gain: tr.gain[:n], locked: tr.locked[:n], history: tr.history[:0],
+		leafAt: tr.leafAt[:n], leafBuf: tr.leaf[:n], nodeBuf: tr.node[:2*n],
 		limit: [2]float64{target * 1.15, (total - target) * 1.15},
 	}
 	for v, s := range side {

@@ -104,15 +104,15 @@ func referenceScanFM(m *CGraph, side []int8, target, total float64, record func(
 	return scans
 }
 
-// fmArena returns an arena ready for fmRefineBisection on m.
-func fmArena(m *CGraph) *arena {
+// fmTrial returns a trial ready for fmRefineBisection on m.
+func fmTrial(m *CGraph) *trial {
 	ar := &arena{}
-	ar.forBisection(m.N)
+	ar.forBisection(m.N, 1)
 	for i := range ar.byWgt {
 		ar.byWgt[i] = int32(i)
 	}
 	sortByWeight(m, ar.byWgt)
-	return ar
+	return &ar.try0
 }
 
 // checkFMAgainstScan runs the tree FM and the scan reference from the same
@@ -128,7 +128,7 @@ func checkFMAgainstScan(t testing.TB, m *CGraph, start []int8, target, total flo
 
 	// Pass by pass, as fmRefineBisection drives them.
 	side := slices.Clone(start)
-	f := newFM(m, side, target, total, fmArena(m))
+	f := newFM(m, side, target, total, fmTrial(m))
 	passes := 0
 	for passes < fmMaxPasses {
 		got, bestCum := f.pass()
@@ -159,7 +159,7 @@ func checkFMAgainstScan(t testing.TB, m *CGraph, start []int8, target, total flo
 
 	// And whole, through the entry point the partitioner calls.
 	side = slices.Clone(start)
-	fmRefineBisection(m, side, target, total, fmArena(m))
+	fmRefineBisection(m, side, target, total, fmTrial(m))
 	if !slices.Equal(side, refSide) {
 		t.Fatalf("n=%d: fmRefineBisection's sides differ from the reference's", m.N)
 	}
@@ -260,7 +260,7 @@ func TestFMMatchesScanReference(t *testing.T) {
 					start[v] = int8(rng.Intn(2))
 				}
 			case "grown": // what bisect hands FM
-				copy(start, growRegion(m, target, rng, fmArena(m)))
+				copy(start, growRegion(m, target, int32(rng.Intn(m.N)), fmTrial(m)))
 			case "overweight": // side 1 starts far over its limit
 				for v := range start {
 					if rng.Intn(10) > 0 {

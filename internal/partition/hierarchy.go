@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"runtime"
 	"sort"
 
 	"repro/internal/parallel"
@@ -201,38 +202,55 @@ func matchHeavyEdge(lvl *CGraph, order []int32, maxVwgt float64, maxTasks int32,
 	return coarseN
 }
 
+// contractStripeRows is the fewest coarse rows a stripe of contract
+// fills: a graph with fewer than twice as many is contracted on one core.
+const contractStripeRows = 4096
+
 // contractScratch holds contract's per-coarse-vertex work arrays. The
 // zero value is ready; the first contraction of a coarsening run sizes
 // it, and every later (smaller) level reuses the same memory.
 type contractScratch struct {
-	memA, memB    []int32 // members of each coarse vertex, ascending
-	seenC, seenAt []int32 // neighbor dedup stamps and positions
+	memA, memB []int32   // members of each coarse vertex, ascending
+	marks      [][]int32 // one neighbour-dedup array per stripe
 }
 
-// sized returns the four arrays cut to coarseN entries, (re)allocating
-// only when the scratch has never been this large.
-func (sc *contractScratch) sized(coarseN int32) (memA, memB, seenC, seenAt []int32) {
+// sized returns the member arrays cut to coarseN entries and stripes
+// dedup arrays, (re)allocating only when the scratch has never been this
+// large or had this many stripes. A dedup array's stale contents need no
+// clearing (see contract).
+func (sc *contractScratch) sized(coarseN int32, stripes int) (memA, memB []int32, marks [][]int32) {
 	if int32(cap(sc.memA)) < coarseN {
 		sc.memA, sc.memB = make([]int32, coarseN), make([]int32, coarseN)
-		sc.seenC, sc.seenAt = make([]int32, coarseN), make([]int32, coarseN)
+		sc.marks = sc.marks[:0]
 	}
-	return sc.memA[:coarseN], sc.memB[:coarseN], sc.seenC[:coarseN], sc.seenAt[:coarseN]
+	for len(sc.marks) < stripes {
+		sc.marks = append(sc.marks, make([]int32, cap(sc.memA)))
+	}
+	return sc.memA[:coarseN], sc.memB[:coarseN], sc.marks[:stripes]
 }
 
 // contract builds the coarse graph induced by cmap, allocating exactly the
-// edges it keeps. A count pass stamps each coarse vertex's distinct
-// coarse neighbors in seenC with -2-c, a value the fill pass never
-// writes, so one clearing serves both passes; Adjncy and Adjwgt are then
-// allocated once at the counted total and filled. Merged values
-// accumulate in ascending fine-member order, so the result is independent
-// of the commit visit order that numbered the coarse vertices. With
-// sortAdj the per-vertex adjacency blocks are sorted by neighbor id
-// (matching taskgraph's convention); otherwise blocks keep first-
-// encounter order, which is already deterministic. No hash maps: dedup
-// uses timestamped scratch arrays, O(n + |E|) total.
+// edges it keeps. A count pass sizes every coarse row, Adjncy and Adjwgt
+// are allocated once at the counted total, and a fill pass writes the
+// rows. Merged values accumulate in ascending fine-member order, so the
+// result is independent of the commit visit order that numbered the
+// coarse vertices. With sortAdj the per-vertex adjacency blocks are
+// sorted by neighbor id (matching taskgraph's convention); otherwise
+// blocks keep first-encounter order, which is already deterministic. No
+// hash maps: dedup uses one int32 mark a coarse vertex, O(n + |E|) total.
+//
+// A coarse row depends on nothing but its members' rows, so both passes
+// run in stripes of consecutive rows, one a worker, each through its own
+// mark array: the count pass marks row c's distinct neighbours with the
+// stamp -2-c, and the fill pass marks a neighbour with its position in
+// the row, which is at least the row's start exactly when the neighbour
+// is already there. Every neighbour of row c holds a stamp or a position
+// of a row of c's own stripe, written in this call, so a mark array is
+// never cleared; the output is the same bytes at any stripe count.
 func contract(lvl *CGraph, cmap []int32, coarseN int32, sortAdj bool, sc *contractScratch) *CGraph {
+	stripes := max(1, min(runtime.GOMAXPROCS(0), int(coarseN)/contractStripeRows))
+	memA, memB, marks := sc.sized(coarseN, stripes)
 	// Members of each coarse vertex in ascending fine order.
-	memA, memB, seenC, seenAt := sc.sized(coarseN)
 	for i := range memA {
 		memA[i] = -1
 		memB[i] = -1
@@ -245,73 +263,115 @@ func contract(lvl *CGraph, cmap []int32, coarseN int32, sortAdj bool, sc *contra
 			memB[c] = v
 		}
 	}
-	// seenC/seenAt dedup coarse neighbors per vertex: seenC[cu] == c marks
-	// cu already emitted for the current c, at position seenAt[cu]; the
-	// count pass marks it with -2-c instead.
-	for i := range seenC {
-		seenC[i] = -1
+	ct := contraction{lvl: lvl, cmap: cmap, memA: memA, memB: memB, marks: marks,
+		stripe: (int(coarseN) + stripes - 1) / stripes, sortAdj: sortAdj}
+	ct.xadj = make([]int32, coarseN+1)
+	if stripes == 1 {
+		ct.count(0, int(coarseN))
+	} else {
+		ct.fork((*contraction).count)
 	}
-	fxadj, fadj, fwgt := lvl.Xadj, lvl.Adjncy, lvl.Adjwgt
-	xadj := make([]int32, coarseN+1)
 	for c := int32(0); c < coarseN; c++ {
+		ct.xadj[c+1] += ct.xadj[c]
+	}
+	ct.adj = make([]int32, ct.xadj[coarseN])
+	ct.wgt = make([]float64, len(ct.adj))
+	ct.vwgt = make([]float64, coarseN)
+	ct.tcount = make([]int32, coarseN)
+	if stripes == 1 {
+		ct.fill(0, int(coarseN))
+	} else {
+		ct.fork((*contraction).fill)
+	}
+	return &CGraph{N: int(coarseN), Xadj: ct.xadj, Adjncy: ct.adj, Adjwgt: ct.wgt, Vwgt: ct.vwgt, Tcount: ct.tcount}
+}
+
+// contraction is one contract call's state: the fine level, its coarse
+// map and members, the stripe length and mark arrays, and the coarse
+// arrays the passes fill.
+type contraction struct {
+	lvl        *CGraph
+	cmap       []int32
+	memA, memB []int32
+	marks      [][]int32
+	stripe     int
+	sortAdj    bool
+	xadj, adj  []int32
+	wgt, vwgt  []float64
+	tcount     []int32
+}
+
+// fork runs pass over every stripe of coarse rows, one worker a stripe.
+// Its receiver is a copy, so the serial path's contraction stays on the
+// stack.
+func (ct contraction) fork(pass func(ct *contraction, lo, hi int)) {
+	parallel.For(len(ct.memA), ct.stripe, func(lo, hi int) { pass(&ct, lo, hi) })
+}
+
+// count writes the degree of every coarse row in [lo, hi) to xadj[c+1].
+func (ct *contraction) count(lo, hi int) {
+	lvl, cmap, mark := ct.lvl, ct.cmap, ct.marks[lo/ct.stripe]
+	for c := int32(lo); c < int32(hi); c++ {
 		stamp, deg := -2-c, int32(0)
-		for _, m := range [2]int32{memA[c], memB[c]} {
+		for _, m := range [2]int32{ct.memA[c], ct.memB[c]} {
 			if m < 0 {
 				break
 			}
-			for _, u := range fadj[fxadj[m]:fxadj[m+1]] {
-				if cu := cmap[u]; cu != c && seenC[cu] != stamp {
-					seenC[cu] = stamp
+			for _, u := range lvl.Adjncy[lvl.Xadj[m]:lvl.Xadj[m+1]] {
+				if cu := cmap[u]; cu != c && mark[cu] != stamp {
+					mark[cu] = stamp
 					deg++
 				}
 			}
 		}
-		xadj[c+1] = xadj[c] + deg
+		ct.xadj[c+1] = deg
 	}
-	adj := make([]int32, xadj[coarseN])
-	wgt := make([]float64, len(adj))
-	vwgt := make([]float64, coarseN)
-	tcount := make([]int32, coarseN)
-	var sorter *adjSorter // sort.Sort's operand escapes: one per call, not per block
-	if sortAdj {
-		sorter = new(adjSorter)
-	}
-	next := int32(0)
-	for c := int32(0); c < coarseN; c++ {
-		a, b := memA[c], memB[c]
-		vwgt[c] = lvl.Vwgt[a]
-		tcount[c] = lvl.TcountOf(a)
+}
+
+// fill writes the coarse rows [lo, hi): merged vertex weight and task
+// count, and every distinct coarse neighbour with its summed edge weight.
+func (ct *contraction) fill(lo, hi int) {
+	lvl, cmap, mark := ct.lvl, ct.cmap, ct.marks[lo/ct.stripe]
+	adj, wgt := ct.adj, ct.wgt
+	var sorter *adjSorter // sort.Sort's operand escapes: one per stripe, not per block
+	for c := int32(lo); c < int32(hi); c++ {
+		a, b := ct.memA[c], ct.memB[c]
+		ct.vwgt[c] = lvl.Vwgt[a]
+		ct.tcount[c] = lvl.TcountOf(a)
 		if b >= 0 {
-			vwgt[c] += lvl.Vwgt[b]
-			tcount[c] += lvl.TcountOf(b)
+			ct.vwgt[c] += lvl.Vwgt[b]
+			ct.tcount[c] += lvl.TcountOf(b)
 		}
+		start := ct.xadj[c]
+		next := start
 		for _, m := range [2]int32{a, b} {
 			if m < 0 {
 				break
 			}
-			lo, hi := fxadj[m], fxadj[m+1]
-			fw := fwgt[lo:hi]
-			for i, u := range fadj[lo:hi] {
+			flo, fhi := lvl.Xadj[m], lvl.Xadj[m+1]
+			fw := lvl.Adjwgt[flo:fhi]
+			for i, u := range lvl.Adjncy[flo:fhi] {
 				cu := cmap[u]
 				if cu == c {
 					continue
 				}
-				if seenC[cu] != c {
-					seenC[cu] = c
-					seenAt[cu] = next
+				if at := mark[cu]; at >= start {
+					wgt[at] += fw[i]
+				} else {
+					mark[cu] = next
 					adj[next], wgt[next] = cu, fw[i]
 					next++
-				} else {
-					wgt[seenAt[cu]] += fw[i]
 				}
 			}
 		}
-		if sorter != nil {
-			sorter.adj, sorter.wgt = adj[xadj[c]:next], wgt[xadj[c]:next]
+		if ct.sortAdj {
+			if sorter == nil {
+				sorter = new(adjSorter)
+			}
+			sorter.adj, sorter.wgt = adj[start:next], wgt[start:next]
 			sort.Sort(sorter)
 		}
 	}
-	return &CGraph{N: int(coarseN), Xadj: xadj, Adjncy: adj, Adjwgt: wgt, Vwgt: vwgt, Tcount: tcount}
 }
 
 // adjSorter sorts one adjacency block by neighbor id, keeping weights

@@ -34,7 +34,7 @@ func stagedPartition(g *taskgraph.Graph, k int, seed int64, see func(stage strin
 		levels, cmaps = append(levels, coarse), append(cmaps, cmap)
 	}
 	coarsest := levels[len(levels)-1]
-	ar.forBisection(coarsest.N)
+	ar.forBisection(coarsest.N, tries)
 	assign := make([]int, coarsest.N)
 	ids := make([]int32, coarsest.N)
 	for i := range ids {

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/taskgraph"
 )
@@ -98,7 +99,7 @@ func (ml Multilevel) partition(g *taskgraph.Graph, k int, ar *arena) (*Result, e
 	// Initial partition of the coarsest level by recursive bisection.
 	lvl := len(levels) - 1
 	coarsest := levels[lvl]
-	ar.forBisection(coarsest.N)
+	ar.forBisection(coarsest.N, tries)
 	assign := bufs[lvl%2][:coarsest.N]
 	ids := make([]int32, coarsest.N)
 	for i := range ids {
@@ -130,7 +131,10 @@ func (ml Multilevel) partition(g *taskgraph.Graph, k int, ar *arena) (*Result, e
 // bisection); every user cuts them to its own graph. A buffer belongs to
 // the innermost call that fills it and is dead when that call's caller
 // has read it, with two exceptions that outlive their call: bisect's best
-// and byWgt, which recursiveBisect reads until it recurses. Nothing here
+// and byWgt, which recursiveBisect reads until it recurses. Within the
+// call, scratch is per worker, not per try: bisect's tries run on
+// try0 alone or, when they fork, on one trial per worker, the others
+// added at the first fork and kept for every later bisect. Nothing here
 // is shared between calls.
 type arena struct {
 	// Coarsening: the rng-permuted visit order and matchHeavyEdge's work
@@ -138,21 +142,50 @@ type arena struct {
 	order, pref, match []int32
 	contract           contractScratch
 	// Bisection of the coarsest graph and its subgraphs.
-	inv        []int32 // extract's inverse map: -1 between calls
-	sel, ids   []int32 // recursiveBisect's split of a graph and of its ids
-	side, best []int8  // growRegion's candidate, bisect's best so far
-	conn       []float64
-	byWgt      []int32 // vertices in ascending (Vwgt, id) order, one sort a bisect
-	// fmRefineBisection's (see fm).
-	gain         []float64
-	locked       []bool
-	history      []fmMove
-	leaf, leafAt []int32
-	node         []int32
-	// Instrumentation, for tests: the tree nodes the call's FM passes
-	// touched, and a function shown every fmRefineBisection input.
-	fmNodes   int64
+	inv      []int32      // extract's inverse map: -1 between calls
+	sel, ids []int32      // recursiveBisect's split of a graph and of its ids
+	byWgt    []int32      // vertices in ascending (Vwgt, id) order, one sort a bisect
+	seeds    []int32      // one growRegion seed a try
+	nextTry  atomic.Int32 // the next try a bisect's workers take
+	try0     trial
+	workers  []*trial // try0, then one trial per further worker; nil until a bisect forks
+	// Instrumentation, for tests: a function shown every
+	// fmRefineBisection input, in try order.
 	observeFM func(m *CGraph, side []int8, target, total float64)
+}
+
+// trial is one worker's scratch for bisect's tries: growRegion's
+// candidate and connections, fmRefineBisection's buffers (see fm), the
+// best side the worker's tries found with its cut, balance and try, and
+// the tree nodes its FM passes touched. conn and gain share their memory:
+// a try's connections are dead once its FM starts, and FM sets every
+// gain before it reads one. byWgt is the arena's, shared and read-only
+// while the tries run.
+type trial struct {
+	side, best         []int8
+	conn, gain         []float64
+	locked             []bool
+	history            []fmMove
+	byWgt              []int32
+	leaf, leafAt, node []int32
+	cut, bal           float64
+	try                int
+	fmNodes            int64
+}
+
+// newTrial returns a trial for graphs of up to n vertices, its four
+// n-entry int32 buffers cut from buf.
+func newTrial(n int, byWgt, buf []int32) trial {
+	sides := make([]int8, 2*n)
+	floats := make([]float64, n)
+	return trial{
+		side: sides[:n], best: sides[n:],
+		conn: floats, gain: floats,
+		locked:  make([]bool, n),
+		history: make([]fmMove, 0, n),
+		byWgt:   byWgt,
+		leaf:    buf[:n], leafAt: buf[n : 2*n], node: buf[2*n : 4*n],
+	}
 }
 
 // forCoarsening sizes the coarsening buffers for a finest level of n
@@ -162,21 +195,30 @@ func (ar *arena) forCoarsening(n int) {
 	ar.order, ar.pref, ar.match = buf[:n], buf[n:2*n], buf[2*n:]
 }
 
-// forBisection sizes the bisection buffers for a coarsest level of n
-// vertices.
-func (ar *arena) forBisection(n int) {
-	buf := make([]int32, 8*n)
+// forBisection sizes the bisection buffers, try0's included, for a
+// coarsest level of n vertices and the given tries a bisect.
+func (ar *arena) forBisection(n, tries int) {
+	buf := make([]int32, 8*n+tries)
 	ar.inv, ar.sel, ar.ids, ar.byWgt = buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n]
-	ar.leaf, ar.leafAt, ar.node = buf[4*n:5*n], buf[5*n:6*n], buf[6*n:]
+	ar.seeds = buf[8*n:]
 	for i := range ar.inv {
 		ar.inv[i] = -1
 	}
-	sides := make([]int8, 2*n)
-	ar.side, ar.best = sides[:n], sides[n:]
-	floats := make([]float64, 2*n)
-	ar.conn, ar.gain = floats[:n], floats[n:]
-	ar.locked = make([]bool, n)
-	ar.history = make([]fmMove, 0, n)
+	ar.try0 = newTrial(n, ar.byWgt, buf[4*n:8*n])
+}
+
+// forWorkers returns the trials of w workers, try0 first, adding the
+// missing ones at forBisection's size.
+func (ar *arena) forWorkers(w int) []*trial {
+	if ar.workers == nil {
+		ar.workers = []*trial{&ar.try0}
+	}
+	for len(ar.workers) < w {
+		n := len(ar.byWgt)
+		tr := newTrial(n, ar.byWgt, make([]int32, 4*n))
+		ar.workers = append(ar.workers, &tr)
+	}
+	return ar.workers[:w]
 }
 
 // coarsen matches vertices by heavy-edge matching and contracts matched

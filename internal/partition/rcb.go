@@ -2,8 +2,10 @@ package partition
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
+	"repro/internal/parallel"
 	"repro/internal/taskgraph"
 )
 
@@ -137,15 +139,23 @@ type axisKey struct {
 	id int32
 }
 
+// rcbForkMin is the smallest block whose two halves are split side by
+// side.
+const rcbForkMin = 1 << 14
+
 // bisection is the state of one coordBisect call. Every block of the
 // recursion occupies the same position range of each axis list, so a
-// block is its range [lo, hi) and the lists are split in place.
+// block is its range [lo, hi) and the lists are split in place. Sibling
+// blocks own disjoint position ranges and disjoint points — of the lists,
+// of scratch (indexed by position), of left and of assign — so a block of
+// at least rcbForkMin points splits its two halves on two workers, each
+// writing the bytes the serial recursion would.
 type bisection struct {
 	coords  [][]float64
 	weight  []float64 // nil: every point weighs one
 	orders  [][]int32 // per axis, point ids in (coordinate, id) order within each block's range
-	scratch []int32
-	left    []bool // false for every point between splits
+	scratch []int32   // by position: a block's split stages its list here
+	left    []bool    // false for every point between splits
 	assign  []int
 }
 
@@ -203,23 +213,34 @@ func (b *bisection) split(lo, hi int, shares []int, offset int) {
 		b.left[v] = true
 	}
 	// Stable split of every axis list around the cut set, via scratch.
+	scratch := b.scratch[lo:hi]
 	for _, od := range b.orders {
 		od = od[lo:hi]
 		li, ri := 0, cut
 		for _, v := range od {
 			if b.left[v] {
-				b.scratch[li] = v
+				scratch[li] = v
 				li++
 			} else {
-				b.scratch[ri] = v
+				scratch[ri] = v
 				ri++
 			}
 		}
-		copy(od, b.scratch[:len(od)])
+		copy(od, scratch)
 	}
 	for _, v := range l[:cut] {
 		b.left[v] = false
 	}
-	b.split(lo, lo+cut, shares[:k1], offset)
-	b.split(lo+cut, hi, shares[k1:], offset+k1)
+	if hi-lo < rcbForkMin || runtime.GOMAXPROCS(0) < 2 {
+		b.split(lo, lo+cut, shares[:k1], offset)
+		b.split(lo+cut, hi, shares[k1:], offset+k1)
+		return
+	}
+	parallel.For(2, 1, func(half, _ int) {
+		if half == 0 {
+			b.split(lo, lo+cut, shares[:k1], offset)
+		} else {
+			b.split(lo+cut, hi, shares[k1:], offset+k1)
+		}
+	})
 }

@@ -96,10 +96,13 @@ func RandomGeometricCoords(n int, seed int64) [][]float64 {
 	return coords
 }
 
-// RandomGeometricDeg is RandomGeometric with the radius derived from a
-// target average degree (expected degree of a point is π·r²·n) and a
-// cell-bucketed neighbor search, so million-vertex instances build in
-// O(n·deg) instead of O(n²) pair tests. Deterministic for a given seed.
+// RandomGeometricDeg is RandomGeometric with the radius derived from
+// avgDeg and a cell-bucketed neighbor search, so million-vertex instances
+// build in O(n·deg) instead of O(n²) pair tests. The radius r solves
+// π·r²·n = avgDeg+1, so a point away from the square's border expects
+// avgDeg+1 neighbours; points near the border lose part of their disc,
+// and the mean degree lands between: 8.94 for n = 65 536, avgDeg = 8, and
+// 2.0 for avgDeg = 1. Deterministic for a given seed.
 func RandomGeometricDeg(n, avgDeg int, msgBytes float64, seed int64) *Graph {
 	return randomGeometricDeg(n, avgDeg, msgBytes, seed, buildGrain)
 }
