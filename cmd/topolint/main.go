@@ -3,16 +3,13 @@
 //
 // Usage:
 //
-//	topolint [-json] [-analyzers name,name] [-list] [-baseline file] [-update-baseline] [patterns ...]
+//	topolint [-json] [-analyzers name,name] [-list] [patterns ...]
 //
 // Patterns select packages: "./..." (everything, the default), a
 // relative directory like ./internal/core, a "./dir/..." subtree, or
 // a full import path. Exit status is 0 when the tree is clean, 1 when
-// any diagnostic is reported, and 2 on usage or load errors.
-//
-// With -baseline, findings recorded in the given baseline file are
-// filtered out, so the gate fails only on new diagnostics;
-// -update-baseline rewrites the file to accept the current findings.
+// any diagnostic is reported, and 2 on usage or load errors. The
+// repository is held to zero findings, so the exit status is the gate.
 package main
 
 import (
@@ -45,10 +42,8 @@ func run(args []string) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	names := fs.String("analyzers", "", "comma-separated analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list registered analyzers and exit")
-	baselinePath := fs.String("baseline", "", "filter findings recorded in this baseline file")
-	updateBaseline := fs.Bool("update-baseline", false, "rewrite -baseline file accepting current findings")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: topolint [-json] [-analyzers name,name] [-list] [-baseline file] [-update-baseline] [patterns ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: topolint [-json] [-analyzers name,name] [-list] [patterns ...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -98,27 +93,6 @@ func run(args []string) int {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
-	rel := func(filename string) string { return relPath(mod.Root, filename) }
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintf(os.Stderr, "topolint: -update-baseline requires -baseline\n")
-			return 2
-		}
-		if err := lint.NewBaseline(diags, rel).WriteBaseline(*baselinePath); err != nil {
-			fmt.Fprintf(os.Stderr, "topolint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "topolint: wrote %s accepting %d finding(s)\n", *baselinePath, len(diags))
-		return 0
-	}
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "topolint: %v\n", err)
-			return 2
-		}
-		diags = base.Filter(diags, rel)
-	}
 	if *jsonOut {
 		out := make([]jsonDiag, len(diags))
 		for i, d := range diags {

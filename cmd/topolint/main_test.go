@@ -193,50 +193,3 @@ func TestListAnalyzers(t *testing.T) {
 		}
 	}
 }
-
-func TestBaselineWorkflow(t *testing.T) {
-	dir := writeModule(t, map[string]string{"dirty/dirty.go": floatcmpFile})
-	base := filepath.Join(dir, "baseline.json")
-
-	// -update-baseline accepts the current findings and exits 0.
-	_, stderr, code := runTopolint(t, dir, "-baseline", base, "-update-baseline", "./...")
-	if code != 0 {
-		t.Fatalf("-update-baseline exit = %d, want 0; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "1 finding(s)") {
-		t.Errorf("expected 1 accepted finding, stderr:\n%s", stderr)
-	}
-
-	// The same tree now passes the gate.
-	stdout, stderr, code := runTopolint(t, dir, "-baseline", base, "./...")
-	if code != 0 {
-		t.Fatalf("gate on baselined tree: exit = %d, want 0; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("baselined findings still printed:\n%s", stdout)
-	}
-
-	// A new finding (second exact-float comparison) still fails the gate,
-	// and only the new finding is printed.
-	extra := floatcmpFile + "\n// Same compares floats exactly, again.\nfunc Same(a, b float64) bool { return a == b }\n"
-	if err := os.WriteFile(filepath.Join(dir, "dirty", "dirty.go"), []byte(extra), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout, _, code = runTopolint(t, dir, "-baseline", base, "./...")
-	if code != 1 {
-		t.Fatalf("gate with a new finding: exit = %d, want 1; stdout:\n%s", code, stdout)
-	}
-	if got := strings.Count(stdout, "[floatcmp]"); got != 1 {
-		t.Errorf("want exactly the 1 new finding past the baseline, got %d:\n%s", got, stdout)
-	}
-}
-
-func TestBaselineErrors(t *testing.T) {
-	dir := writeModule(t, map[string]string{"clean/clean.go": cleanFile})
-	if _, _, code := runTopolint(t, dir, "-update-baseline", "./..."); code != 2 {
-		t.Errorf("-update-baseline without -baseline: exit = %d, want 2", code)
-	}
-	if _, _, code := runTopolint(t, dir, "-baseline", filepath.Join(dir, "missing.json"), "./..."); code != 2 {
-		t.Errorf("-baseline with a missing file: exit = %d, want 2", code)
-	}
-}

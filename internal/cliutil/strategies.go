@@ -101,23 +101,23 @@ func estPartition(n, m, p int) float64 {
 }
 
 func estSFC(n, m, p int) float64 {
-	return float64(n)*log2p1(n)*3e-5 + float64(m)*1.5e-5
+	return float64(float64(n)*log2p1(n)*3e-5) + float64(float64(m)*1.5e-5)
 }
 
 func estRCBSFC(n, m, p int) float64 {
-	return float64(n)*log2p1(n)*log2p1(p)*3e-5 + float64(m)*1.5e-5
+	return float64(float64(n)*log2p1(n)*log2p1(p)*3e-5) + float64(float64(m)*1.5e-5)
 }
 
 func estTopoCentLB(n, m, p int) float64 {
-	return estPartition(n, m, p) + float64(p)*float64(p)*2e-4
+	return estPartition(n, m, p) + float64(float64(p)*float64(p)*2e-4)
 }
 
 func estTopoLB(n, m, p int) float64 {
-	return estPartition(n, m, p) + float64(p)*float64(p)*log2p1(p)*2.5e-4
+	return estPartition(n, m, p) + float64(float64(p)*float64(p)*log2p1(p)*2.5e-4)
 }
 
 func estMultilevel(n, m, p int) float64 {
-	return (float64(n)+float64(m))*log2p1(n)*6e-5 + float64(p)*float64(p)*2e-4
+	return float64((float64(n)+float64(m))*log2p1(n)*6e-5) + float64(float64(p)*float64(p)*2e-4)
 }
 
 // estHier is dominated by the per-level capacity partitions with their

@@ -34,7 +34,7 @@ func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
 				lv := l[m[v]]
 				for i, u := range adj {
 					if int32(v) < u {
-						hb += w[i] * float64(bits.OnesCount64(lv^l[m[u]]))
+						hb += float64(w[i] * float64(bits.OnesCount64(lv^l[m[u]])))
 					}
 				}
 			}
@@ -49,7 +49,7 @@ func HopBytes(g *taskgraph.Graph, t topology.Topology, m Mapping) float64 {
 			pv := m[v]
 			for i, u := range adj {
 				if int32(v) < u {
-					hb += w[i] * float64(d.Dist(pv, m[u]))
+					hb += float64(w[i] * float64(d.Dist(pv, m[u])))
 				}
 			}
 		}

@@ -358,16 +358,6 @@ func (s *IncrementalState) ProcLoads() []float64 {
 	return loads
 }
 
-// TaskHopBytes returns the hop-bytes carried by task v's edges, summed in
-// ascending partner order.
-func (s *IncrementalState) TaskHopBytes(v int) float64 {
-	hb := 0.0
-	for _, e := range s.adj[v].leaf {
-		hb += s.tree.leaf(int(e))
-	}
-	return hb
-}
-
 func (s *IncrementalState) checkTask(v int) error {
 	if v < 0 || v >= len(s.proc) || !s.alive[v] {
 		return fmt.Errorf("core: incremental: no live task %d", v)

@@ -309,7 +309,7 @@ func (r *mlRefiner) projectLevel(fine, coarse *partition.CGraph, cmap []int32, c
 			lv := l[pv]
 			for i := fine.Xadj[v]; i < fine.Xadj[v+1]; i++ {
 				if u := fine.Adjncy[i]; u != sib {
-					cost += fine.Adjwgt[i] * float64(bits.OnesCount64(lv^l[parentRep(u)]))
+					cost += float64(fine.Adjwgt[i] * float64(bits.OnesCount64(lv^l[parentRep(u)])))
 				}
 			}
 			return cost
@@ -319,7 +319,7 @@ func (r *mlRefiner) projectLevel(fine, coarse *partition.CGraph, cmap []int32, c
 			if u == sib {
 				continue
 			}
-			cost += fine.Adjwgt[i] * float64(r.d.Dist(int(pv), int(parentRep(u))))
+			cost += float64(fine.Adjwgt[i] * float64(r.d.Dist(int(pv), int(parentRep(u)))))
 		}
 		return cost
 	}

@@ -140,13 +140,13 @@ func SwapDelta(d *topology.Dists, m Mapping, pa, pb, a int, adjA []int32, wA []f
 		for i, u := range adjA {
 			if int(u) != b {
 				pu := m[u]
-				delta += wA[i] * float64(rowB[pu]-rowA[pu])
+				delta += float64(wA[i] * float64(rowB[pu]-rowA[pu]))
 			}
 		}
 		for i, u := range adjB {
 			if int(u) != a {
 				pu := m[u]
-				delta += wB[i] * float64(rowA[pu]-rowB[pu])
+				delta += float64(wB[i] * float64(rowA[pu]-rowB[pu]))
 			}
 		}
 		return delta
@@ -156,13 +156,13 @@ func SwapDelta(d *topology.Dists, m Mapping, pa, pb, a int, adjA []int32, wA []f
 		for i, u := range adjA {
 			if int(u) != b {
 				x := l[m[u]]
-				delta += wA[i] * float64(bits.OnesCount64(lb^x)-bits.OnesCount64(la^x))
+				delta += float64(wA[i] * float64(bits.OnesCount64(lb^x)-bits.OnesCount64(la^x)))
 			}
 		}
 		for i, u := range adjB {
 			if int(u) != a {
 				x := l[m[u]]
-				delta += wB[i] * float64(bits.OnesCount64(la^x)-bits.OnesCount64(lb^x))
+				delta += float64(wB[i] * float64(bits.OnesCount64(la^x)-bits.OnesCount64(lb^x)))
 			}
 		}
 		return delta
@@ -170,13 +170,13 @@ func SwapDelta(d *topology.Dists, m Mapping, pa, pb, a int, adjA []int32, wA []f
 	for i, u := range adjA {
 		if int(u) != b {
 			pu := m[u]
-			delta += wA[i] * float64(d.Dist(pb, pu)-d.Dist(pa, pu))
+			delta += float64(wA[i] * float64(d.Dist(pb, pu)-d.Dist(pa, pu)))
 		}
 	}
 	for i, u := range adjB {
 		if int(u) != a {
 			pu := m[u]
-			delta += wB[i] * float64(d.Dist(pa, pu)-d.Dist(pb, pu))
+			delta += float64(wB[i] * float64(d.Dist(pa, pu)-d.Dist(pb, pu)))
 		}
 	}
 	return delta

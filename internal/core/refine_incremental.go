@@ -221,7 +221,7 @@ func (r *incRefiner) moveScore(a int, ra *incRow, p int, markable *bool) bool {
 	if gated && !*markable {
 		return false
 	}
-	if SwapDelta(&s.d, s.proc, pa, p, a, ra.nbr, ra.w, -1, nil, nil)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
+	if SwapDelta(&s.d, s.proc, pa, p, a, ra.nbr, ra.w, -1, nil, nil)+float64(r.opts.MigrationCost*float64(migDelta)) < -1e-12 {
 		*markable = false
 		return !gated
 	}
@@ -251,7 +251,7 @@ func (r *incRefiner) swapScore(a int, ra *incRow, b int, markable *bool) bool {
 		return false
 	}
 	rb := &s.adj[b]
-	if SwapDelta(&s.d, s.proc, pa, pb, a, ra.nbr, ra.w, b, rb.nbr, rb.w)+r.opts.MigrationCost*float64(migDelta) < -1e-12 {
+	if SwapDelta(&s.d, s.proc, pa, pb, a, ra.nbr, ra.w, b, rb.nbr, rb.w)+float64(r.opts.MigrationCost*float64(migDelta)) < -1e-12 {
 		*markable = false
 		return !gated
 	}

@@ -193,11 +193,11 @@ func (TopoCentLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) 
 			if l != nil {
 				lp := l[p]
 				for k, x := range placedL {
-					cost += placedW[k] * float64(bits.OnesCount64(lp^x))
+					cost += float64(placedW[k] * float64(bits.OnesCount64(lp^x)))
 				}
 			} else {
 				for k, pu := range placedAt {
-					cost += placedW[k] * float64(d.Dist(p, pu))
+					cost += float64(placedW[k] * float64(d.Dist(p, pu)))
 				}
 			}
 			if pk < 0 || cost < best {

@@ -297,11 +297,11 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 			row := pool[int(rowOf[u])*n:][:n]
 			if order == OrderSecond {
 				for p := 0; p < n; p++ {
-					row[p] += c * (distRow[p] - totalDist[p])
+					row[p] += float64(c * (distRow[p] - totalDist[p]))
 				}
 			} else {
 				for p := 0; p < n; p++ {
-					row[p] += c * distRow[p]
+					row[p] += float64(c * distRow[p])
 				}
 			}
 			rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
@@ -444,13 +444,13 @@ func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping,
 				if !procFree[p] {
 					continue
 				}
-				f := row[p] + unplacedW[v]*sumFree[p]*inv
+				f := row[p] + float64(unplacedW[v]*sumFree[p]*inv)
 				sum += f
 				if ma < 0 || f < mv {
 					mv, ma = f, p
 				}
 			}
-			if gain := sum*inv - mv; tk < 0 || gain > best {
+			if gain := float64(sum*inv) - mv; tk < 0 || gain > best {
 				tk, pk, best = v, ma, gain
 			}
 		}
@@ -475,7 +475,7 @@ func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping,
 			unplacedW[u] -= c
 			row := base[u*n : (u+1)*n]
 			for p := 0; p < n; p++ {
-				row[p] += c * distRow[p]
+				row[p] += float64(c * distRow[p])
 			}
 		}
 	}

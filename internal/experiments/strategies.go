@@ -3,10 +3,10 @@ package experiments
 import (
 	"time"
 
-	topomap "repro"
 	"repro/internal/baselines"
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 )
@@ -92,7 +92,7 @@ func ExtrasSFC(quick bool) (*Table, error) {
 		}
 		for si, s := range strategies {
 			start := time.Now()
-			res, err := topomap.MapTasks(g, topo, topomap.Multilevel{Seed: 1}, s)
+			res, err := core.MapTasks(g, topo, partition.Multilevel{Seed: 1}, s)
 			if err != nil {
 				return nil, err
 			}

@@ -7,10 +7,11 @@ import (
 	"repro/internal/topology"
 )
 
+// The counters run from process start, so the test reads how far each
+// moves between two snapshots.
 func TestCountersTrackCacheAndPool(t *testing.T) {
 	topology.PurgeDistanceCache()
-	topology.ResetDistCacheStats()
-	netsim.ResetPoolStats()
+	before := Counters()
 
 	// A labelled machine needs no matrix: the lookup is a bypass.
 	if topology.CachedDistances(topology.MustTorus(4, 4)) != nil {
@@ -30,17 +31,19 @@ func TestCountersTrackCacheAndPool(t *testing.T) {
 	netsim.PutEngine(eng2)
 
 	c := Counters()
-	if c.DistMatrixCache.Misses != 1 {
-		t.Errorf("misses = %d, want 1", c.DistMatrixCache.Misses)
+	if d := c.DistMatrixCache.Misses - before.DistMatrixCache.Misses; d != 1 {
+		t.Errorf("misses rose by %d, want 1", d)
 	}
-	if c.DistMatrixCache.Hits < 1 {
-		t.Errorf("hits = %d, want >= 1", c.DistMatrixCache.Hits)
+	if d := c.DistMatrixCache.Hits - before.DistMatrixCache.Hits; d < 1 {
+		t.Errorf("hits rose by %d, want >= 1", d)
 	}
-	if c.DistMatrixCache.Bypasses != 1 {
-		t.Errorf("bypasses = %d, want 1", c.DistMatrixCache.Bypasses)
+	if d := c.DistMatrixCache.Bypasses - before.DistMatrixCache.Bypasses; d != 1 {
+		t.Errorf("bypasses rose by %d, want 1", d)
 	}
-	if c.EnginePool.Gets != 2 || c.EnginePool.Puts != 2 {
-		t.Errorf("pool gets/puts = %d/%d, want 2/2", c.EnginePool.Gets, c.EnginePool.Puts)
+	gets := c.EnginePool.Gets - before.EnginePool.Gets
+	puts := c.EnginePool.Puts - before.EnginePool.Puts
+	if gets != 2 || puts != 2 {
+		t.Errorf("pool gets/puts rose by %d/%d, want 2/2", gets, puts)
 	}
 	if c.EnginePool.Reuses != c.EnginePool.Gets-c.EnginePool.News {
 		t.Errorf("reuses = %d, want gets-news = %d", c.EnginePool.Reuses, c.EnginePool.Gets-c.EnginePool.News)
@@ -49,7 +52,7 @@ func TestCountersTrackCacheAndPool(t *testing.T) {
 	if n := topology.PurgeDistanceCache(); n != 1 {
 		t.Errorf("purge dropped %d entries, want 1", n)
 	}
-	if ev := topology.DistCacheCounters().Evictions; ev != 1 {
-		t.Errorf("evictions = %d, want 1", ev)
+	if d := topology.DistCacheCounters().Evictions - c.DistMatrixCache.Evictions; d != 1 {
+		t.Errorf("evictions rose by %d, want 1", d)
 	}
 }

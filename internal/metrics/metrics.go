@@ -96,14 +96,14 @@ func Evaluate(g *taskgraph.Graph, t topology.Topology, m []int) (*Report, error)
 		sum, sumSq := 0.0, 0.0
 		for _, b := range loads {
 			sum += b
-			sumSq += b * b
+			sumSq += float64(b * b)
 			if b > r.MaxLinkBytes {
 				r.MaxLinkBytes = b
 			}
 		}
 		if len(loads) > 0 {
 			r.MeanLinkBytes = sum / float64(len(loads))
-			variance := sumSq/float64(len(loads)) - r.MeanLinkBytes*r.MeanLinkBytes
+			variance := sumSq/float64(len(loads)) - float64(r.MeanLinkBytes*r.MeanLinkBytes)
 			if variance > 0 && r.MeanLinkBytes > 0 {
 				r.LinkCV = math.Sqrt(variance) / r.MeanLinkBytes
 			}
@@ -152,7 +152,9 @@ func RoutedLoads(g *taskgraph.Graph, t topology.Router, m []int, split bool) []f
 			path = t.Route(path[:0], src, dst)
 			bytes := w[i]
 			if split && len(path) > 2 {
-				bytes /= 2
+				// The halving compiles to a product by 0.5; the conversion
+				// keeps it from fusing with the sums below.
+				bytes = float64(bytes / 2)
 				back = t.Route(back[:0], dst, src)
 				for h := 0; h+1 < len(back); h++ {
 					loads[links.Index(back[h+1], back[h])] += bytes

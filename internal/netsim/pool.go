@@ -15,8 +15,7 @@ var enginePool = sync.Pool{New: func() any {
 	return &Engine{}
 }}
 
-// PoolStats counts engine-pool traffic since process start (or the last
-// ResetPoolStats). Reuses = Gets − News: how many simulations ran on a
+// PoolStats counts engine-pool traffic since process start. Reuses = Gets − News: how many simulations ran on a
 // recycled arena instead of a fresh allocation.
 type PoolStats struct {
 	Gets int64 `json:"gets"`
@@ -52,11 +51,4 @@ func PoolCounters() PoolStats {
 		Puts: enginePoolStats.puts.Load(),
 		News: enginePoolStats.news.Load(),
 	}
-}
-
-// ResetPoolStats zeroes the engine-pool counters.
-func ResetPoolStats() {
-	enginePoolStats.gets.Store(0)
-	enginePoolStats.puts.Store(0)
-	enginePoolStats.news.Store(0)
 }

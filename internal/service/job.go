@@ -14,12 +14,12 @@ import (
 	"strings"
 	"sync"
 
-	topomap "repro"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hiertopo"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/partition"
 	"repro/internal/taskgraph"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -699,7 +699,7 @@ func (j *job) runStrategy(strat core.Strategy, res *JobResult) ([]int, error) {
 		// The partitioner's RNG is seeded from the job spec, so two jobs
 		// whose content keys differ only in Seed genuinely partition
 		// differently instead of silently sharing the zero seed.
-		pr, err := topomap.MapTasks(j.graph, j.mapTopo, topomap.Multilevel{Seed: j.spec.Seed}, strat)
+		pr, err := core.MapTasks(j.graph, j.mapTopo, partition.Multilevel{Seed: j.spec.Seed}, strat)
 		if err != nil {
 			return nil, badJob(422, "job: %s: %v", strat.Name(), err)
 		}

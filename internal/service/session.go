@@ -424,7 +424,7 @@ func (s *Server) remap(ss *session, resp *deltasResponse) (err error) {
 	}
 	res := ss.state.RefineIncremental(ss.opts)
 	gain := res.HopBytesBefore - res.HopBytesAfter
-	net := gain - ss.opts.MigrationCost*float64(res.Migrations)
+	net := gain - float64(ss.opts.MigrationCost*float64(res.Migrations))
 	if res.Migrations > 0 && net > ss.thresh*res.HopBytesBefore {
 		// Adopt: the pushed placement becomes the new anchor, so the next
 		// remap's budget counts migrations from what the client has after

@@ -130,7 +130,7 @@ func Keys(coords [][]float64) ([]uint64, error) {
 		for v := from; v < to; v++ {
 			row := coords[v]
 			for i := 0; i < d; i++ {
-				q[i] = uint32((row[i]-lo[i])*scale[i] + 0.5)
+				q[i] = uint32(float64((row[i]-lo[i])*scale[i]) + 0.5)
 			}
 			keys[v] = Key(order, q[:d])
 		}

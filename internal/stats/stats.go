@@ -76,16 +76,6 @@ func Sweep(seeds int, f func(seed int64) float64) Summary {
 	return Summarize(xs)
 }
 
-// RelativeChange returns (b − a) / a, the fractional change from a to b;
-// it panics when a is zero.
-func RelativeChange(a, b float64) float64 {
-	//lint:ignore floatcmp division guard: exactly zero is the only undefined base, an epsilon would reject valid small bases
-	if a == 0 {
-		panic("stats: relative change from zero")
-	}
-	return (b - a) / a
-}
-
 // KendallTauB is Kendall's rank correlation of xs and ys, τ-b for ties:
 // (concordant − discordant pairs) / √((n₀ − tx)(n₀ − ty)), with n₀ all
 // pairs and tx, ty those tied in xs, in ys. It is NaN when either sample

@@ -46,18 +46,6 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-func TestRelativeChange(t *testing.T) {
-	if got := RelativeChange(10, 7); math.Abs(got+0.3) > 1e-12 {
-		t.Errorf("got %v, want -0.3", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for zero base")
-		}
-	}()
-	RelativeChange(0, 1)
-}
-
 func TestStringFormat(t *testing.T) {
 	s := Summarize([]float64{2, 2, 2})
 	if got := s.String(); got != "2 ± 0 (n=3)" {

@@ -63,74 +63,26 @@ func TestReadJSONErrors(t *testing.T) {
 	}
 }
 
-func TestMetisRoundTrip(t *testing.T) {
-	g := NewBuilder(4).
-		AddEdge(0, 1, 3).AddEdge(1, 2, 4).AddEdge(2, 3, 5).AddEdge(3, 0, 6).
-		SetVertexWeight(0, 2).SetVertexWeight(3, 7).
-		Build("sq")
+// WriteMetis rounds every weight half up to an integer, numbers vertices
+// from 1, lists each edge from both ends in neighbour order and gives an
+// isolated vertex a line holding only its weight.
+func TestWriteMetisGolden(t *testing.T) {
+	g := NewBuilder(5).
+		AddEdge(0, 1, 2.5).AddEdge(1, 2, 0.4).AddEdge(2, 0, 6.49).AddEdge(0, 3, 1.5).
+		SetVertexWeight(0, 1.5).SetVertexWeight(1, 0.49).SetVertexWeight(3, 7.5).SetVertexWeight(4, 2.5).
+		Build("golden")
+	const want = "5 4 011\n" +
+		"2 2 3 3 6 4 2\n" +
+		"0 1 3 3 0\n" +
+		"1 1 6 2 0\n" +
+		"8 1 2\n" +
+		"3\n"
 	var buf bytes.Buffer
 	if err := g.WriteMetis(&buf); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadMetis(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, g, h)
-}
-
-func TestReadMetisPlainFormat(t *testing.T) {
-	// Format 000: no weights; comments allowed.
-	in := `% a triangle
-3 3
-2 3
-1 3
-1 2
-`
-	g, err := ReadMetis(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("got (%d,%d), want (3,3)", g.NumVertices(), g.NumEdges())
-	}
-	if g.EdgeWeight(0, 1) != 1 {
-		t.Errorf("default edge weight = %v, want 1", g.EdgeWeight(0, 1))
-	}
-}
-
-func TestReadMetisErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":         "",
-		"short header":  "5\n",
-		"bad n":         "x 3\n",
-		"edge mismatch": "2 5 000\n2\n1\n",
-		"bad neighbor":  "2 1 000\n9\n1\n",
-		"missing ewgt":  "2 1 001\n2\n1 4\n",
-		"truncated":     "3 2 000\n2\n",
-	}
-	for name, in := range cases {
-		if _, err := ReadMetis(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: want error", name)
-		}
-	}
-}
-
-// A weight that is negative or not finite is an error naming its vertex,
-// not a panic in the builder or a NaN in TotalComm.
-func TestReadMetisRejectsBadWeights(t *testing.T) {
-	for _, in := range []string{
-		"2 1 011\n1 2 7\n-5 1 7\n",
-		"2 1 011\n1 2 7\nNaN 1 7\n",
-		"2 1 011\n1 2 7\n+Inf 1 7\n",
-		"2 1 001\n2 7\n1 -7\n",
-		"2 1 001\n2 7\n1 nan\n",
-		"2 1 001\n2 7\n1 -Inf\n",
-	} {
-		_, err := ReadMetis(strings.NewReader(in))
-		if err == nil || !strings.Contains(err.Error(), "vertex 2") {
-			t.Errorf("%q: error %v, want one naming vertex 2", in, err)
-		}
+	if got := buf.String(); got != want {
+		t.Errorf("WriteMetis wrote\n%s\nwant\n%s", got, want)
 	}
 }
 

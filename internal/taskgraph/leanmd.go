@@ -62,7 +62,7 @@ func leanMD(p int, msgBytes float64, seed int64, grain int) *Graph {
 	n := cells + p
 	vwgt := make([]float64, n)
 	for v := 0; v < cells; v++ {
-		vwgt[v] = 0.75 + rng.Float64()*0.5
+		vwgt[v] = 0.75 + float64(rng.Float64()*0.5)
 	}
 	for v := cells; v < n; v++ {
 		vwgt[v] = 0.25

@@ -101,11 +101,11 @@ var distCache struct {
 	idents []Topology // insertion order, for bounded eviction
 }
 
-// DistCacheStats counts distance-matrix cache traffic since process start
-// (or the last ResetDistCacheStats). Hits are lookups served from an
-// already-built matrix, Misses are lookups that had to build one,
-// Bypasses are lookups refused by the size cap, and Evictions counts
-// entries dropped by the insertion-order bound or PurgeDistanceCache.
+// DistCacheStats counts distance-matrix cache traffic since process start.
+// Hits are lookups served from an already-built matrix, Misses are lookups
+// that had to build one, Bypasses are lookups refused by the size cap, and
+// Evictions counts entries dropped by the insertion-order bound or
+// PurgeDistanceCache.
 type DistCacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -125,15 +125,6 @@ func DistCacheCounters() DistCacheStats {
 		Evictions: distCacheStats.evictions.Load(),
 		Bypasses:  distCacheStats.bypasses.Load(),
 	}
-}
-
-// ResetDistCacheStats zeroes the cache counters (benchmark harnesses use
-// this to scope hit rates to one run).
-func ResetDistCacheStats() {
-	distCacheStats.hits.Store(0)
-	distCacheStats.misses.Store(0)
-	distCacheStats.evictions.Store(0)
-	distCacheStats.bypasses.Store(0)
 }
 
 // PurgeDistanceCache drops every cached matrix (counted as evictions) and

@@ -223,18 +223,6 @@ func TestLinkIndexPanicsOnNonLink(t *testing.T) {
 	ls.Index(0, 3)
 }
 
-func TestSampleMeanDistanceApproximatesExact(t *testing.T) {
-	to := MustTorus(8, 8)
-	exact := MeanDistance(to)
-	est := SampleMeanDistance(to, 20000, 1)
-	if diff := est - exact; diff > 0.15 || diff < -0.15 {
-		t.Errorf("sampled %v vs exact %v", est, exact)
-	}
-	if got := SampleMeanDistance(to, 0, 1); got != 0 {
-		t.Errorf("samples=0: got %v, want 0", got)
-	}
-}
-
 func TestTotalDistances(t *testing.T) {
 	to := MustTorus(4)
 	out := make([]float64, 4)

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"math/bits"
-	"math/rand"
 
 	"repro/internal/parallel"
 )
@@ -26,7 +25,7 @@ func Diameter(t Topology) int {
 // MeanDistance returns the exact mean distance between two independent
 // uniformly random nodes of t, including the a == b pairs (distance 0),
 // matching the expectation the paper quotes for random placement. It is
-// O(n²); use SampleMeanDistance for very large networks.
+// O(n²) distance lookups.
 func MeanDistance(t Topology) float64 {
 	n := t.Nodes()
 	sum := 0.0
@@ -37,21 +36,6 @@ func MeanDistance(t Topology) float64 {
 	}
 	// Ordered pairs: 2·sum off-diagonal plus n zero diagonal entries.
 	return 2 * sum / float64(n*n)
-}
-
-// SampleMeanDistance estimates MeanDistance from `samples` random ordered
-// node pairs drawn with the given seed.
-func SampleMeanDistance(t Topology, samples int, seed int64) float64 {
-	if samples <= 0 {
-		return 0
-	}
-	rng := rand.New(rand.NewSource(seed))
-	n := t.Nodes()
-	sum := 0.0
-	for i := 0; i < samples; i++ {
-		sum += float64(t.Distance(rng.Intn(n), rng.Intn(n)))
-	}
-	return sum / float64(samples)
 }
 
 // TotalDistances fills out[p] with Σ_q Distance(p, q) over all nodes q for
