@@ -28,7 +28,7 @@ func main() {
 	for r := 0; r < ranks; r++ {
 		x, y := r/16, r%16
 		dist := abs(x-8) + abs(y-8)
-		world.Compute(r, 20e-6+float64(16-dist)*2e-6)
+		world.Compute(r, 20e-6+float64(float64(16-dist)*2e-6))
 	}
 
 	torus, err := topomap.NewTorus(8, 8)

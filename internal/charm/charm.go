@@ -179,9 +179,9 @@ func (r *Runtime) Run(iterations int) (emulator.Result, error) {
 func (r *Runtime) instrument(iterations int) {
 	n := r.app.NumChares()
 	for v := 0; v < n; v++ {
-		r.instrLoad[v] += r.app.Work(v) * r.workUnitTime * float64(iterations)
+		r.instrLoad[v] += float64(r.app.Work(v) * r.workUnitTime * float64(iterations))
 		for _, m := range r.app.Messages(v) {
-			r.instrComm[commKey(v, m.To)] += m.Bytes * float64(iterations)
+			r.instrComm[commKey(v, m.To)] += float64(m.Bytes * float64(iterations))
 		}
 	}
 	r.instrIters += iterations

@@ -120,7 +120,7 @@ func (m *Machine) RunIterative(g *taskgraph.Graph, mapping []int, iterations int
 	hopBytes, totalBytes := 0.0, 0.0
 	for v := 0; v < n; v++ {
 		src := mapping[v]
-		procCompute[src] += computePerUnit * g.VertexWeight(v)
+		procCompute[src] += float64(computePerUnit * g.VertexWeight(v))
 		adj, w := g.Neighbors(v)
 		procMsgs[src] += len(adj)
 		for i, u := range adj {
@@ -132,7 +132,7 @@ func (m *Machine) RunIterative(g *taskgraph.Graph, mapping []int, iterations int
 			if hops > maxHops {
 				maxHops = hops
 			}
-			hopBytes += w[i] * float64(hops)
+			hopBytes += float64(w[i] * float64(hops))
 		}
 	}
 
@@ -152,7 +152,7 @@ func (m *Machine) RunIterative(g *taskgraph.Graph, mapping []int, iterations int
 			maxLink = b
 		}
 	}
-	commPhase := maxLink/m.LinkBandwidth + float64(maxHops)*m.HopLatency + float64(maxMsgs)*m.MsgOverhead
+	commPhase := maxLink/m.LinkBandwidth + float64(float64(maxHops)*m.HopLatency) + float64(float64(maxMsgs)*m.MsgOverhead)
 
 	res := Result{
 		ComputePhase: computePhase,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"sync"
 )
 
@@ -21,7 +22,7 @@ type resultCache struct {
 	mu         sync.Mutex
 	entries    map[string]*cacheEntry
 	spelled    map[[32]byte]*cacheEntry
-	head, tail *cacheEntry // most- and least-recently used
+	lru        *list.List // of *cacheEntry, most recently used at the front
 	bytes      int64
 	maxEntries int
 	maxBytes   int64
@@ -30,16 +31,17 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key        string
-	body       []byte
-	spelling   [32]byte // its digest in resultCache.spelled, if it is there
-	prev, next *cacheEntry
+	key      string
+	body     []byte
+	spelling [32]byte      // its digest in resultCache.spelled, if it is there
+	elem     *list.Element // protected by the cache's lock
 }
 
 func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 	return &resultCache{
 		entries:    make(map[string]*cacheEntry),
 		spelled:    make(map[[32]byte]*cacheEntry),
+		lru:        list.New(),
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 	}
@@ -57,7 +59,7 @@ func (c *resultCache) getSpelled(d [32]byte) ([]byte, string) {
 	}
 	c.hits++
 	c.spelledHits++
-	c.moveToFront(e)
+	c.lru.MoveToFront(e.elem)
 	return e.body, e.key
 }
 
@@ -94,7 +96,7 @@ func (c *resultCache) get(key string) []byte {
 		return nil
 	}
 	c.hits++
-	c.moveToFront(e)
+	c.lru.MoveToFront(e.elem)
 	return e.body
 }
 
@@ -108,19 +110,17 @@ func (c *resultCache) put(key string, body []byte) {
 		return // cache disabled, or a single body would overflow it
 	}
 	if e, ok := c.entries[key]; ok {
-		c.moveToFront(e)
+		c.lru.MoveToFront(e.elem)
 		return
 	}
 	e := &cacheEntry{key: key, body: body}
+	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
-	c.pushFront(e)
 	c.bytes += int64(len(body))
+	// The new entry alone fits both bounds (checked above), so the loop
+	// stops before the list is empty.
 	for len(c.entries) > c.maxEntries || c.bytes > c.maxBytes {
-		lru := c.tail
-		if lru == nil {
-			break
-		}
-		c.remove(lru)
+		lru := c.lru.Remove(c.lru.Back()).(*cacheEntry)
 		delete(c.entries, lru.key)
 		c.unspell(lru)
 		c.bytes -= int64(len(lru.body))
@@ -136,40 +136,6 @@ func (c *resultCache) counters() CacheStats {
 		Entries: len(c.entries), Bytes: c.bytes,
 		SpelledHits: c.spelledHits, Spellings: len(c.spelled),
 	}
-}
-
-func (c *resultCache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *resultCache) remove(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *resultCache) moveToFront(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.remove(e)
-	c.pushFront(e)
 }
 
 // flight states. A flight is created queued (its creator builds the job's

@@ -44,7 +44,7 @@ func Summarize(xs []float64) Summary {
 		ss := 0.0
 		for _, x := range xs {
 			d := x - s.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		s.StdDev = math.Sqrt(ss / float64(s.N-1))
 		s.CI95HalfWidth = 1.96 * s.StdDev / math.Sqrt(float64(s.N))

@@ -17,7 +17,7 @@ import (
 func TestQuotientMatchesBuilder(t *testing.T) {
 	graphs := []*taskgraph.Graph{
 		taskgraph.RandomGeometricDeg(2000, 8, 1000, 3),
-		taskgraph.RandomGeometric(300, 0.15, 1000, 5),
+		taskgraph.RandomGeometricDeg(300, 20, 1000, 5),
 		taskgraph.Random(500, 3000, 0.5, 9.5, 7),
 		taskgraph.Random(64, 2000, 0.1, 0.3, 11),
 	}

@@ -40,35 +40,6 @@ func Random(n, m int, minW, maxW float64, seed int64) *Graph {
 	return b.Build(fmt.Sprintf("random(n=%d,m=%d,seed=%d)", n, m, seed))
 }
 
-// RandomGeometric places n points uniformly in the unit square and connects
-// pairs closer than radius, weighting edges inversely with distance — a
-// spatial communication structure similar to domain-decomposed codes.
-// The generated graph may be disconnected for small radii.
-func RandomGeometric(n int, radius float64, msgBytes float64, seed int64) *Graph {
-	if n < 2 {
-		panic("taskgraph: RandomGeometric needs at least 2 vertices")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64()
-		ys[i] = rng.Float64()
-	}
-	b := NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-			d := math.Sqrt(dist2(dx, dy))
-			if d < radius {
-				// Closer pairs exchange more data, never exceeding msgBytes.
-				b.AddEdge(i, j, msgBytes*(1-d/radius))
-			}
-		}
-	}
-	return b.Build(fmt.Sprintf("rgg(n=%d,r=%g,seed=%d)", n, radius, seed))
-}
-
 // rggPoints draws the n unit-square points RandomGeometricDeg connects.
 // The draw order (x then y, per point) is the generator's wire format:
 // RandomGeometricCoords must return exactly these positions.
@@ -98,9 +69,12 @@ func RandomGeometricCoords(n int, seed int64) [][]float64 {
 	return coords
 }
 
-// RandomGeometricDeg is RandomGeometric with the radius derived from
-// avgDeg and a cell-bucketed neighbor search, so million-vertex instances
-// build in O(n·deg) instead of O(n²) pair tests. The radius r solves
+// RandomGeometricDeg places n points uniformly in the unit square and
+// connects pairs closer than a radius r, weighting edges inversely with
+// distance — a spatial communication structure similar to
+// domain-decomposed codes; the graph may be disconnected. A cell-bucketed
+// neighbor search builds million-vertex instances in O(n·deg) instead of
+// O(n²) pair tests. The radius is derived from avgDeg: r solves
 // π·r²·n = avgDeg+1, so a point away from the square's border expects
 // avgDeg+1 neighbours; points near the border lose part of their disc,
 // and the mean degree lands between: 8.94 for n = 65 536, avgDeg = 8, and

@@ -182,22 +182,6 @@ func TestRandomGraphDeterministicAndConnectedSize(t *testing.T) {
 	}
 }
 
-func TestRandomGeometric(t *testing.T) {
-	g := RandomGeometric(100, 0.3, 1000, 7)
-	if g.NumVertices() != 100 {
-		t.Fatal("bad vertex count")
-	}
-	// All weights within (0, 1000].
-	for v := 0; v < 100; v++ {
-		_, w := g.Neighbors(v)
-		for _, x := range w {
-			if x <= 0 || x > 1000 {
-				t.Fatalf("weight %v out of range", x)
-			}
-		}
-	}
-}
-
 func TestLeanMDShape(t *testing.T) {
 	const p = 18
 	g := LeanMD(p, 1000, 1)

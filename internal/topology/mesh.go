@@ -51,7 +51,7 @@ func (m *Mesh) AverageDistance() float64 {
 	sum := 0.0
 	for _, d := range m.dims {
 		e := float64(d)
-		sum += (e*e - 1) / (3 * e)
+		sum += (float64(e*e) - 1) / (3 * e)
 	}
 	return sum
 }

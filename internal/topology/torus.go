@@ -54,9 +54,11 @@ func (t *Torus) AverageDistance() float64 {
 	for _, d := range t.dims {
 		e := float64(d)
 		if d%2 == 0 {
-			sum += e / 4
+			// e/4 compiles to a product by 0.25; the conversion keeps it
+			// from fusing with the add.
+			sum += float64(e / 4)
 		} else {
-			sum += (e*e - 1) / (4 * e)
+			sum += (float64(e*e) - 1) / (4 * e)
 		}
 	}
 	return sum
