@@ -22,7 +22,9 @@ const (
 	// quality-for-cost at O(p·|Et|) total running time.
 	OrderSecond Order = 2
 	// OrderThird approximates unplaced neighbors as uniformly random over
-	// the still-available processors; O(p³) total running time.
+	// the still-available processors. Every estimate moves each cycle, so
+	// each cycle rescans every live row and class: O(p³) at worst, when
+	// every free task is touched.
 	OrderThird Order = 3
 )
 
@@ -79,19 +81,16 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 	if order < OrderFirst || order > OrderThird {
 		return nil, fmt.Errorf("core: invalid estimation order %d", order)
 	}
-	if order == OrderThird {
-		return s.mapThirdOrder(g, t)
-	}
 	m, _ := s.mapIncremental(g, t, order, nil)
 	return m, nil
 }
 
-// mapIncremental implements first- and second-order TopoLB with an
-// incrementally maintained fest table plus per-task minimum and sum over
-// available processors (§4.4). Total time O(p·|Et| + p²), dominated by
-// table updates; memory p·(peak live rows) float64, not p².
+// mapIncremental implements TopoLB with an incrementally maintained fest
+// table plus per-task minimum and sum over available processors (§4.4).
+// At orders 1–2, total time O(p·|Et| + p²), dominated by table updates;
+// memory p·(peak live rows) float64, not p².
 //
-// The table stores n·fest rather than fest: the second-order expected
+// Orders 1–2 store n·fest rather than fest: the second-order expected
 // distance Σ_q d(p,q) / n becomes the integer-valued total distance, so
 // with integral edge weights every table entry stays exactly
 // representable and the incremental updates match full recomputation
@@ -132,6 +131,13 @@ func (s TopoLB) Map(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
 // sees the same operations in the same order as a p×p table's row, so
 // the placements are those of referenceRowTopoLB in the tests.
 //
+// Third order: fest(v,p) = exact_v[p] + float64(w_v·freeDist[p]·inv),
+// with w_v (scale[v]) v's weight to unplaced neighbors and inv =
+// 1/freeProcs. A row stores the exact part, unscaled; a pristine task's
+// is zero, so classes keyed by W_v still hold. freeDist and inv move
+// every entry each cycle, so maintenance rescans every live row and
+// class — not every free task, as referenceThirdOrder in the tests does.
+//
 // The second result is a work counter: how many times a slot that lost
 // only a processor had to be rescanned in full because that processor
 // held its minimum — the work the classes share, pinned by
@@ -148,13 +154,23 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 	// totalDist[p] = Σ_q d(p,q) = n × (second-order expected distance).
 	totalDist := make([]float64, n)
 	topology.TotalDistances(t, totalDist)
+	// freeDist[p] = Σ_{q free} d(p,q) at third order: freeProcs × its
+	// expected distance.
+	third := order == OrderThird
+	var freeDist []float64
+	rowScale, inv0 := float64(n), 1.0 // distRow's scale; inv of the first class scans
+	if third {
+		freeDist, rowScale, inv0 = slices.Clone(totalDist), 1, 1/float64(n)
+	}
 
 	// Group the tasks into pristine classes by the bits of their row
-	// scale: W_v at second order, 0 (one class, all-zero rows) at first.
-	// Sorted rather than hashed: no map on the request path. Ties go by
-	// id, so each class's members run in id order from its cursor.
+	// scale: W_v at second and third order, 0 (one class, all-zero rows)
+	// at first. Sorted rather than hashed: no map on the request path.
+	// Ties go by id, so each class's members run in id order from its
+	// cursor. At third order a touched task's scale[v] then drops to its
+	// weight to unplaced neighbours.
 	scale := make([]float64, n)
-	if order == OrderSecond {
+	if order != OrderFirst {
 		for v := range scale {
 			scale[v] = g.WeightedDegree(v)
 		}
@@ -192,7 +208,7 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 	}
 	slots := n + classes
 
-	var pool []float64              // live fest rows, n entries each; row = task, col = processor; scaled by n
+	var pool []float64              // live fest rows, n entries each; row = task, col = processor; scaled by rowScale
 	rowOf := make([]int32, n)       // a touched free task's row in pool
 	freeRows := make([]int32, 0, n) // rows given back by placed tasks
 	rowsUsed := 0                   // rows ever handed out
@@ -207,21 +223,26 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 		taskFree[v] = true
 		procFree[v] = true
 	}
-	for c, cw := range classW {
-		rescanClass(cw, totalDist, procFree, &fMin[n+c], &fMinAt[n+c], &fSum[n+c])
+	for c, cw := range classW { // freeDist is still totalDist
+		rescanClass(cw, totalDist, inv0, procFree, &fMin[n+c], &fMinAt[n+c], &fSum[n+c])
 	}
 	var rescans int64
 
-	distRow := make([]float64, n) // n × d(p, pk)
+	distRow := make([]float64, n) // rowScale × d(p, pk)
 	isNbr := make([]bool, n)      // scratch, cleared after each cycle
 	freeProcs := n
 	for k := 0; k < n; k++ {
 		// Select the task with maximum gain = FAvg − FMin; ties go to the
 		// lowest task id.
 		nFree := float64(freeProcs)
+		inv := 1 / nFree
 		sel := gainArgmax{tk: -1, first: n}
 		for _, v := range live {
-			sel.offer(int(v), fSum[v]/nFree-fMin[v])
+			gain := fSum[v]/nFree - fMin[v]
+			if third {
+				gain = float64(fSum[v]*inv) - fMin[v]
+			}
+			sel.offer(int(v), gain)
 		}
 		for _, c := range liveClasses {
 			i := classCur[c]
@@ -230,7 +251,11 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 			}
 			classCur[c] = i
 			sl := n + int(c)
-			sel.offer(int(byScale[i]), fSum[sl]/nFree-fMin[sl])
+			gain := fSum[sl]/nFree - fMin[sl]
+			if third {
+				gain = float64(fSum[sl]*inv) - fMin[sl]
+			}
+			sel.offer(int(byScale[i]), gain)
 		}
 		tk := sel.winner()
 		if seq != nil {
@@ -255,11 +280,14 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 			live = live[:len(live)-1]
 		}
 
-		fillScaledRow(&d, distRow, pk, float64(n))
+		fillScaledRow(&d, distRow, pk, rowScale)
+		for p := range freeDist {
+			freeDist[p] -= distRow[p]
+		}
 		// Neighbors of tk gain an exact term (and, at second order, lose
-		// the expected-distance term for this edge). A pristine neighbor
-		// leaves its class here, takes a row from the pool and gets it
-		// written first.
+		// the expected-distance term for this edge; at third, the edge's
+		// weight leaves their scale). A pristine neighbor leaves its class
+		// here, takes a row from the pool and gets it written first.
 		adj, w := g.Neighbors(tk)
 		for _, u := range adj {
 			isNbr[u] = true
@@ -288,9 +316,13 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 				livePos[u] = int32(len(live))
 				live = append(live, int32(u))
 				row := pool[int(rowOf[u])*n:][:n]
-				cw := classW[sl-n]
-				for p := 0; p < n; p++ {
-					row[p] = cw * totalDist[p]
+				if third {
+					clear(row)
+				} else {
+					cw := classW[sl-n]
+					for p := 0; p < n; p++ {
+						row[p] = cw * totalDist[p]
+					}
 				}
 				slot[u] = int32(u)
 			}
@@ -304,15 +336,25 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 					row[p] += float64(c * distRow[p])
 				}
 			}
-			rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
+			if third {
+				scale[u] -= c
+			} else {
+				rescanRow(row, procFree, &fMin[u], &fMinAt[u], &fSum[u])
+			}
 		}
 		// Every other live slot — a touched free task, or a class that
-		// still has members — only loses processor pk from its free set.
+		// still has members — only loses processor pk from its free set;
+		// at third order every live slot is rescanned.
+		inv = 1 / float64(freeProcs)
 		for _, v := range live {
+			row := pool[int(rowOf[v])*n:][:n]
+			if third {
+				rescanThird(row, scale[v], freeDist, inv, procFree, &fMin[v], &fMinAt[v], &fSum[v])
+				continue
+			}
 			if isNbr[v] {
 				continue
 			}
-			row := pool[int(rowOf[v])*n:][:n]
 			fSum[v] -= row[pk]
 			if fMinAt[v] == pk {
 				rescanRow(row, procFree, &fMin[v], &fMinAt[v], &fSum[v])
@@ -326,9 +368,13 @@ func (s TopoLB) mapIncremental(g *taskgraph.Graph, t topology.Topology, order Or
 			}
 			kept = append(kept, c)
 			cw, sl := classW[c], n+int(c)
+			if third {
+				rescanClass(cw, freeDist, inv, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+				continue
+			}
 			fSum[sl] -= float64(cw * totalDist[pk])
 			if fMinAt[sl] == pk {
-				rescanClass(cw, totalDist, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
+				rescanClass(cw, totalDist, 1, procFree, &fMin[sl], &fMinAt[sl], &fSum[sl])
 				rescans++
 			}
 		}
@@ -370,8 +416,15 @@ func (a *gainArgmax) winner() int {
 
 // rescanRow recomputes the minimum, argmin, and sum of a fest row over the
 // free processors.
+//
+// Kept out of line, as rescanClass is: inlined into mapIncremental's
+// crowded loop, the scan spilled its index and argmin on every entry, and
+// second-order TopoLB ran 10–15 % slower (DESIGN §6).
+//
+//go:noinline
 func rescanRow(row []float64, procFree []bool, minVal *float64, minAt *int, sum *float64) {
 	mv, ma, s := 0.0, -1, 0.0
+	row = row[:len(procFree)]
 	for p, free := range procFree {
 		if !free {
 			continue
@@ -386,15 +439,22 @@ func rescanRow(row []float64, procFree []bool, minVal *float64, minAt *int, sum 
 }
 
 // rescanClass is rescanRow for a pristine class: the row is not stored,
-// its entries are float64(cw·totalDist[p]) — rounded by the conversion
-// exactly as a stored entry is, so the two agree to the last bit.
-func rescanClass(cw float64, totalDist []float64, procFree []bool, minVal *float64, minAt *int, sum *float64) {
+// its entries are float64(cw·dist[p]·inv) — rounded by the conversion
+// exactly as a stored entry is, so the two agree to the last bit. Orders
+// 1–2 pass totalDist and inv = 1, which leaves the product as it is;
+// third order passes freeDist and 1/freeProcs, and its entries lack the
+// table's addition of a zero exact part, which turns only a −0 into +0:
+// no sum, minimum or gain here tells the two apart.
+//
+//go:noinline
+func rescanClass(cw float64, dist []float64, inv float64, procFree []bool, minVal *float64, minAt *int, sum *float64) {
 	mv, ma, s := 0.0, -1, 0.0
+	dist = dist[:len(procFree)]
 	for p, free := range procFree {
 		if !free {
 			continue
 		}
-		v := float64(cw * totalDist[p])
+		v := float64(cw * dist[p] * inv)
 		s += v
 		if ma < 0 || v < mv {
 			mv, ma = v, p
@@ -403,81 +463,21 @@ func rescanClass(cw float64, totalDist []float64, procFree []bool, minVal *float
 	*minVal, *minAt, *sum = mv, ma, s
 }
 
-// mapThirdOrder implements third-order TopoLB: the expected distance for an
-// unplaced neighbor is taken over the *free* processors, so every fest
-// value changes each cycle and the full table is rescanned — O(p²) per
-// cycle, O(p³) total (§4.4).
-func (s TopoLB) mapThirdOrder(g *taskgraph.Graph, t topology.Topology) (Mapping, error) {
-	n := t.Nodes()
-	d := topology.NewDists(t)
-	m := make(Mapping, n)
-	for i := range m {
-		m[i] = -1
-	}
-	// base[task][p] accumulates the exact first-order part; sumFree[p]
-	// tracks Σ_{q free} d(p,q).
-	base := make([]float64, n*n)
-	sumFree := make([]float64, n)
-	topology.TotalDistances(t, sumFree)
-	unplacedW := make([]float64, n)
-	taskFree := make([]bool, n)
-	procFree := make([]bool, n)
-	for v := 0; v < n; v++ {
-		taskFree[v] = true
-		procFree[v] = true
-		unplacedW[v] = g.WeightedDegree(v)
-	}
-	distRow := make([]float64, n)
-	freeProcs := n
-	for k := 0; k < n; k++ {
-		inv := 1 / float64(freeProcs)
-		// Ties in gain go to the lowest task id, ties in fest to the
-		// lowest processor.
-		tk, pk, best := -1, -1, 0.0
-		for v := 0; v < n; v++ {
-			if !taskFree[v] {
-				continue
-			}
-			row := base[v*n : (v+1)*n]
-			mv, ma, sum := 0.0, -1, 0.0
-			for p := 0; p < n; p++ {
-				if !procFree[p] {
-					continue
-				}
-				f := row[p] + float64(unplacedW[v]*sumFree[p]*inv)
-				sum += f
-				if ma < 0 || f < mv {
-					mv, ma = f, p
-				}
-			}
-			if gain := float64(sum*inv) - mv; tk < 0 || gain > best {
-				tk, pk, best = v, ma, gain
-			}
+// rescanThird is rescanRow at third order: entry p is row[p] +
+// float64(w·freeDist[p]·inv), the stored exact part plus w times the mean
+// distance to a free processor.
+func rescanThird(row []float64, w float64, freeDist []float64, inv float64, procFree []bool, minVal *float64, minAt *int, sum *float64) {
+	mv, ma, s := 0.0, -1, 0.0
+	row, freeDist = row[:len(procFree)], freeDist[:len(procFree)]
+	for p, free := range procFree {
+		if !free {
+			continue
 		}
-		m[tk] = pk
-		taskFree[tk] = false
-		procFree[pk] = false
-		freeProcs--
-		if freeProcs == 0 {
-			break
-		}
-		fillScaledRow(&d, distRow, pk, 1)
-		for p := range sumFree {
-			sumFree[p] -= distRow[p]
-		}
-		adj, w := g.Neighbors(tk)
-		for i, a := range adj {
-			u := int(a)
-			if !taskFree[u] {
-				continue
-			}
-			c := w[i]
-			unplacedW[u] -= c
-			row := base[u*n : (u+1)*n]
-			for p := 0; p < n; p++ {
-				row[p] += float64(c * distRow[p])
-			}
+		v := row[p] + float64(w*freeDist[p]*inv)
+		s += v
+		if ma < 0 || v < mv {
+			mv, ma = v, p
 		}
 	}
-	return m, nil
+	*minVal, *minAt, *sum = mv, ma, s
 }

@@ -305,21 +305,24 @@ func TestServiceMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestCoalescingComputesOnce blocks the single worker with a slow job,
-// attaches N identical requests to one flight (observed white-box before
-// the worker can claim it), and asserts the flight computed exactly once
-// while every caller got the library-identical body.
+// TestCoalescingComputesOnce holds the single worker inside a blocker
+// job's compute stage, attaches N identical requests to one flight
+// (observed white-box before the worker can claim it), and asserts the
+// flight computed exactly once while every caller got the
+// library-identical body.
 func TestCoalescingComputesOnce(t *testing.T) {
+	blocker := Job{Graph: GraphSpec{Pattern: "mesh2d:6,6", MsgBytes: 1e5, Seed: 1},
+		Topology: "torus:6,6", Strategy: "topolb", Seed: 1}
+	dup := Job{Graph: GraphSpec{Pattern: "mesh2d:8,8", MsgBytes: 1e5, Seed: 1},
+		Topology: "torus:8,8", Strategy: "topolb", Seed: 1}
+	want := directBody(t, dup)
+	release := holdCompute(t, blocker)
+
 	srv := NewServer(Config{Workers: 1, CacheEntries: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	blocker := Job{Graph: GraphSpec{Pattern: "mesh2d:24,24", MsgBytes: 1e5, Seed: 1},
-		Topology: "torus:24,24", Strategy: "topolb3", Seed: 1}
-	dup := Job{Graph: GraphSpec{Pattern: "mesh2d:8,8", MsgBytes: 1e5, Seed: 1},
-		Topology: "torus:8,8", Strategy: "topolb", Seed: 1}
-	want := directBody(t, dup)
+	defer release()
 
 	blockerDone := make(chan struct{})
 	go func() {
@@ -346,8 +349,8 @@ func TestCoalescingComputesOnce(t *testing.T) {
 			statuses[i], bodies[i] = postJSON(t, ts.Client(), ts.URL+"/v1/map", dup)
 		}(i)
 	}
-	// White-box: wait until all dups share one queued flight. This is
-	// reachable as long as the blocker occupies the only worker, and it
+	// White-box: wait until all dups share one queued flight. The blocker
+	// holds the only worker until release, so this is reachable, and it
 	// happens-before any dup computation.
 	key := mustKey(t, dup)
 	for {
@@ -366,6 +369,7 @@ func TestCoalescingComputesOnce(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
+	release()
 	wg.Wait()
 	<-blockerDone
 
@@ -384,6 +388,22 @@ func TestCoalescingComputesOnce(t *testing.T) {
 	if st.CoalescedJoins != dups-1 {
 		t.Errorf("coalesced joins = %d, want %d", st.CoalescedJoins, dups-1)
 	}
+}
+
+// holdCompute installs a fault hook that holds any job whose topology is
+// blocker's at the start of its compute stage until the returned release
+// is called; release may be called more than once. A worker that claims
+// the blocker stays busy for as long as the test needs, at no cost in
+// computation.
+func holdCompute(t *testing.T, blocker Job) (release func()) {
+	t.Helper()
+	held := make(chan struct{})
+	setFaultHook(t, func(stage string, spec *Job) {
+		if stage == "compute" && spec.Topology == blocker.Topology {
+			<-held
+		}
+	})
+	return sync.OnceFunc(func() { close(held) })
 }
 
 // mustKey returns spec's content key via the service's own normalizer.

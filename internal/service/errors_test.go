@@ -352,12 +352,14 @@ func TestQueueFull(t *testing.T) {
 // leaves no goroutine behind.
 func TestCancellationReleasesAdmission(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
+	// Occupy the single worker so queued flights stay queued.
+	spec := Job{Graph: GraphSpec{Pattern: "mesh2d:6,6"}, Topology: "torus:6,6", Seed: 1}
+	release := holdCompute(t, spec)
 	srv := NewServer(Config{Workers: 1, QueueDepth: 2, CacheEntries: -1})
 	defer srv.Close()
+	defer release()
 
-	// Occupy the single worker so queued flights stay queued.
-	blocker := mustName(t, Job{Graph: GraphSpec{Pattern: "mesh2d:24,24"},
-		Topology: "torus:24,24", Strategy: "topolb3", Seed: 1})
+	blocker := mustName(t, spec)
 	blockerDone := make(chan struct{})
 	go func() {
 		defer close(blockerDone)
@@ -404,6 +406,7 @@ func TestCancellationReleasesAdmission(t *testing.T) {
 
 	// Once the worker finishes the blocker it pops the aborted entry,
 	// skips it, and returns both slots; admission recovers.
+	release()
 	<-blockerDone
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Snapshot().QueueDepth != 0 {

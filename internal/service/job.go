@@ -207,6 +207,8 @@ type job struct {
 	structural bool
 	// maxTasks bounds the task count build accepts (0 = unbounded).
 	maxTasks int
+	// simMode is spec.Sim's mode, parsed once by name.
+	simMode netsim.Mode
 
 	// Operands, set by build (graph already by name for inline graphs).
 	built bool
@@ -345,14 +347,14 @@ func name(spec Job, maxTasks int) (*job, error) {
 			sim.LinkLatency = 1e-6
 		}
 		sim.Mode = strings.ToLower(strings.TrimSpace(sim.Mode))
-		mode, err := netsim.ParseMode(sim.Mode)
-		if err != nil {
+		var err error
+		if j.simMode, err = netsim.ParseMode(sim.Mode); err != nil {
 			return nil, badJob(400, "job: sim: %v", err)
 		}
 		if sim.ComputeTime < 0 {
 			return nil, badJob(400, "job: sim.compute_time must be non-negative")
 		}
-		cfg := sim.config(mode, nil)
+		cfg := sim.config(j.simMode, nil)
 		if err := cfg.CheckSettings(); err != nil {
 			return nil, badJob(400, "job: sim: %v", err)
 		}
@@ -674,11 +676,7 @@ func (j *job) compute() (*JobResult, error) {
 		if err != nil {
 			return nil, badJob(422, "job: sim: %v", err)
 		}
-		mode, err := netsim.ParseMode(s.Mode)
-		if err != nil {
-			return nil, badJob(400, "job: sim: %v", err)
-		}
-		cfg := s.config(mode, j.topo.(topology.Router))
+		cfg := s.config(j.simMode, j.topo.(topology.Router))
 		eng := netsim.GetEngine()
 		rr, err := trace.ReplayOn(eng, prog, m, cfg)
 		netsim.PutEngine(eng)

@@ -71,9 +71,10 @@ func init() { distMatrixCap.Store(DefaultDistanceMatrixCap) }
 // returns the previous value. Passing 0 (or negative) disables the cache
 // entirely — every CachedDistances call returns nil and kernels, the
 // incremental engine's MatrixDists included, fall back to the machine's
-// closed form (ClosedDists); benchmarks use this to
-// measure the un-cached baseline. Already-cached matrices are not
-// re-checked against the new bound.
+// closed form (ClosedDists). Only tests call it, to hold every kernel's
+// mappings equal with and without the matrix; the benchmarks' matrix
+// reference reads the cached matrix instead. Already-cached matrices are
+// not re-checked against the new bound.
 func SetDistanceMatrixCap(cells int) int {
 	return int(distMatrixCap.Swap(int64(cells)))
 }
