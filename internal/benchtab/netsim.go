@@ -20,7 +20,7 @@ import (
 // started ten slots apart keep meeting on one timestamp, the tie-rich
 // stream a simulator produces; tiefree draws every gap from a seeded
 // exponential instead, so no two events share a time and every event
-// costs the run queue a heap key: its worst case. The residual allocs/op
+// costs the run queue a run of its own: its worst case. The residual allocs/op
 // are the workload's own tick closures.
 func engineRow(name string, smoke bool, pending, total int, tiefree bool) Row {
 	return Row{Suite: "netsim", Name: "Engine/" + name, Smoke: smoke,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -42,12 +43,22 @@ func AblationEstimation(quick bool) (*Table, error) {
 		row := []float64{float64(p)}
 		var times []float64
 		for _, o := range []core.Order{core.OrderFirst, core.OrderSecond, core.OrderThird} {
-			start := time.Now()
-			m, err := (core.TopoLB{Order: o}).Map(g, torus)
+			// One cold call warms the caches and the allocator; the
+			// column is the fastest of three timed calls after it.
+			lb := core.TopoLB{Order: o}
+			m, err := lb.Map(g, torus)
 			if err != nil {
 				return nil, err
 			}
-			times = append(times, float64(time.Since(start).Microseconds())/1e3)
+			best := math.Inf(1)
+			for k := 0; k < 3; k++ {
+				start := time.Now()
+				if _, err := lb.Map(g, torus); err != nil {
+					return nil, err
+				}
+				best = min(best, float64(time.Since(start).Microseconds())/1e3)
+			}
+			times = append(times, best)
 			row = append(row, core.HopsPerByte(g, torus, m))
 		}
 		row = append(row, times...)

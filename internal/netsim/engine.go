@@ -25,10 +25,12 @@
 // timestamp of the event dispatched before them. The event queue is built
 // on that: events of one timestamp form a run, a FIFO threaded through
 // one slab of 16-byte pointer-free records, and the priority queue is a
-// flat binary heap with one small key per run, not per event. A
-// direct-mapped cache keyed by the bits of the time finds the run an
-// event joins; a miss opens a second run for the same time, which costs
-// a heap entry and never the (time, seq) dispatch order (see Engine).
+// monotone radix heap of runs, not of events, threaded through the run
+// table. A direct-mapped cache keyed by the bits of the time finds the
+// run an event joins; a miss opens a second run for the same time, which
+// costs a run record and never the (time, seq) dispatch order (see
+// Engine). A wormhole worm carries its own per-hop records (link,
+// channel, flit counters), so a flit event reads the worm alone.
 // Events are typed records (a tagged union of packet-arrival, link-free,
 // buffer-arrival, …) — no container/heap, no `any` boxing, no per-event
 // closure on the packet hot paths, and nothing in the queue for the
@@ -45,7 +47,10 @@
 // by golden Stats words and latency-stream hashes (golden_test.go).
 package netsim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Engine is a discrete-event simulation core: a time-ordered queue of
 // typed event records (with a generic callback kind for external users).
@@ -53,21 +58,31 @@ import "math"
 // deterministic. The zero value is ready to use; Reset recycles an
 // engine — and its queue storage — for the next simulation of a sweep.
 //
-// The queue is a heap of runs. A run is the FIFO of events scheduled for
-// one exact time while the time cache pointed at it; its heap key is
-// (time, seq of its first event). scheduleEvent appends to the run the
-// cache names when that run's time has the same bits, and otherwise opens
-// a run, overwrites the cache slot and pushes one key. Three facts make
-// the dispatch order the strict (time, seq) order however the cache
-// behaves: opening a run always overwrites its slot, so an older run of
-// the same time is never appended to again and all its seqs precede the
-// newer run's first; nothing can be scheduled before Now, so the run being
-// drained is the queue's minimum until it is empty; and an event for Now
-// itself joins either the tail of the run being drained or a newer run
-// whose key sorts right after it. A cache miss or eviction therefore
-// costs one extra key, never order.
+// The queue is a radix heap of runs (Ahuja, Mehlhorn, Orlin and Tarjan,
+// 1990). A run is the FIFO of events scheduled for one exact time while
+// the time cache pointed at it; its key is the bits of its time, which
+// order like the times because every time is at or after Now ≥ 0 and −0
+// is folded into +0. A run waits in bucket Len64(key ^ bits(Now)), a list
+// threaded through run.qnext. Popping from an empty bucket 0 takes the
+// lowest non-empty bucket, finds its minimum key — the new Now — and
+// moves each of its runs to the bucket that key names, always a lower
+// one: only the minimum's runs reach bucket 0, inserted in seq order.
+// scheduleEvent appends to the run the cache names when that run's time
+// has the same bits, and otherwise opens a run, overwrites the cache slot
+// and files the run: in bucket 0, at the tail, when its time is Now.
+//
+// Four facts make the dispatch order the strict (time, seq) order however
+// the cache behaves. Runs leave the queue in time order, since bucket 0
+// holds exactly the runs at Now and every other bucket holds later times.
+// Bucket 0 is kept in order of each run's first seq: a run reaching it by
+// redistribution is inserted by seq, and a run opened at Now has a larger
+// first seq than any run queued. Opening a run always overwrites its slot,
+// so an older run of the same time is never appended to again and all its
+// seqs precede the newer run's first. And an event for Now itself joins
+// either the tail of the run being drained or a newer run, which bucket 0
+// dispatches after it. A cache miss or eviction therefore costs one extra
+// run, never order.
 type Engine struct {
-	keys []runKey // binary min-heap on (at, seq), one key per run
 	runs []run    // run table; entry 0 is the nil sentinel
 	evs  []event  // event slab; entry 0 is the nil sentinel
 	fns  []func() // Schedule's callbacks; an evFunc event carries its slot
@@ -81,6 +96,14 @@ type Engine struct {
 	seq       int64
 	processed int64
 	opened    int64 // runs opened since Reset; seq/opened is the events-per-run ratio
+
+	// The radix queue: bucket[b] lists the runs whose key first differs
+	// from bits(Now) at bit b-1, and bucket[0] the runs at Now in seq
+	// order, ending at tail0. filled has bit b set iff bucket[b], b ≥ 1,
+	// is non-empty. Keys never set bit 63, so 64 buckets suffice.
+	filled uint64
+	tail0  int32
+	bucket [64]int32
 
 	// cache maps a hash of a time's bits to the newest run opened for a
 	// time hashing there. An entry is only a hint: it is believed when the
@@ -113,8 +136,8 @@ const (
 
 // cacheSlot spreads a time's bits over the cache (Fibonacci hashing: the
 // times of one simulation differ mostly in their low mantissa bits).
-func cacheSlot(bits uint64) uint64 {
-	return (bits * 0x9E3779B97F4A7C15) >> (64 - timeCacheBits)
+func cacheSlot(key uint64) uint64 {
+	return (key * 0x9E3779B97F4A7C15) >> (64 - timeCacheBits)
 }
 
 // evKind tags the typed event union. Generic callbacks (evFunc) remain for
@@ -146,30 +169,15 @@ type event struct {
 	kind evKind
 }
 
-// run is the FIFO of events sharing one timestamp.
+// run is the FIFO of events sharing one timestamp. Runs of one time
+// dispatch in the order of seq, the seq of their first event — the same
+// total order as the original closure-heap engine's per-event (time, seq),
+// which is what makes every downstream statistic reproducible.
 type run struct {
 	at         float64 // NaN while the run is on the free list
-	head, tail int32   // event slab indices; head is 0 once drained
-}
-
-// runKey is a run's heap entry. Keys order by time, then by the seq of the
-// run's first event — the same total order as the original closure-heap
-// engine's per-event (time, seq), which is what makes every downstream
-// statistic reproducible.
-type runKey struct {
-	at  float64
-	seq int64
-	run int32
-}
-
-func keyLess(a, b *runKey) bool {
-	if a.at < b.at {
-		return true
-	}
-	if b.at < a.at {
-		return false
-	}
-	return a.seq < b.seq
+	seq        int64
+	head, tail int32 // event slab indices; head is 0 once drained
+	qnext      int32 // next run of its bucket; 0 ends it
 }
 
 // Now returns the current simulation time in seconds.
@@ -216,11 +224,11 @@ func (e *Engine) scheduleEvent(at float64, ev event) {
 	if !(at >= e.now) {
 		panic("netsim: scheduling into the past")
 	}
-	bits := math.Float64bits(at)
-	if bits == 1<<63 {
+	key := math.Float64bits(at)
+	if key == 1<<63 {
 		// -0 and +0 are one time but two bit patterns; without this they
 		// would open two runs that each keep growing, and interleave.
-		bits, at = 0, 0
+		key, at = 0, 0
 	}
 	seq := e.seq
 	e.seq++
@@ -240,8 +248,8 @@ func (e *Engine) scheduleEvent(at float64, ev event) {
 	ev.next = 0
 	e.evs[i] = ev
 
-	slot := &e.cache[cacheSlot(bits)]
-	if r := *slot; r != 0 && math.Float64bits(e.runs[r].at) == bits {
+	slot := &e.cache[cacheSlot(key)]
+	if r := *slot; r != 0 && math.Float64bits(e.runs[r].at) == key {
 		rn := &e.runs[r]
 		if rn.head == 0 { // the run being drained, its last event dispatching now
 			rn.head = i
@@ -264,10 +272,19 @@ func (e *Engine) scheduleEvent(at float64, ev event) {
 		//lint:ignore hotalloc the run table reaches steady-state capacity during warm-up; append then never grows
 		e.runs = append(e.runs, run{})
 	}
-	e.runs[r] = run{at: at, head: i, tail: i}
+	e.runs[r] = run{at: at, seq: seq, head: i, tail: i}
 	*slot = r
 	e.opened++
-	e.pushKey(runKey{at: at, seq: seq, run: r})
+	if b := bits.Len64(key ^ math.Float64bits(e.now)); b != 0 {
+		e.runs[r].qnext = e.bucket[b]
+		e.bucket[b] = r
+		e.filled |= 1 << b
+	} else if e.bucket[0] == 0 {
+		e.bucket[0], e.tail0 = r, r
+	} else {
+		e.runs[e.tail0].qnext = r
+		e.tail0 = r
+	}
 }
 
 // Run processes events until the queue is empty and returns the final
@@ -275,10 +292,12 @@ func (e *Engine) scheduleEvent(at float64, ev event) {
 //
 //lint:hotpath netsim steady state: event dispatch, packet, buffered and wormhole paths (BenchmarkNetsim*)
 func (e *Engine) Run() float64 {
-	for len(e.keys) > 0 {
-		k := e.popKey()
-		e.now = k.at
-		r := k.run
+	for {
+		r := e.popRun()
+		if r == 0 {
+			break
+		}
+		e.now = e.runs[r].at
 		// Handlers may append to this very run and may grow the slab and
 		// the run table, so every step re-reads both.
 		for {
@@ -331,7 +350,6 @@ func (e *Engine) Pending() int { return int(e.seq - e.processed) }
 // reallocating. Networks built on the engine before the Reset register
 // themselves again on their next Send.
 func (e *Engine) Reset() {
-	e.keys = e.keys[:0]
 	e.runs = e.runs[:0]
 	e.evs = e.evs[:0]
 	clear(e.fns)
@@ -340,53 +358,53 @@ func (e *Engine) Reset() {
 	e.nets = e.nets[:0]
 	e.freeFn = e.freeFn[:0]
 	e.freeRun, e.freeEv = 0, 0
+	e.filled, e.tail0 = 0, 0
+	e.bucket = [64]int32{}
 	e.cache = [timeCacheSize]int32{}
 	e.now, e.seq, e.processed, e.opened = 0, 0, 0, 0
 }
 
-// pushKey inserts k into the key heap.
-func (e *Engine) pushKey(k runKey) {
-	//lint:ignore hotalloc heap storage reaches steady-state capacity during warm-up; append then never grows
-	h := append(e.keys, k)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !keyLess(&k, &h[p]) {
-			break
+// popRun removes the first run in (time, seq) order and returns it, or 0
+// when the queue is empty. With bucket 0 empty it redistributes the
+// lowest non-empty bucket around that bucket's minimum key, which the
+// caller then makes Now.
+func (e *Engine) popRun() int32 {
+	if e.bucket[0] == 0 {
+		if e.filled == 0 {
+			return 0
 		}
-		h[i] = h[p]
-		i = p
+		b := bits.TrailingZeros64(e.filled)
+		e.filled &^= 1 << b
+		head := e.bucket[b]
+		e.bucket[b] = 0
+		least := uint64(math.MaxUint64)
+		for r := head; r != 0; r = e.runs[r].qnext {
+			least = min(least, math.Float64bits(e.runs[r].at))
+		}
+		for r := head; r != 0; {
+			rn := &e.runs[r]
+			next := rn.qnext
+			if d := bits.Len64(math.Float64bits(rn.at) ^ least); d != 0 {
+				rn.qnext = e.bucket[d]
+				e.bucket[d] = r
+				e.filled |= 1 << d
+			} else {
+				// A run of the new Now: insert it by seq, since a bucket
+				// keeps no order and runs of one time may share it.
+				p := &e.bucket[0]
+				for *p != 0 && e.runs[*p].seq < rn.seq {
+					p = &e.runs[*p].qnext
+				}
+				rn.qnext = *p
+				*p = r
+				if rn.qnext == 0 {
+					e.tail0 = r
+				}
+			}
+			r = next
+		}
 	}
-	h[i] = k
-	e.keys = h
-}
-
-// popKey removes the (at, seq)-minimum key; the heap must be non-empty.
-func (e *Engine) popKey() runKey {
-	h := e.keys
-	top := h[0]
-	n := len(h) - 1
-	k := h[n]
-	h = h[:n]
-	e.keys = h
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		m := 2*i + 1
-		if m >= n {
-			break
-		}
-		if r := m + 1; r < n && keyLess(&h[r], &h[m]) {
-			m = r
-		}
-		if !keyLess(&h[m], &k) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = k
-	return top
+	r := e.bucket[0]
+	e.bucket[0] = e.runs[r].qnext
+	return r
 }

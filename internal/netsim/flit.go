@@ -24,15 +24,23 @@ const defaultFlitBuffer = 4
 // per-flit identity — flits of one worm cross each link strictly in
 // order, so the pair (inj, arr) determines every flit's position.
 type worm struct {
-	next   int32   // intrusive wait-queue link in a channel's header queue; -1 end
-	wait   int32   // channel the header is queued on; -1 when not queued
-	msg    int32   // parent message pool index
-	flits  int32   // total flits (header + body + tail; 1 = header doubles as tail)
-	hops   int32   // links on the route (len(path)-1)
-	head   int32   // hop the header is requesting or crossing
-	flitTx float64 // seconds to serialize one flit on a link
-	inj    []int32 // per hop: flits that have started crossing that link
-	arr    []int32 // per hop: flits that have arrived downstream of that link
+	next   int32     // intrusive wait-queue link in a channel's header queue; -1 end
+	wait   int32     // channel the header is queued on; -1 when not queued
+	msg    int32     // parent message pool index
+	flits  int32     // total flits (header + body + tail; 1 = header doubles as tail)
+	head   int32     // hop the header is requesting or crossing
+	flitTx float64   // seconds to serialize one flit on a link
+	hop    []wormHop // one record per link of the route
+}
+
+// wormHop is a worm's record of one hop: where it crosses and how far its
+// flits have got there. The handlers read nothing of the message but its
+// index, so a flit event touches the worm alone.
+type wormHop struct {
+	link    int32 // dense link index
+	channel int32 // link*vchannels + dateline virtual channel
+	inj     int32 // flits that have started crossing the link
+	arr     int32 // flits that have arrived downstream of the link
 }
 
 // whChannel is one (link, virtual channel) pair under wormhole routing.
@@ -58,7 +66,7 @@ type whNetwork struct {
 	dims  []int       // Coordinated dims for the dateline VC rule (nil = no seams)
 	depth int32       // flit buffer depth per (link, VC)
 
-	// Free-list pool of worm records; per-hop counter storage is kept on
+	// Free-list pool of worm records; per-hop record storage is kept on
 	// reuse, so steady-state wormhole simulation does not allocate.
 	worms    []worm
 	freeWorm []int32
@@ -84,11 +92,11 @@ func newWhNetwork(n *Network) *whNetwork {
 }
 
 // allocWorm takes a worm record from the pool (or grows it) and sizes its
-// per-hop counters for a route of hops links. Reused records are brought
-// up to the network's high-water route length in one step, mirroring the
-// message-path trick: free-list recycling permutes slots across runs, and
-// growing a different buffer each time would spoil the zero-alloc steady
-// state.
+// hop records for a route of hops links; the caller fills every record.
+// Reused records are brought up to the network's high-water route length
+// in one step, mirroring the message-path trick: free-list recycling
+// permutes slots across runs, and growing a different buffer each time
+// would spoil the zero-alloc steady state.
 func (w *whNetwork) allocWorm(hops int) int32 {
 	var wi int32
 	if k := len(w.freeWorm); k > 0 {
@@ -103,14 +111,10 @@ func (w *whNetwork) allocWorm(hops int) int32 {
 	// not this route's hops: free-list recycling permutes slots across
 	// runs, so upgrading lazily per need would re-allocate a different
 	// slot every run instead of reaching a fixed point.
-	if need := w.n.pathCap - 1; cap(wm.inj) < need {
-		wm.inj = make([]int32, hops, need)
-		wm.arr = make([]int32, hops, need)
+	if need := w.n.pathCap - 1; cap(wm.hop) < need {
+		wm.hop = make([]wormHop, hops, need)
 	} else {
-		wm.inj = wm.inj[:hops]
-		wm.arr = wm.arr[:hops]
-		clear(wm.inj)
-		clear(wm.arr)
+		wm.hop = wm.hop[:hops]
 	}
 	wm.next = -1
 	wm.wait = -1
@@ -118,7 +122,7 @@ func (w *whNetwork) allocWorm(hops int) int32 {
 	return wi
 }
 
-// freeWormSlot returns a worm record to the pool, keeping its counter
+// freeWormSlot returns a worm record to the pool, keeping its hop
 // storage.
 func (w *whNetwork) freeWormSlot(wi int32) {
 	//lint:ignore hotalloc free-list capacity equals the worm pool size; append never grows after warm-up

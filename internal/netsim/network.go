@@ -157,8 +157,6 @@ type packet struct {
 // message is one in-flight message, pooled on the Network.
 type message struct {
 	path      []int   // deterministic route; storage reused across messages
-	links     []int32 // wormhole: dense link index per hop (storage reused)
-	vcs       []int8  // wormhole: dateline virtual channel per hop
 	bytes     float64 // per-packet bytes after the even split
 	start     float64 // injection time (latency is measured from here)
 	remaining int32   // packets (or worms) not yet delivered
@@ -263,8 +261,11 @@ func (n *Network) freePktSlot(pi int32) {
 // arrives. Messages to self are delivered immediately.
 func (n *Network) Send(src, dst int, bytes float64, onDelivered func()) {
 	if int(n.id) >= len(n.eng.nets) || n.eng.nets[n.id] != n {
-		// The engine was Reset since this network last used it.
+		// The engine was Reset since this network last used it. Its clock
+		// restarted at 0, so link reservations made on the old clock are
+		// void.
 		n.id = n.eng.register(n)
+		clear(n.freeAt)
 	}
 	n.sent++
 	n.bytesSent += bytes

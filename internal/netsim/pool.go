@@ -6,7 +6,7 @@ import (
 )
 
 // enginePool recycles Engines process-wide so sweep runners and the
-// mapping service reuse a warm event slab, run table and key heap instead
+// mapping service reuse a warm event slab, run table and bucket heads instead
 // of growing a fresh arena per simulation. Engines carry no cross-run state:
 // GetEngine returns an arbitrary pooled engine and every user must treat
 // it as dirty until ReplayOn (or its own code) calls Reset.

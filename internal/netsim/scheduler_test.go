@@ -314,17 +314,142 @@ func TestSchedulerManySimultaneous(t *testing.T) {
 	})
 }
 
+// bucketOutOfOrder reports whether some bucket above 0 lists at least
+// three runs of one time, not all in seq order: the state in which a
+// redistribution must sort what it moves to bucket 0.
+func bucketOutOfOrder(e *Engine) bool {
+	for b := 1; b < len(e.bucket); b++ {
+		count := map[float64]int{}
+		last := map[float64]int64{}
+		unordered := map[float64]bool{}
+		for r := e.bucket[b]; r != 0; r = e.runs[r].qnext {
+			rn := &e.runs[r]
+			if count[rn.at] > 0 && rn.seq < last[rn.at] {
+				unordered[rn.at] = true
+			}
+			count[rn.at]++
+			last[rn.at] = rn.seq
+		}
+		for at, n := range count {
+			if n >= 3 && unordered[at] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSchedulerSameTimeRunsInOneBucket leaves several runs of one time in
+// one bucket, listed against their seq order, after the queue has
+// advanced: three colliding times evict each other from one cache slot,
+// and handlers of the middle time reopen runs of the last while runs of
+// the last are already queued. Bucket 0 must still dispatch them by seq.
+func TestSchedulerSameTimeRunsInOneBucket(t *testing.T) {
+	c := collidingTimes(3)
+	seen := false
+	eng := checkStream(t, "one bucket", func(s sched, log func(int)) {
+		s.Schedule(c[0], func() {
+			log(0)
+			for k := 0; k < 7; k++ {
+				id, at := 10+k, c[2-k%2] // c2, c1, c2, … : every schedule misses
+				s.Schedule(at, func() {
+					log(id)
+					if at == c[1] {
+						s.After(0, func() { log(100 + id) }) // a run at Now, appended to bucket 0
+						s.Schedule(c[2], func() { log(200 + id) })
+					}
+				})
+			}
+			if e, ok := s.(*Engine); ok {
+				seen = bucketOutOfOrder(e)
+			}
+		})
+	})
+	if !seen {
+		t.Error("no bucket held three runs of one time out of seq order: the stream no longer tests the redistribution's sort")
+	}
+	if eng.opened < 10 {
+		t.Errorf("opened %d runs, want at least 10: the times were meant to evict each other", eng.opened)
+	}
+}
+
+// TestSchedulerPowerOfTwoBoundaries schedules times on both sides of
+// powers of two and of the subnormal/normal boundary — where a key's
+// highest bit differing from Now's jumps — scrambled, and from each
+// handler the next representable time and the next power of two.
+func TestSchedulerPowerOfTwoBoundaries(t *testing.T) {
+	times := []float64{
+		math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+		math.Nextafter(0x1p-1022, 0), 0x1p-1022, math.Nextafter(0x1p-1022, 1),
+		math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1),
+		math.Nextafter(1, 0), 1, math.Nextafter(1, 2),
+		math.Nextafter(2, 0), 2, 4, 0x1p52, 0x1p53,
+		math.MaxFloat64, math.Inf(1),
+	}
+	checkStream(t, "powers of two", func(s sched, log func(int)) {
+		id := 0
+		var handler func(depth int) func()
+		handler = func(depth int) func() {
+			myID := id
+			id++
+			return func() {
+				log(myID)
+				now := s.Now()
+				if depth == 2 || math.IsInf(now, 1) {
+					return
+				}
+				_, exp := math.Frexp(now)
+				s.Schedule(math.Nextafter(now, math.Inf(1)), handler(depth+1))
+				s.Schedule(math.Ldexp(1, exp), handler(depth+1)) // the next power of two
+				s.After(0, handler(depth+1))
+			}
+		}
+		for _, i := range rand.New(rand.NewSource(3)).Perm(len(times)) {
+			s.Schedule(times[i], handler(0))
+		}
+	})
+}
+
+// TestSchedulerSignedZeroBesideSubnormal: −0 and +0 beside the smallest
+// non-zero time, whose key differs from 0's in the lowest bit alone. An
+// unfolded −0 would differ from every other key in bit 63.
+func TestSchedulerSignedZeroBesideSubnormal(t *testing.T) {
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	eng := checkStream(t, "zero and tiny", func(s sched, log func(int)) {
+		for i, at := range []float64{tiny, negZero, 0, tiny, negZero} {
+			id := i
+			s.Schedule(at, func() {
+				log(id)
+				switch s.Now() {
+				case 0:
+					s.Schedule(negZero, func() { log(100 + id) })
+					s.Schedule(tiny, func() { log(200 + id) })
+				case tiny:
+					s.After(0, func() { log(300 + id) })
+					s.Schedule(2*tiny, func() { log(400 + id) })
+				}
+			})
+		}
+	})
+	if eng.opened != 3 {
+		t.Errorf("opened %d runs for times {0, tiny, 2·tiny}, want 3", eng.opened)
+	}
+}
+
 // fuzzOp is one decoded scheduling step: after delay, log and run kids.
 type fuzzOp struct {
 	delay float64
 	kids  []fuzzOp
 }
 
-// fuzzDelays is the palette a fuzz byte picks from: mostly ties and near
-// ties, two delays sharing a cache slot, and a far jump.
+// fuzzDelays is the palette a fuzz byte's low nibble picks from: mostly
+// ties and near ties, two delays sharing a cache slot, a far jump, −0,
+// and delays beside powers of two and the subnormal/normal boundary.
 var fuzzDelays = func() []float64 {
 	c := collidingTimes(2)
-	return []float64{0, 0, 0.5, 0.5, 1, 1e-9, 0.25, c[0], c[1], 1e6}
+	return []float64{0, 0, 0.5, 0.5, 1, 1e-9, 0.25, c[0], c[1], 1e6,
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.Nextafter(1, 0),
+		math.Nextafter(0x1p-1022, 0), 0x1p-1022, 2}
 }()
 
 // decodeFuzz reads ops from data until depth-bounded input runs out. A
@@ -372,7 +497,11 @@ func fuzzStream(data []byte) stream {
 				continue
 			}
 			op, _ := decodeFuzz(data, &pos, 0)
-			s.Schedule(s.Now()+op.delay, handler(op))
+			at := s.Now() + op.delay
+			if at == 0 {
+				at = op.delay // 0 + −0 is +0; keep the delay's sign
+			}
+			s.Schedule(at, handler(op))
 		}
 	}
 }
@@ -384,6 +513,12 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0x37, 0x28, 0x17, 0x08, 0x07, 0x38, 0xff, 0x07, 0x08})
 	f.Add([]byte{0x09, 0x35, 0x30, 0x30, 0x30, 0x00, 0xff, 0xff, 0x01})
 	f.Add([]byte{0x04, 0x04, 0xff, 0x00, 0x10, 0x00, 0xff, 0x00})
+	// Runs of one time evicting each other into one bucket.
+	f.Add([]byte{0x08, 0x07, 0x08, 0x07, 0x08, 0x07, 0x08, 0x18, 0x00, 0x07})
+	// Times beside powers of two and the subnormal boundary.
+	f.Add([]byte{0x0c, 0x04, 0x02, 0x0f, 0x0d, 0x0e, 0x2c, 0x0b, 0x04, 0xff, 0x3c, 0x0c, 0x0f, 0x04})
+	// −0 and +0 beside the smallest non-zero time.
+	f.Add([]byte{0x0b, 0x0a, 0x00, 0x1a, 0x0b, 0x0a, 0xff, 0x0a, 0x1b, 0x0a})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 { // the oracle re-sorts after every nested schedule
 			return

@@ -228,7 +228,9 @@ func TestWormholeEventsPerRun(t *testing.T) {
 }
 
 // TestWormholeResetReuse checks that an engine arena recycled across
-// wormhole simulations reproduces the first run bit for bit.
+// wormhole simulations reproduces the first run bit for bit, and that a
+// network whose routes grow longer between runs re-sizes its worms' hop
+// records to the new length and then runs without allocating.
 func TestWormholeResetReuse(t *testing.T) {
 	w := wormholeDeterminismWorkloads()[0]
 	eng := &netsim.Engine{}
@@ -253,6 +255,62 @@ func TestWormholeResetReuse(t *testing.T) {
 				t.Fatalf("rep %d: stats word %d diverged after Reset", rep, i)
 			}
 		}
+	}
+
+	// A second network, kept across Resets: one-hop routes first, then
+	// routes of up to eight hops raise its pathCap, so recycled worms
+	// outgrow their hop records. Each run must end at the time and after
+	// the events of the same sends on a fresh engine and network.
+	cfg := netsim.Config{Topology: topology.MustTorus(8, 8), LinkBandwidth: 1e8, LinkLatency: 1e-7,
+		Mode: netsim.ModeWormhole, PacketSize: 1024, FlitSize: 64}
+	send := func(net *netsim.Network, long bool) {
+		for a := 0; a < 64; a++ {
+			if !long {
+				net.Send(a, a^1, 4096, nil)
+				continue
+			}
+			for _, d := range []int{9, 27, 36} {
+				net.Send(a, (a+d)%64, 4096, nil)
+			}
+		}
+	}
+	type outcome struct {
+		end    float64
+		events int64
+	}
+	var want [2]outcome // by long
+	for i, long := range []bool{false, true} {
+		fresh := &netsim.Engine{}
+		net, err := netsim.NewNetwork(fresh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send(net, long)
+		want[i] = outcome{fresh.Run(), fresh.Processed()}
+	}
+	net, err := netsim.NewNetwork(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(long bool) {
+		eng.Reset()
+		send(net, long)
+		w := want[0]
+		if long {
+			w = want[1]
+		}
+		if end := eng.Run(); math.Float64bits(end) != math.Float64bits(w.end) || eng.Processed() != w.events {
+			t.Fatalf("long routes %v: reused network ended at %v after %d events, fresh one at %v after %d",
+				long, end, eng.Processed(), w.end, w.events)
+		}
+	}
+	run(false)
+	run(false)
+	run(true) // pathCap grows: recycled worms re-size their hop records
+	run(false)
+	run(true)
+	if avg := testing.AllocsPerRun(10, func() { run(false); run(true) }); avg > 0.5 {
+		t.Errorf("after routes grew, a short and a long run allocate %.1f times, want 0", avg)
 	}
 }
 
